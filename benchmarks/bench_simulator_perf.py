@@ -137,9 +137,10 @@ def test_full_machine_daxpy_two_ports(benchmark):
 # The batch engine's acceptance bar (see tests/batch/): >= 10x over the
 # per-point kernel on a 1000-cell conflict-free-heavy grid.  The grid
 # mixes strides whose accesses plan conflict-free under the matched XOR
-# mapping (the analytic tier) with conflict-prone ones (the SoA tier);
-# the baseline bench runs the identical specs through simulate() so the
-# BENCH_*.json artifact records both sides of the ratio per commit.
+# mapping (the analytic tier) with conflict-prone ones (simulated by the
+# kernel in process); the baseline bench runs the identical specs
+# through simulate() so the BENCH_*.json artifact records both sides of
+# the ratio per commit.
 
 
 def _batch_grid():
@@ -177,14 +178,6 @@ def test_batch_grid_1000_cells(benchmark):
     assert report.analytic_count > 0
     assert report.soa_count > 0
     assert report.fallback_count == 0
-
-
-def test_batch_grid_1000_cells_stdlib(benchmark):
-    """The same grid with numpy acceleration forced off."""
-    from repro.batch import evaluate_batch
-
-    report = benchmark(evaluate_batch, _BATCH_SPECS, use_numpy=False)
-    assert len(report.results) == 1000
 
 
 def test_kernel_grid_1000_cells_baseline(benchmark):
@@ -225,7 +218,7 @@ def test_batch_grid_analytic_only(benchmark):
 
 
 def test_batch_grid_mixed_with_indexed(benchmark):
-    """Strided + indexed points: the SoA kernel carries the gathers."""
+    """Strided + indexed points: the kernel simulates the gathers."""
     from repro.batch import evaluate_batch
     from repro.scenarios import ScenarioSpec
 
@@ -271,7 +264,7 @@ def test_batch_grid_mixed_with_indexed(benchmark):
 
 # -- program-grid fallback tier -------------------------------------------
 #
-# Program/decoupled points cannot take the analytic or SoA tiers — the
+# Program/decoupled points cannot take the analytic or simulated tiers — the
 # fallback tier is their whole story, and these benches record how fast
 # it runs serially, sharded over 4 workers, and as a bare per-point
 # loop.  The committed 64-point example is the fixture, so the bench

@@ -7,9 +7,9 @@ through a three-way partition:
   conflict-free take the closed-form ``T + L + 1`` fast path
   (:mod:`repro.batch.analytic`): no simulation at all;
 * **soa** — remaining planner-drive points (conflict-prone strides,
-  indexed accesses) are simulated together by the struct-of-arrays
-  batched kernel (:mod:`repro.batch.soa`) under one shared event-skip
-  horizon;
+  indexed accesses) run their prepared plans through the memory
+  kernel in this process (the tier keeps its historical name so
+  manifests and history stay comparable);
 * **fallback** — figure6/decoupled/program drives carry engine-specific
   extras and run through the ordinary per-point
   :func:`repro.scenarios.simulate`; ``workers=`` shards them over a
@@ -37,9 +37,9 @@ from typing import Iterator, Sequence
 
 from repro.batch.fallback import resolve_fallback_workers, run_fallback_tier
 from repro.batch.prepare import prepare_point
-from repro.batch.soa import SoaRunSpec, simulate_runs
 from repro.core.planner import plan_cache_stats
 from repro.errors import SimulationError
+from repro.memory.system import MemorySystem
 from repro.scenarios.facade import ScenarioResult, _aggregate, simulate
 from repro.scenarios.spec import ScenarioSpec
 
@@ -105,7 +105,6 @@ def evaluate_batch(
     specs: Sequence[ScenarioSpec],
     *,
     validate: int = 0,
-    use_numpy: bool | None = None,
     on_error: str = "raise",
     workers: int | None = None,
 ) -> BatchReport:
@@ -118,8 +117,8 @@ def evaluate_batch(
     failures per job, like :class:`BatchBackend`) instead of raising.
     ``workers`` shards the fallback tier over that many worker
     processes (``None``/1 = serial, 0 = one per CPU); the analytic and
-    SoA tiers, validation, and result ordering are unaffected, so the
-    report is identical for any worker count.
+    simulated tiers, validation, and result ordering are unaffected, so
+    the report is identical for any worker count.
     """
     if on_error not in ("raise", "capture"):
         raise SimulationError(f"unknown on_error mode {on_error!r}")
@@ -127,26 +126,24 @@ def evaluate_batch(
     cache_before = plan_cache_stats()
     specs = list(specs)
     prepared: list[tuple[str, object]] = []
-    soa_runs: list[SoaRunSpec] = []
     for spec in specs:
         try:
-            point = prepare_point(spec, use_numpy=use_numpy)
+            point = prepare_point(spec)
+            if point.kind == "soa":
+                system = MemorySystem(point.config)
+                runs = [
+                    (scheme, system.run_plan(plan))
+                    for scheme, plan in point.planned
+                ]
+                prepared.append(("soa", _aggregate(spec, point.config, runs)))
+            elif point.kind == "analytic":
+                prepared.append(("analytic", point.result))
+            else:
+                prepared.append(("fallback", None))
         except Exception as error:
             if on_error == "raise":
                 raise
             prepared.append(("error", error))
-            continue
-        if point.kind == "analytic":
-            prepared.append(("analytic", point.result))
-        elif point.kind == "soa":
-            start = len(soa_runs)
-            soa_runs.extend(run for _scheme, run in point.planned)
-            schemes = [scheme for scheme, _run in point.planned]
-            prepared.append(("soa", (point.config, schemes, start)))
-        else:
-            prepared.append(("fallback", None))
-
-    soa_results = simulate_runs(soa_runs, use_numpy=use_numpy)
 
     fallback_indices = [
         index
@@ -163,21 +160,12 @@ def evaluate_batch(
 
     results: list[object] = []
     counts = {"analytic": 0, "soa": 0, "fallback": 0}
-    for spec, (kind, info) in zip(specs, prepared):
+    for kind, info in prepared:
         if kind == "error":
             results.append(info)
             continue
         counts[kind] += 1
-        if kind == "analytic":
-            results.append(info)
-        elif kind == "soa":
-            config, schemes, start = info
-            parts = list(
-                zip(schemes, soa_results[start : start + len(schemes)])
-            )
-            results.append(_aggregate(spec, config, parts))
-        else:
-            results.append(next(fallback_results))
+        results.append(next(fallback_results) if kind == "fallback" else info)
 
     validated = 0
     for index in _validation_sample(validate, len(specs)):
@@ -225,15 +213,8 @@ class BatchBackend:
 
     name = "batch"
 
-    def __init__(
-        self,
-        *,
-        validate: int = 0,
-        use_numpy: bool | None = None,
-        workers: int | None = None,
-    ):
+    def __init__(self, *, validate: int = 0, workers: int | None = None):
         self.validate = validate
-        self.use_numpy = use_numpy
         self.workers = workers
         self._metrics: dict[str, int] = {}
 
@@ -264,7 +245,6 @@ class BatchBackend:
         report = evaluate_batch(
             [spec for _job, spec in batched],
             validate=self.validate,
-            use_numpy=self.use_numpy,
             on_error="capture",
             workers=self.workers,
         )

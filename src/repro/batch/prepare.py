@@ -6,33 +6,26 @@
   :class:`~repro.scenarios.ScenarioResult` is closed-form arithmetic
   (the prepared result rides along);
 * ``"soa"`` — planner-drive points with at least one conflict-prone or
-  indexed access carry their per-access module sequences into the
-  struct-of-arrays kernel;
+  indexed access carry their per-access plans to the kernel (the tier
+  name is kept so manifests and history stay comparable);
 * ``"fallback"`` — programs and the figure6/decoupled drives, which
   need the per-point engines.
 
 The classification leans on :mod:`repro.batch.fastpath`: for the
 paper's XOR mappings, conflict-free feasibility is decided by the
-Lemma-1 chunk arithmetic and conflict-prone points take the canonical
-order — so the expensive ``conflict_free_order`` slot loop never runs
-for them.  Geometries outside the proven closed forms consult the real
-:class:`~repro.core.planner.AccessPlanner`, whose plans are authoritative
-by construction.  Build and validation errors surface exactly as
-:func:`repro.scenarios.simulate` raises them: the same factories and
-constructors run in the same order.
+Lemma-1 chunk arithmetic, so a conflict-free access never materialises
+its request order.  Every other access is planned by the real
+:class:`~repro.core.planner.AccessPlanner`, whose plans are
+authoritative by construction.  Build and validation errors surface
+exactly as :func:`repro.scenarios.simulate` raises them: the same
+factories and constructors run in the same order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.batch._accel import module_histogram
-from repro.batch.fastpath import (
-    canonical_modules,
-    cf_order_feasible,
-    modules_conflict_free,
-)
-from repro.batch.soa import SoaRunSpec
+from repro.batch.fastpath import cf_order_feasible
 from repro.core.gather import IndexedAccess, plan_indexed
 from repro.core.planner import AccessPlanner
 from repro.core.vector import VectorAccess
@@ -55,36 +48,33 @@ class PreparedPoint:
 
     ``kind`` is ``"analytic"`` (``result`` holds the finished
     :class:`ScenarioResult`), ``"soa"`` (``config`` and ``planned`` —
-    ``(scheme, SoaRunSpec)`` per access — feed the batched kernel) or
-    ``"fallback"`` (everything ``None``; run :func:`simulate`).
+    ``(scheme, plan)`` per access — feed the kernel) or ``"fallback"``
+    (everything ``None``; run :func:`simulate`).
     """
 
     kind: str
     result: ScenarioResult | None = None
     config: object = None
-    planned: tuple[tuple[str, SoaRunSpec], ...] = ()
+    planned: tuple[tuple[str, object], ...] = ()
 
 
 @dataclass(frozen=True)
 class _AccessVerdict:
-    """Scheme, conflict-freedom and module data for one access.
+    """Scheme, conflict-freedom and plan data for one access.
 
-    ``modules`` is the issue-order module sequence when known without
-    building the full plan; a conflict-free fast-path verdict leaves it
-    ``None`` (its histogram is order-invariant) and ``histogram``
-    carries the per-module request counts instead.
+    ``plan`` is the access plan when one was built; a conflict-free
+    fast-path verdict leaves it ``None`` and ``histogram`` carries the
+    per-module request counts instead (they are order-invariant).
     """
 
     scheme: str
     conflict_free: bool
     indexed: bool = False
-    modules: object = None
+    plan: object = None
     histogram: list[int] | None = None
 
 
-def prepare_point(
-    spec: ScenarioSpec, *, use_numpy: bool | None = None
-) -> PreparedPoint:
+def prepare_point(spec: ScenarioSpec) -> PreparedPoint:
     """Classify ``spec`` and prepare whatever its tier needs.
 
     Raises exactly what :func:`repro.scenarios.simulate` would raise
@@ -101,75 +91,61 @@ def prepare_point(
     planner = AccessPlanner(config.mapping, config.t)
     accesses = workload.accesses()
     verdicts = [
-        _classify_access(planner, config, drive, access, use_numpy)
+        _classify_access(planner, config, drive, access)
         for access in accesses
     ]
-    if all(v.conflict_free for v in verdicts) and not any(
-        v.indexed for v in verdicts
+    # With ``T = 1`` every sequence is conflict-free by definition, yet
+    # back-to-back requests to one module still stall on a one-slot
+    # input queue, so the closed form needs ``T >= 2`` (as the kernel's
+    # own closed form does).
+    if (
+        config.service_ratio > 1
+        and all(v.conflict_free for v in verdicts)
+        and not any(v.indexed for v in verdicts)
     ):
         return PreparedPoint(
-            "analytic",
-            result=_analytic_result(spec, config, verdicts, use_numpy),
+            "analytic", result=_analytic_result(spec, config, verdicts)
         )
+    # A conflict-free access inside a mixed workload has no plan yet;
+    # the kernel needs its true issue order, so build it.
     planned = tuple(
-        (v.scheme, _run_spec(planner, config, drive, access, v))
+        (v.scheme, v.plan or planner.plan(access, mode=drive.mode))
         for access, v in zip(accesses, verdicts)
     )
     return PreparedPoint("soa", config=config, planned=planned)
 
 
 def _classify_access(
-    planner: AccessPlanner,
-    config,
-    drive: PlannerDrive,
-    access,
-    use_numpy: bool | None,
+    planner: AccessPlanner, config, drive: PlannerDrive, access
 ) -> _AccessVerdict:
     """One access's scheme/verdict, via the cheapest sound route."""
     mapping = config.mapping
-    service = config.service_ratio
     if isinstance(access, IndexedAccess):
         plan = plan_indexed(
             mapping, config.t, access, mode=drive.indexed_mode
         )
         return _AccessVerdict(
-            plan.scheme, plan.conflict_free, indexed=True, modules=plan.modules
+            plan.scheme, plan.conflict_free, indexed=True, plan=plan
         )
     mode = drive.mode
-    if mode in ("auto", "conflict_free"):
-        feasible = cf_order_feasible(mapping, config.t, access)
-        if feasible is True:
-            return _AccessVerdict(
-                "conflict_free",
-                True,
-                histogram=_cf_histogram(mapping, access, service, use_numpy),
-            )
-        if feasible is False:
-            if mode == "conflict_free":
-                # The forced mode raises; let the planner produce the
-                # exact OrderingError simulate() would.
-                planner.plan(access, mode=mode)
-            return _canonical_verdict(mapping, access, service, use_numpy)
-    elif mode == "ordered":
-        return _canonical_verdict(mapping, access, service, use_numpy)
+    if (
+        mode in ("auto", "conflict_free")
+        and cf_order_feasible(mapping, config.t, access) is True
+    ):
+        return _AccessVerdict(
+            "conflict_free",
+            True,
+            histogram=_cf_histogram(mapping, access, config.service_ratio),
+        )
+    # Everything else plans exactly as simulate() does: a forced mode
+    # raises the same OrderingError, ``auto`` falls back to the
+    # canonical order, and the plan cache is shared with the per-point
+    # path.
     plan = planner.plan(access, mode=mode)
-    return _AccessVerdict(plan.scheme, plan.conflict_free, modules=plan.modules)
+    return _AccessVerdict(plan.scheme, plan.conflict_free, plan=plan)
 
 
-def _canonical_verdict(
-    mapping, access: VectorAccess, service: int, use_numpy: bool | None
-) -> _AccessVerdict:
-    modules = canonical_modules(mapping, access, use_numpy=use_numpy)
-    return _AccessVerdict(
-        "canonical",
-        modules_conflict_free(modules, service, use_numpy=use_numpy),
-        modules=modules,
-    )
-
-
-def _cf_histogram(
-    mapping, access: VectorAccess, service: int, use_numpy: bool | None
-) -> list[int]:
+def _cf_histogram(mapping, access: VectorAccess, service: int) -> list[int]:
     """Per-module request counts of a conflict-free access.
 
     Order-invariant, so the canonical address set serves.  A truly
@@ -178,15 +154,21 @@ def _cf_histogram(
     """
     if type(mapping) is MatchedXorMapping and mapping.module_count == service:
         return [access.length // service] * service
-    modules = canonical_modules(mapping, access, use_numpy=use_numpy)
-    return module_histogram(modules, mapping.module_count, use_numpy=use_numpy)
+    return _histogram(
+        mapping.module_sequence(access.base, access.stride, access.length),
+        mapping.module_count,
+    )
+
+
+def _histogram(modules, module_count: int) -> list[int]:
+    counts = [0] * module_count
+    for module in modules:
+        counts[module] += 1
+    return counts
 
 
 def _analytic_result(
-    spec: ScenarioSpec,
-    config,
-    verdicts: list[_AccessVerdict],
-    use_numpy: bool | None,
+    spec: ScenarioSpec, config, verdicts: list[_AccessVerdict]
 ) -> ScenarioResult:
     service = config.service_ratio
     module_count = config.module_count
@@ -199,9 +181,7 @@ def _analytic_result(
             schemes.append(verdict.scheme)
         counts = verdict.histogram
         if counts is None:
-            counts = module_histogram(
-                verdict.modules, module_count, use_numpy=use_numpy
-            )
+            counts = _histogram(verdict.plan.modules, module_count)
         length = sum(counts)
         latency += service + length + 1
         elements += length
@@ -221,27 +201,4 @@ def _analytic_result(
         service_ratio=service,
         module_count=module_count,
         module_busy_cycles=tuple(busy),
-    )
-
-
-def _run_spec(
-    planner: AccessPlanner,
-    config,
-    drive: PlannerDrive,
-    access,
-    verdict: _AccessVerdict,
-) -> SoaRunSpec:
-    """The SoA run description for one access of a conflict-prone point."""
-    modules = verdict.modules
-    if modules is None:
-        # A conflict-free access inside a mixed workload: the kernel
-        # needs its true issue-order module sequence, so build the plan.
-        modules = planner.plan(access, mode=drive.mode).modules
-    return SoaRunSpec(
-        modules=tuple(int(module) for module in modules),
-        service_time=config.service_ratio,
-        module_count=config.module_count,
-        input_capacity=config.input_capacity,
-        output_capacity=config.output_capacity,
-        ports=config.ports,
     )

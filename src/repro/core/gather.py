@@ -23,7 +23,7 @@ power-of-two-clustered index sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 from repro.core.distributions import is_conflict_free
@@ -69,7 +69,11 @@ class IndexedAccess:
 
 @dataclass(frozen=True)
 class IndexedPlan:
-    """A materialised gather/scatter issue order."""
+    """A materialised gather/scatter issue order.
+
+    ``mapping`` is the mapping ``modules`` was computed under (not part
+    of equality), as on :class:`~repro.core.planner.AccessPlan`.
+    """
 
     access: IndexedAccess
     order: tuple[int, ...]
@@ -77,6 +81,9 @@ class IndexedPlan:
     service_ratio: int
     conflict_free: bool
     scheme: str
+    mapping: AddressMapping | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def minimum_latency(self) -> int:
@@ -131,4 +138,5 @@ def plan_indexed(
         service_ratio=service_ratio,
         conflict_free=is_conflict_free(ordered_modules, service_ratio),
         scheme=scheme,
+        mapping=mapping,
     )

@@ -26,7 +26,7 @@ from __future__ import annotations
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal
 
 from repro.core.distributions import (
@@ -161,6 +161,9 @@ class AccessPlan:
         ``T = 2**t``.
     conflict_free:
         Verdict of the Section 2 definition on ``modules``.
+    mapping:
+        The mapping ``modules`` was computed under, so a memory can
+        tell whether it may reuse them (not part of equality).
     """
 
     vector: VectorAccess
@@ -168,6 +171,9 @@ class AccessPlan:
     modules: tuple[int, ...]
     service_ratio: int
     conflict_free: bool
+    mapping: AddressMapping | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def scheme(self) -> str:
@@ -326,6 +332,7 @@ class AccessPlanner:
             modules=modules,
             service_ratio=self.service_ratio,
             conflict_free=is_conflict_free(modules, self.service_ratio),
+            mapping=self.mapping,
         )
 
     def vector_t_matched(self, vector: VectorAccess) -> bool:

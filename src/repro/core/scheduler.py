@@ -154,4 +154,5 @@ class OraclePlanner:
             conflict_free=is_conflict_free(
                 ordered_modules, self.service_ratio
             ),
+            mapping=self.mapping,
         )

@@ -16,19 +16,15 @@ Module map
   widened machine (``k >= 1`` buses).
 * :mod:`repro.memory.config` — :class:`MemoryConfig`: mapping, ``T``,
   buffer depths ``q``/``q'`` and the port count.
-* :mod:`repro.memory.module` — the single-module state machine
-  (documentation/reference model; the kernel keeps the same state in
-  flat arrays) and the :class:`InFlightRequest` timing record.
-* :mod:`repro.memory.arbiter` — result-bus arbitration policies.
+* :mod:`repro.memory.module` — the :class:`InFlightRequest` timing
+  record and :class:`RequestRecords`, the lazily built sequence of them
+  every run returns.
 * :mod:`repro.memory.storage` — the word-addressable backing store.
-* :mod:`repro.memory.metrics`, :mod:`repro.memory.trace`,
-  :mod:`repro.memory.events` — derived metrics, Gantt rendering and
-  event logs.
+* :mod:`repro.memory.metrics`, :mod:`repro.memory.trace` — derived
+  metrics and Gantt rendering.
 """
 
-from repro.memory.arbiter import FifoArbiter, ResultArbiter, RoundRobinArbiter
 from repro.memory.config import MemoryConfig
-from repro.memory.events import Event, EventKind, EventLog
 from repro.memory.kernel import (
     KernelRun,
     KernelStream,
@@ -43,7 +39,7 @@ from repro.memory.metrics import (
     streaming_efficiency,
     summarise_population,
 )
-from repro.memory.module import InFlightRequest, MemoryModule
+from repro.memory.module import InFlightRequest, RequestRecords
 from repro.memory.multiport import MultiPortMemorySystem, PortAssignment
 from repro.memory.multistream import (
     MultiStreamMemorySystem,
@@ -56,16 +52,11 @@ from repro.memory.trace import describe_result, render_timeline
 
 __all__ = [
     "AccessResult",
-    "Event",
-    "EventKind",
-    "EventLog",
-    "FifoArbiter",
     "InFlightRequest",
     "KernelRun",
     "KernelStream",
     "MemoryConfig",
     "MemoryKernel",
-    "MemoryModule",
     "MemoryStore",
     "MemorySystem",
     "MultiPortMemorySystem",
@@ -75,8 +66,7 @@ __all__ = [
     "StreamRun",
     "PopulationSummary",
     "PortAssignment",
-    "ResultArbiter",
-    "RoundRobinArbiter",
+    "RequestRecords",
     "access_efficiency",
     "cycles_per_element",
     "describe_result",

@@ -29,33 +29,45 @@ Timing contract (unchanged from the package docstring, per port):
   ``c + 1``;
 * a module starts the head request when idle; service takes ``T``
   cycles and needs the output queue to drain (``q'`` back-pressure);
-* one result per port per cycle, arbitrated oldest-first, delivered the
-  cycle it is granted; a result finishing service at the end of cycle
-  ``f`` is first deliverable at ``f + 1``.
+* one result per port per cycle, arbitrated oldest-first (ready cycle,
+  then module index), delivered the cycle it is granted; a result
+  finishing service at the end of cycle ``f`` is first deliverable at
+  ``f + 1``.
 
 Hence ``ports = 1, streams = 1`` degenerates exactly to the paper's
 conflict-free minimum latency ``T + L + 1``.
 
-Performance: the kernel keeps per-module state in flat preallocated
-lists (no per-cycle attribute churn through module objects) and
-fast-forwards over idle cycles — when a cycle passes with no issue, no
-grant, no service start and no completion, the loop jumps straight to
-the next scheduled event (service completion, head-of-queue arrival, or
-result-ready edge), accounting the skipped stall and busy cycles
-arithmetically.  ``benchmarks/bench_simulator_perf.py`` tracks the
-resulting throughput.
+Performance: per-request timing lives in flat lists, and the
+:class:`~repro.memory.module.InFlightRequest` records are only built
+when a caller reads them (:class:`~repro.memory.module.RequestRecords`).
+Callers that already know each request's module — an
+:class:`~repro.core.planner.AccessPlan` carries its temporal
+distribution — pass it in :attr:`KernelStream.modules` instead of
+having the kernel re-derive it from the addresses.
+
+The cycle loop is event-driven.  A module serves requests in the order
+they reach it, so its input queue is a window of the requests issued to
+it (a counter, not a queue); results enter the output queues in cycle
+order with ``ready = cycle + 1``, so one list kept in (ready, module)
+order *is* the oldest-first arbitration; and each module's next state
+change — an arrival, a service end, a restart, a freed output slot — is
+scheduled by cycle.  A cycle therefore costs the events in it rather
+than a scan over every busy module, and cycles in which nothing can
+change are skipped outright.  A single stream whose module sequence is
+conflict-free (the paper's Section 2 definition) needs no loop at all:
+its timing is the closed form behind ``T + L + 1``.
+``benchmarks/bench_simulator_perf.py`` tracks the resulting throughput.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
+from repro.core.distributions import is_conflict_free
 from repro.errors import ConfigurationError, SimulationError
-from repro.memory.arbiter import ResultArbiter
 from repro.memory.config import MemoryConfig
-from repro.memory.module import InFlightRequest
+from repro.memory.module import RequestRecords
 from repro.obs.tracer import resolve_tracer
 
 #: Issue policies for streams sharing one port.
@@ -74,7 +86,10 @@ class KernelStream:
     ``i % ports``).  ``start_cycle`` staggers injection: the stream is
     invisible to its port until that kernel-relative cycle (default 1,
     i.e. eligible from the first cycle) — cycles spent waiting for the
-    start are deliberate delay, not issue stalls.
+    start are deliberate delay, not issue stalls.  ``modules``
+    optionally gives each request's module (the plan's temporal
+    distribution under the kernel's mapping); ``None`` derives them
+    from the addresses.
     """
 
     name: str
@@ -82,6 +97,7 @@ class KernelStream:
     stores: frozenset[int] = frozenset()
     port: int | None = None
     start_cycle: int = 1
+    modules: tuple[int, ...] | None = None
 
     @classmethod
     def of(
@@ -91,8 +107,16 @@ class KernelStream:
         stores: Sequence[int] = (),
         port: int | None = None,
         start_cycle: int = 1,
+        modules: Sequence[int] | None = None,
     ) -> "KernelStream":
-        return cls(name, tuple(requests), frozenset(stores), port, start_cycle)
+        return cls(
+            name,
+            tuple(requests),
+            frozenset(stores),
+            port,
+            start_cycle,
+            None if modules is None else tuple(modules),
+        )
 
 
 @dataclass(frozen=True)
@@ -111,7 +135,7 @@ class StreamRun:
     first_issue_cycle: int
     last_delivery_cycle: int
     issue_stall_cycles: int
-    requests: tuple[InFlightRequest, ...]
+    requests: RequestRecords
     module_request_counts: tuple[int, ...]
     start_cycle: int = 1
 
@@ -127,7 +151,7 @@ class StreamRun:
     @property
     def wait_count(self) -> int:
         """Requests that queued behind a busy module."""
-        return sum(1 for request in self.requests if request.waited)
+        return self.requests.wait_count
 
     @property
     def conflict_free(self) -> bool:
@@ -139,10 +163,7 @@ class StreamRun:
         first cycle it was deliverable (``finish + 1``) — held back by
         result-bus contention or ``q'`` back-pressure.  The per-stream
         counterpart of :attr:`KernelRun.bus_held_result`."""
-        return any(
-            request.delivery_cycle > request.finish_cycle + 1
-            for request in self.requests
-        )
+        return self.requests.result_held
 
 
 @dataclass(frozen=True)
@@ -166,6 +187,25 @@ class KernelRun:
         return self.bus_busy_cycles / (self.total_cycles * self.ports)
 
 
+def _conflict_free_timing(total: int, start_cycle: int, service_time: int):
+    """Timing of a single stream whose module sequence is conflict-free.
+
+    When any two requests to one module are at least ``T >= 2`` positions
+    apart (the paper's Section 2 definition), every request finds its
+    module idle and its input queue empty, and at most one result becomes
+    ready per cycle: request ``i`` issues at ``start_cycle + i``, starts
+    on arrival one cycle later and is delivered ``T`` cycles after that,
+    with no stall, wait or held result.  The last delivery closes the
+    run at ``start_cycle - 1 + T + L + 1`` — the ``T + L + 1`` bound.
+    Returns the same tuple as :meth:`MemoryKernel._cycle_loop`.
+    """
+    arrival = list(range(start_cycle + 1, start_cycle + 1 + total))
+    first_delivery = start_cycle + service_time + 1
+    delivery = list(range(first_delivery, first_delivery + total))
+    last = delivery[-1]
+    return arrival, arrival, delivery, last, False, [start_cycle], [last], [0]
+
+
 class MemoryKernel:
     """Cycle-level simulator of M modules fed by k ports and n streams.
 
@@ -180,15 +220,11 @@ class MemoryKernel:
         How streams sharing one port take turns: ``"round_robin"``
         (rotate past the last issuer) or ``"priority"`` (lowest stream
         index first, head-of-line blocking).
-    arbiter:
-        Optional custom :class:`~repro.memory.arbiter.ResultArbiter`.
-        ``None`` selects the built-in oldest-first (FIFO) grant, which
-        also enables the event-skip fast path.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`.  Events are derived
-        *after* the cycle loop from the per-request timing records the
-        kernel materialises anyway, so the hot loop is identical with
-        tracing on or off and a ``None``/null tracer costs nothing.
+        *after* the cycle loop from the per-request timing records, so
+        the hot loop is identical with tracing on or off and a
+        ``None``/null tracer costs nothing.
     """
 
     def __init__(
@@ -197,7 +233,6 @@ class MemoryKernel:
         *,
         ports: int | None = None,
         policy: str = "round_robin",
-        arbiter: ResultArbiter | None = None,
         tracer=None,
     ):
         resolved_ports = config.ports if ports is None else ports
@@ -223,7 +258,6 @@ class MemoryKernel:
         self.config = config
         self.ports = resolved_ports
         self.policy = policy
-        self.arbiter = arbiter
         self.tracer = resolve_tracer(tracer)
 
     # -- public API -----------------------------------------------------
@@ -232,8 +266,10 @@ class MemoryKernel:
         self, streams: Sequence[KernelStream | Sequence[tuple[int, int]]]
     ) -> KernelRun:
         """Simulate all streams to completion."""
-        kernel_streams = self._normalise(streams)
-        return self._simulate(kernel_streams)
+        run = self._simulate(self._normalise(streams))
+        if self.tracer.enabled:
+            self._emit_trace(run)
+        return run
 
     # -- stream validation ---------------------------------------------
 
@@ -276,276 +312,85 @@ class MemoryKernel:
                     f"stream {stream.name!r} field 'start_cycle' must be "
                     f">= 1, got {stream.start_cycle}"
                 )
+            if stream.modules is not None:
+                if len(stream.modules) != len(stream.requests):
+                    raise ConfigurationError(
+                        f"stream {stream.name!r} field 'modules' has "
+                        f"{len(stream.modules)} entries for "
+                        f"{len(stream.requests)} requests"
+                    )
+                if not (
+                    0 <= min(stream.modules)
+                    and max(stream.modules) < self.config.module_count
+                ):
+                    raise ConfigurationError(
+                        f"stream {stream.name!r} field 'modules' must lie "
+                        f"in [0, {self.config.module_count})"
+                    )
         return normalised
 
-    # -- the cycle loop -------------------------------------------------
+    def _modules_of(self, stream: KernelStream) -> Sequence[int]:
+        """Each request's module: given, or derived from its address."""
+        if stream.modules is not None:
+            return stream.modules
+        module_of = self.config.mapping.module_of
+        reduce = self.config.mapping.reduce
+        return [
+            module_of(reduce(address)) for _element, address in stream.requests
+        ]
+
+    # -- simulation -----------------------------------------------------
 
     def _simulate(self, kernel_streams: list[KernelStream]) -> KernelRun:
+        """Time every request (closed form or cycle loop) and package the
+        per-stream summaries."""
         config = self.config
-        mapping = config.mapping
         service_time = config.service_ratio
         module_count = config.module_count
-        input_capacity = config.input_capacity
-        output_capacity = config.output_capacity
-        ports = self.ports
-        round_robin = self.policy == "round_robin"
-        stream_count = len(kernel_streams)
-
-        # Flat request state, indexed by request id (rid).
-        elem: list[int] = []
-        addr: list[int] = []
-        mod: list[int] = []
-        store_flag: list[bool] = []
-        stream_of: list[int] = []
-        stream_rids: list[list[int]] = []
-        for s_index, stream in enumerate(kernel_streams):
-            rids: list[int] = []
-            for position, (element, address) in enumerate(stream.requests):
-                reduced = mapping.reduce(address)
-                rids.append(len(elem))
-                elem.append(element)
-                addr.append(reduced)
-                mod.append(mapping.module_of(reduced))
-                store_flag.append(position in stream.stores)
-                stream_of.append(s_index)
-            stream_rids.append(rids)
-        total = len(elem)
-        issue = [0] * total
-        arrival = [0] * total
-        start = [0] * total
-        delivery = [0] * total
-
-        # Flat per-module state.
-        in_q: list[deque[int]] = [deque() for _ in range(module_count)]
-        svc_rid = [-1] * module_count
-        svc_finish = [0] * module_count
-        blk_rid = [-1] * module_count
-        out_q: list[deque[tuple[int, int]]] = [
-            deque() for _ in range(module_count)
+        stream_modules = [
+            self._modules_of(stream) for stream in kernel_streams
         ]
-        active: set[int] = set()
-
-        # Per-stream and per-port bookkeeping.
         port_of = [
-            stream.port if stream.port is not None else index % ports
+            stream.port if stream.port is not None else index % self.ports
             for index, stream in enumerate(kernel_streams)
         ]
-        port_members: list[list[int]] = [[] for _ in range(ports)]
-        for index, port in enumerate(port_of):
-            port_members[port].append(index)
-        stream_len = [len(rids) for rids in stream_rids]
         starts = [stream.start_cycle for stream in kernel_streams]
-        cursors = [0] * stream_count
-        stalls = [0] * stream_count
-        first_issue = [0] * stream_count
-        last_delivery = [0] * stream_count
-        rotation = [0] * ports
-        port_issues = [0] * ports
+        if (
+            len(kernel_streams) == 1
+            and service_time > 1
+            and is_conflict_free(stream_modules[0], service_time)
+        ):
+            timing = _conflict_free_timing(
+                len(stream_modules[0]), starts[0], service_time
+            )
+        else:
+            timing = self._cycle_loop(stream_modules, port_of, starts)
+        (
+            arrival,
+            start,
+            delivery,
+            total_cycles,
+            held,
+            first_issue,
+            last_delivery,
+            stalls,
+        ) = timing
 
-        delivered = 0
-        bus_busy = 0
-        bus_held = False
-        cycle = 0
-        guard = (total + 2) * (service_time + 2) + 64 + max(starts) - 1
-        # Custom arbiters may carry state across grants, so the
-        # event-skip fast-forward (which elides whole no-op cycles) is
-        # only safe with the built-in FIFO grant.
-        shims = (
-            [_ModuleShim(out_q, m) for m in range(module_count)]
-            if self.arbiter is not None
-            else None
-        )
-
-        while delivered < total:
-            cycle += 1
-            if cycle > guard:
-                raise SimulationError(
-                    f"simulation exceeded {guard} cycles for {total} "
-                    f"requests — livelock?"
-                )
-            progressed = False
-
-            # 1. Address ports: one request per port per cycle.
-            for port in range(ports):
-                members = port_members[port]
-                candidates = [
-                    s
-                    for s in members
-                    if cursors[s] < stream_len[s] and starts[s] <= cycle
-                ]
-                if not candidates:
-                    continue
-                if round_robin and len(candidates) > 1:
-                    rot = rotation[port]
-                    candidates.sort(
-                        key=lambda s: (s - rot) % stream_count
-                    )
-                for s in candidates:
-                    rid = stream_rids[s][cursors[s]]
-                    m = mod[rid]
-                    if len(in_q[m]) < input_capacity:
-                        issue[rid] = cycle
-                        arrival[rid] = cycle + 1
-                        in_q[m].append(rid)
-                        active.add(m)
-                        if first_issue[s] == 0:
-                            first_issue[s] = cycle
-                        cursors[s] += 1
-                        rotation[port] = s + 1
-                        bus_busy += 1
-                        port_issues[port] += 1
-                        progressed = True
-                        break
-                    stalls[s] += 1
-                    if not round_robin:
-                        break
-
-            # 2. Result ports: up to ``ports`` deliveries per cycle,
-            # oldest result first (ready cycle, then module index).
-            ready_count = 0
-            for m in active:
-                queue = out_q[m]
-                if queue and queue[0][0] <= cycle:
-                    ready_count += 1
-            grants = 0
-            if shims is None:
-                while grants < ports and delivered < total:
-                    best_key: tuple[int, int] | None = None
-                    best_m = -1
-                    for m in active:
-                        queue = out_q[m]
-                        if queue:
-                            ready = queue[0][0]
-                            if ready <= cycle:
-                                key = (ready, m)
-                                if best_key is None or key < best_key:
-                                    best_key = key
-                                    best_m = m
-                    if best_m < 0:
-                        break
-                    rid = out_q[best_m].popleft()[1]
-                    delivery[rid] = cycle
-                    s = stream_of[rid]
-                    if cycle > last_delivery[s]:
-                        last_delivery[s] = cycle
-                    delivered += 1
-                    grants += 1
-                    progressed = True
-            else:
-                for _port in range(ports):
-                    granted = self.arbiter.grant(shims, cycle)
-                    if granted is None:
-                        break
-                    rid = out_q[granted].popleft()[1]
-                    delivery[rid] = cycle
-                    s = stream_of[rid]
-                    if cycle > last_delivery[s]:
-                        last_delivery[s] = cycle
-                    delivered += 1
-                    grants += 1
-                    progressed = True
-            if ready_count > grants:
-                bus_held = True
-
-            # 3. Module service: start new work, then retire finishing
-            # work (start-before-finish per module preserves the legacy
-            # phase order; modules are independent within a phase).
-            for m in list(active):
-                if svc_rid[m] < 0 and blk_rid[m] < 0:
-                    queue = in_q[m]
-                    if queue:
-                        rid = queue[0]
-                        if arrival[rid] <= cycle:
-                            queue.popleft()
-                            start[rid] = cycle
-                            svc_rid[m] = rid
-                            svc_finish[m] = cycle + service_time - 1
-                            progressed = True
-                if blk_rid[m] >= 0:
-                    if len(out_q[m]) < output_capacity:
-                        out_q[m].append((cycle + 1, blk_rid[m]))
-                        blk_rid[m] = -1
-                        progressed = True
-                elif svc_rid[m] >= 0 and svc_finish[m] == cycle:
-                    rid = svc_rid[m]
-                    svc_rid[m] = -1
-                    if len(out_q[m]) < output_capacity:
-                        out_q[m].append((cycle + 1, rid))
-                    else:
-                        blk_rid[m] = rid
-                    progressed = True
-                if (
-                    svc_rid[m] < 0
-                    and blk_rid[m] < 0
-                    and not in_q[m]
-                    and not out_q[m]
-                ):
-                    active.discard(m)
-
-            # 4. Event skip: a cycle in which nothing moved is followed
-            # by identical cycles until the next scheduled event; jump
-            # there, accounting the skipped stall cycles arithmetically.
-            if not progressed and delivered < total and shims is None:
-                next_event = guard + 1
-                for m in active:
-                    if svc_rid[m] >= 0:
-                        if svc_finish[m] < next_event:
-                            next_event = svc_finish[m]
-                    elif blk_rid[m] < 0 and in_q[m]:
-                        head_arrival = arrival[in_q[m][0]]
-                        if cycle < head_arrival < next_event:
-                            next_event = head_arrival
-                    if out_q[m]:
-                        ready = out_q[m][0][0]
-                        if cycle < ready < next_event:
-                            next_event = ready
-                # A stream still waiting for its staggered start is the
-                # next event when nothing else is scheduled sooner.
-                for s in range(stream_count):
-                    if (
-                        cursors[s] < stream_len[s]
-                        and cycle < starts[s] < next_event
-                    ):
-                        next_event = starts[s]
-                jump = next_event - cycle - 1
-                if jump > 0:
-                    for port in range(ports):
-                        blocked = [
-                            s
-                            for s in port_members[port]
-                            if cursors[s] < stream_len[s]
-                            and starts[s] <= cycle
-                        ]
-                        if not blocked:
-                            continue
-                        if round_robin:
-                            for s in blocked:
-                                stalls[s] += jump
-                        else:
-                            stalls[blocked[0]] += jump
-                    cycle += jump
-
-        # Materialise the timing records and per-stream summaries.
+        # Every request is serviced for exactly ``T`` cycles, so busy
+        # accounting is arithmetic, not per-cycle ticking.
         stream_runs: list[StreamRun] = []
+        busy = [0] * module_count
+        port_issues = [0] * self.ports
+        low = 0
         for s_index, stream in enumerate(kernel_streams):
-            requests: list[InFlightRequest] = []
+            modules = stream_modules[s_index]
+            high = low + len(modules)
             counts = [0] * module_count
-            for rid in stream_rids[s_index]:
-                m = mod[rid]
+            for m in modules:
                 counts[m] += 1
-                requests.append(
-                    InFlightRequest(
-                        element_index=elem[rid],
-                        address=addr[rid],
-                        module=m,
-                        is_store=store_flag[rid],
-                        issue_cycle=issue[rid],
-                        arrival_cycle=arrival[rid],
-                        start_cycle=start[rid],
-                        finish_cycle=start[rid] + service_time - 1,
-                        delivery_cycle=delivery[rid],
-                    )
-                )
+            for m, count in enumerate(counts):
+                busy[m] += service_time * count
+            port_issues[port_of[s_index]] += len(modules)
             stream_runs.append(
                 StreamRun(
                     name=stream.name,
@@ -554,30 +399,280 @@ class MemoryKernel:
                     first_issue_cycle=first_issue[s_index],
                     last_delivery_cycle=last_delivery[s_index],
                     issue_stall_cycles=stalls[s_index],
-                    requests=tuple(requests),
+                    requests=RequestRecords(
+                        stream.requests,
+                        modules,
+                        arrival[low:high],
+                        start[low:high],
+                        delivery[low:high],
+                        service_time,
+                        stream.stores,
+                        config.mapping.reduce,
+                    ),
                     module_request_counts=tuple(counts),
                     start_cycle=stream.start_cycle,
                 )
             )
-        # Every request is serviced for exactly ``T`` cycles, so busy
-        # accounting is arithmetic, not per-cycle ticking.
-        busy = tuple(
-            service_time
-            * sum(run.module_request_counts[m] for run in stream_runs)
-            for m in range(module_count)
-        )
-        run = KernelRun(
+            low = high
+        return KernelRun(
             streams=tuple(stream_runs),
-            total_cycles=cycle,
-            ports=ports,
-            bus_busy_cycles=bus_busy,
-            bus_held_result=bus_held,
-            module_busy_cycles=busy,
+            total_cycles=total_cycles,
+            ports=self.ports,
+            bus_busy_cycles=low,
+            bus_held_result=held,
+            module_busy_cycles=tuple(busy),
             port_issue_cycles=tuple(port_issues),
         )
-        if self.tracer.enabled:
-            self._emit_trace(run)
-        return run
+
+    def _cycle_loop(self, stream_modules, port_of, starts):
+        """The event-driven cycle loop.
+
+        Each cycle runs the contract's phases in order — issue, result
+        delivery, module service (start before finish) — but visits only
+        the modules with an event in it, and a cycle in which nothing can
+        change is skipped.  Returns ``(arrival, start, delivery,
+        total_cycles, held, first_issue, last_delivery, stalls)``: the
+        per-request cycles over all streams in stream order, then the
+        per-stream counters.
+        """
+        config = self.config
+        service_time = config.service_ratio
+        module_count = config.module_count
+        input_capacity = config.input_capacity
+        output_capacity = config.output_capacity
+        ports = self.ports
+        round_robin = self.policy == "round_robin"
+        stream_count = len(stream_modules)
+        last_busy = service_time - 1  # a service started at c ends at c + this
+
+        # Requests are numbered stream by stream (rid).
+        mod: list[int] = []
+        stream_of: list[int] = []
+        offsets: list[int] = []
+        for s_index, modules in enumerate(stream_modules):
+            offsets.append(len(mod))
+            mod.extend(modules)
+            stream_of.extend([s_index] * len(modules))
+        total = len(mod)
+        arrival = [0] * total
+        start = [0] * total
+        ready = [0] * total
+        delivery = [0] * total
+
+        # A module serves its requests in the order they were issued to
+        # it, so its input queue is the window [started[m],
+        # len(issued_to[m])) of that list: a counter, not a queue.
+        issued_to: list[list[int]] = [[] for _ in range(module_count)]
+        started = [0] * module_count
+        held_results = [0] * module_count  # output-queue occupancy
+        serving = [-1] * module_count  # request in service
+        parked = [-1] * module_count  # finished, waiting for q' room
+
+        port_members: list[list[int]] = [[] for _ in range(ports)]
+        for s_index, port in enumerate(port_of):
+            port_members[port].append(s_index)
+        served_ports = [
+            (port, members) for port, members in enumerate(port_members)
+            if members
+        ]
+        # Staggered starts still ahead, latest first.
+        upcoming = sorted(
+            {first for first in starts if first > 1}, reverse=True
+        )
+        stream_len = [len(modules) for modules in stream_modules]
+        cursors = [0] * stream_count
+        stalls = [0] * stream_count
+        first_issue = [0] * stream_count
+        last_delivery = [0] * stream_count
+        rotation = [0] * ports
+
+        # Every result queued for the result bus, oldest first.  Results
+        # are queued in cycle order with ``ready = cycle + 1`` and each
+        # cycle's in module order, so this list stays sorted by (ready,
+        # module): its front is the oldest-first grant over all module
+        # heads.
+        results: list[int] = []
+        front = 0
+        queued_total = 0  # len(results)
+        # Cycle -> modules whose state can change in that cycle's
+        # service phase.  A module has at most one pending event.
+        events: dict[int, list[int]] = {}
+
+        cycle = 0
+        guard = (total + 2) * (service_time + 2) + 64 + max(starts) - 1
+        delivered = 0
+        held = False
+        advance = True
+        solo = stream_count == 1
+        stalled: Sequence[int] = ()  # streams that failed to issue
+        while delivered < total:
+            if advance:
+                cycle += 1
+            else:
+                # Nothing can change before the next scheduled event, so
+                # jump there; the streams that failed to issue fail again
+                # in every skipped cycle.
+                next_cycle = min(events) if events else guard + 1
+                if front < queued_total:
+                    head_ready = ready[results[front]]
+                    if head_ready <= cycle:
+                        head_ready = cycle + 1
+                    if head_ready < next_cycle:
+                        next_cycle = head_ready
+                while upcoming and upcoming[-1] <= cycle:
+                    upcoming.pop()
+                if upcoming and upcoming[-1] < next_cycle:
+                    next_cycle = upcoming[-1]
+                if next_cycle > guard:
+                    raise SimulationError(
+                        f"simulation exceeded {guard} cycles for {total} "
+                        f"requests — livelock?"
+                    )
+                for s in stalled:
+                    stalls[s] += next_cycle - cycle - 1
+                cycle = next_cycle
+
+            # 1. Address ports: one request per port per cycle.  A
+            # stream whose head module's input queue is full stalls;
+            # ``blocking`` collects those modules.
+            issued = False
+            stalled = blocking = ()
+            for port, members in served_ports:
+                if solo:
+                    if cursors[0] == total or starts[0] > cycle:
+                        continue
+                    candidates = members
+                else:
+                    candidates = [
+                        s
+                        for s in members
+                        if cursors[s] < stream_len[s] and starts[s] <= cycle
+                    ]
+                    if not candidates:
+                        continue
+                    if round_robin and len(candidates) > 1:
+                        rot = rotation[port]
+                        candidates.sort(
+                            key=lambda s: (s - rot) % stream_count
+                        )
+                for s in candidates:
+                    position = cursors[s]
+                    rid = offsets[s] + position
+                    m = mod[rid]
+                    queue = issued_to[m]
+                    queued = len(queue) - started[m]
+                    if queued < input_capacity:
+                        arrival[rid] = cycle + 1
+                        if queued == 0 and serving[m] < 0 and parked[m] < 0:
+                            events.setdefault(cycle + 1, []).append(m)
+                        queue.append(rid)
+                        if position == 0:
+                            first_issue[s] = cycle
+                        cursors[s] = position + 1
+                        rotation[port] = s + 1
+                        issued = True
+                        break
+                    stalls[s] += 1
+                    if not stalled:
+                        stalled, blocking = [], []
+                    stalled.append(s)
+                    blocking.append(m)
+                    if not round_robin:
+                        break
+            advance = issued
+
+            # 2. Result ports: up to ``ports`` deliveries, oldest first.
+            if front < queued_total and ready[results[front]] <= cycle:
+                end = queued_total
+                if (
+                    not held
+                    and front + 1 < end
+                    and ready[results[front + 1]] <= cycle
+                ):
+                    # Held back iff more modules have a ready result than
+                    # there are ports to deliver them.
+                    ready_modules = set()
+                    for position in range(front, end):
+                        rid = results[position]
+                        if ready[rid] > cycle:
+                            break
+                        ready_modules.add(mod[rid])
+                        if len(ready_modules) > ports:
+                            held = True
+                            break
+                grants = 0
+                while (
+                    grants < ports
+                    and front < end
+                    and ready[results[front]] <= cycle
+                ):
+                    rid = results[front]
+                    front += 1
+                    delivery[rid] = cycle
+                    last_delivery[stream_of[rid]] = cycle
+                    m = mod[rid]
+                    held_results[m] -= 1
+                    if (
+                        parked[m] >= 0
+                        and held_results[m] == output_capacity - 1
+                    ):
+                        events.setdefault(cycle, []).append(m)
+                    grants += 1
+                delivered += grants
+
+            # 3. Module service: each module with an event this cycle
+            # starts new work, then retires finishing work.
+            due = events.pop(cycle, None)
+            if due is None:
+                continue
+            first_new = queued_total
+            for m in due:
+                rid = serving[m]
+                if rid >= 0:
+                    serving[m] = -1  # its service ends this cycle
+                elif parked[m] >= 0:
+                    # A delivery freed an output slot for the parked
+                    # result.
+                    rid = parked[m]
+                    parked[m] = -1
+                else:
+                    # Idle with its head request arrived: start it.
+                    rid = issued_to[m][started[m]]
+                    started[m] += 1
+                    start[rid] = cycle
+                    if m in blocking:
+                        advance = True  # a stalled stream can issue now
+                    if service_time > 1:
+                        serving[m] = rid
+                        events.setdefault(cycle + last_busy, []).append(m)
+                        continue
+                # ``rid`` leaves the module at the end of this cycle,
+                # unless its output queue is full.
+                if held_results[m] < output_capacity:
+                    ready[rid] = cycle + 1
+                    results.append(rid)
+                    queued_total += 1
+                    held_results[m] += 1
+                    if started[m] < len(issued_to[m]):
+                        events.setdefault(cycle + 1, []).append(m)
+                else:
+                    parked[m] = rid
+            if queued_total - first_new > 1:
+                # Results queued in one cycle share their ready cycle;
+                # the lower module index goes first.
+                results[first_new:] = sorted(
+                    results[first_new:], key=mod.__getitem__
+                )
+        return (
+            arrival,
+            start,
+            delivery,
+            cycle,
+            held,
+            first_issue,
+            last_delivery,
+            stalls,
+        )
 
     # -- trace emission -------------------------------------------------
 
@@ -585,13 +680,13 @@ class MemoryKernel:
         """Derive module/port/stream events from the finished run.
 
         Runs only when tracing is enabled; everything is read off the
-        materialised :class:`InFlightRequest` records, so it adds zero
-        work to the cycle loop.  Tracks follow the ``group/lane``
-        convention of :mod:`repro.obs.tracer`: ``streams/<name>`` spans
-        the stream's active window, ``memory/module <m>`` spans each
-        request's service occupancy, ``ports/port <p>`` carries issue
-        and delivery instants, and ``memory/in flight`` samples the
-        number of outstanding requests.
+        :class:`~repro.memory.module.InFlightRequest` records, so it
+        adds zero work to the cycle loop.  Tracks follow the
+        ``group/lane`` convention of :mod:`repro.obs.tracer`:
+        ``streams/<name>`` spans the stream's active window, ``memory/
+        module <m>`` spans each request's service occupancy, ``ports/
+        port <p>`` carries issue and delivery instants, and ``memory/in
+        flight`` samples the number of outstanding requests.
         """
         tracer = self.tracer
         deltas: list[tuple[int, int]] = []
@@ -644,25 +739,3 @@ class MemoryKernel:
             previous = at_cycle
         if previous is not None:
             tracer.counter("memory/in flight", "in_flight", previous, level)
-
-
-class _ModuleShim:
-    """Adapter presenting kernel flat state through the
-    :class:`~repro.memory.module.MemoryModule` result-side interface,
-    so custom :class:`~repro.memory.arbiter.ResultArbiter` policies keep
-    working against the kernel."""
-
-    __slots__ = ("_out_q", "index")
-
-    def __init__(self, out_q: list[deque[tuple[int, int]]], index: int):
-        self._out_q = out_q
-        self.index = index
-
-    def peek_deliverable(self, cycle: int) -> tuple[int, int] | None:
-        queue = self._out_q[self.index]
-        if not queue:
-            return None
-        ready, rid = queue[0]
-        if ready > cycle:
-            return None
-        return ready, rid

@@ -1,14 +1,20 @@
-"""A single memory module: input queue, service unit, output queue.
+"""Per-request timing records of a memory simulation.
 
-The module is a passive state holder; :mod:`repro.memory.system` drives
-the cycle loop and calls the transition methods in a fixed order so the
-timing contract of the package docstring holds exactly.
+:class:`InFlightRequest` is one request's full timing record.  The
+kernel does not build one per request while it simulates: it keeps the
+cycles in flat arrays and hands back :class:`RequestRecords`, a
+read-only sequence that answers the aggregate questions (how many
+requests waited, whether a result was held back, when each request was
+delivered) from those arrays and materialises the records only when a
+caller reads them, such as a timeline or a trace.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass
+from operator import ne
+from typing import Callable
 
 from repro.errors import SimulationError
 
@@ -46,108 +52,136 @@ class InFlightRequest:
         return self.delivery_cycle - self.issue_cycle + 1
 
 
-class MemoryModule:
-    """State machine for one module.
+class RequestRecords(Sequence):
+    """One stream's finished requests, in issue order.
 
-    Timing (driven by the system):
+    Parameters
+    ----------
+    requests:
+        The stream's ``(element_index, address)`` pairs.
+    modules, arrival, start, delivery:
+        Per request: target module, and the cycles it reached the
+        module, entered service and was delivered.  Issue is always one
+        cycle before arrival (the address bus delay) and service lasts
+        exactly ``service_time`` cycles, so those are derived.
+    stores:
+        Stream positions that are store operations.
+    reduce:
+        Address reduction applied to each record's ``address`` (the
+        mapping's wrap into its address space); ``None`` keeps the
+        address as given.
 
-    * a request issued at cycle ``c`` arrives at cycle ``c + 1`` (address
-      bus) and sits in the input queue;
-    * when the module is idle at the start of a cycle and the head request
-      has arrived, service begins; it lasts ``T`` cycles, ending at
-      ``start + T - 1``;
-    * at the end of the finishing cycle the result moves to the output
-      queue (if full, the module stays occupied — head-of-line blocking);
-    * the result becomes eligible for the result bus on the next cycle.
+    Indexing or iterating builds the :class:`InFlightRequest` records
+    once and caches them; :attr:`delivery_cycles`, :attr:`wait_count`
+    and :attr:`result_held` never need them.
     """
 
-    def __init__(self, index: int, service_time: int, input_capacity: int,
-                 output_capacity: int):
-        self.index = index
-        self.service_time = service_time
-        self.input_capacity = input_capacity
-        self.output_capacity = output_capacity
-        self.input_queue: deque[InFlightRequest] = deque()
-        self.in_service: InFlightRequest | None = None
-        self.blocked_result: InFlightRequest | None = None
-        self.output_queue: deque[tuple[int, InFlightRequest]] = deque()
-        self.busy_cycles = 0
+    __slots__ = (
+        "_requests",
+        "_modules",
+        "_arrival",
+        "_start",
+        "_delivery",
+        "_service_time",
+        "_stores",
+        "_reduce",
+        "_records",
+    )
 
-    def can_accept(self) -> bool:
-        """Room for one more request in the input queue?"""
-        return len(self.input_queue) < self.input_capacity
+    def __init__(
+        self,
+        requests: Sequence[tuple[int, int]],
+        modules: Sequence[int],
+        arrival: Sequence[int],
+        start: Sequence[int],
+        delivery: Sequence[int],
+        service_time: int,
+        stores: frozenset[int] = frozenset(),
+        reduce: Callable[[int], int] | None = None,
+    ):
+        self._requests = requests
+        self._modules = modules
+        self._arrival = arrival
+        self._start = start
+        self._delivery = delivery
+        self._service_time = service_time
+        self._stores = stores
+        self._reduce = reduce
+        self._records: tuple[InFlightRequest, ...] | None = None
 
-    def accept(self, request: InFlightRequest) -> None:
-        """Enqueue a request (called by the system at issue time)."""
-        if not self.can_accept():
-            raise SimulationError(
-                f"module {self.index}: input queue overflow (q="
-                f"{self.input_capacity})"
-            )
-        self.input_queue.append(request)
+    def __len__(self) -> int:
+        return len(self._arrival)
 
-    def try_start(self, cycle: int) -> None:
-        """Begin service if idle and the head request has arrived."""
-        if self.in_service is not None or self.blocked_result is not None:
-            return
-        if not self.input_queue:
-            return
-        head = self.input_queue[0]
-        if head.arrival_cycle is None or head.arrival_cycle > cycle:
-            return
-        self.input_queue.popleft()
-        head.start_cycle = cycle
-        head.finish_cycle = cycle + self.service_time - 1
-        self.in_service = head
+    def __getitem__(self, index):
+        return self._materialise()[index]
 
-    def try_finish(self, cycle: int) -> None:
-        """Move a finishing request to the output queue at end of cycle.
+    def __iter__(self):
+        return iter(self._materialise())
 
-        If the output queue is full, the result parks in
-        ``blocked_result`` and the module cannot start a new service until
-        it drains (the paper's q' back-pressure).
-        """
-        if self.blocked_result is not None:
-            if len(self.output_queue) < self.output_capacity:
-                ready = cycle + 1
-                self.output_queue.append((ready, self.blocked_result))
-                self.blocked_result = None
-            return
-        request = self.in_service
-        if request is None or request.finish_cycle != cycle:
-            return
-        self.in_service = None
-        if len(self.output_queue) < self.output_capacity:
-            self.output_queue.append((cycle + 1, request))
-        else:
-            self.blocked_result = request
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RequestRecords):
+            return NotImplemented
+        return self._materialise() == other._materialise()
 
-    def peek_deliverable(self, cycle: int) -> tuple[int, InFlightRequest] | None:
-        """Head of the output queue if eligible for the result bus."""
-        if not self.output_queue:
-            return None
-        ready, request = self.output_queue[0]
-        if ready > cycle:
-            return None
-        return ready, request
+    __hash__ = None  # type: ignore[assignment]  # equal to mutable records
 
-    def pop_deliverable(self) -> InFlightRequest:
-        """Remove and return the head result (bus grant)."""
-        if not self.output_queue:
-            raise SimulationError(f"module {self.index}: nothing to deliver")
-        return self.output_queue.popleft()[1]
-
-    def tick_stats(self) -> None:
-        """Accumulate utilisation statistics (called once per cycle)."""
-        if self.in_service is not None:
-            self.busy_cycles += 1
+    def __repr__(self) -> str:
+        return f"RequestRecords({len(self)} requests)"
 
     @property
-    def idle(self) -> bool:
-        """No request anywhere in the module."""
-        return (
-            self.in_service is None
-            and self.blocked_result is None
-            and not self.input_queue
-            and not self.output_queue
+    def delivery_cycles(self) -> tuple[int, ...]:
+        """Each request's delivery cycle, in issue order."""
+        return tuple(self._delivery)
+
+    @property
+    def wait_count(self) -> int:
+        """Requests that queued behind a busy module."""
+        return sum(map(ne, self._arrival, self._start))
+
+    @property
+    def result_held(self) -> bool:
+        """Some result was delivered later than ``finish + 1``, the first
+        cycle it was deliverable — held back by result-bus contention or
+        ``q'`` back-pressure."""
+        service_time = self._service_time
+        return any(
+            delivered > started + service_time
+            for started, delivered in zip(self._start, self._delivery)
         )
+
+    def _materialise(self) -> tuple[InFlightRequest, ...]:
+        records = self._records
+        if records is None:
+            last = self._service_time - 1
+            reduce = self._reduce
+            stores = self._stores
+            records = tuple(
+                InFlightRequest(
+                    element,
+                    address if reduce is None else reduce(address),
+                    module,
+                    position in stores,
+                    arrived - 1,
+                    arrived,
+                    started,
+                    started + last,
+                    delivered,
+                )
+                for position, (
+                    (element, address),
+                    module,
+                    arrived,
+                    started,
+                    delivered,
+                ) in enumerate(
+                    zip(
+                        self._requests,
+                        self._modules,
+                        self._arrival,
+                        self._start,
+                        self._delivery,
+                    )
+                )
+            )
+            self._records = records
+        return records

@@ -31,10 +31,10 @@ from typing import Iterable, Sequence
 
 from repro.core.planner import AccessPlan
 from repro.errors import SimulationError
-from repro.memory.arbiter import ResultArbiter
+from repro.mappings.base import AddressMapping
 from repro.memory.config import MemoryConfig
 from repro.memory.kernel import KernelRun, KernelStream, MemoryKernel
-from repro.memory.module import InFlightRequest
+from repro.memory.module import RequestRecords
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,8 @@ class AccessResult:
         bus never held a result back — the dynamic counterpart of the
         paper's definition.
     requests:
-        Per-request timing records, in issue order.
+        Per-request timing records, in issue order (built on first
+        read; :attr:`wait_count` does not need them).
     module_busy_cycles:
         Utilisation per module.
     """
@@ -60,7 +61,7 @@ class AccessResult:
     latency: int
     issue_stall_cycles: int
     conflict_free: bool
-    requests: tuple[InFlightRequest, ...]
+    requests: RequestRecords
     module_busy_cycles: tuple[int, ...]
 
     @property
@@ -75,7 +76,7 @@ class AccessResult:
     @property
     def wait_count(self) -> int:
         """Requests that queued behind a busy module."""
-        return sum(1 for request in self.requests if request.waited)
+        return self.requests.wait_count
 
     def delivery_order(self) -> list[int]:
         """Element indices in the order their data returned."""
@@ -125,20 +126,34 @@ def access_result_from_run(
 class MemorySystem:
     """The multi-module memory of Figure 2, driven cycle by cycle."""
 
-    def __init__(self, config: MemoryConfig, arbiter: ResultArbiter | None = None):
+    def __init__(self, config: MemoryConfig):
         self.config = config
-        self.arbiter = arbiter
 
     def run_plan(self, plan: AccessPlan, *, tracer=None) -> AccessResult:
         """Simulate an :class:`~repro.core.planner.AccessPlan` (or any
-        object with a ``request_stream()`` method)."""
-        return self.run_stream(plan.request_stream(), tracer=tracer)
+        object with a ``request_stream()`` method).
+
+        A plan made for this memory's mapping — by an
+        :class:`~repro.core.planner.AccessPlanner`,
+        :func:`~repro.core.gather.plan_indexed` or the cooldown
+        scheduler — already holds each request's module; the kernel
+        reuses those instead of re-deriving them from the addresses.
+        """
+        modules = None
+        if _same_address_function(
+            getattr(plan, "mapping", None), self.config.mapping
+        ):
+            modules = plan.modules
+        return self.run_stream(
+            plan.request_stream(), modules=modules, tracer=tracer
+        )
 
     def run_stream(
         self,
         stream: Sequence[tuple[int, int]],
         stores: Iterable[int] = (),
         *,
+        modules: Sequence[int] | None = None,
         tracer=None,
     ) -> AccessResult:
         """Simulate a stream of ``(element_index, address)`` requests.
@@ -146,13 +161,17 @@ class MemorySystem:
         ``stores`` optionally lists stream positions that are store
         operations; stores follow the same request path (the paper's
         module timing applies to loads and stores alike) and their
-        "result" models the store acknowledgement.  ``tracer`` is
+        "result" models the store acknowledgement.  ``modules``
+        optionally gives each request's module under this memory's
+        mapping (a plan's temporal distribution).  ``tracer`` is
         forwarded to the kernel for cycle-level event emission.
         """
         if not stream:
             raise SimulationError("cannot simulate an empty request stream")
-        kernel = MemoryKernel(self.config, arbiter=self.arbiter, tracer=tracer)
-        run = kernel.run([KernelStream.of("access", stream, stores=stores)])
+        kernel = MemoryKernel(self.config, tracer=tracer)
+        run = kernel.run(
+            [KernelStream.of("access", stream, stores=stores, modules=modules)]
+        )
         result = run.streams[0]
         return AccessResult(
             latency=run.total_cycles,
@@ -163,3 +182,20 @@ class MemorySystem:
             requests=result.requests,
             module_busy_cycles=run.module_busy_cycles,
         )
+
+
+def _same_address_function(
+    planned: AddressMapping | None, memory: AddressMapping
+) -> bool:
+    """Whether a plan's mapping sends every address to the same module
+    as the memory's: the same object, or the same type with equal
+    :meth:`~repro.mappings.base.AddressMapping.cache_token` (the
+    identity the plan cache already keys on)."""
+    if planned is None:
+        return False
+    if planned is memory:
+        return True
+    if type(planned) is not type(memory):
+        return False
+    token = planned.cache_token()
+    return token is not None and token == memory.cache_token()

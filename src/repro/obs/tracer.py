@@ -13,9 +13,8 @@ Design constraints, in order of importance:
    site is guarded by ``tracer.enabled`` (a plain class attribute, no
    property) or holds the :data:`NULL_TRACER` singleton whose methods
    are empty.  The kernel goes further: it derives its events *after*
-   the hot cycle loop from the per-request timing records it already
-   materialises, so the loop itself is byte-identical with tracing on
-   or off.
+   the hot cycle loop from the per-request timing records, so the loop
+   itself is byte-identical with tracing on or off.
 2. **Cycles are the clock.**  Events carry simulated cycle numbers,
    never wall time.  The Chrome exporter maps one cycle to one
    microsecond (``ts``/``dur`` are microseconds in the trace_event

@@ -457,10 +457,15 @@ class DecoupledVectorMachine:
         # (the batch's own clock starts at 1); a null tracer shifts to
         # itself, so the untraced path is unchanged.
         batch_tracer = self.tracer.shifted(offset)
+        # Every plan was made over this machine's mapping, so its module
+        # sequence feeds the kernel as is.
         if len(batch) == 1:
             member = batch[0]
             result = self.memory.run_stream(
-                member.stream, stores=member.stores, tracer=batch_tracer
+                member.stream,
+                stores=member.stores,
+                modules=member.plan.modules,
+                tracer=batch_tracer,
             )
             outcomes = [(member, result, result.latency, 0, 0)]
         else:
@@ -471,6 +476,7 @@ class DecoupledVectorMachine:
                         f"i{member.position}",
                         member.stream,
                         stores=member.stores,
+                        modules=member.plan.modules,
                     )
                     for member in batch
                 ]
@@ -496,14 +502,15 @@ class DecoupledVectorMachine:
                 register = self.registers.register(member.instruction.dst)
                 register.clear()
                 deliveries: list[tuple[int, int]] = []
-                for request in sorted(
-                    result.requests, key=lambda r: r.delivery_cycle
+                delivered_at = result.requests.delivery_cycles
+                # Elements land in delivery order (ties in issue order).
+                for position in sorted(
+                    range(len(member.stream)), key=delivered_at.__getitem__
                 ):
-                    register.write(
-                        request.element_index, self.store.read(request.address)
-                    )
+                    element, address = member.stream[position]
+                    register.write(element, self.store.read(address))
                     deliveries.append(
-                        (request.delivery_cycle + offset, request.element_index)
+                        (delivered_at[position] + offset, element)
                     )
                 register_ready[member.instruction.dst] = end
                 load_records[member.instruction.dst] = _LoadRecord(

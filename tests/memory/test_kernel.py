@@ -3,10 +3,11 @@
 The kernel replaced three hand-written per-cycle loops (single-stream,
 multi-stream, multi-port).  The strongest guarantee we can give is
 cycle-for-cycle equivalence against a *reference implementation* — a
-direct transcription of the legacy loops driving the unchanged
-:class:`~repro.memory.module.MemoryModule` state machine — over the
-seed workloads: every request's issue/arrival/start/finish/delivery
-cycle, every stall counter and every busy counter must match exactly.
+direct transcription of the legacy loops driving a per-module state
+machine (:class:`ReferenceModule`, kept here as the oracle) — over the
+seed workloads and over generated module sequences: every request's
+issue/arrival/start/finish/delivery cycle, every stall counter and
+every busy counter must match exactly.
 
 On top of that, property tests pin the degenerate geometry to the
 paper: ``ports = 1, streams = 1`` with a conflict-free access is
@@ -15,6 +16,8 @@ exactly the ``T + L + 1`` latency formula.
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,16 +25,86 @@ from hypothesis import strategies as st
 from repro.core.planner import AccessPlanner
 from repro.core.vector import VectorAccess
 from repro.errors import ConfigurationError, SimulationError
-from repro.memory.arbiter import FifoArbiter
+from repro.mappings.interleaved import LowOrderInterleaved
 from repro.memory.config import MemoryConfig
 from repro.memory.kernel import KernelStream, MemoryKernel
-from repro.memory.module import InFlightRequest, MemoryModule
+from repro.memory.module import InFlightRequest, RequestRecords
 from repro.memory.multiport import MultiPortMemorySystem
 from repro.memory.multistream import MultiStreamMemorySystem
 from repro.memory.system import MemorySystem
 
 
 # -- the reference implementation (transcribed legacy loops) -------------
+
+
+class ReferenceModule:
+    """The legacy single-module state machine: input queue, service
+    unit, output queue, driven by the reference loop in a fixed order."""
+
+    def __init__(self, index, service_time, input_capacity, output_capacity):
+        self.index = index
+        self.service_time = service_time
+        self.input_capacity = input_capacity
+        self.output_capacity = output_capacity
+        self.input_queue = deque()
+        self.in_service = None
+        self.blocked_result = None
+        self.output_queue = deque()
+        self.busy_cycles = 0
+
+    def can_accept(self):
+        return len(self.input_queue) < self.input_capacity
+
+    def accept(self, request):
+        assert self.can_accept()
+        self.input_queue.append(request)
+
+    def try_start(self, cycle):
+        if self.in_service is not None or self.blocked_result is not None:
+            return
+        if not self.input_queue or self.input_queue[0].arrival_cycle > cycle:
+            return
+        head = self.input_queue.popleft()
+        head.start_cycle = cycle
+        head.finish_cycle = cycle + self.service_time - 1
+        self.in_service = head
+
+    def try_finish(self, cycle):
+        if self.blocked_result is not None:
+            if len(self.output_queue) < self.output_capacity:
+                self.output_queue.append((cycle + 1, self.blocked_result))
+                self.blocked_result = None
+            return
+        request = self.in_service
+        if request is None or request.finish_cycle != cycle:
+            return
+        self.in_service = None
+        if len(self.output_queue) < self.output_capacity:
+            self.output_queue.append((cycle + 1, request))
+        else:
+            self.blocked_result = request
+
+    def peek_deliverable(self, cycle):
+        if not self.output_queue or self.output_queue[0][0] > cycle:
+            return None
+        return self.output_queue[0]
+
+    def tick_stats(self):
+        if self.in_service is not None:
+            self.busy_cycles += 1
+
+
+def fifo_grant(modules, cycle):
+    """Oldest ready result first (ready cycle, then module index)."""
+    best = None
+    for module in modules:
+        head = module.peek_deliverable(cycle)
+        if head is None:
+            continue
+        key = (head[0], module.index)
+        if best is None or key < best:
+            best = key
+    return None if best is None else best[1]
 
 
 def reference_run(config, streams, ports=1, policy="round_robin"):
@@ -58,7 +131,7 @@ def reference_run(config, streams, ports=1, policy="round_robin"):
         for stream, stores in streams
     ]
     modules = [
-        MemoryModule(
+        ReferenceModule(
             index,
             config.service_ratio,
             config.input_capacity,
@@ -79,7 +152,6 @@ def reference_run(config, streams, ports=1, policy="round_robin"):
     bus_held = False
     cycle = 0
     guard = (total + 2) * (config.service_ratio + 2) + 64
-    arbiters = [FifoArbiter() for _ in range(ports)]
 
     while delivered < total:
         cycle += 1
@@ -120,11 +192,11 @@ def reference_run(config, streams, ports=1, policy="round_robin"):
             if module.peek_deliverable(cycle) is not None
         ]
         grants = 0
-        for arbiter in arbiters:
-            granted = arbiter.grant(modules, cycle)
+        for _port in range(ports):
+            granted = fifo_grant(modules, cycle)
             if granted is None:
                 break
-            request = modules[granted].pop_deliverable()
+            request = modules[granted].output_queue.popleft()[1]
             request.delivery_cycle = cycle
             stream_index = owner_of.pop(id(request))
             last_delivery[stream_index] = max(
@@ -305,6 +377,193 @@ class TestDegenerateGeometry:
         assert via_view.issue_stall_cycles == run.streams[0].issue_stall_cycles
 
 
+def single_stream_summary(run):
+    stream = run.streams[0]
+    return (
+        run.total_cycles,
+        stream.issue_stall_cycles,
+        run.bus_held_result,
+        tuple(run.module_busy_cycles),
+        timing_tuples(stream.requests),
+    )
+
+
+def reference_summary(config, stream):
+    reference = reference_run(
+        config, [(stream, frozenset())], ports=config.ports
+    )
+    return (
+        reference["total_cycles"],
+        reference["stalls"][0],
+        reference["bus_held"],
+        tuple(reference["module_busy"]),
+        timing_tuples(reference["requests"][0]),
+    )
+
+
+@st.composite
+def kernel_cases(draw, max_streams=1):
+    """A geometry plus module sequences, one per stream, as addresses of
+    a low-order interleaved memory (address ``a`` lives in module
+    ``a mod M``)."""
+    t = draw(st.integers(min_value=0, max_value=3))
+    module_bits = t + draw(st.integers(min_value=0, max_value=2))
+    config = MemoryConfig(
+        LowOrderInterleaved(module_bits, 16),
+        t,
+        input_capacity=draw(st.integers(min_value=1, max_value=4)),
+        output_capacity=draw(st.integers(min_value=1, max_value=3)),
+        ports=draw(
+            st.integers(min_value=1, max_value=min(3, 1 << module_bits))
+        ),
+    )
+    module_count = config.module_count
+    streams = []
+    for _ in range(draw(st.integers(min_value=1, max_value=max_streams))):
+        modules = draw(
+            st.lists(
+                st.integers(min_value=0, max_value=module_count - 1),
+                min_size=1,
+                max_size=48,
+            )
+        )
+        streams.append(
+            [
+                (element, module + module_count * element)
+                for element, module in enumerate(modules)
+            ]
+        )
+    return config, streams
+
+
+class TestEventDrivenLoop:
+    """The kernel's event-driven loop (and, for one conflict-free
+    stream, its closed form) must match the reference loop cycle for
+    cycle on generated module sequences."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(kernel_cases())
+    def test_matches_reference(self, case):
+        config, (stream,) = case
+        modules = [address % config.module_count for _e, address in stream]
+        expected = reference_summary(config, stream)
+        kernel = MemoryKernel(config)
+        assert single_stream_summary(kernel.run([stream])) == expected
+        with_modules = KernelStream.of("access", stream, modules=modules)
+        assert single_stream_summary(kernel.run([with_modules])) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t=st.integers(min_value=1, max_value=3),
+        rounds=st.integers(min_value=1, max_value=12),
+        start_cycle=st.integers(min_value=1, max_value=40),
+        data=st.data(),
+    )
+    def test_conflict_free_closed_form_equals_event_loop(
+        self, t, rounds, start_cycle, data
+    ):
+        from repro.memory.kernel import _conflict_free_timing
+
+        service_time = 1 << t
+        config = MemoryConfig.matched(t=t, s=4, input_capacity=2)
+        # Repeating one permutation of T modules keeps every two
+        # requests to a module exactly T positions apart.
+        order = data.draw(st.permutations(range(service_time)))
+        modules = list(order) * rounds
+        loop = MemoryKernel(config)._cycle_loop(
+            [modules], [0], [start_cycle]
+        )
+        assert _conflict_free_timing(
+            len(modules), start_cycle, service_time
+        ) == loop
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kernel_cases(max_streams=3),
+        st.sampled_from(["round_robin", "priority"]),
+    )
+    def test_several_streams_match_reference(self, case, policy):
+        config, streams = case
+        reference = reference_run(
+            config,
+            [(stream, frozenset()) for stream in streams],
+            ports=config.ports,
+            policy=policy,
+        )
+        run = MemoryKernel(config, policy=policy).run(streams)
+        assert run.total_cycles == reference["total_cycles"]
+        assert run.bus_busy_cycles == reference["bus_busy"]
+        assert run.bus_held_result == reference["bus_held"]
+        assert list(run.module_busy_cycles) == reference["module_busy"]
+        for index, stream in enumerate(run.streams):
+            assert stream.issue_stall_cycles == reference["stalls"][index]
+            assert stream.first_issue_cycle == reference["first_issue"][index]
+            assert (
+                stream.last_delivery_cycle == reference["last_delivery"][index]
+            )
+            assert timing_tuples(stream.requests) == timing_tuples(
+                reference["requests"][index]
+            )
+
+    @pytest.mark.parametrize(
+        "t, module_bits, q, ports, policy, module_lists",
+        [
+            (0, 3, 4, 2, "round_robin", [[6, 7, 1], [1, 7, 2, 7]]),
+            (0, 3, 2, 2, "priority", [[4, 2, 4, 6, 1, 2, 4], [4, 1, 7, 5], [0, 1]]),
+            (1, 2, 4, 1, "round_robin", [[3, 3, 1, 0, 1, 2, 2, 2, 1, 3], [3, 3, 0, 2]]),
+        ],
+    )
+    def test_full_output_queue_parks_the_result(
+        self, t, module_bits, q, ports, policy, module_lists
+    ):
+        # Streams that make a module finish while its q' = 1 output
+        # queue still holds an undelivered result: the result must park
+        # and block the module until a delivery frees the slot.
+        config = MemoryConfig(
+            LowOrderInterleaved(module_bits, 16),
+            t,
+            input_capacity=q,
+            output_capacity=1,
+            ports=ports,
+        )
+        size = config.module_count
+        streams = [
+            [(element, m + size * element) for element, m in enumerate(ms)]
+            for ms in module_lists
+        ]
+        reference = reference_run(
+            config,
+            [(stream, frozenset()) for stream in streams],
+            ports=ports,
+            policy=policy,
+        )
+        run = MemoryKernel(config, policy=policy).run(streams)
+        assert run.total_cycles == reference["total_cycles"]
+        for index, stream in enumerate(run.streams):
+            assert stream.issue_stall_cycles == reference["stalls"][index]
+            assert timing_tuples(stream.requests) == timing_tuples(
+                reference["requests"][index]
+            )
+
+    def test_plan_modules_reused_only_for_the_same_mapping(self):
+        plan = AccessPlanner(MATCHED.mapping, 3).plan(VectorAccess(16, 12, 64))
+        other = MemoryConfig(LowOrderInterleaved(3), 3)
+        via_plan = MemorySystem(other).run_plan(plan)
+        via_addresses = MemorySystem(other).run_stream(plan.request_stream())
+        assert via_plan.latency == via_addresses.latency
+        assert timing_tuples(via_plan.requests) == timing_tuples(
+            via_addresses.requests
+        )
+
+    def test_records_are_built_on_first_read(self):
+        plan = AccessPlanner(MATCHED.mapping, 3).plan(VectorAccess(0, 64, 32))
+        result = MemorySystem(MATCHED).run_plan(plan)
+        assert result.requests._records is None
+        assert result.wait_count > 0 and result.element_count == 32
+        assert result.requests._records is None
+        assert result.wait_count == sum(r.waited for r in result.requests)
+
+
 class TestKernelValidation:
     def test_ports_must_be_positive(self):
         with pytest.raises(ConfigurationError, match="'ports'"):
@@ -337,6 +596,13 @@ class TestKernelValidation:
     def test_unknown_policy(self):
         with pytest.raises(SimulationError):
             MemoryKernel(MATCHED, policy="bogus")
+
+    def test_modules_must_match_requests(self):
+        kernel = MemoryKernel(MATCHED)
+        with pytest.raises(ConfigurationError, match="'modules'"):
+            kernel.run([KernelStream.of("a", [(0, 0), (1, 1)], modules=[0])])
+        with pytest.raises(ConfigurationError, match="'modules'"):
+            kernel.run([KernelStream.of("a", [(0, 0)], modules=[8])])
 
     def test_empty_streams_rejected(self):
         kernel = MemoryKernel(MATCHED)
@@ -387,17 +653,13 @@ class TestPerStreamHoldAttribution:
             first_issue_cycle=1,
             last_delivery_cycle=delivery,
             issue_stall_cycles=0,
-            requests=(
-                InFlightRequest(
-                    element_index=0,
-                    address=module,
-                    module=module,
-                    issue_cycle=1,
-                    arrival_cycle=2,
-                    start_cycle=2,
-                    finish_cycle=9,
-                    delivery_cycle=delivery,
-                ),
+            requests=RequestRecords(
+                requests=((0, module),),
+                modules=(module,),
+                arrival=(2,),
+                start=(2,),
+                delivery=(delivery,),
+                service_time=8,
             ),
             module_request_counts=tuple(
                 1 if m == module else 0 for m in range(8)

@@ -1,85 +1,29 @@
-"""Tests for the single-module state machine."""
+"""Tests for the per-request timing records."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.memory.module import InFlightRequest, MemoryModule
+from repro.memory.module import InFlightRequest, RequestRecords
 
 
 def make_request(element: int = 0, module: int = 0) -> InFlightRequest:
     return InFlightRequest(element_index=element, address=element, module=module)
 
 
-class TestQueueing:
-    def test_accept_respects_capacity(self):
-        module = MemoryModule(0, service_time=4, input_capacity=1, output_capacity=1)
-        first = make_request(0)
-        first.arrival_cycle = 1
-        module.accept(first)
-        assert not module.can_accept()
-        with pytest.raises(SimulationError):
-            module.accept(make_request(1))
-
-    def test_service_waits_for_arrival(self):
-        module = MemoryModule(0, 4, 2, 1)
-        request = make_request()
-        request.arrival_cycle = 5
-        module.accept(request)
-        module.try_start(4)
-        assert module.in_service is None
-        module.try_start(5)
-        assert module.in_service is request
-        assert request.start_cycle == 5
-        assert request.finish_cycle == 8
-
-
-class TestServiceLifecycle:
-    def test_full_cycle(self):
-        module = MemoryModule(0, 2, 1, 1)
-        request = make_request()
-        request.arrival_cycle = 1
-        module.accept(request)
-        module.try_start(1)
-        module.try_finish(1)  # not done yet (finish at 2)
-        assert module.in_service is request
-        module.try_finish(2)
-        assert module.in_service is None
-        deliverable = module.peek_deliverable(3)
-        assert deliverable is not None and deliverable[1] is request
-
-    def test_result_not_deliverable_same_cycle(self):
-        module = MemoryModule(0, 2, 1, 1)
-        request = make_request()
-        request.arrival_cycle = 1
-        module.accept(request)
-        module.try_start(1)
-        module.try_finish(2)
-        assert module.peek_deliverable(2) is None
-        assert module.peek_deliverable(3) is not None
-
-    def test_output_backpressure_blocks_start(self):
-        module = MemoryModule(0, 1, 2, 1)
-        first, second = make_request(0), make_request(1)
-        first.arrival_cycle = second.arrival_cycle = 1
-        module.accept(first)
-        module.accept(second)
-        module.try_start(1)
-        module.try_finish(1)  # T=1: finishes immediately, output holds 1
-        module.try_start(2)
-        module.try_finish(2)  # second finishes; output full -> blocked
-        assert module.blocked_result is second
-        module.try_start(3)
-        assert module.in_service is None  # blocked result stalls the module
-        module.pop_deliverable()
-        module.try_finish(3)  # blocked result drains into output
-        assert module.blocked_result is None
-
-    def test_pop_empty_raises(self):
-        module = MemoryModule(0, 1, 1, 1)
-        with pytest.raises(SimulationError):
-            module.pop_deliverable()
+def make_records(**overrides) -> RequestRecords:
+    """Three requests, T = 4: the second waits, the third is held."""
+    fields = dict(
+        requests=((0, 100), (1, 101), (2, 102)),
+        modules=(0, 0, 1),
+        arrival=(2, 3, 4),
+        start=(2, 6, 4),
+        delivery=(6, 10, 9),
+        service_time=4,
+    )
+    fields.update(overrides)
+    return RequestRecords(**fields)
 
 
 class TestRequestRecord:
@@ -104,10 +48,40 @@ class TestRequestRecord:
         request.delivery_cycle = 12
         assert request.latency == 11
 
-    def test_idle_flag(self):
-        module = MemoryModule(0, 2, 1, 1)
-        assert module.idle
-        request = make_request()
-        request.arrival_cycle = 1
-        module.accept(request)
-        assert not module.idle
+
+class TestRequestRecords:
+    def test_records_derive_issue_and_finish(self):
+        records = make_records()
+        assert list(records) == [
+            InFlightRequest(0, 100, 0, False, 1, 2, 2, 5, 6),
+            InFlightRequest(1, 101, 0, False, 2, 3, 6, 9, 10),
+            InFlightRequest(2, 102, 1, False, 3, 4, 4, 7, 9),
+        ]
+
+    def test_aggregates_need_no_records(self):
+        records = make_records()
+        assert len(records) == 3
+        assert records.wait_count == 1
+        assert records.result_held
+        assert records._records is None
+
+    def test_not_held_when_every_delivery_is_prompt(self):
+        assert not make_records(delivery=(6, 10, 8)).result_held
+
+    def test_materialised_once(self):
+        records = make_records()
+        assert records[0] is records[0]
+        assert records[-1].element_index == 2
+        assert records[1:][0].element_index == 1
+
+    def test_stores_and_reduction(self):
+        records = make_records(
+            stores=frozenset({1}), reduce=lambda address: address & 0xF
+        )
+        assert [r.is_store for r in records] == [False, True, False]
+        assert [r.address for r in records] == [4, 5, 6]
+
+    def test_equality_compares_the_records(self):
+        assert make_records() == make_records()
+        assert make_records() != make_records(delivery=(6, 10, 8))
+        assert make_records() != list(make_records())

@@ -2,14 +2,23 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.gather import IndexedAccess, plan_indexed
 from repro.core.planner import AccessPlanner
+from repro.core.scheduler import OraclePlanner
 from repro.core.vector import VectorAccess
 from repro.errors import SimulationError
-from repro.memory.arbiter import RoundRobinArbiter
+from repro.mappings.interleaved import FieldInterleaved, LowOrderInterleaved
+from repro.mappings.linear import MatchedXorMapping
+from repro.mappings.matrix import XorMatrixMapping
+from repro.mappings.section import SectionXorMapping
+from repro.mappings.skewed import SkewedMapping
 from repro.memory.config import MemoryConfig
 from repro.memory.system import MemorySystem
+from repro.workloads.indexed import bit_reversal_indices
 
 
 class TestLatencyContract:
@@ -108,18 +117,6 @@ class TestBuffering:
                 assert result.latency <= 2 * 8 + 128, (family, base)
 
 
-class TestArbiters:
-    def test_round_robin_same_latency_for_conflict_free(
-        self, matched_planner, matched_config
-    ):
-        plan = matched_planner.plan(VectorAccess(16, 12, 128))
-        fifo_result = MemorySystem(matched_config).run_plan(plan)
-        rr_result = MemorySystem(
-            matched_config, arbiter=RoundRobinArbiter()
-        ).run_plan(plan)
-        assert fifo_result.latency == rr_result.latency == 137
-
-
 class TestStores:
     def test_store_stream_same_timing(self, matched_planner, matched_system):
         plan = matched_planner.plan(VectorAccess(16, 12, 128))
@@ -154,3 +151,109 @@ class TestResultRecords:
         plan = matched_planner.plan(VectorAccess(0, 1, 128))
         result = matched_system.run_plan(plan)
         assert result.excess_latency(8) == 0
+
+
+def modules_of(mapping, stream):
+    return [mapping.module_of(mapping.reduce(address)) for _e, address in stream]
+
+
+class TokenlessMatched(MatchedXorMapping):
+    """A mapping that declares no address-function identity."""
+
+    def cache_token(self):
+        return None
+
+
+PLAN_MAPPINGS = [
+    MatchedXorMapping(3, 4),
+    SectionXorMapping(3, 4, 9),
+    LowOrderInterleaved(3),
+    FieldInterleaved(3, 4),
+    SkewedMapping(3, 4, distance=3),
+    XorMatrixMapping.from_matched(3, 4),
+]
+
+
+class TestPlanModules:
+    """``run_plan`` feeds a plan's module sequence to the kernel as is,
+    so every planner must record the modules of its mapping."""
+
+    @pytest.mark.parametrize("mapping", PLAN_MAPPINGS, ids=lambda m: m.describe())
+    def test_planned_modules_are_the_mappings_modules(self, mapping):
+        planner = AccessPlanner(mapping, 3)
+        for stride in (1, 3, 8, 12, 96, -3):
+            for base in (0, 7):
+                for mode in ("auto", "ordered"):
+                    plan = planner.plan(VectorAccess(base, stride, 64), mode=mode)
+                    assert list(plan.modules) == modules_of(
+                        mapping, plan.request_stream()
+                    ), (stride, base, mode)
+                    assert plan.mapping.cache_token() == mapping.cache_token()
+
+    def test_indexed_plan_records_its_modules(self, matched_mapping):
+        access = IndexedAccess(5, bit_reversal_indices(6))
+        for mode in ("scheduled", "ordered"):
+            plan = plan_indexed(matched_mapping, 3, access, mode=mode)
+            assert plan.mapping is matched_mapping
+            assert list(plan.modules) == modules_of(
+                matched_mapping, plan.request_stream()
+            )
+
+    def test_oracle_plan_records_its_modules(self, matched_planner):
+        plan = OraclePlanner(matched_planner).plan(VectorAccess(3, 6, 64))
+        assert plan.mapping is matched_planner.mapping
+        assert list(plan.modules) == modules_of(
+            matched_planner.mapping, plan.request_stream()
+        )
+
+    def test_mapping_is_not_part_of_plan_equality(
+        self, matched_planner, matched_mapping
+    ):
+        plan = matched_planner.plan(VectorAccess(16, 12, 64))
+        assert replace(plan, mapping=None) == plan
+        assert "mapping" not in repr(plan)
+        indexed = plan_indexed(matched_mapping, 3, IndexedAccess(0, range(16)))
+        assert replace(indexed, mapping=None) == indexed
+
+
+PLANNED_UNDER = MatchedXorMapping(3, 4)
+TOKENLESS = TokenlessMatched(3, 4)
+
+
+class TestPlanModuleReuse:
+    """A plan's modules are reused exactly when its mapping sends every
+    address to the same module as the memory's.  The plan below carries
+    a doctored module sequence (all module 0), so reuse shows up as a
+    serialised run."""
+
+    @pytest.mark.parametrize(
+        "plan_mapping, memory_mapping, reused",
+        [
+            (PLANNED_UNDER, PLANNED_UNDER, True),
+            (PLANNED_UNDER, MatchedXorMapping(3, 4), True),
+            (PLANNED_UNDER, MatchedXorMapping(3, 5), False),
+            (None, PLANNED_UNDER, False),
+            (TOKENLESS, TOKENLESS, True),
+            (TOKENLESS, TokenlessMatched(3, 4), False),
+        ],
+        ids=[
+            "same-object",
+            "equal-token",
+            "other-parameters",
+            "no-mapping",
+            "tokenless-same-object",
+            "tokenless-equal-parameters",
+        ],
+    )
+    def test_reuse(self, plan_mapping, memory_mapping, reused):
+        plan = AccessPlanner(PLANNED_UNDER, 3).plan(VectorAccess(16, 12, 64))
+        doctored = replace(plan, modules=(0,) * 64, mapping=plan_mapping)
+        memory = MemorySystem(MemoryConfig(memory_mapping, 3))
+        result = memory.run_plan(doctored)
+        if reused:
+            assert set(result.module_busy_cycles[1:]) == {0}
+            assert result.latency >= 64 * 8
+        else:
+            expected = memory.run_stream(plan.request_stream())
+            assert result.latency == expected.latency
+            assert result.module_busy_cycles == expected.module_busy_cycles
