@@ -132,15 +132,14 @@ def test_full_machine_daxpy_two_ports(benchmark):
     assert result.stream_concurrency_peak == 2
 
 
-# -- batch design-point evaluation ----------------------------------------
+# -- grid evaluation through simulate() ------------------------------------
 #
-# The batch engine's acceptance bar (see tests/batch/): >= 10x over the
-# per-point kernel on a 1000-cell conflict-free-heavy grid.  The grid
+# Per-point simulate() is the one evaluation path.  The 1000-cell grid
 # mixes strides whose accesses plan conflict-free under the matched XOR
-# mapping (the analytic tier) with conflict-prone ones (simulated by the
-# kernel in process); the baseline bench runs the identical specs
-# through simulate() so the BENCH_*.json artifact records both sides of
-# the ratio per commit.
+# mapping (answered by the closed-form T + L + 1, no kernel run) with
+# conflict-prone ones (run through the kernel); the 64-point program
+# grid always runs the decoupled machine.  Both keep their historical
+# names so their `lab history` series continue.
 
 
 def _batch_grid():
@@ -169,19 +168,8 @@ def _batch_grid():
 _BATCH_SPECS = _batch_grid().expand()
 
 
-def test_batch_grid_1000_cells(benchmark):
-    """The headline number: one 1000-cell grid through evaluate_batch."""
-    from repro.batch import evaluate_batch
-
-    report = benchmark(evaluate_batch, _BATCH_SPECS)
-    assert len(report.results) == 1000
-    assert report.analytic_count > 0
-    assert report.soa_count > 0
-    assert report.fallback_count == 0
-
-
 def test_kernel_grid_1000_cells_baseline(benchmark):
-    """Per-point simulate() over the identical grid — the denominator."""
+    """Per-point simulate() over the 1000-cell grid."""
     from repro.scenarios import simulate
 
     def run_all():
@@ -189,89 +177,6 @@ def test_kernel_grid_1000_cells_baseline(benchmark):
 
     results = benchmark.pedantic(run_all, rounds=3, iterations=1)
     assert len(results) == 1000
-
-
-def test_batch_grid_analytic_only(benchmark):
-    """A grid whose every point the closed form answers outright."""
-    from repro.batch import evaluate_batch
-    from repro.scenarios import (
-        ComponentSpec,
-        MemorySpec,
-        ScenarioGrid,
-        ScenarioSpec,
-    )
-
-    base = ScenarioSpec(
-        mapping=ComponentSpec.of("matched-xor", t=3, s=4),
-        memory=MemorySpec(t=3),
-        workload=ComponentSpec.of("strided", base=0, stride=1, length=128),
-        name="analytic-perf",
-    )
-    specs = ScenarioGrid.of(
-        base,
-        workload__params__stride=(1, 2, 3, 4, 8, 12, 16, 24),
-        workload__params__length=(128, 256, 512, 1024),
-        workload__params__base=(0, 8, 64, 128, 1024),
-    ).expand()
-    report = benchmark(evaluate_batch, specs)
-    assert report.analytic_count == len(specs) == 160
-
-
-def test_batch_grid_mixed_with_indexed(benchmark):
-    """Strided + indexed points: the kernel simulates the gathers."""
-    from repro.batch import evaluate_batch
-    from repro.scenarios import ScenarioSpec
-
-    mapping = {"kind": "matched-xor", "params": {"t": 3, "s": 4}}
-    specs = []
-    for stride in (1, 3, 8, 96):
-        for length in (64, 128):
-            specs.append(
-                ScenarioSpec.from_dict(
-                    {
-                        "name": f"mix-s{stride}-l{length}",
-                        "mapping": mapping,
-                        "memory": {"t": 3},
-                        "workload": {
-                            "kind": "strided",
-                            "params": {
-                                "base": 0,
-                                "stride": stride,
-                                "length": length,
-                            },
-                        },
-                    }
-                )
-            )
-    for bits in (5, 6, 7, 8):
-        specs.append(
-            ScenarioSpec.from_dict(
-                {
-                    "name": f"mix-bitrev{bits}",
-                    "mapping": mapping,
-                    "memory": {"t": 3},
-                    "workload": {
-                        "kind": "bit-reversal",
-                        "params": {"bits": bits},
-                    },
-                }
-            )
-        )
-    report = benchmark(evaluate_batch, specs)
-    assert len(report.results) == len(specs)
-    assert report.soa_count > 0
-
-
-# -- program-grid fallback tier -------------------------------------------
-#
-# Program/decoupled points cannot take the analytic or simulated tiers — the
-# fallback tier is their whole story, and these benches record how fast
-# it runs serially, sharded over 4 workers, and as a bare per-point
-# loop.  The committed 64-point example is the fixture, so the bench
-# measures exactly what `repro scenario run examples/... --engine batch
-# --batch-workers 4` runs.  On multi-core CI the workers=4 series
-# should sit well under the serial one; `lab history
-# --flag-regressions` trends all three (see the history-smoke CI job).
 
 
 def _program_grid_specs():
@@ -290,34 +195,8 @@ def _program_grid_specs():
 _PROGRAM_SPECS = _program_grid_specs()
 
 
-def test_program_grid_64_serial(benchmark):
-    """The 64-point program grid through the serial fallback tier."""
-    from repro.batch import evaluate_batch
-
-    report = benchmark.pedantic(
-        evaluate_batch, args=(_PROGRAM_SPECS,), rounds=2, iterations=1
-    )
-    assert len(report.results) == 64
-    assert report.fallback_count == 64
-
-
-def test_program_grid_64_workers4(benchmark):
-    """The same grid with the fallback tier sharded over 4 workers."""
-    from functools import partial
-
-    from repro.batch import evaluate_batch
-
-    report = benchmark.pedantic(
-        partial(evaluate_batch, _PROGRAM_SPECS, workers=4),
-        rounds=2,
-        iterations=1,
-    )
-    assert len(report.results) == 64
-    assert report.workers == 4
-
-
 def test_program_grid_64_kernel_baseline(benchmark):
-    """Per-point simulate() over the identical grid — the denominator."""
+    """Per-point simulate() over the committed 64-point program grid."""
     from repro.scenarios import simulate
 
     def run_all():

@@ -53,16 +53,12 @@ Module map
   efficiency, trade-offs) and design-space sweeps;
 * :mod:`repro.scenarios` — declarative, JSON-serializable scenario
   specs (machine + workload *or* whole program) + the ``simulate()``
-  facade over all of the above and design-point diffing;
-* :mod:`repro.batch` — the batch design-point evaluation engine:
-  a closed-form analytic fast path for conflict-free planner points,
-  in-process kernel runs for the other planner points, and a fallback
-  tier shardable over a process pool (``--batch-workers``), selectable as
-  ``--engine batch`` wherever grids run, with sampled re-validation
-  against the per-point kernel.  The hot path is memoized underneath:
-  the planner's process-wide LRU plan cache and the scenario facade's
-  machine templates (``repro.obs.cache_stats()`` snapshots both;
-  ``REPRO_PLAN_CACHE=0`` / ``REPRO_MACHINE_CACHE=0`` disable);
+  facade over all of the above and design-point diffing.  ``simulate()``
+  is the one evaluation path: it answers conflict-free planner points
+  with the closed-form ``T + L + 1`` and runs the memory kernel for
+  everything else (always, when traced).  The planner's process-wide
+  LRU plan cache memoizes the hot path (``repro.obs.cache_stats()``
+  snapshots it; ``REPRO_PLAN_CACHE=0`` disables it);
 * :mod:`repro.check` — static conflict/hazard analysis of specs and
   vector programs (closed-form conflict verdicts, RAW/WAR/WAW and
   batchability reports, spec lint, grid dedupe) behind ``repro check``

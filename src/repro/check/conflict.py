@@ -9,7 +9,10 @@ Theorem 3) decides conflict-freedom without running the kernel:
   membership that guarantees it.
 * ``CF102`` *warn* — conflict-prone under a conflict-tolerant mode
   (``auto`` / ``ordered``): the run completes, but slower than the
-  ``T + L + 1`` bound.
+  ``T + L + 1`` bound.  Also *warn*, under any mode, for a
+  conflict-free order on a ``T = 1`` memory with a one-slot input
+  queue, where back-to-back requests still stall
+  (:attr:`~repro.memory.config.MemoryConfig.conflict_free_is_minimal`).
 * ``CF103`` *info* — indexed access: no closed-form verdict exists;
   scheduling happens at run time.
 * ``CF104`` *error* — the drive demands a conflict-free order
@@ -140,6 +143,17 @@ def _vector_finding(
             where,
             f"{shape} cannot be ordered conflict-free under mode "
             f"{mode!r} ({geometry}): {error}",
+        )
+    if plan.conflict_free and not config.conflict_free_is_minimal:
+        return Finding(
+            "CF102",
+            "warn",
+            where,
+            f"{shape} is conflict-free via scheme {plan.scheme!r} "
+            f"({geometry}), but with T=1 and a one-slot input queue "
+            f"(q=1) back-to-back requests to one module stall on the "
+            f"input register, so latency may exceed the "
+            f"T+L+1 = {plan.minimum_latency} minimum; q >= 2 restores it",
         )
     if plan.conflict_free:
         return Finding(

@@ -74,13 +74,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
-    return value
-
-
 def _add_backend_options(parser: argparse.ArgumentParser) -> None:
     """The execution-backend flags `lab run` and `lab sweep` share."""
     parser.add_argument(
@@ -113,68 +106,10 @@ def _add_backend_options(parser: argparse.ArgumentParser) -> None:
         help="spool backend: the coordinator also claims and executes "
         "jobs while polling (works with zero external workers)",
     )
-    _add_engine_options(parser)
-
-
-def _add_engine_options(parser: argparse.ArgumentParser) -> None:
-    """The evaluation-engine flags shared by lab and scenario commands."""
-    parser.add_argument(
-        "--engine",
-        choices=["kernel", "batch"],
-        default="kernel",
-        help="evaluation engine: kernel (per-point simulator, the "
-        "default) or batch (analytic fast path + vectorized batched "
-        "kernel; artifacts and cache keys are identical)",
-    )
-    parser.add_argument(
-        "--validate",
-        type=_nonnegative_int,
-        default=0,
-        metavar="N",
-        help="batch engine: re-run N evenly-sampled points through the "
-        "per-point kernel and fail on any field mismatch (default 0)",
-    )
-    parser.add_argument(
-        "--batch-workers",
-        type=_nonnegative_int,
-        default=None,
-        metavar="N",
-        help="batch engine: shard the fallback tier (figure6/decoupled/"
-        "program points) over N worker processes (0 = one per CPU; "
-        "default: serial). Results are identical for any worker count.",
-    )
-
-
-def _batch_workers_of(args: argparse.Namespace):
-    """The ``--batch-workers`` value, rejecting it for the kernel engine."""
-    workers = getattr(args, "batch_workers", None)
-    if workers is not None and getattr(args, "engine", "kernel") != "batch":
-        from repro.errors import ConfigurationError
-
-        raise ConfigurationError(
-            "--batch-workers applies to the batch engine only; add "
-            "--engine batch (the kernel engine is always per-point)"
-        )
-    return workers
 
 
 def _build_backend(args: argparse.Namespace, store):
     """The backend instance (or name) `run_jobs` should execute through."""
-    workers = _batch_workers_of(args)
-    if getattr(args, "engine", "kernel") == "batch":
-        if getattr(args, "backend", None) is not None:
-            from repro.errors import ConfigurationError
-
-            raise ConfigurationError(
-                "--engine batch provides its own execution backend; "
-                "drop --backend (the spool/pool flags apply only to "
-                "the kernel engine)"
-            )
-        from repro.batch import BatchBackend
-
-        return BatchBackend(
-            validate=getattr(args, "validate", 0), workers=workers
-        )
     if getattr(args, "backend", None) != "spool":
         return getattr(args, "backend", None)
     from repro.lab import SpoolBackend
@@ -548,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--force", action="store_true", help="with --lab: ignore the cache"
     )
     scenario_run.add_argument("--root", default=None, help=root_help)
-    _add_engine_options(scenario_run)
     scenario_run.add_argument(
         "--trace",
         default=None,
@@ -1353,21 +1287,12 @@ def command_scenario(args: argparse.Namespace) -> int:
         return 2
     for spec in specs:
         validate_spec_kinds(spec)
-    _batch_workers_of(args)  # reject --batch-workers without --engine batch
 
     if args.trace and args.lab:
         print(
             "--trace needs the in-process simulator; drop --lab "
             "(lab jobs run in worker processes, which cannot stream "
             "trace events back)",
-            file=sys.stderr,
-        )
-        return 2
-    if args.trace and args.engine == "batch":
-        print(
-            "--trace needs the per-point simulator; drop --engine batch "
-            "(the analytic fast path never runs a cycle loop, so there "
-            "are no trace events to record)",
             file=sys.stderr,
         )
         return 2
@@ -1420,24 +1345,6 @@ def command_scenario(args: argparse.Namespace) -> int:
                 f"{spec.describe()})",
                 file=info,
             )
-    elif args.engine == "batch":
-        from repro.batch import evaluate_batch
-
-        report = evaluate_batch(
-            specs, validate=args.validate, workers=args.batch_workers
-        )
-        results = list(zip(specs, report.results))
-        workers_note = (
-            f", {report.workers} workers" if report.workers > 1 else ""
-        )
-        print(
-            f"batch: {len(specs)} design points "
-            f"({report.analytic_count} analytic, {report.soa_count} "
-            f"batched, {report.fallback_count} fallback, "
-            f"{report.validated_count} validated{workers_note}, "
-            f"{report.plan_cache_hits} plan-cache hits)",
-            file=sys.stderr if args.as_json else sys.stdout,
-        )
     else:
         results = [(spec, simulate(spec)) for spec in specs]
     if args.as_json:

@@ -44,6 +44,7 @@ from repro.core.subsequences import build_subsequences
 from repro.core.vector import VectorAccess
 from repro.errors import ConfigurationError, OrderingError
 from repro.mappings.base import AddressMapping
+from repro.mappings.linear import MatchedXorMapping
 from repro.mappings.section import SectionXorMapping
 
 PlanMode = Literal["auto", "ordered", "subsequence", "conflict_free"]
@@ -343,3 +344,54 @@ class AccessPlanner:
         return is_t_matched(
             spatial_distribution(self.mapping, vector), self.service_ratio
         )
+
+
+def cf_order_feasible(
+    mapping: AddressMapping, t: int, access: VectorAccess
+) -> bool | None:
+    """Whether the Section 3.2/4.2 reordering exists for ``access``,
+    decided without materialising it.
+
+    Mirrors :meth:`AccessPlanner._reorder_parameters` plus Lemma 1's
+    ``L = k * Px`` precondition: for the Eq. (1)/(2) XOR mappings the
+    reordering succeeds exactly when the family lies at or below the
+    decomposition exponent ``w`` and the length is a positive multiple
+    of the chunk ``2**(w+t-x)``.  Within each subsequence the alignment
+    key steps by the odd ``sigma`` through all ``2**t`` values, so
+    same-module requests sit exactly ``T`` slots apart and a successful
+    plan is always conflict-free.
+
+    ``True``/``False`` match ``AccessPlanner._conflict_free`` (success
+    vs :class:`~repro.errors.OrderingError`).  ``None`` means the
+    geometry is outside the proven cases — a subclassed mapping, an
+    unmatched Eq. (1) layout (``m != t``), a skew or field scheme below
+    its exponent — and the caller must ask the planner.
+    """
+    if not isinstance(mapping, AddressMapping):
+        return None
+    x = access.family
+    if type(mapping) is MatchedXorMapping:
+        if x > mapping.s:
+            return False
+        if mapping.module_bits != t:
+            return None
+        w = mapping.s
+    elif type(mapping) is SectionXorMapping:
+        w = mapping.s if x <= mapping.s else mapping.y
+        if x > w:
+            return False
+        if mapping.t != t:
+            return None
+    elif isinstance(mapping, SectionXorMapping):
+        return None
+    elif getattr(mapping, "s", None) is None:
+        # _reorder_parameters refuses mappings without window structure.
+        return False
+    elif x > mapping.s:
+        # The Lemma-2 decomposition is refused above the exponent for
+        # every matched-style mapping, structured or not.
+        return False
+    else:
+        return None
+    chunk = 1 << (w + t - x)
+    return access.length % chunk == 0

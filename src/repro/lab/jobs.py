@@ -370,14 +370,16 @@ def _table_payload(title: str, headers, rows) -> dict:
     }
 
 
-def scenario_result_payload(spec: JobSpec, scenario, result) -> dict:
-    """One scenario job's payload from an already-computed result.
+def _scenario_payload(spec: JobSpec) -> dict:
+    from repro.scenarios import ScenarioSpec, simulate
 
-    The single payload shape for every engine: the in-process simulate
-    path below and the batch evaluator's :class:`repro.batch.engine.
-    BatchBackend` both build their artifacts here, so engines can never
-    drift apart on artifact structure.
-    """
+    params = dict(spec.params)
+    if "spec" not in params:
+        raise UnknownJobError(
+            f"scenario job {spec.job_id!r} carries no 'spec' param"
+        )
+    scenario = ScenarioSpec.from_json(params["spec"])
+    result = simulate(scenario)
     payload = _table_payload(
         spec.title or scenario.describe(),
         ["metric", "value"],
@@ -399,19 +401,6 @@ def scenario_result_payload(spec: JobSpec, scenario, result) -> dict:
         ]
         payload["all_passed"] = bool(correct)
     return payload
-
-
-def _scenario_payload(spec: JobSpec) -> dict:
-    from repro.scenarios import ScenarioSpec, simulate
-
-    params = dict(spec.params)
-    if "spec" not in params:
-        raise UnknownJobError(
-            f"scenario job {spec.job_id!r} carries no 'spec' param"
-        )
-    scenario = ScenarioSpec.from_json(params["spec"])
-    result = simulate(scenario)
-    return scenario_result_payload(spec, scenario, result)
 
 
 def execute_job(job: str | JobSpec) -> dict:

@@ -98,6 +98,18 @@ class MemoryConfig:
         """True when ``M == T`` (Section 3's case)."""
         return self.module_count == self.service_ratio
 
+    @property
+    def conflict_free_is_minimal(self) -> bool:
+        """Whether a conflict-free access takes exactly ``T + L + 1`` cycles.
+
+        With ``T = 1`` every module sequence is conflict-free by the
+        Section 2 definition, yet back-to-back requests to one module
+        stall on a one-slot input queue; ``T >= 2`` or ``q >= 2``
+        restores the bound.  ``repro check`` (CF101) and the closed form
+        of :func:`repro.scenarios.simulate` share this predicate.
+        """
+        return self.service_ratio >= 2 or self.input_capacity >= 2
+
     @classmethod
     def matched(
         cls,

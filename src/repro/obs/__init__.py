@@ -14,8 +14,7 @@ happened during them" and "how does that compare with every run before".
   config hash + source fingerprint), powering ``repro lab history``
   trends and regression flagging.
 * :func:`cache_stats` — one snapshot of the process-wide memoization
-  counters (the planner's plan cache and the scenario facade's machine
-  templates), the numbers behind ``plan_cache_hits`` in batch reports.
+  counters (the planner's plan cache).
 """
 
 from repro.obs.tracer import (
@@ -46,12 +45,9 @@ __all__ = [
 def cache_stats() -> dict[str, int]:
     """Hit/miss/size counters for every process-wide memoization cache.
 
-    One flat dict merging the planner's plan cache and the scenario
-    facade's machine-template cache — the same counters batch reports
-    surface as deltas.  Imported lazily: the facade imports this
-    package for tracing, so a module-level import would be circular.
+    Today that is the planner's plan cache.  Imported lazily, so that
+    importing the tracer does not pull in the planner.
     """
     from repro.core.planner import plan_cache_stats
-    from repro.scenarios.facade import machine_cache_stats
 
-    return {**plan_cache_stats(), **machine_cache_stats()}
+    return plan_cache_stats()

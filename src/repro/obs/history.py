@@ -8,7 +8,7 @@ A :class:`HistoryDB` ingests
   elapsed time plus, for scenario jobs, every ``metric_rows()`` scalar
   (``total_cycles``, ``efficiency``, ``overlap_fraction``, ...) decoded
   from the job's artifact record, and the run-level metrics block
-  (cache-hit rate, batch engine tier counts, plan-cache hits) under
+  (cache-hit rate, backend worker counts, queue latencies) under
   the reserved job id ``__run__``;
 * **pytest-benchmark JSON** (``BENCH_simulator_perf.json``) — per-bench
   mean/min wall seconds, ordered by the ``repro_meta`` stamp
@@ -270,9 +270,9 @@ class HistoryDB:
                     )
                 )
         # Run-level manifest metrics (cache-hit rate, queue latencies,
-        # batch tier counts like batch_fallback / plan_cache_hits) were
+        # backend counts like pool_workers / spool_workers) were
         # previously written to manifest.json and then dropped at
-        # ingest, so `lab history` could never trend a run's tier mix.
+        # ingest, so `lab history` could never trend a run's metrics.
         # They land under the reserved job id "__run__" — no real job
         # id collides (job ids come from sanitised scenario names) and
         # the trend/regression queries need no special casing.

@@ -43,7 +43,6 @@ from repro.scenarios.diff import (
     render_scenario_diff,
 )
 from repro.scenarios.facade import (
-    ENGINE_NAMES,
     TIMELINE_FIELDS,
     ScenarioResult,
     build_machine,
@@ -79,7 +78,6 @@ del _components
 __all__ = [
     "CATEGORIES",
     "DRIVE",
-    "ENGINE_NAMES",
     "MAPPING",
     "PROGRAM",
     "TIMELINE_FIELDS",

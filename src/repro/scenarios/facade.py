@@ -11,6 +11,11 @@ Two entry points:
   efficiency, per-module utilisation) into one JSON-safe
   :class:`ScenarioResult`.
 
+Under the planner drive, a workload whose every access is strided and
+conflict-free is answered in closed form — ``T + L + 1`` cycles per
+access, the paper's Section 2 minimum — without a kernel run; a traced
+call always runs the kernel, which is what the tests compare against.
+
 A spec with a ``program`` section runs a whole vector program through
 the one :class:`~repro.processor.engine.ProgramEngine` API — the same
 path the workload-driven ``decoupled`` drive uses — and the result
@@ -27,16 +32,14 @@ any simulation starts.
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field
 
 from repro.core.gather import IndexedAccess, plan_indexed
-from repro.core.planner import AccessPlanner
+from repro.core.planner import AccessPlanner, cf_order_feasible
 from repro.errors import ConfigurationError
 from repro.mappings.base import AddressMapping
 from repro.mappings.dynamic import DynamicSchemeSelector
+from repro.mappings.linear import MatchedXorMapping
 from repro.memory.config import MemoryConfig
 from repro.memory.system import AccessResult, MemorySystem
 from repro.obs.tracer import resolve_tracer
@@ -183,101 +186,6 @@ class ScenarioResult:
         return rows
 
 
-#: Set to ``0``/``off``/``false``/``no`` to disable machine-template
-#: memoization (every ``build_config`` call then re-derives the mapping
-#: and config from scratch).
-MACHINE_CACHE_ENV = "REPRO_MACHINE_CACHE"
-
-_MACHINE_CACHE_CAPACITY = 512
-_machine_cache: OrderedDict[tuple, MemoryConfig] = OrderedDict()
-_machine_cache_lock = threading.Lock()
-_machine_cache_hits = 0
-_machine_cache_misses = 0
-
-
-def machine_cache_enabled() -> bool:
-    """Whether :func:`build_config` reuses machine templates."""
-    value = os.environ.get(MACHINE_CACHE_ENV, "1").strip().lower()
-    return value not in ("0", "off", "false", "no")
-
-
-def machine_cache_stats() -> dict[str, int]:
-    """Hit/miss/occupancy counters of the machine-template cache."""
-    with _machine_cache_lock:
-        return {
-            "machine_cache_hits": _machine_cache_hits,
-            "machine_cache_misses": _machine_cache_misses,
-            "machine_cache_entries": len(_machine_cache),
-        }
-
-
-def clear_machine_cache() -> None:
-    """Empty the machine-template cache (tests, benchmarks)."""
-    global _machine_cache_hits, _machine_cache_misses
-    with _machine_cache_lock:
-        _machine_cache.clear()
-        _machine_cache_hits = 0
-        _machine_cache_misses = 0
-
-
-def _freeze(value):
-    """A params value as a hashable cache-key component."""
-    if isinstance(value, dict):
-        return tuple(
-            (key, _freeze(value[key])) for key in sorted(value)
-        )
-    if isinstance(value, (list, tuple)):
-        return tuple(_freeze(item) for item in value)
-    return value
-
-
-def _machine_cache_key(spec: ScenarioSpec) -> tuple | None:
-    """Cache key of a spec's machine layer, or None when uncacheable.
-
-    ``dynamic`` mappings resolve against the workload, so their machine
-    depends on more than the mapping/memory sections and is rebuilt
-    every time.  Everything else is a pure function of the two spec
-    sections (the same determinism the content-addressed artifact cache
-    already relies on), so identical sections — the common case across
-    a grid's program/workload axes — share one frozen
-    :class:`MemoryConfig` and mapping object.
-    """
-    if not machine_cache_enabled():
-        return None
-    if spec.mapping.kind == "dynamic":
-        return None
-    memory = spec.memory
-    return (
-        spec.mapping.kind,
-        _freeze(spec.mapping.params),
-        memory.t,
-        memory.q,
-        memory.qp,
-        memory.ports,
-        memory.address_bits,
-    )
-
-
-def _machine_cache_lookup(key: tuple) -> MemoryConfig | None:
-    global _machine_cache_hits, _machine_cache_misses
-    with _machine_cache_lock:
-        config = _machine_cache.get(key)
-        if config is None:
-            _machine_cache_misses += 1
-            return None
-        _machine_cache.move_to_end(key)
-        _machine_cache_hits += 1
-        return config
-
-
-def _machine_cache_store(key: tuple, config: MemoryConfig) -> None:
-    with _machine_cache_lock:
-        _machine_cache[key] = config
-        _machine_cache.move_to_end(key)
-        while len(_machine_cache) > _MACHINE_CACHE_CAPACITY:
-            _machine_cache.popitem(last=False)
-
-
 def build_workload(spec: ScenarioSpec) -> Workload:
     """The live workload of a spec (which must declare one)."""
     if spec.workload is None:
@@ -297,14 +205,6 @@ def resolve_mapping(
     needs a single strided workload to resolve against (exactly the
     restriction the paper's Section 1 draws against dynamic schemes).
     """
-    mapping, _dynamic = _resolve_mapping_info(spec, workload)
-    return mapping
-
-
-def _resolve_mapping_info(
-    spec: ScenarioSpec, workload: Workload | None = None
-) -> tuple[AddressMapping, bool]:
-    """The concrete mapping plus whether it was workload-resolved."""
     mapping = build(
         MAPPING, spec.mapping, address_bits=spec.memory.address_bits
     )
@@ -317,8 +217,8 @@ def _resolve_mapping_info(
                 "per-stride scheme; this spec has no workload"
             )
         vector = workload.single_vector()
-        return mapping.mapping_for_stride(vector.stride), True
-    return mapping, False
+        return mapping.mapping_for_stride(vector.stride)
+    return mapping
 
 
 def build_config(
@@ -330,18 +230,8 @@ def build_config(
     :class:`~repro.processor.engine.ProgramEngine` builds its own
     machine from the config — while :func:`build_machine` layers the
     planner and memory system on top for the access-driven paths.
-
-    Identical mapping/memory sections share one frozen config (and
-    mapping object) through the machine-template cache, so a grid
-    sweeping program or workload axes stops re-deriving its machine
-    per point; disable with ``REPRO_MACHINE_CACHE=0``.
     """
-    key = _machine_cache_key(spec)
-    if key is not None:
-        cached = _machine_cache_lookup(key)
-        if cached is not None:
-            return cached
-    mapping, dynamic = _resolve_mapping_info(spec, workload)
+    mapping = resolve_mapping(spec, workload)
     if spec.memory.ports > mapping.module_count:
         raise ConfigurationError(
             f"scenario field 'memory.ports' ({spec.memory.ports}) exceeds "
@@ -349,19 +239,13 @@ def build_config(
             f"{spec.mapping.kind!r}: each port needs at least one module "
             "to talk to"
         )
-    config = MemoryConfig(
+    return MemoryConfig(
         mapping,
         spec.memory.t,
         input_capacity=spec.memory.q,
         output_capacity=spec.memory.qp,
         ports=spec.memory.ports,
     )
-    # A registered kind may hand back a dynamic selector even when the
-    # spec kind isn't literally "dynamic"; those configs depend on the
-    # workload, so only workload-independent machines are shared.
-    if key is not None and not dynamic:
-        _machine_cache_store(key, config)
-    return config
 
 
 def build_machine(
@@ -385,7 +269,10 @@ def simulate(spec: ScenarioSpec, tracer=None) -> ScenarioResult:
     cycle-level event timeline of whichever drive runs — kernel
     module/port/stream events for the access-driven paths, plus
     machine-unit instruction spans for the program paths — for export
-    as Chrome trace JSON (``repro scenario run --trace``).
+    as Chrome trace JSON (``repro scenario run --trace``).  A traced
+    call always runs the kernel; an untraced planner-drive call may
+    answer in closed form (see :func:`_simulate_planner`) with
+    identical fields.
     """
     tracer = resolve_tracer(tracer)
     drive = build(DRIVE, spec.drive)
@@ -413,49 +300,12 @@ def simulate(spec: ScenarioSpec, tracer=None) -> ScenarioResult:
     )
 
 
-#: Evaluation engines ``simulate_grid`` (and the CLI) accept.
-ENGINE_NAMES = ("kernel", "batch")
-
-
-def simulate_grid(
-    grid,
-    *,
-    engine: str = "kernel",
-    validate: int = 0,
-    workers: int | None = None,
-    tracer=None,
-) -> list[ScenarioResult]:
-    """Simulate every design point of a grid (or a list of specs).
-
-    ``engine`` picks the evaluation strategy: ``"kernel"`` runs each
-    point through :func:`simulate` (the per-point cycle-accurate
-    path), ``"batch"`` hands the whole batch to
-    :func:`repro.batch.evaluate_batch` — the analytic ``T + L + 1``
-    fast path for conflict-free planner points plus in-process kernel
-    runs for the rest, with identical results either way.  ``validate`` (batch engine only) re-runs that
-    many sampled points through the per-point kernel and raises on any
-    field mismatch.  ``workers`` (batch engine only) shards the
-    fallback tier — figure6/decoupled/program points — over that many
-    worker processes.  ``tracer`` is only meaningful for the kernel
-    engine (the batch engine materialises no per-cycle events).
-    """
+def simulate_grid(grid, *, tracer=None) -> list[ScenarioResult]:
+    """Simulate every design point of a grid (or a list of specs)."""
     from repro.scenarios.grid import ScenarioGrid
 
     specs = grid.expand() if isinstance(grid, ScenarioGrid) else list(grid)
-    if engine == "kernel":
-        return [simulate(spec, tracer) for spec in specs]
-    if engine == "batch":
-        from repro.batch import evaluate_batch
-
-        return list(
-            evaluate_batch(
-                specs, validate=validate, workers=workers
-            ).results
-        )
-    raise ConfigurationError(
-        f"unknown evaluation engine {engine!r} "
-        f"(known: {', '.join(ENGINE_NAMES)})"
-    )
+    return [simulate(spec, tracer) for spec in specs]
 
 
 def _aggregate(
@@ -501,6 +351,64 @@ def _aggregate(
     )
 
 
+def _closed_form(
+    spec: ScenarioSpec,
+    config: MemoryConfig,
+    accesses: list,
+    plans: list,
+) -> ScenarioResult:
+    """What the kernel would measure for an all-conflict-free strided
+    workload, computed without running it.
+
+    Each access takes exactly ``T + L + 1`` cycles with no stall, wait
+    or held result (Section 2), and busy cycles are ``T`` per request
+    per module.  A module histogram is order-free, so an access decided
+    conflict-free by :func:`cf_order_feasible` (``plan`` is ``None``)
+    counts its canonical module sequence; a truly matched memory
+    (``M = T``) is exactly uniform, ``L / T`` requests per module.
+    """
+    mapping = config.mapping
+    service = config.service_ratio
+    module_count = config.module_count
+    schemes: list[str] = []
+    busy = [0] * module_count
+    latency = 0
+    elements = 0
+    uniform = type(mapping) is MatchedXorMapping and module_count == service
+    for access, plan in zip(accesses, plans):
+        scheme = "conflict_free" if plan is None else plan.scheme
+        if scheme not in schemes:
+            schemes.append(scheme)
+        if plan is None and uniform:
+            for module in range(module_count):
+                busy[module] += access.length
+        else:
+            modules = plan.modules if plan is not None else (
+                mapping.module_sequence(
+                    access.base, access.stride, access.length
+                )
+            )
+            for module in modules:
+                busy[module] += service
+        latency += service + access.length + 1
+        elements += access.length
+    return ScenarioResult(
+        name=spec.name,
+        drive=spec.drive.kind,
+        schemes=tuple(schemes),
+        access_count=len(accesses),
+        element_count=elements,
+        latency=latency,
+        minimum_latency=latency,
+        conflict_free=True,
+        issue_stalls=0,
+        wait_count=0,
+        service_ratio=service,
+        module_count=module_count,
+        module_busy_cycles=tuple(busy),
+    )
+
+
 def _simulate_planner(
     spec: ScenarioSpec,
     workload: Workload,
@@ -510,18 +418,45 @@ def _simulate_planner(
     drive: PlannerDrive,
     tracer=None,
 ) -> ScenarioResult:
+    """Classify each access once, then answer in closed form or run it.
+
+    Indexed accesses plan through :func:`plan_indexed`; strided ones ask
+    the Lemma-1 arithmetic (:func:`cf_order_feasible`) first and the
+    planner only when it does not prove a conflict-free order.  If every
+    access is strided and conflict-free, the memory honours the bound
+    (:attr:`MemoryConfig.conflict_free_is_minimal`) and nothing is
+    traced, the result is :func:`_closed_form`; otherwise the missing
+    plans are built and every plan runs through the kernel.
+    """
     tracer = resolve_tracer(tracer)
+    accesses = workload.accesses()
+    closed_form = not tracer.enabled and config.conflict_free_is_minimal
+    plans: list = []
+    for access in accesses:
+        if isinstance(access, IndexedAccess):
+            plan = plan_indexed(
+                config.mapping, config.t, access, mode=drive.indexed_mode
+            )
+            closed_form = False
+        elif (
+            closed_form
+            and drive.mode in ("auto", "conflict_free")
+            and cf_order_feasible(config.mapping, config.t, access)
+        ):
+            plan = None  # conflict-free; its order is built only if run
+        else:
+            plan = planner.plan(access, mode=drive.mode)
+            closed_form = closed_form and plan.conflict_free
+        plans.append(plan)
+    if closed_form:
+        return _closed_form(spec, config, accesses, plans)
     runs: list[tuple[str, AccessResult]] = []
     # Accesses run back to back, so each one's kernel events are shifted
     # by the latency accumulated before it — the exported timeline shows
     # the workload as one continuous run.
     offset = 0
-    for access in workload.accesses():
-        if isinstance(access, IndexedAccess):
-            plan = plan_indexed(
-                config.mapping, config.t, access, mode=drive.indexed_mode
-            )
-        else:
+    for access, plan in zip(accesses, plans):
+        if plan is None:
             plan = planner.plan(access, mode=drive.mode)
         run = system.run_plan(plan, tracer=tracer.shifted(offset))
         offset += run.latency

@@ -48,8 +48,8 @@ class _Entry:
         """The factory's signature, resolved once.
 
         ``inspect.signature`` is surprisingly expensive and factories
-        are immutable after registration, so every ``build`` call (the
-        batch engine makes thousands) shares one resolution.
+        are immutable after registration, so every ``build`` call (a
+        grid sweep makes thousands) shares one resolution.
         """
         if self._signature is None:
             self._signature = inspect.signature(self.factory)

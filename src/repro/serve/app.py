@@ -27,6 +27,10 @@ from repro.serve.service import LabService
 
 __all__ = ["ServeApp", "run_until_signalled"]
 
+#: How often the serve loop checks for a shutdown request.  The stdlib
+#: default (0.5 s) makes every stop wait up to half a second.
+_SHUTDOWN_POLL_SECONDS = 0.02
+
 
 def _print_flushed(message: str) -> None:
     """Default log sink: stdout, flushed so pipes/files see lines live."""
@@ -77,6 +81,7 @@ class ServeApp:
         """Serve in a background thread; returns immediately."""
         self._thread = threading.Thread(
             target=self.server.serve_forever,
+            kwargs={"poll_interval": _SHUTDOWN_POLL_SECONDS},
             name="repro-serve-http",
             daemon=True,
         )

@@ -62,12 +62,8 @@ class Submission:
     ``jobs`` is the deduplicated, job-id-ordered list of
     :class:`~repro.lab.jobs.JobSpec`; ``hashes`` maps job id to config
     hash (computed once, at submit time); ``signature`` is the sorted
-    hash tuple the duplicate collapse keys on.  ``engine``, ``validate`` and
-    ``batch_workers`` carry the submission's
-    ``?engine=``/``?validate=``/``?batch_workers=`` choice (engines
-    and worker counts produce identical artifacts, so the collapse
-    still keys on content alone).  ``report`` lands when the runner
-    finishes; ``error`` when it raises.
+    hash tuple the duplicate collapse keys on.  ``report`` lands when
+    the runner finishes; ``error`` when it raises.
     """
 
     run_id: str
@@ -75,9 +71,6 @@ class Submission:
     hashes: dict[str, str]
     signature: tuple[str, ...]
     created_at: str
-    engine: str = "kernel"
-    validate: int = 0
-    batch_workers: int | None = None
     state: str = QUEUED
     report: object | None = None
     error: str | None = None

@@ -136,12 +136,19 @@ class RequestHandler(BaseHTTPRequestHandler):
                 f"{schemas.MAX_BODY_BYTES}"
             )
         raw = self.rfile.read(length) if length > 0 else b""
-        payload = self.service.submit(
-            raw,
-            engine=self._query_value("engine"),
-            validate=self._query_value("validate"),
-            batch_workers=self._query_value("batch_workers"),
-        )
+        # Everything a run needs travels in the body; a query parameter
+        # (a stale engine or worker-count knob, say) would otherwise be
+        # ignored without a word.
+        query = urlsplit(self.path).query
+        if query:
+            self.service.counters.bump("runs_rejected")
+            names = ", ".join(sorted(parse_qs(query, keep_blank_values=True)))
+            raise BadRequestError(
+                f"POST /v1/runs takes no query parameters (got "
+                f"{names or query}); send the scenario spec or grid as "
+                "the request body"
+            )
+        payload = self.service.submit(raw)
         self._send_json(
             202,
             payload,

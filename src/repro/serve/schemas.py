@@ -24,7 +24,6 @@ __all__ = [
     "health_payload",
     "history_payload",
     "metrics_payload",
-    "parse_engine_request",
     "parse_run_request",
     "run_payload",
     "utc_now",
@@ -74,61 +73,6 @@ def parse_run_request(raw: bytes) -> list[ScenarioSpec]:
     return specs
 
 
-def parse_engine_request(
-    engine: str | None,
-    validate: str | None,
-    batch_workers: str | None = None,
-) -> tuple[str, int, int | None]:
-    """The ``?engine=`` / ``?validate=`` / ``?batch_workers=`` queries.
-
-    Mirrors the CLI's ``--engine {kernel,batch} --validate N
-    --batch-workers N`` exactly: the default is the per-point kernel,
-    ``batch`` routes the batch through
-    :class:`repro.batch.BatchBackend`, ``validate`` re-runs that many
-    sampled points through the kernel, and ``batch_workers`` shards the
-    batch engine's fallback tier over that many worker processes
-    (``0`` = one per CPU).  Both knobs apply to the batch engine only —
-    they have no meaning for, and are rejected with, the kernel engine.
-    """
-    name = engine or "kernel"
-    if name not in ("kernel", "batch"):
-        raise BadRequestError(
-            f"unknown engine {name!r}; pick kernel or batch"
-        )
-    count = 0
-    if validate is not None:
-        try:
-            count = int(validate)
-        except ValueError:
-            count = -1
-        if count < 0:
-            raise BadRequestError(
-                f"validate must be a non-negative integer, got {validate!r}"
-            )
-        if name != "batch":
-            raise BadRequestError(
-                "validate only applies to engine=batch (the kernel "
-                "engine is its own reference)"
-            )
-    workers: int | None = None
-    if batch_workers is not None:
-        try:
-            workers = int(batch_workers)
-        except ValueError:
-            workers = -1
-        if workers < 0:
-            raise BadRequestError(
-                f"batch_workers must be a non-negative integer "
-                f"(0 = one per CPU), got {batch_workers!r}"
-            )
-        if name != "batch":
-            raise BadRequestError(
-                "batch_workers only applies to engine=batch (the "
-                "kernel engine is always per-point)"
-            )
-    return name, count, workers
-
-
 def validate_kinds(specs: list[ScenarioSpec]) -> None:
     """Reject unregistered component kinds at the door.
 
@@ -157,7 +101,6 @@ def run_payload(submission) -> dict:
         "state": submission.state,
         "created_at": submission.created_at,
         "job_count": len(submission.jobs),
-        "engine": getattr(submission, "engine", "kernel"),
         "url": f"/v1/runs/{submission.run_id}",
     }
     if submission.follows:

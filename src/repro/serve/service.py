@@ -77,14 +77,7 @@ class LabService:
 
     # -- submission ------------------------------------------------------
 
-    def submit(
-        self,
-        raw: bytes,
-        *,
-        engine: str | None = None,
-        validate: str | None = None,
-        batch_workers: str | None = None,
-    ) -> dict:
+    def submit(self, raw: bytes) -> dict:
         """``POST /v1/runs``: parse, enqueue, return the run's first state.
 
         The run id comes from the same generator CLI runs use, but is
@@ -92,16 +85,8 @@ class LabService:
         the run the background batch will record.  Parsing and static
         lint run first: a rejected submission counts in
         ``runs_rejected`` and never allocates (so never leaks) a run id.
-        ``engine``/``validate``/``batch_workers`` arrive as raw query
-        strings and select the evaluation engine per submission
-        (``?engine=batch`` runs the batch evaluator,
-        ``?batch_workers=N`` shards its fallback tier; artifacts are
-        identical either way).
         """
         try:
-            engine_name, validate_count, worker_count = (
-                schemas.parse_engine_request(engine, validate, batch_workers)
-            )
             specs = schemas.parse_run_request(raw)
         except Exception:
             self.counters.bump("runs_rejected")
@@ -120,9 +105,6 @@ class LabService:
             hashes=hashes,
             signature=tuple(sorted(hashes.values())),
             created_at=schemas.utc_now(),
-            engine=engine_name,
-            validate=validate_count,
-            batch_workers=worker_count,
         )
         with self._runs_lock:
             self._runs[submission.run_id] = submission
@@ -139,19 +121,11 @@ class LabService:
 
     def _execute(self, submission: Submission) -> None:
         """The queue's runner: one batch through the lab, plus bookkeeping."""
-        if submission.engine == "batch":
-            from repro.batch import BatchBackend
-
-            backend: object | None = BatchBackend(
-                validate=submission.validate,
-                workers=submission.batch_workers,
-            )
-        else:
-            backend = (
-                self._backend_factory()
-                if self._backend_factory is not None
-                else None
-            )
+        backend = (
+            self._backend_factory()
+            if self._backend_factory is not None
+            else None
+        )
         try:
             report = run_jobs(
                 submission.jobs,
@@ -170,14 +144,6 @@ class LabService:
         self.counters.bump("jobs_total", len(report.outcomes))
         self.counters.bump("jobs_executed", report.executed)
         self.counters.bump("job_cache_hits", report.cache_hits)
-        # Batch-engine tier and cache counters aggregate service-wide
-        # under the same lock every other counter takes, so a
-        # concurrent /v1/metrics read never sees a torn update.
-        for key, value in getattr(report, "metrics", {}).items():
-            if (key.startswith("batch_") or key.startswith("plan_cache_")) and (
-                isinstance(value, int) and not isinstance(value, bool)
-            ):
-                self.counters.bump(key, value)
         if report.failures:
             self.counters.bump("runs_with_failed_checks")
 

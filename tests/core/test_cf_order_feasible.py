@@ -1,18 +1,18 @@
-"""The closed-form planner shortcut, pinned against the real planner.
+"""The Lemma-1 feasibility arithmetic, pinned against the real planner.
 
 :func:`cf_order_feasible` claims to mirror ``AccessPlanner._conflict_free``
 exactly wherever it answers ``True``/``False``; the geometry sweep here
 holds it to that across every proven mapping kind, stride family
 (including negative and odd strides), length (including non-chunk
-lengths and length 1) and base.
+lengths and length 1) and base.  :func:`repro.scenarios.simulate`
+relies on it to answer conflict-free accesses in closed form.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.batch.fastpath import cf_order_feasible
-from repro.core.planner import AccessPlanner
+from repro.core.planner import AccessPlanner, cf_order_feasible
 from repro.core.vector import VectorAccess
 from repro.errors import OrderingError
 from repro.mappings.interleaved import FieldInterleaved, LowOrderInterleaved
@@ -69,8 +69,8 @@ class TestCfOrderFeasible:
             else:
                 assert verdict is True, where
                 # Success is not merely "an order exists": the produced
-                # plan is always conflict-free, which is what lets the
-                # analytic tier skip measurement entirely.
+                # plan is always conflict-free, which is what lets
+                # simulate() skip the kernel entirely.
                 assert plan.conflict_free, where
         # The sweep must actually exercise all three answers.
         assert verdicts[True] > 0

@@ -1,11 +1,12 @@
-"""The process-wide plan cache and the facade's machine templates.
+"""The process-wide plan cache.
 
 A cache hit must be indistinguishable from recomputation across the
-same geometry sweep that pins the closed-form planner shortcuts
-(tests/batch/test_fastpath.py): every proven mapping kind, stride
-family, length and base.  Disabling either cache via its environment
-knob must change nothing but speed, the LRU must evict oldest-first,
-and mappings without a declared ``cache_token`` must never be cached.
+same geometry sweep that pins the Lemma-1 feasibility arithmetic
+(tests/core/test_cf_order_feasible.py): every proven mapping kind,
+stride family, length and base.  Disabling the cache via its
+environment knob must change nothing but speed, the LRU must evict
+oldest-first, and mappings without a declared ``cache_token`` must
+never be cached.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from repro.mappings.linear import MatchedXorMapping
 from repro.mappings.section import SectionXorMapping
 from repro.mappings.skewed import SkewedMapping
 
-#: The fastpath geometry sweep (tests/batch/test_fastpath.py), reused
-#: as the cache-correctness population: every proven mapping kind,
-#: stride family (negative and odd included), non-chunk lengths,
+#: The feasibility geometry sweep (tests/core/test_cf_order_feasible.py),
+#: reused as the cache-correctness population: every proven mapping
+#: kind, stride family (negative and odd included), non-chunk lengths,
 #: length 1, and nonzero bases.
 CASES = [
     (MatchedXorMapping(3, 4), 3),
@@ -124,6 +125,27 @@ class TestPlanCacheCorrectness:
         assert first == second
         assert plan_cache_stats() == before
 
+    def test_simulation_results_match_with_cache_disabled(self, monkeypatch):
+        from repro.scenarios import ScenarioSpec, simulate
+
+        spec = ScenarioSpec.from_dict(
+            {
+                "name": "uncached",
+                "mapping": {
+                    "kind": "matched-xor",
+                    "params": {"t": 3, "s": 4},
+                },
+                "memory": {"t": 3, "q": 2},
+                "workload": {
+                    "kind": "strided",
+                    "params": {"base": 0, "stride": 3, "length": 64},
+                },
+            }
+        )
+        cached = simulate(spec).to_dict()
+        monkeypatch.setenv(PLAN_CACHE_ENV, "0")
+        assert simulate(spec).to_dict() == cached
+
     def test_same_token_different_type_do_not_collide(self):
         # A subclass overriding module_of but not cache_token must get
         # its own entries: the key pairs the token with type(mapping).
@@ -177,109 +199,4 @@ class TestPlanCacheMechanics:
     def test_stats_surface_through_obs(self):
         from repro.obs import cache_stats
 
-        merged = cache_stats()
-        assert "plan_cache_hits" in merged
-        assert "machine_cache_hits" in merged
-
-
-class TestMachineTemplates:
-    def spec(self, name="mc", q=2):
-        from repro.scenarios import ScenarioSpec
-
-        return ScenarioSpec.from_dict(
-            {
-                "name": name,
-                "mapping": {
-                    "kind": "matched-xor",
-                    "params": {"t": 3, "s": 4},
-                },
-                "memory": {"t": 3, "q": q},
-                "workload": {
-                    "kind": "strided",
-                    "params": {"base": 0, "stride": 3, "length": 64},
-                },
-            }
-        )
-
-    @pytest.fixture(autouse=True)
-    def fresh_machine_cache(self):
-        from repro.scenarios.facade import clear_machine_cache
-
-        clear_machine_cache()
-        yield
-        clear_machine_cache()
-
-    def test_identical_sections_share_one_config_object(self):
-        from repro.scenarios.facade import build_config, machine_cache_stats
-
-        first = build_config(self.spec(name="one"))
-        second = build_config(self.spec(name="two"))
-        assert first is second
-        stats = machine_cache_stats()
-        assert stats["machine_cache_hits"] == 1
-        assert stats["machine_cache_misses"] == 1
-
-    def test_different_memory_sections_do_not_share(self):
-        from repro.scenarios.facade import build_config
-
-        assert build_config(self.spec(q=2)) is not build_config(
-            self.spec(q=4)
-        )
-
-    def test_disabled_cache_builds_equal_fresh_configs(self, monkeypatch):
-        from repro.scenarios.facade import (
-            MACHINE_CACHE_ENV,
-            build_config,
-            machine_cache_stats,
-        )
-
-        cached = build_config(self.spec())
-        monkeypatch.setenv(MACHINE_CACHE_ENV, "0")
-        before = machine_cache_stats()
-        fresh = build_config(self.spec())
-        assert machine_cache_stats() == before
-        assert fresh is not cached
-        # Mapping objects compare by identity, so compare the config
-        # field-wise with the mappings reduced to their declared tokens.
-        assert fresh.mapping.cache_token() == cached.mapping.cache_token()
-        assert (
-            fresh.t,
-            fresh.input_capacity,
-            fresh.output_capacity,
-            fresh.ports,
-        ) == (
-            cached.t,
-            cached.input_capacity,
-            cached.output_capacity,
-            cached.ports,
-        )
-
-    def test_dynamic_mappings_are_never_cached(self):
-        from repro.scenarios import ScenarioSpec
-        from repro.scenarios.facade import build_config, machine_cache_stats
-
-        spec = ScenarioSpec.from_dict(
-            {
-                "name": "dyn",
-                "mapping": {"kind": "dynamic", "params": {"m": 3}},
-                "memory": {"t": 3},
-                "workload": {
-                    "kind": "strided",
-                    "params": {"base": 0, "stride": 3, "length": 64},
-                },
-            }
-        )
-        before = machine_cache_stats()
-        first = build_config(spec)
-        second = build_config(spec)
-        assert machine_cache_stats() == before
-        assert first is not second
-
-    def test_simulation_results_match_with_cache_disabled(self, monkeypatch):
-        from repro.scenarios import simulate
-        from repro.scenarios.facade import MACHINE_CACHE_ENV
-
-        cached = simulate(self.spec()).to_dict()
-        monkeypatch.setenv(MACHINE_CACHE_ENV, "0")
-        monkeypatch.setenv(PLAN_CACHE_ENV, "0")
-        assert simulate(self.spec()).to_dict() == cached
+        assert cache_stats() == plan_cache_stats()

@@ -361,36 +361,32 @@ class TestRunLevelMetrics:
     """Run-level manifest metrics land as ``__run__`` rows.
 
     Manifests have always carried a run-level ``metrics`` block
-    (cache-hit rate, queue latencies, batch tier counts), but ingestion
-    used to drop it on the floor — ``lab history`` could trend a job's
-    cycles yet never a run's tier mix.
+    (cache-hit rate, queue latencies, backend worker counts), but
+    ingestion used to drop it on the floor — ``lab history`` could trend
+    a job's cycles yet never a run's backend sizing.
     """
 
-    def test_batch_run_tier_counts_become_trendable(self, tmp_path):
-        from repro.batch import BatchBackend
+    def test_backend_worker_counts_become_trendable(self, tmp_path):
+        from repro.lab.backends import ProcessPoolBackend
 
         store = ArtifactStore(tmp_path / "lab")
         report = run_jobs(
             [scenario_job(ScenarioSpec.from_dict(SPEC))],
             store=store,
-            backend=BatchBackend(workers=2),
+            backend=ProcessPoolBackend(workers=2),
         )
         run_dir = write_run_artifacts(store, report)
         db = HistoryDB(tmp_path / "lab" / HISTORY_FILENAME)
         db.ingest_manifest(run_dir / "manifest.json", store=store)
-        by_metric = {
-            point["metric"]: point for point in db.trend("batch_jobs")
-        }
-        assert by_metric["batch_jobs"]["job_id"] == "__run__"
-        assert by_metric["batch_jobs"]["value"] == 1.0
-        workers = db.trend("batch_workers")
-        assert [point["value"] for point in workers] == [2.0]
-        assert db.trend("plan_cache_hits")  # present, whatever the count
+        [point] = db.trend("pool_workers")
+        assert point["job_id"] == "__run__"
+        assert point["value"] == 2.0
+        assert db.trend("cache_hit_rate")  # present, whatever the rate
 
     def test_non_numeric_run_metrics_are_skipped(self, tmp_path):
         manifest = fake_manifest("rm0", "2026-01-01T00:00:00Z", 1.0)
         manifest["metrics"] = {
-            "backend": "batch",
+            "backend": "serial",
             "cache_hit_rate": 0.5,
             "all_jobs_cached": True,
             "note": "free-text must not become a row",
@@ -410,11 +406,11 @@ class TestRunLevelMetrics:
 
     def test_run_rows_are_idempotent_across_reingest(self, tmp_path):
         manifest = fake_manifest("rm1", "2026-01-02T00:00:00Z", 1.0)
-        manifest["metrics"] = {"batch_fallback": 3}
+        manifest["metrics"] = {"pool_workers": 3}
         path = tmp_path / "manifest.json"
         path.write_text(json.dumps(manifest))
         db = HistoryDB(tmp_path / HISTORY_FILENAME)
         first = db.ingest_manifest(path)
         second = db.ingest_manifest(path)
         assert first == second > 0
-        assert len(db.trend("batch_fallback")) == 1
+        assert len(db.trend("pool_workers")) == 1

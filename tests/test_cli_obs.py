@@ -1,8 +1,8 @@
 """CLI tests for the observability surface.
 
 Covers `scenario run --trace`, `lab status --metrics`,
-`lab history` (trend, ingest, exit codes, `--flag-regressions`) and
-`lab index --prune-stale`.
+`lab history` (trend, ingest, exit codes, `--flag-regressions`,
+`--absolute-floor`) and `lab index --prune-stale`.
 """
 
 from __future__ import annotations
@@ -269,3 +269,54 @@ class TestLabIndexPrune:
              "--prune-stale"]
         ) == 0
         assert "pruned 1" in capsys.readouterr().out
+
+
+class TestHistoryFloor:
+    def manifest(self, tmp_path, index, elapsed):
+        path = tmp_path / f"manifest_{index}.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "run_id": f"r{index}",
+                    "created_at": f"2026-01-0{index + 1}T00:00:00Z",
+                    "jobs": [
+                        {
+                            "job_id": "demo-job",
+                            "config_hash": "0" * 16,
+                            "elapsed_seconds": elapsed,
+                        }
+                    ],
+                }
+            )
+        )
+        return path
+
+    def run_history(self, tmp_path, *extra):
+        return main(
+            [
+                "lab",
+                "history",
+                "--root",
+                str(tmp_path / "lab"),
+                "--ingest",
+                str(self.manifest(tmp_path, 0, 0.0)),
+                "--ingest",
+                str(self.manifest(tmp_path, 1, 0.04)),
+                "--metric",
+                "elapsed_seconds",
+                "--flag-regressions",
+                *extra,
+            ]
+        )
+
+    def test_zero_best_slip_fails_the_gate_by_default(
+        self, tmp_path, capsys
+    ):
+        assert self.run_history(tmp_path) == 1
+        assert "regression(s) flagged" in capsys.readouterr().err
+
+    def test_absolute_floor_grants_explicit_slack(self, tmp_path, capsys):
+        assert (
+            self.run_history(tmp_path, "--absolute-floor", "0.1") == 0
+        )
+        assert "no regressions" in capsys.readouterr().out
