@@ -114,7 +114,8 @@ def _run_records(
         ) if store.runs_dir.is_dir() else []
         raise UnknownRunError(
             f"no manifest or indexed results for run {run_id!r} under "
-            f"{store.root} (recorded runs: {', '.join(known) or 'none'})"
+            f"{store.root} (recorded runs: {', '.join(known) or 'none'}; "
+            "a run killed before it ended is indexed by `repro lab index`)"
         )
     warnings.append(
         f"run {run_id} has no manifest; comparing only the "

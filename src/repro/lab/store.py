@@ -14,6 +14,14 @@ from whatever finished.  The SQLite index is a *derived* view — it can
 always be rebuilt from the artifact files (``rebuild_index``), which
 is what ``repro lab index`` does after crashes or manual surgery.
 
+``save`` writes only the artifact file.  The index is written once per
+run: ``record_run`` inserts every ``results`` row of the run and its
+``runs`` row in one transaction when the run ends (an interrupted run
+commits the rows of its saved artifacts through ``index_results`` and
+records no run).  A run's rows therefore appear when it ends, and a
+killed run (SIGKILL, an unhandled SIGTERM, power loss) leaves artifacts
+the index does not list until ``repro lab index`` rebuilds it.
+
 Only the parent orchestration process writes the store; workers hand
 payloads back over the process pool, keeping SQLite single-writer.
 """
@@ -24,9 +32,11 @@ import json
 import os
 import shutil
 import sqlite3
+import threading
 import time
 from contextlib import closing
 from pathlib import Path
+from typing import Iterable
 
 import repro
 from repro.errors import ReproError
@@ -74,11 +84,15 @@ def atomic_write_text(path: Path, text: str) -> None:
     """Write-temp-then-``os.replace`` so readers never see a partial file.
 
     The single definition of the crash-safe write idiom used for
-    artifacts, spool files and merges.  The dotted ``.{name}.{pid}.tmp``
-    spelling keeps in-flight temp files invisible to every ``*.json`` /
-    ``*/result.json`` glob in the lab (and PID-unique across writers).
+    artifacts, spool files and merges.  The dotted
+    ``.{name}.{pid}.{thread}.tmp`` spelling keeps in-flight temp files
+    invisible to every ``*.json`` / ``*/result.json`` glob in the lab,
+    and unique per writer: two threads of one process (the serve queue
+    runners saving the same design point) never share a temp file.
     """
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    temp = path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    )
     temp.write_text(text)
     os.replace(temp, path)
 
@@ -157,7 +171,7 @@ class ArtifactStore:
         run_id: str,
         package_version: str | None = None,
     ) -> dict:
-        """Persist one job payload; returns the full stored record.
+        """Write one job's artifact file; returns the full stored record.
 
         The write is temp-file + ``os.replace``, so a crash mid-save
         (worker killed, disk full, power loss) can never leave a
@@ -166,6 +180,12 @@ class ArtifactStore:
         ``config`` dict its address was hashed from, which is what lets
         ``repro lab index --verify`` recompute hashes and report drift
         without the original :class:`JobSpec`.
+
+        The SQLite index is not touched: the caller hands the returned
+        records to :meth:`record_run` when the run ends, which writes
+        all of their rows in one transaction.  Until then (or after a
+        hard kill, until ``repro lab index``) the artifact is a cache
+        hit on disk that the index does not list yet.
         """
         version = package_version or repro.__version__
         config = spec.config(version)
@@ -182,7 +202,6 @@ class ArtifactStore:
         path = self.artifact_path(address)
         path.parent.mkdir(parents=True, exist_ok=True)
         atomic_write_text(path, canonical_json(record))
-        self._index_record(record)
         return record
 
     # -- sqlite index ----------------------------------------------------
@@ -193,26 +212,29 @@ class ArtifactStore:
         connection.executescript(_SCHEMA)
         return connection
 
-    def _insert_result(
-        self, connection: sqlite3.Connection, record: dict
+    def _insert_results(
+        self, connection: sqlite3.Connection, records: Iterable[dict]
     ) -> None:
-        connection.execute(
+        connection.executemany(
             "INSERT OR REPLACE INTO results (config_hash, job_id, kind, "
             "title, package_version, all_passed, elapsed_seconds, "
             "created_at, run_id, artifact_path) "
             "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                record["config_hash"],
-                record["job_id"],
-                record["kind"],
-                record["title"],
-                record["package_version"],
-                int(record["all_passed"]),
-                record["elapsed_seconds"],
-                record["created_at"],
-                record["run_id"],
-                str(self.artifact_path(record["config_hash"])),
-            ),
+            [
+                (
+                    record["config_hash"],
+                    record["job_id"],
+                    record["kind"],
+                    record["title"],
+                    record["package_version"],
+                    int(record["all_passed"]),
+                    record["elapsed_seconds"],
+                    record["created_at"],
+                    record["run_id"],
+                    str(self.artifact_path(record["config_hash"])),
+                )
+                for record in records
+            ],
         )
 
     def _insert_run(
@@ -242,21 +264,36 @@ class ArtifactStore:
             ),
         )
 
-    def _index_record(self, record: dict) -> None:
+    def index_results(self, records: Iterable[dict]) -> None:
+        """Insert the ``results`` rows of saved records in one transaction.
+
+        What an interrupted run commits for the artifacts it already
+        wrote, without a ``runs`` row; a run that finishes goes through
+        :meth:`record_run` instead.
+        """
         with closing(self._connect()) as connection, connection:
-            self._insert_result(connection, record)
+            self._insert_results(connection, records)
 
     def record_run(
         self,
         run_id: str,
         *,
+        records: Iterable[dict],
         job_count: int,
         cache_hits: int,
         failures: int,
         elapsed_seconds: float,
         package_version: str | None = None,
     ) -> None:
+        """Index one finished run: its ``results`` rows and ``runs`` row.
+
+        ``records`` are what :meth:`save` returned during the run.  All
+        rows go in over one connection in one transaction, so a run
+        costs the index one commit however many artifacts it wrote, and
+        its rows appear together when the run ends.
+        """
         with closing(self._connect()) as connection, connection:
+            self._insert_results(connection, records)
             self._insert_run(
                 connection,
                 run_id=run_id,
@@ -315,8 +352,7 @@ class ArtifactStore:
         if self.index_path.exists():
             self.index_path.unlink()
         with closing(self._connect()) as connection, connection:
-            for record in records:
-                self._insert_result(connection, record)
+            self._insert_results(connection, records)
             for manifest in manifests:
                 if "run_id" not in manifest:
                     continue

@@ -202,3 +202,67 @@ class TestBackendParameter:
             fast_specs()[:2], store=store, backend=ExplodingBackend()
         )
         assert report.cache_hits == 2
+
+
+class TestIndexTransactions:
+    """The SQLite index is written once per run, not once per artifact."""
+
+    def test_cold_run_connects_to_the_index_once(self, tmp_path, monkeypatch):
+        import sqlite3
+        from pathlib import Path
+
+        from repro.lab.jobs import scenario_job
+        from repro.scenarios import load_grid
+
+        class CountingSqlite:
+            """``sqlite3`` as ``repro.lab.store`` sees it, counting connects."""
+
+            connects = 0
+
+            def __getattr__(self, name):
+                return getattr(sqlite3, name)
+
+            def connect(self, *args, **kwargs):
+                self.connects += 1
+                return sqlite3.connect(*args, **kwargs)
+
+        grid = Path(__file__).resolve().parents[2] / "examples" / (
+            "scenario_program_grid_64.json"
+        )
+        jobs = [scenario_job(spec) for spec in load_grid(grid.read_text()).expand()]
+        assert len(jobs) == 64
+        counting = CountingSqlite()
+        monkeypatch.setattr("repro.lab.store.sqlite3", counting)
+        store = ArtifactStore(tmp_path / "lab")
+        report = run_jobs(jobs, store=store, backend="serial")
+        assert report.executed == 64
+        assert counting.connects == 1
+        assert len(store.results()) == 64
+        assert [row["run_id"] for row in store.runs()] == [report.run_id]
+
+    def test_interrupted_run_indexes_its_artifacts_but_records_no_run(
+        self, tmp_path
+    ):
+        import pytest
+
+        from repro.lab.jobs import execute_job
+
+        finished = 2
+
+        class InterruptedBackend:
+            name = "interrupted"
+
+            def run(self, pending, *, run_id):
+                for spec in pending[:finished]:
+                    yield spec, execute_job(spec)
+                raise KeyboardInterrupt
+
+        store = ArtifactStore(tmp_path / "lab")
+        with pytest.raises(KeyboardInterrupt):
+            run_jobs(fast_specs(), store=store, backend=InterruptedBackend())
+        artifacts = sorted(store.artifacts_dir.glob("*/result.json"))
+        assert len(artifacts) == finished
+        assert sorted(row["job_id"] for row in store.results()) == sorted(
+            FAST_JOBS
+        )[:finished]
+        assert store.runs() == []

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import threading
 
 from repro.lab.jobs import JobSpec
 from repro.lab.store import ArtifactStore
@@ -21,6 +23,19 @@ PAYLOAD = {
     "all_passed": True,
     "elapsed_seconds": 0.25,
 }
+
+
+def record_run(store: ArtifactStore, run_id: str, *records: dict) -> None:
+    """Index ``records`` as one finished run, the way ``run_jobs`` does."""
+    store.record_run(
+        run_id,
+        records=records,
+        job_count=len(records),
+        cache_hits=0,
+        failures=sum(not record["all_passed"] for record in records),
+        elapsed_seconds=0.5,
+        package_version="1.0.0",
+    )
 
 
 class TestArtifactStore:
@@ -51,16 +66,20 @@ class TestArtifactStore:
         store.save(SPEC, PAYLOAD, run_id="r1", package_version="1.0.0")
         assert store.load(SPEC.config_hash("9.9.9")) is None
 
+    def test_save_writes_only_the_artifact(self, tmp_path):
+        store = ArtifactStore(tmp_path / "lab")
+        record = store.save(SPEC, PAYLOAD, run_id="r1", package_version="1.0.0")
+        assert store.artifact_path(record["config_hash"]).is_file()
+        # The index gets the row when the run is recorded, not before.
+        assert not store.index_path.exists()
+        assert store.results() == []
+
     def test_index_rows(self, tmp_path):
         store = ArtifactStore(tmp_path / "lab")
-        store.save(SPEC, PAYLOAD, run_id="r1", package_version="1.0.0")
-        store.record_run(
+        record_run(
+            store,
             "r1",
-            job_count=1,
-            cache_hits=0,
-            failures=0,
-            elapsed_seconds=0.5,
-            package_version="1.0.0",
+            store.save(SPEC, PAYLOAD, run_id="r1", package_version="1.0.0"),
         )
         results = store.results()
         assert len(results) == 1
@@ -73,22 +92,36 @@ class TestArtifactStore:
 
     def test_save_overwrites_same_config(self, tmp_path):
         store = ArtifactStore(tmp_path / "lab")
-        store.save(SPEC, PAYLOAD, run_id="r1", package_version="1.0.0")
+        record_run(
+            store,
+            "r1",
+            store.save(SPEC, PAYLOAD, run_id="r1", package_version="1.0.0"),
+        )
         changed = dict(PAYLOAD, all_passed=False)
-        store.save(SPEC, changed, run_id="r2", package_version="1.0.0")
+        record_run(
+            store,
+            "r2",
+            store.save(SPEC, changed, run_id="r2", package_version="1.0.0"),
+        )
         assert store.load(SPEC.config_hash("1.0.0"))["all_passed"] is False
-        assert len(store.results()) == 1
+        [row] = store.results()
+        assert (row["run_id"], row["all_passed"]) == ("r2", 0)
 
     def test_rebuild_index_from_artifacts(self, tmp_path):
         store = ArtifactStore(tmp_path / "lab")
-        store.save(SPEC, PAYLOAD, run_id="r1", package_version="1.0.0")
         other = JobSpec("S-t", "sweep", "sweep t")
-        store.save(
-            other,
-            dict(PAYLOAD, job_id="S-t", kind="sweep"),
-            run_id="r1",
-            package_version="1.0.0",
+        record_run(
+            store,
+            "r1",
+            store.save(SPEC, PAYLOAD, run_id="r1", package_version="1.0.0"),
+            store.save(
+                other,
+                dict(PAYLOAD, job_id="S-t", kind="sweep"),
+                run_id="r1",
+                package_version="1.0.0",
+            ),
         )
+        assert len(store.results()) == 2
         store.index_path.unlink()
         assert store.results() == []
         assert store.rebuild_index() == 2
@@ -198,6 +231,42 @@ class TestAtomicSave:
         # still parses — never truncated, never half-written.
         assert store.artifact_path(address).read_bytes() == before
         assert store.load(address) == record
+
+    def test_threads_saving_one_config_use_their_own_temp_files(
+        self, tmp_path, monkeypatch
+    ):
+        """Two serve queue threads may save the same design point at once.
+
+        Both ``os.replace`` calls are held at a barrier until both temp
+        files are written; with a temp name shared by the process, the
+        second rename finds its file already moved and raises.
+        """
+        store = ArtifactStore(tmp_path / "lab")
+        barrier = threading.Barrier(2, timeout=10)
+        replace = os.replace
+
+        def gated_replace(src, dst):
+            barrier.wait()
+            replace(src, dst)
+
+        monkeypatch.setattr("repro.lab.store.os.replace", gated_replace)
+        errors: list[BaseException] = []
+
+        def save():
+            try:
+                store.save(SPEC, PAYLOAD, run_id="r1", package_version="1.0.0")
+            except BaseException as error:  # reported by the assert below
+                errors.append(error)
+
+        threads = [threading.Thread(target=save) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        artifact_dir = store.artifact_path(SPEC.config_hash("1.0.0")).parent
+        assert [p.name for p in artifact_dir.iterdir()] == ["result.json"]
 
 
 class TestVerify:

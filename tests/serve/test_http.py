@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import re
+import time
+from http.client import HTTPConnection
 
 from repro.serve.schemas import MAX_BODY_BYTES
 
@@ -28,6 +30,23 @@ class TestHealthz:
         status, headers, body = client.get("/v1/healthz")
         assert headers["Content-Type"] == "application/json"
         assert int(headers["Content-Length"]) == len(body)
+
+    def test_keep_alive_requests_do_not_wait_for_delayed_acks(self, app):
+        """Headers and body are two writes; with Nagle's algorithm on,
+        each response on a reused connection waits ~40 ms for the
+        client's delayed ACK, so 20 requests would take ~0.8 s."""
+        connection = HTTPConnection(app.host, app.port, timeout=10)
+        try:
+            started = time.perf_counter()
+            for _ in range(20):
+                connection.request("GET", "/v1/healthz")
+                response = connection.getresponse()
+                response.read()
+                assert response.status == 200
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.3, f"20 keep-alive GETs took {elapsed:.3f}s"
 
 
 class TestRouting:
