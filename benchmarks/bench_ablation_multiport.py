@@ -14,11 +14,12 @@ module footprints are disjoint — bandwidth must exist in the *modules*,
 not just the buses.
 """
 
+from dataclasses import replace
+
 from repro.core.planner import AccessPlanner
 from repro.core.vector import VectorAccess
 from repro.memory.config import MemoryConfig
-from repro.memory.multiport import MultiPortMemorySystem
-from repro.memory.multistream import MultiStreamMemorySystem
+from repro.memory.kernel import MemoryKernel
 from repro.report.tables import render_table
 
 LENGTH = 64
@@ -40,34 +41,18 @@ def build_rows() -> list[list]:
         ]
 
     rows = []
-    single_matched = MultiStreamMemorySystem(matched).run_streams(
-        streams(matched_planner)
-    )
-    rows.append(
-        ["matched M=8, 1 port", single_matched.total_cycles,
-         sum(s.wait_count for s in single_matched.streams)]
-    )
-    single_unmatched = MultiStreamMemorySystem(unmatched).run_streams(
-        streams(unmatched_planner)
-    )
-    rows.append(
-        ["unmatched M=64, 1 port", single_unmatched.total_cycles,
-         sum(s.wait_count for s in single_unmatched.streams)]
-    )
-    dual_unmatched = MultiPortMemorySystem(unmatched, 2).run_streams(
-        streams(unmatched_planner)
-    )
-    rows.append(
-        ["unmatched M=64, 2 ports", dual_unmatched.total_cycles,
-         sum(s.wait_count for s in dual_unmatched.streams)]
-    )
-    dual_matched = MultiPortMemorySystem(matched, 2).run_streams(
-        streams(matched_planner)
-    )
-    rows.append(
-        ["matched M=8, 2 ports", dual_matched.total_cycles,
-         sum(s.wait_count for s in dual_matched.streams)]
-    )
+    for name, config, planner in (
+        ("matched M=8, 1 port", matched, matched_planner),
+        ("unmatched M=64, 1 port", unmatched, unmatched_planner),
+        ("unmatched M=64, 2 ports", replace(unmatched, ports=2),
+         unmatched_planner),
+        ("matched M=8, 2 ports", replace(matched, ports=2), matched_planner),
+    ):
+        run = MemoryKernel(config).run(streams(planner))
+        rows.append(
+            [name, run.total_cycles,
+             sum(s.wait_count for s in run.streams)]
+        )
     return rows
 
 

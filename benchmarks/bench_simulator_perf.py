@@ -109,7 +109,9 @@ def test_kernel_two_ports(benchmark):
             VectorAccess(1 << 9, 16, 64)
         ).request_stream(),
     ]
-    kernel = MemoryKernel(UNMATCHED, ports=2)
+    kernel = MemoryKernel(
+        MemoryConfig.unmatched(t=3, s=4, y=9, input_capacity=2, ports=2)
+    )
 
     run = benchmark(kernel.run, streams)
     assert run.total_cycles <= 64 + 8 + 1 + 8

@@ -14,13 +14,10 @@ and what resources fix it:
 Run:  python examples/multistream_ports.py
 """
 
+from dataclasses import replace
+
 from repro import AccessPlanner, VectorAccess
-from repro.memory import (
-    MemoryConfig,
-    MemorySystem,
-    MultiPortMemorySystem,
-    MultiStreamMemorySystem,
-)
+from repro.memory import MemoryConfig, MemoryKernel, MemorySystem
 from repro.report import bar_chart
 
 LENGTH = 64
@@ -48,31 +45,17 @@ def main() -> None:
         f"(minimum {8 + LENGTH + 1}, conflict-free={solo.conflict_free})\n"
     )
 
+    # Stream i issues on port i % ports; the port count is the config's.
     scenarios = [
-        (
-            "matched M=8, shared bus",
-            MultiStreamMemorySystem(matched).run_streams(
-                stream_pair(matched_planner)
-            ),
-        ),
-        (
-            "unmatched M=64, shared bus",
-            MultiStreamMemorySystem(unmatched).run_streams(
-                stream_pair(unmatched_planner)
-            ),
-        ),
-        (
-            "matched M=8, two ports",
-            MultiPortMemorySystem(matched, 2).run_streams(
-                stream_pair(matched_planner)
-            ),
-        ),
-        (
-            "unmatched M=64, two ports",
-            MultiPortMemorySystem(unmatched, 2).run_streams(
-                stream_pair(unmatched_planner)
-            ),
-        ),
+        (name, MemoryKernel(config).run(stream_pair(planner)))
+        for name, config, planner in (
+            ("matched M=8, shared bus", matched, matched_planner),
+            ("unmatched M=64, shared bus", unmatched, unmatched_planner),
+            ("matched M=8, two ports", replace(matched, ports=2),
+             matched_planner),
+            ("unmatched M=64, two ports", replace(unmatched, ports=2),
+             unmatched_planner),
+        )
     ]
 
     print(f"two {LENGTH}-element stride-16 streams, total elapsed cycles:\n")

@@ -40,8 +40,8 @@ Module map
 * :mod:`repro.mappings` — every address-mapping scheme (interleaved,
   skewed, Eq. (1)/(2) XOR, GF(2) matrix, pseudo-random, dynamic);
 * :mod:`repro.memory` — the unified cycle-accurate memory kernel
-  (M modules x k ports x n streams) and its single-stream /
-  multi-stream / multi-port views plus configuration;
+  (M modules x k ports x n streams), its single-stream
+  ``MemorySystem`` view and the configuration;
 * :mod:`repro.hardware` — register-level models of the Figures 4-6
   address-generation hardware;
 * :mod:`repro.processor` — the decoupled access/execute vector machine

@@ -4,16 +4,13 @@ Module map
 ----------
 
 * :mod:`repro.memory.kernel` — **the one memory kernel**:
-  :class:`MemoryKernel` simulates M modules × ``k`` address/result
-  ports × ``n`` named request streams in a single flat, event-skipping
-  cycle loop.  Every other simulator here is a view over it.
-* :mod:`repro.memory.system` — :class:`MemorySystem`, the classic
-  single-stream view (``k = 1, n = 1``) returning
-  :class:`AccessResult`.
-* :mod:`repro.memory.multistream` — :class:`MultiStreamMemorySystem`,
-  several streams sharing one address bus (``k = 1, n >= 1``).
-* :mod:`repro.memory.multiport` — :class:`MultiPortMemorySystem`, the
-  widened machine (``k >= 1`` buses).
+  :class:`MemoryKernel` simulates M modules × ``k = config.ports``
+  address/result ports × ``n`` named request streams in a single flat,
+  event-skipping cycle loop, returning a :class:`KernelRun` with one
+  :class:`StreamRun` per stream.  ``MemoryKernel(config).run(streams)``
+  is the way to run several streams.
+* :mod:`repro.memory.system` — :class:`MemorySystem`, the single-stream
+  view (``n = 1``) returning :class:`AccessResult`.
 * :mod:`repro.memory.config` — :class:`MemoryConfig`: mapping, ``T``,
   buffer depths ``q``/``q'`` and the port count.
 * :mod:`repro.memory.module` — the :class:`InFlightRequest` timing
@@ -40,12 +37,6 @@ from repro.memory.metrics import (
     summarise_population,
 )
 from repro.memory.module import InFlightRequest, RequestRecords
-from repro.memory.multiport import MultiPortMemorySystem, PortAssignment
-from repro.memory.multistream import (
-    MultiStreamMemorySystem,
-    MultiStreamResult,
-    StreamResult,
-)
 from repro.memory.storage import MemoryStore
 from repro.memory.system import AccessResult, MemorySystem
 from repro.memory.trace import describe_result, render_timeline
@@ -59,13 +50,8 @@ __all__ = [
     "MemoryKernel",
     "MemoryStore",
     "MemorySystem",
-    "MultiPortMemorySystem",
-    "MultiStreamMemorySystem",
-    "MultiStreamResult",
-    "StreamResult",
     "StreamRun",
     "PopulationSummary",
-    "PortAssignment",
     "RequestRecords",
     "access_efficiency",
     "cycles_per_element",

@@ -4,27 +4,26 @@ Every cycle-accurate memory simulation in the library runs through
 :class:`MemoryKernel`.  It generalises the Figure 2 machine along the
 two axes the paper's Section 6 defers to future work:
 
-* ``ports`` — ``k >= 1`` address/result bus pairs.  Each port carries at
-  most one request and one result per cycle, so ``k`` requests can enter
-  and ``k`` results can return per cycle (module bandwidth permitting);
-* ``streams`` — ``n >= 1`` named request sequences, each bound to one
-  port.  Streams sharing a port take turns under an issue policy
-  (``round_robin`` or ``priority``); streams on different ports issue
-  concurrently.
+* ports — ``k = config.ports >= 1`` address/result bus pairs.  Each
+  port carries at most one request and one result per cycle, so ``k``
+  requests can enter and ``k`` results can return per cycle (module
+  bandwidth permitting);
+* streams — ``n >= 1`` named request sequences; stream ``i`` issues on
+  port ``i % k`` from cycle 1.  Streams sharing a port take turns
+  round-robin; streams on different ports issue concurrently.
 
-The historical simulators are thin views over this kernel:
-:class:`~repro.memory.system.MemorySystem` is ``k = 1, n = 1``,
-:class:`~repro.memory.multistream.MultiStreamMemorySystem` is ``k = 1,
-n >= 1`` and :class:`~repro.memory.multiport.MultiPortMemorySystem` is
-``k >= 1, n >= 1`` — all with bit-identical metrics to the per-cycle
-loops they replaced (the equivalence suite in ``tests/memory/
-test_kernel.py`` drives both against a reference implementation).
+``MemoryKernel(config).run(streams)`` is the way to run several
+streams; :class:`~repro.memory.system.MemorySystem` is the single-stream
+view (``n = 1``) that returns an
+:class:`~repro.memory.system.AccessResult`.  The equivalence suite in
+``tests/memory/test_kernel.py`` drives the kernel against a reference
+transcription of the per-cycle loops it replaced.
 
-Timing contract (unchanged from the package docstring, per port):
+Timing contract (per port):
 
 * one request per port per cycle; a stream whose head request targets a
-  module with a full input queue stalls (and, under ``round_robin``,
-  yields the port to the next stream);
+  module with a full input queue stalls and yields the port to the next
+  stream;
 * address bus delay 1 cycle: a request issued at ``c`` arrives at
   ``c + 1``;
 * a module starts the head request when idle; service takes ``T``
@@ -70,33 +69,22 @@ from repro.memory.config import MemoryConfig
 from repro.memory.module import RequestRecords
 from repro.obs.tracer import resolve_tracer
 
-#: Issue policies for streams sharing one port.
-ISSUE_POLICIES = ("round_robin", "priority")
-
 
 @dataclass(frozen=True)
 class KernelStream:
-    """One named request stream bound to a port.
+    """One named request stream.
 
     ``requests`` are ``(element_index, address)`` pairs in issue order
     (addresses are reduced through the mapping by the kernel).
     ``stores`` lists stream positions that are store operations.
-    ``port`` binds the stream to an address/result bus pair; ``None``
-    means automatic round-robin binding (stream ``i`` -> port
-    ``i % ports``).  ``start_cycle`` staggers injection: the stream is
-    invisible to its port until that kernel-relative cycle (default 1,
-    i.e. eligible from the first cycle) — cycles spent waiting for the
-    start are deliberate delay, not issue stalls.  ``modules``
-    optionally gives each request's module (the plan's temporal
-    distribution under the kernel's mapping); ``None`` derives them
-    from the addresses.
+    ``modules`` optionally gives each request's module (the plan's
+    temporal distribution under the kernel's mapping); ``None`` derives
+    them from the addresses.
     """
 
     name: str
     requests: tuple[tuple[int, int], ...]
     stores: frozenset[int] = frozenset()
-    port: int | None = None
-    start_cycle: int = 1
     modules: tuple[int, ...] | None = None
 
     @classmethod
@@ -105,16 +93,12 @@ class KernelStream:
         name: str,
         requests: Sequence[tuple[int, int]],
         stores: Sequence[int] = (),
-        port: int | None = None,
-        start_cycle: int = 1,
         modules: Sequence[int] | None = None,
     ) -> "KernelStream":
         return cls(
             name,
             tuple(requests),
             frozenset(stores),
-            port,
-            start_cycle,
             None if modules is None else tuple(modules),
         )
 
@@ -124,9 +108,11 @@ class StreamRun:
     """Per-stream outcome of one kernel run.
 
     Cycle fields are kernel-relative (the run starts at cycle 1).
-    ``module_request_counts`` attributes each module's load to this
-    stream, so per-stream busy accounting (``service_ratio *
-    count``) stays exact even when streams share modules.
+    ``port`` is the port the stream issued on (stream ``index`` uses
+    port ``index % ports``).  ``module_request_counts`` attributes each
+    module's load to this stream, so per-stream busy accounting
+    (``service_ratio * count``) stays exact even when streams share
+    modules.
     """
 
     name: str
@@ -137,7 +123,6 @@ class StreamRun:
     issue_stall_cycles: int
     requests: RequestRecords
     module_request_counts: tuple[int, ...]
-    start_cycle: int = 1
 
     @property
     def element_count(self) -> int:
@@ -184,26 +169,27 @@ class KernelRun:
 
     @property
     def bus_utilisation(self) -> float:
+        """Share of the ``ports * total_cycles`` address-bus slots that
+        carried a request (at most 1)."""
         return self.bus_busy_cycles / (self.total_cycles * self.ports)
 
 
-def _conflict_free_timing(total: int, start_cycle: int, service_time: int):
+def _conflict_free_timing(total: int, service_time: int):
     """Timing of a single stream whose module sequence is conflict-free.
 
     When any two requests to one module are at least ``T >= 2`` positions
     apart (the paper's Section 2 definition), every request finds its
     module idle and its input queue empty, and at most one result becomes
-    ready per cycle: request ``i`` issues at ``start_cycle + i``, starts
-    on arrival one cycle later and is delivered ``T`` cycles after that,
-    with no stall, wait or held result.  The last delivery closes the
-    run at ``start_cycle - 1 + T + L + 1`` — the ``T + L + 1`` bound.
-    Returns the same tuple as :meth:`MemoryKernel._cycle_loop`.
+    ready per cycle: request ``i`` (0-based) issues at cycle ``i + 1``,
+    starts on arrival one cycle later and is delivered ``T`` cycles after
+    that, with no stall, wait or held result.  The last delivery closes
+    the run at ``T + L + 1`` — the paper's bound.  Returns the same tuple
+    as :meth:`MemoryKernel._cycle_loop`.
     """
-    arrival = list(range(start_cycle + 1, start_cycle + 1 + total))
-    first_delivery = start_cycle + service_time + 1
-    delivery = list(range(first_delivery, first_delivery + total))
+    arrival = list(range(2, 2 + total))
+    delivery = list(range(service_time + 2, service_time + 2 + total))
     last = delivery[-1]
-    return arrival, arrival, delivery, last, False, [start_cycle], [last], [0]
+    return arrival, arrival, delivery, last, False, [1], [last], [0]
 
 
 class MemoryKernel:
@@ -212,14 +198,8 @@ class MemoryKernel:
     Parameters
     ----------
     config:
-        Memory geometry (mapping, ``T``, buffer depths, default port
-        count).
-    ports:
-        Address/result bus pairs; defaults to ``config.ports``.
-    policy:
-        How streams sharing one port take turns: ``"round_robin"``
-        (rotate past the last issuer) or ``"priority"`` (lowest stream
-        index first, head-of-line blocking).
+        Memory geometry: mapping, ``T``, buffer depths and the port
+        count ``config.ports``.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`.  Events are derived
         *after* the cycle loop from the per-request timing records, so
@@ -227,37 +207,8 @@ class MemoryKernel:
         ``None``/null tracer costs nothing.
     """
 
-    def __init__(
-        self,
-        config: MemoryConfig,
-        *,
-        ports: int | None = None,
-        policy: str = "round_robin",
-        tracer=None,
-    ):
-        resolved_ports = config.ports if ports is None else ports
-        if not isinstance(resolved_ports, int) or isinstance(
-            resolved_ports, bool
-        ):
-            raise ConfigurationError(
-                f"kernel field 'ports' must be an integer, got "
-                f"{resolved_ports!r}"
-            )
-        if resolved_ports < 1:
-            raise ConfigurationError(
-                f"kernel field 'ports' must be >= 1, got {resolved_ports}"
-            )
-        if resolved_ports > config.module_count:
-            raise ConfigurationError(
-                f"kernel field 'ports' ({resolved_ports}) cannot exceed the "
-                f"module count M={config.module_count}: each port needs at "
-                "least one module to talk to"
-            )
-        if policy not in ISSUE_POLICIES:
-            raise SimulationError(f"unknown issue policy {policy!r}")
+    def __init__(self, config: MemoryConfig, *, tracer=None):
         self.config = config
-        self.ports = resolved_ports
-        self.policy = policy
         self.tracer = resolve_tracer(tracer)
 
     # -- public API -----------------------------------------------------
@@ -293,25 +244,6 @@ class MemoryKernel:
                     "be uniquely named)"
                 )
             seen.add(stream.name)
-            if stream.port is not None and not (
-                0 <= stream.port < self.ports
-            ):
-                raise ConfigurationError(
-                    f"stream {stream.name!r} field 'port' must be in "
-                    f"[0, {self.ports}), got {stream.port}"
-                )
-            if not isinstance(stream.start_cycle, int) or isinstance(
-                stream.start_cycle, bool
-            ):
-                raise ConfigurationError(
-                    f"stream {stream.name!r} field 'start_cycle' must be "
-                    f"an integer, got {stream.start_cycle!r}"
-                )
-            if stream.start_cycle < 1:
-                raise ConfigurationError(
-                    f"stream {stream.name!r} field 'start_cycle' must be "
-                    f">= 1, got {stream.start_cycle}"
-                )
             if stream.modules is not None:
                 if len(stream.modules) != len(stream.requests):
                     raise ConfigurationError(
@@ -347,24 +279,20 @@ class MemoryKernel:
         config = self.config
         service_time = config.service_ratio
         module_count = config.module_count
+        ports = config.ports
         stream_modules = [
             self._modules_of(stream) for stream in kernel_streams
         ]
-        port_of = [
-            stream.port if stream.port is not None else index % self.ports
-            for index, stream in enumerate(kernel_streams)
-        ]
-        starts = [stream.start_cycle for stream in kernel_streams]
         if (
             len(kernel_streams) == 1
             and service_time > 1
             and is_conflict_free(stream_modules[0], service_time)
         ):
             timing = _conflict_free_timing(
-                len(stream_modules[0]), starts[0], service_time
+                len(stream_modules[0]), service_time
             )
         else:
-            timing = self._cycle_loop(stream_modules, port_of, starts)
+            timing = self._cycle_loop(stream_modules)
         (
             arrival,
             start,
@@ -380,7 +308,7 @@ class MemoryKernel:
         # accounting is arithmetic, not per-cycle ticking.
         stream_runs: list[StreamRun] = []
         busy = [0] * module_count
-        port_issues = [0] * self.ports
+        port_issues = [0] * ports
         low = 0
         for s_index, stream in enumerate(kernel_streams):
             modules = stream_modules[s_index]
@@ -390,12 +318,13 @@ class MemoryKernel:
                 counts[m] += 1
             for m, count in enumerate(counts):
                 busy[m] += service_time * count
-            port_issues[port_of[s_index]] += len(modules)
+            port = s_index % ports
+            port_issues[port] += len(modules)
             stream_runs.append(
                 StreamRun(
                     name=stream.name,
                     index=s_index,
-                    port=port_of[s_index],
+                    port=port,
                     first_issue_cycle=first_issue[s_index],
                     last_delivery_cycle=last_delivery[s_index],
                     issue_stall_cycles=stalls[s_index],
@@ -410,21 +339,20 @@ class MemoryKernel:
                         config.mapping.reduce,
                     ),
                     module_request_counts=tuple(counts),
-                    start_cycle=stream.start_cycle,
                 )
             )
             low = high
         return KernelRun(
             streams=tuple(stream_runs),
             total_cycles=total_cycles,
-            ports=self.ports,
+            ports=ports,
             bus_busy_cycles=low,
             bus_held_result=held,
             module_busy_cycles=tuple(busy),
             port_issue_cycles=tuple(port_issues),
         )
 
-    def _cycle_loop(self, stream_modules, port_of, starts):
+    def _cycle_loop(self, stream_modules):
         """The event-driven cycle loop.
 
         Each cycle runs the contract's phases in order — issue, result
@@ -440,8 +368,7 @@ class MemoryKernel:
         module_count = config.module_count
         input_capacity = config.input_capacity
         output_capacity = config.output_capacity
-        ports = self.ports
-        round_robin = self.policy == "round_robin"
+        ports = config.ports
         stream_count = len(stream_modules)
         last_busy = service_time - 1  # a service started at c ends at c + this
 
@@ -468,17 +395,11 @@ class MemoryKernel:
         serving = [-1] * module_count  # request in service
         parked = [-1] * module_count  # finished, waiting for q' room
 
-        port_members: list[list[int]] = [[] for _ in range(ports)]
-        for s_index, port in enumerate(port_of):
-            port_members[port].append(s_index)
+        # Stream ``s`` issues on port ``s % ports``.
         served_ports = [
-            (port, members) for port, members in enumerate(port_members)
-            if members
+            (port, list(range(port, stream_count, ports)))
+            for port in range(min(ports, stream_count))
         ]
-        # Staggered starts still ahead, latest first.
-        upcoming = sorted(
-            {first for first in starts if first > 1}, reverse=True
-        )
         stream_len = [len(modules) for modules in stream_modules]
         cursors = [0] * stream_count
         stalls = [0] * stream_count
@@ -499,7 +420,7 @@ class MemoryKernel:
         events: dict[int, list[int]] = {}
 
         cycle = 0
-        guard = (total + 2) * (service_time + 2) + 64 + max(starts) - 1
+        guard = (total + 2) * (service_time + 2) + 64
         delivered = 0
         held = False
         advance = True
@@ -519,10 +440,6 @@ class MemoryKernel:
                         head_ready = cycle + 1
                     if head_ready < next_cycle:
                         next_cycle = head_ready
-                while upcoming and upcoming[-1] <= cycle:
-                    upcoming.pop()
-                if upcoming and upcoming[-1] < next_cycle:
-                    next_cycle = upcoming[-1]
                 if next_cycle > guard:
                     raise SimulationError(
                         f"simulation exceeded {guard} cycles for {total} "
@@ -533,24 +450,22 @@ class MemoryKernel:
                 cycle = next_cycle
 
             # 1. Address ports: one request per port per cycle.  A
-            # stream whose head module's input queue is full stalls;
-            # ``blocking`` collects those modules.
+            # stream whose head module's input queue is full stalls and
+            # yields the port; ``blocking`` collects those modules.
             issued = False
             stalled = blocking = ()
             for port, members in served_ports:
                 if solo:
-                    if cursors[0] == total or starts[0] > cycle:
+                    if cursors[0] == total:
                         continue
                     candidates = members
                 else:
                     candidates = [
-                        s
-                        for s in members
-                        if cursors[s] < stream_len[s] and starts[s] <= cycle
+                        s for s in members if cursors[s] < stream_len[s]
                     ]
                     if not candidates:
                         continue
-                    if round_robin and len(candidates) > 1:
+                    if len(candidates) > 1:
                         rot = rotation[port]
                         candidates.sort(
                             key=lambda s: (s - rot) % stream_count
@@ -577,8 +492,6 @@ class MemoryKernel:
                         stalled, blocking = [], []
                     stalled.append(s)
                     blocking.append(m)
-                    if not round_robin:
-                        break
             advance = issued
 
             # 2. Result ports: up to ``ports`` deliveries, oldest first.
@@ -697,7 +610,6 @@ class MemoryKernel:
                 stream.first_issue_cycle,
                 stream.last_delivery_cycle,
                 port=stream.port,
-                start_cycle=stream.start_cycle,
                 issue_stalls=stream.issue_stall_cycles,
                 conflict_free=stream.conflict_free,
             )

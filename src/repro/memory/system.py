@@ -18,10 +18,11 @@ minimum latency ``T + L + 1``.  The simulator's ``conflict_free``
 observation (no request ever waited) is cross-checked against the static
 predicate of :mod:`repro.core.distributions` in the test-suite.
 
-:class:`MemorySystem` is the single-stream view over the unified
+:class:`MemorySystem` is the single-stream view over the one
 :class:`~repro.memory.kernel.MemoryKernel` (one stream; ``config.ports``
 result buses, one by default) — the cycle loop itself lives in the
-kernel, shared with the multi-stream and multi-port views.
+kernel.  Several streams run as one ``MemoryKernel(config).run(streams)``
+call, whose streams :func:`access_result_from_run` reads one at a time.
 """
 
 from __future__ import annotations
@@ -172,16 +173,7 @@ class MemorySystem:
         run = kernel.run(
             [KernelStream.of("access", stream, stores=stores, modules=modules)]
         )
-        result = run.streams[0]
-        return AccessResult(
-            latency=run.total_cycles,
-            issue_stall_cycles=result.issue_stall_cycles,
-            conflict_free=(
-                result.conflict_free and not run.bus_held_result
-            ),
-            requests=result.requests,
-            module_busy_cycles=run.module_busy_cycles,
-        )
+        return access_result_from_run(run, 0, self.config.service_ratio)
 
 
 def _same_address_function(

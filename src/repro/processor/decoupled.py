@@ -50,7 +50,7 @@ from repro.hardware.register_file import VectorRegisterFile
 from repro.memory.config import MemoryConfig
 from repro.memory.kernel import KernelStream, MemoryKernel
 from repro.memory.storage import MemoryStore
-from repro.memory.system import MemorySystem, access_result_from_run
+from repro.memory.system import access_result_from_run
 from repro.obs.tracer import resolve_tracer
 from repro.processor.isa import (
     VBinary,
@@ -214,7 +214,6 @@ class DecoupledVectorMachine:
         )
         self.tracer = resolve_tracer(tracer)
         self.planner = AccessPlanner(config.mapping, config.t)
-        self.memory = MemorySystem(config)
         self.store = MemoryStore(config.mapping)
         self.registers = VectorRegisterFile(register_count, register_length)
         #: Per-access memory simulator results of the latest :meth:`run`,
@@ -459,43 +458,24 @@ class DecoupledVectorMachine:
         batch_tracer = self.tracer.shifted(offset)
         # Every plan was made over this machine's mapping, so its module
         # sequence feeds the kernel as is.
-        if len(batch) == 1:
-            member = batch[0]
-            result = self.memory.run_stream(
-                member.stream,
-                stores=member.stores,
-                modules=member.plan.modules,
-                tracer=batch_tracer,
-            )
-            outcomes = [(member, result, result.latency, 0, 0)]
-        else:
-            kernel = MemoryKernel(self.config, tracer=batch_tracer)
-            run = kernel.run(
-                [
-                    KernelStream.of(
-                        f"i{member.position}",
-                        member.stream,
-                        stores=member.stores,
-                        modules=member.plan.modules,
-                    )
-                    for member in batch
-                ]
-            )
-            outcomes = [
-                (
-                    member,
-                    access_result_from_run(
-                        run, slot, self.config.service_ratio
-                    ),
-                    run.streams[slot].last_delivery_cycle,
-                    run.streams[slot].port,
-                    slot,
+        run = MemoryKernel(self.config, tracer=batch_tracer).run(
+            [
+                KernelStream.of(
+                    f"i{member.position}",
+                    member.stream,
+                    stores=member.stores,
+                    modules=member.plan.modules,
                 )
-                for slot, member in enumerate(batch)
+                for member in batch
             ]
+        )
         unit_free = batch_start
-        for member, result, relative_end, port, slot in outcomes:
-            end = offset + relative_end
+        for slot, member in enumerate(batch):
+            stream = run.streams[slot]
+            result = access_result_from_run(
+                run, slot, self.config.service_ratio
+            )
+            end = offset + stream.last_delivery_cycle
             unit_free = max(unit_free, end + 1)
             results_by_position[member.position] = result
             if member.kind in ("load", "gather"):
@@ -528,7 +508,7 @@ class DecoupledVectorMachine:
                 end,
                 member.plan.scheme,
                 result.conflict_free,
-                port=port,
+                port=stream.port,
                 stream=slot,
             )
             if self.tracer.enabled:
@@ -540,7 +520,7 @@ class DecoupledVectorMachine:
                     position=member.position,
                     mode=member.plan.scheme,
                     conflict_free=result.conflict_free,
-                    port=port,
+                    port=stream.port,
                     stream=slot,
                 )
         return unit_free

@@ -98,6 +98,21 @@ class TestExecuteJob:
         ]
         assert [row[0] for row in payload["rows"]] == [1, 2, 4, 8]
 
+    def test_multistream_ablation_rows(self):
+        # A3: two conflict-free stride-12 streams on one shared port.
+        # The input-queue depth does not matter: no q ever fills.
+        assert execute_job("A3")["rows"] == [
+            [q, 137, 267, 267, 126, 0.959] for q in (1, 2, 4)
+        ]
+
+    def test_multiport_ablation_rows(self):
+        assert execute_job("A7")["rows"] == [
+            ["matched M=8, 1 port", 144, 64],
+            ["unmatched M=64, 1 port", 137, 0],
+            ["unmatched M=64, 2 ports", 73, 0],
+            ["matched M=8, 2 ports", 137, 120],
+        ]
+
     def test_unknown_job(self):
         with pytest.raises(UnknownJobError):
             execute_job("Z1")

@@ -16,7 +16,9 @@ exactly the ``T + L + 1`` latency formula.
 
 from __future__ import annotations
 
+import inspect
 from collections import deque
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings
@@ -29,8 +31,6 @@ from repro.mappings.interleaved import LowOrderInterleaved
 from repro.memory.config import MemoryConfig
 from repro.memory.kernel import KernelStream, MemoryKernel
 from repro.memory.module import InFlightRequest, RequestRecords
-from repro.memory.multiport import MultiPortMemorySystem
-from repro.memory.multistream import MultiStreamMemorySystem
 from repro.memory.system import MemorySystem
 
 
@@ -107,13 +107,14 @@ def fifo_grant(modules, cycle):
     return None if best is None else best[1]
 
 
-def reference_run(config, streams, ports=1, policy="round_robin"):
+def reference_run(config, streams, ports=1):
     """The legacy per-cycle loop, generalised exactly as the three
     historical simulators composed it.
 
-    ``ports = 1`` with one stream is the old ``MemorySystem`` loop,
-    ``ports = 1`` with several streams the old ``MultiStreamMemorySystem``
-    loop, and ``ports > 1`` the old ``MultiPortMemorySystem`` loop.
+    ``ports = 1`` with one stream is the old single-stream loop,
+    ``ports = 1`` with several streams the old shared-bus loop, and
+    ``ports > 1`` the old multi-port loop; stream ``i`` issues on port
+    ``i % ports`` and streams sharing a port take turns round-robin.
     Returns per-stream request records plus the counters the legacy
     result types exposed.
     """
@@ -164,10 +165,7 @@ def reference_run(config, streams, ports=1, policy="round_robin"):
                 if index % ports == port
                 and cursors[index] < len(pending[index])
             ]
-            if policy == "round_robin":
-                members.sort(
-                    key=lambda i: (i - rotation[port]) % stream_count
-                )
+            members.sort(key=lambda i: (i - rotation[port]) % stream_count)
             for stream_index in members:
                 request = pending[stream_index][cursors[stream_index]]
                 target = modules[request.module]
@@ -183,8 +181,6 @@ def reference_run(config, streams, ports=1, policy="round_robin"):
                     bus_busy += 1
                     break
                 stalls[stream_index] += 1
-                if policy == "priority":
-                    break
 
         ready = [
             module
@@ -299,16 +295,11 @@ class TestSingleStreamEquivalence:
 
 class TestMultiStreamEquivalence:
     @pytest.mark.parametrize("case", SEED_CASES, ids=str)
-    @pytest.mark.parametrize("policy", ["round_robin", "priority"])
-    def test_matches_reference(self, case, policy):
+    def test_matches_reference(self, case):
         config, mode, vectors = case
         streams = plan_streams(config, mode, vectors)
-        reference = reference_run(
-            config, [(s, frozenset()) for s in streams], policy=policy
-        )
-        result = MultiStreamMemorySystem(config, policy=policy).run_streams(
-            streams
-        )
+        reference = reference_run(config, [(s, frozenset()) for s in streams])
+        result = MemoryKernel(config).run(streams)
         assert result.total_cycles == reference["total_cycles"]
         assert result.bus_busy_cycles == reference["bus_busy"]
         for index, stream_result in enumerate(result.streams):
@@ -331,7 +322,7 @@ class TestMultiPortEquivalence:
         reference = reference_run(
             config, [(s, frozenset()) for s in streams], ports=ports
         )
-        result = MultiPortMemorySystem(config, ports).run_streams(streams)
+        result = MemoryKernel(replace(config, ports=ports)).run(streams)
         assert result.total_cycles == reference["total_cycles"]
         assert result.bus_busy_cycles == reference["bus_busy"]
         for index, stream_result in enumerate(result.streams):
@@ -456,11 +447,10 @@ class TestEventDrivenLoop:
     @given(
         t=st.integers(min_value=1, max_value=3),
         rounds=st.integers(min_value=1, max_value=12),
-        start_cycle=st.integers(min_value=1, max_value=40),
         data=st.data(),
     )
     def test_conflict_free_closed_form_equals_event_loop(
-        self, t, rounds, start_cycle, data
+        self, t, rounds, data
     ):
         from repro.memory.kernel import _conflict_free_timing
 
@@ -470,27 +460,19 @@ class TestEventDrivenLoop:
         # requests to a module exactly T positions apart.
         order = data.draw(st.permutations(range(service_time)))
         modules = list(order) * rounds
-        loop = MemoryKernel(config)._cycle_loop(
-            [modules], [0], [start_cycle]
-        )
-        assert _conflict_free_timing(
-            len(modules), start_cycle, service_time
-        ) == loop
+        loop = MemoryKernel(config)._cycle_loop([modules])
+        assert _conflict_free_timing(len(modules), service_time) == loop
 
     @settings(max_examples=100, deadline=None)
-    @given(
-        kernel_cases(max_streams=3),
-        st.sampled_from(["round_robin", "priority"]),
-    )
-    def test_several_streams_match_reference(self, case, policy):
+    @given(kernel_cases(max_streams=3))
+    def test_several_streams_match_reference(self, case):
         config, streams = case
         reference = reference_run(
             config,
             [(stream, frozenset()) for stream in streams],
             ports=config.ports,
-            policy=policy,
         )
-        run = MemoryKernel(config, policy=policy).run(streams)
+        run = MemoryKernel(config).run(streams)
         assert run.total_cycles == reference["total_cycles"]
         assert run.bus_busy_cycles == reference["bus_busy"]
         assert run.bus_held_result == reference["bus_held"]
@@ -506,15 +488,14 @@ class TestEventDrivenLoop:
             )
 
     @pytest.mark.parametrize(
-        "t, module_bits, q, ports, policy, module_lists",
+        "t, module_bits, q, ports, module_lists",
         [
-            (0, 3, 4, 2, "round_robin", [[6, 7, 1], [1, 7, 2, 7]]),
-            (0, 3, 2, 2, "priority", [[4, 2, 4, 6, 1, 2, 4], [4, 1, 7, 5], [0, 1]]),
-            (1, 2, 4, 1, "round_robin", [[3, 3, 1, 0, 1, 2, 2, 2, 1, 3], [3, 3, 0, 2]]),
+            (0, 3, 4, 2, [[6, 7, 1], [1, 7, 2, 7]]),
+            (1, 2, 4, 1, [[3, 3, 1, 0, 1, 2, 2, 2, 1, 3], [3, 3, 0, 2]]),
         ],
     )
     def test_full_output_queue_parks_the_result(
-        self, t, module_bits, q, ports, policy, module_lists
+        self, t, module_bits, q, ports, module_lists
     ):
         # Streams that make a module finish while its q' = 1 output
         # queue still holds an undelivered result: the result must park
@@ -535,9 +516,8 @@ class TestEventDrivenLoop:
             config,
             [(stream, frozenset()) for stream in streams],
             ports=ports,
-            policy=policy,
         )
-        run = MemoryKernel(config, policy=policy).run(streams)
+        run = MemoryKernel(config).run(streams)
         assert run.total_cycles == reference["total_cycles"]
         for index, stream in enumerate(run.streams):
             assert stream.issue_stall_cycles == reference["stalls"][index]
@@ -565,19 +545,34 @@ class TestEventDrivenLoop:
 
 
 class TestKernelValidation:
-    def test_ports_must_be_positive(self):
-        with pytest.raises(ConfigurationError, match="'ports'"):
-            MemoryKernel(MATCHED, ports=0)
-
-    def test_ports_bounded_by_modules(self):
-        with pytest.raises(ConfigurationError, match="'ports'"):
-            MemoryKernel(MATCHED, ports=9)
-
     def test_config_ports_validated(self):
         with pytest.raises(ConfigurationError, match="'ports'"):
             MemoryConfig.matched(t=3, s=4, ports=0)
         with pytest.raises(ConfigurationError, match="'ports'"):
             MemoryConfig.matched(t=3, s=4, ports=16)
+
+    def test_ports_must_be_positive(self):
+        # The kernel reads its port count from the config; a port count
+        # set with ``replace`` is checked there, before any kernel exists.
+        with pytest.raises(ConfigurationError, match="'ports'"):
+            replace(MATCHED, ports=0)
+
+    def test_ports_bounded_by_modules(self):
+        with pytest.raises(ConfigurationError, match="'ports'"):
+            replace(MATCHED, ports=MATCHED.module_count + 1)
+
+    def test_kernel_takes_only_config_and_tracer(self):
+        parameters = inspect.signature(MemoryKernel).parameters
+        assert list(parameters) == ["config", "tracer"]
+        assert parameters["tracer"].kind is inspect.Parameter.KEYWORD_ONLY
+
+    def test_kernel_stream_fields(self):
+        assert [field.name for field in fields(KernelStream)] == [
+            "name",
+            "requests",
+            "stores",
+            "modules",
+        ]
 
     def test_colliding_stream_names(self):
         kernel = MemoryKernel(MATCHED)
@@ -587,15 +582,6 @@ class TestKernelValidation:
         ]
         with pytest.raises(ConfigurationError, match="colliding stream names"):
             kernel.run(streams)
-
-    def test_stream_port_out_of_range(self):
-        kernel = MemoryKernel(MATCHED, ports=2)
-        with pytest.raises(ConfigurationError, match="'port'"):
-            kernel.run([KernelStream.of("a", [(0, 0)], port=5)])
-
-    def test_unknown_policy(self):
-        with pytest.raises(SimulationError):
-            MemoryKernel(MATCHED, policy="bogus")
 
     def test_modules_must_match_requests(self):
         kernel = MemoryKernel(MATCHED)
@@ -617,11 +603,22 @@ class TestKernelRunRecord:
         streams = plan_streams(
             UNMATCHED, "auto", [VectorAccess(0, 16, 32), VectorAccess(1 << 9, 16, 32)]
         )
-        run = MemoryKernel(UNMATCHED, ports=2).run(streams)
+        run = MemoryKernel(replace(UNMATCHED, ports=2)).run(streams)
         assert run.ports == 2
         assert [stream.port for stream in run.streams] == [0, 1]
         assert sum(run.port_issue_cycles) == run.bus_busy_cycles == 64
         assert run.aggregate_elements == 64
+
+    def test_bus_utilisation_counts_every_port(self):
+        # Two section-disjoint 64-element streams on two ports finish in
+        # 73 cycles: 128 requests over 2 * 73 address-bus slots.
+        streams = plan_streams(
+            UNMATCHED, "auto", [VectorAccess(0, 16, 64), VectorAccess(1 << 9, 16, 64)]
+        )
+        run = MemoryKernel(replace(UNMATCHED, ports=2)).run(streams)
+        assert (run.bus_busy_cycles, run.total_cycles) == (128, 73)
+        assert run.bus_utilisation == run.bus_busy_cycles / (2 * run.total_cycles)
+        assert run.bus_utilisation <= 1
 
     def test_busy_attribution_sums_to_total(self):
         streams = plan_streams(

@@ -1,4 +1,8 @@
-"""Tests for the multi-stream memory system."""
+"""Several streams sharing one port of the memory kernel.
+
+``MemoryKernel(config).run(streams)`` with ``config.ports = 1``: every
+stream issues on the one address bus, taking turns round-robin.
+"""
 
 from __future__ import annotations
 
@@ -9,7 +13,7 @@ from repro.core.vector import VectorAccess
 from repro.errors import SimulationError
 from repro.mappings.linear import MatchedXorMapping
 from repro.memory.config import MemoryConfig
-from repro.memory.multistream import MultiStreamMemorySystem
+from repro.memory.kernel import MemoryKernel
 from repro.memory.system import MemorySystem
 
 
@@ -25,11 +29,9 @@ def config():
 
 class TestSingleStreamEquivalence:
     def test_one_stream_matches_plain_system(self, planner, config):
-        """With one stream the multi-stream machine is the plain machine."""
+        """With one stream the kernel run is the plain machine."""
         plan = planner.plan(VectorAccess(16, 12, 128))
-        multi = MultiStreamMemorySystem(config).run_streams(
-            [plan.request_stream()]
-        )
+        multi = MemoryKernel(config).run([plan.request_stream()])
         plain = MemorySystem(config).run_plan(plan)
         assert multi.streams[0].latency == plain.latency
         assert multi.streams[0].conflict_free == plain.conflict_free
@@ -40,7 +42,7 @@ class TestInterleaving:
         """Two 128-element streams need at least 256 issue slots."""
         a = planner.plan(VectorAccess(0, 12, 128)).request_stream()
         b = planner.plan(VectorAccess(7, 3, 128)).request_stream()
-        result = MultiStreamMemorySystem(config).run_streams([a, b])
+        result = MemoryKernel(config).run([a, b])
         assert result.aggregate_elements == 256
         assert result.total_cycles >= 256
         assert result.bus_utilisation > 0.9
@@ -52,7 +54,7 @@ class TestInterleaving:
         the reason the paper defers multi-vector access to future work."""
         a = planner.plan(VectorAccess(0, 12, 128)).request_stream()
         b = planner.plan(VectorAccess(1, 12, 128)).request_stream()
-        result = MultiStreamMemorySystem(config).run_streams([a, b])
+        result = MemoryKernel(config).run([a, b])
         total_waits = sum(stream.wait_count for stream in result.streams)
         total_stalls = sum(
             stream.issue_stall_cycles for stream in result.streams
@@ -62,38 +64,18 @@ class TestInterleaving:
     def test_round_robin_fairness(self, planner, config):
         a = planner.plan(VectorAccess(0, 1, 128)).request_stream()
         b = planner.plan(VectorAccess(3, 1, 128)).request_stream()
-        result = MultiStreamMemorySystem(config).run_streams([a, b])
+        result = MemoryKernel(config).run([a, b])
         latencies = [stream.latency for stream in result.streams]
         assert abs(latencies[0] - latencies[1]) <= 16
 
 
-class TestPriorityPolicy:
-    def test_stream_zero_favoured(self, planner, config):
-        a = planner.plan(VectorAccess(0, 12, 128)).request_stream()
-        b = planner.plan(VectorAccess(1, 12, 128)).request_stream()
-        result = MultiStreamMemorySystem(config, policy="priority").run_streams(
-            [a, b]
-        )
-        # The foreground stream issues back to back: its last delivery
-        # comes well before the background stream's.
-        assert (
-            result.streams[0].last_delivery_cycle
-            < result.streams[1].last_delivery_cycle
-        )
-        assert result.streams[0].latency <= 137 + 16
-
-    def test_unknown_policy_rejected(self, config):
-        with pytest.raises(SimulationError):
-            MultiStreamMemorySystem(config, policy="bogus")
-
-
 class TestValidation:
     def test_empty_streams_rejected(self, config):
-        system = MultiStreamMemorySystem(config)
+        kernel = MemoryKernel(config)
         with pytest.raises(SimulationError):
-            system.run_streams([])
+            kernel.run([])
         with pytest.raises(SimulationError):
-            system.run_streams([[], [(0, 0)]])
+            kernel.run([[], [(0, 0)]])
 
 
 class TestThreeStreams:
@@ -102,7 +84,7 @@ class TestThreeStreams:
             planner.plan(VectorAccess(base, 1, 64)).request_stream()
             for base in (0, 1, 2)
         ]
-        result = MultiStreamMemorySystem(config).run_streams(streams)
+        result = MemoryKernel(config).run(streams)
         assert result.aggregate_elements == 192
         # One issue per cycle: the run cannot be shorter than 192 cycles.
         assert result.total_cycles >= 192

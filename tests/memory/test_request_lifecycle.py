@@ -23,8 +23,7 @@ from repro.core.planner import AccessPlanner
 from repro.core.vector import VectorAccess
 from repro.mappings.interleaved import LowOrderInterleaved
 from repro.memory.config import MemoryConfig
-from repro.memory.kernel import ISSUE_POLICIES, MemoryKernel
-from repro.memory.multistream import MultiStreamMemorySystem
+from repro.memory.kernel import MemoryKernel
 from repro.memory.system import MemorySystem
 
 #: Deeper than any module's share of a random run, so no result parks.
@@ -44,7 +43,7 @@ def interleaved_streams(module_count, module_lists):
 
 def random_runs(count, seed, output_capacity=None):
     """``count`` seeded kernel runs: 1-3 streams of 1-32 requests over
-    1-3 ports, with every buffer depth and issue policy."""
+    1-3 ports, with every buffer depth."""
     rng = random.Random(seed)
     for _ in range(count):
         t = rng.randint(0, 3)
@@ -64,8 +63,7 @@ def random_runs(count, seed, output_capacity=None):
             for _ in range(rng.randint(1, 3))
         ]
         streams = interleaved_streams(config.module_count, module_lists)
-        policy = rng.choice(ISSUE_POLICIES)
-        run = MemoryKernel(config, policy=policy).run(streams)
+        run = MemoryKernel(config).run(streams)
         yield config, run, [r for stream in run.streams for r in stream.requests]
 
 
@@ -299,15 +297,3 @@ class TestResultBus:
             for r in records:
                 for cycle in range(r.finish_cycle + 1, r.delivery_cycle):
                     assert per_cycle[cycle] == config.ports
-
-    def test_issue_policy_is_moot_for_one_stream(
-        self, matched_planner, matched_config
-    ):
-        stream = matched_planner.plan(VectorAccess(16, 12, 128)).request_stream()
-        latencies = {
-            policy: MultiStreamMemorySystem(matched_config, policy=policy)
-            .run_streams([stream])
-            .total_cycles
-            for policy in ISSUE_POLICIES
-        }
-        assert latencies == {"round_robin": 137, "priority": 137}

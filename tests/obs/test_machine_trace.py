@@ -9,6 +9,8 @@ scenario must never change its result.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.obs import Tracer
@@ -91,6 +93,28 @@ class TestProgramTrace:
         machine_memory = tracer.spans("machine/memory")
         first_access = min(event[3] for event in machine_memory)
         assert min(event[3] for event in module_spans) >= first_access
+
+    def test_every_memory_instruction_has_its_own_stream_lane(self):
+        # One port: each memory instruction of the committed daxpy
+        # example runs as its own kernel stream, named after its
+        # program position, whether or not it shared a batch.
+        example = (
+            Path(__file__).resolve().parents[2]
+            / "examples"
+            / "scenario_daxpy_program.json"
+        )
+        spec = ScenarioSpec.from_json(example.read_text())
+        assert spec.memory.ports == 1
+        tracer = Tracer()
+        result = simulate(spec, tracer=tracer)
+        memory_positions = [
+            row[0] for row in result.timeline if row[2] == "memory"
+        ]
+        assert memory_positions == [0, 1, 4, 5, 6, 9]
+        lanes = {event[1] for event in tracer.spans("streams/")}
+        assert lanes == {
+            f"streams/i{position}" for position in memory_positions
+        }
 
 
 class TestWorkloadTrace:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.vector import VectorAccess
 from repro.errors import ProgramError
 from repro.memory.config import MemoryConfig
+from repro.memory.system import MemorySystem
 from repro.processor.decoupled import DecoupledVectorMachine
 from repro.processor.isa import VAdd, VLoad, VScale, VStore
 from repro.processor.program import Program
@@ -184,3 +186,85 @@ class TestResultAccounting:
         assert len(result.memory_timings()) == 3
         assert result.conflict_free_loads() == 3
         assert result.total_cycles == max(t.end_cycle for t in result.timings)
+
+
+class TestLoneAccess:
+    """A memory instruction that runs alone is a one-stream kernel run:
+    its access result and its timing are the single-stream
+    :class:`MemorySystem`'s for the same plan."""
+
+    @pytest.mark.parametrize(
+        "config, kind, vector",
+        [
+            # In the window of the matched memory: conflict-free.
+            (MemoryConfig.matched(t=3, s=4), "load", VectorAccess(16, 12, 128)),
+            # Out of the window: the requests pile up on two modules.
+            (MemoryConfig.matched(t=3, s=4), "load", VectorAccess(0, 64, 128)),
+            (
+                MemoryConfig.matched(
+                    t=3, s=4, input_capacity=2, output_capacity=2
+                ),
+                "load",
+                VectorAccess(0, 64, 64),
+            ),
+            (
+                MemoryConfig.unmatched(t=3, s=4, y=9, input_capacity=2),
+                "store",
+                VectorAccess(0, 16, 64),
+            ),
+            (MemoryConfig.matched(t=4, s=5), "load", VectorAccess(5, 32, 64)),
+        ],
+        ids=[
+            "matched-in-window",
+            "matched-one-module",
+            "matched-deep-queues",
+            "unmatched-store",
+            "matched-t4",
+        ],
+    )
+    def test_matches_memory_system(self, config, kind, vector):
+        machine = make_machine(config=config)
+        if kind == "load":
+            machine.store.write_vector(
+                vector.base, vector.stride, [1.0] * vector.length
+            )
+            program = [VLoad(1, vector.base, vector.stride, vector.length)]
+        else:
+            # The store's source register is loaded first, from words
+            # the store does not touch; the hazard on V1 runs the two
+            # accesses one after the other.
+            machine.store.write_vector(100000, 1, [1.0] * vector.length)
+            program = [
+                VLoad(1, 100000, 1, vector.length),
+                VStore(1, vector.base, vector.stride, vector.length),
+            ]
+        result = machine.run(Program(program))
+        access = machine.memory_access_results[-1]
+        timing = result.timings[-1]
+        plan = machine.planner.plan(vector, mode=machine.plan_mode)
+        expected = MemorySystem(config).run_plan(plan)
+        assert access.latency == expected.latency
+        assert access.issue_stall_cycles == expected.issue_stall_cycles
+        assert access.conflict_free == expected.conflict_free
+        assert access.module_busy_cycles == expected.module_busy_cycles
+        assert request_timings(access.requests) == request_timings(
+            expected.requests
+        )
+        assert all(r.is_store == (kind == "store") for r in access.requests)
+        assert timing.end_cycle - timing.start_cycle + 1 == expected.latency
+        assert timing.conflict_free == expected.conflict_free
+
+
+def request_timings(requests):
+    return [
+        (
+            r.element_index,
+            r.address,
+            r.module,
+            r.issue_cycle,
+            r.arrival_cycle,
+            r.start_cycle,
+            r.delivery_cycle,
+        )
+        for r in requests
+    ]
