@@ -6,13 +6,18 @@ by ``pytest benchmarks/ --benchmark-only`` alongside the reproduction
 benches.  The CI perf-smoke job runs this file on a fixed design point
 and uploads the ``--benchmark-json`` timings as a ``BENCH_*.json``
 artifact, so the kernel's throughput trajectory is recorded per commit.
+
+Every bench runs through ``benchmark.pedantic`` with :func:`cold` as
+its ``setup``: the shared plan cache and the kernel's loop memo are
+emptied before each round, so a round pays what a cold call pays
+rather than timing a cache hit.
 """
 
-from repro.core.planner import AccessPlanner
+from repro.core.planner import AccessPlanner, clear_plan_cache
 from repro.core.vector import VectorAccess
 from repro.hardware.oos_engine import Figure6Engine
 from repro.memory.config import MemoryConfig
-from repro.memory.kernel import MemoryKernel
+from repro.memory.kernel import MemoryKernel, cycle_loop
 from repro.memory.system import MemorySystem
 from repro.processor.decoupled import DecoupledVectorMachine
 from repro.processor.stripmine import daxpy_program
@@ -23,22 +28,34 @@ SYSTEM = MemorySystem(CONFIG)
 VECTOR = VectorAccess(16, 12, 128)
 UNMATCHED = MemoryConfig.unmatched(t=3, s=4, y=9, input_capacity=2)
 UNMATCHED_PLANNER = AccessPlanner(UNMATCHED.mapping, 3)
+ROUNDS = 20
+
+
+def cold():
+    """Empty the plan cache and the kernel's loop memo."""
+    clear_plan_cache()
+    cycle_loop.cache_clear()
+
+
+def bench_cold(benchmark, target, *args, rounds=ROUNDS):
+    """Time ``target(*args)`` over ``rounds`` cold rounds."""
+    return benchmark.pedantic(target, args=args, setup=cold, rounds=rounds)
 
 
 def test_plan_conflict_free(benchmark):
-    plan = benchmark(PLANNER.plan, VECTOR, "conflict_free")
+    plan = bench_cold(benchmark, PLANNER.plan, VECTOR, "conflict_free")
     assert plan.conflict_free
 
 
 def test_simulate_conflict_free_access(benchmark):
     plan = PLANNER.plan(VECTOR, mode="conflict_free")
-    result = benchmark(SYSTEM.run_plan, plan)
+    result = bench_cold(benchmark, SYSTEM.run_plan, plan)
     assert result.latency == 137
 
 
 def test_simulate_conflicting_access(benchmark):
     plan = PLANNER.plan(VectorAccess(0, 1 << 6, 128), mode="ordered")
-    result = benchmark(SYSTEM.run_plan, plan)
+    result = bench_cold(benchmark, SYSTEM.run_plan, plan)
     assert not result.conflict_free
 
 
@@ -46,7 +63,7 @@ def test_figure6_engine(benchmark):
     def build_and_run():
         return Figure6Engine(PLANNER, VECTOR).run()
 
-    stream = benchmark(build_and_run)
+    stream = bench_cold(benchmark, build_and_run)
     assert len(stream) == 128
 
 
@@ -59,7 +76,7 @@ def test_full_machine_daxpy(benchmark):
         machine.store.write_vector(10**6, 1, [2.0] * 256)
         return machine.run(program)
 
-    result = benchmark(run_machine)
+    result = bench_cold(benchmark, run_machine)
     assert result.total_cycles > 0
 
 
@@ -73,7 +90,7 @@ def test_kernel_two_streams_one_bus(benchmark):
     ]
     kernel = MemoryKernel(config)
 
-    run = benchmark(kernel.run, streams)
+    run = bench_cold(benchmark, kernel.run, streams)
     assert run.aggregate_elements == 256
 
 
@@ -97,7 +114,7 @@ def test_kernel_two_streams_traced(benchmark):
         kernel = MemoryKernel(config, tracer=Tracer())
         return kernel.run(streams)
 
-    run = benchmark(run_traced)
+    run = bench_cold(benchmark, run_traced)
     assert run.aggregate_elements == 256
 
 
@@ -113,7 +130,7 @@ def test_kernel_two_ports(benchmark):
         MemoryConfig.unmatched(t=3, s=4, y=9, input_capacity=2, ports=2)
     )
 
-    run = benchmark(kernel.run, streams)
+    run = bench_cold(benchmark, kernel.run, streams)
     assert run.total_cycles <= 64 + 8 + 1 + 8
 
 
@@ -130,7 +147,7 @@ def test_full_machine_daxpy_two_ports(benchmark):
         machine.store.write_vector(10**6, 1, [2.0] * 256)
         return machine.run(program)
 
-    result = benchmark(run_machine)
+    result = bench_cold(benchmark, run_machine)
     assert result.stream_concurrency_peak == 2
 
 
@@ -177,7 +194,7 @@ def test_kernel_grid_1000_cells_baseline(benchmark):
     def run_all():
         return [simulate(spec) for spec in _BATCH_SPECS]
 
-    results = benchmark.pedantic(run_all, rounds=3, iterations=1)
+    results = bench_cold(benchmark, run_all, rounds=3)
     assert len(results) == 1000
 
 
@@ -204,5 +221,5 @@ def test_program_grid_64_kernel_baseline(benchmark):
     def run_all():
         return [simulate(spec) for spec in _PROGRAM_SPECS]
 
-    results = benchmark.pedantic(run_all, rounds=2, iterations=1)
+    results = bench_cold(benchmark, run_all, rounds=2)
     assert len(results) == 64

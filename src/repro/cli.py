@@ -5,7 +5,7 @@ Usage (also via ``python -m repro``)::
     repro plan --t 3 --s 4 --base 16 --stride 12 --length 128 --timeline
     repro plan --t 3 --s 4 --y 9 --stride 96 --length 128
     repro window --lam 7 --t 3 --unmatched
-    repro experiments --ids E01,E03 --output EXPERIMENTS.md
+    repro experiments --ids E01,E03
     repro survey --t 3 --s 4 --max-stride 32
     repro scenario run examples/scenario_matched_stride12.json
     repro scenario run examples/scenario_daxpy_program.json

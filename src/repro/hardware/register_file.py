@@ -20,7 +20,6 @@ class RandomAccessVectorRegister:
             raise RegisterFileError(f"register length must be >= 1, got {length}")
         self.length = length
         self._values: list[float | None] = [None] * length
-        self.writes = 0
 
     def write(self, index: int, value: float) -> None:
         if not 0 <= index < self.length:
@@ -29,7 +28,6 @@ class RandomAccessVectorRegister:
                 f"{self.length}"
             )
         self._values[index] = value
-        self.writes += 1
 
     def read(self, index: int) -> float:
         if not 0 <= index < self.length:

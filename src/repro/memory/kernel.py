@@ -36,7 +36,7 @@ Timing contract (per port):
 Hence ``ports = 1, streams = 1`` degenerates exactly to the paper's
 conflict-free minimum latency ``T + L + 1``.
 
-Performance: per-request timing lives in flat lists, and the
+Performance: per-request timing lives in flat sequences, and the
 :class:`~repro.memory.module.InFlightRequest` records are only built
 when a caller reads them (:class:`~repro.memory.module.RequestRecords`).
 Callers that already know each request's module — an
@@ -55,12 +55,16 @@ than a scan over every busy module, and cycles in which nothing can
 change are skipped outright.  A single stream whose module sequence is
 conflict-free (the paper's Section 2 definition) needs no loop at all:
 its timing is the closed form behind ``T + L + 1``.
+The loop, :func:`cycle_loop`, is a function of exactly what it reads,
+behind a bounded LRU memo: a strip-mined program or a grid that repeats
+a memory batch pays for that batch's loop once.
 ``benchmarks/bench_simulator_perf.py`` tracks the resulting throughput.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Sequence
 
 from repro.core.distributions import is_conflict_free
@@ -183,13 +187,251 @@ def _conflict_free_timing(total: int, service_time: int):
     ready per cycle: request ``i`` (0-based) issues at cycle ``i + 1``,
     starts on arrival one cycle later and is delivered ``T`` cycles after
     that, with no stall, wait or held result.  The last delivery closes
-    the run at ``T + L + 1`` — the paper's bound.  Returns the same tuple
-    as :meth:`MemoryKernel._cycle_loop`.
+    the run at ``T + L + 1`` — the paper's bound.  Returns the same fields
+    as :func:`cycle_loop`, as lists.
     """
     arrival = list(range(2, 2 + total))
     delivery = list(range(service_time + 2, service_time + 2 + total))
     last = delivery[-1]
     return arrival, arrival, delivery, last, False, [1], [last], [0]
+
+
+#: Capacity of the :func:`cycle_loop` memo.  The 128 seed-1 program-grid
+#: benchmark points run the loop 1254 times on 116 distinct inputs;
+#: replayed through an LRU, 8 entries leave 403 loop runs, 16 leave 242,
+#: 32 leave 123, 64 or more leave 116.  On the 1152 access-sweep points, 570
+#: runs drop to 402 from 8 entries up, and 32 entries hold at most 17k
+#: request timings.  Unbounded, the memo raised their in-process peak RSS
+#: from 27.5 MB to 36.7 MB (CPython 3.11).
+LOOP_MEMO_SIZE = 32
+
+
+@lru_cache(maxsize=LOOP_MEMO_SIZE)
+def cycle_loop(
+    service_time, module_count, input_capacity, output_capacity, ports, stream_modules
+):
+    """The event-driven cycle loop, a function of exactly what it reads.
+
+    Each cycle runs the contract's phases in order — issue, result
+    delivery, module service (start before finish) — but visits only
+    the modules with an event in it, and a cycle in which nothing can
+    change is skipped.  ``stream_modules`` is a tuple of each stream's
+    module tuple.  Returns ``(arrival, start, delivery, total_cycles,
+    held, first_issue, last_delivery, stalls)``: the per-request cycles
+    over all streams in stream order, then the per-stream counters.
+    Memo hits share the result, so every sequence in it is a tuple.
+    """
+    stream_count = len(stream_modules)
+    last_busy = service_time - 1  # a service started at c ends at c + this
+
+    # Requests are numbered stream by stream (rid).
+    mod: list[int] = []
+    stream_of: list[int] = []
+    offsets: list[int] = []
+    for s_index, modules in enumerate(stream_modules):
+        offsets.append(len(mod))
+        mod.extend(modules)
+        stream_of.extend([s_index] * len(modules))
+    total = len(mod)
+    arrival = [0] * total
+    start = [0] * total
+    ready = [0] * total
+    delivery = [0] * total
+
+    # A module serves its requests in the order they were issued to
+    # it, so its input queue is the window [started[m],
+    # len(issued_to[m])) of that list: a counter, not a queue.
+    issued_to: list[list[int]] = [[] for _ in range(module_count)]
+    started = [0] * module_count
+    held_results = [0] * module_count  # output-queue occupancy
+    serving = [-1] * module_count  # request in service
+    parked = [-1] * module_count  # finished, waiting for q' room
+
+    # Stream ``s`` issues on port ``s % ports``.
+    served_ports = [
+        (port, list(range(port, stream_count, ports)))
+        for port in range(min(ports, stream_count))
+    ]
+    stream_len = [len(modules) for modules in stream_modules]
+    cursors = [0] * stream_count
+    stalls = [0] * stream_count
+    first_issue = [0] * stream_count
+    last_delivery = [0] * stream_count
+    rotation = [0] * ports
+
+    # Every result queued for the result bus, oldest first.  Results
+    # are queued in cycle order with ``ready = cycle + 1`` and each
+    # cycle's in module order, so this list stays sorted by (ready,
+    # module): its front is the oldest-first grant over all module
+    # heads.
+    results: list[int] = []
+    front = 0
+    queued_total = 0  # len(results)
+    # Cycle -> modules whose state can change in that cycle's
+    # service phase.  A module has at most one pending event.
+    events: dict[int, list[int]] = {}
+
+    cycle = 0
+    guard = (total + 2) * (service_time + 2) + 64
+    delivered = 0
+    held = False
+    advance = True
+    solo = stream_count == 1
+    stalled: Sequence[int] = ()  # streams that failed to issue
+    while delivered < total:
+        if advance:
+            cycle += 1
+        else:
+            # Nothing can change before the next scheduled event, so
+            # jump there; the streams that failed to issue fail again
+            # in every skipped cycle.
+            next_cycle = min(events) if events else guard + 1
+            if front < queued_total:
+                head_ready = ready[results[front]]
+                if head_ready <= cycle:
+                    head_ready = cycle + 1
+                if head_ready < next_cycle:
+                    next_cycle = head_ready
+            if next_cycle > guard:
+                raise SimulationError(
+                    f"simulation exceeded {guard} cycles for {total} "
+                    f"requests — livelock?"
+                )
+            for s in stalled:
+                stalls[s] += next_cycle - cycle - 1
+            cycle = next_cycle
+
+        # 1. Address ports: one request per port per cycle.  A
+        # stream whose head module's input queue is full stalls and
+        # yields the port; ``blocking`` collects those modules.
+        issued = False
+        stalled = blocking = ()
+        for port, members in served_ports:
+            if solo:
+                if cursors[0] == total:
+                    continue
+                candidates = members
+            else:
+                candidates = [
+                    s for s in members if cursors[s] < stream_len[s]
+                ]
+                if not candidates:
+                    continue
+                if len(candidates) > 1:
+                    rot = rotation[port]
+                    candidates.sort(
+                        key=lambda s: (s - rot) % stream_count
+                    )
+            for s in candidates:
+                position = cursors[s]
+                rid = offsets[s] + position
+                m = mod[rid]
+                queue = issued_to[m]
+                queued = len(queue) - started[m]
+                if queued < input_capacity:
+                    arrival[rid] = cycle + 1
+                    if queued == 0 and serving[m] < 0 and parked[m] < 0:
+                        events.setdefault(cycle + 1, []).append(m)
+                    queue.append(rid)
+                    if position == 0:
+                        first_issue[s] = cycle
+                    cursors[s] = position + 1
+                    rotation[port] = s + 1
+                    issued = True
+                    break
+                stalls[s] += 1
+                if not stalled:
+                    stalled, blocking = [], []
+                stalled.append(s)
+                blocking.append(m)
+        advance = issued
+
+        # 2. Result ports: up to ``ports`` deliveries, oldest first.
+        if front < queued_total and ready[results[front]] <= cycle:
+            end = queued_total
+            if (
+                not held
+                and front + 1 < end
+                and ready[results[front + 1]] <= cycle
+            ):
+                # Held back iff more modules have a ready result than
+                # there are ports to deliver them.
+                ready_modules = set()
+                for position in range(front, end):
+                    rid = results[position]
+                    if ready[rid] > cycle:
+                        break
+                    ready_modules.add(mod[rid])
+                    if len(ready_modules) > ports:
+                        held = True
+                        break
+            grants = 0
+            while (
+                grants < ports
+                and front < end
+                and ready[results[front]] <= cycle
+            ):
+                rid = results[front]
+                front += 1
+                delivery[rid] = cycle
+                last_delivery[stream_of[rid]] = cycle
+                m = mod[rid]
+                held_results[m] -= 1
+                if (
+                    parked[m] >= 0
+                    and held_results[m] == output_capacity - 1
+                ):
+                    events.setdefault(cycle, []).append(m)
+                grants += 1
+            delivered += grants
+
+        # 3. Module service: each module with an event this cycle
+        # starts new work, then retires finishing work.
+        due = events.pop(cycle, None)
+        if due is None:
+            continue
+        first_new = queued_total
+        for m in due:
+            rid = serving[m]
+            if rid >= 0:
+                serving[m] = -1  # its service ends this cycle
+            elif parked[m] >= 0:
+                # A delivery freed an output slot for the parked
+                # result.
+                rid = parked[m]
+                parked[m] = -1
+            else:
+                # Idle with its head request arrived: start it.
+                rid = issued_to[m][started[m]]
+                started[m] += 1
+                start[rid] = cycle
+                if m in blocking:
+                    advance = True  # a stalled stream can issue now
+                if service_time > 1:
+                    serving[m] = rid
+                    events.setdefault(cycle + last_busy, []).append(m)
+                    continue
+            # ``rid`` leaves the module at the end of this cycle,
+            # unless its output queue is full.
+            if held_results[m] < output_capacity:
+                ready[rid] = cycle + 1
+                results.append(rid)
+                queued_total += 1
+                held_results[m] += 1
+                if started[m] < len(issued_to[m]):
+                    events.setdefault(cycle + 1, []).append(m)
+            else:
+                parked[m] = rid
+        if queued_total - first_new > 1:
+            # Results queued in one cycle share their ready cycle;
+            # the lower module index goes first.
+            results[first_new:] = sorted(
+                results[first_new:], key=mod.__getitem__
+            )
+    return (
+        tuple(arrival), tuple(start), tuple(delivery), cycle, held,
+        tuple(first_issue), tuple(last_delivery), tuple(stalls),
+    )
 
 
 class MemoryKernel:
@@ -261,15 +503,15 @@ class MemoryKernel:
                     )
         return normalised
 
-    def _modules_of(self, stream: KernelStream) -> Sequence[int]:
+    def _modules_of(self, stream: KernelStream) -> tuple[int, ...]:
         """Each request's module: given, or derived from its address."""
         if stream.modules is not None:
             return stream.modules
         module_of = self.config.mapping.module_of
         reduce = self.config.mapping.reduce
-        return [
+        return tuple(
             module_of(reduce(address)) for _element, address in stream.requests
-        ]
+        )
 
     # -- simulation -----------------------------------------------------
 
@@ -280,9 +522,9 @@ class MemoryKernel:
         service_time = config.service_ratio
         module_count = config.module_count
         ports = config.ports
-        stream_modules = [
+        stream_modules = tuple(
             self._modules_of(stream) for stream in kernel_streams
-        ]
+        )
         if (
             len(kernel_streams) == 1
             and service_time > 1
@@ -292,7 +534,10 @@ class MemoryKernel:
                 len(stream_modules[0]), service_time
             )
         else:
-            timing = self._cycle_loop(stream_modules)
+            timing = cycle_loop(
+                service_time, module_count, config.input_capacity,
+                config.output_capacity, ports, stream_modules,
+            )
         (
             arrival,
             start,
@@ -350,241 +595,6 @@ class MemoryKernel:
             bus_held_result=held,
             module_busy_cycles=tuple(busy),
             port_issue_cycles=tuple(port_issues),
-        )
-
-    def _cycle_loop(self, stream_modules):
-        """The event-driven cycle loop.
-
-        Each cycle runs the contract's phases in order — issue, result
-        delivery, module service (start before finish) — but visits only
-        the modules with an event in it, and a cycle in which nothing can
-        change is skipped.  Returns ``(arrival, start, delivery,
-        total_cycles, held, first_issue, last_delivery, stalls)``: the
-        per-request cycles over all streams in stream order, then the
-        per-stream counters.
-        """
-        config = self.config
-        service_time = config.service_ratio
-        module_count = config.module_count
-        input_capacity = config.input_capacity
-        output_capacity = config.output_capacity
-        ports = config.ports
-        stream_count = len(stream_modules)
-        last_busy = service_time - 1  # a service started at c ends at c + this
-
-        # Requests are numbered stream by stream (rid).
-        mod: list[int] = []
-        stream_of: list[int] = []
-        offsets: list[int] = []
-        for s_index, modules in enumerate(stream_modules):
-            offsets.append(len(mod))
-            mod.extend(modules)
-            stream_of.extend([s_index] * len(modules))
-        total = len(mod)
-        arrival = [0] * total
-        start = [0] * total
-        ready = [0] * total
-        delivery = [0] * total
-
-        # A module serves its requests in the order they were issued to
-        # it, so its input queue is the window [started[m],
-        # len(issued_to[m])) of that list: a counter, not a queue.
-        issued_to: list[list[int]] = [[] for _ in range(module_count)]
-        started = [0] * module_count
-        held_results = [0] * module_count  # output-queue occupancy
-        serving = [-1] * module_count  # request in service
-        parked = [-1] * module_count  # finished, waiting for q' room
-
-        # Stream ``s`` issues on port ``s % ports``.
-        served_ports = [
-            (port, list(range(port, stream_count, ports)))
-            for port in range(min(ports, stream_count))
-        ]
-        stream_len = [len(modules) for modules in stream_modules]
-        cursors = [0] * stream_count
-        stalls = [0] * stream_count
-        first_issue = [0] * stream_count
-        last_delivery = [0] * stream_count
-        rotation = [0] * ports
-
-        # Every result queued for the result bus, oldest first.  Results
-        # are queued in cycle order with ``ready = cycle + 1`` and each
-        # cycle's in module order, so this list stays sorted by (ready,
-        # module): its front is the oldest-first grant over all module
-        # heads.
-        results: list[int] = []
-        front = 0
-        queued_total = 0  # len(results)
-        # Cycle -> modules whose state can change in that cycle's
-        # service phase.  A module has at most one pending event.
-        events: dict[int, list[int]] = {}
-
-        cycle = 0
-        guard = (total + 2) * (service_time + 2) + 64
-        delivered = 0
-        held = False
-        advance = True
-        solo = stream_count == 1
-        stalled: Sequence[int] = ()  # streams that failed to issue
-        while delivered < total:
-            if advance:
-                cycle += 1
-            else:
-                # Nothing can change before the next scheduled event, so
-                # jump there; the streams that failed to issue fail again
-                # in every skipped cycle.
-                next_cycle = min(events) if events else guard + 1
-                if front < queued_total:
-                    head_ready = ready[results[front]]
-                    if head_ready <= cycle:
-                        head_ready = cycle + 1
-                    if head_ready < next_cycle:
-                        next_cycle = head_ready
-                if next_cycle > guard:
-                    raise SimulationError(
-                        f"simulation exceeded {guard} cycles for {total} "
-                        f"requests — livelock?"
-                    )
-                for s in stalled:
-                    stalls[s] += next_cycle - cycle - 1
-                cycle = next_cycle
-
-            # 1. Address ports: one request per port per cycle.  A
-            # stream whose head module's input queue is full stalls and
-            # yields the port; ``blocking`` collects those modules.
-            issued = False
-            stalled = blocking = ()
-            for port, members in served_ports:
-                if solo:
-                    if cursors[0] == total:
-                        continue
-                    candidates = members
-                else:
-                    candidates = [
-                        s for s in members if cursors[s] < stream_len[s]
-                    ]
-                    if not candidates:
-                        continue
-                    if len(candidates) > 1:
-                        rot = rotation[port]
-                        candidates.sort(
-                            key=lambda s: (s - rot) % stream_count
-                        )
-                for s in candidates:
-                    position = cursors[s]
-                    rid = offsets[s] + position
-                    m = mod[rid]
-                    queue = issued_to[m]
-                    queued = len(queue) - started[m]
-                    if queued < input_capacity:
-                        arrival[rid] = cycle + 1
-                        if queued == 0 and serving[m] < 0 and parked[m] < 0:
-                            events.setdefault(cycle + 1, []).append(m)
-                        queue.append(rid)
-                        if position == 0:
-                            first_issue[s] = cycle
-                        cursors[s] = position + 1
-                        rotation[port] = s + 1
-                        issued = True
-                        break
-                    stalls[s] += 1
-                    if not stalled:
-                        stalled, blocking = [], []
-                    stalled.append(s)
-                    blocking.append(m)
-            advance = issued
-
-            # 2. Result ports: up to ``ports`` deliveries, oldest first.
-            if front < queued_total and ready[results[front]] <= cycle:
-                end = queued_total
-                if (
-                    not held
-                    and front + 1 < end
-                    and ready[results[front + 1]] <= cycle
-                ):
-                    # Held back iff more modules have a ready result than
-                    # there are ports to deliver them.
-                    ready_modules = set()
-                    for position in range(front, end):
-                        rid = results[position]
-                        if ready[rid] > cycle:
-                            break
-                        ready_modules.add(mod[rid])
-                        if len(ready_modules) > ports:
-                            held = True
-                            break
-                grants = 0
-                while (
-                    grants < ports
-                    and front < end
-                    and ready[results[front]] <= cycle
-                ):
-                    rid = results[front]
-                    front += 1
-                    delivery[rid] = cycle
-                    last_delivery[stream_of[rid]] = cycle
-                    m = mod[rid]
-                    held_results[m] -= 1
-                    if (
-                        parked[m] >= 0
-                        and held_results[m] == output_capacity - 1
-                    ):
-                        events.setdefault(cycle, []).append(m)
-                    grants += 1
-                delivered += grants
-
-            # 3. Module service: each module with an event this cycle
-            # starts new work, then retires finishing work.
-            due = events.pop(cycle, None)
-            if due is None:
-                continue
-            first_new = queued_total
-            for m in due:
-                rid = serving[m]
-                if rid >= 0:
-                    serving[m] = -1  # its service ends this cycle
-                elif parked[m] >= 0:
-                    # A delivery freed an output slot for the parked
-                    # result.
-                    rid = parked[m]
-                    parked[m] = -1
-                else:
-                    # Idle with its head request arrived: start it.
-                    rid = issued_to[m][started[m]]
-                    started[m] += 1
-                    start[rid] = cycle
-                    if m in blocking:
-                        advance = True  # a stalled stream can issue now
-                    if service_time > 1:
-                        serving[m] = rid
-                        events.setdefault(cycle + last_busy, []).append(m)
-                        continue
-                # ``rid`` leaves the module at the end of this cycle,
-                # unless its output queue is full.
-                if held_results[m] < output_capacity:
-                    ready[rid] = cycle + 1
-                    results.append(rid)
-                    queued_total += 1
-                    held_results[m] += 1
-                    if started[m] < len(issued_to[m]):
-                        events.setdefault(cycle + 1, []).append(m)
-                else:
-                    parked[m] = rid
-            if queued_total - first_new > 1:
-                # Results queued in one cycle share their ready cycle;
-                # the lower module index goes first.
-                results[first_new:] = sorted(
-                    results[first_new:], key=mod.__getitem__
-                )
-        return (
-            arrival,
-            start,
-            delivery,
-            cycle,
-            held,
-            first_issue,
-            last_delivery,
-            stalls,
         )
 
     # -- trace emission -------------------------------------------------

@@ -1,10 +1,13 @@
-"""Backing store: actual data behind the (module, displacement) mapping.
+"""Backing store: the actual data behind the simulated memory.
 
 The latency results of the paper depend only on module numbers, but the
-decoupled-processor examples move real data, and storing values through
-the two-dimensional mapping doubles as a continuous check that every
-mapping is a genuine bijection (two addresses colliding on the same cell
-would corrupt a value and fail the end-to-end tests).
+decoupled-processor examples move real data.  Every mapping is a
+bijection of its address space onto ``(module, displacement)``
+(``tests/mappings/test_bijection.py`` checks each registered kind), so a
+word is named by its reduced address alone: the store is one flat dict
+keyed by ``address & (address_space - 1)``, and a read or write costs one
+mask and one dict access.  The mapping is consulted only to name the
+module and displacement of an uninitialised read.
 """
 
 from __future__ import annotations
@@ -14,18 +17,16 @@ from repro.mappings.base import AddressMapping
 
 
 class MemoryStore:
-    """Word-addressable data store organised as the mapping dictates."""
+    """Word-addressable data store over one mapping's address space."""
 
     def __init__(self, mapping: AddressMapping):
         self.mapping = mapping
-        self._cells: list[dict[int, float]] = [
-            {} for _ in range(mapping.module_count)
-        ]
+        self._mask = mapping.address_space - 1
+        self._words: dict[int, float] = {}
 
     def write(self, address: int, value: float) -> None:
         """Store ``value`` at ``address`` (reduced into the address space)."""
-        module, displacement = self.mapping.map(self.mapping.reduce(address))
-        self._cells[module][displacement] = value
+        self._words[address & self._mask] = value
 
     def read(self, address: int) -> float:
         """Load the value at ``address``.
@@ -36,10 +37,10 @@ class MemoryStore:
             If the cell was never written — surfacing use-before-define
             bugs in example programs instead of silently returning zeros.
         """
-        module, displacement = self.mapping.map(self.mapping.reduce(address))
         try:
-            return self._cells[module][displacement]
+            return self._words[address & self._mask]
         except KeyError:
+            module, displacement = self.mapping.map(self.mapping.reduce(address))
             raise SimulationError(
                 f"read of uninitialised address {address} "
                 f"(module {module}, displacement {displacement})"
@@ -53,7 +54,3 @@ class MemoryStore:
     def read_vector(self, base: int, stride: int, length: int) -> list[float]:
         """Bulk load of a constant-stride vector."""
         return [self.read(base + i * stride) for i in range(length)]
-
-    def occupancy(self) -> list[int]:
-        """Number of written cells per module (storage balance check)."""
-        return [len(cells) for cells in self._cells]

@@ -120,7 +120,7 @@ class _LoadRecord:
     """Per-element delivery times of the latest definition of a register."""
 
     conflict_free: bool
-    deliveries: list[tuple[int, int]]  # (delivery_cycle, element_index)
+    deliveries: list[tuple[int, int]]  # (delivery_cycle, element), issue order
 
 
 @dataclass
@@ -481,25 +481,23 @@ class DecoupledVectorMachine:
             if member.kind in ("load", "gather"):
                 register = self.registers.register(member.instruction.dst)
                 register.clear()
+                write, read = register.write, self.store.read
+                # Elements are written in issue order; the execute unit
+                # sorts the deliveries by cycle when it chains.
                 deliveries: list[tuple[int, int]] = []
-                delivered_at = result.requests.delivery_cycles
-                # Elements land in delivery order (ties in issue order).
-                for position in sorted(
-                    range(len(member.stream)), key=delivered_at.__getitem__
+                for (element, address), delivered in zip(
+                    member.stream, result.requests.delivery_cycles
                 ):
-                    element, address = member.stream[position]
-                    register.write(element, self.store.read(address))
-                    deliveries.append(
-                        (delivered_at[position] + offset, element)
-                    )
+                    write(element, read(address))
+                    deliveries.append((delivered + offset, element))
                 register_ready[member.instruction.dst] = end
                 load_records[member.instruction.dst] = _LoadRecord(
                     conflict_free=result.conflict_free, deliveries=deliveries
                 )
             else:  # store / scatter: move register data into memory
-                source = self.registers.register(member.instruction.src)
-                for element, address in member.plan.request_stream():
-                    self.store.write(address, source.read(element))
+                read = self.registers.register(member.instruction.src).read
+                for element, address in member.stream:
+                    self.store.write(address, read(element))
             timings[member.position] = InstructionTiming(
                 member.position,
                 member.instruction.mnemonic,

@@ -19,6 +19,7 @@ are defined in exactly one place.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isnan
 
 from repro.core.gather import IndexedMode
 from repro.core.planner import PlanMode
@@ -243,7 +244,9 @@ class ProgramEngine:
                 errors.append(f"@{base} stride {stride}: {error}")
                 continue
             for index, (want, got) in enumerate(zip(values, actual)):
-                if abs(want - got) > VERIFY_TOLERANCE:
+                # A NaN matches only another NaN.
+                close = want == got or abs(want - got) <= VERIFY_TOLERANCE
+                if not (close or (isnan(want) and isnan(got))):
                     errors.append(
                         f"@{base + index * stride}: expected {want}, got {got}"
                     )

@@ -7,7 +7,10 @@ direct transcription of the legacy loops driving a per-module state
 machine (:class:`ReferenceModule`, kept here as the oracle) — over the
 seed workloads and over generated module sequences: every request's
 issue/arrival/start/finish/delivery cycle, every stall counter and
-every busy counter must match exactly.
+every busy counter must match exactly.  Each of those tests empties the
+kernel's loop memo first (``cycle_loop.cache_clear()``), so a memo hit
+never stands in for the loop under test; ``TestLoopMemo`` pins the memo
+itself.
 
 On top of that, property tests pin the degenerate geometry to the
 paper: ``ports = 1, streams = 1`` with a conflict-free access is
@@ -21,7 +24,7 @@ from collections import deque
 from dataclasses import fields, replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core.planner import AccessPlanner
@@ -29,7 +32,13 @@ from repro.core.vector import VectorAccess
 from repro.errors import ConfigurationError, SimulationError
 from repro.mappings.interleaved import LowOrderInterleaved
 from repro.memory.config import MemoryConfig
-from repro.memory.kernel import KernelStream, MemoryKernel
+from repro.memory.kernel import (
+    LOOP_MEMO_SIZE,
+    KernelStream,
+    MemoryKernel,
+    _conflict_free_timing,
+    cycle_loop,
+)
 from repro.memory.module import InFlightRequest, RequestRecords
 from repro.memory.system import MemorySystem
 
@@ -272,6 +281,7 @@ class TestSingleStreamEquivalence:
         config, mode, vectors = case
         for stream in plan_streams(config, mode, vectors):
             reference = reference_run(config, [(stream, frozenset())])
+            cycle_loop.cache_clear()
             result = MemorySystem(config).run_stream(stream)
             assert result.latency == reference["total_cycles"]
             assert result.issue_stall_cycles == reference["stalls"][0]
@@ -299,6 +309,7 @@ class TestMultiStreamEquivalence:
         config, mode, vectors = case
         streams = plan_streams(config, mode, vectors)
         reference = reference_run(config, [(s, frozenset()) for s in streams])
+        cycle_loop.cache_clear()
         result = MemoryKernel(config).run(streams)
         assert result.total_cycles == reference["total_cycles"]
         assert result.bus_busy_cycles == reference["bus_busy"]
@@ -322,6 +333,7 @@ class TestMultiPortEquivalence:
         reference = reference_run(
             config, [(s, frozenset()) for s in streams], ports=ports
         )
+        cycle_loop.cache_clear()
         result = MemoryKernel(replace(config, ports=ports)).run(streams)
         assert result.total_cycles == reference["total_cycles"]
         assert result.bus_busy_cycles == reference["bus_busy"]
@@ -362,7 +374,9 @@ class TestDegenerateGeometry:
         plan = AccessPlanner(MATCHED.mapping, 3).plan(
             VectorAccess(0, stride, length), mode="auto"
         )
+        cycle_loop.cache_clear()
         via_view = MemorySystem(MATCHED).run_plan(plan)
+        cycle_loop.cache_clear()
         run = MemoryKernel(MATCHED).run([plan.request_stream()])
         assert via_view.latency == run.total_cycles
         assert via_view.issue_stall_cycles == run.streams[0].issue_stall_cycles
@@ -439,8 +453,10 @@ class TestEventDrivenLoop:
         modules = [address % config.module_count for _e, address in stream]
         expected = reference_summary(config, stream)
         kernel = MemoryKernel(config)
+        cycle_loop.cache_clear()
         assert single_stream_summary(kernel.run([stream])) == expected
         with_modules = KernelStream.of("access", stream, modules=modules)
+        cycle_loop.cache_clear()
         assert single_stream_summary(kernel.run([with_modules])) == expected
 
     @settings(max_examples=60, deadline=None)
@@ -452,16 +468,27 @@ class TestEventDrivenLoop:
     def test_conflict_free_closed_form_equals_event_loop(
         self, t, rounds, data
     ):
-        from repro.memory.kernel import _conflict_free_timing
-
         service_time = 1 << t
         config = MemoryConfig.matched(t=t, s=4, input_capacity=2)
         # Repeating one permutation of T modules keeps every two
         # requests to a module exactly T positions apart.
         order = data.draw(st.permutations(range(service_time)))
-        modules = list(order) * rounds
-        loop = MemoryKernel(config)._cycle_loop([modules])
-        assert _conflict_free_timing(len(modules), service_time) == loop
+        modules = tuple(order) * rounds
+        cycle_loop.cache_clear()
+        loop = cycle_loop(
+            service_time,
+            config.module_count,
+            config.input_capacity,
+            config.output_capacity,
+            config.ports,
+            (modules,),
+        )
+        # The closed form returns lists and the loop tuples.
+        closed = tuple(
+            tuple(part) if isinstance(part, list) else part
+            for part in _conflict_free_timing(len(modules), service_time)
+        )
+        assert closed == loop
 
     @settings(max_examples=100, deadline=None)
     @given(kernel_cases(max_streams=3))
@@ -472,6 +499,7 @@ class TestEventDrivenLoop:
             [(stream, frozenset()) for stream in streams],
             ports=config.ports,
         )
+        cycle_loop.cache_clear()
         run = MemoryKernel(config).run(streams)
         assert run.total_cycles == reference["total_cycles"]
         assert run.bus_busy_cycles == reference["bus_busy"]
@@ -517,6 +545,7 @@ class TestEventDrivenLoop:
             [(stream, frozenset()) for stream in streams],
             ports=ports,
         )
+        cycle_loop.cache_clear()
         run = MemoryKernel(config).run(streams)
         assert run.total_cycles == reference["total_cycles"]
         for index, stream in enumerate(run.streams):
@@ -542,6 +571,65 @@ class TestEventDrivenLoop:
         assert result.wait_count > 0 and result.element_count == 32
         assert result.requests._records is None
         assert result.wait_count == sum(r.waited for r in result.requests)
+
+
+class TestLoopMemo:
+    """The bounded memo behind :func:`cycle_loop`: keyed by exactly what
+    the loop reads, so a hit equals a cold run field for field and a
+    change to any loop input misses."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_cases(max_streams=3), st.integers(min_value=1, max_value=64))
+    def test_hit_equals_cold_run(self, case, shift):
+        config, streams = case
+        size = config.module_count
+        # The same module sequences at other addresses: a memo hit.
+        moved = [
+            [(element, address + size * shift) for element, address in stream]
+            for stream in streams
+        ]
+        cycle_loop.cache_clear()
+        MemoryKernel(config).run(streams)
+        # One conflict-free stream takes the closed form, not the loop.
+        assume(cycle_loop.cache_info().misses == 1)
+        warm = MemoryKernel(config).run(moved)
+        assert cycle_loop.cache_info().hits == 1
+        cycle_loop.cache_clear()
+        assert warm == MemoryKernel(config).run(moved)
+
+    def test_every_loop_input_is_in_the_key(self):
+        config = MemoryConfig(LowOrderInterleaved(3, 16), 1)
+        stream = KernelStream.of(
+            "s0", [(element, 8 * element) for element in range(12)],
+            modules=[0] * 12,
+        )
+        variants = [
+            replace(config, t=2),
+            replace(config, input_capacity=2),
+            replace(config, output_capacity=2),
+            replace(config, ports=2),
+            MemoryConfig(LowOrderInterleaved(4, 16), 1),
+        ]
+        cycle_loop.cache_clear()
+        MemoryKernel(config).run([stream])
+        for variant in variants:
+            MemoryKernel(variant).run([stream])
+        assert cycle_loop.cache_info().hits == 0
+        assert cycle_loop.cache_info().misses == len(variants) + 1
+        MemoryKernel(config).run([stream])
+        assert cycle_loop.cache_info().hits == 1
+
+    def test_memo_is_bounded(self):
+        config = MemoryConfig(LowOrderInterleaved(3, 16), 1)
+        cycle_loop.cache_clear()
+        for length in range(2, 42):
+            # Every request on module 0: each run needs the loop.
+            MemoryKernel(config).run(
+                [[(element, 8 * element) for element in range(length)]]
+            )
+        info = cycle_loop.cache_info()
+        assert info.misses == 40
+        assert info.currsize == LOOP_MEMO_SIZE == 32
 
 
 class TestKernelValidation:

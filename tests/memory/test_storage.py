@@ -1,4 +1,9 @@
-"""Tests for the backing store (and, implicitly, mapping bijectivity)."""
+"""Tests for the backing store.
+
+The store keys words by reduced address; that every mapping is a
+bijection, which makes that key equivalent to ``(module, displacement)``,
+is checked in ``tests/mappings/test_bijection.py``.
+"""
 
 from __future__ import annotations
 
@@ -23,6 +28,16 @@ class TestReadWrite:
         store = MemoryStore(MatchedXorMapping(3, 4))
         with pytest.raises(SimulationError):
             store.read(42)
+
+    def test_uninitialised_read_names_module_and_displacement(self):
+        # The address is reported as given; module and displacement are
+        # those of its reduction (42 in a 12-bit space).
+        store = MemoryStore(MatchedXorMapping(3, 4, address_bits=12))
+        with pytest.raises(SimulationError) as caught:
+            store.read(4138)
+        assert str(caught.value) == (
+            "read of uninitialised address 4138 (module 0, displacement 5)"
+        )
 
     def test_overwrite(self):
         store = MemoryStore(MatchedXorMapping(3, 4))
@@ -51,8 +66,8 @@ class TestVectorHelpers:
 
 
 class TestBijectivityViaStorage:
-    """Two addresses colliding on a (module, displacement) cell would
-    corrupt data — exercised over dense ranges for every mapping kind."""
+    """Distinct addresses never share a word: dense ranges and random
+    address sets round-trip under each mapping kind."""
 
     @pytest.mark.parametrize(
         "mapping",
@@ -81,9 +96,3 @@ class TestBijectivityViaStorage:
         for address, value in reference.items():
             assert store.read(address) == value
 
-
-class TestOccupancy:
-    def test_balanced_occupancy_for_unit_stride(self):
-        store = MemoryStore(MatchedXorMapping(3, 4))
-        store.write_vector(0, 1, [0.0] * 128)
-        assert store.occupancy() == [16] * 8

@@ -3,6 +3,8 @@ timelines, memory runs, overlap accounting and correctness verdicts."""
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from repro.core.vector import VectorAccess
@@ -13,7 +15,7 @@ from repro.processor.engine import (
     ProgramEngine,
     single_load_program,
 )
-from repro.processor.isa import VAdd, VLoad
+from repro.processor.isa import VAdd, VLoad, VStore
 from repro.processor.program import Program
 from repro.processor.stripmine import daxpy_program, saxpy_chain_program
 
@@ -94,6 +96,24 @@ class TestCorrectness:
         missing = ((1 << 20, 1, (0.0,)),)
         run = ProgramEngine(matched_config(), 8).run(program, inputs, missing)
         assert run.outputs_correct is False
+
+    def test_nan_result_is_flagged(self):
+        program = Program([VLoad(1, 0, 1, 8), VStore(1, 100, 1, 8)])
+        inputs = ((0, 1, [math.nan] * 8),)
+        expected = ((100, 1, [1.0] * 8),)
+        run = ProgramEngine(matched_config(), 8).run(program, inputs, expected)
+        assert run.outputs_correct is False
+        assert run.output_errors == tuple(
+            f"@{100 + index}: expected 1.0, got nan" for index in range(8)
+        )
+
+    def test_matching_nans_and_infinities_pass(self):
+        values = [math.nan, math.inf, -math.inf, 1.0]
+        program = Program([VLoad(1, 0, 1, 4), VStore(1, 100, 1, 4)])
+        run = ProgramEngine(matched_config(), 4).run(
+            program, ((0, 1, values),), ((100, 1, values),)
+        )
+        assert run.outputs_correct is True
 
     def test_no_expectation_means_no_verdict(self):
         program, inputs, _ = daxpy_case(n=8, register_length=8)
