@@ -16,7 +16,7 @@ Run:  python examples/stride_survey.py
 
 from repro import AccessPlanner, VectorAccess
 from repro.mappings import LowOrderInterleaved
-from repro.memory import MemoryConfig, MemorySystem, summarise_population
+from repro.memory import MemoryConfig, MemorySystem
 from repro.report import render_table
 from repro.workloads import realistic_stride_population
 
@@ -98,11 +98,12 @@ def survey_realistic_mix(designs) -> None:
             )
             for item in population
         ]
-        summary = summarise_population(results, 8)
+        elements = sum(run.element_count for run in results)
+        issue_cycles = sum(run.latency - 8 - 1 for run in results)
+        conflict_free = sum(run.conflict_free for run in results)
         print(
-            f"  {name:24s} efficiency={summary.efficiency:.3f} "
-            f"conflict-free {summary.conflict_free_accesses}/"
-            f"{summary.accesses} accesses"
+            f"  {name:24s} efficiency={elements / issue_cycles:.3f} "
+            f"conflict-free {conflict_free}/{len(results)} accesses"
         )
 
 

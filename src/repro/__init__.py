@@ -78,8 +78,8 @@ Module map
   ``repro lab serve``: submit scenario specs/grids over HTTP, poll
   runs, fetch any cached result by config hash with strong ETags;
 * :mod:`repro.cli` — the ``repro`` command line
-  (``plan``/``window``/``experiments``/``survey``/``run``/
-  ``scenario``/``check``/``lab``).
+  (``plan``/``window``/``survey``/``run``/``scenario``/``check``/
+  ``lab``).
 """
 
 from repro.core import (

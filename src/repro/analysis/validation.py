@@ -2,10 +2,11 @@
 
 The Section 5-B efficiency model predicts that a family ``i`` beyond the
 window costs ``2**min(i, t)`` cycles per element in steady state.  These
-helpers run the cycle-accurate simulator on representative strides of
-each family and compare the measured steady-state cost to the model,
-giving the per-family rows of experiment E09 and the aggregate
-efficiency comparison.
+helpers simulate representative strides of each family on a machine-only
+design spec through :func:`repro.scenarios.simulate_access` (so a
+conflict-free family is answered in closed form) and compare the
+measured steady-state cost to the model, giving the per-family rows of
+experiment E16 and the aggregate efficiency comparison of E09.
 """
 
 from __future__ import annotations
@@ -13,10 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.analysis.efficiency import family_cycles_per_element
-from repro.core.planner import AccessPlanner, PlanMode
 from repro.core.vector import VectorAccess
-from repro.memory.metrics import cycles_per_element
-from repro.memory.system import MemorySystem
+from repro.scenarios import ScenarioSpec, simulate_access
 
 
 @dataclass(frozen=True)
@@ -35,26 +34,25 @@ class FamilyValidation:
 
 
 def validate_family(
-    planner: AccessPlanner,
-    system: MemorySystem,
+    design: ScenarioSpec,
     family: int,
     window_high: int,
     length: int,
     sigma: int = 1,
     base: int = 0,
-    mode: PlanMode = "auto",
+    mode: str = "auto",
 ) -> FamilyValidation:
     """Simulate one representative stride of ``family`` and compare.
 
-    The measured cost is the issue-span per element (start-up excluded),
-    which converges to the model value for ``length >> T``.
+    The measured cost is the issue span per element, ``(latency - T -
+    1) / L`` (start-up excluded), which converges to the model value for
+    ``length >> T``.
     """
     vector = VectorAccess(base, sigma * (1 << family), length)
-    plan = planner.plan(vector, mode=mode)
-    result = system.run_plan(plan)
-    measured = cycles_per_element(result, planner.service_ratio)
+    result = simulate_access(design, vector, mode)
+    measured = (result.latency - result.service_ratio - 1) / length
     model = float(
-        family_cycles_per_element(family, window_high, planner.t)
+        family_cycles_per_element(family, window_high, design.memory.t)
     )
     return FamilyValidation(
         family=family,
@@ -65,18 +63,15 @@ def validate_family(
 
 
 def validate_families(
-    planner: AccessPlanner,
-    system: MemorySystem,
+    design: ScenarioSpec,
     window_high: int,
     length: int,
     max_family: int,
-    mode: PlanMode = "auto",
+    mode: str = "auto",
 ) -> list[FamilyValidation]:
     """Validate every family ``0..max_family``."""
     return [
-        validate_family(
-            planner, system, family, window_high, length, mode=mode
-        )
+        validate_family(design, family, window_high, length, mode=mode)
         for family in range(max_family + 1)
     ]
 

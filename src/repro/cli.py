@@ -5,7 +5,6 @@ Usage (also via ``python -m repro``)::
     repro plan --t 3 --s 4 --base 16 --stride 12 --length 128 --timeline
     repro plan --t 3 --s 4 --y 9 --stride 96 --length 128
     repro window --lam 7 --t 3 --unmatched
-    repro experiments --ids E01,E03
     repro survey --t 3 --s 4 --max-stride 32
     repro scenario run examples/scenario_matched_stride12.json
     repro scenario run examples/scenario_daxpy_program.json
@@ -39,18 +38,22 @@ from typing import Sequence
 
 from repro.analysis.efficiency import efficiency
 from repro.analysis.fractions import conflict_free_fraction
-from repro.core.planner import AccessPlanner
 from repro.core.vector import VectorAccess
 from repro.core.windows import (
     MatchedDesign,
     UnmatchedDesign,
 )
 from repro.errors import ReproError
-from repro.memory.config import MemoryConfig
-from repro.memory.system import MemorySystem
 from repro.memory.trace import describe_result, render_timeline
-from repro.report.experiments import ALL_EXPERIMENTS
 from repro.report.tables import render_table
+from repro.scenarios import (
+    ComponentSpec,
+    MemorySpec,
+    ScenarioSpec,
+    build_machine,
+    simulate_access,
+)
+from repro.scenarios.facade import build_config
 
 
 def package_version() -> str:
@@ -72,6 +75,17 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value
+
+
+def _memory_vector(text: str) -> tuple[int, int, int]:
+    """``BASE:STRIDE:COUNT`` as three integers."""
+    try:
+        base, stride, count = (int(part) for part in text.split(":"))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected BASE:STRIDE:COUNT (three integers), got {text!r}"
+        ) from None
+    return base, stride, count
 
 
 def _add_backend_options(parser: argparse.ArgumentParser) -> None:
@@ -166,14 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     window.add_argument("--t", type=int, default=3)
     window.add_argument(
         "--unmatched", action="store_true", help="use the M = T**2 design"
-    )
-
-    experiments = commands.add_parser(
-        "experiments", help="run paper-reproduction experiments"
-    )
-    experiments.add_argument(
-        "--ids", default="",
-        help="comma-separated experiment ids (default: all)",
     )
 
     survey = commands.add_parser(
@@ -530,6 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--chaining", action="store_true")
     run.add_argument(
         "--dump",
+        type=_memory_vector,
         default=None,
         metavar="BASE:STRIDE:COUNT",
         help="print a memory vector after the run",
@@ -538,21 +545,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _build_config(t: int, s: int, y: int | None, q: int = 1, qp: int = 1):
+def _design(
+    t: int, s: int, y: int | None, q: int = 1, qp: int = 1
+) -> ScenarioSpec:
+    """The machine-only spec of the matched (Eq. 1) design, or of the
+    unmatched (Eq. 2) one when ``y`` is given."""
     if y is None:
-        return MemoryConfig.matched(t=t, s=s, input_capacity=q, output_capacity=qp)
-    return MemoryConfig.unmatched(
-        t=t, s=s, y=y, input_capacity=q, output_capacity=qp
-    )
+        mapping = ComponentSpec.of("matched-xor", t=t, s=s)
+    else:
+        mapping = ComponentSpec.of("section-xor", t=t, s=s, y=y)
+    return ScenarioSpec(mapping=mapping, memory=MemorySpec(t=t, q=q, qp=qp))
 
 
 def command_plan(args: argparse.Namespace) -> int:
-    config = _build_config(args.t, args.s, args.y, args.q, args.qp)
-    planner = AccessPlanner(config.mapping, config.t)
-    system = MemorySystem(config)
+    config, planner, system = build_machine(
+        _design(args.t, args.s, args.y, args.q, args.qp)
+    )
     vector = VectorAccess(args.base, args.stride, args.length)
 
     plan = planner.plan(vector, mode=args.mode)
+    # The kernel directly, not simulate(): --timeline draws each
+    # request's timing record, which a ScenarioResult does not carry.
     result = system.run_plan(plan)
     print(f"memory:  {config.describe()}")
     print(f"access:  {vector} (family x={vector.family}, sigma={vector.sigma})")
@@ -586,48 +599,19 @@ def command_window(args: argparse.Namespace) -> int:
     return 0
 
 
-def command_experiments(args: argparse.Namespace) -> int:
-    wanted = (
-        [item.strip().upper() for item in args.ids.split(",") if item.strip()]
-        if args.ids
-        else sorted(ALL_EXPERIMENTS)
-    )
-    unknown = [name for name in wanted if name not in ALL_EXPERIMENTS]
-    if unknown:
-        print(f"unknown experiment ids: {', '.join(unknown)}", file=sys.stderr)
-        return 2
-    failures = 0
-    for experiment_id in wanted:
-        result = ALL_EXPERIMENTS[experiment_id]()
-        print(f"== {experiment_id}: {result.title}")
-        print(render_table(result.headers, result.rows))
-        for check in result.checks:
-            status = "ok " if check.passed else "FAIL"
-            print(f"[{status}] {check.claim}")
-            if not check.passed:
-                failures += 1
-        print()
-    if failures:
-        print(f"{failures} checks FAILED", file=sys.stderr)
-        return 1
-    return 0
-
-
 def command_survey(args: argparse.Namespace) -> int:
-    config = _build_config(args.t, args.s, args.y)
-    planner = AccessPlanner(config.mapping, config.t)
-    system = MemorySystem(config)
+    design = _design(args.t, args.s, args.y)
+    config = build_config(design)
     minimum = config.service_ratio + args.length + 1
     rows = []
     for stride in range(1, args.max_stride + 1):
         vector = VectorAccess(0, stride, args.length)
-        plan = planner.plan(vector, mode="auto")
-        result = system.run_plan(plan)
+        result = simulate_access(design, vector)
         rows.append(
             [
                 stride,
                 vector.family,
-                plan.scheme,
+                result.schemes[0],
                 result.latency,
                 result.conflict_free,
             ]
@@ -1384,7 +1368,13 @@ def command_run(args: argparse.Namespace) -> int:
     from repro.processor.decoupled import DecoupledVectorMachine
     from repro.processor.program import parse_source
 
-    config = _build_config(args.t, args.s, args.y, q=2)
+    path = Path(args.file)
+    if not path.is_file():
+        print(f"no such program file: {args.file}", file=sys.stderr)
+        return 2
+    config = build_config(_design(args.t, args.s, args.y, q=2))
+    # The machine directly, not simulate(): --dump reads its store
+    # after the run.
     machine = DecoupledVectorMachine(
         config,
         register_length=args.register_length,
@@ -1392,7 +1382,7 @@ def command_run(args: argparse.Namespace) -> int:
     )
     # Same parser the 'instructions'/'asm' scenario program kinds use:
     # .init/.fill directives preload memory, the rest is the program.
-    program, inits = parse_source(Path(args.file).read_text())
+    program, inits = parse_source(path.read_text())
     for base, stride, values in inits:
         machine.store.write_vector(base, stride, values)
     result = machine.run(program)
@@ -1409,7 +1399,7 @@ def command_run(args: argparse.Namespace) -> int:
             f"{timing.unit:7s} {timing.mnemonic:8s} {timing.mode}"
         )
     if args.dump:
-        base, stride, count = (int(part) for part in args.dump.split(":"))
+        base, stride, count = args.dump
         values = machine.store.read_vector(base, stride, count)
         print(f"dump @{base} stride {stride}: {values}")
     return 0
@@ -1421,7 +1411,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     handlers = {
         "plan": command_plan,
         "window": command_window,
-        "experiments": command_experiments,
         "survey": command_survey,
         "run": command_run,
         "lab": command_lab,

@@ -52,8 +52,9 @@ PlanMode = Literal["auto", "ordered", "subsequence", "conflict_free"]
 #: Set to ``0``/``off``/``false``/``no`` to disable the process-wide
 #: plan cache (every ``plan()`` call then recomputes from scratch).
 PLAN_CACHE_ENV = "REPRO_PLAN_CACHE"
-#: Override the cache capacity (entries); read once at import.
-PLAN_CACHE_SIZE_ENV = "REPRO_PLAN_CACHE_SIZE"
+#: Entries the shared plan cache holds before evicting the least
+#: recently used plan.
+PLAN_CACHE_CAPACITY = 4096
 
 _DISABLED_VALUES = frozenset({"0", "off", "false", "no"})
 
@@ -79,7 +80,7 @@ class PlanCache:
     axes all re-plan identical vectors.
     """
 
-    def __init__(self, capacity: int = 4096):
+    def __init__(self, capacity: int = PLAN_CACHE_CAPACITY):
         if capacity < 1:
             raise ConfigurationError(
                 f"plan cache capacity must be >= 1, got {capacity}"
@@ -124,16 +125,8 @@ class PlanCache:
             }
 
 
-def _default_capacity() -> int:
-    try:
-        value = int(os.environ.get(PLAN_CACHE_SIZE_ENV, "4096"))
-    except ValueError:
-        return 4096
-    return value if value >= 1 else 4096
-
-
 #: The process-wide cache every :class:`AccessPlanner` shares.
-_PLAN_CACHE = PlanCache(_default_capacity())
+_PLAN_CACHE = PlanCache(PLAN_CACHE_CAPACITY)
 
 
 def plan_cache_stats() -> dict[str, int]:

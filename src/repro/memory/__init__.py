@@ -17,8 +17,10 @@ Module map
   record and :class:`RequestRecords`, the lazily built sequence of them
   every run returns.
 * :mod:`repro.memory.storage` — the word-addressable backing store.
-* :mod:`repro.memory.metrics`, :mod:`repro.memory.trace` — derived
-  metrics and Gantt rendering.
+* :mod:`repro.memory.trace` — result summaries and Gantt rendering.
+
+Derived metrics (efficiency, excess latency...) are properties of
+:class:`repro.scenarios.ScenarioResult`.
 """
 
 from repro.memory.config import MemoryConfig
@@ -27,14 +29,6 @@ from repro.memory.kernel import (
     KernelStream,
     MemoryKernel,
     StreamRun,
-)
-from repro.memory.metrics import (
-    PopulationSummary,
-    access_efficiency,
-    cycles_per_element,
-    module_load_balance,
-    streaming_efficiency,
-    summarise_population,
 )
 from repro.memory.module import InFlightRequest, RequestRecords
 from repro.memory.storage import MemoryStore
@@ -51,13 +45,7 @@ __all__ = [
     "MemoryStore",
     "MemorySystem",
     "StreamRun",
-    "PopulationSummary",
     "RequestRecords",
-    "access_efficiency",
-    "cycles_per_element",
     "describe_result",
-    "module_load_balance",
     "render_timeline",
-    "streaming_efficiency",
-    "summarise_population",
 ]

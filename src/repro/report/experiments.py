@@ -6,18 +6,23 @@ carrying the table rows plus explicit paper-vs-measured checks.  The
 ``benchmarks/`` suite wraps these in pytest-benchmark targets, and
 ``benchmarks/run_all.py`` renders them into EXPERIMENTS.md.
 
-Machines are constructed through :mod:`repro.scenarios` specs (see
-:func:`_spec_machine`), so every experiment's memory + mapping
-combination is one declarative, serializable design point — the same
-currency ``repro scenario run`` and the lab's parameterised jobs use.
-The runners accept keyword parameters (lambda/t/s/y...) which
+Each experiment's machine is a machine-only
+:class:`~repro.scenarios.ScenarioSpec` (see :func:`_design`).  Runners
+measure through :func:`~repro.scenarios.simulate`: per access with
+:func:`~repro.scenarios.simulate_access` (E03, E04, E07, E12), per
+family through the Section 5-B validation helpers (E09, E16), and as a
+program spec under the decoupled drive (E14).  Facts internal to a plan
+(layouts, subsequences, an ordered plan's verdict, the Figure 6 stream)
+come from the planner of :func:`~repro.scenarios.build_machine`; only
+E10 drives the kernel directly (its docstring says why).  The runners
+accept keyword parameters (lambda/t/s/y...) which
 ``repro.lab.experiment_spec`` exposes as hashed job params for
 sweep-style grids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable
 
@@ -51,38 +56,29 @@ from repro.processor.chaining import (
     chained_pair_latency,
     decoupled_pair_latency,
 )
-from repro.processor.decoupled import DecoupledVectorMachine
-from repro.processor.isa import VAdd, VLoad
-from repro.processor.program import Program
 from repro.scenarios import (
     ComponentSpec,
     MemorySpec,
     ScenarioSpec,
     build_machine,
+    resolve_mapping,
+    simulate,
+    simulate_access,
 )
 
 
-def _spec_machine(
+def _design(
     t: int,
     mapping_kind: str,
     mapping_params: dict,
     q: int = 1,
     qp: int = 1,
-):
-    """``(MemoryConfig, AccessPlanner, MemorySystem)`` from a spec.
-
-    The single machine-construction path of every experiment: the
-    combination is first expressed as a declarative
-    :class:`~repro.scenarios.ScenarioSpec` and then materialised by the
-    scenarios facade, so each experiment's design point is available as
-    serializable data (and produces bit-identical machines to the old
-    hand wiring).
-    """
-    spec = ScenarioSpec(
+) -> ScenarioSpec:
+    """The machine-only spec of one experiment's design point."""
+    return ScenarioSpec(
         mapping=ComponentSpec.of(mapping_kind, **mapping_params),
         memory=MemorySpec(t=t, q=q, qp=qp),
     )
-    return build_machine(spec)
 
 
 @dataclass(frozen=True)
@@ -143,8 +139,7 @@ FIGURE3_ROWS = [
 
 def run_e01() -> ExperimentResult:
     """Regenerate the Figure 3 address layout (m=t=3, s=3)."""
-    config, _planner, _system = _spec_machine(3, "matched-xor", {"t": 3, "s": 3})
-    mapping = config.mapping
+    mapping = resolve_mapping(_design(3, "matched-xor", {"t": 3, "s": 3}))
     result = ExperimentResult(
         "E01",
         "Figure 3: XOR mapping layout, m=t=3, s=3",
@@ -170,8 +165,8 @@ PAPER_SUBSEQ_MODULES = [(2, 5, 0, 3, 6, 1, 4, 7), (7, 2, 5, 0, 3, 6, 1, 4)]
 
 def run_e02() -> ExperimentResult:
     """Stride 12, A1=16, L=64 on the Figure 3 mapping (Section 3)."""
-    config, e02_planner, _system = _spec_machine(
-        3, "matched-xor", {"t": 3, "s": 3}
+    config, e02_planner, _system = build_machine(
+        _design(3, "matched-xor", {"t": 3, "s": 3})
     )
     mapping = config.mapping
     vector = VectorAccess(16, 12, 64)
@@ -217,7 +212,8 @@ def run_e03(
     bases: tuple[int, ...] = (0, 1, 16, 777),
 ) -> ExperimentResult:
     """Latency per stride family, matched memory L=128, M=T=8, s=4."""
-    config, planner, system = _spec_machine(t, "matched-xor", {"t": t, "s": s})
+    design = _design(t, "matched-xor", {"t": t, "s": s})
+    config, planner, _system = build_machine(design)
     length = 1 << lambda_exponent
     minimum = config.service_ratio + length + 1
 
@@ -243,9 +239,8 @@ def run_e03(
         for sigma in sigmas:
             for base in bases:
                 vector = VectorAccess(base, sigma * (1 << family), length)
-                plan = planner.plan(vector, mode="auto")
-                scheme = plan.scheme
-                run = system.run_plan(plan)
+                run = simulate_access(design, vector)
+                scheme = run.schemes[0]
                 worst = max(worst, run.latency)
                 all_cf = all_cf and run.conflict_free
                 ordered_plan = planner.plan(vector, mode="ordered")
@@ -279,11 +274,9 @@ def run_e04(
     lambda_exponent: int = 7, t: int = 3, s: int = 4
 ) -> ExperimentResult:
     """Subsequence-only ordering with q=2, q'=1: latency <= 2T + L."""
-    config, planner, system = _spec_machine(
-        t, "matched-xor", {"t": t, "s": s}, q=2, qp=1
-    )
+    design = _design(t, "matched-xor", {"t": t, "s": s}, q=2, qp=1)
     length = 1 << lambda_exponent
-    service = config.service_ratio
+    service = 1 << t
     bound = 2 * service + length
 
     result = ExperimentResult(
@@ -297,8 +290,7 @@ def run_e04(
         for sigma in (1, 3, 7):
             for base in (0, 5, 100, 12345):
                 vector = VectorAccess(base, sigma * (1 << family), length)
-                plan = planner.plan(vector, mode="subsequence")
-                run = system.run_plan(plan)
+                run = simulate_access(design, vector, "subsequence")
                 excess = run.latency - (service + length + 1)
                 worst_excess = max(worst_excess, excess)
                 if base == 0 and sigma in (1, 3):
@@ -327,10 +319,9 @@ PAPER_E06_SUBSEQ = [(0, 12, 8, 4), (4, 0, 12, 8)]
 
 def run_e05() -> ExperimentResult:
     """Figure 7 mapping table and both Section 4.1 worked examples."""
-    config, _planner, _system = _spec_machine(
-        2, "section-xor", {"t": 2, "s": 3, "y": 7}
+    mapping = resolve_mapping(
+        _design(2, "section-xor", {"t": 2, "s": 3, "y": 7})
     )
-    mapping = config.mapping
     result = ExperimentResult(
         "E05",
         "Figure 7: section mapping t=2, m=4, s=3, y=7 + Section 4.1 examples",
@@ -397,11 +388,9 @@ def run_e07(
     y: int = 9,
 ) -> ExperimentResult:
     """Unmatched memory L=128, T=8, M=64: conflict-free families 0..9."""
-    config, planner, system = _spec_machine(
-        t, "section-xor", {"t": t, "s": s, "y": y}
-    )
+    design = _design(t, "section-xor", {"t": t, "s": s, "y": y})
     length = 1 << lambda_exponent
-    minimum = config.service_ratio + length + 1
+    minimum = (1 << t) + length + 1
 
     result = ExperimentResult(
         "E07",
@@ -417,9 +406,8 @@ def run_e07(
         for sigma in (1, 3, 5):
             for base in (0, 6, 777, 54321):
                 vector = VectorAccess(base, sigma * (1 << family), length)
-                plan = planner.plan(vector, mode="auto")
-                scheme = plan.scheme
-                run = system.run_plan(plan)
+                run = simulate_access(design, vector)
+                scheme = run.schemes[0]
                 worst = max(worst, run.latency)
                 all_cf = all_cf and run.conflict_free
         result.rows.append([family, scheme, worst, minimum, all_cf])
@@ -453,9 +441,11 @@ def run_e08(samples: int = 1500) -> ExperimentResult:
     matched_f = matched_design_fraction(7, 3)
     unmatched_f = unmatched_design_fraction(7, 3)
 
-    _, matched_planner, _ = _spec_machine(3, "matched-xor", {"t": 3, "s": 4})
-    _, unmatched_planner, _ = _spec_machine(
-        3, "section-xor", {"t": 3, "s": 4, "y": 9}
+    _, matched_planner, _ = build_machine(
+        _design(3, "matched-xor", {"t": 3, "s": 4})
+    )
+    _, unmatched_planner, _ = build_machine(
+        _design(3, "section-xor", {"t": 3, "s": 4, "y": 9})
     )
     matched_mc = monte_carlo_fraction(matched_planner, 128, samples=samples)
     unmatched_mc = monte_carlo_fraction(unmatched_planner, 128, samples=samples)
@@ -527,11 +517,12 @@ def run_e09(length: int = 128) -> ExperimentResult:
     ]
 
     for name, window, (mapping_kind, mapping_params), mode, model in schemes:
-        _, planner, system = _spec_machine(
-            t, mapping_kind, mapping_params, q=8, qp=8
-        )
         validations = validate_families(
-            planner, system, window, length, max_family=window + t + 1, mode=mode
+            _design(t, mapping_kind, mapping_params, q=8, qp=8),
+            window,
+            length,
+            max_family=window + t + 1,
+            mode=mode,
         )
         measured = weighted_measured_efficiency(validations, t, window)
         result.rows.append([name, window, float(model), measured])
@@ -572,11 +563,11 @@ def run_e09(length: int = 128) -> ExperimentResult:
 def run_e16(length: int = 512) -> ExperimentResult:
     """Per-family steady-state cost: model 2**min(i,t) vs simulation."""
     t, s = 3, 4
-    _, planner, system = _spec_machine(
-        t, "matched-xor", {"t": t, "s": s}, q=8, qp=8
-    )
     validations = validate_families(
-        planner, system, window_high=s, length=length, max_family=s + t + 2
+        _design(t, "matched-xor", {"t": t, "s": s}, q=8, qp=8),
+        window_high=s,
+        length=length,
+        max_family=s + t + 2,
     )
     result = ExperimentResult(
         "E16",
@@ -606,9 +597,16 @@ def run_e16(length: int = 512) -> ExperimentResult:
 
 
 def run_e10(t: int = 3, s: int = 4) -> ExperimentResult:
-    """Short vectors: composite (OOO prefix + ordered tail) vs all-ordered."""
-    config, planner, system = _spec_machine(
-        t, "matched-xor", {"t": t, "s": s}, q=4, qp=4
+    """Short vectors: composite (OOO prefix + ordered tail) vs all-ordered.
+
+    The one runner that drives the memory kernel directly: its composite
+    access (a reordered prefix followed by an ordered tail) is a single
+    request stream that no planner mode produces, so no spec expresses
+    it.  The all-ordered baseline runs on the same kernel for a
+    like-for-like comparison.
+    """
+    config, planner, system = build_machine(
+        _design(t, "matched-xor", {"t": t, "s": s}, q=4, qp=4)
     )
 
     result = ExperimentResult(
@@ -630,6 +628,7 @@ def run_e10(t: int = 3, s: int = 4) -> ExperimentResult:
         vector = VectorAccess(7, 3 * (1 << family), length)
         composite = plan_short_vector(planner, vector)
         ordered = planner.plan(vector, mode="ordered")
+        # Kernel runs: no planner mode yields the composite stream.
         composite_run = system.run_stream(composite.request_stream())
         ordered_run = system.run_plan(ordered)
         minimum = config.service_ratio + length + 1
@@ -725,22 +724,15 @@ def run_e12(lambda_exponent: int = 7, t: int = 3, s: int = 4) -> ExperimentResul
         ],
         [],
     )
-    _, planner, system_q1 = _spec_machine(
-        t, "matched-xor", {"t": t, "s": s}, q=1, qp=1
-    )
-    _, _, system_q2 = _spec_machine(
-        t, "matched-xor", {"t": t, "s": s}, q=2, qp=1
-    )
+    design_q1 = _design(t, "matched-xor", {"t": t, "s": s}, q=1, qp=1)
+    design_q2 = _design(t, "matched-xor", {"t": t, "s": s}, q=2, qp=1)
 
     for family in range(s + 1):
         vector = VectorAccess(16, 3 * (1 << family), length)
-        canonical = planner.plan(vector, mode="ordered")
-        subsequence = planner.plan(vector, mode="subsequence")
-        conflict_free = planner.plan(vector, mode="conflict_free")
-        lat_canon_q1 = system_q1.run_plan(canonical).latency
-        lat_canon_q2 = system_q2.run_plan(canonical).latency
-        lat_subseq = system_q2.run_plan(subsequence).latency
-        run_cf = system_q1.run_plan(conflict_free)
+        lat_canon_q1 = simulate_access(design_q1, vector, "ordered").latency
+        lat_canon_q2 = simulate_access(design_q2, vector, "ordered").latency
+        lat_subseq = simulate_access(design_q2, vector, "subsequence").latency
+        run_cf = simulate_access(design_q1, vector, "conflict_free")
         result.rows.append(
             [
                 family,
@@ -819,47 +811,48 @@ def run_e14(lambda_exponent: int = 7, t: int = 3, s: int = 4) -> ExperimentResul
         [],
     )
 
-    config, _planner, _system = _spec_machine(t, "matched-xor", {"t": t, "s": s})
-
-    def build_e14_machine(chaining: bool) -> DecoupledVectorMachine:
-        machine = DecoupledVectorMachine(
-            config,
-            register_length=length,
-            execute_startup=startup,
-            chaining=chaining,
-        )
-        machine.store.write_vector(0, 3, [float(i) for i in range(length)])
-        machine.store.write_vector(65536, 1, [2.0] * length)
-        return machine
-
-    program = Program(
+    ramp = ";".join(str(i) for i in range(length))
+    source = "\n".join(
         [
-            VLoad(1, 65536, 1),  # operand already loaded before the chain
-            VLoad(2, 0, 3),  # the conflict-free strided load
-            VAdd(3, 2, 1),  # chains on V2
+            f".init base=0, stride=3, values={ramp}",
+            f".fill base=65536, stride=1, count={length}, value=2.0",
+            # operand already loaded before the chain
+            "vload v1, base=65536, stride=1",
+            "vload v2, base=0, stride=3",  # the conflict-free strided load
+            "vadd v3, v2, v1",  # chains on V2
         ]
+    )
+    spec = replace(
+        _design(t, "matched-xor", {"t": t, "s": s}),
+        program=ComponentSpec.of("asm", text=source),
     )
 
     for chaining in (False, True):
-        machine = build_e14_machine(chaining)
-        run = machine.run(program)
+        drive = ComponentSpec.of(
+            "decoupled",
+            chaining=chaining,
+            execute_startup=startup,
+            register_length=length,
+        )
+        run = simulate(replace(spec, drive=drive)).to_dict()
+        total_cycles = run["extras"]["total_cycles"]
         pair_model = (
             chained_pair_latency(length, 1 << t, startup)
             if chaining
             else decoupled_pair_latency(length, 1 << t, startup)
         )
-        first_load = run.timings[0].duration
+        first_load = run["timeline"][0]["duration"]
         result.rows.append(
             [
                 "chained" if chaining else "decoupled",
-                run.total_cycles,
+                total_cycles,
                 first_load + pair_model,
             ]
         )
         result.check(
             f"{'chained' if chaining else 'decoupled'} total matches model",
             first_load + pair_model,
-            run.total_cycles,
+            total_cycles,
         )
     decoupled_total = result.rows[0][1]
     chained_total = result.rows[1][1]
@@ -874,7 +867,7 @@ def run_e14(lambda_exponent: int = 7, t: int = 3, s: int = 4) -> ExperimentResul
 
 def run_e15(lambda_exponent: int = 7, t: int = 3, s: int = 4) -> ExperimentResult:
     """Figure 6 engine == abstract conflict-free plan, with budgets."""
-    _, planner, _ = _spec_machine(t, "matched-xor", {"t": t, "s": s})
+    _, planner, _ = build_machine(_design(t, "matched-xor", {"t": t, "s": s}))
     result = ExperimentResult(
         "E15",
         "Figures 4-6: hardware models reproduce the abstract streams",

@@ -25,8 +25,8 @@ Modules:
 * :mod:`repro.scenarios.registry` — kind -> factory tables per layer;
 * :mod:`repro.scenarios.components` — the registered factories
   (mappings, workloads, drive modes);
-* :mod:`repro.scenarios.facade` — ``build_machine``/``simulate`` and the
-  normalised ``ScenarioResult``;
+* :mod:`repro.scenarios.facade` — ``simulate``/``simulate_access``/
+  ``build_machine`` and the normalised ``ScenarioResult``;
 * :mod:`repro.scenarios.grid` — ``ScenarioGrid`` parameter sweeps over
   spec fields.
 
@@ -49,6 +49,7 @@ from repro.scenarios.facade import (
     build_workload,
     resolve_mapping,
     simulate,
+    simulate_access,
     simulate_grid,
 )
 from repro.scenarios.grid import ScenarioGrid, load_grid, load_scenarios
@@ -102,6 +103,7 @@ __all__ = [
     "render_scenario_diff",
     "resolve_mapping",
     "simulate",
+    "simulate_access",
     "simulate_grid",
     "summary",
     "validate_kind",

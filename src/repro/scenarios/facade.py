@@ -1,15 +1,17 @@
 """The scenario facade: spec in, normalised metrics out.
 
-Two entry points:
+Entry points:
 
-* :func:`build_machine` — spec to live ``(MemoryConfig, AccessPlanner,
-  MemorySystem)``, the wiring every experiment runner used to do by
-  hand;
 * :func:`simulate` — build the machine, generate the workload (or the
-  program), drive the memory, and normalise the metrics every caller
-  previously extracted ad hoc (latency, stalls, conflict-freedom,
-  efficiency, per-module utilisation) into one JSON-safe
-  :class:`ScenarioResult`.
+  program), drive the memory, and normalise the metrics (latency,
+  stalls, conflict-freedom, efficiency, per-module utilisation) into
+  one JSON-safe :class:`ScenarioResult`;
+* :func:`simulate_access` — :func:`simulate` for one strided access on
+  a machine-only spec, the way the paper's tables, ``repro survey`` and
+  the Section 5-B validation measure an access;
+* :func:`build_machine` — spec to live ``(MemoryConfig, AccessPlanner,
+  MemorySystem)``, for callers that need the planner's own facts or a
+  request's timing record rather than a measured result.
 
 Under the planner drive, a workload whose every access is strided and
 conflict-free is answered in closed form — ``T + L + 1`` cycles per
@@ -32,10 +34,11 @@ any simulation starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.core.gather import IndexedAccess, plan_indexed
 from repro.core.planner import AccessPlanner, cf_order_feasible
+from repro.core.vector import VectorAccess
 from repro.errors import ConfigurationError
 from repro.mappings.base import AddressMapping
 from repro.mappings.dynamic import DynamicSchemeSelector
@@ -51,7 +54,7 @@ from repro.scenarios.components import (
     Workload,
 )
 from repro.scenarios.registry import DRIVE, MAPPING, PROGRAM, WORKLOAD, build
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.spec import ComponentSpec, ScenarioSpec
 
 __unused = _components  # imported for its registration side effect
 
@@ -254,8 +257,10 @@ def build_machine(
     """Materialise the machine layer of a spec.
 
     Returns the memory configuration, the access planner and the
-    cycle-accurate memory system — identical objects to what the
-    hand-wired constructors produce, so results are bit-for-bit equal.
+    cycle-accurate memory system.  :func:`simulate` measures through
+    it; other callers use it for what a :class:`ScenarioResult` does
+    not carry (a plan's layout or subsequences, per-request timing
+    records, a composite request stream no planner mode produces).
     """
     config = build_config(spec, workload)
     planner = AccessPlanner(config.mapping, config.t)
@@ -297,6 +302,29 @@ def simulate(spec: ScenarioSpec, tracer=None) -> ScenarioResult:
         return _simulate_decoupled(spec, workload, config, drive, tracer)
     raise ConfigurationError(  # pragma: no cover - registry emits the three
         f"drive kind {spec.drive.kind!r} returned an unknown descriptor"
+    )
+
+
+def simulate_access(
+    design: ScenarioSpec, vector: VectorAccess, mode: str = "auto"
+) -> ScenarioResult:
+    """Simulate one strided access on the machine-only spec ``design``.
+
+    ``vector`` becomes a ``strided`` workload and ``mode`` a ``planner``
+    drive, so a conflict-free access on a memory that honours the
+    ``T + L + 1`` bound is answered in closed form.
+    """
+    return simulate(
+        replace(
+            design,
+            workload=ComponentSpec.of(
+                "strided",
+                base=vector.base,
+                stride=vector.stride,
+                length=vector.length,
+            ),
+            drive=ComponentSpec.of("planner", mode=mode),
+        )
     )
 
 

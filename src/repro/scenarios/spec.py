@@ -231,8 +231,9 @@ DEFAULT_DRIVE = ComponentSpec("planner", (("mode", "auto"),))
 class ScenarioSpec:
     """One machine + workload design point, as pure data.
 
-    ``workload`` may be None for machine-only specs (the experiment
-    runners build a machine once and drive it with many vectors);
+    ``workload`` may be None for machine-only specs (a design point
+    the experiment runners and the CLI measure many vectors on, each
+    through :func:`repro.scenarios.facade.simulate_access`);
     :func:`repro.scenarios.facade.simulate` requires a ``workload`` or a
     ``program``.  ``program`` names a whole vector program (an inline
     instruction list, assembler text, or a registered strip-mined

@@ -1,9 +1,9 @@
 """CLI tests for `repro lab ...`, `--version`, and failure exit codes.
 
 The CLI docstring promises a non-zero exit status whenever an
-experiment check fails; these tests pin that contract for both
-`repro experiments` and `repro lab run` by swapping in a deliberately
-failing runner.
+experiment check fails; these tests pin that contract for `repro lab
+run`, the command that runs the paper's experiments, by swapping in a
+deliberately failing runner.
 """
 
 from __future__ import annotations
@@ -33,16 +33,6 @@ class TestVersionFlag:
 
         assert package_version() in (repro.__version__, package_version())
         assert package_version()
-
-
-class TestExperimentsExitCodes:
-    def test_failing_check_exits_nonzero(self, monkeypatch, capsys):
-        monkeypatch.setitem(ALL_EXPERIMENTS, "E01", failing_e01)
-        exit_code = main(["experiments", "--ids", "E01"])
-        captured = capsys.readouterr()
-        assert exit_code == 1
-        assert "FAIL" in captured.out
-        assert "1 checks FAILED" in captured.err
 
 
 class TestLabRun:

@@ -2,8 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 from pathlib import Path
+
+#: SHA-256 of the EXPERIMENTS.md every runner regenerates.  The tables
+#: are deterministic (seeded Monte Carlo, integer cycle counts), so any
+#: change to a runner, the closed form, the planner or the kernel that
+#: moves one published number changes this digest.
+EXPERIMENTS_SHA256 = (
+    "af5ff393249c3b64f6b9abbd35ddb26896022512279cba3d90df3e70957c26bc"
+)
 
 
 def load_run_all():
@@ -23,6 +32,10 @@ class TestRunAll:
         exit_code = run_all.main(str(target), lab_root=lab_root)
         assert exit_code == 0
         text = target.read_text()
+        assert (
+            hashlib.sha256(target.read_bytes()).hexdigest()
+            == EXPERIMENTS_SHA256
+        )
         # One section per experiment, every check passing.
         for experiment_id in ("E01", "E07", "E09", "E15"):
             assert f"## {experiment_id}" in text

@@ -58,21 +58,6 @@ class TestWindow:
         assert "1023/1024" in output
 
 
-class TestExperiments:
-    def test_single_experiment(self, capsys):
-        exit_code = main(["experiments", "--ids", "E01"])
-        output = capsys.readouterr().out
-        assert exit_code == 0
-        assert "Figure 3" in output
-        assert "[ok ]" in output
-
-    def test_unknown_id(self, capsys):
-        exit_code = main(["experiments", "--ids", "E99"])
-        captured = capsys.readouterr()
-        assert exit_code == 2
-        assert "unknown experiment" in captured.err
-
-
 class TestSurvey:
     def test_table_shape(self, capsys):
         exit_code = main(["survey", "--max-stride", "10"])
@@ -164,3 +149,26 @@ class TestRun:
         captured = capsys.readouterr()
         assert exit_code == 2
         assert "error:" in captured.err
+
+    def test_missing_file_is_clean_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.vasm")
+        exit_code = main(["run", missing])
+        captured = capsys.readouterr()
+        assert exit_code == 2
+        assert f"no such program file: {missing}" in captured.err
+
+    @pytest.mark.parametrize("dump", ["1:2", "a:b:c", "1:2:3:4"])
+    def test_malformed_dump_is_usage_error(self, tmp_path, capsys, dump):
+        path = self._write_program(
+            tmp_path,
+            "\n".join(
+                [
+                    ".fill base=0, stride=1, count=4, value=1.0",
+                    "vload v1, base=0, stride=1, length=4",
+                ]
+            ),
+        )
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", path, "--dump", dump])
+        assert excinfo.value.code == 2
+        assert "BASE:STRIDE:COUNT" in capsys.readouterr().err
