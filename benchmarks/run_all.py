@@ -36,16 +36,16 @@ def main(
     workers: int | None = None,
     force: bool = False,
 ) -> int:
-    store = ArtifactStore(lab_root or default_lab_root())
     specs = [
         spec
         for spec in build_registry().values()
         if spec.kind == EXPERIMENT_KIND
     ]
-    report = run_jobs(
-        specs, store=store, workers=workers, force=force, progress=print
-    )
-    write_run_artifacts(store, report)
+    with ArtifactStore(lab_root or default_lab_root()) as store:
+        report = run_jobs(
+            specs, store=store, workers=workers, force=force, progress=print
+        )
+        write_run_artifacts(store, report)
     Path(output).write_text(
         render_experiments_markdown(
             [outcome.record for outcome in report.outcomes]

@@ -23,7 +23,7 @@ Usage (also via ``python -m repro``)::
     repro lab status --json
     repro lab status --metrics
     repro lab history --metric total_cycles --flag-regressions
-    repro lab index --verify --prune-stale
+    repro lab index --verify
     repro lab summarize --output SUMMARY.md
 
 Every subcommand prints plain text; exit status is non-zero when an
@@ -336,21 +336,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     lab_index = lab_commands.add_parser(
-        "index", help="rebuild the SQLite index from the artifact files"
+        "index",
+        help="import a root's earlier-layout artifact files "
+        "(artifacts/<hash>/result.json) into index.sqlite, which holds "
+        "every result",
     )
     lab_index.add_argument("--root", default=None, help=root_help)
     lab_index.add_argument(
         "--verify",
         action="store_true",
         help="recompute stored config hashes instead and report drift "
-        "(exit 1 on corrupt or mismatched artifacts)",
-    )
-    lab_index.add_argument(
-        "--prune-stale",
-        action="store_true",
-        dest="prune_stale",
-        help="drop index rows whose artifact files were deleted "
-        "(combine with --verify to audit first)",
+        "(exit 1 on corrupt or mismatched results)",
     )
 
     lab_history = lab_commands.add_parser(
@@ -626,14 +622,7 @@ def command_survey(args: argparse.Namespace) -> int:
 
 
 def command_lab(args: argparse.Namespace) -> int:
-    from repro.lab import (
-        ArtifactStore,
-        build_registry,
-        default_lab_root,
-        run_jobs,
-        summarize_cached,
-        write_run_artifacts,
-    )
+    from repro.lab import ArtifactStore, default_lab_root
 
     if args.lab_command == "worker":
         # Workers serve a spool directory and own no lab root: results
@@ -644,7 +633,20 @@ def command_lab(args: argparse.Namespace) -> int:
     if args.lab_command == "serve":
         return _lab_serve(args)
 
-    store = ArtifactStore(args.root or default_lab_root())
+    with ArtifactStore(args.root or default_lab_root()) as store:
+        return _lab_store_command(args, store)
+
+
+def _lab_store_command(args: argparse.Namespace, store) -> int:
+    """Every `repro lab` command that works on one lab root's store."""
+    from repro.lab import (
+        ArtifactStore,
+        build_registry,
+        run_jobs,
+        summarize_cached,
+        write_run_artifacts,
+    )
+
     registry = build_registry()
 
     if args.lab_command == "run":
@@ -708,8 +710,8 @@ def command_lab(args: argparse.Namespace) -> int:
         return 0
 
     if args.lab_command == "merge":
-        other = ArtifactStore(args.other_root)
-        counts = store.merge(other)
+        with ArtifactStore(args.other_root) as other:
+            counts = store.merge(other)
         print(
             f"merged {other.root} into {store.root}: "
             f"{counts['artifacts_imported']} artifact(s) imported, "
@@ -874,23 +876,10 @@ def command_lab(args: argparse.Namespace) -> int:
         for label in ("stale", "mismatched", "corrupt", "unverifiable"):
             for address in report[label]:
                 print(f"  [{label}] {address}")
-        if args.prune_stale:
-            pruned = store.prune_stale_index()
-            print(f"pruned {len(pruned)} dangling index row(s)")
         return 1 if report["mismatched"] or report["corrupt"] else 0
 
-    if args.prune_stale:
-        pruned = store.prune_stale_index()
-        print(
-            f"pruned {len(pruned)} dangling index row(s) from "
-            f"{store.index_path}"
-        )
-        for address in pruned:
-            print(f"  [pruned] {address}")
-        return 0
-
     count = store.rebuild_index()
-    print(f"indexed {count} artifacts into {store.index_path}")
+    print(f"indexed {count} artifact file(s) into {store.index_path}")
     return 0
 
 
@@ -1290,17 +1279,17 @@ def command_scenario(args: argparse.Namespace) -> int:
             write_run_artifacts,
         )
 
-        store = ArtifactStore(args.root or default_lab_root())
         jobs = [scenario_job(spec) for spec in specs]
-        report = run_jobs(
-            jobs,
-            store=store,
-            workers=args.jobs,
-            force=args.force,
-            progress=print,
-            backend=_build_backend(args, store),
-        )
-        run_dir = write_run_artifacts(store, report)
+        with ArtifactStore(args.root or default_lab_root()) as store:
+            report = run_jobs(
+                jobs,
+                store=store,
+                workers=args.jobs,
+                force=args.force,
+                progress=print,
+                backend=_build_backend(args, store),
+            )
+            run_dir = write_run_artifacts(store, report)
         print(
             f"run {report.run_id}: {len(report.outcomes)} scenarios, "
             f"{report.cache_hits} cache hits, {report.executed} executed"

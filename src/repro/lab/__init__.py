@@ -3,7 +3,7 @@
 The lab turns everything this repository can measure — the E01..E16
 paper-reproduction experiments, the design-space sweeps and the A1..A7
 ablation benches — into declaratively-specified jobs that fan out over
-a pluggable execution backend and land in a content-addressed artifact
+a pluggable execution backend and land in a content-addressed result
 store:
 
 * :mod:`repro.lab.jobs` — the job registry and worker entry point,
@@ -11,9 +11,10 @@ store:
   scenario jobs (``scenario_job``) whose params carry a full
   :class:`repro.scenarios.ScenarioSpec` into the cache key;
 * :mod:`repro.lab.hashing` — canonical config hashing + cell codecs;
-* :mod:`repro.lab.store` — JSON artifacts + SQLite cross-run index,
-  ``merge`` for folding detached stores back in, ``verify`` for
-  recomputing stored config hashes;
+* :mod:`repro.lab.store` — one SQLite index per lab root holding
+  every result's JSON record and the run history, ``merge`` for
+  folding detached stores back in, ``verify`` for recomputing stored
+  config hashes;
 * :mod:`repro.lab.backends` — the :class:`ExecutorBackend` protocol
   and its in-process implementations;
 * :mod:`repro.lab.spool` — the filesystem-spool sharding protocol

@@ -2,11 +2,11 @@
 
 ``repro lab diff <run-a> <run-b>`` compares what two recorded runs
 actually produced — check outcomes, table rows (cycle counts), job
-sets — across the artifact store and the SQLite ``results`` index.
-Because artifacts are content-addressed over job params, package
-version and source fingerprint, two runs of different package versions
-(or different design points) keep separate artifacts, which is exactly
-what makes the comparison meaningful.
+sets — from their records in the lab store.  Because records are
+content-addressed over job params, package version and source
+fingerprint, two runs of different package versions (or different
+design points) keep separate records, which is exactly what makes the
+comparison meaningful.
 
 Severity model:
 
@@ -69,13 +69,13 @@ def _run_records(
     """``job_id -> stored record`` for one run.
 
     The run's manifest lists every job with its config hash; the
-    records come from the artifact store.  When the manifest is gone
-    (pruned runs directory) the SQLite ``results`` table still knows
-    which artifacts the run *executed* — but not its cache hits, which
-    never write an index row under that run id — so the fallback view
-    can be partial and says so via ``warnings`` (surfaced in the
-    rendered diff).  A job whose artifact is missing (crashed jobs are
-    never cached) contributes a minimal failed record built from
+    records come from the store.  When the manifest is gone (pruned
+    runs directory, or a run killed before it ended) the ``results``
+    rows still know which results the run *executed* — but not its
+    cache hits, which never write a row under that run id — so the
+    fallback view can be partial and says so via ``warnings`` (surfaced
+    in the rendered diff).  A job whose result is missing (crashed jobs
+    are never cached) contributes a minimal failed record built from
     manifest metadata, so a crash in run B still shows up as a
     regression.
     """
@@ -113,9 +113,8 @@ def _run_records(
             path.name for path in store.runs_dir.glob("*") if path.is_dir()
         ) if store.runs_dir.is_dir() else []
         raise UnknownRunError(
-            f"no manifest or indexed results for run {run_id!r} under "
-            f"{store.root} (recorded runs: {', '.join(known) or 'none'}; "
-            "a run killed before it ended is indexed by `repro lab index`)"
+            f"no manifest or stored results for run {run_id!r} under "
+            f"{store.root} (recorded runs: {', '.join(known) or 'none'})"
         )
     warnings.append(
         f"run {run_id} has no manifest; comparing only the "

@@ -3,17 +3,17 @@
 ``run_jobs`` takes a batch of :class:`~repro.lab.jobs.JobSpec`, checks
 the artifact store for each config hash, hands the misses to an
 :class:`~repro.lab.backends.ExecutorBackend` (in-process serial,
-process pool, or the filesystem-spool sharding protocol), writes every
-fresh payload's artifact as it lands, and indexes the run's rows in one
-SQLite transaction when it ends.  Results are reported in job-id order
+process pool, or the filesystem-spool sharding protocol), commits every
+fresh payload's result to the store as it lands, and writes the run's
+``runs`` row when it ends.  Results are reported in job-id order
 regardless of completion order, so the same batch produces the same
 :class:`ExecutionReport` — and byte-identical rendered reports — no
 matter which backend executed it.
 
 Only specs and JSON-safe payloads cross the executor/backend boundary,
 so nothing unpicklable ever crosses a process (or host) boundary, and
-an interrupted run leaves behind exactly the artifacts of the jobs
-that finished, which the next run picks up as cache hits.
+an interrupted or killed run leaves behind exactly the results of the
+jobs that finished, which the next run picks up as cache hits.
 """
 
 from __future__ import annotations
@@ -192,13 +192,9 @@ def run_jobs(
     # — i.e. how long the job sat waiting for a worker (plus transport,
     # for the spool backend).  Cached jobs never queue.
     queue_latencies: list[float] = []
-    # Records whose artifact files this run wrote; the index gets their
-    # rows in one transaction when the run ends.
-    saved: list[dict] = []
 
     def complete(spec: JobSpec, payload: dict) -> None:
         record = store.save(spec, payload, run_id=run_id, package_version=version)
-        saved.append(record)
         turnaround = time.perf_counter() - started
         queue_latencies.append(
             max(0.0, turnaround - float(record.get("elapsed_seconds", 0.0)))
@@ -237,19 +233,15 @@ def run_jobs(
     # Job-execution errors arrive as JobFailure completions and become
     # failed outcomes; store/save errors are infrastructure problems and
     # propagate, never misattributed to the job.  Whatever stops the
-    # loop (an interrupt, a spool timeout, a store error), the artifacts
-    # already on disk are indexed before it propagates; the run itself
-    # gets no ``runs`` row.
+    # loop (an interrupt, a spool timeout, a store error), every result
+    # saved so far is already committed; the run itself gets no ``runs``
+    # row.
     if pending:
-        try:
-            for spec, result in executor.run(pending, run_id=run_id):
-                if isinstance(result, JobFailure):
-                    crash(spec, result.message)
-                else:
-                    complete(spec, result)
-        except BaseException:
-            store.index_results(saved)
-            raise
+        for spec, result in executor.run(pending, run_id=run_id):
+            if isinstance(result, JobFailure):
+                crash(spec, result.message)
+            else:
+                complete(spec, result)
 
     report = ExecutionReport(
         run_id=run_id,
@@ -265,7 +257,6 @@ def run_jobs(
     )
     store.record_run(
         run_id,
-        records=saved,
         job_count=len(report.outcomes),
         cache_hits=report.cache_hits,
         failures=len(report.failures),

@@ -1,9 +1,9 @@
 """Canonical config hashing and JSON-safe cell encoding.
 
 Two jobs are "the same experiment" exactly when their canonical config
-JSON hashes equal, so the hash doubles as the artifact address
-(``.repro-lab/artifacts/<hash>/``) and the cache key in the SQLite
-index.  The hash covers the job id, kind, parameters, the package
+JSON hashes equal, so the hash doubles as the result's address: the
+key of its row in ``.repro-lab/index.sqlite``, which is also the cache
+key.  The hash covers the job id, kind, parameters, the package
 version and a fingerprint of every Python source the jobs can execute
 (see :func:`repro.lab.jobs.source_fingerprint`) — editing the
 simulator or a bench invalidates every cached result, the right

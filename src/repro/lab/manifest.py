@@ -2,7 +2,7 @@
 
 Every ``repro lab run`` leaves a ``runs/<run-id>/`` directory with a
 machine-readable ``manifest.json`` (which jobs ran, which were cache
-hits, where each artifact lives) and a human-readable ``report.md``.
+hits, each job's config hash) and a human-readable ``report.md``.
 The module also owns the EXPERIMENTS.md renderer: ``benchmarks/
 run_all.py`` feeds experiment outcomes through
 :func:`render_experiments_markdown`, which reproduces the historical
@@ -134,15 +134,6 @@ def write_run_artifacts(
                 "all_passed": outcome.all_passed,
                 "cached": outcome.cached,
                 "elapsed_seconds": outcome.elapsed_seconds,
-                # Crashed jobs are deliberately not cached, so they have
-                # no artifact file to point at.
-                "artifact": (
-                    str(store.artifact_path(outcome.record["config_hash"]))
-                    if store.artifact_path(
-                        outcome.record["config_hash"]
-                    ).is_file()
-                    else None
-                ),
             }
             for outcome in report.outcomes
         ],

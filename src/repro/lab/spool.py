@@ -18,7 +18,7 @@ execute them, and write results into ``done/`` via temp-file +
 ``os.replace`` so a crash can never leave a truncated result behind.
 
 Spool state is transient: once every result is collected the
-coordinator *destroys* its run directory (artifacts live in the
+coordinator *destroys* its run directory (results live in the
 store), so workers keep serving batch after batch against a clean
 spool.  A ``CLOSED`` marker that lingers means the coordinator gave up
 (timeout, crash, store error); workers never claim from closed runs —
@@ -38,7 +38,7 @@ content.
 Nothing in a spool file is host-specific — job specs are ids + JSON
 params (whole scenario design points travel inside them) — so the
 directory can live on any shared or synced filesystem.  Workers own no
-artifact store: results travel back as ``done`` files and only the
+result store: results travel back as ``done`` files and only the
 coordinator persists them.  (Detached stores — the ``repro lab merge``
 workflow — come from running whole *coordinators* against separate lab
 roots, e.g. ``repro lab run`` on another machine.)
@@ -59,7 +59,6 @@ from repro.errors import ReproError
 from repro.lab.backends import JobFailure, describe_error
 from repro.lab.hashing import canonical_json
 from repro.lab.jobs import JobSpec, execute_job
-from repro.lab.store import atomic_write_text as _atomic_write
 
 PENDING_DIR = "pending"
 CLAIMED_DIR = "claimed"
@@ -77,6 +76,21 @@ DEFAULT_HEARTBEAT = 5.0
 
 class SpoolError(ReproError):
     """A malformed spool file or an unusable spool directory."""
+
+
+def _atomic_write(path: Path, text: str) -> None:
+    """Write-temp-then-``os.replace`` so readers never see a partial file.
+
+    The dotted ``.{name}.{pid}.{thread}.tmp`` spelling keeps in-flight
+    temp files invisible to every ``*.json`` glob in the spool, and
+    unique per writer: two threads of one process never share a temp
+    file.
+    """
+    temp = path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    )
+    temp.write_text(text)
+    os.replace(temp, path)
 
 
 # -- JobSpec wire format --------------------------------------------------

@@ -1,29 +1,39 @@
-"""Content-addressed artifact store with a SQLite cross-run index.
+"""Content-addressed result store: one SQLite index per lab root.
 
 Layout under the lab root (default ``.repro-lab/``)::
 
-    artifacts/<config-hash>/result.json   one record per job config
-    runs/<run-id>/manifest.json           written by repro.lab.manifest
+    index.sqlite                  `results` rows, each holding its
+                                  record's canonical JSON body, and
+                                  one `runs` row per finished run
+    runs/<run-id>/manifest.json   written by repro.lab.manifest
     runs/<run-id>/report.md
-    index.sqlite                          `runs` and `results` tables
 
-The artifact's address is the canonical hash of its job config plus
-the package version (see :mod:`repro.lab.hashing`), so a re-run of an
+A result's address is the canonical hash of its job config plus the
+package version (see :mod:`repro.lab.hashing`), so a re-run of an
 unchanged job is a pure cache hit and an interrupted sweep resumes
-from whatever finished.  The SQLite index is a *derived* view — it can
-always be rebuilt from the artifact files (``rebuild_index``), which
-is what ``repro lab index`` does after crashes or manual surgery.
+from whatever finished.  ``index.sqlite`` holds the only copy of every
+result.
 
-``save`` writes only the artifact file.  The index is written once per
-run: ``record_run`` inserts every ``results`` row of the run and its
-``runs`` row in one transaction when the run ends (an interrupted run
-commits the rows of its saved artifacts through ``index_results`` and
-records no run).  A run's rows therefore appear when it ends, and a
-killed run (SIGKILL, an unhandled SIGTERM, power loss) leaves artifacts
-the index does not list until ``repro lab index`` rebuilds it.
+``save`` commits its row before it returns, so a process killed
+mid-run keeps every result that finished.  The index runs in WAL mode
+with ``synchronous=NORMAL``: a commit survives the process being
+killed, but the last few may not survive a power cut.  Nothing is
+fsynced per result, as with the per-result files this store replaced;
+a lost result is only a cache miss.
 
-Only the parent orchestration process writes the store; workers hand
-payloads back over the process pool, keeping SQLite single-writer.
+Each store holds one connection for its life, opened on first use and
+shared by its threads under one lock (serve's queue and handler threads
+use one store); :meth:`ArtifactStore.close` releases it.  Other stores
+on the same root, in this process or another, see every committed row.
+A read on a root with no index returns a miss and creates nothing.
+
+Only the parent orchestration process writes the store: pool and
+spool workers hand payloads back, and the pool's forked workers never
+touch the connection they inherit.
+
+A root in the earlier layout, one ``artifacts/<hash>/result.json`` file
+per result, is imported the first time its index is opened; the files
+stay on disk and may be deleted afterwards.
 """
 
 from __future__ import annotations
@@ -34,74 +44,129 @@ import shutil
 import sqlite3
 import threading
 import time
-from contextlib import closing
 from pathlib import Path
-from typing import Iterable
 
 import repro
 from repro.errors import ReproError
 from repro.lab.hashing import canonical_json, config_hash
 from repro.lab.jobs import JobSpec
 
-RESULT_FILENAME = "result.json"
+#: The ``schema`` field of every stored record.
 SCHEMA_VERSION = 2
+#: The index layout, kept in ``PRAGMA user_version``.  Below 3, results
+#: lived in files and ``results`` rows held only their paths.
+INDEX_VERSION = 3
+#: The earlier layout's result files, which the upgrade imports.
+_LEGACY_RESULTS = "artifacts/*/result.json"
 
 
 class StoreMergeError(ReproError):
     """A lab-root merge that cannot proceed (missing or self-referential)."""
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS runs (
-    run_id TEXT PRIMARY KEY,
-    created_at TEXT NOT NULL,
-    package_version TEXT NOT NULL,
-    job_count INTEGER NOT NULL,
-    cache_hits INTEGER NOT NULL,
-    failures INTEGER NOT NULL,
-    elapsed_seconds REAL NOT NULL
-);
-CREATE TABLE IF NOT EXISTS results (
-    config_hash TEXT PRIMARY KEY,
-    job_id TEXT NOT NULL,
-    kind TEXT NOT NULL,
-    title TEXT NOT NULL,
-    package_version TEXT NOT NULL,
-    all_passed INTEGER NOT NULL,
-    elapsed_seconds REAL NOT NULL,
-    created_at TEXT NOT NULL,
-    run_id TEXT NOT NULL,
-    artifact_path TEXT NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_results_job ON results (job_id);
-"""
+
+_SCHEMA = (
+    """CREATE TABLE IF NOT EXISTS runs (
+        run_id TEXT PRIMARY KEY,
+        created_at TEXT NOT NULL,
+        package_version TEXT NOT NULL,
+        job_count INTEGER NOT NULL,
+        cache_hits INTEGER NOT NULL,
+        failures INTEGER NOT NULL,
+        elapsed_seconds REAL NOT NULL
+    )""",
+    """CREATE TABLE IF NOT EXISTS results (
+        config_hash TEXT PRIMARY KEY,
+        job_id TEXT NOT NULL,
+        kind TEXT NOT NULL,
+        title TEXT NOT NULL,
+        package_version TEXT NOT NULL,
+        all_passed INTEGER NOT NULL,
+        elapsed_seconds REAL NOT NULL,
+        created_at TEXT NOT NULL,
+        run_id TEXT NOT NULL,
+        body TEXT NOT NULL
+    )""",
+    "CREATE INDEX IF NOT EXISTS idx_results_job ON results (job_id)",
+)
+_RESULT_METADATA = (
+    "config_hash, job_id, kind, title, package_version, all_passed, "
+    "elapsed_seconds, created_at, run_id"
+)
+_INSERT_RESULT = (
+    f"INSERT OR REPLACE INTO results ({_RESULT_METADATA}, body) "
+    "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
+)
+_RUN_COLUMNS = (
+    "run_id, created_at, package_version, job_count, cache_hits, "
+    "failures, elapsed_seconds"
+)
 
 
 def _utc_now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def atomic_write_text(path: Path, text: str) -> None:
-    """Write-temp-then-``os.replace`` so readers never see a partial file.
-
-    The single definition of the crash-safe write idiom used for
-    artifacts, spool files and merges.  The dotted
-    ``.{name}.{pid}.{thread}.tmp`` spelling keeps in-flight temp files
-    invisible to every ``*.json`` / ``*/result.json`` glob in the lab,
-    and unique per writer: two threads of one process (the serve queue
-    runners saving the same design point) never share a temp file.
-    """
-    temp = path.with_name(
-        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-    )
-    temp.write_text(text)
-    os.replace(temp, path)
-
-
 def default_lab_root() -> str:
     """The lab root every front end agrees on: $REPRO_LAB_ROOT or .repro-lab."""
-    import os
-
     return os.environ.get("REPRO_LAB_ROOT", ".repro-lab")
+
+
+def _record_of(body: str, address: str) -> dict | None:
+    """The record a stored body holds, or None when it holds none.
+
+    A body counts only when it decodes to a JSON object filed under its
+    own config hash.  Anything else (truncated or hand-edited text, a
+    record copied under another hash) is a cache miss, and the next
+    save of that design point overwrites it.
+    """
+    try:
+        record = json.loads(body)
+    except ValueError:
+        return None
+    if isinstance(record, dict) and record.get("config_hash") == address:
+        return record
+    return None
+
+
+def _result_row(record: dict, body: str) -> tuple:
+    """One ``results`` row: the record's metadata columns, then its body."""
+    return (
+        record["config_hash"],
+        record.get("job_id", ""),
+        record.get("kind", ""),
+        record.get("title", ""),
+        record.get("package_version", ""),
+        int(bool(record.get("all_passed", False))),
+        record.get("elapsed_seconds", 0.0),
+        record.get("created_at", ""),
+        record.get("run_id", ""),
+        body,
+    )
+
+
+def _adopt(connection: sqlite3.Connection, rows: list[tuple]) -> int:
+    """Insert each result row whose hash has no valid row here yet.
+
+    Rows are :func:`_result_row` tuples holding valid records.  A local
+    row that holds a record wins; a missing or invalid one is replaced.
+    Returns the number of rows inserted.
+    """
+    adopted = 0
+    for row in rows:
+        address = row[0]
+        local = connection.execute(
+            "SELECT body FROM results WHERE config_hash = ?", (address,)
+        ).fetchone()
+        if local is not None and _record_of(local[0], address) is not None:
+            continue
+        connection.execute(_INSERT_RESULT, row)
+        adopted += 1
+    return adopted
+
+
+def _dicts(cursor: sqlite3.Cursor) -> list[dict]:
+    names = [column[0] for column in cursor.description]
+    return [dict(zip(names, row)) for row in cursor.fetchall()]
 
 
 class ArtifactStore:
@@ -109,12 +174,10 @@ class ArtifactStore:
 
     def __init__(self, root: str | Path | None = None):
         self.root = Path(root) if root is not None else Path(default_lab_root())
+        self._lock = threading.Lock()
+        self._connection: sqlite3.Connection | None = None
 
     # -- paths -----------------------------------------------------------
-
-    @property
-    def artifacts_dir(self) -> Path:
-        return self.root / "artifacts"
 
     @property
     def runs_dir(self) -> Path:
@@ -124,44 +187,138 @@ class ArtifactStore:
     def index_path(self) -> Path:
         return self.root / "index.sqlite"
 
-    def artifact_path(self, config_hash: str) -> Path:
-        return self.artifacts_dir / config_hash / RESULT_FILENAME
+    # -- connection ------------------------------------------------------
 
-    # -- artifacts -------------------------------------------------------
+    def _connected(self, *, create: bool) -> sqlite3.Connection | None:
+        """The held connection, opened on first use.
+
+        The caller holds ``self._lock``.  Without ``create``, a root with
+        no index yields None and nothing is created on disk.
+        """
+        if self._connection is None:
+            if not create and not self.index_path.is_file():
+                return None
+            self.root.mkdir(parents=True, exist_ok=True)
+            connection = sqlite3.connect(
+                self.index_path, isolation_level=None, check_same_thread=False
+            )
+            try:
+                connection.execute("PRAGMA journal_mode=WAL")
+                connection.execute("PRAGMA synchronous=NORMAL")
+                self._upgrade(connection)
+            except BaseException:
+                connection.close()
+                raise
+            self._connection = connection
+        return self._connection
+
+    def _upgrade(self, connection: sqlite3.Connection) -> None:
+        """Bring an index below :data:`INDEX_VERSION` to this layout, once.
+
+        The version is checked again inside an IMMEDIATE transaction, so
+        two processes opening one old root import it once between them.
+        """
+        if connection.execute("PRAGMA user_version").fetchone()[0] >= INDEX_VERSION:
+            return
+        connection.execute("BEGIN IMMEDIATE")
+        with connection:
+            version = connection.execute("PRAGMA user_version").fetchone()[0]
+            if version >= INDEX_VERSION:
+                return
+            # The earlier `results` rows held file paths, not bodies; the
+            # import re-derives them from the files.
+            connection.execute("DROP TABLE IF EXISTS results")
+            for statement in _SCHEMA:
+                connection.execute(statement)
+            self._import_files(connection)
+            connection.execute(f"PRAGMA user_version = {INDEX_VERSION}")
+
+    def _import_files(self, connection: sqlite3.Connection) -> int:
+        """Import the earlier layout's result files and re-derive runs rows.
+
+        A result file is imported only when it holds a record under its
+        directory's hash, and only where the index has no valid row for
+        that hash.  ``runs`` rows come from ``runs/*/manifest.json``.
+        The caller holds a transaction.  Returns the number of valid
+        result files found.
+        """
+        rows = []
+        for path in sorted(self.root.glob(_LEGACY_RESULTS)):
+            address = path.parent.name
+            try:
+                body = path.read_bytes().decode("utf-8")
+            except (OSError, UnicodeDecodeError):
+                continue
+            record = _record_of(body, address)
+            if record is not None:
+                rows.append(_result_row(record, body))
+        _adopt(connection, rows)
+        for path in sorted(self.runs_dir.glob("*/manifest.json")):
+            try:
+                manifest = json.loads(path.read_text())
+            except (ValueError, OSError):
+                continue
+            if not isinstance(manifest, dict) or "run_id" not in manifest:
+                continue
+            self._insert_run(
+                connection,
+                run_id=manifest["run_id"],
+                created_at=manifest.get("created_at", ""),
+                package_version=manifest.get("package_version", ""),
+                job_count=manifest.get("job_count", 0),
+                cache_hits=manifest.get("cache_hits", 0),
+                failures=len(manifest.get("failures", [])),
+                elapsed_seconds=manifest.get("elapsed_seconds", 0.0),
+            )
+        return len(rows)
+
+    def close(self) -> None:
+        """Close the held connection; a later call opens a new one."""
+        with self._lock:
+            if self._connection is not None:
+                self._connection.close()
+                self._connection = None
+
+    def __enter__(self) -> "ArtifactStore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    # -- results ---------------------------------------------------------
+
+    def _body(self, config_hash: str) -> str | None:
+        with self._lock:
+            connection = self._connected(create=False)
+            if connection is None:
+                return None
+            row = connection.execute(
+                "SELECT body FROM results WHERE config_hash = ?", (config_hash,)
+            ).fetchone()
+        return None if row is None else row[0]
 
     def load(self, config_hash: str) -> dict | None:
         """The stored record for one config hash, or None on cache miss.
 
-        A corrupt or unreadable artifact (interrupted write, manual
-        surgery) counts as a miss: the job re-executes and the save
-        overwrites the bad file.
+        A body that is not a record under this hash counts as a miss:
+        the job re-executes and its save overwrites the bad row.
         """
-        path = self.artifact_path(config_hash)
-        if not path.is_file():
-            return None
-        try:
-            return json.loads(path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            return None
+        body = self._body(config_hash)
+        return None if body is None else _record_of(body, config_hash)
 
     def artifact_bytes(self, config_hash: str) -> bytes | None:
-        """The artifact's raw canonical-JSON bytes, or None on miss.
+        """The record's canonical-JSON bytes, or None on miss.
 
         What ``repro lab serve`` returns from ``GET /v1/results/<hash>``:
-        the stored file is already canonical JSON, so serving it
-        byte-for-byte keeps the strong ETag (the config hash) honest —
-        no re-serialization that could reorder keys between requests.
-        Corrupt artifacts count as misses, exactly like :meth:`load`.
+        exactly the bytes :meth:`save` serialised, with no re-encoding
+        that could reorder keys between requests, so the strong ETag
+        (the config hash) stays honest.  Invalid bodies count as misses,
+        exactly like :meth:`load`.
         """
-        path = self.artifact_path(config_hash)
-        if not path.is_file():
+        body = self._body(config_hash)
+        if body is None or _record_of(body, config_hash) is None:
             return None
-        try:
-            raw = path.read_bytes()
-            json.loads(raw)
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            return None
-        return raw
+        return body.encode()
 
     def save(
         self,
@@ -171,21 +328,14 @@ class ArtifactStore:
         run_id: str,
         package_version: str | None = None,
     ) -> dict:
-        """Write one job's artifact file; returns the full stored record.
+        """Store one job's record; returns the full stored record.
 
-        The write is temp-file + ``os.replace``, so a crash mid-save
-        (worker killed, disk full, power loss) can never leave a
-        truncated ``result.json`` behind — readers see the old artifact
-        or the new one, never garbage.  The record embeds the full
-        ``config`` dict its address was hashed from, which is what lets
-        ``repro lab index --verify`` recompute hashes and report drift
-        without the original :class:`JobSpec`.
-
-        The SQLite index is not touched: the caller hands the returned
-        records to :meth:`record_run` when the run ends, which writes
-        all of their rows in one transaction.  Until then (or after a
-        hard kill, until ``repro lab index``) the artifact is a cache
-        hit on disk that the index does not list yet.
+        The row and its body are committed before this returns, so a
+        process killed mid-run keeps every result saved so far (see the
+        module docstring for what a power cut may lose).  The record
+        embeds the full ``config`` dict its address was hashed from,
+        which is what lets ``repro lab index --verify`` recompute hashes
+        and report drift without the original :class:`JobSpec`.
         """
         version = package_version or repro.__version__
         config = spec.config(version)
@@ -199,43 +349,12 @@ class ArtifactStore:
             created_at=_utc_now(),
             run_id=run_id,
         )
-        path = self.artifact_path(address)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        atomic_write_text(path, canonical_json(record))
+        row = _result_row(record, canonical_json(record))
+        with self._lock:
+            self._connected(create=True).execute(_INSERT_RESULT, row)
         return record
 
-    # -- sqlite index ----------------------------------------------------
-
-    def _connect(self) -> sqlite3.Connection:
-        self.root.mkdir(parents=True, exist_ok=True)
-        connection = sqlite3.connect(self.index_path)
-        connection.executescript(_SCHEMA)
-        return connection
-
-    def _insert_results(
-        self, connection: sqlite3.Connection, records: Iterable[dict]
-    ) -> None:
-        connection.executemany(
-            "INSERT OR REPLACE INTO results (config_hash, job_id, kind, "
-            "title, package_version, all_passed, elapsed_seconds, "
-            "created_at, run_id, artifact_path) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            [
-                (
-                    record["config_hash"],
-                    record["job_id"],
-                    record["kind"],
-                    record["title"],
-                    record["package_version"],
-                    int(record["all_passed"]),
-                    record["elapsed_seconds"],
-                    record["created_at"],
-                    record["run_id"],
-                    str(self.artifact_path(record["config_hash"])),
-                )
-                for record in records
-            ],
-        )
+    # -- runs ------------------------------------------------------------
 
     def _insert_run(
         self,
@@ -250,9 +369,8 @@ class ArtifactStore:
         elapsed_seconds: float,
     ) -> None:
         connection.execute(
-            "INSERT OR REPLACE INTO runs (run_id, created_at, "
-            "package_version, job_count, cache_hits, failures, "
-            "elapsed_seconds) VALUES (?, ?, ?, ?, ?, ?, ?)",
+            f"INSERT OR REPLACE INTO runs ({_RUN_COLUMNS}) "
+            "VALUES (?, ?, ?, ?, ?, ?, ?)",
             (
                 run_id,
                 created_at,
@@ -264,38 +382,24 @@ class ArtifactStore:
             ),
         )
 
-    def index_results(self, records: Iterable[dict]) -> None:
-        """Insert the ``results`` rows of saved records in one transaction.
-
-        What an interrupted run commits for the artifacts it already
-        wrote, without a ``runs`` row; a run that finishes goes through
-        :meth:`record_run` instead.
-        """
-        with closing(self._connect()) as connection, connection:
-            self._insert_results(connection, records)
-
     def record_run(
         self,
         run_id: str,
         *,
-        records: Iterable[dict],
         job_count: int,
         cache_hits: int,
         failures: int,
         elapsed_seconds: float,
         package_version: str | None = None,
     ) -> None:
-        """Index one finished run: its ``results`` rows and ``runs`` row.
+        """Write one finished run's ``runs`` row.
 
-        ``records`` are what :meth:`save` returned during the run.  All
-        rows go in over one connection in one transaction, so a run
-        costs the index one commit however many artifacts it wrote, and
-        its rows appear together when the run ends.
+        Its results were committed by :meth:`save` as they landed; a run
+        that never ends gets no row.
         """
-        with closing(self._connect()) as connection, connection:
-            self._insert_results(connection, records)
+        with self._lock:
             self._insert_run(
-                connection,
+                self._connected(create=True),
                 run_id=run_id,
                 created_at=_utc_now(),
                 package_version=package_version or repro.__version__,
@@ -307,108 +411,60 @@ class ArtifactStore:
 
     def runs(self, limit: int = 20) -> list[dict]:
         """Most recent runs, newest first."""
-        if not self.index_path.is_file():
-            return []
-        with closing(self._connect()) as connection, connection:
-            connection.row_factory = sqlite3.Row
-            rows = connection.execute(
-                "SELECT * FROM runs ORDER BY created_at DESC, run_id DESC "
-                "LIMIT ?",
-                (limit,),
-            ).fetchall()
-        return [dict(row) for row in rows]
+        with self._lock:
+            connection = self._connected(create=False)
+            if connection is None:
+                return []
+            return _dicts(
+                connection.execute(
+                    "SELECT * FROM runs ORDER BY created_at DESC, run_id DESC "
+                    "LIMIT ?",
+                    (limit,),
+                )
+            )
 
     def results(self) -> list[dict]:
-        """Every indexed result, ordered by job id."""
-        if not self.index_path.is_file():
-            return []
-        with closing(self._connect()) as connection, connection:
-            connection.row_factory = sqlite3.Row
-            rows = connection.execute(
-                "SELECT * FROM results ORDER BY job_id, created_at"
-            ).fetchall()
-        return [dict(row) for row in rows]
+        """Every stored result's metadata (never its body), by job id."""
+        with self._lock:
+            connection = self._connected(create=False)
+            if connection is None:
+                return []
+            return _dicts(
+                connection.execute(
+                    f"SELECT {_RESULT_METADATA} FROM results "
+                    "ORDER BY job_id, created_at"
+                )
+            )
 
     def rebuild_index(self) -> int:
-        """Recreate the SQLite index from the files on disk.
+        """Import an earlier layout's result files; re-derive runs rows.
 
-        Results come from ``artifacts/*/result.json``, run history from
-        ``runs/*/manifest.json``; corrupt files are skipped.  Returns
-        the number of artifacts indexed.
+        What ``repro lab index`` does.  Opening an old root's index
+        imports it once anyway; this repeats the import for files that
+        appeared since.  Returns the number of valid result files found.
         """
-        records = []
-        if self.artifacts_dir.is_dir():
-            for path in sorted(self.artifacts_dir.glob(f"*/{RESULT_FILENAME}")):
-                record = self.load(path.parent.name)
-                if record is not None:
-                    records.append(record)
-        manifests = []
-        if self.runs_dir.is_dir():
-            for path in sorted(self.runs_dir.glob("*/manifest.json")):
-                try:
-                    manifests.append(json.loads(path.read_text()))
-                except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-                    continue
-        if self.index_path.exists():
-            self.index_path.unlink()
-        with closing(self._connect()) as connection, connection:
-            self._insert_results(connection, records)
-            for manifest in manifests:
-                if "run_id" not in manifest:
-                    continue
-                self._insert_run(
-                    connection,
-                    run_id=manifest["run_id"],
-                    created_at=manifest.get("created_at", ""),
-                    package_version=manifest.get("package_version", ""),
-                    job_count=manifest.get("job_count", 0),
-                    cache_hits=manifest.get("cache_hits", 0),
-                    failures=len(manifest.get("failures", [])),
-                    elapsed_seconds=manifest.get("elapsed_seconds", 0.0),
-                )
-        return len(records)
-
-    def prune_stale_index(self) -> list[str]:
-        """Drop index rows whose artifact files no longer exist.
-
-        Artifacts deleted by hand (or lost to a partial sync) leave
-        dangling ``results`` rows behind; ``repro lab index --verify
-        --prune-stale`` calls this to make the index honest again.
-        Returns the pruned config hashes.
-        """
-        if not self.index_path.is_file():
-            return []
-        with closing(self._connect()) as connection, connection:
-            rows = connection.execute(
-                "SELECT config_hash FROM results"
-            ).fetchall()
-            stale = [
-                address
-                for (address,) in rows
-                if not self.artifact_path(address).is_file()
-            ]
-            connection.executemany(
-                "DELETE FROM results WHERE config_hash = ?",
-                [(address,) for address in stale],
-            )
-        return stale
+        with self._lock:
+            connection = self._connected(create=True)
+            connection.execute("BEGIN IMMEDIATE")
+            with connection:
+                return self._import_files(connection)
 
     # -- merge + verify --------------------------------------------------
 
     def merge(self, other: "ArtifactStore") -> dict:
-        """Fold another lab root's artifacts and run history into this one.
+        """Fold another lab root's results and run history into this one.
 
-        Content addressing makes this conflict-free: an artifact either
-        exists here already (same hash, same bytes — skipped) or it
-        doesn't (copied byte-for-byte, atomically).  A *corrupt* local
-        artifact is replaced by the other store's good copy.  Run
-        directories are copied whole when absent.  The SQLite index is
-        a derived view, so it is simply rebuilt afterwards — which
-        makes the whole operation idempotent and order-independent.
+        Content addressing makes this conflict-free: a result either
+        exists here already (same hash, so skipped) or it doesn't
+        (copied, body byte for byte).  A local row that holds no valid
+        record is replaced by the other root's good one, and rows of the
+        other root that hold none are skipped.  ``runs`` rows and run
+        directories are copied when absent.  Idempotent and
+        order-independent.
 
         Returns counts: ``artifacts_imported``, ``artifacts_skipped``,
-        ``corrupt_skipped`` (unreadable source artifacts), and
-        ``runs_imported``.
+        ``corrupt_skipped`` (invalid source rows), and
+        ``runs_imported`` (run directories copied).
         """
         if not other.root.is_dir():
             raise StoreMergeError(
@@ -418,20 +474,18 @@ class ArtifactStore:
             raise StoreMergeError(
                 f"cannot merge a lab root into itself ({self.root})"
             )
-        imported = skipped = corrupt = runs_imported = 0
-        if other.artifacts_dir.is_dir():
-            for path in sorted(other.artifacts_dir.glob(f"*/{RESULT_FILENAME}")):
-                address = path.parent.name
-                if other.load(address) is None:
-                    corrupt += 1
-                    continue
-                if self.load(address) is not None:
-                    skipped += 1
-                    continue
-                target = self.artifact_path(address)
-                target.parent.mkdir(parents=True, exist_ok=True)
-                atomic_write_text(target, path.read_text())
-                imported += 1
+        rows: list[tuple] = []
+        runs: list[tuple] = []
+        with other._lock:
+            source = other._connected(create=False)
+            if source is not None:
+                rows = source.execute(
+                    f"SELECT {_RESULT_METADATA}, body FROM results "
+                    "ORDER BY config_hash"
+                ).fetchall()
+                runs = source.execute(f"SELECT {_RUN_COLUMNS} FROM runs").fetchall()
+        valid = [row for row in rows if _record_of(row[-1], row[0]) is not None]
+        runs_imported = 0
         if other.runs_dir.is_dir():
             for run_dir in sorted(other.runs_dir.iterdir()):
                 if not run_dir.is_dir():
@@ -442,26 +496,35 @@ class ArtifactStore:
                 self.runs_dir.mkdir(parents=True, exist_ok=True)
                 shutil.copytree(run_dir, target)
                 runs_imported += 1
-        self.rebuild_index()
+        with self._lock:
+            connection = self._connected(create=True)
+            connection.execute("BEGIN IMMEDIATE")
+            with connection:
+                imported = _adopt(connection, valid)
+                connection.executemany(
+                    f"INSERT OR IGNORE INTO runs ({_RUN_COLUMNS}) "
+                    "VALUES (?, ?, ?, ?, ?, ?, ?)",
+                    runs,
+                )
         return {
             "artifacts_imported": imported,
-            "artifacts_skipped": skipped,
-            "corrupt_skipped": corrupt,
+            "artifacts_skipped": len(valid) - imported,
+            "corrupt_skipped": len(rows) - len(valid),
             "runs_imported": runs_imported,
         }
 
     def verify(self) -> dict:
-        """Recompute every stored artifact's config hash; report drift.
+        """Recompute every stored result's config hash; report drift.
 
-        Each artifact directory is named by the hash of the ``config``
-        recorded inside it, so integrity is checkable without the
-        original specs.  Buckets (lists of artifact addresses):
+        Each row is keyed by the hash of the ``config`` recorded in its
+        body, so integrity is checkable without the original specs.
+        Buckets (lists of config hashes):
 
         * ``ok`` — hash recomputes, fingerprint matches current source;
         * ``stale`` — intact, but produced by a different source tree
           (dead cache entries after an edit; harmless);
-        * ``mismatched`` — recorded config does not hash to the
-          directory name (tampering or a mis-filed merge);
+        * ``mismatched`` — recorded config does not hash to the row's
+          key (tampering or a mis-filed merge);
         * ``corrupt`` — unparseable JSON;
         * ``unverifiable`` — pre-schema-2 records with no ``config``.
         """
@@ -476,14 +539,18 @@ class ArtifactStore:
             "unverifiable": [],
         }
         current = source_fingerprint()
-        if not self.artifacts_dir.is_dir():
-            return report
-        for path in sorted(self.artifacts_dir.glob(f"*/{RESULT_FILENAME}")):
-            address = path.parent.name
+        with self._lock:
+            connection = self._connected(create=False)
+            if connection is None:
+                return report
+            rows = connection.execute(
+                "SELECT config_hash, body FROM results ORDER BY config_hash"
+            ).fetchall()
+        for address, body in rows:
             report["checked"] += 1
             try:
-                record = json.loads(path.read_text())
-            except (json.JSONDecodeError, UnicodeDecodeError, OSError):
+                record = json.loads(body)
+            except ValueError:
                 report["corrupt"].append(address)
                 continue
             config = record.get("config") if isinstance(record, dict) else None

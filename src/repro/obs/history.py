@@ -201,14 +201,15 @@ class HistoryDB:
         from repro.lab.store import ArtifactStore
 
         path = Path(manifest_path)
+        if store is None and len(path.parents) >= 3:
+            with ArtifactStore(path.parents[2]) as owned:
+                return self.ingest_manifest(path, owned)
         try:
             manifest = json.loads(path.read_text())
         except (json.JSONDecodeError, UnicodeDecodeError, OSError):
             return 0
         if not isinstance(manifest, dict) or "run_id" not in manifest:
             return 0
-        if store is None and len(path.parents) >= 3:
-            store = ArtifactStore(path.parents[2])
         run_id = manifest["run_id"]
         created = manifest.get("created_at", "")
         run_metrics = manifest.get("metrics", {})
@@ -429,7 +430,8 @@ class HistoryDB:
             if (path / "runs").is_dir():
                 from repro.lab.store import ArtifactStore
 
-                return self.ingest_store(ArtifactStore(path))["metrics"]
+                with ArtifactStore(path) as lab:
+                    return self.ingest_store(lab)["metrics"]
             return 0
         if not path.is_file():
             return 0

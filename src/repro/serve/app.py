@@ -10,9 +10,9 @@ and performs the graceful shutdown sequence:
 1. stop accepting new HTTP connections (``server.shutdown``);
 2. stop accepting new submissions and **drain** every in-flight batch
    (``service.close(drain=True)``) — a run accepted with ``202`` is a
-   promise, so its artifacts land even when the signal arrives while
+   promise, so its results land even when the signal arrives while
    it is still queued;
-3. close the listening socket and exit 0.
+3. close the listening socket and the store's connection, and exit 0.
 """
 
 from __future__ import annotations
@@ -93,6 +93,7 @@ class ServeApp:
         self.server.shutdown()
         self.service.close(drain=drain)
         self.server.server_close()
+        self.service.store.close()
         if self._thread is not None:
             self._thread.join(timeout=10)
             self._thread = None

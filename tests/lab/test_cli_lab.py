@@ -8,10 +8,17 @@ deliberately failing runner.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main, package_version
+from repro.lab import ArtifactStore
 from repro.report.experiments import ALL_EXPERIMENTS, ExperimentResult
+
+PORTS_GRID = str(
+    Path(__file__).resolve().parents[2] / "examples" / "scenario_ports_grid.json"
+)
 
 
 def failing_e01() -> ExperimentResult:
@@ -51,6 +58,8 @@ class TestLabRun:
         )
         second = capsys.readouterr().out
         assert "2 cache hits, 0 executed" in second
+        # Results live in the index; no per-result files.
+        assert not list(Path(root).rglob("result.json"))
 
     def test_ids_are_case_insensitive(self, tmp_path, capsys):
         root = str(tmp_path / "lab")
@@ -144,8 +153,12 @@ class TestLabStatusSummarizeIndex:
         root = str(tmp_path / "lab")
         main(["lab", "run", "--ids", "E01,S-t", "--jobs", "1", "--root", root])
         capsys.readouterr()
+        # A root in the current layout has no artifact files to import,
+        # and importing leaves its results alone.
         assert main(["lab", "index", "--root", root]) == 0
-        assert "indexed 2 artifacts" in capsys.readouterr().out
+        assert "indexed 0 artifact file(s)" in capsys.readouterr().out
+        with ArtifactStore(root) as store:
+            assert [row["job_id"] for row in store.results()] == ["E01", "S-t"]
 
 
 class TestLabStatusJson:
@@ -184,17 +197,57 @@ class TestLabIndexVerify:
         out = capsys.readouterr().out
         assert "1 ok" in out and "0 corrupt" in out
 
-    def test_corrupt_artifact_exits_one(self, tmp_path, capsys):
-        from repro.lab import ArtifactStore
-
+    def test_corrupt_artifact_exits_one(self, tmp_path, capsys, tamper):
         root = str(tmp_path / "lab")
         main(["lab", "run", "--ids", "E01", "--jobs", "1", "--root", root])
         capsys.readouterr()
-        store = ArtifactStore(root)
-        victim = next(store.artifacts_dir.glob("*/result.json"))
-        victim.write_text("GARBAGE{")
+        with ArtifactStore(root) as store:
+            [row] = store.results()
+            tamper(store, row["config_hash"], "GARBAGE{")
         assert main(["lab", "index", "--verify", "--root", root]) == 1
         assert "[corrupt]" in capsys.readouterr().out
+
+
+class TestMissingRoot:
+    def test_read_commands_create_nothing(self, tmp_path, capsys):
+        root = tmp_path / "lab"
+        assert main(["lab", "status", "--root", str(root)]) == 0
+        assert main(["lab", "status", "--json", "--root", str(root)]) == 0
+        assert main(["lab", "summarize", "--root", str(root)]) == 1
+        assert main(["lab", "index", "--verify", "--root", str(root)]) == 0
+        assert main(["lab", "diff", "a", "b", "--root", str(root)]) == 2
+        assert not root.exists()
+
+
+class TestInvalidBodies:
+    """A stored body that is not a record under its hash is a cache miss."""
+
+    @pytest.mark.parametrize(
+        "body",
+        ['{"truncated": ', "[]", "null", '"x"', '{"config_hash": 1}', "other"],
+        ids=["truncated", "list", "null", "string", "wrong-hash", "other-record"],
+    )
+    def test_rerun_executes_only_the_bad_point(
+        self, tmp_path, capsys, tamper, body
+    ):
+        root = str(tmp_path / "lab")
+        sweep = ["lab", "sweep", PORTS_GRID, "--backend", "serial", "--root", root]
+        assert main(sweep) == 0
+        capsys.readouterr()
+        with ArtifactStore(root) as store:
+            victim, other = sorted(row["config_hash"] for row in store.results())[:2]
+            if body == "other":
+                # A valid record, filed under the wrong hash.
+                body = store.artifact_bytes(other).decode()
+            tamper(store, victim, body)
+            assert store.artifact_bytes(victim) is None
+            assert store.load(victim) is None
+        assert main(sweep) == 0
+        assert "3 design points, 2 cache hits, 0 failed" in capsys.readouterr().out
+        with ArtifactStore(root) as store:
+            # Re-executing the point overwrote the bad body.
+            assert store.load(victim)["config_hash"] == victim
+            assert len(store.results()) == 3
 
 
 class TestLabRunBackends:

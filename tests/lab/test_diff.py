@@ -45,7 +45,7 @@ def store(tmp_path) -> ArtifactStore:
 
 def record_run(store, jobs, monkeypatch=None, version=None) -> str:
     """Execute ``jobs`` as one recorded run, optionally under another
-    package version (which gives the run its own artifact files)."""
+    package version (which gives the run its own records)."""
     if version is not None:
         monkeypatch.setattr(repro, "__version__", version)
     try:
@@ -57,16 +57,21 @@ def record_run(store, jobs, monkeypatch=None, version=None) -> str:
     return report.run_id
 
 
-def rewrite_artifacts(store: ArtifactStore, run_id: str, mutate) -> None:
-    """Apply ``mutate(record)`` to every artifact of one run."""
-    manifest = json.loads(
-        (store.runs_dir / run_id / "manifest.json").read_text()
-    )
-    for job in manifest["jobs"]:
-        path = store.artifact_path(job["config_hash"])
-        record = json.loads(path.read_text())
-        mutate(record)
-        path.write_text(json.dumps(record))
+@pytest.fixture
+def rewrite_artifacts(tamper):
+    """``rewrite_artifacts(store, run_id, mutate)``: apply ``mutate(record)``
+    to every stored record of one run."""
+
+    def rewrite(store: ArtifactStore, run_id: str, mutate) -> None:
+        manifest = json.loads(
+            (store.runs_dir / run_id / "manifest.json").read_text()
+        )
+        for job in manifest["jobs"]:
+            record = store.load(job["config_hash"])
+            mutate(record)
+            tamper(store, job["config_hash"], json.dumps(record))
+
+    return rewrite
 
 
 def with_check(record, *, passed: bool, measured: str) -> None:
@@ -91,7 +96,9 @@ class TestDiffRuns:
         assert diff.identical == diff.compared == 1
         assert "identical" in render_diff(diff)
 
-    def test_flipped_check_is_a_regression(self, store, monkeypatch):
+    def test_flipped_check_is_a_regression(
+        self, store, monkeypatch, rewrite_artifacts
+    ):
         job = scenario_job(demo_spec())
         run_a = record_run(store, [job])
         run_b = record_run(store, [job], monkeypatch, version="1.0.1-test")
@@ -107,7 +114,7 @@ class TestDiffRuns:
         assert "REGRESSION" in render_diff(diff)
 
     def test_moved_cycle_count_is_a_change_not_regression(
-        self, store, monkeypatch
+        self, store, monkeypatch, rewrite_artifacts
     ):
         job = scenario_job(demo_spec())
         run_a = record_run(store, [job])
@@ -125,7 +132,7 @@ class TestDiffRuns:
         assert any("table row" in item.detail for item in diff.changes)
 
     def test_passing_again_is_a_change_not_regression(
-        self, store, monkeypatch
+        self, store, monkeypatch, rewrite_artifacts
     ):
         job = scenario_job(demo_spec())
         run_a = record_run(store, [job])
@@ -156,7 +163,7 @@ class TestDiffRuns:
         job = scenario_job(demo_spec())
         run_a = record_run(store, [job])
         run_b = record_run(store, [job])
-        # Prune run B's directory; its artifacts stay indexed in SQLite.
+        # Prune run B's directory; its results stay in the index.
         (store.runs_dir / run_b / "manifest.json").unlink()
         (store.runs_dir / run_b / "report.md").unlink()
         (store.runs_dir / run_b).rmdir()
@@ -177,7 +184,9 @@ class TestDiffCli:
         assert code == 0
         assert "identical" in capsys.readouterr().out
 
-    def test_regression_exits_one(self, store, capsys, monkeypatch):
+    def test_regression_exits_one(
+        self, store, capsys, monkeypatch, rewrite_artifacts
+    ):
         job = scenario_job(demo_spec())
         run_a = record_run(store, [job])
         run_b = record_run(store, [job], monkeypatch, version="1.0.1-test")

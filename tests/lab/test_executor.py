@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
 from repro.lab.executor import default_worker_count, run_jobs
 from repro.lab.jobs import build_registry
 from repro.lab.store import ArtifactStore
 
 FAST_JOBS = ("E01", "E02", "S-lambda", "S-t")
+SRC = str(Path(__file__).resolve().parents[2] / "src")
 
 
 def fast_specs():
@@ -178,8 +187,6 @@ class TestBackendParameter:
         assert report.all_passed
 
     def test_unknown_backend_name_raises(self, tmp_path):
-        import pytest
-
         from repro.lab.backends import UnknownBackendError
 
         store = ArtifactStore(tmp_path / "lab")
@@ -205,64 +212,87 @@ class TestBackendParameter:
 
 
 class TestIndexTransactions:
-    """The SQLite index is written once per run, not once per artifact."""
+    """A store holds one connection to its index for its life."""
 
-    def test_cold_run_connects_to_the_index_once(self, tmp_path, monkeypatch):
-        import sqlite3
-        from pathlib import Path
-
+    def test_cold_run_connects_to_the_index_once(self, tmp_path, sqlite_connects):
         from repro.lab.jobs import scenario_job
         from repro.scenarios import load_grid
-
-        class CountingSqlite:
-            """``sqlite3`` as ``repro.lab.store`` sees it, counting connects."""
-
-            connects = 0
-
-            def __getattr__(self, name):
-                return getattr(sqlite3, name)
-
-            def connect(self, *args, **kwargs):
-                self.connects += 1
-                return sqlite3.connect(*args, **kwargs)
 
         grid = Path(__file__).resolve().parents[2] / "examples" / (
             "scenario_program_grid_64.json"
         )
         jobs = [scenario_job(spec) for spec in load_grid(grid.read_text()).expand()]
         assert len(jobs) == 64
-        counting = CountingSqlite()
-        monkeypatch.setattr("repro.lab.store.sqlite3", counting)
         store = ArtifactStore(tmp_path / "lab")
         report = run_jobs(jobs, store=store, backend="serial")
         assert report.executed == 64
-        assert counting.connects == 1
+        assert sqlite_connects.connects == 1
         assert len(store.results()) == 64
         assert [row["run_id"] for row in store.runs()] == [report.run_id]
 
-    def test_interrupted_run_indexes_its_artifacts_but_records_no_run(
-        self, tmp_path
-    ):
-        import pytest
 
-        from repro.lab.jobs import execute_job
+#: Sweeps the grid in its argv and stops its own process after three
+#: results, by SIGKILL or by an interrupt: deterministic, no timer race.
+DYING_SWEEP = """
+import os, signal, sys
+from pathlib import Path
+from repro.lab import ArtifactStore, execute_job, run_jobs, scenario_job
+from repro.scenarios import load_grid
 
-        finished = 2
+grid, root, how = sys.argv[1:]
+jobs = [scenario_job(spec) for spec in load_grid(Path(grid).read_text()).expand()]
 
-        class InterruptedBackend:
-            name = "interrupted"
+class DyingBackend:
+    name = "dying"
 
-            def run(self, pending, *, run_id):
-                for spec in pending[:finished]:
-                    yield spec, execute_job(spec)
-                raise KeyboardInterrupt
+    def run(self, pending, *, run_id):
+        for spec in pending[:3]:
+            yield spec, execute_job(spec)
+        if how == "sigkill":
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise KeyboardInterrupt
 
-        store = ArtifactStore(tmp_path / "lab")
-        with pytest.raises(KeyboardInterrupt):
-            run_jobs(fast_specs(), store=store, backend=InterruptedBackend())
-        artifacts = sorted(store.artifacts_dir.glob("*/result.json"))
-        assert len(artifacts) == finished
-        assert sorted(row["job_id"] for row in store.results()) == sorted(
-            FAST_JOBS
-        )[:finished]
+run_jobs(jobs, store=ArtifactStore(root), backend=DyingBackend())
+"""
+
+
+class TestKilledRun:
+    @pytest.mark.parametrize("how", ["sigkill", "interrupt"])
+    def test_killed_run_keeps_every_finished_result(self, tmp_path, how):
+        from repro.cli import main
+        from repro.lab.jobs import scenario_job
+        from repro.scenarios import load_grid
+
+        grid = Path(__file__).resolve().parents[2] / "examples" / (
+            "scenario_unmatched_grid.json"
+        )
+        root = tmp_path / "lab"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        process = subprocess.run(
+            [sys.executable, "-c", DYING_SWEEP, str(grid), str(root), how],
+            env=env,
+            capture_output=True,
+            timeout=120,
+        )
+        if how == "sigkill":
+            assert process.returncode == -signal.SIGKILL
+        else:
+            assert process.returncode != 0
+            assert b"KeyboardInterrupt" in process.stderr
+        store = ArtifactStore(root)
+        rows = store.results()
+        assert len(rows) == 3
+        for row in rows:
+            assert store.load(row["config_hash"])["config_hash"] == row["config_hash"]
         assert store.runs() == []
+        assert main(["lab", "index", "--verify", "--root", str(root)]) == 0
+        jobs = [
+            scenario_job(spec) for spec in load_grid(grid.read_text()).expand()
+        ]
+        report = run_jobs(jobs, store=store, backend="serial")
+        assert (report.cache_hits, report.executed) == (3, len(jobs) - 3)
+        assert len(store.results()) == len(jobs)
+        store.close()

@@ -33,7 +33,8 @@ class TestWriteRunArtifacts:
         assert manifest["failures"] == []
         assert [job["job_id"] for job in manifest["jobs"]] == ["E01", "S-t"]
         for job in manifest["jobs"]:
-            assert store.artifact_path(job["config_hash"]).is_file()
+            assert store.load(job["config_hash"]) is not None
+            assert "artifact" not in job
         text = (run_dir / "report.md").read_text()
         assert f"run `{report.run_id}`" in text
         assert "## E01" in text

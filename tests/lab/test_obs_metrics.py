@@ -1,10 +1,9 @@
-"""Lab observability: batch metrics, manifest stamps, stale-row pruning.
+"""Lab observability: batch metrics and manifest stamps.
 
 ``run_jobs`` now summarises each batch (cache-hit rate, queue latency,
 backend detail) on the report; ``write_run_artifacts`` persists that
 summary plus the git commit into ``manifest.json``;
-``recent_run_metrics`` reads them back; ``prune_stale_index`` drops
-index rows whose artifact files were deleted out from under the index.
+``recent_run_metrics`` reads them back.
 """
 
 from __future__ import annotations
@@ -141,32 +140,3 @@ class TestManifestStamp:
             )
             write_run_artifacts(store, report)
         assert len(recent_run_metrics(store, limit=2)) == 2
-
-
-class TestPruneStaleIndex:
-    def test_prunes_rows_for_deleted_artifacts(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        report = run_jobs(
-            [scenario_job(spec()), scenario_job(spec(stride=8))],
-            store=store,
-            backend="serial",
-        )
-        addresses = [
-            outcome.spec.config_hash() for outcome in report.outcomes
-        ]
-        target = addresses[0]
-        artifact = store.artifact_path(target)
-        assert artifact.is_file()
-        artifact.unlink()
-        pruned = store.prune_stale_index()
-        assert pruned == [target]
-        # Idempotent: a second pass finds nothing stale.
-        assert store.prune_stale_index() == []
-
-    def test_intact_store_prunes_nothing(self, tmp_path):
-        store = ArtifactStore(tmp_path)
-        run_jobs([scenario_job(spec())], store=store, backend="serial")
-        assert store.prune_stale_index() == []
-
-    def test_store_without_index_prunes_nothing(self, tmp_path):
-        assert ArtifactStore(tmp_path / "empty").prune_stale_index() == []

@@ -1,13 +1,27 @@
-"""Tests for the content-addressed artifact store and SQLite index."""
+"""Tests for the content-addressed result store and its SQLite index."""
 
 from __future__ import annotations
 
 import json
-import os
+import shutil
+import sqlite3
+import sys
 import threading
+from contextlib import closing
+from pathlib import Path
 
+import repro
+from repro.lab import (
+    diff_runs,
+    render_diff,
+    run_jobs,
+    scenario_job,
+    write_run_artifacts,
+)
+from repro.lab.hashing import canonical_json
 from repro.lab.jobs import JobSpec
-from repro.lab.store import ArtifactStore
+from repro.lab.store import INDEX_VERSION, ArtifactStore
+from repro.scenarios import load_grid
 
 SPEC = JobSpec("E01", "experiment", "Figure 3 layout")
 PAYLOAD = {
@@ -23,13 +37,15 @@ PAYLOAD = {
     "all_passed": True,
     "elapsed_seconds": 0.25,
 }
+PORTS_GRID = Path(__file__).resolve().parents[2] / "examples" / (
+    "scenario_ports_grid.json"
+)
 
 
 def record_run(store: ArtifactStore, run_id: str, *records: dict) -> None:
-    """Index ``records`` as one finished run, the way ``run_jobs`` does."""
+    """Record ``records`` as one finished run, the way ``run_jobs`` does."""
     store.record_run(
         run_id,
-        records=records,
         job_count=len(records),
         cache_hits=0,
         failures=sum(not record["all_passed"] for record in records),
@@ -57,22 +73,30 @@ class TestArtifactStore:
         record = store.save(
             SPEC, PAYLOAD, run_id="r1", package_version="1.0.0"
         )
-        path = store.artifact_path(record["config_hash"])
-        assert path.is_file()
-        assert json.loads(path.read_text())["job_id"] == "E01"
+        with closing(sqlite3.connect(store.index_path)) as db:
+            [(address, body)] = db.execute(
+                "SELECT config_hash, body FROM results"
+            ).fetchall()
+        assert address == record["config_hash"]
+        assert json.loads(body)["job_id"] == "E01"
+        # The index is the only copy: no per-result files.
+        assert not list(store.root.rglob("*.json"))
 
     def test_version_bump_is_a_cache_miss(self, tmp_path):
         store = ArtifactStore(tmp_path / "lab")
         store.save(SPEC, PAYLOAD, run_id="r1", package_version="1.0.0")
         assert store.load(SPEC.config_hash("9.9.9")) is None
 
-    def test_save_writes_only_the_artifact(self, tmp_path):
+    def test_save_commits_its_row_before_returning(self, tmp_path):
         store = ArtifactStore(tmp_path / "lab")
         record = store.save(SPEC, PAYLOAD, run_id="r1", package_version="1.0.0")
-        assert store.artifact_path(record["config_hash"]).is_file()
-        # The index gets the row when the run is recorded, not before.
-        assert not store.index_path.exists()
-        assert store.results() == []
+        # Another store on the root, as another process would open it,
+        # already sees the result; no run is recorded until one ends.
+        with ArtifactStore(tmp_path / "lab") as other:
+            assert other.load(record["config_hash"]) == record
+            assert [row["job_id"] for row in other.results()] == ["E01"]
+            assert other.runs() == []
+        store.close()
 
     def test_index_rows(self, tmp_path):
         store = ArtifactStore(tmp_path / "lab")
@@ -85,6 +109,7 @@ class TestArtifactStore:
         assert len(results) == 1
         assert results[0]["job_id"] == "E01"
         assert results[0]["all_passed"] == 1
+        assert "body" not in results[0]
         runs = store.runs()
         assert len(runs) == 1
         assert runs[0]["run_id"] == "r1"
@@ -106,36 +131,6 @@ class TestArtifactStore:
         assert store.load(SPEC.config_hash("1.0.0"))["all_passed"] is False
         [row] = store.results()
         assert (row["run_id"], row["all_passed"]) == ("r2", 0)
-
-    def test_rebuild_index_from_artifacts(self, tmp_path):
-        store = ArtifactStore(tmp_path / "lab")
-        other = JobSpec("S-t", "sweep", "sweep t")
-        record_run(
-            store,
-            "r1",
-            store.save(SPEC, PAYLOAD, run_id="r1", package_version="1.0.0"),
-            store.save(
-                other,
-                dict(PAYLOAD, job_id="S-t", kind="sweep"),
-                run_id="r1",
-                package_version="1.0.0",
-            ),
-        )
-        assert len(store.results()) == 2
-        store.index_path.unlink()
-        assert store.results() == []
-        assert store.rebuild_index() == 2
-        assert [row["job_id"] for row in store.results()] == ["E01", "S-t"]
-
-    def test_corrupt_artifact_is_a_cache_miss(self, tmp_path):
-        store = ArtifactStore(tmp_path / "lab")
-        record = store.save(
-            SPEC, PAYLOAD, run_id="r1", package_version="1.0.0"
-        )
-        store.artifact_path(record["config_hash"]).write_text("GARBAGE{")
-        assert store.load(record["config_hash"]) is None
-        # rebuild_index skips it instead of crashing.
-        assert store.rebuild_index() == 0
 
     def test_rebuild_index_restores_run_history(self, tmp_path):
         store = ArtifactStore(tmp_path / "lab")
@@ -165,108 +160,251 @@ class TestArtifactStore:
         store = ArtifactStore(tmp_path / "lab")
         assert store.results() == []
         assert store.runs() == []
+        assert store.load("f" * 64) is None
+        assert store.artifact_bytes("f" * 64) is None
+        assert store.verify()["checked"] == 0
+        # Reads on a missing root create nothing.
+        assert not store.root.exists()
         assert store.rebuild_index() == 0
 
 
 class TestArtifactBytes:
-    def test_raw_bytes_match_the_stored_file(self, tmp_path):
+    def test_raw_bytes_are_what_save_serialised(self, tmp_path):
         store = ArtifactStore(tmp_path / "lab")
         record = store.save(
             SPEC, PAYLOAD, run_id="r1", package_version="1.0.0"
         )
-        config_hash = record["config_hash"]
-        raw = store.artifact_bytes(config_hash)
-        assert raw == store.artifact_path(config_hash).read_bytes()
+        raw = store.artifact_bytes(record["config_hash"])
+        assert raw == canonical_json(record).encode()
         assert json.loads(raw) == record
 
-    def test_miss_and_corrupt_artifact_are_none(self, tmp_path):
+    def test_miss_and_corrupt_artifact_are_none(self, tmp_path, tamper):
         store = ArtifactStore(tmp_path / "lab")
         assert store.artifact_bytes("f" * 64) is None
         record = store.save(
             SPEC, PAYLOAD, run_id="r1", package_version="1.0.0"
         )
-        path = store.artifact_path(record["config_hash"])
-        path.write_text("{truncated")
+        tamper(store, record["config_hash"], "{truncated")
         # Corrupt bytes are never served as a cached result.
         assert store.artifact_bytes(record["config_hash"]) is None
 
 
-class TestAtomicSave:
-    def test_save_leaves_no_temp_files(self, tmp_path):
-        store = ArtifactStore(tmp_path / "lab")
-        record = store.save(SPEC, PAYLOAD, run_id="r1", package_version="1.0.0")
-        artifact_dir = store.artifact_path(record["config_hash"]).parent
-        assert [p.name for p in artifact_dir.iterdir()] == ["result.json"]
-
-    def test_interrupted_save_preserves_the_old_artifact(
-        self, tmp_path, monkeypatch
+class TestThreads:
+    def test_threads_share_one_store_while_another_reads(
+        self, tmp_path, sqlite_connects
     ):
-        """A crash mid-save must never leave a truncated result.json.
+        """Serve's queue and handler threads share one store.
 
-        The write goes to a temp file first; killing the rename leaves
-        the previous (valid) artifact untouched.
+        Eight writer threads (more than the cores) interleave ``save``
+        and ``load`` on one store, with a tiny switch interval, while a
+        second store on the same root reads every committed result.
         """
         store = ArtifactStore(tmp_path / "lab")
-        record = store.save(SPEC, PAYLOAD, run_id="r1", package_version="1.0.0")
-        address = record["config_hash"]
-        before = store.artifact_path(address).read_bytes()
-
-        def crash_on_replace(src, dst):
-            raise OSError("worker killed mid-rename")
-
-        monkeypatch.setattr(
-            "repro.lab.store.os.replace", crash_on_replace
-        )
-        import pytest
-
-        with pytest.raises(OSError, match="mid-rename"):
-            store.save(
-                SPEC,
-                dict(PAYLOAD, all_passed=False),
-                run_id="r2",
-                package_version="1.0.0",
-            )
-        monkeypatch.undo()
-        # The stored artifact is byte-identical to before the crash and
-        # still parses — never truncated, never half-written.
-        assert store.artifact_path(address).read_bytes() == before
-        assert store.load(address) == record
-
-    def test_threads_saving_one_config_use_their_own_temp_files(
-        self, tmp_path, monkeypatch
-    ):
-        """Two serve queue threads may save the same design point at once.
-
-        Both ``os.replace`` calls are held at a barrier until both temp
-        files are written; with a temp name shared by the process, the
-        second rename finds its file already moved and raises.
-        """
-        store = ArtifactStore(tmp_path / "lab")
-        barrier = threading.Barrier(2, timeout=10)
-        replace = os.replace
-
-        def gated_replace(src, dst):
-            barrier.wait()
-            replace(src, dst)
-
-        monkeypatch.setattr("repro.lab.store.os.replace", gated_replace)
+        reader = ArtifactStore(tmp_path / "lab")
+        shared = JobSpec("shared", "experiment", "saved by every thread")
+        committed: dict[str, bytes] = {}
+        shared_bodies: set[bytes] = set()
         errors: list[BaseException] = []
+        writing_done = threading.Event()
+        # All writers make their first save (which opens the connection)
+        # together.
+        start = threading.Barrier(8, timeout=30)
 
-        def save():
+        def write(index: int) -> None:
             try:
-                store.save(SPEC, PAYLOAD, run_id="r1", package_version="1.0.0")
+                start.wait()
+                for item in range(10):
+                    spec = JobSpec(f"T{index}-{item}", "experiment", "mine")
+                    record = store.save(
+                        spec, PAYLOAD, run_id=f"r{index}", package_version="1.0.0"
+                    )
+                    body = canonical_json(record).encode()
+                    address = record["config_hash"]
+                    assert store.artifact_bytes(address) == body
+                    assert store.load(address) == record
+                    committed[address] = body
+                    record = store.save(
+                        shared, PAYLOAD, run_id=f"r{index}", package_version="1.0.0"
+                    )
+                    shared_bodies.add(canonical_json(record).encode())
             except BaseException as error:  # reported by the assert below
                 errors.append(error)
 
-        threads = [threading.Thread(target=save) for _ in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=30)
-        assert not any(thread.is_alive() for thread in threads)
+        def read() -> None:
+            try:
+                while not writing_done.is_set():
+                    for address, body in list(committed.items()):
+                        assert reader.artifact_bytes(address) == body
+            except BaseException as error:  # reported by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writers = [
+                threading.Thread(target=write, args=(index,)) for index in range(8)
+            ]
+            reading = threading.Thread(target=read)
+            reading.start()
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            writing_done.set()
+            reading.join(timeout=60)
+            assert not reading.is_alive()
+        finally:
+            writing_done.set()
+            sys.setswitchinterval(interval)
         assert errors == []
-        artifact_dir = store.artifact_path(SPEC.config_hash("1.0.0")).parent
-        assert [p.name for p in artifact_dir.iterdir()] == ["result.json"]
+        assert len(committed) == 80
+        for address, body in committed.items():
+            assert store.artifact_bytes(address) == body
+            assert reader.artifact_bytes(address) == body
+        assert store.artifact_bytes(shared.config_hash("1.0.0")) in shared_bodies
+        assert len(store.results()) == len(committed) + 1
+        # One connection per store, however many threads raced to open it.
+        assert sqlite_connects.connects == 2
+        store.close()
+        reader.close()
+
+
+V2_SCHEMA = """
+CREATE TABLE runs (
+    run_id TEXT PRIMARY KEY,
+    created_at TEXT NOT NULL,
+    package_version TEXT NOT NULL,
+    job_count INTEGER NOT NULL,
+    cache_hits INTEGER NOT NULL,
+    failures INTEGER NOT NULL,
+    elapsed_seconds REAL NOT NULL
+);
+CREATE TABLE results (
+    config_hash TEXT PRIMARY KEY,
+    job_id TEXT NOT NULL,
+    kind TEXT NOT NULL,
+    title TEXT NOT NULL,
+    package_version TEXT NOT NULL,
+    all_passed INTEGER NOT NULL,
+    elapsed_seconds REAL NOT NULL,
+    created_at TEXT NOT NULL,
+    run_id TEXT NOT NULL,
+    artifact_path TEXT NOT NULL
+);
+CREATE INDEX idx_results_job ON results (job_id);
+"""
+
+
+def write_legacy_root(source: ArtifactStore, root: Path) -> None:
+    """Copy ``source`` into the earlier layout: one file per result.
+
+    ``artifacts/<hash>/result.json`` files, manifests that name them,
+    and an ``index.sqlite`` whose ``results`` rows hold only paths.
+    """
+    shutil.copytree(source.runs_dir, root / "runs")
+    for path in root.glob("runs/*/manifest.json"):
+        manifest = json.loads(path.read_text())
+        for job in manifest["jobs"]:
+            job["artifact"] = str(
+                root / "artifacts" / job["config_hash"] / "result.json"
+            )
+        path.write_text(json.dumps(manifest, indent=2))
+    with closing(sqlite3.connect(root / "index.sqlite")) as db, db:
+        db.executescript(V2_SCHEMA)
+        for row in source.results():
+            path = root / "artifacts" / row["config_hash"] / "result.json"
+            path.parent.mkdir(parents=True)
+            path.write_bytes(source.artifact_bytes(row["config_hash"]))
+            db.execute(
+                "INSERT INTO results VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
+                (*row.values(), str(path)),
+            )
+        for run in source.runs():
+            db.execute(
+                "INSERT INTO runs (run_id, created_at, package_version, "
+                "job_count, cache_hits, failures, elapsed_seconds) "
+                "VALUES (:run_id, :created_at, :package_version, :job_count, "
+                ":cache_hits, :failures, :elapsed_seconds)",
+                run,
+            )
+
+
+class TestUpgrade:
+    """Roots in the earlier layout, one file per result, are imported."""
+
+    def build(self, tmp_path, monkeypatch, tamper):
+        """A legacy root holding two runs whose diff has something to say."""
+        jobs = [
+            scenario_job(spec)
+            for spec in load_grid(PORTS_GRID.read_text()).expand()
+        ]
+        source = ArtifactStore(tmp_path / "source")
+        first = run_jobs(jobs[:2], store=source, backend="serial")
+        write_run_artifacts(source, first)
+        monkeypatch.setattr(repro, "__version__", "0.0.1-candidate")
+        second = run_jobs(jobs[1:], store=source, backend="serial")
+        write_run_artifacts(source, second)
+        monkeypatch.undo()
+        # Run B's copy of the shared design point moved a cycle count.
+        moved = second.outcomes[0].record
+        rows = [
+            [metric, value + 1 if metric == "latency" else value]
+            for metric, value in moved["rows"]
+        ]
+        tamper(source, moved["config_hash"], canonical_json(dict(moved, rows=rows)))
+        legacy = tmp_path / "legacy"
+        write_legacy_root(source, legacy)
+        return jobs, source, legacy, (first.run_id, second.run_id)
+
+    def test_legacy_root_is_served_as_cache_hits(
+        self, tmp_path, monkeypatch, tamper
+    ):
+        jobs, source, legacy, runs = self.build(tmp_path, monkeypatch, tamper)
+        files = {
+            path.parent.name: path.read_bytes()
+            for path in legacy.glob("artifacts/*/result.json")
+        }
+        assert len(files) == 4
+        expected_diff = render_diff(diff_runs(source, *runs))
+        with ArtifactStore(legacy) as store:
+            for address, raw in files.items():
+                assert store.artifact_bytes(address) == raw
+            assert render_diff(diff_runs(store, *runs)) == expected_diff
+            assert sorted(run["run_id"] for run in store.runs()) == sorted(runs)
+            rerun = run_jobs(jobs[:2], store=store, backend="serial")
+            assert (rerun.cache_hits, rerun.executed) == (2, 0)
+        with closing(sqlite3.connect(legacy / "index.sqlite")) as db:
+            assert db.execute("PRAGMA user_version").fetchone()[0] == INDEX_VERSION
+        # The old files stay on disk until someone deletes them.
+        assert len(list(legacy.glob("artifacts/*/result.json"))) == 4
+
+    def test_import_runs_once_and_lab_index_repeats_it(
+        self, tmp_path, monkeypatch, tamper
+    ):
+        _, source, legacy, _ = self.build(tmp_path, monkeypatch, tamper)
+        address = source.results()[0]["config_hash"]
+        # Files holding no record under their directory's hash are
+        # never imported.
+        misfiled = legacy / "artifacts" / ("0" * 64) / "result.json"
+        misfiled.parent.mkdir()
+        misfiled.write_bytes(source.artifact_bytes(address))
+        junk = legacy / "artifacts" / ("1" * 64) / "result.json"
+        junk.parent.mkdir()
+        junk.write_text("[]")
+        with ArtifactStore(legacy) as store:
+            assert len(store.results()) == 4
+        # A file that appears after the upgrade waits for `repro lab index`.
+        late = dict(source.load(address), config_hash="2" * 64)
+        path = legacy / "artifacts" / ("2" * 64) / "result.json"
+        path.parent.mkdir()
+        path.write_text(canonical_json(late))
+        with ArtifactStore(legacy) as store:
+            assert store.load("2" * 64) is None
+            assert store.rebuild_index() == 5
+            assert store.load("2" * 64) == late
+            assert store.load("0" * 64) is None
+            assert store.load("1" * 64) is None
 
 
 class TestVerify:
@@ -292,53 +430,44 @@ class TestVerify:
             or report["unverifiable"]
         )
 
-    def test_corrupt_artifact_is_flagged(self, tmp_path):
+    def test_corrupt_artifact_is_flagged(self, tmp_path, tamper):
         store = self.run_one(tmp_path)
         address = store.verify()["ok"][0]
-        store.artifact_path(address).write_text("GARBAGE{")
+        tamper(store, address, "GARBAGE{")
         report = store.verify()
         assert report["corrupt"] == [address]
 
-    def test_misfiled_artifact_is_mismatched(self, tmp_path):
-        import shutil
-
+    def test_misfiled_artifact_is_mismatched(self, tmp_path, tamper):
         store = self.run_one(tmp_path)
         address = store.verify()["ok"][0]
         wrong = "0" * 64
-        shutil.copytree(
-            store.artifact_path(address).parent,
-            store.artifacts_dir / wrong,
-        )
+        tamper(store, wrong, store.artifact_bytes(address).decode(), source=address)
         report = store.verify()
         assert wrong in report["mismatched"]
         assert address in report["ok"]
 
-    def test_fingerprint_drift_is_stale(self, tmp_path):
-        from repro.lab.hashing import canonical_json, config_hash
+    def test_fingerprint_drift_is_stale(self, tmp_path, tamper):
+        from repro.lab.hashing import config_hash
 
         store = self.run_one(tmp_path)
         address = store.verify()["ok"][0]
         record = store.load(address)
         record["config"]["source_fingerprint"] = "f" * 64
-        # Re-file under the drifted config's recomputed hash so the
-        # artifact is internally consistent but from another source tree.
+        # File under the drifted config's recomputed hash so the record
+        # is internally consistent but from another source tree.
         drifted = config_hash(record["config"])
         record["config_hash"] = drifted
-        path = store.artifact_path(drifted)
-        path.parent.mkdir(parents=True)
-        path.write_text(canonical_json(record))
+        tamper(store, drifted, canonical_json(record), source=address)
         report = store.verify()
         assert drifted in report["stale"]
         assert address in report["ok"]
 
-    def test_pre_schema2_record_is_unverifiable(self, tmp_path):
+    def test_pre_schema2_record_is_unverifiable(self, tmp_path, tamper):
         store = self.run_one(tmp_path)
         address = store.verify()["ok"][0]
         record = store.load(address)
         del record["config"]
-        from repro.lab.hashing import canonical_json
-
-        store.artifact_path(address).write_text(canonical_json(record))
+        tamper(store, address, canonical_json(record))
         report = store.verify()
         assert report["unverifiable"] == [address]
 

@@ -19,6 +19,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.lab import ArtifactStore
+
 from .conftest import SPEC
 
 SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -93,13 +95,13 @@ class TestSigterm:
         assert "draining in-flight runs" in output
         assert "drained cleanly" in output
 
-        # The 202 was a promise: the artifact landed despite the signal.
-        artifact = (
-            tmp_path / "lab" / "artifacts" / config_hash / "result.json"
-        )
-        assert artifact.is_file(), output
-        record = json.loads(artifact.read_text())
+        # The 202 was a promise: the result landed despite the signal,
+        # in the index and nowhere else.
+        with ArtifactStore(tmp_path / "lab") as store:
+            record = store.load(config_hash)
+        assert record is not None, output
         assert record["all_passed"] is True
+        assert not list((tmp_path / "lab").rglob("result.json"))
 
     def test_sigint_also_exits_zero(self, tmp_path):
         process = start_serve(tmp_path)

@@ -2,7 +2,7 @@
 
 Covers `scenario run --trace`, `lab status --metrics`,
 `lab history` (trend, ingest, exit codes, `--flag-regressions`,
-`--absolute-floor`) and `lab index --prune-stale`.
+`--absolute-floor`) and the removed `lab index --prune-stale`.
 """
 
 from __future__ import annotations
@@ -240,35 +240,12 @@ class TestLabHistory:
 
 
 class TestLabIndexPrune:
-    def delete_one_artifact(self, root) -> None:
-        artifacts = sorted((root / "artifacts").rglob("*.json"))
-        assert artifacts
-        artifacts[0].unlink()
-
-    def test_standalone_prune(self, grid_file, tmp_path, capsys):
-        root = tmp_path / "lab"
-        sweep(root, grid_file)
-        self.delete_one_artifact(root)
-        capsys.readouterr()
-        assert main(
-            ["lab", "index", "--root", str(root), "--prune-stale"]
-        ) == 0
-        assert "pruned 1" in capsys.readouterr().out
-        assert main(
-            ["lab", "index", "--root", str(root), "--prune-stale"]
-        ) == 0
-        assert "pruned 0" in capsys.readouterr().out
-
-    def test_verify_with_prune(self, grid_file, tmp_path, capsys):
-        root = tmp_path / "lab"
-        sweep(root, grid_file)
-        self.delete_one_artifact(root)
-        capsys.readouterr()
-        assert main(
-            ["lab", "index", "--root", str(root), "--verify",
-             "--prune-stale"]
-        ) == 0
-        assert "pruned 1" in capsys.readouterr().out
+    def test_prune_stale_is_gone(self, tmp_path, capsys):
+        # Results live in their index rows, so no row can lose its file.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lab", "index", "--root", str(tmp_path), "--prune-stale"])
+        assert excinfo.value.code == 2
+        assert "--prune-stale" in capsys.readouterr().err
 
 
 class TestHistoryFloor:
