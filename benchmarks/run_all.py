@@ -25,7 +25,6 @@ from repro.lab import (
     default_lab_root,
     render_experiments_markdown,
     run_jobs,
-    write_run_artifacts,
 )
 
 
@@ -45,7 +44,6 @@ def main(
         report = run_jobs(
             specs, store=store, workers=workers, force=force, progress=print
         )
-        write_run_artifacts(store, report)
     Path(output).write_text(
         render_experiments_markdown(
             [outcome.record for outcome in report.outcomes]

@@ -67,8 +67,8 @@ Module map
   rendering;
 * :mod:`repro.obs` — observability: zero-cost-when-disabled cycle-level
   tracing (``Tracer``, Chrome/Perfetto ``trace_event`` export) and the
-  cross-run :class:`~repro.obs.history.HistoryDB` metric index behind
-  ``repro lab history``;
+  cross-run metric history behind ``repro lab history``, read from each
+  lab root's run manifests and results;
 * :mod:`repro.lab` — parallel experiment orchestration with
   content-addressed result caching, cross-run diffing and pluggable
   execution backends (in-process, process pool, or a filesystem-spool

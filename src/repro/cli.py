@@ -339,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         "index",
         help="import a root's earlier-layout artifact files "
         "(artifacts/<hash>/result.json) into index.sqlite, which holds "
-        "every result",
+        "every result (each run is recorded in runs/<run-id>/manifest.json)",
     )
     lab_index.add_argument("--root", default=None, help=root_help)
     lab_index.add_argument(
@@ -351,8 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     lab_history = lab_commands.add_parser(
         "history",
-        help="cross-run metric trends from ingested manifests and "
-        "BENCH_*.json artifacts",
+        help="cross-run metric trends, read from the lab root's run "
+        "manifests and results and its ingested BENCH_*.json files",
     )
     lab_history.add_argument(
         "--metric",
@@ -370,8 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
         action="append",
         default=[],
         metavar="PATH",
-        help="also ingest this manifest.json, run directory, lab root "
-        "or pytest-benchmark JSON (repeatable)",
+        help="first copy this pytest-benchmark JSON file into the lab "
+        "root's bench/ directory (repeatable; another root's runs come "
+        "in through `repro lab merge`)",
     )
     lab_history.add_argument(
         "--flag-regressions",
@@ -407,11 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         dest="as_json",
         help="emit trend/regression data as one JSON object",
-    )
-    lab_history.add_argument(
-        "--db",
-        default=None,
-        help="history database path (default: <lab-root>/history.sqlite)",
     )
     lab_history.add_argument("--root", default=None, help=root_help)
 
@@ -644,7 +640,6 @@ def _lab_store_command(args: argparse.Namespace, store) -> int:
         build_registry,
         run_jobs,
         summarize_cached,
-        write_run_artifacts,
     )
 
     registry = build_registry()
@@ -696,13 +691,12 @@ def _lab_store_command(args: argparse.Namespace, store) -> int:
             progress=print,
             backend=_build_backend(args, store),
         )
-        run_dir = write_run_artifacts(store, report)
         print(
             f"run {report.run_id}: {len(report.outcomes)} jobs, "
             f"{report.cache_hits} cache hits, {report.executed} executed, "
             f"{len(report.failures)} failed in {report.elapsed_seconds:.1f}s"
         )
-        print(f"manifest: {run_dir / 'manifest.json'}")
+        print(f"manifest: {store.runs_dir / report.run_id / 'manifest.json'}")
         if report.failures:
             failed = ", ".join(o.spec.job_id for o in report.failures)
             print(f"failed jobs: {failed}", file=sys.stderr)
@@ -938,12 +932,7 @@ def _lab_sweep(args: argparse.Namespace, store) -> int:
     """Run one scenario grid through the lab, render one comparison table."""
     from pathlib import Path
 
-    from repro.lab import (
-        decode_rows,
-        run_jobs,
-        scenario_job,
-        write_run_artifacts,
-    )
+    from repro.lab import decode_rows, run_jobs, scenario_job
     from repro.report.sweeps import sweep_table
     from repro.report.tables import render_markdown
     from repro.scenarios import load_grid
@@ -963,7 +952,6 @@ def _lab_sweep(args: argparse.Namespace, store) -> int:
         progress=print,
         backend=_build_backend(args, store),
     )
-    write_run_artifacts(store, report)
     outcomes = {outcome.spec.job_id: outcome for outcome in report.outcomes}
     records = []
     for job in jobs:
@@ -1001,37 +989,35 @@ def _lab_sweep(args: argparse.Namespace, store) -> int:
 def _lab_history(args: argparse.Namespace, store) -> int:
     """`repro lab history`: cross-run trends and regression gating.
 
-    Every invocation re-ingests the lab root's run manifests (ingestion
-    is idempotent), plus whatever ``--ingest`` paths name — bench JSON
-    artifacts, detached manifests, whole lab roots.  ``--metric``
-    renders the trend; ``--flag-regressions`` compares each series'
-    latest point against its best-ever value and exits 1 on slippage.
+    Every invocation reads the lab root's manifests, results and bench
+    files afresh, after copying in whatever ``--ingest`` names.
+    ``--metric`` renders the trend; ``--flag-regressions`` compares each
+    series' latest point against its best-ever value and exits 1 on
+    slippage.  No points to show or check is exit 2.
     """
     import json as json_module
-    from pathlib import Path
 
-    from repro.obs.history import (
-        HISTORY_FILENAME,
-        HistoryDB,
-        metric_direction,
-    )
+    from repro.obs.history import ingest_bench, metric_direction, read_history
 
-    db = HistoryDB(Path(args.db) if args.db else store.root / HISTORY_FILENAME)
     info = sys.stderr if args.as_json else sys.stdout
-    counts = db.ingest_store(store)
-    if counts["manifests"]:
-        print(
-            f"ingested {counts['manifests']} manifest(s) "
-            f"({counts['metrics']} metric points) from {store.runs_dir}",
-            file=info,
-        )
     for target in args.ingest:
-        count = db.ingest_path(Path(target))
+        count = ingest_bench(store, target)
         print(f"ingested {count} metric point(s) from {target}", file=info)
+
+    history = read_history(store)
+    if not history.select(args.metric or None, args.scenario):
+        print(
+            "no points"
+            + (f" for metric {args.metric!r}" if args.metric else "")
+            + (f" matching {args.scenario!r}" if args.scenario else "")
+            + f" in {store.root}",
+            file=sys.stderr,
+        )
+        return 2
 
     flagged: list[dict] = []
     if args.flag_regressions:
-        flagged = db.flag_regressions(
+        flagged = history.flag_regressions(
             metric=args.metric,
             scenario=args.scenario,
             tolerance=args.tolerance,
@@ -1039,18 +1025,18 @@ def _lab_history(args: argparse.Namespace, store) -> int:
         )
 
     if args.as_json:
-        payload: dict = {"db": str(db.path)}
+        payload: dict = {"root": str(store.root)}
         if args.metric:
             payload["metric"] = args.metric
             payload["direction"] = metric_direction(args.metric)
-            payload["points"] = db.trend(
+            payload["points"] = history.trend(
                 args.metric, scenario=args.scenario, limit=args.limit
             )
         else:
-            payload["runs"] = db.runs()
+            payload["runs"] = history.runs()
             payload["metrics"] = [
                 {"metric": name, "points": count}
-                for name, count in db.metric_names()
+                for name, count in history.metric_names()
             ]
         if args.flag_regressions:
             payload["regressions"] = flagged
@@ -1058,17 +1044,9 @@ def _lab_history(args: argparse.Namespace, store) -> int:
         return 1 if flagged else 0
 
     if args.metric:
-        points = db.trend(
+        points = history.trend(
             args.metric, scenario=args.scenario, limit=args.limit
         )
-        if not points:
-            print(
-                f"no points for metric {args.metric!r}"
-                + (f" matching {args.scenario!r}" if args.scenario else "")
-                + f" in {db.path}",
-                file=sys.stderr,
-            )
-            return 0 if args.flag_regressions and not flagged else 2
         direction = metric_direction(args.metric)
         arrow = {"lower": "(lower is better)", "higher": "(higher is better)"}
         print(
@@ -1092,9 +1070,9 @@ def _lab_history(args: argparse.Namespace, store) -> int:
             )
         )
     else:
-        runs = db.runs()
-        names = db.metric_names()
-        print(f"history db: {db.path}")
+        runs = history.runs()
+        names = history.metric_names()
+        print(f"lab root: {store.root}")
         print(f"{len(runs)} run(s), {len(names)} distinct metric(s)")
         if names:
             print(
@@ -1276,7 +1254,6 @@ def command_scenario(args: argparse.Namespace) -> int:
             default_lab_root,
             run_jobs,
             scenario_job,
-            write_run_artifacts,
         )
 
         jobs = [scenario_job(spec) for spec in specs]
@@ -1289,12 +1266,11 @@ def command_scenario(args: argparse.Namespace) -> int:
                 progress=print,
                 backend=_build_backend(args, store),
             )
-            run_dir = write_run_artifacts(store, report)
         print(
             f"run {report.run_id}: {len(report.outcomes)} scenarios, "
             f"{report.cache_hits} cache hits, {report.executed} executed"
         )
-        print(f"manifest: {run_dir / 'manifest.json'}")
+        print(f"manifest: {store.runs_dir / report.run_id / 'manifest.json'}")
         return 1 if report.failures else 0
 
     if args.trace:

@@ -12,17 +12,16 @@ store:
   :class:`repro.scenarios.ScenarioSpec` into the cache key;
 * :mod:`repro.lab.hashing` — canonical config hashing + cell codecs;
 * :mod:`repro.lab.store` — one SQLite index per lab root holding
-  every result's JSON record and the run history, ``merge`` for
-  folding detached stores back in, ``verify`` for recomputing stored
-  config hashes;
+  every result's JSON record, ``merge`` for folding detached stores
+  back in, ``verify`` for recomputing stored config hashes;
 * :mod:`repro.lab.backends` — the :class:`ExecutorBackend` protocol
   and its in-process implementations;
 * :mod:`repro.lab.spool` — the filesystem-spool sharding protocol
   (coordinator + ``repro lab worker`` loop);
 * :mod:`repro.lab.executor` — cache-aware batch execution over any
   backend;
-* :mod:`repro.lab.manifest` — per-run manifest.json / report.md and the
-  byte-stable EXPERIMENTS.md renderer;
+* :mod:`repro.lab.manifest` — per-run manifest.json / report.md, the
+  only record of a run, and the byte-stable EXPERIMENTS.md renderer;
 * :mod:`repro.lab.diffing` — cross-run regression diffing
   (``repro lab diff``).
 
@@ -108,6 +107,7 @@ from repro.lab.jobs import (
 )
 from repro.lab.manifest import (
     cached_records,
+    read_manifests,
     recent_run_metrics,
     render_experiments_markdown,
     render_lab_report,
@@ -165,6 +165,7 @@ __all__ = [
     "job_from_json",
     "job_to_json",
     "new_run_id",
+    "read_manifests",
     "recent_run_metrics",
     "render_diff",
     "render_experiments_markdown",

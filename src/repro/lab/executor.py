@@ -5,10 +5,10 @@ the artifact store for each config hash, hands the misses to an
 :class:`~repro.lab.backends.ExecutorBackend` (in-process serial,
 process pool, or the filesystem-spool sharding protocol), commits every
 fresh payload's result to the store as it lands, and writes the run's
-``runs`` row when it ends.  Results are reported in job-id order
-regardless of completion order, so the same batch produces the same
-:class:`ExecutionReport` — and byte-identical rendered reports — no
-matter which backend executed it.
+``runs/<run-id>/`` manifest and report when it ends.  Results are
+reported in job-id order regardless of completion order, so the same
+batch produces the same :class:`ExecutionReport` — and byte-identical
+rendered reports — no matter which backend executed it.
 
 Only specs and JSON-safe payloads cross the executor/backend boundary,
 so nothing unpicklable ever crosses a process (or host) boundary, and
@@ -157,7 +157,8 @@ def run_jobs(
     ``progress`` receives one human-readable line per completed job.
     ``run_id`` lets a caller that already promised an id (the HTTP
     service returns one at submit time) execute under it; ``None``
-    allocates a fresh one.
+    allocates a fresh one.  The run's manifest and report are written
+    under ``store.runs_dir / run_id`` before this returns.
     """
     executor = resolve_backend(backend, store=store, workers=workers)
     ordered = sorted(specs, key=lambda spec: spec.job_id)
@@ -234,8 +235,8 @@ def run_jobs(
     # failed outcomes; store/save errors are infrastructure problems and
     # propagate, never misattributed to the job.  Whatever stops the
     # loop (an interrupt, a spool timeout, a store error), every result
-    # saved so far is already committed; the run itself gets no ``runs``
-    # row.
+    # saved so far is already committed; the run itself gets no
+    # manifest.
     if pending:
         for spec, result in executor.run(pending, run_id=run_id):
             if isinstance(result, JobFailure):
@@ -255,14 +256,10 @@ def run_jobs(
             queue_latencies=queue_latencies,
         ),
     )
-    store.record_run(
-        run_id,
-        job_count=len(report.outcomes),
-        cache_hits=report.cache_hits,
-        failures=len(report.failures),
-        elapsed_seconds=report.elapsed_seconds,
-        package_version=version,
-    )
+    # Imported here: the manifest module imports this one.
+    from repro.lab.manifest import write_run_artifacts
+
+    write_run_artifacts(store, report)
     return report
 
 

@@ -1,8 +1,12 @@
 """Manifest and report rendering for lab runs.
 
-Every ``repro lab run`` leaves a ``runs/<run-id>/`` directory with a
+Every run that ends leaves a ``runs/<run-id>/`` directory with a
 machine-readable ``manifest.json`` (which jobs ran, which were cache
-hits, each job's config hash) and a human-readable ``report.md``.
+hits, each job's config hash) and a human-readable ``report.md``;
+:func:`~repro.lab.executor.run_jobs` writes both when the run ends.
+The manifest is the only record of a run: :func:`read_manifests` is
+the one reader behind ``repro lab status``, ``lab status --metrics``
+and the history in :mod:`repro.obs.history`.
 The module also owns the EXPERIMENTS.md renderer: ``benchmarks/
 run_all.py`` feeds experiment outcomes through
 :func:`render_experiments_markdown`, which reproduces the historical
@@ -18,7 +22,7 @@ from pathlib import Path
 from repro.lab.executor import ExecutionReport, JobOutcome
 from repro.lab.hashing import decode_rows
 from repro.lab.jobs import EXPERIMENT_KIND, JobSpec
-from repro.lab.store import ArtifactStore
+from repro.lab.store import ArtifactStore, atomic_write
 from repro.report.tables import render_markdown
 
 EXPERIMENTS_HEADER = """\
@@ -106,7 +110,11 @@ def render_lab_report(outcomes: list[JobOutcome], run_id: str) -> str:
 def write_run_artifacts(
     store: ArtifactStore, report: ExecutionReport
 ) -> Path:
-    """Write manifest.json + report.md for one run; returns the directory."""
+    """Write report.md, then manifest.json, for one run; returns the directory.
+
+    Both are written atomically and the manifest last, so a run
+    directory that holds a manifest holds the whole run.
+    """
     run_dir = store.runs_dir / report.run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     import repro
@@ -138,11 +146,28 @@ def write_run_artifacts(
             for outcome in report.outcomes
         ],
     }
-    (run_dir / "manifest.json").write_text(json.dumps(manifest, indent=2))
-    (run_dir / "report.md").write_text(
-        render_lab_report(report.outcomes, report.run_id)
-    )
+    report_md = render_lab_report(report.outcomes, report.run_id)
+    atomic_write(run_dir / "report.md", report_md)
+    atomic_write(run_dir / "manifest.json", json.dumps(manifest, indent=2))
     return run_dir
+
+
+def read_manifests(store: ArtifactStore) -> list[dict]:
+    """Every run manifest under the root, oldest first.
+
+    Ordered by ``created_at``, then ``run_id``.  A file that is not a
+    JSON object with a ``run_id`` is skipped: it records no run.
+    """
+    manifests: list[dict] = []
+    for path in store.runs_dir.glob("*/manifest.json"):
+        try:
+            manifest = json.loads(path.read_text())
+        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
+            continue
+        if isinstance(manifest, dict) and "run_id" in manifest:
+            manifests.append(manifest)
+    manifests.sort(key=lambda m: (m.get("created_at", ""), m["run_id"]))
+    return manifests
 
 
 def recent_run_metrics(store: ArtifactStore, limit: int = 10) -> list[dict]:
@@ -155,16 +180,8 @@ def recent_run_metrics(store: ArtifactStore, limit: int = 10) -> list[dict]:
     ``metrics`` dict rather than being skipped, so the recent-run
     window stays honest.
     """
-    if not store.runs_dir.is_dir():
-        return []
     entries: list[dict] = []
-    for path in store.runs_dir.glob("*/manifest.json"):
-        try:
-            manifest = json.loads(path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            continue
-        if not isinstance(manifest, dict) or "run_id" not in manifest:
-            continue
+    for manifest in read_manifests(store)[::-1][:limit]:
         metrics = manifest.get("metrics")
         entries.append(
             {
@@ -178,8 +195,7 @@ def recent_run_metrics(store: ArtifactStore, limit: int = 10) -> list[dict]:
                 "metrics": metrics if isinstance(metrics, dict) else {},
             }
         )
-    entries.sort(key=lambda e: (e["created_at"], e["run_id"]), reverse=True)
-    return entries[:limit]
+    return entries
 
 
 def cached_records(
@@ -227,13 +243,25 @@ def status_payload(
                 config_hash=record["config_hash"],
             )
         jobs.append(entry)
+    runs = [
+        {
+            "run_id": manifest["run_id"],
+            "created_at": manifest.get("created_at", ""),
+            "package_version": manifest.get("package_version", ""),
+            "job_count": manifest.get("job_count", 0),
+            "cache_hits": manifest.get("cache_hits", 0),
+            "failures": len(manifest.get("failures", [])),
+            "elapsed_seconds": manifest.get("elapsed_seconds", 0.0),
+        }
+        for manifest in read_manifests(store)[::-1][:5]
+    ]
     return {
         "root": str(store.root),
         "registered": len(registry),
         "cached": len(cached),
         "missing": missing,
         "jobs": jobs,
-        "runs": store.runs(limit=5),
+        "runs": runs,
     }
 
 

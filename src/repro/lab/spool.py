@@ -59,6 +59,7 @@ from repro.errors import ReproError
 from repro.lab.backends import JobFailure, describe_error
 from repro.lab.hashing import canonical_json
 from repro.lab.jobs import JobSpec, execute_job
+from repro.lab.store import atomic_write
 
 PENDING_DIR = "pending"
 CLAIMED_DIR = "claimed"
@@ -76,21 +77,6 @@ DEFAULT_HEARTBEAT = 5.0
 
 class SpoolError(ReproError):
     """A malformed spool file or an unusable spool directory."""
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    """Write-temp-then-``os.replace`` so readers never see a partial file.
-
-    The dotted ``.{name}.{pid}.{thread}.tmp`` spelling keeps in-flight
-    temp files invisible to every ``*.json`` glob in the spool, and
-    unique per writer: two threads of one process never share a temp
-    file.
-    """
-    temp = path.with_name(
-        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-    )
-    temp.write_text(text)
-    os.replace(temp, path)
 
 
 # -- JobSpec wire format --------------------------------------------------
@@ -182,7 +168,7 @@ class SpoolRun:
         published: dict[str, JobSpec] = {}
         for sequence, spec in enumerate(specs):
             name = _spool_name(sequence, spec.job_id)
-            _atomic_write(self.pending_dir / name, job_to_json(spec))
+            atomic_write(self.pending_dir / name, job_to_json(spec))
             published[name] = spec
         return published
 
@@ -269,7 +255,7 @@ class SpoolRun:
 
     def close(self) -> None:
         """Mark the run abandoned/complete: workers stop claiming from it."""
-        _atomic_write(self.closed_path, "")
+        atomic_write(self.closed_path, "")
 
     def destroy(self) -> None:
         """Remove the run's spool directory (results live in the store).
@@ -510,7 +496,7 @@ def execute_claim(
         # A corrupt job file must not kill the worker: report it as a
         # failure (the coordinator matches done files by name, so no
         # job_id is needed) and keep serving.
-        _atomic_write(
+        atomic_write(
             run_root / DONE_DIR / claim.name,
             canonical_json({"failure": describe_error(error).message}),
         )
@@ -537,7 +523,7 @@ def execute_claim(
         "heartbeats": beats.count,
     }
     try:
-        _atomic_write(run_root / DONE_DIR / claim.name, canonical_json(body))
+        atomic_write(run_root / DONE_DIR / claim.name, canonical_json(body))
     except OSError:
         # The coordinator collected a duplicate of this job and destroyed
         # the run while we were executing; our result is redundant.

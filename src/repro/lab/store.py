@@ -3,10 +3,11 @@
 Layout under the lab root (default ``.repro-lab/``)::
 
     index.sqlite                  `results` rows, each holding its
-                                  record's canonical JSON body, and
-                                  one `runs` row per finished run
-    runs/<run-id>/manifest.json   written by repro.lab.manifest
-    runs/<run-id>/report.md
+                                  record's canonical JSON body
+    runs/<run-id>/manifest.json   the only record of a finished run,
+    runs/<run-id>/report.md       both written by repro.lab.manifest
+    bench/<run-id>.json           pytest-benchmark files, copied in by
+                                  ``repro lab history --ingest``
 
 A result's address is the canonical hash of its job config plus the
 package version (see :mod:`repro.lab.hashing`), so a re-run of an
@@ -33,7 +34,13 @@ touch the connection they inherit.
 
 A root in the earlier layout, one ``artifacts/<hash>/result.json`` file
 per result, is imported the first time its index is opened; the files
-stay on disk and may be deleted afterwards.
+stay on disk and may be deleted afterwards.  An index written before
+runs were recorded only in their manifests keeps its ``runs`` table on
+disk; nothing reads it.
+
+The run and bench files under a lab root, and the spool's job files,
+are written through :func:`atomic_write`, so a reader never sees half
+a file.
 """
 
 from __future__ import annotations
@@ -65,15 +72,6 @@ class StoreMergeError(ReproError):
 
 
 _SCHEMA = (
-    """CREATE TABLE IF NOT EXISTS runs (
-        run_id TEXT PRIMARY KEY,
-        created_at TEXT NOT NULL,
-        package_version TEXT NOT NULL,
-        job_count INTEGER NOT NULL,
-        cache_hits INTEGER NOT NULL,
-        failures INTEGER NOT NULL,
-        elapsed_seconds REAL NOT NULL
-    )""",
     """CREATE TABLE IF NOT EXISTS results (
         config_hash TEXT PRIMARY KEY,
         job_id TEXT NOT NULL,
@@ -96,10 +94,6 @@ _INSERT_RESULT = (
     f"INSERT OR REPLACE INTO results ({_RESULT_METADATA}, body) "
     "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
 )
-_RUN_COLUMNS = (
-    "run_id, created_at, package_version, job_count, cache_hits, "
-    "failures, elapsed_seconds"
-)
 
 
 def _utc_now() -> str:
@@ -109,6 +103,26 @@ def _utc_now() -> str:
 def default_lab_root() -> str:
     """The lab root every front end agrees on: $REPRO_LAB_ROOT or .repro-lab."""
     return os.environ.get("REPRO_LAB_ROOT", ".repro-lab")
+
+
+def atomic_write(path: Path, data: str | bytes) -> None:
+    """Write-temp-then-``os.replace`` so readers never see a partial file.
+
+    Text is written as UTF-8.  The dotted ``.{name}.{pid}.{thread}.tmp``
+    spelling keeps in-flight temp files invisible to every ``*.json``
+    glob, and unique per writer: two threads of one process never share
+    a temp file.  A failed write leaves ``path`` as it was and removes
+    the temp file.
+    """
+    temp = path.with_name(
+        f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
+    )
+    try:
+        temp.write_bytes(data.encode() if isinstance(data, str) else data)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def _record_of(body: str, address: str) -> dict | None:
@@ -184,6 +198,10 @@ class ArtifactStore:
         return self.root / "runs"
 
     @property
+    def bench_dir(self) -> Path:
+        return self.root / "bench"
+
+    @property
     def index_path(self) -> Path:
         return self.root / "index.sqlite"
 
@@ -234,13 +252,12 @@ class ArtifactStore:
             connection.execute(f"PRAGMA user_version = {INDEX_VERSION}")
 
     def _import_files(self, connection: sqlite3.Connection) -> int:
-        """Import the earlier layout's result files and re-derive runs rows.
+        """Import the earlier layout's result files.
 
         A result file is imported only when it holds a record under its
         directory's hash, and only where the index has no valid row for
-        that hash.  ``runs`` rows come from ``runs/*/manifest.json``.
-        The caller holds a transaction.  Returns the number of valid
-        result files found.
+        that hash.  The caller holds a transaction.  Returns the number
+        of valid result files found.
         """
         rows = []
         for path in sorted(self.root.glob(_LEGACY_RESULTS)):
@@ -253,23 +270,6 @@ class ArtifactStore:
             if record is not None:
                 rows.append(_result_row(record, body))
         _adopt(connection, rows)
-        for path in sorted(self.runs_dir.glob("*/manifest.json")):
-            try:
-                manifest = json.loads(path.read_text())
-            except (ValueError, OSError):
-                continue
-            if not isinstance(manifest, dict) or "run_id" not in manifest:
-                continue
-            self._insert_run(
-                connection,
-                run_id=manifest["run_id"],
-                created_at=manifest.get("created_at", ""),
-                package_version=manifest.get("package_version", ""),
-                job_count=manifest.get("job_count", 0),
-                cache_hits=manifest.get("cache_hits", 0),
-                failures=len(manifest.get("failures", [])),
-                elapsed_seconds=manifest.get("elapsed_seconds", 0.0),
-            )
         return len(rows)
 
     def close(self) -> None:
@@ -354,75 +354,6 @@ class ArtifactStore:
             self._connected(create=True).execute(_INSERT_RESULT, row)
         return record
 
-    # -- runs ------------------------------------------------------------
-
-    def _insert_run(
-        self,
-        connection: sqlite3.Connection,
-        *,
-        run_id: str,
-        created_at: str,
-        package_version: str,
-        job_count: int,
-        cache_hits: int,
-        failures: int,
-        elapsed_seconds: float,
-    ) -> None:
-        connection.execute(
-            f"INSERT OR REPLACE INTO runs ({_RUN_COLUMNS}) "
-            "VALUES (?, ?, ?, ?, ?, ?, ?)",
-            (
-                run_id,
-                created_at,
-                package_version,
-                job_count,
-                cache_hits,
-                failures,
-                elapsed_seconds,
-            ),
-        )
-
-    def record_run(
-        self,
-        run_id: str,
-        *,
-        job_count: int,
-        cache_hits: int,
-        failures: int,
-        elapsed_seconds: float,
-        package_version: str | None = None,
-    ) -> None:
-        """Write one finished run's ``runs`` row.
-
-        Its results were committed by :meth:`save` as they landed; a run
-        that never ends gets no row.
-        """
-        with self._lock:
-            self._insert_run(
-                self._connected(create=True),
-                run_id=run_id,
-                created_at=_utc_now(),
-                package_version=package_version or repro.__version__,
-                job_count=job_count,
-                cache_hits=cache_hits,
-                failures=failures,
-                elapsed_seconds=elapsed_seconds,
-            )
-
-    def runs(self, limit: int = 20) -> list[dict]:
-        """Most recent runs, newest first."""
-        with self._lock:
-            connection = self._connected(create=False)
-            if connection is None:
-                return []
-            return _dicts(
-                connection.execute(
-                    "SELECT * FROM runs ORDER BY created_at DESC, run_id DESC "
-                    "LIMIT ?",
-                    (limit,),
-                )
-            )
-
     def results(self) -> list[dict]:
         """Every stored result's metadata (never its body), by job id."""
         with self._lock:
@@ -437,7 +368,7 @@ class ArtifactStore:
             )
 
     def rebuild_index(self) -> int:
-        """Import an earlier layout's result files; re-derive runs rows.
+        """Import an earlier layout's result files.
 
         What ``repro lab index`` does.  Opening an old root's index
         imports it once anyway; this repeats the import for files that
@@ -452,15 +383,14 @@ class ArtifactStore:
     # -- merge + verify --------------------------------------------------
 
     def merge(self, other: "ArtifactStore") -> dict:
-        """Fold another lab root's results and run history into this one.
+        """Fold another lab root's results and runs into this one.
 
         Content addressing makes this conflict-free: a result either
         exists here already (same hash, so skipped) or it doesn't
         (copied, body byte for byte).  A local row that holds no valid
         record is replaced by the other root's good one, and rows of the
-        other root that hold none are skipped.  ``runs`` rows and run
-        directories are copied when absent.  Idempotent and
-        order-independent.
+        other root that hold none are skipped.  Run directories are
+        copied when absent.  Idempotent and order-independent.
 
         Returns counts: ``artifacts_imported``, ``artifacts_skipped``,
         ``corrupt_skipped`` (invalid source rows), and
@@ -475,7 +405,6 @@ class ArtifactStore:
                 f"cannot merge a lab root into itself ({self.root})"
             )
         rows: list[tuple] = []
-        runs: list[tuple] = []
         with other._lock:
             source = other._connected(create=False)
             if source is not None:
@@ -483,7 +412,6 @@ class ArtifactStore:
                     f"SELECT {_RESULT_METADATA}, body FROM results "
                     "ORDER BY config_hash"
                 ).fetchall()
-                runs = source.execute(f"SELECT {_RUN_COLUMNS} FROM runs").fetchall()
         valid = [row for row in rows if _record_of(row[-1], row[0]) is not None]
         runs_imported = 0
         if other.runs_dir.is_dir():
@@ -501,11 +429,6 @@ class ArtifactStore:
             connection.execute("BEGIN IMMEDIATE")
             with connection:
                 imported = _adopt(connection, valid)
-                connection.executemany(
-                    f"INSERT OR IGNORE INTO runs ({_RUN_COLUMNS}) "
-                    "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                    runs,
-                )
         return {
             "artifacts_imported": imported,
             "artifacts_skipped": len(valid) - imported,

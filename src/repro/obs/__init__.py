@@ -9,10 +9,9 @@ happened during them" and "how does that compare with every run before".
   instrumented code paths cost nothing in the common case.  Collected
   events export as Chrome/Perfetto ``trace_event`` JSON
   (``repro scenario run --trace out.json``) for timeline viewers.
-* :mod:`repro.obs.history` — a SQLite index of run manifests and
-  ``BENCH_*.json`` artifacts (``runs`` / ``metrics`` tables keyed by
-  config hash + source fingerprint), powering ``repro lab history``
-  trends and regression flagging.
+* :mod:`repro.obs.history` — cross-run metric points read afresh from a
+  lab root's run manifests, stored results and ingested ``BENCH_*.json``
+  files, powering ``repro lab history`` trends and regression flagging.
 * :func:`cache_stats` — one snapshot of the process-wide memoization
   counters (the planner's plan cache).
 """
@@ -26,13 +25,12 @@ from repro.obs.tracer import (
     to_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.history import HistoryDB, current_git_commit
+from repro.obs.history import current_git_commit
 
 __all__ = [
     "NULL_TRACER",
     "NullTracer",
     "Tracer",
-    "HistoryDB",
     "cache_stats",
     "chrome_trace_events",
     "current_git_commit",

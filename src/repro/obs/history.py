@@ -1,32 +1,33 @@
-"""Cross-run history: a SQLite index of manifests and bench artifacts.
+"""Cross-run history: metric points read from a lab root's own records.
 
-``repro lab diff`` compares exactly two runs and the CI perf artifacts
-(``BENCH_*.json``) were write-only; this module is the missing memory.
-A :class:`HistoryDB` ingests
+``repro lab diff`` compares exactly two runs; this module trends every
+metric across all of them.  It stores nothing: :func:`read_history`
+scans the root on each call and returns a :class:`History` of points
+from
 
-* **run manifests** (``runs/<run-id>/manifest.json``) — every job's
-  elapsed time plus, for scenario jobs, every ``metric_rows()`` scalar
+* **run manifests** (``runs/<run-id>/manifest.json``, read through
+  :func:`repro.lab.manifest.read_manifests`) — every job's elapsed time
+  plus, for scenario jobs, every ``metric_rows()`` scalar
   (``total_cycles``, ``efficiency``, ``overlap_fraction``, ...) decoded
-  from the job's artifact record, and the run-level metrics block
-  (cache-hit rate, backend worker counts, queue latencies) under
-  the reserved job id ``__run__``;
-* **pytest-benchmark JSON** (``BENCH_simulator_perf.json``) — per-bench
-  mean/min wall seconds, ordered by the ``repro_meta`` stamp
-  (git commit + package version + timestamp) that
-  ``benchmarks/conftest.py`` injects.
+  from the job's stored result, and the run-level metrics block
+  (cache-hit rate, backend worker counts, queue latencies) under the
+  reserved job id ``__run__``;
+* **pytest-benchmark files** (``bench/<run-id>.json``, copied in from
+  ``BENCH_*.json`` by :func:`ingest_bench`) — per-bench mean/min/max/
+  median wall seconds, ordered by the ``repro_meta`` stamp (git commit
+  + package version + timestamp) that ``benchmarks/conftest.py``
+  injects.
 
-Everything lands in two tables.  ``runs`` records each ingested run's
-identity (commit, package version, source fingerprint, backend);
-``metrics`` holds one row per (run, job, metric) keyed alongside the
-job's config hash and source fingerprint, so a metric series can be
-split by code identity.  Ingestion is idempotent — rows are upserted
-under their natural key — so re-scanning a lab root is always safe.
+Each point carries its run's identity (commit, package version, kind)
+and its job's config hash, so a metric series can be split by code
+identity.
 
 ``repro lab history`` is the CLI face: ``--metric`` renders a trend,
 ``--flag-regressions`` compares each series' latest point against its
 best-ever value with a direction-aware tolerance (reusing the metric
 direction vocabulary of :mod:`repro.scenarios.diff`) and drives a
-non-zero exit status for CI gating.
+non-zero exit status for CI gating.  ``GET /v1/history/<metric>``
+reads the same history per request.
 
 Imports from :mod:`repro.lab` are deliberately lazy: the kernel imports
 :mod:`repro.obs` at interpreter start, and the lab layer sits above the
@@ -40,44 +41,32 @@ import json
 import os
 import sqlite3
 import subprocess
+from collections import Counter
 from contextlib import closing
+from operator import itemgetter
 from pathlib import Path
 
+from repro.errors import ReproError
+
 __all__ = [
-    "HistoryDB",
-    "HISTORY_FILENAME",
+    "BenchFileError",
+    "History",
     "current_git_commit",
+    "ingest_bench",
     "metric_direction",
+    "read_history",
 ]
 
-#: Default history DB filename inside a lab root.
-HISTORY_FILENAME = "history.sqlite"
+#: The pytest-benchmark statistics each bench contributes, as
+#: ``<stat>_seconds`` metrics.
+_BENCH_METRICS = {
+    f"{stat}_seconds": stat for stat in ("mean", "min", "max", "median")
+}
 
-_SCHEMA = """
-CREATE TABLE IF NOT EXISTS runs (
-    run_id TEXT PRIMARY KEY,
-    created_at TEXT NOT NULL DEFAULT '',
-    kind TEXT NOT NULL DEFAULT 'lab',
-    git_commit TEXT NOT NULL DEFAULT '',
-    package_version TEXT NOT NULL DEFAULT '',
-    source_fingerprint TEXT NOT NULL DEFAULT '',
-    backend TEXT NOT NULL DEFAULT '',
-    job_count INTEGER NOT NULL DEFAULT 0
-);
-CREATE TABLE IF NOT EXISTS metrics (
-    run_id TEXT NOT NULL,
-    job_id TEXT NOT NULL,
-    metric TEXT NOT NULL,
-    value REAL NOT NULL,
-    scenario TEXT NOT NULL DEFAULT '',
-    config_hash TEXT NOT NULL DEFAULT '',
-    source_fingerprint TEXT NOT NULL DEFAULT '',
-    created_at TEXT NOT NULL DEFAULT '',
-    PRIMARY KEY (run_id, job_id, metric)
-);
-CREATE INDEX IF NOT EXISTS idx_metrics_metric
-    ON metrics (metric, created_at);
-"""
+
+class BenchFileError(ReproError):
+    """A file given to ``lab history --ingest`` that cannot be ingested."""
+
 
 #: Bench/lab metric names (beyond the scenario vocabulary) where
 #: smaller is better.  Everything wall-clock shaped regresses upward.
@@ -174,302 +163,306 @@ def _numeric(value) -> float | None:
     return None
 
 
-class HistoryDB:
-    """The ``runs`` + ``metrics`` cross-run index, one SQLite file."""
+def _job_metrics(store, address: str) -> tuple[str, str, list[tuple]]:
+    """``(scenario, source fingerprint, metric rows)`` of one stored result.
 
-    def __init__(self, path: str | Path):
-        self.path = Path(path)
+    The rows are the record's numeric ``(metric, value)`` pairs, with
+    ``extra:`` prefixes stripped; a missing result has none.
+    """
+    from repro.lab.hashing import decode_rows
 
-    def _connect(self) -> sqlite3.Connection:
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        connection = sqlite3.connect(self.path)
-        connection.executescript(_SCHEMA)
-        return connection
-
-    # -- ingestion -------------------------------------------------------
-
-    def ingest_manifest(self, manifest_path: str | Path, store=None) -> int:
-        """Upsert one run manifest (and its jobs' artifact metrics).
-
-        ``store`` is the :class:`~repro.lab.store.ArtifactStore` the
-        manifest belongs to; when omitted it is derived from the
-        manifest's ``<root>/runs/<run-id>/manifest.json`` location.
-        Returns the number of metric rows upserted (0 for an unreadable
-        or id-less manifest).
-        """
-        from repro.lab.hashing import decode_rows
-        from repro.lab.store import ArtifactStore
-
-        path = Path(manifest_path)
-        if store is None and len(path.parents) >= 3:
-            with ArtifactStore(path.parents[2]) as owned:
-                return self.ingest_manifest(path, owned)
+    record = store.load(address)
+    if record is None:
+        return "", "", []
+    scenario = fingerprint = ""
+    config = record.get("config", {})
+    if isinstance(config, dict):
+        fingerprint = config.get("source_fingerprint", "")
+        scenario = _scenario_name(config)
+    rows: list[tuple] = []
+    if record.get("headers") == ["metric", "value"]:
         try:
-            manifest = json.loads(path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            return 0
-        if not isinstance(manifest, dict) or "run_id" not in manifest:
-            return 0
-        run_id = manifest["run_id"]
-        created = manifest.get("created_at", "")
-        run_metrics = manifest.get("metrics", {})
-        backend = ""
-        if isinstance(run_metrics, dict):
-            backend = str(run_metrics.get("backend", ""))
-        fingerprint = ""
-        rows: list[tuple] = []
-        for job in manifest.get("jobs", []):
-            job_id = job.get("job_id", "")
-            address = job.get("config_hash", "")
-            scenario = ""
-            job_fingerprint = ""
-            record = store.load(address) if store is not None else None
-            if record is not None:
-                config = record.get("config", {})
-                if isinstance(config, dict):
-                    job_fingerprint = config.get("source_fingerprint", "")
-                    fingerprint = fingerprint or job_fingerprint
-                    scenario = _scenario_name(config)
-                if record.get("headers") == ["metric", "value"]:
-                    try:
-                        decoded = decode_rows(record.get("rows", []))
-                    except Exception:
-                        decoded = []
-                    for row in decoded:
-                        if len(row) != 2:
-                            continue
-                        value = _numeric(row[1])
-                        if value is None:
-                            continue
-                        metric = str(row[0])
-                        if metric.startswith("extra:"):
-                            metric = metric[len("extra:"):]
-                        rows.append(
-                            (
-                                run_id,
-                                job_id,
-                                metric,
-                                value,
-                                scenario,
-                                address,
-                                job_fingerprint,
-                                created,
-                            )
-                        )
-            elapsed = _numeric(job.get("elapsed_seconds"))
-            if elapsed is not None:
-                rows.append(
-                    (
-                        run_id,
-                        job_id,
-                        "elapsed_seconds",
-                        elapsed,
-                        scenario,
-                        address,
-                        job_fingerprint,
-                        created,
-                    )
-                )
-        # Run-level manifest metrics (cache-hit rate, queue latencies,
-        # backend counts like pool_workers / spool_workers) were
-        # previously written to manifest.json and then dropped at
-        # ingest, so `lab history` could never trend a run's metrics.
-        # They land under the reserved job id "__run__" — no real job
-        # id collides (job ids come from sanitised scenario names) and
-        # the trend/regression queries need no special casing.
-        if isinstance(run_metrics, dict):
-            for metric, raw in sorted(run_metrics.items()):
-                value = _numeric(raw)
-                if value is None:
-                    continue
-                rows.append(
-                    (
-                        run_id,
-                        "__run__",
-                        metric,
-                        value,
-                        "",
-                        "",
-                        fingerprint,
-                        created,
-                    )
-                )
-        # Manifests written outside a git checkout (tarball installs,
-        # detached workers) carry a null/missing git_commit; the runs
-        # table column is NOT NULL, so stamp "unknown" and keep the row
-        # rather than crashing the whole ingest.
-        commit = manifest.get("git_commit")
-        if not isinstance(commit, str) or not commit:
-            commit = "unknown"
-        with closing(self._connect()) as connection, connection:
-            connection.execute(
-                "INSERT OR REPLACE INTO runs (run_id, created_at, kind, "
-                "git_commit, package_version, source_fingerprint, backend, "
-                "job_count) VALUES (?, ?, 'lab', ?, ?, ?, ?, ?)",
-                (
-                    run_id,
-                    created,
-                    commit,
-                    manifest.get("package_version", ""),
-                    fingerprint,
-                    backend,
-                    len(manifest.get("jobs", [])),
-                ),
+            decoded = decode_rows(record.get("rows", []))
+        except Exception:
+            decoded = []
+        for row in decoded:
+            if len(row) != 2:
+                continue
+            value = _numeric(row[1])
+            if value is None:
+                continue
+            metric = str(row[0])
+            if metric.startswith("extra:"):
+                metric = metric[len("extra:"):]
+            rows.append((metric, value))
+    return scenario, fingerprint, rows
+
+
+def _manifest_run(manifest: dict, store, jobs: dict) -> tuple[dict, list]:
+    """One manifest's run identity and its ``(job, metric, value,
+    scenario, config hash)`` rows.
+
+    ``jobs`` maps each config hash this scan has decoded to its
+    :func:`_job_metrics`, so runs that repeat a design point decode it
+    once.
+    """
+    run_metrics = manifest.get("metrics", {})
+    if not isinstance(run_metrics, dict):
+        run_metrics = {}
+    fingerprint = ""
+    rows: list[tuple] = []
+    for job in manifest.get("jobs", []):
+        job_id = job.get("job_id", "")
+        address = job.get("config_hash", "")
+        if address not in jobs:
+            jobs[address] = _job_metrics(store, address)
+        scenario, job_fingerprint, metric_rows = jobs[address]
+        fingerprint = fingerprint or job_fingerprint
+        for metric, value in metric_rows:
+            rows.append((job_id, metric, value, scenario, address))
+        elapsed = _numeric(job.get("elapsed_seconds"))
+        if elapsed is not None:
+            rows.append(
+                (job_id, "elapsed_seconds", elapsed, scenario, address)
             )
-            connection.executemany(
-                "INSERT OR REPLACE INTO metrics (run_id, job_id, metric, "
-                "value, scenario, config_hash, source_fingerprint, "
-                "created_at) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                rows,
-            )
-        return len(rows)
+    # The run's own metrics go under the reserved job id "__run__": no
+    # real job id collides (job ids come from sanitised scenario names)
+    # and trends need no special casing.
+    for metric, raw in sorted(run_metrics.items()):
+        value = _numeric(raw)
+        if value is not None:
+            rows.append(("__run__", metric, value, "", ""))
+    # Manifests written outside a git checkout (tarball installs,
+    # detached workers) carry a null or missing git_commit.
+    commit = manifest.get("git_commit")
+    if not isinstance(commit, str) or not commit:
+        commit = "unknown"
+    run = {
+        "run_id": manifest["run_id"],
+        "created_at": manifest.get("created_at", ""),
+        "kind": "lab",
+        "git_commit": commit,
+        "package_version": manifest.get("package_version", ""),
+        "source_fingerprint": fingerprint,
+        "backend": str(run_metrics.get("backend", "")),
+        "job_count": len(manifest.get("jobs", [])),
+    }
+    return run, rows
 
-    def ingest_store(self, store) -> dict:
-        """Scan a lab root's ``runs/`` directory; returns counts."""
-        manifests = 0
-        metrics = 0
-        runs_dir = getattr(store, "runs_dir", None)
-        if runs_dir is not None and Path(runs_dir).is_dir():
-            for path in sorted(Path(runs_dir).glob("*/manifest.json")):
-                count = self.ingest_manifest(path, store=store)
-                manifests += 1
-                metrics += count
-        return {"manifests": manifests, "metrics": metrics}
 
-    def ingest_bench(self, bench_path: str | Path) -> int:
-        """Upsert one pytest-benchmark JSON artifact.
+def _load_bench(path: Path) -> dict | None:
+    """The pytest-benchmark JSON a file holds, or None."""
+    try:
+        data = json.loads(path.read_text())
+    except (ValueError, OSError):
+        return None
+    if isinstance(data, dict) and isinstance(data.get("benchmarks"), list):
+        return data
+    return None
 
-        Run identity comes from the ``repro_meta`` stamp when present
-        (git commit + timestamp), falling back to pytest-benchmark's
-        own ``commit_info``/``datetime``; the run id also folds in a
-        content digest, so re-ingesting the same file is idempotent
-        while distinct bench runs never collide.
-        """
-        path = Path(bench_path)
-        try:
-            data = json.loads(path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            return 0
-        benches = data.get("benchmarks") if isinstance(data, dict) else None
-        if not isinstance(benches, list):
-            return 0
-        meta = data.get("repro_meta", {})
-        if not isinstance(meta, dict):
-            meta = {}
-        commit_info = data.get("commit_info", {})
-        if not isinstance(commit_info, dict):
-            commit_info = {}
-        commit = meta.get("git_commit") or commit_info.get("id") or ""
-        created = (
-            meta.get("created_at")
-            or commit_info.get("time")
-            or data.get("datetime")
-            or ""
+
+def _bench_stamp(data: dict) -> tuple[str, str, dict]:
+    """``(created_at, git_commit, repro_meta)`` stamp of one bench file.
+
+    The ``repro_meta`` stamp wins; pytest-benchmark's own
+    ``commit_info``/``datetime`` are the fallback.
+    """
+    meta = data.get("repro_meta", {})
+    if not isinstance(meta, dict):
+        meta = {}
+    commit_info = data.get("commit_info", {})
+    if not isinstance(commit_info, dict):
+        commit_info = {}
+    commit = meta.get("git_commit") or commit_info.get("id") or ""
+    created = (
+        meta.get("created_at")
+        or commit_info.get("time")
+        or data.get("datetime")
+        or ""
+    )
+    return created, commit, meta
+
+
+def _bench_run(run_id: str, data: dict) -> tuple[dict, list]:
+    """One bench file's run identity and metric rows (see
+    :func:`_manifest_run`)."""
+    created, commit, meta = _bench_stamp(data)
+    rows: list[tuple] = []
+    for bench in data["benchmarks"]:
+        if not isinstance(bench, dict):
+            continue
+        name = bench.get("name", "")
+        stats = bench.get("stats", {})
+        if not name or not isinstance(stats, dict):
+            continue
+        for metric, stat in _BENCH_METRICS.items():
+            value = _numeric(stats.get(stat))
+            if value is not None:
+                rows.append((str(name), metric, value, "", ""))
+    run = {
+        "run_id": run_id,
+        "created_at": created,
+        "kind": "bench",
+        "git_commit": commit,
+        "package_version": meta.get("package_version", ""),
+        "source_fingerprint": meta.get("source_fingerprint", ""),
+        "backend": "",
+        "job_count": len(data["benchmarks"]),
+    }
+    return run, rows
+
+
+def ingest_bench(store, path: str | Path) -> int:
+    """Copy one pytest-benchmark JSON file into the root's ``bench/``.
+
+    The copy holds the file's bytes and is named after its run id,
+    ``bench-<created>-<digest>``: the ``repro_meta`` timestamp and a
+    digest of the content, so re-ingesting a file changes nothing while
+    distinct bench runs never collide.  Returns the number of metric
+    points the file holds.  A missing file, or one that is not
+    pytest-benchmark JSON, raises :class:`BenchFileError`.
+    """
+    from repro.lab.store import atomic_write
+
+    path = Path(path)
+    if not path.exists():
+        raise BenchFileError(f"no such bench file: {path}")
+    data = _load_bench(path) if path.is_file() else None
+    if data is None:
+        raise BenchFileError(
+            f"{path} is not pytest-benchmark JSON; --ingest takes "
+            "BENCH_*.json files only (bring another lab root's runs in "
+            "with `repro lab merge <root>`)"
         )
-        digest = hashlib.sha256(
-            json.dumps(data, sort_keys=True, default=str).encode()
-        ).hexdigest()
-        run_id = f"bench-{created or 'unstamped'}-{digest[:10]}"
-        fingerprint = meta.get("source_fingerprint", "")
-        rows: list[tuple] = []
-        for bench in benches:
-            if not isinstance(bench, dict):
-                continue
-            name = bench.get("name", "")
-            stats = bench.get("stats", {})
-            if not name or not isinstance(stats, dict):
-                continue
-            for metric in ("mean", "min", "max", "median"):
-                value = _numeric(stats.get(metric))
-                if value is not None:
-                    rows.append(
-                        (
-                            run_id,
-                            name,
-                            f"{metric}_seconds",
-                            value,
-                            "",
-                            "",
-                            fingerprint,
-                            created,
-                        )
-                    )
-        with closing(self._connect()) as connection, connection:
-            connection.execute(
-                "INSERT OR REPLACE INTO runs (run_id, created_at, kind, "
-                "git_commit, package_version, source_fingerprint, backend, "
-                "job_count) VALUES (?, ?, 'bench', ?, ?, ?, '', ?)",
-                (
-                    run_id,
-                    created,
-                    commit,
-                    meta.get("package_version", ""),
-                    fingerprint,
-                    len(benches),
-                ),
-            )
-            connection.executemany(
-                "INSERT OR REPLACE INTO metrics (run_id, job_id, metric, "
-                "value, scenario, config_hash, source_fingerprint, "
-                "created_at) VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                rows,
-            )
-        return len(rows)
+    created, _, _ = _bench_stamp(data)
+    digest = hashlib.sha256(
+        json.dumps(data, sort_keys=True, default=str).encode()
+    ).hexdigest()
+    run_id = f"bench-{created or 'unstamped'}-{digest[:10]}"
+    if Path(run_id).name != run_id:
+        raise BenchFileError(
+            f"{path}: its run id {run_id!r} is not a file name"
+        )
+    _carry_over_history_db(store)
+    target = store.bench_dir / f"{run_id}.json"
+    if not target.exists():
+        store.bench_dir.mkdir(parents=True, exist_ok=True)
+        atomic_write(target, path.read_bytes())
+    return len(_bench_run(run_id, data)[1])
 
-    def ingest_path(self, target: str | Path, store=None) -> int:
-        """Dispatch by shape: run dir, manifest, lab root, or bench JSON.
 
-        Returns metric rows upserted.  Unrecognised paths ingest 0 rows
-        rather than raising — the CLI reports the count, which makes a
-        misspelt path visible without killing a batch ingest.
-        """
-        path = Path(target)
-        if path.is_dir():
-            if (path / "manifest.json").is_file():
-                return self.ingest_manifest(path / "manifest.json", store)
-            if (path / "runs").is_dir():
-                from repro.lab.store import ArtifactStore
+def _carry_over_history_db(store) -> None:
+    """Write an old root's bench runs out of its ``history.sqlite``, once.
 
-                with ArtifactStore(path) as lab:
-                    return self.ingest_store(lab)["metrics"]
-            return 0
-        if not path.is_file():
-            return 0
-        if path.name == "manifest.json":
-            return self.ingest_manifest(path, store)
-        try:
-            data = json.loads(path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
-            return 0
-        if isinstance(data, dict) and "benchmarks" in data:
-            return self.ingest_bench(path)
-        if isinstance(data, dict) and "run_id" in data:
-            return self.ingest_manifest(path, store)
-        return 0
+    Before each run was recorded only in its manifest, ``lab history``
+    kept a second database, ``<root>/history.sqlite``.  Each of its
+    ``kind='bench'`` runs becomes ``bench/<run-id>.json``, in the shape
+    :func:`_bench_run` reads.  Its lab runs are not imported: the
+    manifests give them again.  Runs it took in from other roots'
+    manifests are left behind.  Does nothing once ``bench/`` exists, and
+    leaves the database on disk.
+    """
+    from repro.lab.store import atomic_write
 
-    # -- queries ---------------------------------------------------------
+    legacy = store.root / "history.sqlite"
+    if store.bench_dir.is_dir() or not legacy.is_file():
+        return
+    files: dict[str, dict] = {}
+    try:
+        with closing(sqlite3.connect(legacy)) as db:
+            for run_id, created, commit, version, fingerprint in db.execute(
+                "SELECT run_id, created_at, git_commit, package_version, "
+                "source_fingerprint FROM runs WHERE kind = 'bench'"
+            ):
+                files[run_id] = {
+                    "benchmarks": {},
+                    "repro_meta": {
+                        "git_commit": commit,
+                        "package_version": version,
+                        "created_at": created,
+                        "source_fingerprint": fingerprint,
+                    },
+                }
+            for run_id, name, metric, value in db.execute(
+                "SELECT run_id, job_id, metric, value FROM metrics"
+            ):
+                stat = _BENCH_METRICS.get(metric)
+                if run_id in files and stat is not None:
+                    benches = files[run_id]["benchmarks"]
+                    benches.setdefault(name, {})[stat] = value
+    except sqlite3.DatabaseError:
+        files = {}
+    store.bench_dir.mkdir(parents=True, exist_ok=True)
+    for run_id, data in files.items():
+        if Path(run_id).name != run_id:
+            continue
+        data["benchmarks"] = [
+            {"name": name, "stats": stats}
+            for name, stats in data["benchmarks"].items()
+        ]
+        atomic_write(
+            store.bench_dir / f"{run_id}.json", json.dumps(data, indent=2)
+        )
+
+
+class History:
+    """Every metric point of one lab root; built by :func:`read_history`.
+
+    A point is one ``(run, job, metric)`` value: ``run_id``, ``job_id``,
+    ``metric``, ``value``, ``scenario``, ``config_hash``, ``created_at``
+    and its run's ``git_commit``, ``package_version`` and ``kind``
+    (``lab`` or ``bench``).
+    """
+
+    def __init__(self, runs: list[tuple[dict, list[tuple]]]):
+        """``runs`` pairs each run with its ``(job, metric, value,
+        scenario, config hash)`` rows; of two rows for one job and
+        metric, the later one counts."""
+        self._runs: list[tuple[dict, list[tuple]]] = []
+        for run, rows in sorted(
+            runs, key=lambda pair: (pair[0]["created_at"], pair[0]["run_id"])
+        ):
+            unique = {(row[0], row[1]): row for row in rows}
+            rows = sorted(unique.values(), key=itemgetter(0))
+            self._runs.append((run, rows))
 
     def runs(self) -> list[dict]:
-        """Every ingested run, oldest first."""
-        if not self.path.is_file():
-            return []
-        with closing(self._connect()) as connection:
-            connection.row_factory = sqlite3.Row
-            rows = connection.execute(
-                "SELECT * FROM runs ORDER BY created_at, run_id"
-            ).fetchall()
-        return [dict(row) for row in rows]
+        """Every run, oldest first."""
+        return [run for run, _ in self._runs]
 
     def metric_names(self) -> list[tuple[str, int]]:
         """``(metric, point count)`` pairs, alphabetical."""
-        if not self.path.is_file():
-            return []
-        with closing(self._connect()) as connection:
-            rows = connection.execute(
-                "SELECT metric, COUNT(*) FROM metrics GROUP BY metric "
-                "ORDER BY metric"
-            ).fetchall()
-        return [(metric, count) for metric, count in rows]
+        counts = Counter(row[1] for _, rows in self._runs for row in rows)
+        return sorted(counts.items())
+
+    def select(
+        self, metric: str | None = None, scenario: str | None = None
+    ) -> list[dict]:
+        """The points of ``metric`` (every metric when None), in time order.
+
+        ``scenario`` is a case-insensitive substring filter over both the
+        scenario name and the job id (bench series have no scenario, only
+        a name); every character in it matches itself.
+        """
+        needle = scenario.lower() if scenario else ""
+        return [
+            {
+                "run_id": run["run_id"],
+                "job_id": job_id,
+                "metric": name,
+                "value": value,
+                "scenario": scenario_name,
+                "config_hash": address,
+                "created_at": run["created_at"],
+                "git_commit": run["git_commit"],
+                "package_version": run["package_version"],
+                "kind": run["kind"],
+            }
+            for run, rows in self._runs
+            for job_id, name, value, scenario_name, address in rows
+            if (metric is None or name == metric)
+            and (needle in scenario_name.lower() or needle in job_id.lower())
+        ]
 
     def trend(
         self,
@@ -478,31 +471,15 @@ class HistoryDB:
         scenario: str | None = None,
         limit: int | None = None,
     ) -> list[dict]:
-        """The metric's points in time order, joined with run identity.
+        """The metric's points in time order, with their run identity.
 
-        ``scenario`` is a substring filter over both the scenario name
-        and the job id (bench series have no scenario, only a name).
-        ``limit`` keeps only the newest N points.
+        ``scenario`` filters as in :meth:`select`; ``limit`` keeps only
+        the newest N points.
         """
-        if not self.path.is_file():
-            return []
-        query = (
-            "SELECT m.run_id, m.job_id, m.metric, m.value, m.scenario, "
-            "m.config_hash, m.created_at, r.git_commit, r.package_version, "
-            "r.kind FROM metrics m LEFT JOIN runs r USING (run_id) "
-            "WHERE m.metric = ?"
-        )
-        params: list = [metric]
-        if scenario:
-            query += " AND (m.scenario LIKE ? OR m.job_id LIKE ?)"
-            params += [f"%{scenario}%", f"%{scenario}%"]
-        query += " ORDER BY m.created_at, m.run_id, m.job_id"
-        with closing(self._connect()) as connection:
-            connection.row_factory = sqlite3.Row
-            rows = [dict(row) for row in connection.execute(query, params)]
+        points = self.select(metric, scenario)
         if limit is not None and limit >= 0:
-            rows = rows[-limit:]
-        return rows
+            points = points[-limit:]
+        return points
 
     def flag_regressions(
         self,
@@ -525,26 +502,10 @@ class HistoryDB:
         that absolute band, so a stall count creeping from 0 to 0.05
         was never reported.)
         """
-        if not self.path.is_file():
-            return []
-        query = (
-            "SELECT m.job_id, m.metric, m.value, m.run_id, m.scenario, "
-            "m.created_at FROM metrics m WHERE 1=1"
-        )
-        params: list = []
-        if metric:
-            query += " AND m.metric = ?"
-            params.append(metric)
-        if scenario:
-            query += " AND (m.scenario LIKE ? OR m.job_id LIKE ?)"
-            params += [f"%{scenario}%", f"%{scenario}%"]
-        query += " ORDER BY m.created_at, m.run_id"
-        with closing(self._connect()) as connection:
-            connection.row_factory = sqlite3.Row
-            rows = [dict(row) for row in connection.execute(query, params)]
         series: dict[tuple[str, str], list[dict]] = {}
-        for row in rows:
-            series.setdefault((row["job_id"], row["metric"]), []).append(row)
+        for point in self.select(metric or None, scenario):
+            key = (point["job_id"], point["metric"])
+            series.setdefault(key, []).append(point)
         flagged: list[dict] = []
         for (job_id, name), points in sorted(series.items()):
             if len(points) < 2:
@@ -575,6 +536,29 @@ class HistoryDB:
                     }
                 )
         return flagged
+
+
+def read_history(store) -> History:
+    """Every metric point under one lab root, from one scan.
+
+    Reads the root's manifests and stored results (decoding each
+    distinct config hash once) and its bench files.  Of two records
+    under one run id, the later one counts.
+    """
+    from repro.lab.manifest import read_manifests
+
+    _carry_over_history_db(store)
+    jobs: dict[str, tuple] = {}
+    runs: dict[str, tuple[dict, list]] = {}
+    for manifest in read_manifests(store):
+        run, rows = _manifest_run(manifest, store, jobs)
+        runs[run["run_id"]] = (run, rows)
+    for path in sorted(store.bench_dir.glob("*.json")):
+        data = _load_bench(path)
+        if data is not None:
+            run, rows = _bench_run(path.stem, data)
+            runs[run["run_id"]] = (run, rows)
+    return History(list(runs.values()))
 
 
 def _scenario_name(config: dict) -> str:

@@ -4,18 +4,19 @@
 a scenario spec, grid, or list over HTTP and get a run id back
 immediately; poll the run; fetch any result by its config hash.
 Content addressing does the heavy lifting — a design point simulates
-at most once, ever, and every repeat query is a single file read (or,
-with ``If-None-Match``, a ``304`` and zero body bytes).  With
-``--backend spool`` the service is a thin coordinator: any number of
-``repro lab worker`` processes on any host sharing the spool directory
-execute the simulations.
+at most once, ever, and every repeat query is one indexed row read from
+``index.sqlite`` (or, with ``If-None-Match``, a ``304`` and zero body
+bytes).  With ``--backend spool`` the service is a thin coordinator:
+any number of ``repro lab worker`` processes on any host sharing the
+spool directory execute the simulations.
 
 API (all JSON)::
 
     POST /v1/runs                   spec | grid | list  ->  202 + run id
     GET  /v1/runs/<run-id>          state + ExecutionReport.metrics
     GET  /v1/results/<config-hash>  cached artifact; strong ETag = hash
-    GET  /v1/history/<metric>       cross-run trend (?scenario=&limit=)
+    GET  /v1/history/<metric>       cross-run trend, read from the
+                                    root per request (?scenario=&limit=)
     GET  /v1/healthz                liveness
     GET  /v1/metrics                request/error/run/cache counters
 

@@ -1,6 +1,6 @@
 """Process wiring: build the service, serve until signalled, drain.
 
-:class:`ServeApp` assembles one running instance — store, history DB,
+:class:`ServeApp` assembles one running instance — store,
 :class:`~repro.serve.service.LabService`, submission queue, HTTP
 server — and owns its lifecycle.  Tests start one on an ephemeral port
 inside the process (``ServeApp(..., port=0).start()``); the CLI calls
@@ -50,11 +50,9 @@ class ServeApp:
         run_workers: int | None = None,
         queue_workers: int | None = None,
         access_log: Callable[[str], None] | None = None,
-        history=None,
     ):
         self.service = LabService(
             store,
-            history=history,
             backend_factory=backend_factory,
             run_workers=run_workers,
             queue_workers=queue_workers,

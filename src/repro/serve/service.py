@@ -1,7 +1,6 @@
 """The service layer: everything the HTTP routes can ask for.
 
-:class:`LabService` owns the artifact store, the cross-run
-:class:`~repro.obs.history.HistoryDB`, the background
+:class:`LabService` owns the artifact store, the background
 :class:`~repro.serve.queue.SubmissionQueue` and the request counters.
 Routes call exactly one service method per request and serialize
 whatever comes back; the service never sees a socket.
@@ -12,9 +11,11 @@ Execution rides the existing lab machinery end to end: specs become
 filesystem spool — with ``--backend spool`` this service is a thin
 coordinator over any number of ``repro lab worker`` hosts), results
 land in the content-addressed store, and every finished batch writes
-the same ``runs/<run-id>/manifest.json`` a CLI run would — then
-ingests it into the history DB, so ``/v1/history/<metric>`` trends
-update live as runs complete.
+the same ``runs/<run-id>/manifest.json`` a CLI run would.
+``/v1/history/<metric>`` reads the store's manifests and results on
+each request (:func:`repro.obs.history.read_history`), so its trends
+include every run that has finished, from this service or any other
+writer of the root.
 """
 
 from __future__ import annotations
@@ -25,9 +26,8 @@ from typing import Callable
 
 from repro.lab.executor import new_run_id, run_jobs
 from repro.lab.jobs import scenario_job
-from repro.lab.manifest import write_run_artifacts
 from repro.lab.store import ArtifactStore
-from repro.obs.history import HISTORY_FILENAME, HistoryDB, metric_direction
+from repro.obs.history import metric_direction, read_history
 from repro.serve import schemas
 from repro.serve.errors import NotFoundError
 from repro.serve.queue import Submission, SubmissionQueue
@@ -58,13 +58,11 @@ class LabService:
         self,
         store: ArtifactStore,
         *,
-        history: HistoryDB | None = None,
         backend_factory: Callable[[], object] | None = None,
         run_workers: int | None = None,
         queue_workers: int | None = None,
     ):
         self.store = store
-        self.history = history or HistoryDB(store.root / HISTORY_FILENAME)
         # A fresh backend per batch: spool backends carry per-run
         # counter state, so concurrent batches must never share one.
         self._backend_factory = backend_factory
@@ -138,8 +136,6 @@ class LabService:
             self.counters.bump("runs_failed")
             raise
         submission.report = report
-        run_dir = write_run_artifacts(self.store, report)
-        self.history.ingest_manifest(run_dir / "manifest.json", store=self.store)
         self.counters.bump("runs_completed")
         self.counters.bump("jobs_total", len(report.outcomes))
         self.counters.bump("jobs_executed", report.executed)
@@ -180,8 +176,14 @@ class LabService:
         scenario: str | None = None,
         limit: int | None = None,
     ) -> dict:
-        """``GET /v1/history/<metric>``: the cross-run trend, read-only."""
-        points = self.history.trend(metric, scenario=scenario, limit=limit)
+        """``GET /v1/history/<metric>``: the cross-run trend, read-only.
+
+        Computed from the store on each request; its cost grows with the
+        number of runs under the root.
+        """
+        points = read_history(self.store).trend(
+            metric, scenario=scenario, limit=limit
+        )
         return schemas.history_payload(
             metric, points, direction=metric_direction(metric)
         )

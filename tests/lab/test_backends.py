@@ -22,7 +22,7 @@ from repro.lab.backends import (
 )
 from repro.lab.executor import run_jobs
 from repro.lab.jobs import build_registry
-from repro.lab.manifest import render_lab_report, write_run_artifacts
+from repro.lab.manifest import render_lab_report
 from repro.lab.spool import SpoolBackend
 from repro.lab.store import ArtifactStore
 
@@ -79,7 +79,7 @@ class TestBackendEquivalence:
                 store=store,
                 backend=make_backend(name, tmp_path / name),
             )
-            run_dir = write_run_artifacts(store, report)
+            run_dir = store.runs_dir / report.run_id
             lines = (run_dir / "report.md").read_text().splitlines()
             assert report.run_id in lines[0]
             bodies[name] = "\n".join(lines[1:])

@@ -23,7 +23,6 @@ from repro.lab import (
     render_diff,
     run_jobs,
     scenario_job,
-    write_run_artifacts,
 )
 from repro.lab.store import ArtifactStore
 from repro.scenarios import ComponentSpec, MemorySpec, ScenarioSpec
@@ -50,7 +49,6 @@ def record_run(store, jobs, monkeypatch=None, version=None) -> str:
         monkeypatch.setattr(repro, "__version__", version)
     try:
         report = run_jobs(jobs, store=store, workers=1, force=True)
-        write_run_artifacts(store, report)
     finally:
         if version is not None:
             monkeypatch.undo()

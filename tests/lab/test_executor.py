@@ -12,6 +12,7 @@ import pytest
 
 from repro.lab.executor import default_worker_count, run_jobs
 from repro.lab.jobs import build_registry
+from repro.lab.manifest import read_manifests
 from repro.lab.store import ArtifactStore
 
 FAST_JOBS = ("E01", "E02", "S-lambda", "S-t")
@@ -83,7 +84,7 @@ class TestRunJobs:
     def test_runs_are_recorded(self, tmp_path):
         store = ArtifactStore(tmp_path / "lab")
         report = run_jobs(fast_specs()[:2], store=store, workers=1)
-        runs = store.runs()
+        runs = read_manifests(store)
         assert len(runs) == 1
         assert runs[0]["run_id"] == report.run_id
         assert runs[0]["job_count"] == 2
@@ -114,7 +115,7 @@ class TestRaisingJobs:
         assert store.load(build_registry()["E01"].config_hash()) is None
         assert store.load(build_registry()["E02"].config_hash()) is not None
         # The run is still recorded despite the crash.
-        assert len(store.runs()) == 1
+        assert len(read_manifests(store)) == 1
 
     def test_raising_job_retries_on_next_run(self, tmp_path, monkeypatch):
         from repro.report.experiments import ALL_EXPERIMENTS
@@ -169,7 +170,7 @@ class TestRunIds:
         )
         assert report.run_id == promised
         assert report.outcomes[0].record["run_id"] == promised
-        assert promised in {row["run_id"] for row in store.runs()}
+        assert promised in {run["run_id"] for run in read_manifests(store)}
 
 
 class TestBackendParameter:
@@ -228,7 +229,7 @@ class TestIndexTransactions:
         assert report.executed == 64
         assert sqlite_connects.connects == 1
         assert len(store.results()) == 64
-        assert [row["run_id"] for row in store.runs()] == [report.run_id]
+        assert [run["run_id"] for run in read_manifests(store)] == [report.run_id]
 
 
 #: Sweeps the grid in its argv and stops its own process after three
@@ -287,7 +288,7 @@ class TestKilledRun:
         assert len(rows) == 3
         for row in rows:
             assert store.load(row["config_hash"])["config_hash"] == row["config_hash"]
-        assert store.runs() == []
+        assert read_manifests(store) == []
         assert main(["lab", "index", "--verify", "--root", str(root)]) == 0
         jobs = [
             scenario_job(spec) for spec in load_grid(grid.read_text()).expand()

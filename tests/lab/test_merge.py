@@ -14,7 +14,7 @@ import pytest
 from repro.lab.diffing import diff_runs
 from repro.lab.executor import run_jobs
 from repro.lab.jobs import build_registry
-from repro.lab.manifest import write_run_artifacts
+from repro.lab.manifest import read_manifests
 from repro.lab.store import ArtifactStore, StoreMergeError
 
 
@@ -35,12 +35,11 @@ class TestMerge:
         detached = ArtifactStore(tmp_path / "detached")
         run_subset(primary, ["E01", "S-t"])
         report = run_subset(detached, ["E02", "S-lambda"])
-        write_run_artifacts(detached, report)
         counts = primary.merge(detached)
         assert counts["artifacts_imported"] == 2
         assert counts["artifacts_skipped"] == 0
         assert counts["runs_imported"] == 1
-        assert report.run_id in {run["run_id"] for run in primary.runs()}
+        assert report.run_id in {run["run_id"] for run in read_manifests(primary)}
         assert len(artifact_addresses(primary)) == 4
         assert {row["job_id"] for row in primary.results()} == {
             "E01",
@@ -135,7 +134,6 @@ class TestMerge:
         primary = ArtifactStore(tmp_path / "primary")
         detached = ArtifactStore(tmp_path / "detached")
         report = run_subset(primary, ["E01"])
-        write_run_artifacts(primary, report)
         run_dir = primary.runs_dir / report.run_id
         marker = (run_dir / "manifest.json").read_bytes()
         (detached.runs_dir / report.run_id).mkdir(parents=True)
@@ -151,9 +149,7 @@ class TestDiffAgainstMergedStore:
         store_a = ArtifactStore(tmp_path / "a")
         store_b = ArtifactStore(tmp_path / "b")
         report_a = run_subset(store_a, ["E01", "E02"])
-        write_run_artifacts(store_a, report_a)
         report_b = run_subset(store_b, ["E01", "E02"])
-        write_run_artifacts(store_b, report_b)
         merged = ArtifactStore(tmp_path / "merged")
         merged.merge(store_a)
         merged.merge(store_b)
@@ -177,7 +173,6 @@ class TestDiffAgainstMergedStore:
         store_a = ArtifactStore(tmp_path / "a")
         store_b = ArtifactStore(tmp_path / "b")
         report_a = run_subset(store_a, ["E01"])
-        write_run_artifacts(store_a, report_a)
 
         def failing():
             result = ExperimentResult("E01", "forced", ["v"], [[1]])
@@ -188,7 +183,6 @@ class TestDiffAgainstMergedStore:
         monkeypatch.setitem(ALL_EXPERIMENTS, "E01", failing)
         monkeypatch.setattr(repro, "__version__", "999.0.0-candidate")
         report_b = run_subset(store_b, ["E01"])
-        write_run_artifacts(store_b, report_b)
         merged = ArtifactStore(tmp_path / "merged")
         merged.merge(store_a)
         merged.merge(store_b)

@@ -1,9 +1,8 @@
 """Lab observability: batch metrics and manifest stamps.
 
-``run_jobs`` now summarises each batch (cache-hit rate, queue latency,
-backend detail) on the report; ``write_run_artifacts`` persists that
-summary plus the git commit into ``manifest.json``;
-``recent_run_metrics`` reads them back.
+``run_jobs`` summarises each batch (cache-hit rate, queue latency,
+backend detail) on the report and writes that summary plus the git
+commit into ``manifest.json``; ``recent_run_metrics`` reads them back.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from repro.lab import (
     recent_run_metrics,
     run_jobs,
     scenario_job,
-    write_run_artifacts,
 )
 from repro.obs.history import current_git_commit
 from repro.scenarios import ScenarioSpec
@@ -88,7 +86,7 @@ class TestManifestStamp:
         report = run_jobs(
             [scenario_job(spec())], store=store, backend="serial"
         )
-        run_dir = write_run_artifacts(store, report)
+        run_dir = store.runs_dir / report.run_id
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["git_commit"] == current_git_commit()
         assert manifest["backend"] == "serial"
@@ -101,7 +99,6 @@ class TestManifestStamp:
             report = run_jobs(
                 [scenario_job(spec())], store=store, backend="serial"
             )
-            write_run_artifacts(store, report)
             ids.append(report.run_id)
         # Back-date the first run so the newest-first sort is decided by
         # created_at, not by the same-second run-id tie-break.
@@ -122,7 +119,7 @@ class TestManifestStamp:
         report = run_jobs(
             [scenario_job(spec())], store=store, backend="serial"
         )
-        run_dir = write_run_artifacts(store, report)
+        run_dir = store.runs_dir / report.run_id
         manifest = json.loads((run_dir / "manifest.json").read_text())
         for key in ("metrics", "git_commit", "backend"):
             manifest.pop(key, None)
@@ -135,8 +132,5 @@ class TestManifestStamp:
     def test_limit_caps_the_listing(self, tmp_path):
         store = ArtifactStore(tmp_path)
         for _ in range(3):
-            report = run_jobs(
-                [scenario_job(spec())], store=store, backend="serial"
-            )
-            write_run_artifacts(store, report)
+            run_jobs([scenario_job(spec())], store=store, backend="serial")
         assert len(recent_run_metrics(store, limit=2)) == 2

@@ -16,10 +16,10 @@ from repro.lab import (
     render_diff,
     run_jobs,
     scenario_job,
-    write_run_artifacts,
 )
 from repro.lab.hashing import canonical_json
 from repro.lab.jobs import JobSpec
+from repro.lab.manifest import read_manifests
 from repro.lab.store import INDEX_VERSION, ArtifactStore
 from repro.scenarios import load_grid
 
@@ -40,18 +40,6 @@ PAYLOAD = {
 PORTS_GRID = Path(__file__).resolve().parents[2] / "examples" / (
     "scenario_ports_grid.json"
 )
-
-
-def record_run(store: ArtifactStore, run_id: str, *records: dict) -> None:
-    """Record ``records`` as one finished run, the way ``run_jobs`` does."""
-    store.record_run(
-        run_id,
-        job_count=len(records),
-        cache_hits=0,
-        failures=sum(not record["all_passed"] for record in records),
-        elapsed_seconds=0.5,
-        package_version="1.0.0",
-    )
 
 
 class TestArtifactStore:
@@ -95,71 +83,37 @@ class TestArtifactStore:
         with ArtifactStore(tmp_path / "lab") as other:
             assert other.load(record["config_hash"]) == record
             assert [row["job_id"] for row in other.results()] == ["E01"]
-            assert other.runs() == []
+            assert read_manifests(other) == []
         store.close()
 
     def test_index_rows(self, tmp_path):
         store = ArtifactStore(tmp_path / "lab")
-        record_run(
-            store,
-            "r1",
-            store.save(SPEC, PAYLOAD, run_id="r1", package_version="1.0.0"),
-        )
+        store.save(SPEC, PAYLOAD, run_id="r1", package_version="1.0.0")
         results = store.results()
         assert len(results) == 1
         assert results[0]["job_id"] == "E01"
         assert results[0]["all_passed"] == 1
         assert "body" not in results[0]
-        runs = store.runs()
-        assert len(runs) == 1
-        assert runs[0]["run_id"] == "r1"
-        assert runs[0]["job_count"] == 1
+        # Results are all the index holds; a run's record is its manifest.
+        with closing(sqlite3.connect(store.index_path)) as db:
+            tables = db.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            ).fetchall()
+        assert tables == [("results",)]
 
     def test_save_overwrites_same_config(self, tmp_path):
         store = ArtifactStore(tmp_path / "lab")
-        record_run(
-            store,
-            "r1",
-            store.save(SPEC, PAYLOAD, run_id="r1", package_version="1.0.0"),
-        )
+        store.save(SPEC, PAYLOAD, run_id="r1", package_version="1.0.0")
         changed = dict(PAYLOAD, all_passed=False)
-        record_run(
-            store,
-            "r2",
-            store.save(SPEC, changed, run_id="r2", package_version="1.0.0"),
-        )
+        store.save(SPEC, changed, run_id="r2", package_version="1.0.0")
         assert store.load(SPEC.config_hash("1.0.0"))["all_passed"] is False
         [row] = store.results()
         assert (row["run_id"], row["all_passed"]) == ("r2", 0)
 
-    def test_rebuild_index_restores_run_history(self, tmp_path):
-        store = ArtifactStore(tmp_path / "lab")
-        run_dir = store.runs_dir / "r1"
-        run_dir.mkdir(parents=True)
-        (run_dir / "manifest.json").write_text(
-            json.dumps(
-                {
-                    "run_id": "r1",
-                    "created_at": "2026-07-29T00:00:00Z",
-                    "package_version": "1.0.0",
-                    "job_count": 3,
-                    "cache_hits": 1,
-                    "failures": ["E05"],
-                    "elapsed_seconds": 1.5,
-                }
-            )
-        )
-        store.rebuild_index()
-        runs = store.runs()
-        assert len(runs) == 1
-        assert runs[0]["run_id"] == "r1"
-        assert runs[0]["failures"] == 1
-        assert runs[0]["cache_hits"] == 1
-
     def test_empty_store_queries(self, tmp_path):
         store = ArtifactStore(tmp_path / "lab")
         assert store.results() == []
-        assert store.runs() == []
+        assert read_manifests(store) == []
         assert store.load("f" * 64) is None
         assert store.artifact_bytes("f" * 64) is None
         assert store.verify()["checked"] == 0
@@ -320,13 +274,18 @@ def write_legacy_root(source: ArtifactStore, root: Path) -> None:
                 "INSERT INTO results VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
                 (*row.values(), str(path)),
             )
-        for run in source.runs():
+        for run in read_manifests(source):
             db.execute(
-                "INSERT INTO runs (run_id, created_at, package_version, "
-                "job_count, cache_hits, failures, elapsed_seconds) "
-                "VALUES (:run_id, :created_at, :package_version, :job_count, "
-                ":cache_hits, :failures, :elapsed_seconds)",
-                run,
+                "INSERT INTO runs VALUES (?, ?, ?, ?, ?, ?, ?)",
+                (
+                    run["run_id"],
+                    run["created_at"],
+                    run["package_version"],
+                    run["job_count"],
+                    run["cache_hits"],
+                    len(run["failures"]),
+                    run["elapsed_seconds"],
+                ),
             )
 
 
@@ -341,10 +300,8 @@ class TestUpgrade:
         ]
         source = ArtifactStore(tmp_path / "source")
         first = run_jobs(jobs[:2], store=source, backend="serial")
-        write_run_artifacts(source, first)
         monkeypatch.setattr(repro, "__version__", "0.0.1-candidate")
         second = run_jobs(jobs[1:], store=source, backend="serial")
-        write_run_artifacts(source, second)
         monkeypatch.undo()
         # Run B's copy of the shared design point moved a cycle count.
         moved = second.outcomes[0].record
@@ -371,11 +328,13 @@ class TestUpgrade:
             for address, raw in files.items():
                 assert store.artifact_bytes(address) == raw
             assert render_diff(diff_runs(store, *runs)) == expected_diff
-            assert sorted(run["run_id"] for run in store.runs()) == sorted(runs)
+            assert sorted(run["run_id"] for run in read_manifests(store)) == sorted(runs)
             rerun = run_jobs(jobs[:2], store=store, backend="serial")
             assert (rerun.cache_hits, rerun.executed) == (2, 0)
         with closing(sqlite3.connect(legacy / "index.sqlite")) as db:
             assert db.execute("PRAGMA user_version").fetchone()[0] == INDEX_VERSION
+            # The earlier layout's runs table stays on disk, unread.
+            assert db.execute("SELECT COUNT(*) FROM runs").fetchone()[0] == 2
         # The old files stay on disk until someone deletes them.
         assert len(list(legacy.glob("artifacts/*/result.json"))) == 4
 

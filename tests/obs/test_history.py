@@ -1,24 +1,27 @@
-"""HistoryDB: ingestion from real lab runs, trends, regression gating.
+"""Cross-run history: points read from real lab roots, trends, gating.
 
 The integration half runs genuine lab batches (serial backend, tiny
-scenarios) into a tmp root and checks that ingesting the store yields
-the metric rows the scenario actually produced.  The gating half
-fabricates manifests with known values so the direction-aware
+scenarios) into a tmp root and checks that reading the root yields the
+metric points the scenario actually produced.  The gating half files
+fabricated manifests with known values so the direction-aware
 tolerance arithmetic can be pinned exactly.
 """
 
 from __future__ import annotations
 
 import json
+import sqlite3
+from contextlib import closing
+from pathlib import Path
 
 import pytest
 
-from repro.lab import ArtifactStore, run_jobs, scenario_job, write_run_artifacts
+from repro.lab import ArtifactStore, run_jobs, scenario_job
 from repro.obs.history import (
-    HISTORY_FILENAME,
-    HistoryDB,
     current_git_commit,
+    ingest_bench,
     metric_direction,
+    read_history,
 )
 from repro.scenarios import ScenarioSpec
 
@@ -34,14 +37,18 @@ SPEC = {
 
 
 def run_once(root) -> str:
-    store = ArtifactStore(root)
-    report = run_jobs(
-        [scenario_job(ScenarioSpec.from_dict(SPEC))],
-        store=store,
-        backend="serial",
-    )
-    write_run_artifacts(store, report)
+    with ArtifactStore(root) as store:
+        report = run_jobs(
+            [scenario_job(ScenarioSpec.from_dict(SPEC))],
+            store=store,
+            backend="serial",
+        )
     return report.run_id
+
+
+def history_of(root):
+    with ArtifactStore(root) as store:
+        return read_history(store)
 
 
 def bench_payload(*, mean: float, created: str) -> dict:
@@ -72,6 +79,13 @@ def fake_manifest(run_id: str, created: str, elapsed: float) -> dict:
             }
         ],
     }
+
+
+def file_manifest(root, manifest: dict) -> None:
+    """Leave ``manifest`` under ``root`` as a finished run would."""
+    path = Path(root) / "runs" / manifest["run_id"] / "manifest.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(json.dumps(manifest))
 
 
 class TestMetricDirection:
@@ -105,19 +119,15 @@ class TestCurrentGitCommit:
         assert commit == "" or len(commit) == 40
 
 
-class TestIngestStore:
+class TestReadStore:
     def test_real_lab_run_round_trips(self, tmp_path):
         run_id = run_once(tmp_path / "lab")
-        store = ArtifactStore(tmp_path / "lab")
-        db = HistoryDB(tmp_path / "lab" / HISTORY_FILENAME)
-        counts = db.ingest_store(store)
-        assert counts["manifests"] == 1
-        assert counts["metrics"] > 0
-        runs = db.runs()
+        history = history_of(tmp_path / "lab")
+        runs = history.runs()
         assert [entry["run_id"] for entry in runs] == [run_id]
         assert runs[0]["kind"] == "lab"
         assert runs[0]["job_count"] == 1
-        names = dict(db.metric_names())
+        names = dict(history.metric_names())
         assert "latency" in names
         assert "efficiency" in names
         assert "elapsed_seconds" in names
@@ -126,82 +136,86 @@ class TestIngestStore:
 
     def test_trend_carries_run_identity_and_scenario(self, tmp_path):
         run_once(tmp_path / "lab")
-        store = ArtifactStore(tmp_path / "lab")
-        db = HistoryDB(tmp_path / "lab" / HISTORY_FILENAME)
-        db.ingest_store(store)
-        points = db.trend("latency")
+        history = history_of(tmp_path / "lab")
+        points = history.trend("latency")
         assert len(points) == 1
         point = points[0]
         assert point["scenario"] == "hist-demo"
         assert point["kind"] == "lab"
         assert point["value"] > 0
         assert point["git_commit"] == current_git_commit()
-        assert db.trend("latency", scenario="hist-demo") == points
-        assert db.trend("latency", scenario="no-such") == []
+        assert history.trend("latency", scenario="HIST-demo") == points
+        assert history.trend("latency", scenario="no-such") == []
 
-    def test_reingest_is_idempotent(self, tmp_path):
+    def test_reading_changes_nothing(self, tmp_path):
         run_once(tmp_path / "lab")
-        store = ArtifactStore(tmp_path / "lab")
-        db = HistoryDB(tmp_path / "lab" / HISTORY_FILENAME)
-        first = db.ingest_store(store)
-        second = db.ingest_store(store)
-        assert first == second
-        assert len(db.trend("latency")) == 1
-        assert len(db.runs()) == 1
+        root = tmp_path / "lab"
+        before = sorted(path.relative_to(root) for path in root.rglob("*"))
+        first = history_of(root)
+        second = history_of(root)
+        assert first.runs() == second.runs()
+        assert first.trend("latency") == second.trend("latency")
+        assert len(second.trend("cache_hit_rate")) == 1
+        assert sorted(path.relative_to(root) for path in root.rglob("*")) == before
 
     def test_two_runs_make_a_two_point_trend(self, tmp_path):
-        store = ArtifactStore(tmp_path / "lab")
         run_once(tmp_path / "lab")
         run_once(tmp_path / "lab")  # cached second run, distinct run_id
-        db = HistoryDB(tmp_path / "lab" / HISTORY_FILENAME)
-        db.ingest_store(store)
-        points = db.trend("latency")
+        points = history_of(tmp_path / "lab").trend("latency")
         assert len(points) == 2
         assert len({point["run_id"] for point in points}) == 2
-        assert db.trend("latency", limit=1) == points[-1:]
+        assert history_of(tmp_path / "lab").trend("latency", limit=1) == points[-1:]
+
+    def test_each_design_point_is_decoded_once_per_read(
+        self, tmp_path, monkeypatch
+    ):
+        for _ in range(3):
+            run_once(tmp_path / "lab")
+        loads = []
+        load = ArtifactStore.load
+
+        def counting_load(self, address):
+            loads.append(address)
+            return load(self, address)
+
+        monkeypatch.setattr(ArtifactStore, "load", counting_load)
+        history = history_of(tmp_path / "lab")
+        assert len(history.trend("latency")) == 3
+        assert len(loads) == 1
 
 
 class TestCommitStamping:
-    """Manifests from outside a git checkout must still ingest.
+    """Manifests from outside a git checkout must still be read.
 
     A tarball install (or a detached worker host) writes manifests
-    whose ``git_commit`` is missing, empty, or JSON ``null``; the runs
-    table column is NOT NULL, so ingest stamps ``"unknown"`` and keeps
-    the row instead of crashing.
+    whose ``git_commit`` is missing, empty, or JSON ``null``; their
+    runs read as commit ``"unknown"``.
     """
 
     @pytest.mark.parametrize("commit", [None, "", 0], ids=["null", "empty", "nonstr"])
     def test_unstamped_manifest_ingests_as_unknown(self, tmp_path, commit):
         manifest = fake_manifest("r-unstamped", "2026-08-07T00:00:00Z", 1.5)
         manifest["git_commit"] = commit
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(manifest))
-        db = HistoryDB(tmp_path / HISTORY_FILENAME)
-        assert db.ingest_manifest(path) > 0
-        [run] = db.runs()
+        file_manifest(tmp_path, manifest)
+        history = history_of(tmp_path)
+        [run] = history.runs()
         assert run["run_id"] == "r-unstamped"
         assert run["git_commit"] == "unknown"
-        [point] = db.trend("elapsed_seconds")
+        [point] = history.trend("elapsed_seconds")
         assert point["value"] == 1.5
 
     def test_missing_key_also_ingests_as_unknown(self, tmp_path):
         manifest = fake_manifest("r-nokey", "2026-08-07T00:00:00Z", 2.0)
         assert "git_commit" not in manifest
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(manifest))
-        db = HistoryDB(tmp_path / HISTORY_FILENAME)
-        db.ingest_manifest(path)
-        [run] = db.runs()
+        file_manifest(tmp_path, manifest)
+        [run] = history_of(tmp_path).runs()
         assert run["git_commit"] == "unknown"
 
     def test_stamped_manifest_keeps_its_commit(self, tmp_path):
         manifest = fake_manifest("r-stamped", "2026-08-07T00:00:00Z", 1.0)
         manifest["git_commit"] = "feedc0ffee"
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(manifest))
-        db = HistoryDB(tmp_path / HISTORY_FILENAME)
-        db.ingest_manifest(path)
-        [run] = db.runs()
+        file_manifest(tmp_path, manifest)
+        [run] = history_of(tmp_path).runs()
         assert run["git_commit"] == "feedc0ffee"
 
 
@@ -211,13 +225,19 @@ class TestIngestBench:
         bench.write_text(
             json.dumps(bench_payload(mean=0.5, created="2026-01-01T00:00:00Z"))
         )
-        db = HistoryDB(tmp_path / HISTORY_FILENAME)
-        assert db.ingest_bench(bench) == 3  # mean/min/max present
-        (run,) = db.runs()
+        store = ArtifactStore(tmp_path / "lab")
+        assert ingest_bench(store, bench) == 3  # mean/min/max present
+        # A verbatim copy, named after the run id.
+        (copy,) = store.bench_dir.iterdir()
+        assert copy.read_bytes() == bench.read_bytes()
+        history = read_history(store)
+        (run,) = history.runs()
+        assert copy.name == f"{run['run_id']}.json"
+        assert run["run_id"].startswith("bench-2026-01-01T00:00:00Z-")
         assert run["kind"] == "bench"
         assert run["git_commit"] == "feedc0ffee"
         assert run["package_version"] == "1.5.0"
-        (point,) = db.trend("mean_seconds")
+        (point,) = history.trend("mean_seconds")
         assert point["value"] == 0.5
         assert point["job_id"] == "test_kernel_two_streams_one_bus"
 
@@ -226,45 +246,25 @@ class TestIngestBench:
         bench.write_text(
             json.dumps(bench_payload(mean=0.5, created="2026-01-01T00:00:00Z"))
         )
-        db = HistoryDB(tmp_path / HISTORY_FILENAME)
-        db.ingest_bench(bench)
-        db.ingest_bench(bench)
-        assert len(db.runs()) == 1
-        assert len(db.trend("mean_seconds")) == 1
-
-
-class TestIngestPath:
-    def test_dispatch_by_shape(self, tmp_path):
-        run_once(tmp_path / "lab")
-        bench = tmp_path / "BENCH_demo.json"
-        bench.write_text(
-            json.dumps(bench_payload(mean=0.2, created="2026-01-02T00:00:00Z"))
-        )
-        db = HistoryDB(tmp_path / HISTORY_FILENAME)
-        assert db.ingest_path(tmp_path / "lab") > 0  # lab root dir
-        assert db.ingest_path(bench) == 3  # bench JSON file
-        assert db.ingest_path(tmp_path / "nope") == 0  # missing path
-        garbage = tmp_path / "garbage.json"
-        garbage.write_text("not json")
-        assert db.ingest_path(garbage) == 0
-        kinds = {run["kind"] for run in db.runs()}
-        assert kinds == {"lab", "bench"}
+        store = ArtifactStore(tmp_path / "lab")
+        ingest_bench(store, bench)
+        ingest_bench(store, bench)
+        assert len(list(store.bench_dir.iterdir())) == 1
+        history = read_history(store)
+        assert len(history.runs()) == 1
+        assert len(history.trend("mean_seconds")) == 1
 
 
 class TestFlagRegressions:
-    def ingest_pair(self, tmp_path, first: float, second: float) -> HistoryDB:
-        db = HistoryDB(tmp_path / HISTORY_FILENAME)
+    def ingest_pair(self, tmp_path, first: float, second: float):
         for index, elapsed in enumerate([first, second]):
-            path = tmp_path / f"manifest_{index}.json"
-            path.write_text(
-                json.dumps(
-                    fake_manifest(
-                        f"r{index}", f"2026-01-0{index + 1}T00:00:00Z", elapsed
-                    )
-                )
+            file_manifest(
+                tmp_path,
+                fake_manifest(
+                    f"r{index}", f"2026-01-0{index + 1}T00:00:00Z", elapsed
+                ),
             )
-            db.ingest_manifest(path)
-        return db
+        return history_of(tmp_path)
 
     def test_lower_is_better_regression_is_flagged(self, tmp_path):
         db = self.ingest_pair(tmp_path, 1.0, 1.5)
@@ -326,62 +326,53 @@ class TestFlagRegressions:
         )
 
     def test_single_point_series_cannot_regress(self, tmp_path):
-        db = HistoryDB(tmp_path / HISTORY_FILENAME)
-        path = tmp_path / "manifest.json"
-        path.write_text(
-            json.dumps(fake_manifest("r0", "2026-01-01T00:00:00Z", 9.0))
+        file_manifest(
+            tmp_path, fake_manifest("r0", "2026-01-01T00:00:00Z", 9.0)
         )
-        db.ingest_manifest(path)
-        assert db.flag_regressions() == []
+        assert history_of(tmp_path).flag_regressions() == []
 
     def test_directionless_metrics_are_skipped(self, tmp_path):
         # s (modules) shows up in scenario metric rows but has no
         # better/worse direction; gating must ignore it entirely.
-        store = ArtifactStore(tmp_path / "lab")
         run_once(tmp_path / "lab")
         run_once(tmp_path / "lab")
-        db = HistoryDB(tmp_path / "lab" / HISTORY_FILENAME)
-        db.ingest_store(store)
-        flagged = db.flag_regressions()
+        flagged = history_of(tmp_path / "lab").flag_regressions()
         for flag in flagged:
             assert metric_direction(flag["metric"]) is not None
 
 
-class TestEmptyDb:
-    def test_queries_on_missing_file_are_empty(self, tmp_path):
-        db = HistoryDB(tmp_path / "never-created.sqlite")
-        assert db.runs() == []
-        assert db.metric_names() == []
-        assert db.trend("latency") == []
-        assert db.flag_regressions() == []
-        assert not db.path.exists()
+class TestEmptyRoot:
+    def test_queries_on_missing_root_create_nothing(self, tmp_path):
+        history = history_of(tmp_path / "never-created")
+        assert history.runs() == []
+        assert history.metric_names() == []
+        assert history.trend("latency") == []
+        assert history.flag_regressions() == []
+        assert not (tmp_path / "never-created").exists()
 
 
 class TestRunLevelMetrics:
-    """Run-level manifest metrics land as ``__run__`` rows.
+    """Run-level manifest metrics become ``__run__`` points.
 
-    Manifests have always carried a run-level ``metrics`` block
-    (cache-hit rate, queue latencies, backend worker counts), but
-    ingestion used to drop it on the floor — ``lab history`` could trend
-    a job's cycles yet never a run's backend sizing.
+    Manifests carry a run-level ``metrics`` block (cache-hit rate,
+    queue latencies, backend worker counts), so ``lab history`` trends
+    a run's backend sizing as well as its jobs' cycles.
     """
 
     def test_backend_worker_counts_become_trendable(self, tmp_path):
         from repro.lab.backends import ProcessPoolBackend
 
-        store = ArtifactStore(tmp_path / "lab")
-        report = run_jobs(
-            [scenario_job(ScenarioSpec.from_dict(SPEC))],
-            store=store,
-            backend=ProcessPoolBackend(workers=2),
-        )
-        run_dir = write_run_artifacts(store, report)
-        db = HistoryDB(tmp_path / "lab" / HISTORY_FILENAME)
-        db.ingest_manifest(run_dir / "manifest.json", store=store)
-        [point] = db.trend("pool_workers")
+        with ArtifactStore(tmp_path / "lab") as store:
+            run_jobs(
+                [scenario_job(ScenarioSpec.from_dict(SPEC))],
+                store=store,
+                backend=ProcessPoolBackend(workers=2),
+            )
+            history = read_history(store)
+        [point] = history.trend("pool_workers")
         assert point["job_id"] == "__run__"
         assert point["value"] == 2.0
-        assert db.trend("cache_hit_rate")  # present, whatever the rate
+        assert history.trend("cache_hit_rate")  # present, whatever the rate
 
     def test_non_numeric_run_metrics_are_skipped(self, tmp_path):
         manifest = fake_manifest("rm0", "2026-01-01T00:00:00Z", 1.0)
@@ -391,26 +382,123 @@ class TestRunLevelMetrics:
             "all_jobs_cached": True,
             "note": "free-text must not become a row",
         }
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(manifest))
-        db = HistoryDB(tmp_path / HISTORY_FILENAME)
-        db.ingest_manifest(path)
+        file_manifest(tmp_path, manifest)
+        history = history_of(tmp_path)
         run_rows = {
             point["metric"]: point["value"]
-            for point in db.trend("cache_hit_rate")
+            for point in history.trend("cache_hit_rate")
         }
         assert run_rows == {"cache_hit_rate": 0.5}
-        assert db.trend("all_jobs_cached")[0]["value"] == 1.0
-        assert db.trend("backend") == []
-        assert db.trend("note") == []
+        assert history.trend("all_jobs_cached")[0]["value"] == 1.0
+        assert history.trend("backend") == []
+        assert history.trend("note") == []
 
-    def test_run_rows_are_idempotent_across_reingest(self, tmp_path):
-        manifest = fake_manifest("rm1", "2026-01-02T00:00:00Z", 1.0)
-        manifest["metrics"] = {"pool_workers": 3}
-        path = tmp_path / "manifest.json"
-        path.write_text(json.dumps(manifest))
-        db = HistoryDB(tmp_path / HISTORY_FILENAME)
-        first = db.ingest_manifest(path)
-        second = db.ingest_manifest(path)
-        assert first == second > 0
-        assert len(db.trend("pool_workers")) == 1
+
+#: ``history.sqlite`` as ``lab history`` kept it before runs were read
+#: from their manifests.
+LEGACY_SCHEMA = """
+CREATE TABLE runs (
+    run_id TEXT PRIMARY KEY,
+    created_at TEXT NOT NULL DEFAULT '',
+    kind TEXT NOT NULL DEFAULT 'lab',
+    git_commit TEXT NOT NULL DEFAULT '',
+    package_version TEXT NOT NULL DEFAULT '',
+    source_fingerprint TEXT NOT NULL DEFAULT '',
+    backend TEXT NOT NULL DEFAULT '',
+    job_count INTEGER NOT NULL DEFAULT 0
+);
+CREATE TABLE metrics (
+    run_id TEXT NOT NULL,
+    job_id TEXT NOT NULL,
+    metric TEXT NOT NULL,
+    value REAL NOT NULL,
+    scenario TEXT NOT NULL DEFAULT '',
+    config_hash TEXT NOT NULL DEFAULT '',
+    source_fingerprint TEXT NOT NULL DEFAULT '',
+    created_at TEXT NOT NULL DEFAULT '',
+    PRIMARY KEY (run_id, job_id, metric)
+);
+CREATE INDEX idx_metrics_metric ON metrics (metric, created_at);
+"""
+BENCH_RUN = "bench-2026-01-01T00:00:00Z-0123456789"
+STATS = {"mean": 0.5, "min": 0.45, "max": 0.6, "median": 0.52}
+
+
+class TestOldHistoryDatabase:
+    def legacy_root(self, tmp_path):
+        """A root with one lab run and a history.sqlite in the old schema.
+
+        The database holds the lab run (with a stale latency), a bench
+        run, and a run ingested from another root's manifest.
+        """
+        root = tmp_path / "lab"
+        run_id = run_once(root)
+        created = "2026-01-01T00:00:00Z"
+        with closing(sqlite3.connect(root / "history.sqlite")) as db, db:
+            db.executescript(LEGACY_SCHEMA)
+            db.executemany(
+                "INSERT INTO runs VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                [
+                    (run_id, created, "lab", "c0ffee", "1.0", "fp", "serial", 1),
+                    (BENCH_RUN, created, "bench", "feedc0ffee", "1.5.0", "fp", "", 1),
+                    ("r-other-root", created, "lab", "c0ffee", "1.0", "fp", "serial", 1),
+                ],
+            )
+            db.executemany(
+                "INSERT INTO metrics (run_id, job_id, metric, value, "
+                "created_at) VALUES (?, ?, ?, ?, ?)",
+                [
+                    (run_id, "job", "latency", 999.0, created),
+                    ("r-other-root", "job", "latency", 999.0, created),
+                    *[
+                        (BENCH_RUN, "test_kernel", f"{stat}_seconds", value, created)
+                        for stat, value in STATS.items()
+                    ],
+                ],
+            )
+        return root, run_id
+
+    def test_bench_runs_are_carried_over_once(self, tmp_path):
+        root, run_id = self.legacy_root(tmp_path)
+        history = history_of(root)
+        assert {run["run_id"] for run in history.runs()} == {run_id, BENCH_RUN}
+        assert history.trend("mean_seconds") == [
+            {
+                "run_id": BENCH_RUN,
+                "job_id": "test_kernel",
+                "metric": "mean_seconds",
+                "value": 0.5,
+                "scenario": "",
+                "config_hash": "",
+                "created_at": "2026-01-01T00:00:00Z",
+                "git_commit": "feedc0ffee",
+                "package_version": "1.5.0",
+                "kind": "bench",
+            }
+        ]
+        for stat, value in STATS.items():
+            [point] = history.trend(f"{stat}_seconds")
+            assert point["value"] == value
+        # Lab runs come from their manifests, never from the database.
+        [latency] = history.trend("latency")
+        assert (latency["run_id"], latency["scenario"]) == (run_id, "hist-demo")
+        assert latency["value"] != 999.0
+        assert [path.name for path in (root / "bench").iterdir()] == [
+            f"{BENCH_RUN}.json"
+        ]
+        assert (root / "history.sqlite").is_file()
+        # Once: with bench/ in place the database is never read again.
+        (root / "bench" / f"{BENCH_RUN}.json").unlink()
+        assert history_of(root).trend("mean_seconds") == []
+
+    def test_ingest_carries_the_old_bench_runs_over_first(self, tmp_path):
+        root, _ = self.legacy_root(tmp_path)
+        bench = tmp_path / "BENCH_new.json"
+        bench.write_text(
+            json.dumps(bench_payload(mean=0.4, created="2026-02-01T00:00:00Z"))
+        )
+        with ArtifactStore(root) as store:
+            ingest_bench(store, bench)
+            points = read_history(store).trend("mean_seconds")
+        assert [point["value"] for point in points] == [0.5, 0.4]
+        assert len(list((root / "bench").iterdir())) == 2

@@ -2,17 +2,29 @@
 
 Covers `scenario run --trace`, `lab status --metrics`,
 `lab history` (trend, ingest, exit codes, `--flag-regressions`,
-`--absolute-floor`) and the removed `lab index --prune-stale`.
+`--absolute-floor`), that every view names the same runs, and the
+removed `lab index --prune-stale` and `lab history --db`.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
+import sqlite3
+from contextlib import closing
+from http.client import HTTPConnection
+from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.lab import ArtifactStore
 from repro.scenarios import ComponentSpec, MemorySpec, ScenarioGrid, ScenarioSpec
+from repro.serve import ServeApp
+
+PORTS_GRID = Path(__file__).resolve().parents[1] / "examples" / (
+    "scenario_ports_grid.json"
+)
 
 
 def demo_spec(name: str = "obs-cli-demo") -> ScenarioSpec:
@@ -42,6 +54,42 @@ def grid_file(tmp_path):
 def sweep(root, grid_path) -> None:
     assert main(["lab", "sweep", str(grid_path), "--root", str(root),
                  "--backend", "serial"]) == 0
+
+
+def file_manifest(root, run_id, created, elapsed, job_id="J") -> None:
+    """Leave a finished run's manifest under ``root`` with one job."""
+    path = Path(root) / "runs" / run_id / "manifest.json"
+    path.parent.mkdir(parents=True)
+    path.write_text(
+        json.dumps(
+            {
+                "run_id": run_id,
+                "created_at": created,
+                "jobs": [
+                    {
+                        "job_id": job_id,
+                        "config_hash": "0" * 16,
+                        "elapsed_seconds": elapsed,
+                    }
+                ],
+            }
+        )
+    )
+
+
+def bench_file(path, mean=0.25) -> Path:
+    path.write_text(
+        json.dumps(
+            {
+                "benchmarks": [{"name": "bench_a", "stats": {"mean": mean}}],
+                "repro_meta": {
+                    "git_commit": "cafe",
+                    "created_at": "2026-01-01T00:00:00Z",
+                },
+            }
+        )
+    )
+    return path
 
 
 class TestScenarioTrace:
@@ -182,28 +230,11 @@ class TestLabHistory:
         self, tmp_path, capsys
     ):
         # Fabricated manifests with a 50% elapsed_seconds slip.
-        def manifest(run_id, created, elapsed):
-            return {
-                "run_id": run_id,
-                "created_at": created,
-                "jobs": [
-                    {
-                        "job_id": "J",
-                        "config_hash": "0" * 16,
-                        "elapsed_seconds": elapsed,
-                    }
-                ],
-            }
-
-        a = tmp_path / "a.json"
-        b = tmp_path / "b.json"
-        a.write_text(json.dumps(manifest("r0", "2026-01-01T00:00:00Z", 1.0)))
-        b.write_text(json.dumps(manifest("r1", "2026-01-02T00:00:00Z", 1.5)))
         root = tmp_path / "lab"
-        root.mkdir()
+        file_manifest(root, "r0", "2026-01-01T00:00:00Z", 1.0)
+        file_manifest(root, "r1", "2026-01-02T00:00:00Z", 1.5)
         code = main(
             ["lab", "history", "--root", str(root),
-             "--ingest", str(a), "--ingest", str(b),
              "--metric", "elapsed_seconds", "--flag-regressions"]
         )
         assert code == 1
@@ -212,20 +243,7 @@ class TestLabHistory:
         assert "1.5" in err
 
     def test_ingest_bench_artifact(self, tmp_path, capsys):
-        bench = tmp_path / "BENCH_demo.json"
-        bench.write_text(
-            json.dumps(
-                {
-                    "benchmarks": [
-                        {"name": "bench_a", "stats": {"mean": 0.25}}
-                    ],
-                    "repro_meta": {
-                        "git_commit": "cafe",
-                        "created_at": "2026-01-01T00:00:00Z",
-                    },
-                }
-            )
-        )
+        bench = bench_file(tmp_path / "BENCH_demo.json")
         root = tmp_path / "lab"
         root.mkdir()
         code = main(
@@ -234,9 +252,139 @@ class TestLabHistory:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
+        assert payload["root"] == str(root)
         (point,) = payload["points"]
         assert point["value"] == 0.25
         assert point["git_commit"] == "cafe"
+        # The file is copied in: later calls need no --ingest.
+        (copy,) = (root / "bench").iterdir()
+        assert copy.read_bytes() == bench.read_bytes()
+        assert main(
+            ["lab", "history", "--root", str(root), "--metric", "mean_seconds"]
+        ) == 0
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--metric", "latncy"], "no points for metric 'latncy'"),
+            (["--ingest", "no_such_BENCH.json", "--metric", "mean_seconds"],
+             "no such bench file: no_such_BENCH.json"),
+        ],
+        ids=["misspelt-metric", "missing-bench"],
+    )
+    def test_nothing_to_check_exits_two(
+        self, grid_file, tmp_path, capsys, monkeypatch, args, message
+    ):
+        root = tmp_path / "lab"
+        sweep(root, grid_file)
+        capsys.readouterr()
+        monkeypatch.chdir(tmp_path)
+        code = main(
+            ["lab", "history", "--root", str(root), *args, "--flag-regressions"]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "target", ["garbage", "manifest", "run-dir", "lab-root"]
+    )
+    def test_ingest_takes_only_bench_json(
+        self, grid_file, tmp_path, capsys, target
+    ):
+        other = tmp_path / "other"
+        sweep(other, grid_file)
+        run_dir = next((other / "runs").iterdir())
+        garbage = tmp_path / "garbage.json"
+        garbage.write_text("not json")
+        path = {
+            "garbage": garbage,
+            "manifest": run_dir / "manifest.json",
+            "run-dir": run_dir,
+            "lab-root": other,
+        }[target]
+        capsys.readouterr()
+        code = main(
+            ["lab", "history", "--root", str(tmp_path / "lab"),
+             "--ingest", str(path)]
+        )
+        assert code == 2
+        assert "lab merge" in capsys.readouterr().err
+        assert not (tmp_path / "lab").exists()
+
+    def test_scenario_filter_matches_every_character_literally(
+        self, tmp_path, capsys
+    ):
+        # `_` and `%` are not wildcards: "a_b" does not select "aXb".
+        root = tmp_path / "lab"
+        for index, job_id in enumerate(["a_b", "aXb", "a%b", "aYYb"]):
+            file_manifest(
+                root, f"r{index}", f"2026-01-0{index + 1}T00:00:00Z", 1.0,
+                job_id=job_id,
+            )
+        for needle, expected in (("A_B", ["a_b"]), ("a%b", ["a%b"])):
+            code = main(
+                ["lab", "history", "--root", str(root), "--metric",
+                 "elapsed_seconds", "--scenario", needle, "--json"]
+            )
+            assert code == 0
+            payload = json.loads(capsys.readouterr().out)
+            assert [p["job_id"] for p in payload["points"]] == expected
+
+    def test_db_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["lab", "history", "--root", str(tmp_path), "--db", "h.sqlite"])
+        assert excinfo.value.code == 2
+        assert "--db" in capsys.readouterr().err
+
+
+class TestOneRecordPerRun:
+    def test_a_root_records_each_run_once(self, tmp_path, capsys):
+        root = tmp_path / "lab"
+        sweep(root, PORTS_GRID)
+        sweep(root, PORTS_GRID)
+        bench = bench_file(tmp_path / "BENCH_demo.json")
+        assert main(
+            ["lab", "history", "--root", str(root), "--ingest", str(bench)]
+        ) == 0
+        assert main(["lab", "status", "--root", str(root)]) == 0
+        with closing(sqlite3.connect(root / "index.sqlite")) as db:
+            tables = db.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'table'"
+            ).fetchall()
+        assert tables == [("results",)]
+        assert len(list(root.glob("runs/*/manifest.json"))) == 2
+        assert len(list((root / "bench").iterdir())) == 1
+        assert not (root / "history.sqlite").exists()
+
+    def test_every_view_names_the_remaining_run(self, tmp_path, capsys):
+        root = tmp_path / "lab"
+        sweep(root, PORTS_GRID)
+        sweep(root, PORTS_GRID)
+        first, kept = sorted(path.name for path in (root / "runs").iterdir())
+        shutil.rmtree(root / "runs" / first)
+        capsys.readouterr()
+
+        def cli_json(*args) -> dict:
+            assert main(["lab", *args, "--root", str(root), "--json"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        status = cli_json("status")
+        metrics = cli_json("status", "--metrics")
+        history = cli_json("history", "--metric", "latency")
+        with ServeApp(
+            ArtifactStore(root), port=0, access_log=None
+        ) as app:
+            connection = HTTPConnection(app.host, app.port, timeout=60)
+            try:
+                connection.request("GET", "/v1/history/latency")
+                served = json.loads(connection.getresponse().read())
+            finally:
+                connection.close()
+        assert [run["run_id"] for run in status["runs"]] == [kept]
+        assert [run["run_id"] for run in metrics["run_metrics"]] == [kept]
+        assert {point["run_id"] for point in history["points"]} == {kept}
+        assert {point["run_id"] for point in served["points"]} == {kept}
+        assert served["point_count"] == len(history["points"]) == 3
 
 
 class TestLabIndexPrune:
@@ -249,36 +397,16 @@ class TestLabIndexPrune:
 
 
 class TestHistoryFloor:
-    def manifest(self, tmp_path, index, elapsed):
-        path = tmp_path / f"manifest_{index}.json"
-        path.write_text(
-            json.dumps(
-                {
-                    "run_id": f"r{index}",
-                    "created_at": f"2026-01-0{index + 1}T00:00:00Z",
-                    "jobs": [
-                        {
-                            "job_id": "demo-job",
-                            "config_hash": "0" * 16,
-                            "elapsed_seconds": elapsed,
-                        }
-                    ],
-                }
-            )
-        )
-        return path
-
     def run_history(self, tmp_path, *extra):
+        root = tmp_path / "lab"
+        file_manifest(root, "r0", "2026-01-01T00:00:00Z", 0.0, "demo-job")
+        file_manifest(root, "r1", "2026-01-02T00:00:00Z", 0.04, "demo-job")
         return main(
             [
                 "lab",
                 "history",
                 "--root",
-                str(tmp_path / "lab"),
-                "--ingest",
-                str(self.manifest(tmp_path, 0, 0.0)),
-                "--ingest",
-                str(self.manifest(tmp_path, 1, 0.04)),
+                str(root),
                 "--metric",
                 "elapsed_seconds",
                 "--flag-regressions",
