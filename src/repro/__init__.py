@@ -45,8 +45,10 @@ Module map
 * :mod:`repro.hardware` — register-level models of the Figures 4-6
   address-generation hardware;
 * :mod:`repro.processor` — the decoupled access/execute vector machine
-  with LOAD->EXECUTE chaining, its ISA, assembler, strip-mined kernel
-  builders and the ``ProgramEngine`` whole-program execution API;
+  with LOAD->EXECUTE chaining (``DecoupledVectorMachine.run`` runs a
+  whole program and returns every timing, memory result and
+  correctness verdict), its ISA, assembler and strip-mined kernel
+  builders;
 * :mod:`repro.workloads` — stride populations, kernel access patterns
   and gather/scatter index generators;
 * :mod:`repro.analysis` — the Section 5 analytic models (fractions,

@@ -170,38 +170,6 @@ class SweepSpec:
             f"with {other}={self.fixed}"
         )
 
-    def scenario_specs(self, stride: int = 3):
-        """The sweep's design points as simulate-able scenario specs.
-
-        Materialises each analytic :class:`DesignRow` as one
-        :class:`repro.scenarios.ScenarioSpec` — the recommended matched
-        machine (``s = lambda - t``, floored at ``t`` where Eq. (1)
-        requires it) driving a stride-``stride * 2**s`` vector of
-        length ``2**lambda``.  This is the bridge between the
-        closed-form sweep tables and the simulator: the same grid of
-        ``(lambda, t)`` points, now runnable (and lab-cacheable) as
-        data.
-        """
-        from repro.core.windows import recommended_s
-        from repro.scenarios import ComponentSpec, MemorySpec, ScenarioSpec
-
-        specs = []
-        for row in self.design_rows():
-            s = max(recommended_s(row.lambda_exponent, row.t), row.t)
-            specs.append(
-                ScenarioSpec(
-                    mapping=ComponentSpec.of("matched-xor", t=row.t, s=s),
-                    memory=MemorySpec(t=row.t),
-                    workload=ComponentSpec.of(
-                        "strided",
-                        stride=stride * (1 << s),
-                        length=row.vector_length,
-                    ),
-                    name=f"{self.axis}-sweep-lam{row.lambda_exponent}-t{row.t}",
-                )
-            )
-        return specs
-
 
 #: The sweeps `bench_design_space.py` reports, as declarative specs.
 STANDARD_SWEEPS: tuple[SweepSpec, ...] = (

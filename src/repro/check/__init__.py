@@ -7,8 +7,9 @@ single simulated cycle:
   conflict-prone verdicts from the paper's stride-family arithmetic,
   with the predicted ``T+L+1`` minimum access time where it applies;
 * **program hazards** (``HZ2xx``) — RAW/WAR/WAW chains, dead writes,
-  store/load span aliasing, and a static batchability report mirroring
-  the decoupled machine's hazard-batching rules;
+  store/load span aliasing, and a static batchability report from the
+  decoupled machine's own batching rule, with the breaks that rest on
+  an assumption marked as assumed;
 * **spec lint** (``SL3xx``) — unknown kinds/parameters, invalid
   geometry, degenerate grid axes;
 * **grid dedupe** (``DD4xx``) — duplicate design points flagged before

@@ -2,12 +2,11 @@
 
 Two layers:
 
-* :func:`predict_batches` mirrors the decoupled machine's batching
-  rules (:mod:`repro.processor.decoupled`) statically — the same
-  hazard-drain test and the same three join refusals (stream capacity,
-  operand readiness, store-span overlap), applied to register names and
-  address arithmetic instead of cycle counts.  The hazard test suite
-  pins its boundaries against the machine's actual runtime batches.
+* :func:`predict_batches` runs the decoupled machine's own batching
+  rule, :meth:`repro.processor.decoupled.OpenBatch.refusal` — the
+  register-hazard drain and the three join refusals (stream capacity,
+  operand readiness, store-span overlap) — on register names and
+  address arithmetic instead of cycle counts.
 * :func:`analyze_program` renders that report, plus classic def-use
   findings, as the ``HZ2xx`` rules:
 
@@ -18,22 +17,23 @@ Two layers:
   - ``HZ205`` *info* — store/load address spans that overlap;
   - ``HZ206`` *info* — register written but never read.
 
-One static approximation is deliberate: an operand produced by an
-*execute* instruction is assumed to arrive after the open batch's start
-(the execute pipeline's ``startup + length`` latency lands after the
-batch opens in every program shape the machine ships), so the analyzer
-closes the batch exactly where the machine's readiness rule does.
+A static pass cannot time the execute pipeline or read index registers,
+so two facts are assumptions, and a break resting on one is reported
+as assumed rather than certain: an operand produced by an *execute*
+instruction is assumed not ready when the open batch starts (the
+machine joins it if it is), and a gather/scatter address span is
+data-dependent, so a pair involving a store is assumed to overlap.
 Operands produced by loads in earlier batches are always ready — a
-load's end cycle precedes the next batch's start by construction.
-Gather/scatter address spans are data-dependent, so a pair involving a
-store conservatively counts as overlapping.
+load's end cycle precedes the next batch's start by construction.  When
+every break is certain, the predicted partition is the machine's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.processor.isa import VGather, VLoad, VScatter, VStore
+from repro.processor.decoupled import BatchBreak, OpenBatch
+from repro.processor.isa import VLoad, VScatter, VStore
 from repro.processor.program import Program, def_use_events
 
 from repro.check.findings import Finding
@@ -47,14 +47,6 @@ __all__ = [
 
 #: Cap on per-rule findings for one program.
 _FINDING_CAP = 8
-
-
-@dataclass(frozen=True)
-class BatchBreak:
-    """Why the open batch closed before instruction ``position``."""
-
-    position: int
-    reason: str
 
 
 @dataclass(frozen=True)
@@ -73,16 +65,26 @@ class BatchReport:
     def peak_concurrency(self) -> int:
         return max((len(batch) for batch in self.batches), default=0)
 
+    @property
+    def assumed_breaks(self) -> tuple[BatchBreak, ...]:
+        """Breaks that rest on an assumption; with none, the partition
+        is exactly the machine's."""
+        return tuple(break_ for break_ in self.breaks if not break_.certain)
+
 
 @dataclass(frozen=True)
 class _StaticAccess:
-    """What the join rules need to know about one memory instruction."""
+    """What the batch rule knows statically about one memory instruction."""
 
     position: int
     mnemonic: str
-    span: tuple[int, int] | None
+    reads: frozenset[int]
+    writes: frozenset[int]
     is_store_op: bool
+    span: tuple[int, int] | None  # None: data-dependent, so unknown
     late_operands: tuple[int, ...]
+    #: Lateness here is the execute-producer assumption, not a cycle.
+    late_assumed = True
 
 
 def predict_batches(
@@ -90,130 +92,56 @@ def predict_batches(
 ) -> BatchReport:
     """The batch partition the decoupled machine will form.
 
-    Applies the machine's rules in its order: the register-hazard drain
-    first (any instruction whose operands touch the open batch's
-    registers closes it), then — for memory instructions — stream
-    capacity, operand readiness, and store-span disjointness.
+    Asks the machine's rule, :meth:`OpenBatch.refusal`, about every
+    instruction in order, with static facts (see the module docstring).
     """
     batches: list[tuple[int, ...]] = []
     breaks: list[BatchBreak] = []
-    batch: list[_StaticAccess] = []
-    pending_reads: set[int] = set()
-    pending_writes: set[int] = set()
-    #: Register -> what last wrote it ("load" covers gathers too);
-    #: registers never written are machine-predefined, ready at cycle 0.
-    producer: dict[int, str] = {}
-
-    def close(position: int | None, reason: str | None) -> None:
-        if not batch:
-            return
-        batches.append(tuple(member.position for member in batch))
-        if position is not None and reason is not None:
-            breaks.append(BatchBreak(position, reason))
-        batch.clear()
-        pending_reads.clear()
-        pending_writes.clear()
+    batch = OpenBatch(memory_streams)
+    #: Registers an execute instruction wrote last; every other register
+    #: was last written by a load or is predefined, so it is ready.
+    from_execute: set[int] = set()
 
     for position, instruction, reads, writes in def_use_events(program):
-        if batch and (
-            reads & pending_writes
-            or writes & (pending_writes | pending_reads)
-        ):
-            hazard = sorted(
-                (reads & pending_writes)
-                | (writes & (pending_writes | pending_reads))
-            )
-            close(
-                position,
-                f"register hazard on "
-                f"{', '.join(f'V{r}' for r in hazard)} drains the batch",
-            )
+        access: _StaticAccess | None = None
         if instruction.is_memory:
-            access = _static_access(
-                position, instruction, register_length, producer
+            access = _StaticAccess(
+                position,
+                instruction.mnemonic,
+                reads,
+                writes,
+                isinstance(instruction, (VStore, VScatter)),
+                _strided_span(instruction, register_length)
+                if isinstance(instruction, (VLoad, VStore))
+                else None,
+                tuple(r for r in instruction.reads() if r in from_execute),
             )
-            if batch:
-                refusal = _join_refusal(access, batch, memory_streams)
-                if refusal is not None:
-                    close(position, refusal)
-            batch.append(access)
-            pending_reads.update(reads)
-            pending_writes.update(writes)
-        for register in writes:
-            producer[register] = "load" if instruction.is_memory else "execute"
-    close(None, None)
+        if batch.members:
+            refusal = batch.refusal(position, reads, writes, access)
+            if refusal is not None:
+                batches.append(
+                    tuple(member.position for member in batch.members)
+                )
+                breaks.append(refusal)
+                batch.clear()
+        if access is not None:
+            batch.add(access)
+        if instruction.is_memory:
+            from_execute -= writes
+        else:
+            from_execute |= writes
+    if batch.members:
+        batches.append(tuple(member.position for member in batch.members))
     return BatchReport(tuple(batches), tuple(breaks), memory_streams)
 
 
-def _static_access(
-    position: int, instruction, register_length: int, producer: dict[int, str]
-) -> _StaticAccess:
-    if isinstance(instruction, (VLoad, VStore)):
-        length = instruction.length or register_length
-        addresses = [
-            instruction.base + i * instruction.stride for i in range(length)
-        ]
-        span = (min(addresses), max(addresses))
-    else:
-        span = None  # gather/scatter addresses are data-dependent
-    if isinstance(instruction, VStore):
-        operands = (instruction.src,)
-    elif isinstance(instruction, VGather):
-        operands = (instruction.index,)
-    elif isinstance(instruction, VScatter):
-        operands = (instruction.src, instruction.index)
-    else:
-        operands = ()
-    late = tuple(
-        register
-        for register in operands
-        if producer.get(register) == "execute"
-    )
-    return _StaticAccess(
-        position,
-        instruction.mnemonic,
-        span,
-        isinstance(instruction, (VStore, VScatter)),
-        late,
-    )
-
-
-def _join_refusal(
-    access: _StaticAccess, batch: list[_StaticAccess], memory_streams: int
-) -> str | None:
-    """The machine's ``_can_join`` rules, checked in its order."""
-    if len(batch) >= memory_streams:
-        return (
-            f"the batch already occupies all "
-            f"memory_streams={memory_streams} stream slots"
-        )
-    if access.late_operands:
-        names = ", ".join(f"V{r}" for r in access.late_operands)
-        return (
-            f"operand {names} comes from the execute pipeline and is "
-            f"not ready when the batch starts"
-        )
-    for member in batch:
-        if not (access.is_store_op or member.is_store_op):
-            continue
-        if access.span is None or member.span is None:
-            return (
-                f"{access.mnemonic} at {access.position} has a "
-                f"data-dependent address span; with a store in the pair "
-                f"it must be assumed to overlap instruction "
-                f"{member.position}"
-            )
-        if not (
-            access.span[1] < member.span[0]
-            or member.span[1] < access.span[0]
-        ):
-            return (
-                f"address span [{access.span[0]}..{access.span[1]}] "
-                f"overlaps instruction {member.position}'s span "
-                f"[{member.span[0]}..{member.span[1]}] with a store "
-                f"involved"
-            )
-    return None
+def _strided_span(
+    instruction: VLoad | VStore, register_length: int
+) -> tuple[int, int]:
+    """Lowest and highest address a strided access touches."""
+    length = instruction.length or register_length
+    last = instruction.base + (length - 1) * instruction.stride
+    return min(instruction.base, last), max(instruction.base, last)
 
 
 def analyze_program(
@@ -230,6 +158,7 @@ def analyze_program(
         memory_streams=memory_streams,
         register_length=register_length,
     )
+    assumed = len(report.assumed_breaks)
     findings.append(
         Finding(
             "HZ201",
@@ -238,7 +167,13 @@ def analyze_program(
             f"{report.memory_instruction_count} memory instruction(s) "
             f"form {len(report.batches)} batch(es) under "
             f"memory_streams={memory_streams}; peak stream concurrency "
-            f"{report.peak_concurrency}",
+            f"{report.peak_concurrency}"
+            + (
+                f" (the count relies on {assumed} assumed batch "
+                f"break(s); see HZ202)"
+                if assumed
+                else ""
+            ),
         )
     )
     mnemonics = {
@@ -251,8 +186,8 @@ def analyze_program(
                 "HZ202",
                 "info",
                 f"{location}.program[{break_.position}]",
-                f"batch break before {mnemonics[break_.position]}: "
-                f"{break_.reason}",
+                f"{'' if break_.certain else 'assumed '}batch break "
+                f"before {mnemonics[break_.position]}: {break_.reason}",
             )
         )
     if len(report.breaks) > _FINDING_CAP:
@@ -336,19 +271,12 @@ def _span_findings(
     for position, instruction in enumerate(program):
         if not isinstance(instruction, (VLoad, VStore)):
             continue
-        length = instruction.length or register_length
-        low = min(
-            instruction.base, instruction.base + (length - 1) * instruction.stride
-        )
-        high = max(
-            instruction.base, instruction.base + (length - 1) * instruction.stride
-        )
         spans.append(
             (
                 position,
                 instruction.mnemonic,
                 isinstance(instruction, VStore),
-                (low, high),
+                _strided_span(instruction, register_length),
             )
         )
     findings = []

@@ -1348,9 +1348,7 @@ def command_run(args: argparse.Namespace) -> int:
     # Same parser the 'instructions'/'asm' scenario program kinds use:
     # .init/.fill directives preload memory, the rest is the program.
     program, inits = parse_source(path.read_text())
-    for base, stride, values in inits:
-        machine.store.write_vector(base, stride, values)
-    result = machine.run(program)
+    result = machine.run(program, inputs=inits)
 
     print(f"memory:  {config.describe()}")
     print(f"program: {len(program)} instructions "

@@ -1,4 +1,11 @@
-"""Decoupled access/execute vector processor (Figure 1) and its ISA."""
+"""Decoupled access/execute vector processor (Figure 1) and its ISA.
+
+:meth:`DecoupledVectorMachine.run` is the one way to run a vector
+program (preload, run, verify, and every timing and memory result in
+one :class:`MachineResult`); :meth:`OpenBatch.refusal` is the one
+batching rule, shared with the static hazard analysis in
+:mod:`repro.check.hazards`.
+"""
 
 from repro.processor.chaining import (
     CHAINING_MODEL_TOLERANCE,
@@ -10,14 +17,13 @@ from repro.processor.chaining import (
     program_latency,
 )
 from repro.processor.decoupled import (
+    TIMELINE_FIELDS,
+    VERIFY_TOLERANCE,
+    BatchBreak,
     DecoupledVectorMachine,
     InstructionTiming,
     MachineResult,
-)
-from repro.processor.engine import (
-    TIMELINE_FIELDS,
-    ProgramEngine,
-    ProgramRun,
+    OpenBatch,
     single_load_program,
 )
 from repro.processor.isa import (
@@ -54,14 +60,14 @@ from repro.processor.stripmine import (
 )
 
 __all__ = [
+    "BatchBreak",
     "CHAINING_MODEL_TOLERANCE",
     "DecoupledVectorMachine",
     "Instruction",
     "InstructionTiming",
     "MachineResult",
+    "OpenBatch",
     "Program",
-    "ProgramEngine",
-    "ProgramRun",
     "TIMELINE_FIELDS",
     "Strip",
     "VAdd",
@@ -76,6 +82,7 @@ __all__ = [
     "VStore",
     "VSub",
     "VSum",
+    "VERIFY_TOLERANCE",
     "assemble",
     "chained_pair_latency",
     "chaining_speedup",

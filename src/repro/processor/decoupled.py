@@ -23,29 +23,33 @@ single-port machine keeps the paper's serial per-access timing).
 Consecutive hazard-free memory instructions become concurrent, named
 streams of one kernel run — with two ports the unit issues a second
 load while the first drains; with one port the streams interleave on
-the shared address bus.  Register hazards, address overlap between
-stores and anything else, and operand readiness all close a batch, so
-program semantics never change — only the overlap.
+the shared address bus.  :meth:`OpenBatch.refusal` is the one batching
+rule: a register hazard drains the open batch, and stream capacity, a
+late operand or a store's overlapping address span keep a memory
+instruction out of it, so program semantics never change — only the
+overlap.  :func:`repro.check.hazards.predict_batches` applies the same
+rule to static facts.
 
 Timing is accounted per instruction; data really moves (loads read the
 backing store, stores write it), so end-to-end numerical correctness is
 asserted alongside cycle counts in the tests.
 
-Most callers should not drive this class directly:
-:class:`repro.processor.engine.ProgramEngine` is the one execution API
-— it builds the machine, preloads memory, runs a program and packages
-timelines, memory runs and correctness verdicts; the scenario facade
-and the CLI both go through it.
+:meth:`DecoupledVectorMachine.run` is the one way to run a program: it
+preloads memory, runs, checks the expected memory contents and returns
+a :class:`MachineResult` with timings, timeline rows, the per-access
+memory results and the correctness verdict.  The scenario facade and
+the CLI both call it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from math import isnan
 
 from repro.core.gather import IndexedAccess, IndexedMode, plan_indexed
 from repro.core.planner import AccessPlanner, PlanMode
 from repro.core.vector import VectorAccess
-from repro.errors import ConfigurationError, ProgramError
+from repro.errors import ConfigurationError, ProgramError, SimulationError
 from repro.hardware.register_file import VectorRegisterFile
 from repro.memory.config import MemoryConfig
 from repro.memory.kernel import KernelStream, MemoryKernel
@@ -53,14 +57,50 @@ from repro.memory.storage import MemoryStore
 from repro.memory.system import access_result_from_run
 from repro.obs.tracer import resolve_tracer
 from repro.processor.isa import (
+    VAdd,
     VBinary,
-    VGather,
     VLoad,
     VScalarOp,
+    VScatter,
     VStore,
     VSum,
 )
-from repro.processor.program import Program
+from repro.processor.program import MemoryInit, Program
+
+#: Number of architectural vector registers.
+REGISTER_COUNT = 8
+
+#: Schema of one timeline row, in order (see :attr:`MachineResult.timeline`).
+#: ``port`` and ``stream`` record per-instruction memory occupancy: the
+#: address/result port the access issued on and the concurrent stream
+#: slot it occupied in its batch (``None`` for execute instructions).
+TIMELINE_FIELDS = (
+    "position",
+    "mnemonic",
+    "unit",
+    "start_cycle",
+    "end_cycle",
+    "duration",
+    "mode",
+    "conflict_free",
+    "port",
+    "stream",
+)
+
+#: Absolute tolerance of the numerical-correctness check.  The modelled
+#: datapath is exact (Python floats end to end), so this only absorbs
+#: representation noise in caller-supplied expected values.
+VERIFY_TOLERANCE = 1e-9
+
+
+def single_load_program(vector: VectorAccess, chaining: bool) -> Program:
+    """The implicit program of the workload-driven decoupled scenario:
+    one VLOAD, plus a dependent VADD when chaining (which makes the
+    chained overlap observable)."""
+    instructions = [VLoad(1, vector.base, vector.stride, vector.length)]
+    if chaining:
+        instructions.append(VAdd(2, 1, 1, vector.length))
+    return Program(instructions)
 
 
 @dataclass(frozen=True)
@@ -90,16 +130,59 @@ class InstructionTiming:
 
 @dataclass(frozen=True)
 class MachineResult:
-    """Outcome of running a program.
+    """Everything one program run produced.
 
     ``stream_concurrency_peak`` is the largest number of memory
     instructions that were in flight together (1 on the classic
-    single-port, single-stream machine).
+    single-port, single-stream machine).  ``memory_runs`` pairs each
+    memory instruction's plan scheme with its cycle-accurate
+    :class:`~repro.memory.system.AccessResult`, in instruction order.
+    ``outputs_correct`` is ``None`` when the run was given no expected
+    memory contents.
     """
 
     timings: tuple[InstructionTiming, ...]
     total_cycles: int
     stream_concurrency_peak: int = 1
+    memory_runs: tuple = ()
+    outputs_correct: bool | None = None
+    output_errors: tuple[str, ...] = ()
+
+    @property
+    def timeline(self) -> tuple[tuple, ...]:
+        """One plain row of :data:`TIMELINE_FIELDS` values per
+        instruction — JSON-safe, so scenario results and lab records can
+        carry it verbatim."""
+        return tuple(
+            (
+                timing.position,
+                timing.mnemonic,
+                timing.unit,
+                timing.start_cycle,
+                timing.end_cycle,
+                timing.duration,
+                timing.mode,
+                timing.conflict_free,
+                timing.port,
+                timing.stream,
+            )
+            for timing in self.timings
+        )
+
+    @property
+    def overlap_fraction(self) -> float:
+        """Fraction of instruction-busy cycles hidden by overlap.
+
+        ``sum(durations)`` counts every cycle each instruction occupied
+        a unit; the program finished in ``total_cycles``, so the
+        difference is work that ran concurrently across the two units
+        (0.0 for strictly serial execution, approaching 0.5 when the
+        units are fully overlapped).
+        """
+        busy = sum(timing.duration for timing in self.timings)
+        if busy <= 0:
+            return 0.0
+        return max(0.0, (busy - self.total_cycles) / busy)
 
     def memory_timings(self) -> list[InstructionTiming]:
         return [timing for timing in self.timings if timing.unit == "memory"]
@@ -115,6 +198,122 @@ class MachineResult:
         )
 
 
+@dataclass(frozen=True)
+class BatchBreak:
+    """Why the open batch closed before instruction ``position``.
+
+    ``certain`` is False when the break rests on a fact only the run
+    knows: when an execute result is ready, or where a gather/scatter's
+    data-dependent addresses fall.
+    """
+
+    position: int
+    reason: str
+    certain: bool = True
+
+
+class OpenBatch:
+    """The memory instructions the access unit will serve as one kernel run.
+
+    :meth:`refusal` is the batching rule.  The machine asks it with
+    cycle-exact facts; :func:`repro.check.hazards.predict_batches` asks
+    it with static ones.  Each member (and each ``access`` asked about)
+    has ``position``, ``mnemonic``, ``reads``/``writes`` register sets,
+    ``is_store_op``, an address ``span`` (``None`` when it is
+    data-dependent and unknown), ``late_operands`` (operands not ready
+    when the batch starts) and ``late_assumed`` (whether that lateness
+    is an assumption rather than a measured cycle).
+    """
+
+    def __init__(self, memory_streams: int) -> None:
+        self.memory_streams = memory_streams
+        self.members: list = []
+        self.reads: set[int] = set()
+        self.writes: set[int] = set()
+
+    def add(self, access) -> None:
+        self.members.append(access)
+        self.reads |= access.reads
+        self.writes |= access.writes
+
+    def clear(self) -> None:
+        self.members = []
+        self.reads = set()
+        self.writes = set()
+
+    def refusal(
+        self,
+        position: int,
+        reads: frozenset[int],
+        writes: frozenset[int],
+        access=None,
+    ) -> BatchBreak | None:
+        """Why instruction ``position`` may not run with this batch, or
+        ``None``.
+
+        The register hazard comes first, for any instruction: reading a
+        register the batch writes, or writing one it touches, drains the
+        batch.  A memory instruction (``access``) is then refused a
+        stream slot, in this order, when the batch is full, when an
+        operand is late (a late operand must not delay streams already
+        in flight), or when it or a member is a store and their address
+        spans overlap.
+        """
+        hazard = (reads & self.writes) | (writes & (self.writes | self.reads))
+        if hazard:
+            names = ", ".join(f"V{r}" for r in sorted(hazard))
+            return BatchBreak(
+                position, f"register hazard on {names} drains the batch"
+            )
+        if access is None:
+            return None
+        if len(self.members) >= self.memory_streams:
+            return BatchBreak(
+                position,
+                f"the batch already occupies all "
+                f"memory_streams={self.memory_streams} stream slots",
+            )
+        if access.late_operands:
+            names = ", ".join(f"V{r}" for r in access.late_operands)
+            if access.late_assumed:
+                return BatchBreak(
+                    position,
+                    f"operand {names} comes from the execute pipeline and "
+                    f"is assumed not ready when the batch starts (the "
+                    f"machine joins it if it is)",
+                    certain=False,
+                )
+            return BatchBreak(
+                position,
+                f"operand {names} comes from the execute pipeline and is "
+                f"not ready when the batch starts",
+            )
+        for member in self.members:
+            if not (access.is_store_op or member.is_store_op):
+                continue
+            if access.span is None or member.span is None:
+                return BatchBreak(
+                    position,
+                    f"{access.mnemonic} at {position} has a "
+                    f"data-dependent address span; with a store in the "
+                    f"pair it must be assumed to overlap instruction "
+                    f"{member.position}",
+                    certain=False,
+                )
+            if not (
+                access.span[1] < member.span[0]
+                or member.span[1] < access.span[0]
+            ):
+                return BatchBreak(
+                    position,
+                    f"address span [{access.span[0]}..{access.span[1]}] "
+                    f"overlaps instruction {member.position}'s span "
+                    f"[{member.span[0]}..{member.span[1]}] with a store "
+                    f"involved",
+                )
+        return None
+
+
 @dataclass
 class _LoadRecord:
     """Per-element delivery times of the latest definition of a register."""
@@ -125,19 +324,26 @@ class _LoadRecord:
 
 @dataclass
 class _PendingAccess:
-    """One memory instruction prepared for (possibly batched) execution."""
+    """One memory instruction prepared for (possibly batched) execution,
+    with the cycle-exact facts :meth:`OpenBatch.refusal` reads."""
 
     position: int
     instruction: object
-    kind: str  # "load" | "store" | "gather" | "scatter"
     plan: object
     stream: tuple[tuple[int, int], ...]
     stores: tuple[int, ...]
     ready_cycle: int
     span: tuple[int, int]  # min/max raw address touched
     is_store_op: bool
-    reads: frozenset[int] = field(default_factory=frozenset)
-    writes: frozenset[int] = field(default_factory=frozenset)
+    reads: frozenset[int]
+    writes: frozenset[int]
+    late_operands: tuple[int, ...]
+    #: Lateness here is measured in cycles, never assumed.
+    late_assumed = False
+
+    @property
+    def mnemonic(self) -> str:
+        return self.instruction.mnemonic  # type: ignore[attr-defined]
 
 
 class DecoupledVectorMachine:
@@ -150,8 +356,6 @@ class DecoupledVectorMachine:
     register_length:
         ``L`` — the vector register length the paper's scheme is designed
         around.
-    register_count:
-        Number of architectural vector registers.
     execute_startup:
         Pipeline depth of the execute unit (cycles before the first
         result element).
@@ -171,13 +375,14 @@ class DecoupledVectorMachine:
         (matching the timeline rows cycle for cycle); each memory
         batch's kernel-level events are emitted at absolute program
         cycles via a shifted sub-tracer.
+
+    The machine has :data:`REGISTER_COUNT` vector registers.
     """
 
     def __init__(
         self,
         config: MemoryConfig,
         register_length: int,
-        register_count: int = 8,
         execute_startup: int = 4,
         chaining: bool = False,
         plan_mode: PlanMode = "auto",
@@ -204,7 +409,6 @@ class DecoupledVectorMachine:
             )
         self.config = config
         self.register_length = register_length
-        self.register_count = register_count
         self.execute_startup = execute_startup
         self.chaining = chaining
         self.plan_mode: PlanMode = plan_mode
@@ -215,27 +419,33 @@ class DecoupledVectorMachine:
         self.tracer = resolve_tracer(tracer)
         self.planner = AccessPlanner(config.mapping, config.t)
         self.store = MemoryStore(config.mapping)
-        self.registers = VectorRegisterFile(register_count, register_length)
-        #: Per-access memory simulator results of the latest :meth:`run`,
-        #: in instruction order — one entry per LOAD/STORE/GATHER/SCATTER.
-        #: Lets callers (e.g. the scenario facade) read latency, stalls
-        #: and module utilisation without re-simulating the access.
-        self.memory_access_results: list = []
+        self.registers = VectorRegisterFile(REGISTER_COUNT, register_length)
 
-    def run(self, program: Program) -> MachineResult:
-        """Execute ``program`` to completion; returns cycle accounting.
+    def run(
+        self,
+        program: Program,
+        inputs: tuple[MemoryInit, ...] = (),
+        expected: tuple[MemoryInit, ...] = (),
+    ) -> MachineResult:
+        """Execute ``program`` to completion and return the whole run.
 
-        The register file and backing store persist across calls, so a
-        caller can preload data with :attr:`store` and read results back
-        afterwards.
+        ``inputs`` are ``(base, stride, values)`` vectors written to the
+        backing store first; ``expected`` are vectors the store must
+        hold afterwards (the numerical-correctness check — data really
+        moves through the register file and memory, so this catches
+        timing models that forget to move it).  The register file and
+        backing store persist across calls, so a caller can also preload
+        data through :attr:`store` and read results back afterwards.
         """
+        for base, stride, values in inputs:
+            self.store.write_vector(base, stride, values)
         already_loaded = {
             number
-            for number in range(self.register_count)
+            for number in range(REGISTER_COUNT)
             if self.registers.register(number).valid_count > 0
         }
-        program.validate(self.register_count, predefined=already_loaded)
-        results_by_position: dict[int, object] = {}
+        program.validate(REGISTER_COUNT, predefined=already_loaded)
+        memory_runs: list[tuple[str, object]] = []
         timings: dict[int, InstructionTiming] = {}
         memory_free = 1
         execute_free = 1
@@ -243,54 +453,44 @@ class DecoupledVectorMachine:
             number: 0 for number in already_loaded
         }
         load_records: dict[int, _LoadRecord] = {}
-        batch: list[_PendingAccess] = []
+        batch = OpenBatch(self.memory_streams)
         batch_start = 1
         peak = 0
 
-        def batch_registers() -> tuple[frozenset[int], frozenset[int]]:
-            reads: set[int] = set()
-            writes: set[int] = set()
-            for member in batch:
-                reads |= member.reads
-                writes |= member.writes
-            return frozenset(reads), frozenset(writes)
-
         def finalise() -> None:
-            nonlocal memory_free, batch, peak
-            if not batch:
+            nonlocal memory_free, peak
+            if not batch.members:
                 return
-            peak = max(peak, len(batch))
+            peak = max(peak, len(batch.members))
             memory_free = self._finalise_batch(
-                batch,
+                batch.members,
                 batch_start,
                 register_ready,
                 load_records,
                 timings,
-                results_by_position,
+                memory_runs,
             )
-            batch = []
+            batch.clear()
 
         for position, instruction in enumerate(program):
-            touched_reads = frozenset(instruction.reads())
-            touched_writes = frozenset(instruction.writes())
-            if batch:
-                pending_reads, pending_writes = batch_registers()
-                if touched_reads & pending_writes or touched_writes & (
-                    pending_writes | pending_reads
-                ):
-                    # Register hazard against an in-flight access: drain
-                    # the batch so values and ready cycles are current.
-                    finalise()
+            reads = frozenset(instruction.reads())
+            writes = frozenset(instruction.writes())
+            if batch.members and batch.refusal(position, reads, writes):
+                # Register hazard against an in-flight access: drain the
+                # batch so values and ready cycles are current before a
+                # memory instruction is planned (a gather reads its
+                # index register) and asked about again below.
+                finalise()
             if instruction.is_memory:
                 pending = self._prepare_memory(
-                    position, instruction, register_ready
+                    position, instruction, register_ready, batch_start
                 )
-                if batch and self._can_join(pending, batch, batch_start):
-                    batch.append(pending)
-                else:
+                if not batch.members or batch.refusal(
+                    position, reads, writes, pending
+                ):
                     finalise()
                     batch_start = max(memory_free, pending.ready_cycle + 1)
-                    batch = [pending]
+                batch.add(pending)
             elif isinstance(instruction, (VBinary, VScalarOp, VSum)):
                 timing, execute_free = self._run_execute(
                     position,
@@ -304,17 +504,38 @@ class DecoupledVectorMachine:
                 raise ProgramError(f"unsupported instruction {instruction!r}")
         finalise()
 
-        self.memory_access_results = [
-            results_by_position[position]
-            for position in sorted(results_by_position)
-        ]
         ordered = tuple(timings[position] for position in sorted(timings))
         total = max((timing.end_cycle for timing in ordered), default=0)
+        outputs_correct, output_errors = self._verify(expected)
         return MachineResult(
             timings=ordered,
             total_cycles=total,
             stream_concurrency_peak=max(peak, 1),
+            memory_runs=tuple(memory_runs),
+            outputs_correct=outputs_correct,
+            output_errors=output_errors,
         )
+
+    def _verify(
+        self, expected: tuple[MemoryInit, ...]
+    ) -> tuple[bool | None, tuple[str, ...]]:
+        if not expected:
+            return None, ()
+        errors: list[str] = []
+        for base, stride, values in expected:
+            try:
+                actual = self.store.read_vector(base, stride, len(values))
+            except SimulationError as error:
+                errors.append(f"@{base} stride {stride}: {error}")
+                continue
+            for index, (want, got) in enumerate(zip(values, actual)):
+                # A NaN matches only another NaN.
+                close = want == got or abs(want - got) <= VERIFY_TOLERANCE
+                if not (close or (isnan(want) and isnan(got))):
+                    errors.append(
+                        f"@{base + index * stride}: expected {want}, got {got}"
+                    )
+        return not errors, tuple(errors)
 
     # -- memory unit ----------------------------------------------------
 
@@ -348,95 +569,41 @@ class DecoupledVectorMachine:
         return IndexedAccess(instruction.base, indices)
 
     def _prepare_memory(
-        self, position: int, instruction, register_ready: dict[int, int]
+        self,
+        position: int,
+        instruction,
+        register_ready: dict[int, int],
+        batch_start: int,
     ) -> _PendingAccess:
-        """Plan one memory instruction and capture its constraints."""
+        """Plan one memory instruction and capture the facts the batch
+        rule reads.  An operand is late when its ready cycle + 1 is
+        later than ``batch_start``, the open batch's first cycle."""
         if isinstance(instruction, (VLoad, VStore)):
             vector = self._vector_for(instruction)
             plan = self.planner.plan(vector, mode=self.plan_mode)
-            stream = tuple(plan.request_stream())
-            if isinstance(instruction, VLoad):
-                return _PendingAccess(
-                    position,
-                    instruction,
-                    "load",
-                    plan,
-                    stream,
-                    (),
-                    0,
-                    _address_span(stream),
-                    False,
-                    writes=frozenset((instruction.dst,)),
-                )
-            return _PendingAccess(
-                position,
-                instruction,
-                "store",
-                plan,
-                stream,
-                tuple(range(vector.length)),
-                register_ready[instruction.src],
-                _address_span(stream),
-                True,
-                reads=frozenset((instruction.src,)),
+            length = vector.length
+        else:
+            access = self._indexed_access_for(instruction)
+            plan = plan_indexed(
+                self.config.mapping, self.config.t, access, mode=self.gather_mode
             )
-        access = self._indexed_access_for(instruction)
-        plan = plan_indexed(
-            self.config.mapping, self.config.t, access, mode=self.gather_mode
-        )
+            length = access.length
         stream = tuple(plan.request_stream())
-        if isinstance(instruction, VGather):
-            return _PendingAccess(
-                position,
-                instruction,
-                "gather",
-                plan,
-                stream,
-                (),
-                register_ready[instruction.index],
-                _address_span(stream),
-                False,
-                reads=frozenset((instruction.index,)),
-                writes=frozenset((instruction.dst,)),
-            )
+        is_store_op = isinstance(instruction, (VStore, VScatter))
+        operands = instruction.reads()
         return _PendingAccess(
             position,
             instruction,
-            "scatter",
             plan,
             stream,
-            tuple(range(access.length)),
-            max(
-                register_ready[instruction.src],
-                register_ready[instruction.index],
-            ),
+            tuple(range(length)) if is_store_op else (),
+            max((register_ready[r] for r in operands), default=0),
             _address_span(stream),
-            True,
-            reads=frozenset((instruction.src, instruction.index)),
+            is_store_op,
+            frozenset(operands),
+            frozenset(instruction.writes()),
+            tuple(r for r in operands if register_ready[r] + 1 > batch_start),
         )
-
-    def _can_join(
-        self,
-        pending: _PendingAccess,
-        batch: list[_PendingAccess],
-        batch_start: int,
-    ) -> bool:
-        """May ``pending`` run concurrently with the open batch?
-
-        Register hazards were already drained by the caller; what is
-        left is capacity, operand readiness (a late-arriving operand
-        must not delay streams already in flight) and memory ordering
-        (a store may not overlap any concurrent access's address span).
-        """
-        if len(batch) >= self.memory_streams:
-            return False
-        if pending.ready_cycle + 1 > batch_start:
-            return False
-        for member in batch:
-            if pending.is_store_op or member.is_store_op:
-                if not _spans_disjoint(pending.span, member.span):
-                    return False
-        return True
 
     def _finalise_batch(
         self,
@@ -445,7 +612,7 @@ class DecoupledVectorMachine:
         register_ready: dict[int, int],
         load_records: dict[int, _LoadRecord],
         timings: dict[int, InstructionTiming],
-        results_by_position: dict[int, object],
+        memory_runs: list[tuple[str, object]],
     ) -> int:
         """Run the batch (one kernel run), apply values, record timing.
 
@@ -477,8 +644,9 @@ class DecoupledVectorMachine:
             )
             end = offset + stream.last_delivery_cycle
             unit_free = max(unit_free, end + 1)
-            results_by_position[member.position] = result
-            if member.kind in ("load", "gather"):
+            # Batches run, and their members join, in program order.
+            memory_runs.append((member.plan.scheme, result))
+            if not member.is_store_op:
                 register = self.registers.register(member.instruction.dst)
                 register.clear()
                 write, read = register.write, self.store.read
@@ -632,6 +800,3 @@ def _address_span(stream: tuple[tuple[int, int], ...]) -> tuple[int, int]:
     addresses = [address for _element, address in stream]
     return min(addresses), max(addresses)
 
-
-def _spans_disjoint(a: tuple[int, int], b: tuple[int, int]) -> bool:
-    return a[1] < b[0] or b[1] < a[0]

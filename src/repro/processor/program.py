@@ -87,8 +87,8 @@ def def_use_events(program: Program):
     """Yield ``(position, instruction, reads, writes)`` for a program.
 
     ``reads``/``writes`` are frozen register-number sets — the def-use
-    stream that drives both the machine's hazard batching and the
-    static analyzer's mirror of it (:mod:`repro.check.hazards`).
+    stream the static analyzer (:mod:`repro.check.hazards`) walks to
+    predict batches and count dependencies.
     """
     for position, instruction in enumerate(program):
         yield (

@@ -13,7 +13,6 @@ pure formatting: they take the grid plus each point's metric mapping
 from __future__ import annotations
 
 from repro.scenarios.grid import ScenarioGrid
-from repro.scenarios.spec import ScenarioSpec
 
 #: Metrics every sweep table shows, in order (when the records have them).
 CORE_METRICS = (
@@ -45,14 +44,6 @@ def axis_columns(grid: ScenarioGrid) -> list[str]:
     ]
 
 
-def axis_value(spec: ScenarioSpec, path: str):
-    """The value one expanded design point has at a dotted axis path."""
-    cursor = spec.to_dict()
-    for part in path.split("."):
-        cursor = cursor[part]
-    return cursor
-
-
 def sweep_table(
     grid: ScenarioGrid, records: list[dict]
 ) -> tuple[list[str], list[list]]:
@@ -60,12 +51,12 @@ def sweep_table(
 
     ``records`` maps metric name -> value for each design point, in the
     grid's expansion order (one entry per point; a point whose job
-    failed may pass an empty dict and renders as dashes).
+    failed may pass an empty dict and renders as dashes).  The axis
+    columns come from the grid's points without expanding any spec.
     """
-    points = grid.expand()
-    if len(records) != len(points):
+    if len(records) != grid.size:
         raise ValueError(
-            f"grid expands to {len(points)} design points but "
+            f"grid expands to {grid.size} design points but "
             f"{len(records)} result records were given"
         )
     metrics = [
@@ -82,8 +73,12 @@ def sweep_table(
         metric.removeprefix("extra:") for metric in metrics
     ]
     rows = []
-    for spec, record in zip(points, records):
-        row = [axis_value(spec, path) for path, _values in grid.axes]
+    for point, record in zip(grid.points(), records):
+        # A list-valued axis shows in its JSON form, as a spec holds it.
+        row = [
+            list(value) if isinstance(value, tuple) else value
+            for _path, value in point
+        ]
         row += [record.get(metric, "-") for metric in metrics]
         rows.append(row)
     return headers, rows

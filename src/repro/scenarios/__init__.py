@@ -50,7 +50,6 @@ from repro.scenarios.facade import (
     resolve_mapping,
     simulate,
     simulate_access,
-    simulate_grid,
 )
 from repro.scenarios.grid import ScenarioGrid, load_grid, load_scenarios
 from repro.scenarios.registry import (
@@ -104,7 +103,6 @@ __all__ = [
     "resolve_mapping",
     "simulate",
     "simulate_access",
-    "simulate_grid",
     "summary",
     "validate_kind",
     "validate_spec_kinds",

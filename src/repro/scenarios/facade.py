@@ -19,8 +19,8 @@ access, the paper's Section 2 minimum — without a kernel run; a traced
 call always runs the kernel, which is what the tests compare against.
 
 A spec with a ``program`` section runs a whole vector program through
-the one :class:`~repro.processor.engine.ProgramEngine` API — the same
-path the workload-driven ``decoupled`` drive uses — and the result
+:meth:`~repro.processor.decoupled.DecoupledVectorMachine.run` — the
+same path the workload-driven ``decoupled`` drive uses — and the result
 additionally carries the per-instruction ``timeline``, total machine
 cycles, the overlap fraction, the measured-vs-analytic chaining
 speedup, and the end-to-end numerical-correctness verdict.
@@ -59,8 +59,8 @@ from repro.scenarios.spec import ComponentSpec, ScenarioSpec
 __unused = _components  # imported for its registration side effect
 
 #: Column names of one :attr:`ScenarioResult.timeline` row, in order.
-#: Matches :data:`repro.processor.engine.TIMELINE_FIELDS` (asserted in
-#: the tests); duplicated here so reading a stored result needs no
+#: Matches :data:`repro.processor.decoupled.TIMELINE_FIELDS` (asserted
+#: in the tests); duplicated here so reading a stored result needs no
 #: processor import.
 TIMELINE_FIELDS = (
     "position",
@@ -229,9 +229,8 @@ def build_config(
 ) -> MemoryConfig:
     """The memory configuration of a spec (geometry validation included).
 
-    The program path needs only this — the
-    :class:`~repro.processor.engine.ProgramEngine` builds its own
-    machine from the config — while :func:`build_machine` layers the
+    The program path needs only this — the decoupled machine plans and
+    simulates its own accesses — while :func:`build_machine` layers the
     planner and memory system on top for the access-driven paths.
     """
     mapping = resolve_mapping(spec, workload)
@@ -326,14 +325,6 @@ def simulate_access(
             drive=ComponentSpec.of("planner", mode=mode),
         )
     )
-
-
-def simulate_grid(grid, *, tracer=None) -> list[ScenarioResult]:
-    """Simulate every design point of a grid (or a list of specs)."""
-    from repro.scenarios.grid import ScenarioGrid
-
-    specs = grid.expand() if isinstance(grid, ScenarioGrid) else list(grid)
-    return [simulate(spec, tracer) for spec in specs]
 
 
 def _aggregate(
@@ -514,23 +505,16 @@ def _simulate_figure6(
     return _aggregate(spec, config, [("conflict_free", run)], extras)
 
 
-def _simulate_decoupled(
-    spec: ScenarioSpec,
-    workload: Workload,
+def _machine(
     config: MemoryConfig,
+    register_length: int,
     drive: DecoupledDrive,
     tracer=None,
-) -> ScenarioResult:
-    from repro.processor.engine import ProgramEngine, single_load_program
+):
+    """The decoupled machine of one design point and drive."""
+    from repro.processor.decoupled import DecoupledVectorMachine
 
-    vector = workload.single_vector()
-    register_length = drive.register_length or vector.length
-    if register_length < vector.length:
-        raise ConfigurationError(
-            f"register_length {register_length} is shorter than the "
-            f"workload vector ({vector.length} elements)"
-        )
-    engine = ProgramEngine(
+    return DecoupledVectorMachine(
         config,
         register_length,
         execute_startup=drive.execute_startup,
@@ -539,6 +523,24 @@ def _simulate_decoupled(
         memory_streams=drive.memory_streams,
         tracer=tracer,
     )
+
+
+def _simulate_decoupled(
+    spec: ScenarioSpec,
+    workload: Workload,
+    config: MemoryConfig,
+    drive: DecoupledDrive,
+    tracer=None,
+) -> ScenarioResult:
+    from repro.processor.decoupled import single_load_program
+
+    vector = workload.single_vector()
+    register_length = drive.register_length or vector.length
+    if register_length < vector.length:
+        raise ConfigurationError(
+            f"register_length {register_length} is shorter than the "
+            f"workload vector ({vector.length} elements)"
+        )
     # The implicit program: one VLOAD (plus a dependent VADD when
     # chaining, which makes the chained overlap observable).
     program = single_load_program(vector, drive.chaining)
@@ -549,12 +551,14 @@ def _simulate_decoupled(
             tuple(float(i) for i in range(vector.length)),
         ),
     )
-    run = engine.run(program, inputs)
+    run = _machine(config, register_length, drive, tracer).run(
+        program, inputs
+    )
     load_scheme = run.memory_runs[0][0]
     extras = (
         ("total_cycles", run.total_cycles),
-        ("chained_instructions", run.chained_count),
-        ("conflict_free_loads", run.conflict_free_loads),
+        ("chained_instructions", run.chained_count()),
+        ("conflict_free_loads", run.conflict_free_loads()),
         ("load_scheme", load_scheme),
         ("overlap_fraction", run.overlap_fraction),
     )
@@ -569,7 +573,7 @@ def _simulate_program(
     drive: DecoupledDrive,
     tracer=None,
 ) -> ScenarioResult:
-    """Run a whole-program scenario through the :class:`ProgramEngine`.
+    """Run a whole-program scenario on the decoupled machine.
 
     Memory metrics (latency, stalls, conflict-freedom...) aggregate over
     every LOAD/STORE the program issued; machine-level observations land
@@ -584,23 +588,14 @@ def _simulate_program(
         CHAINING_MODEL_TOLERANCE,
         program_chaining_speedup,
     )
-    from repro.processor.engine import ProgramEngine
     from repro.scenarios.components import DEFAULT_PROGRAM_REGISTER_LENGTH
 
     register_length = drive.register_length or DEFAULT_PROGRAM_REGISTER_LENGTH
     scenario_program = build(
         PROGRAM, spec.program, register_length=register_length
     )
-    engine = ProgramEngine(
-        config,
-        register_length,
-        execute_startup=drive.execute_startup,
-        chaining=drive.chaining,
-        plan_mode=drive.plan_mode,  # type: ignore[arg-type]
-        memory_streams=drive.memory_streams,
-        tracer=tracer,
-    )
-    run = engine.run(
+    machine = _machine(config, register_length, drive, tracer)
+    run = machine.run(
         scenario_program.program,
         scenario_program.inputs,
         scenario_program.expected,
@@ -612,11 +607,11 @@ def _simulate_program(
          scenario_program.program.memory_instruction_count()),
         ("register_length", register_length),
         ("total_cycles", run.total_cycles),
-        ("chained_instructions", run.chained_count),
-        ("conflict_free_loads", run.conflict_free_loads),
+        ("chained_instructions", run.chained_count()),
+        ("conflict_free_loads", run.conflict_free_loads()),
         ("overlap_fraction", run.overlap_fraction),
         ("memory_ports", config.ports),
-        ("memory_streams", run.machine.memory_streams),
+        ("memory_streams", machine.memory_streams),
         ("stream_concurrency_peak", run.stream_concurrency_peak),
     ]
     if run.outputs_correct is not None:
@@ -624,15 +619,23 @@ def _simulate_program(
         if run.output_errors:
             extras.append(("output_errors", run.output_errors[:5]))
     if drive.chaining:
-        measured = engine.measured_chaining_speedup(
-            scenario_program.program, scenario_program.inputs, chained_run=run
+        # The Section 5-F measurement for whole kernels: the same program
+        # and inputs on an otherwise-identical machine that does not
+        # chain.  Untraced, so its events do not overlay this run's.
+        decoupled = _machine(
+            config, register_length, replace(drive, chaining=False)
+        ).run(scenario_program.program, scenario_program.inputs)
+        measured = (
+            decoupled.total_cycles / run.total_cycles
+            if run.total_cycles
+            else 1.0
         )
         extras.append(("chaining_speedup", measured))
         # The analytic model assumes every access is conflict-free and
         # a serial memory unit (one in-flight access); only report it
         # (and its acceptance tolerance) when both premises hold, so
         # consumers never compare against an inapplicable prediction.
-        model_applicable = run.machine.memory_streams == 1 and all(
+        model_applicable = machine.memory_streams == 1 and all(
             access.conflict_free for _scheme, access in run.memory_runs
         )
         extras.append(("chaining_model_applicable", model_applicable))

@@ -51,7 +51,7 @@ class ScenarioGrid:
         # Fail fast on a path that does not exist in the base spec: a
         # typo would otherwise silently sweep nothing.
         if self.axes:
-            first_point = next(iter(self._points()))
+            first_point = next(iter(self.points()))
             self._apply(first_point)
 
     @classmethod
@@ -72,7 +72,9 @@ class ScenarioGrid:
             count *= len(values)
         return count
 
-    def _points(self):
+    def points(self):
+        """Each design point's ``(path, value)`` pairs, in expansion
+        order — what :meth:`expand` applies to the base spec."""
         paths = [path for path, _values in self.axes]
         for combination in itertools.product(
             *(values for _path, values in self.axes)
@@ -94,7 +96,7 @@ class ScenarioGrid:
         """Every design point of the grid, in deterministic order."""
         if not self.axes:
             return [self.base]
-        return [self._apply(point) for point in self._points()]
+        return [self._apply(point) for point in self.points()]
 
     def to_dict(self) -> dict:
         return {

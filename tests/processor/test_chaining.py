@@ -69,7 +69,7 @@ class TestProgramModel:
 
     def setup_method(self):
         from repro.core.vector import VectorAccess
-        from repro.processor.engine import single_load_program
+        from repro.processor import single_load_program
 
         self.pair = single_load_program(VectorAccess(0, 4, 64), chaining=True)
 
@@ -94,7 +94,7 @@ class TestProgramModel:
     def test_matches_simulation_for_conflict_free_kernels(self, chained):
         from repro.memory.config import MemoryConfig
         from repro.processor.chaining import program_latency
-        from repro.processor.engine import ProgramEngine
+        from repro.processor.decoupled import DecoupledVectorMachine
         from repro.processor.stripmine import (
             daxpy_program,
             saxpy_chain_program,
@@ -110,9 +110,9 @@ class TestProgramModel:
             (saxpy_chain_program(n, 64, 3.0, 0, 4, 8192, 4), ((0, 4, x),)),
         ]
         for program, inputs in cases:
-            engine = ProgramEngine(config, 64, chaining=chained)
-            run = engine.run(program, inputs)
-            assert run.conflict_free_loads == sum(
+            machine = DecoupledVectorMachine(config, 64, chaining=chained)
+            run = machine.run(program, inputs)
+            assert run.conflict_free_loads() == sum(
                 1 for row in run.timeline if row[2] == "memory" and row[7]
             )
             model = program_latency(

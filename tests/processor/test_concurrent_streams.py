@@ -14,8 +14,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.memory.config import MemoryConfig
-from repro.processor.decoupled import DecoupledVectorMachine
-from repro.processor.engine import TIMELINE_FIELDS, ProgramEngine
+from repro.processor.decoupled import TIMELINE_FIELDS, DecoupledVectorMachine
 from repro.processor.isa import VAdd, VLoad, VStore
 from repro.processor.program import Program
 from repro.processor.stripmine import daxpy_program
@@ -157,11 +156,11 @@ class TestWholeKernels:
         config = MemoryConfig.unmatched(
             t=3, s=4, y=9, input_capacity=2, ports=ports
         )
-        engine = ProgramEngine(config, 64)
+        machine = DecoupledVectorMachine(config, 64)
         n = 128
         x = tuple(float(i) for i in range(n))
         y = tuple(1.0 for _ in range(n))
-        run = engine.run(
+        run = machine.run(
             daxpy_program(n, 64, 2.0, 0, 4, 4 * n, 4),
             inputs=((0, 4, x), (4 * n, 4, y)),
             expected=((4 * n, 4, tuple(2.0 * a + b for a, b in zip(x, y))),),
@@ -178,9 +177,9 @@ class TestWholeKernels:
             config = MemoryConfig.unmatched(
                 t=3, s=4, y=9, input_capacity=2, ports=ports
             )
-            engine = ProgramEngine(config, 64)
+            machine = DecoupledVectorMachine(config, 64)
             n = 128
-            run = engine.run(
+            run = machine.run(
                 daxpy_program(n, 64, 2.0, 0, 4, 4 * n, 4),
                 inputs=(
                     (0, 4, tuple(float(i) for i in range(n))),
@@ -197,8 +196,7 @@ class TestTimelineOccupancy:
         config = MemoryConfig.unmatched(
             t=3, s=4, y=9, input_capacity=2, ports=2
         )
-        engine = ProgramEngine(config, 64)
-        run = engine.run(
+        run = DecoupledVectorMachine(config, 64).run(
             two_load_program(),
             inputs=((0, 4, (1.0,) * 64), (4096, 4, (2.0,) * 64)),
         )

@@ -167,6 +167,13 @@ class TestConstruction:
         with pytest.raises(ProgramError):
             machine.run(Program([VAdd(1, 2, 3)]))
 
+    def test_register_count_is_fixed(self):
+        with pytest.raises(TypeError):
+            make_machine(register_count=16)
+        machine = make_machine()
+        with pytest.raises(ProgramError, match=r"V8 out of range \[0, 8\)"):
+            machine.run(Program([VLoad(8, 0, 1, 8)]))
+
 
 class TestResultAccounting:
     def test_summary_counts(self):
@@ -239,7 +246,7 @@ class TestLoneAccess:
                 VStore(1, vector.base, vector.stride, vector.length),
             ]
         result = machine.run(Program(program))
-        access = machine.memory_access_results[-1]
+        _scheme, access = result.memory_runs[-1]
         timing = result.timings[-1]
         plan = machine.planner.plan(vector, mode=machine.plan_mode)
         expected = MemorySystem(config).run_plan(plan)

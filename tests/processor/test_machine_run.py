@@ -1,4 +1,4 @@
-"""ProgramEngine tests: one execution API from instruction list to
+"""``DecoupledVectorMachine.run``: one call from instruction list to
 timelines, memory runs, overlap accounting and correctness verdicts."""
 
 from __future__ import annotations
@@ -9,10 +9,10 @@ import pytest
 
 from repro.core.vector import VectorAccess
 from repro.memory.config import MemoryConfig
-from repro.processor.decoupled import DecoupledVectorMachine
-from repro.processor.engine import (
+from repro.processor import (
     TIMELINE_FIELDS,
-    ProgramEngine,
+    VERIFY_TOLERANCE,
+    DecoupledVectorMachine,
     single_load_program,
 )
 from repro.processor.isa import VAdd, VLoad, VStore
@@ -24,6 +24,10 @@ def matched_config(q: int = 2) -> MemoryConfig:
     return MemoryConfig.matched(t=3, s=4, input_capacity=q)
 
 
+def machine(register_length: int = 64, **kwargs) -> DecoupledVectorMachine:
+    return DecoupledVectorMachine(matched_config(), register_length, **kwargs)
+
+
 def daxpy_case(n: int = 96, register_length: int = 64):
     program = daxpy_program(n, register_length, 2.0, 0, 4, 8192, 4)
     x = tuple(float(i) for i in range(n))
@@ -33,27 +37,25 @@ def daxpy_case(n: int = 96, register_length: int = 64):
     return program, inputs, expected
 
 
-class TestEngineRuns:
-    def test_matches_direct_machine_execution(self):
-        program, inputs, _ = daxpy_case()
-        engine = ProgramEngine(matched_config(), 64, chaining=True)
-        run = engine.run(program, inputs)
-
-        machine = DecoupledVectorMachine(
-            matched_config(), register_length=64, chaining=True
-        )
-        for base, stride, values in inputs:
-            machine.store.write_vector(base, stride, values)
-        direct = machine.run(program)
-        assert run.total_cycles == direct.total_cycles
-        assert run.result.timings == direct.timings
-
+class TestRunResult:
     def test_timeline_rows_match_schema(self):
         program, inputs, _ = daxpy_case()
-        run = ProgramEngine(matched_config(), 64).run(program, inputs)
+        run = machine().run(program, inputs)
         assert len(run.timeline) == len(program)
-        for row in run.timeline:
+        for row, timing in zip(run.timeline, run.timings):
             assert len(row) == len(TIMELINE_FIELDS)
+            assert dict(zip(TIMELINE_FIELDS, row)) == {
+                "position": timing.position,
+                "mnemonic": timing.mnemonic,
+                "unit": timing.unit,
+                "start_cycle": timing.start_cycle,
+                "end_cycle": timing.end_cycle,
+                "duration": timing.duration,
+                "mode": timing.mode,
+                "conflict_free": timing.conflict_free,
+                "port": timing.port,
+                "stream": timing.stream,
+            }
         # start/end ordering is coherent
         positions = [row[0] for row in run.timeline]
         assert positions == list(range(len(program)))
@@ -61,47 +63,68 @@ class TestEngineRuns:
 
     def test_memory_runs_pair_scheme_with_access_result(self):
         program, inputs, _ = daxpy_case()
-        run = ProgramEngine(matched_config(), 64).run(program, inputs)
+        run = machine().run(program, inputs)
         assert len(run.memory_runs) == program.memory_instruction_count()
-        for scheme, access in run.memory_runs:
-            assert isinstance(scheme, str)
+        for (scheme, access), timing in zip(
+            run.memory_runs, run.memory_timings()
+        ):
+            assert scheme == timing.mode
+            assert access.conflict_free == timing.conflict_free
             assert access.element_count >= 1
 
-    def test_fresh_machine_per_run(self):
-        program, inputs, expected = daxpy_case()
-        engine = ProgramEngine(matched_config(), 64, chaining=True)
-        first = engine.run(program, inputs, expected)
-        second = engine.run(program, inputs, expected)
-        assert first.total_cycles == second.total_cycles
-        assert first.machine is not second.machine
-        assert second.outputs_correct
+    def test_inputs_are_written_before_the_run_and_state_persists(self):
+        vm = machine(8)
+        first = vm.run(
+            Program([VLoad(1, 0, 1, 8), VStore(1, 100, 1, 8)]),
+            inputs=((0, 1, [1.0] * 8),),
+            expected=((100, 1, [1.0] * 8),),
+        )
+        assert first.outputs_correct is True
+        # The register file and the store persist across calls: V1 is
+        # still defined, and a word written by hand is read.
+        vm.store.write_vector(200, 1, [4.0] * 8)
+        second = vm.run(
+            Program(
+                [VLoad(2, 200, 1, 8), VAdd(3, 1, 2, 8), VStore(3, 300, 1, 8)]
+            ),
+            expected=((300, 1, [5.0] * 8),),
+        )
+        assert second.outputs_correct is True
+        assert vm.store.read_vector(100, 1, 8) == [1.0] * 8
 
 
 class TestCorrectness:
     def test_expected_outputs_verified(self):
         program, inputs, expected = daxpy_case()
-        run = ProgramEngine(matched_config(), 64).run(program, inputs, expected)
+        run = machine().run(program, inputs, expected)
         assert run.outputs_correct is True
         assert run.output_errors == ()
 
     def test_wrong_expectation_detected(self):
         program, inputs, _ = daxpy_case(n=8, register_length=8)
         bad = ((8192, 4, tuple(-1.0 for _ in range(8))),)
-        run = ProgramEngine(matched_config(), 8).run(program, inputs, bad)
+        run = machine(8).run(program, inputs, bad)
         assert run.outputs_correct is False
         assert run.output_errors
 
     def test_unwritten_expectation_is_an_error_not_a_crash(self):
         program, inputs, _ = daxpy_case(n=8, register_length=8)
         missing = ((1 << 20, 1, (0.0,)),)
-        run = ProgramEngine(matched_config(), 8).run(program, inputs, missing)
+        run = machine(8).run(program, inputs, missing)
         assert run.outputs_correct is False
+        assert run.output_errors[0].startswith(f"@{1 << 20} stride 1: ")
+
+    def test_tolerance_absorbs_representation_noise(self):
+        program = Program([VLoad(1, 0, 1, 4), VStore(1, 100, 1, 4)])
+        near = [1.0 + VERIFY_TOLERANCE / 2] * 4
+        run = machine(4).run(program, ((0, 1, [1.0] * 4),), ((100, 1, near),))
+        assert run.outputs_correct is True
 
     def test_nan_result_is_flagged(self):
         program = Program([VLoad(1, 0, 1, 8), VStore(1, 100, 1, 8)])
         inputs = ((0, 1, [math.nan] * 8),)
         expected = ((100, 1, [1.0] * 8),)
-        run = ProgramEngine(matched_config(), 8).run(program, inputs, expected)
+        run = machine(8).run(program, inputs, expected)
         assert run.outputs_correct is False
         assert run.output_errors == tuple(
             f"@{100 + index}: expected 1.0, got nan" for index in range(8)
@@ -110,15 +133,14 @@ class TestCorrectness:
     def test_matching_nans_and_infinities_pass(self):
         values = [math.nan, math.inf, -math.inf, 1.0]
         program = Program([VLoad(1, 0, 1, 4), VStore(1, 100, 1, 4)])
-        run = ProgramEngine(matched_config(), 4).run(
-            program, ((0, 1, values),), ((100, 1, values),)
-        )
+        run = machine(4).run(program, ((0, 1, values),), ((100, 1, values),))
         assert run.outputs_correct is True
 
     def test_no_expectation_means_no_verdict(self):
         program, inputs, _ = daxpy_case(n=8, register_length=8)
-        run = ProgramEngine(matched_config(), 8).run(program, inputs)
+        run = machine(8).run(program, inputs)
         assert run.outputs_correct is None
+        assert run.output_errors == ()
 
 
 class TestOverlapAndChaining:
@@ -126,38 +148,39 @@ class TestOverlapAndChaining:
         vector = VectorAccess(0, 4, 64)
         program = single_load_program(vector, chaining=False)
         assert len(program) == 1
-        run = ProgramEngine(matched_config(), 64).run(
+        run = machine().run(
             program, ((0, 4, tuple(float(i) for i in range(64))),)
         )
         assert run.overlap_fraction == 0.0
 
+    def test_overlap_fraction_is_hidden_busy_cycles(self):
+        program, inputs, _ = daxpy_case()
+        run = machine(chaining=True).run(program, inputs)
+        busy = sum(timing.duration for timing in run.timings)
+        assert run.overlap_fraction == (busy - run.total_cycles) / busy
+
     def test_chained_kernel_overlaps(self):
         program, inputs, _ = daxpy_case()
-        run = ProgramEngine(matched_config(), 64, chaining=True).run(
-            program, inputs
-        )
-        assert run.chained_count > 0
+        run = machine(chaining=True).run(program, inputs)
+        assert run.chained_count() > 0
         assert run.overlap_fraction > 0.0
 
-    def test_measured_speedup_above_one_for_conflict_free_chain(self):
+    def test_chaining_speeds_up_a_conflict_free_chain(self):
         program = saxpy_chain_program(128, 64, 3.0, 0, 4, 8192, 4)
         inputs = ((0, 4, tuple(float(i) for i in range(128))),)
-        engine = ProgramEngine(matched_config(), 64, chaining=True)
-        assert engine.measured_chaining_speedup(program, inputs) > 1.0
+        chained = machine(chaining=True).run(program, inputs)
+        decoupled = machine(chaining=False).run(program, inputs)
+        assert decoupled.total_cycles / chained.total_cycles > 1.0
 
     def test_chaining_falls_back_when_not_conflict_free(self):
         # stride 1 is outside the matched t=3, s=4 window: loads are not
         # conflict-free, so chained and decoupled execution coincide.
         program = Program([VLoad(1, 0, 1, 64), VAdd(2, 1, 1, 64)])
         inputs = ((0, 1, tuple(float(i) for i in range(64))),)
-        chained = ProgramEngine(matched_config(), 64, chaining=True).run(
-            program, inputs
-        )
-        decoupled = ProgramEngine(matched_config(), 64, chaining=False).run(
-            program, inputs
-        )
-        assert chained.conflict_free_loads == 0
-        assert chained.chained_count == 0
+        chained = machine(chaining=True).run(program, inputs)
+        decoupled = machine(chaining=False).run(program, inputs)
+        assert chained.conflict_free_loads() == 0
+        assert chained.chained_count() == 0
         assert chained.total_cycles == decoupled.total_cycles
 
 

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from repro.errors import OrderingError, ReproError
 from repro.memory.kernel import MemoryKernel
 from repro.obs import Tracer
-from repro.scenarios import ScenarioGrid, ScenarioSpec, simulate, simulate_grid
+from repro.scenarios import ScenarioSpec, simulate
 
 
 def spec_of(name, mapping, workload, *, memory=None, drive=None):
@@ -203,16 +203,6 @@ class TestEquivalence:
         assert kernel_runs == []
         simulate(spec, tracer=Tracer())
         assert kernel_runs == [1]
-
-    def test_simulate_grid_is_per_point_simulate(self):
-        grid = ScenarioGrid.of(
-            spec_of("grid", MATCHED, strided(length=64), memory={"t": 3}),
-            workload__params__stride=[1, 3, 8, 12],
-            memory__q=[1, 2],
-        )
-        assert [r.to_dict() for r in simulate_grid(grid)] == [
-            simulate(spec).to_dict() for spec in grid.expand()
-        ]
 
 
 class TestUnitServiceTime:

@@ -111,21 +111,28 @@ class TestLoadScenarios:
 
 
 class TestSweepBridge:
-    def test_standard_sweeps_materialise_as_scenarios(self):
-        from repro.analysis.sweeps import STANDARD_SWEEPS
-
-        for sweep in STANDARD_SWEEPS:
-            specs = sweep.scenario_specs()
-            assert len(specs) == len(sweep.design_rows())
-            for spec, row in zip(specs, sweep.design_rows()):
-                assert spec.memory.t == row.t
-                assert spec.workload.param_dict()["length"] == row.vector_length
-
     def test_bridged_design_points_are_conflict_free(self):
+        """Each (lambda, t) row of a design sweep, run as the recommended
+        matched machine (s = lambda - t, floored at t) on a stride
+        3 * 2**s vector of 2**lambda elements, is conflict-free at the
+        T + L + 1 minimum."""
         from repro.analysis.sweeps import SweepSpec
+        from repro.core.windows import recommended_s
 
         sweep = SweepSpec(axis="lambda", fixed=3, start=6, stop=9)
-        for spec in sweep.scenario_specs():
-            result = simulate(spec)
+        rows = sweep.design_rows()
+        assert len(rows) == 3
+        for row in rows:
+            s = max(recommended_s(row.lambda_exponent, row.t), row.t)
+            result = simulate(
+                ScenarioSpec(
+                    mapping=ComponentSpec.of("matched-xor", t=row.t, s=s),
+                    memory=MemorySpec(t=row.t),
+                    workload=ComponentSpec.of(
+                        "strided", stride=3 * (1 << s), length=row.vector_length
+                    ),
+                )
+            )
             assert result.conflict_free
             assert result.latency == result.minimum_latency
+            assert result.latency == (1 << row.t) + row.vector_length + 1

@@ -78,10 +78,10 @@ class TestRoundTrips:
         with pytest.raises(ConfigurationError, match="unknown program kind"):
             simulate(program_spec("warp-drive"))
 
-    def test_timeline_fields_match_engine(self):
-        from repro.processor.engine import TIMELINE_FIELDS as ENGINE_FIELDS
+    def test_timeline_fields_match_machine(self):
+        from repro.processor import TIMELINE_FIELDS as MACHINE_FIELDS
 
-        assert TIMELINE_FIELDS == ENGINE_FIELDS
+        assert TIMELINE_FIELDS == MACHINE_FIELDS
 
 
 class TestStripMining:
@@ -169,6 +169,28 @@ class TestChainingSpeedupContract:
         assert measured > 1.0
         assert abs(measured - model) <= CHAINING_MODEL_TOLERANCE * model
         assert extras["chaining_model_tolerance"] == CHAINING_MODEL_TOLERANCE
+
+    def test_speedup_is_measured_on_an_untraced_decoupled_twin(self):
+        from repro.obs.tracer import Tracer
+
+        spec = program_spec("saxpy-chain", n=128, x_stride=4)
+        tracer = Tracer()
+        traced = simulate(spec, tracer=tracer)
+        twin = simulate(
+            program_spec(
+                "saxpy-chain",
+                drive=ComponentSpec.of("decoupled", chaining=False),
+                n=128,
+                x_stride=4,
+            )
+        )
+        extras = dict(traced.extras)
+        assert extras["chaining_speedup"] == (
+            dict(twin.extras)["total_cycles"] / extras["total_cycles"]
+        )
+        assert extras["chaining_speedup"] > 1.0
+        # Only the chained run is traced: one machine span per instruction.
+        assert len(tracer.spans("machine/")) == extras["instruction_count"]
 
     def test_pair_program_matches_section_5f_formula(self):
         # The canonical LOAD -> OP pair, written as an inline program:
