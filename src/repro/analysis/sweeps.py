@@ -13,8 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from repro.analysis.efficiency import efficiency
-from repro.core.families import window_fraction
+from repro.analysis.tradeoffs import (
+    matched_design_point,
+    ordered_design_point,
+    unmatched_design_point,
+)
 from repro.errors import ConfigurationError
 
 
@@ -44,24 +47,22 @@ class DesignRow:
 
 
 def design_row(lambda_exponent: int, t: int) -> DesignRow:
-    """Closed-form design summary for one (lambda, t)."""
-    if t < 0 or lambda_exponent < t:
-        raise ConfigurationError(
-            f"need lambda >= t >= 0 (lambda={lambda_exponent}, t={t})"
-        )
-    w_matched = lambda_exponent - t
-    w_unmatched = 2 * (lambda_exponent - t) + 1
+    """Closed-form design summary for one (lambda, t): the Section 5-E
+    matched, unmatched and ordered-matched (``m = t``) design points."""
+    matched = matched_design_point(lambda_exponent, t)
+    unmatched = unmatched_design_point(lambda_exponent, t)
+    ordered = ordered_design_point(t, t)
     return DesignRow(
         lambda_exponent=lambda_exponent,
         t=t,
-        matched_window=w_matched + 1,
-        unmatched_window=w_unmatched + 1,
-        ordered_matched_window=1,
-        matched_fraction=window_fraction(w_matched),
-        unmatched_fraction=window_fraction(w_unmatched),
-        matched_efficiency=efficiency(w_matched, t),
-        unmatched_efficiency=efficiency(w_unmatched, t),
-        ordered_matched_efficiency=efficiency(0, t),
+        matched_window=matched.window_families,
+        unmatched_window=unmatched.window_families,
+        ordered_matched_window=ordered.window_families,
+        matched_fraction=matched.stride_fraction,
+        unmatched_fraction=unmatched.stride_fraction,
+        matched_efficiency=matched.efficiency,
+        unmatched_efficiency=unmatched.efficiency,
+        ordered_matched_efficiency=ordered.efficiency,
     )
 
 

@@ -16,9 +16,11 @@ single simulated cycle:
   submission.
 
 Findings speak one grammar — ``RULE_ID · severity · location ·
-message`` — and the submit-time subset also guards the lab executor
-and the serve API, so a bad submission is rejected with structured
-diagnostics instead of burning simulation cycles.
+message`` — and the submit-time subset (:func:`require_submittable`)
+is the lab's submit gate: :func:`repro.lab.jobs.scenario_jobs` runs it
+for ``repro lab sweep``, ``repro scenario run --lab`` and
+``POST /v1/runs`` alike, so a bad submission is rejected with
+structured diagnostics instead of burning simulation cycles.
 """
 
 from repro.check.findings import CheckError, CheckReport, Finding

@@ -1,11 +1,11 @@
 """Grid dedupe preview: duplicate design points flagged pre-submit.
 
-The comparison ignores ``name``, which the lab's cache key does NOT:
-two points identical except for their names each simulate separately
-(and byte-identical duplicates collapse to one cached artifact).
-Either way the batch burns quota re-measuring one machine and reads as
-more coverage than it is, so ``DD401`` *warn* names each group of
-identical points before anything is queued.
+The comparison ignores ``name``, which the lab's job id and cache key
+do NOT: two points identical except for their names each simulate
+separately, while byte-identical repeats share one job id and run once.
+Either way the batch reads as more coverage than it is (and points that
+differ only by name burn quota re-measuring one machine), so ``DD401``
+*warn* names each group of identical points before anything is queued.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ def dedupe_findings(
     specs: list[tuple[ScenarioSpec, str]]
 ) -> list[Finding]:
     """``DD401`` findings over ``(spec, location)`` pairs."""
-    groups: dict[str, list[str]] = {}
+    groups: dict[str, list[tuple[str, str]]] = {}
     for spec, location in specs:
         body = canonical_json(
             {
@@ -30,20 +30,27 @@ def dedupe_findings(
                 if key != "name"
             }
         )
-        groups.setdefault(body, []).append(location)
+        groups.setdefault(body, []).append((spec.name, location))
     findings = []
-    for locations in groups.values():
-        if len(locations) < 2:
+    for members in groups.values():
+        if len(members) < 2:
             continue
-        first, *rest = locations
+        locations = [location for _name, location in members]
+        # Points with the same name too share a job id: they run once.
+        runs = len({name for name, _location in members})
+        times = "once" if runs == 1 else f"{runs} times"
+        effect = (
+            "each simulates separately but measures the same machine"
+            if runs == len(members)
+            else f"repeats run once, so the machine simulates {times}"
+        )
         findings.append(
             Finding(
                 "DD401",
                 "warn",
-                first,
-                f"{len(locations)} design points are identical up to "
-                f"their names ({', '.join(locations)}); each simulates "
-                f"separately but measures the same machine",
+                locations[0],
+                f"{len(members)} design points are identical up to "
+                f"their names ({', '.join(locations)}); {effect}",
             )
         )
     return findings

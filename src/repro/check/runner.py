@@ -7,8 +7,9 @@ build failures become ``SL303``/``SL304`` findings so one malformed
 entry cannot hide the diagnostics for the rest.
 
 :func:`require_submittable` is the front-door subset (spec lint plus
-grid dedupe, no simulation objects built) that the lab executor and the
-serve schemas run at submit time; error findings there become a
+grid dedupe, no simulation objects built).  The lab runs it in one
+place, :func:`repro.lab.jobs.scenario_jobs`, where specs become jobs
+for every front door.  Error findings there become a
 :class:`~repro.check.findings.CheckError` carrying the structured
 findings across the boundary.
 """

@@ -932,7 +932,7 @@ def _lab_sweep(args: argparse.Namespace, store) -> int:
     """Run one scenario grid through the lab, render one comparison table."""
     from pathlib import Path
 
-    from repro.lab import decode_rows, run_jobs, scenario_job
+    from repro.lab import decode_rows, run_jobs, scenario_jobs
     from repro.report.sweeps import sweep_table
     from repro.report.tables import render_markdown
     from repro.scenarios import load_grid
@@ -942,8 +942,7 @@ def _lab_sweep(args: argparse.Namespace, store) -> int:
         print(f"no such grid file: {args.file}", file=sys.stderr)
         return 2
     grid = load_grid(path.read_text())
-    specs = grid.expand()
-    jobs = [scenario_job(spec) for spec in specs]
+    jobs = scenario_jobs(grid.expand(), progress=print)
     report = run_jobs(
         jobs,
         store=store,
@@ -1253,10 +1252,10 @@ def command_scenario(args: argparse.Namespace) -> int:
             ArtifactStore,
             default_lab_root,
             run_jobs,
-            scenario_job,
+            scenario_jobs,
         )
 
-        jobs = [scenario_job(spec) for spec in specs]
+        jobs = scenario_jobs(specs, progress=print)
         with ArtifactStore(args.root or default_lab_root()) as store:
             report = run_jobs(
                 jobs,

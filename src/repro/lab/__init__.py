@@ -8,8 +8,9 @@ store:
 
 * :mod:`repro.lab.jobs` — the job registry and worker entry point,
   including parameterised experiment jobs (``experiment_spec``) and
-  scenario jobs (``scenario_job``) whose params carry a full
-  :class:`repro.scenarios.ScenarioSpec` into the cache key;
+  scenario jobs (``scenario_jobs``, which lints a batch of
+  :class:`repro.scenarios.ScenarioSpec` and carries each full spec into
+  its cache key);
 * :mod:`repro.lab.hashing` — canonical config hashing + cell codecs;
 * :mod:`repro.lab.store` — one SQLite index per lab root holding
   every result's JSON record, ``merge`` for folding detached stores
@@ -19,7 +20,7 @@ store:
 * :mod:`repro.lab.spool` — the filesystem-spool sharding protocol
   (coordinator + ``repro lab worker`` loop);
 * :mod:`repro.lab.executor` — cache-aware batch execution over any
-  backend;
+  backend, each job id once;
 * :mod:`repro.lab.manifest` — per-run manifest.json / report.md, the
   only record of a run, and the byte-stable EXPERIMENTS.md renderer;
 * :mod:`repro.lab.diffing` — cross-run regression diffing
@@ -103,7 +104,7 @@ from repro.lab.jobs import (
     execute_job,
     experiment_spec,
     resolve,
-    scenario_job,
+    scenario_jobs,
 )
 from repro.lab.manifest import (
     cached_records,
@@ -173,7 +174,7 @@ __all__ = [
     "resolve",
     "resolve_backend",
     "run_jobs",
-    "scenario_job",
+    "scenario_jobs",
     "serve",
     "status_payload",
     "summarize_cached",

@@ -8,7 +8,8 @@ fresh payload's result to the store as it lands, and writes the run's
 ``runs/<run-id>/`` manifest and report when it ends.  Results are
 reported in job-id order regardless of completion order, so the same
 batch produces the same :class:`ExecutionReport` — and byte-identical
-rendered reports — no matter which backend executed it.
+rendered reports — no matter which backend executed it.  It neither
+parses nor lints specs: :func:`repro.lab.jobs.scenario_jobs` does that.
 
 Only specs and JSON-safe payloads cross the executor/backend boundary,
 so nothing unpicklable ever crosses a process (or host) boundary, and
@@ -25,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import repro
+from repro.errors import ConfigurationError
 from repro.lab.backends import (
     ExecutorBackend,
     JobFailure,
@@ -39,6 +41,7 @@ __all__ = [
     "JobOutcome",
     "default_worker_count",
     "new_run_id",
+    "one_job_per_id",
     "run_jobs",
 ]
 
@@ -108,36 +111,6 @@ class ExecutionReport:
         return not self.failures
 
 
-def _lint_scenario_jobs(
-    ordered: Sequence[JobSpec],
-    progress: Callable[[str], None] | None,
-) -> None:
-    """Submit-time static lint over the batch's scenario jobs.
-
-    Error findings (unknown kinds, bad parameters, program/drive
-    mismatches) fail the whole batch *now* — before any artifact is
-    written — with the canonical ``TypeName: message`` grammar
-    (:class:`~repro.check.findings.CheckError`).  Warnings (duplicate
-    design points and the like) go to ``progress``.  Jobs whose spec
-    payload does not even parse are left alone so they fail through the
-    normal execution path, keeping the failure attached to the job.
-    """
-    from repro.check import require_submittable
-    from repro.lab.jobs import scenario_spec_of
-
-    scenario_specs = []
-    for job in ordered:
-        spec = scenario_spec_of(job)
-        if spec is not None:
-            scenario_specs.append(spec)
-    if not scenario_specs:
-        return
-    warnings = require_submittable(scenario_specs, source="lab submit")
-    if progress is not None:
-        for finding in warnings:
-            progress(f"lint: {finding.render()}")
-
-
 def run_jobs(
     specs: Sequence[JobSpec],
     *,
@@ -158,11 +131,11 @@ def run_jobs(
     ``run_id`` lets a caller that already promised an id (the HTTP
     service returns one at submit time) execute under it; ``None``
     allocates a fresh one.  The run's manifest and report are written
-    under ``store.runs_dir / run_id`` before this returns.
+    under ``store.runs_dir / run_id`` before this returns.  A job id the
+    batch names twice runs once.
     """
+    ordered = one_job_per_id(specs)
     executor = resolve_backend(backend, store=store, workers=workers)
-    ordered = sorted(specs, key=lambda spec: spec.job_id)
-    _lint_scenario_jobs(ordered, progress)
     version = repro.__version__
     run_id = run_id or new_run_id()
     started = time.perf_counter()
@@ -261,6 +234,18 @@ def run_jobs(
 
     write_run_artifacts(store, report)
     return report
+
+
+def one_job_per_id(specs: Sequence[JobSpec]) -> list[JobSpec]:
+    """The batch in job-id order, each job once; two *different* jobs
+    under one id would share one outcome, so they are an error."""
+    unique: dict[str, JobSpec] = {}
+    for spec in sorted(specs, key=lambda spec: spec.job_id):
+        if unique.setdefault(spec.job_id, spec) != spec:
+            raise ConfigurationError(
+                f"two different jobs share the job id {spec.job_id!r}"
+            )
+    return list(unique.values())
 
 
 def _batch_metrics(

@@ -1,7 +1,8 @@
 """Canonical config hashing and JSON-safe cell encoding.
 
 Two jobs are "the same experiment" exactly when their canonical config
-JSON hashes equal, so the hash doubles as the result's address: the
+JSON hashes equal (``canonical_json`` is the spec layer's, re-exported
+here), so the hash doubles as the result's address: the
 key of its row in ``.repro-lab/index.sqlite``, which is also the cache
 key.  The hash covers the job id, kind, parameters, the package
 version and a fingerprint of every Python source the jobs can execute
@@ -21,25 +22,14 @@ byte-identical re-rendering).
 from __future__ import annotations
 
 import hashlib
-import json
 from fractions import Fraction
 
 from repro.errors import ReproError
+from repro.scenarios.spec import canonical_json
 
 
 class ArtifactCodingError(ReproError):
     """A table cell cannot be round-tripped through JSON faithfully."""
-
-
-def canonical_json(value) -> str:
-    """Deterministic JSON: sorted keys, no whitespace, no NaN."""
-    return json.dumps(
-        value,
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-        ensure_ascii=True,
-    )
 
 
 def config_hash(config: dict) -> str:

@@ -16,6 +16,8 @@ Four kinds of jobs, all declaratively specified and content-hashable:
   with a ``program`` section travel the same way — the program kind and
   parameters are part of the canonical JSON, hence of the cache key —
   and their numerical-correctness verdict becomes the job's check.
+  :func:`scenario_jobs` makes them and lints them; the JSON is parsed
+  again only where each job runs.
 
 A :class:`JobSpec` carries no callables, only strings and ints, so it
 pickles trivially and hashes canonically; worker processes rebuild the
@@ -34,6 +36,7 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
+from typing import Callable
 
 import repro
 from repro.analysis.sweeps import STANDARD_SWEEPS, SweepSpec
@@ -283,8 +286,8 @@ def experiment_spec(experiment_id: str, **overrides) -> JobSpec:
     )
 
 
-def scenario_job(scenario) -> JobSpec:
-    """Wrap one :class:`repro.scenarios.ScenarioSpec` as a lab job.
+def _scenario_job(scenario) -> JobSpec:
+    """Wrap one :class:`repro.scenarios.ScenarioSpec` as a lab job, unlinted.
 
     The spec travels verbatim (canonical JSON) in the job params, so
     the config hash — and therefore the artifact address — covers every
@@ -303,25 +306,32 @@ def scenario_job(scenario) -> JobSpec:
     )
 
 
-def scenario_spec_of(job: JobSpec):
-    """The :class:`~repro.scenarios.ScenarioSpec` a scenario job carries.
+def scenario_jobs(
+    specs,
+    *,
+    source: str = "lab submit",
+    progress: Callable[[str], None] | None = None,
+) -> list[JobSpec]:
+    """One job per spec, in the order given, after the submit gate.
 
-    Returns ``None`` for non-scenario jobs and for scenario jobs whose
-    spec payload does not parse — the latter still execute (and fail
-    with the parse error recorded as the job's failure), so submit-time
-    lint must not preempt that path.
+    The way every front door makes scenario jobs.  The batch is linted
+    (:func:`repro.check.require_submittable`) in job-id order, the order
+    ``run_jobs`` runs it in: an error finding raises ``CheckError``
+    before anything is queued, and warnings go to ``progress`` as
+    ``lint:`` lines.
     """
-    if job.kind != SCENARIO_KIND:
-        return None
-    text = dict(job.params).get("spec")
-    if not isinstance(text, str):
-        return None
-    from repro.scenarios import ScenarioSpec
+    from repro.check import require_submittable
 
-    try:
-        return ScenarioSpec.from_json(text)
-    except ReproError:
-        return None
+    specs = list(specs)
+    jobs = [_scenario_job(spec) for spec in specs]
+    order = sorted(range(len(jobs)), key=lambda index: jobs[index].job_id)
+    warnings = require_submittable(
+        [specs[index] for index in order], source=source
+    )
+    if progress is not None:
+        for finding in warnings:
+            progress(f"lint: {finding.render()}")
+    return jobs
 
 
 def _load_bench_module(stem: str):

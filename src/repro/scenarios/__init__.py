@@ -30,7 +30,7 @@ Modules:
 * :mod:`repro.scenarios.grid` — ``ScenarioGrid`` parameter sweeps over
   spec fields.
 
-The lab (:mod:`repro.lab`) accepts specs as jobs (``scenario_job``), so
+The lab (:mod:`repro.lab`) accepts specs as jobs (``scenario_jobs``), so
 distinct design points land in distinct cache entries; the CLI front
 end is ``repro scenario run|list``.
 """

@@ -23,12 +23,22 @@ import json
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.scenarios.spec import ScenarioSpec, canonical_json, freeze_value
+from repro.scenarios.spec import (
+    ScenarioSpec,
+    canonical_json,
+    freeze_value,
+    set_path,
+)
 
 
 @dataclass(frozen=True)
 class ScenarioGrid:
-    """A base spec plus ``(path, values)`` axes to sweep."""
+    """A base spec plus ``(path, values)`` axes to sweep.
+
+    Each point is built in one step: the axis values are set on one copy
+    of the base's dict (:func:`set_path`), then the decorated name, then
+    one :meth:`ScenarioSpec.from_dict`.
+    """
 
     base: ScenarioSpec
     axes: tuple[tuple[str, tuple[object, ...]], ...]
@@ -48,8 +58,8 @@ class ScenarioGrid:
             seen.add(path)
             if not values:
                 raise ConfigurationError(f"grid axis {path!r} has no values")
-        # Fail fast on a path that does not exist in the base spec: a
-        # typo would otherwise silently sweep nothing.
+        # Fail fast on a path that does not exist in the base spec (a
+        # typo would otherwise silently sweep nothing) or a bad value.
         if self.axes:
             first_point = next(iter(self.points()))
             self._apply(first_point)
@@ -82,15 +92,16 @@ class ScenarioGrid:
             yield list(zip(paths, combination))
 
     def _apply(self, point: list[tuple[str, object]]) -> ScenarioSpec:
-        spec = self.base
+        data = self.base.to_dict()
         for path, value in point:
-            spec = spec.replace(path, value)
-        if spec.name:
+            set_path(data, path, value)
+        name = data.get("name")
+        if name and isinstance(name, str):
             suffix = ",".join(
                 f"{path.rsplit('.', 1)[-1]}={value}" for path, value in point
             )
-            spec = spec.replace("name", f"{spec.name}[{suffix}]")
-        return spec
+            data["name"] = f"{name}[{suffix}]"
+        return ScenarioSpec.from_dict(data)
 
     def expand(self) -> list[ScenarioSpec]:
         """Every design point of the grid, in deterministic order."""

@@ -28,10 +28,9 @@ SCALAR_TYPES = (bool, int, float, str, type(None))
 def canonical_json(value) -> str:
     """Deterministic JSON: sorted keys, no whitespace, no NaN.
 
-    Same contract as :func:`repro.lab.hashing.canonical_json`, defined
-    here as well so the spec layer stays import-light (importing the
-    ``repro.lab`` package would pull the whole lab — and its experiment
-    registry — into every spec consumer, creating an import cycle).
+    The one definition: the lab's config hashes and stored bodies
+    (:mod:`repro.lab.hashing`) import it from here, so the spec layer
+    never imports the lab.
     """
     return json.dumps(
         value,
@@ -84,6 +83,23 @@ def _thaw_value(value):
     if isinstance(value, tuple):
         return [_thaw_value(item) for item in value]
     return value
+
+
+def set_path(data: dict, path: str, value) -> None:
+    """Set the dotted-``path`` field (``"memory.t"``, ``"mapping.params.s"``,
+    ``"name"``) of a spec's dict form in place; only a ``params`` section
+    takes new keys."""
+    *parents, leaf = path.split(".")
+    cursor = data
+    for part in parents:
+        cursor = cursor.get(part) if isinstance(cursor, dict) else None
+    if not isinstance(cursor, dict) or (
+        leaf not in cursor and parents[-1:] != ["params"]
+    ):
+        raise ConfigurationError(
+            f"scenario spec has no field at path {path!r}"
+        )
+    cursor[leaf] = value
 
 
 @dataclass(frozen=True)
@@ -321,33 +337,10 @@ class ScenarioSpec:
         return cls.from_dict(data)
 
     def replace(self, path: str, value) -> "ScenarioSpec":
-        """A copy with the dotted-``path`` field set to ``value``.
-
-        Paths address the dict form: ``"memory.t"``,
-        ``"mapping.params.s"``, ``"workload.params.stride"``, ``"name"``.
-        This is the primitive :class:`~repro.scenarios.grid.ScenarioGrid`
-        expands axes with.
-        """
+        """A copy with the dotted-``path`` field set to ``value``
+        (paths as in :func:`set_path`)."""
         data = self.to_dict()
-        parts = path.split(".")
-        cursor = data
-        for part in parts[:-1]:
-            if not isinstance(cursor, dict) or part not in cursor:
-                raise ConfigurationError(
-                    f"scenario spec has no field at path {path!r}"
-                )
-            cursor = cursor[part]
-        if not isinstance(cursor, dict):
-            raise ConfigurationError(
-                f"scenario spec has no field at path {path!r}"
-            )
-        leaf = parts[-1]
-        # params dicts accept new keys; structural sections do not.
-        if leaf not in cursor and parts[-2:-1] != ["params"]:
-            raise ConfigurationError(
-                f"scenario spec has no field at path {path!r}"
-            )
-        cursor[leaf] = value
+        set_path(data, path, value)
         return ScenarioSpec.from_dict(data)
 
     def describe(self) -> str:

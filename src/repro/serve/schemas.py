@@ -7,8 +7,9 @@ format is greppable in one file.
 ``POST /v1/runs`` accepts exactly the document shapes
 ``repro scenario run`` accepts — a single :class:`ScenarioSpec`
 object, a grid (``{"base": ..., "axes": ...}``), or a JSON array
-mixing either — parsed by the same :func:`repro.scenarios.load_scenarios`,
-so a file that works on the CLI works over HTTP verbatim.
+mixing either — parsed by the same :func:`repro.scenarios.load_scenarios`
+and linted by the same :func:`repro.lab.jobs.scenario_jobs`, so a file
+that works on the CLI works over HTTP verbatim.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ __all__ = [
     "parse_run_request",
     "run_payload",
     "utc_now",
-    "validate_kinds",
 ]
 
 #: Hard ceiling on request bodies.  A grid of a few thousand design
@@ -47,7 +47,9 @@ def parse_run_request(raw: bytes) -> list[ScenarioSpec]:
     Raises :class:`BadRequestError` (empty / non-UTF-8 body) or lets
     the scenario layer's :class:`~repro.errors.ConfigurationError`
     propagate — both render as ``400`` with the canonical
-    ``TypeName: message`` error body.
+    ``TypeName: message`` error body.  An unregistered kind is a ``400``
+    now, not a failed run found by polling; the deeper lint runs once,
+    where the service makes the jobs (:func:`repro.lab.jobs.scenario_jobs`).
     """
     if len(raw) > MAX_BODY_BYTES:
         raise PayloadTooLargeError(
@@ -66,25 +68,9 @@ def parse_run_request(raw: bytes) -> list[ScenarioSpec]:
     specs = load_scenarios(text)
     if not specs:
         raise BadRequestError("request body holds no scenarios")
-    validate_kinds(specs)
-    from repro.check import require_submittable
-
-    require_submittable(specs, source="POST /v1/runs")
-    return specs
-
-
-def validate_kinds(specs: list[ScenarioSpec]) -> None:
-    """Reject unregistered component kinds at the door.
-
-    The scenario layer resolves kinds lazily (at simulation time), but
-    a submission with a typo'd kind should be a ``400`` now, not a
-    failed run discovered by polling.  Delegates to the registry's
-    shared validator (also used by the scenario CLI and the spec-lint
-    pass); the deeper parameter lint runs next in
-    :func:`repro.check.require_submittable`.
-    """
     for spec in specs:
         validate_spec_kinds(spec)
+    return specs
 
 
 def run_payload(submission) -> dict:

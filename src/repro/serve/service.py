@@ -6,7 +6,8 @@ Routes call exactly one service method per request and serialize
 whatever comes back; the service never sees a socket.
 
 Execution rides the existing lab machinery end to end: specs become
-``scenario_job`` specs, batches run through
+jobs through :func:`~repro.lab.jobs.scenario_jobs` (the submit gate,
+run once per request), batches run through
 :func:`repro.lab.executor.run_jobs` (serial, process pool, or the
 filesystem spool — with ``--backend spool`` this service is a thin
 coordinator over any number of ``repro lab worker`` hosts), results
@@ -24,8 +25,8 @@ import threading
 import time
 from typing import Callable
 
-from repro.lab.executor import new_run_id, run_jobs
-from repro.lab.jobs import scenario_job
+from repro.lab.executor import new_run_id, one_job_per_id, run_jobs
+from repro.lab.jobs import scenario_jobs
 from repro.lab.store import ArtifactStore
 from repro.obs.history import metric_direction, read_history
 from repro.serve import schemas
@@ -86,16 +87,12 @@ class LabService:
         """
         try:
             specs = schemas.parse_run_request(raw)
+            jobs = one_job_per_id(
+                scenario_jobs(specs, source="POST /v1/runs")
+            )
         except Exception:
             self.counters.bump("runs_rejected")
             raise
-        jobs = sorted(
-            (scenario_job(spec) for spec in specs),
-            key=lambda job: job.job_id,
-        )
-        # One request may name the same design point twice (e.g. a grid
-        # axis that revisits the base value); one job each is enough.
-        jobs = list({job.job_id: job for job in jobs}.values())
         hashes = {job.job_id: job.config_hash() for job in jobs}
         submission = Submission(
             run_id=new_run_id(),

@@ -135,6 +135,25 @@ class TestDedupe:
         assert finding.severity == "warn"
         assert finding.location == "f:a"
         assert "f:a, f:b" in finding.message
+        assert finding.message.endswith(
+            "each simulates separately but measures the same machine"
+        )
+
+    def test_byte_identical_repeats_are_one_job(self):
+        [finding] = dedupe_findings(
+            [(spec(name="a"), "f:a"), (spec(name="a"), "f:a")]
+        )
+        assert finding.message.endswith(
+            "repeats run once, so the machine simulates once"
+        )
+        [finding] = dedupe_findings(
+            [
+                (spec(name="a"), "f:a"),
+                (spec(name="a"), "f:a"),
+                (spec(name="b"), "f:b"),
+            ]
+        )
+        assert finding.message.endswith("so the machine simulates 2 times")
 
     def test_distinct_points_produce_nothing(self):
         pairs = [

@@ -22,7 +22,7 @@ from repro.lab import (
     diff_runs,
     render_diff,
     run_jobs,
-    scenario_job,
+    scenario_jobs,
 )
 from repro.lab.store import ArtifactStore
 from repro.scenarios import ComponentSpec, MemorySpec, ScenarioSpec
@@ -86,7 +86,7 @@ def with_check(record, *, passed: bool, measured: str) -> None:
 
 class TestDiffRuns:
     def test_identical_runs_have_no_findings(self, store):
-        job = scenario_job(demo_spec())
+        [job] = scenario_jobs([demo_spec()])
         run_a = record_run(store, [job])
         run_b = record_run(store, [job])
         diff = diff_runs(store, run_a, run_b)
@@ -97,7 +97,7 @@ class TestDiffRuns:
     def test_flipped_check_is_a_regression(
         self, store, monkeypatch, rewrite_artifacts
     ):
-        job = scenario_job(demo_spec())
+        [job] = scenario_jobs([demo_spec()])
         run_a = record_run(store, [job])
         run_b = record_run(store, [job], monkeypatch, version="1.0.1-test")
         rewrite_artifacts(
@@ -114,7 +114,7 @@ class TestDiffRuns:
     def test_moved_cycle_count_is_a_change_not_regression(
         self, store, monkeypatch, rewrite_artifacts
     ):
-        job = scenario_job(demo_spec())
+        [job] = scenario_jobs([demo_spec()])
         run_a = record_run(store, [job])
         run_b = record_run(store, [job], monkeypatch, version="1.0.1-test")
 
@@ -132,7 +132,7 @@ class TestDiffRuns:
     def test_passing_again_is_a_change_not_regression(
         self, store, monkeypatch, rewrite_artifacts
     ):
-        job = scenario_job(demo_spec())
+        [job] = scenario_jobs([demo_spec()])
         run_a = record_run(store, [job])
         run_b = record_run(store, [job], monkeypatch, version="1.0.1-test")
         rewrite_artifacts(
@@ -146,19 +146,19 @@ class TestDiffRuns:
         assert any("now passes" in item.detail for item in diff.changes)
 
     def test_disjoint_job_sets_reported(self, store):
-        run_a = record_run(store, [scenario_job(demo_spec(q=1))])
-        run_b = record_run(store, [scenario_job(demo_spec(q=2))])
+        run_a = record_run(store, scenario_jobs([demo_spec(q=1)]))
+        run_b = record_run(store, scenario_jobs([demo_spec(q=2)]))
         diff = diff_runs(store, run_a, run_b)
         assert len(diff.removed) == 1 and len(diff.added) == 1
         assert not diff.has_regressions
 
     def test_unknown_run_raises(self, store):
-        run_a = record_run(store, [scenario_job(demo_spec())])
+        run_a = record_run(store, scenario_jobs([demo_spec()]))
         with pytest.raises(UnknownRunError, match="ghost"):
             diff_runs(store, run_a, "ghost")
 
     def test_missing_manifest_falls_back_to_sqlite_index(self, store):
-        job = scenario_job(demo_spec())
+        [job] = scenario_jobs([demo_spec()])
         run_a = record_run(store, [job])
         run_b = record_run(store, [job])
         # Prune run B's directory; its results stay in the index.
@@ -175,7 +175,7 @@ class TestDiffRuns:
 
 class TestDiffCli:
     def test_identical_runs_exit_zero(self, store, capsys):
-        job = scenario_job(demo_spec())
+        [job] = scenario_jobs([demo_spec()])
         run_a = record_run(store, [job])
         run_b = record_run(store, [job])
         code = main(["lab", "diff", run_a, run_b, "--root", str(store.root)])
@@ -185,7 +185,7 @@ class TestDiffCli:
     def test_regression_exits_one(
         self, store, capsys, monkeypatch, rewrite_artifacts
     ):
-        job = scenario_job(demo_spec())
+        [job] = scenario_jobs([demo_spec()])
         run_a = record_run(store, [job])
         run_b = record_run(store, [job], monkeypatch, version="1.0.1-test")
 
@@ -198,7 +198,7 @@ class TestDiffCli:
         assert "REGRESSION" in capsys.readouterr().out
 
     def test_unknown_run_exits_two(self, store, capsys):
-        run_a = record_run(store, [scenario_job(demo_spec())])
+        run_a = record_run(store, scenario_jobs([demo_spec()]))
         code = main(["lab", "diff", run_a, "ghost", "--root", str(store.root)])
         assert code == 2
         assert "error:" in capsys.readouterr().err

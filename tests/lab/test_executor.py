@@ -216,13 +216,13 @@ class TestIndexTransactions:
     """A store holds one connection to its index for its life."""
 
     def test_cold_run_connects_to_the_index_once(self, tmp_path, sqlite_connects):
-        from repro.lab.jobs import scenario_job
+        from repro.lab.jobs import scenario_jobs
         from repro.scenarios import load_grid
 
         grid = Path(__file__).resolve().parents[2] / "examples" / (
             "scenario_program_grid_64.json"
         )
-        jobs = [scenario_job(spec) for spec in load_grid(grid.read_text()).expand()]
+        jobs = scenario_jobs(load_grid(grid.read_text()).expand())
         assert len(jobs) == 64
         store = ArtifactStore(tmp_path / "lab")
         report = run_jobs(jobs, store=store, backend="serial")
@@ -237,11 +237,11 @@ class TestIndexTransactions:
 DYING_SWEEP = """
 import os, signal, sys
 from pathlib import Path
-from repro.lab import ArtifactStore, execute_job, run_jobs, scenario_job
+from repro.lab import ArtifactStore, execute_job, run_jobs, scenario_jobs
 from repro.scenarios import load_grid
 
 grid, root, how = sys.argv[1:]
-jobs = [scenario_job(spec) for spec in load_grid(Path(grid).read_text()).expand()]
+jobs = scenario_jobs(load_grid(Path(grid).read_text()).expand())
 
 class DyingBackend:
     name = "dying"
@@ -261,7 +261,7 @@ class TestKilledRun:
     @pytest.mark.parametrize("how", ["sigkill", "interrupt"])
     def test_killed_run_keeps_every_finished_result(self, tmp_path, how):
         from repro.cli import main
-        from repro.lab.jobs import scenario_job
+        from repro.lab.jobs import scenario_jobs
         from repro.scenarios import load_grid
 
         grid = Path(__file__).resolve().parents[2] / "examples" / (
@@ -290,9 +290,7 @@ class TestKilledRun:
             assert store.load(row["config_hash"])["config_hash"] == row["config_hash"]
         assert read_manifests(store) == []
         assert main(["lab", "index", "--verify", "--root", str(root)]) == 0
-        jobs = [
-            scenario_job(spec) for spec in load_grid(grid.read_text()).expand()
-        ]
+        jobs = scenario_jobs(load_grid(grid.read_text()).expand())
         report = run_jobs(jobs, store=store, backend="serial")
         assert (report.cache_hits, report.executed) == (3, len(jobs) - 3)
         assert len(store.results()) == len(jobs)

@@ -26,6 +26,13 @@ class TestCanonicalJson:
     def test_compact_and_ascii(self):
         assert canonical_json({"a": [1, 2]}) == '{"a":[1,2]}'
 
+    def test_one_definition_shared_with_the_spec_layer(self):
+        import repro.lab
+        from repro.scenarios.spec import canonical_json as spec_canonical_json
+
+        assert canonical_json is spec_canonical_json
+        assert repro.lab.canonical_json is spec_canonical_json
+
     def test_hash_is_stable_and_sensitive(self):
         base = {"job_id": "E01", "kind": "experiment", "params": {}}
         assert config_hash(base) == config_hash(dict(base))

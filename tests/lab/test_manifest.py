@@ -9,7 +9,7 @@ import pytest
 
 from repro.cli import main
 from repro.lab.executor import new_run_id, run_jobs
-from repro.lab.jobs import build_registry, scenario_job
+from repro.lab.jobs import build_registry, scenario_jobs
 from repro.lab.manifest import (
     render_experiments_markdown,
     render_lab_report,
@@ -69,7 +69,7 @@ class TestWriteRunArtifacts:
         )
         root = tmp_path / "lab"
         with ArtifactStore(root) as store:
-            kept = run_jobs([scenario_job(spec)], store=store, backend="serial")
+            kept = run_jobs(scenario_jobs([spec]), store=store, backend="serial")
         replace = os.replace
 
         def failing_replace(source, target):
@@ -80,7 +80,7 @@ class TestWriteRunArtifacts:
         monkeypatch.setattr(os, "replace", failing_replace)
         lost = new_run_id()
         with ArtifactStore(root) as store, pytest.raises(OSError, match="disk full"):
-            run_jobs([scenario_job(spec)], store=store, backend="serial", run_id=lost)
+            run_jobs(scenario_jobs([spec]), store=store, backend="serial", run_id=lost)
         monkeypatch.undo()
         # The manifest is written last and atomically: no manifest, and
         # no temp file left behind.

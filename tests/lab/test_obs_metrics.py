@@ -13,7 +13,7 @@ from repro.lab import (
     ArtifactStore,
     recent_run_metrics,
     run_jobs,
-    scenario_job,
+    scenario_jobs,
 )
 from repro.obs.history import current_git_commit
 from repro.scenarios import ScenarioSpec
@@ -37,7 +37,7 @@ class TestBatchMetrics:
     def test_cold_batch_reports_executed_jobs(self, tmp_path):
         store = ArtifactStore(tmp_path)
         report = run_jobs(
-            [scenario_job(spec()), scenario_job(spec(stride=8))],
+            scenario_jobs([spec(), spec(stride=8)]),
             store=store,
             backend="serial",
         )
@@ -56,7 +56,7 @@ class TestBatchMetrics:
 
     def test_warm_batch_is_all_cache_hits(self, tmp_path):
         store = ArtifactStore(tmp_path)
-        jobs = [scenario_job(spec())]
+        jobs = scenario_jobs([spec()])
         run_jobs(jobs, store=store, backend="serial")
         report = run_jobs(jobs, store=store, backend="serial")
         metrics = report.metrics
@@ -69,7 +69,7 @@ class TestBatchMetrics:
     def test_pool_backend_reports_worker_count(self, tmp_path):
         store = ArtifactStore(tmp_path)
         report = run_jobs(
-            [scenario_job(spec())],
+            scenario_jobs([spec()]),
             store=store,
             backend="pool",
             workers=2,
@@ -84,7 +84,7 @@ class TestManifestStamp:
     def test_manifest_carries_metrics_commit_and_backend(self, tmp_path):
         store = ArtifactStore(tmp_path)
         report = run_jobs(
-            [scenario_job(spec())], store=store, backend="serial"
+            scenario_jobs([spec()]), store=store, backend="serial"
         )
         run_dir = store.runs_dir / report.run_id
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -97,7 +97,7 @@ class TestManifestStamp:
         ids = []
         for _ in range(2):
             report = run_jobs(
-                [scenario_job(spec())], store=store, backend="serial"
+                scenario_jobs([spec()]), store=store, backend="serial"
             )
             ids.append(report.run_id)
         # Back-date the first run so the newest-first sort is decided by
@@ -117,7 +117,7 @@ class TestManifestStamp:
     def test_pre_metrics_manifests_still_listed(self, tmp_path):
         store = ArtifactStore(tmp_path)
         report = run_jobs(
-            [scenario_job(spec())], store=store, backend="serial"
+            scenario_jobs([spec()]), store=store, backend="serial"
         )
         run_dir = store.runs_dir / report.run_id
         manifest = json.loads((run_dir / "manifest.json").read_text())
@@ -132,5 +132,5 @@ class TestManifestStamp:
     def test_limit_caps_the_listing(self, tmp_path):
         store = ArtifactStore(tmp_path)
         for _ in range(3):
-            run_jobs([scenario_job(spec())], store=store, backend="serial")
+            run_jobs(scenario_jobs([spec()]), store=store, backend="serial")
         assert len(recent_run_metrics(store, limit=2)) == 2

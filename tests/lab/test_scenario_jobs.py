@@ -20,7 +20,7 @@ from repro.lab import (
     execute_job,
     experiment_spec,
     run_jobs,
-    scenario_job,
+    scenario_jobs,
 )
 from repro.lab.store import ArtifactStore
 from repro.scenarios import ComponentSpec, MemorySpec, ScenarioSpec
@@ -40,13 +40,14 @@ def matched_spec(**overrides) -> ScenarioSpec:
 class TestScenarioJobs:
     def test_job_carries_spec_verbatim(self):
         spec = matched_spec()
-        job = scenario_job(spec)
+        [job] = scenario_jobs([spec])
         assert job.kind == SCENARIO_KIND
         assert dict(job.params)["spec"] == spec.to_json()
         assert job.job_id.startswith("SC-lab-demo-")
 
     def test_execute_returns_normalised_metrics(self):
-        payload = execute_job(scenario_job(matched_spec()))
+        [job] = scenario_jobs([matched_spec()])
+        payload = execute_job(job)
         assert payload["all_passed"]
         metrics = {row[0]: row[1] for row in payload["rows"]}
         assert metrics["latency"] == 137
@@ -54,7 +55,7 @@ class TestScenarioJobs:
 
     def test_any_param_change_changes_the_config_hash(self):
         spec = matched_spec()
-        base_hash = scenario_job(spec).config_hash()
+        [base] = scenario_jobs([spec])
         for path, value in [
             ("memory.q", 2),
             ("memory.qp", 2),
@@ -66,20 +67,20 @@ class TestScenarioJobs:
             ("workload.params.length", 64),
             ("drive.params.mode", "ordered"),
         ]:
-            changed = scenario_job(spec.replace(path, value))
-            assert changed.config_hash() != base_hash, path
+            [changed] = scenario_jobs([spec.replace(path, value)])
+            assert changed.config_hash() != base.config_hash(), path
 
     def test_same_name_different_specs_get_distinct_job_ids(self):
-        job_a = scenario_job(matched_spec())
-        job_b = scenario_job(matched_spec(memory=MemorySpec(t=3, q=2)))
+        job_a, job_b = scenario_jobs(
+            [matched_spec(), matched_spec(memory=MemorySpec(t=3, q=2))]
+        )
         assert job_a.job_id != job_b.job_id
 
     def test_jobs_cache_per_design_point(self, tmp_path):
         store = ArtifactStore(tmp_path / "lab")
-        jobs = [
-            scenario_job(matched_spec()),
-            scenario_job(matched_spec(memory=MemorySpec(t=3, q=2))),
-        ]
+        jobs = scenario_jobs(
+            [matched_spec(), matched_spec(memory=MemorySpec(t=3, q=2))]
+        )
         first = run_jobs(jobs, store=store, workers=1)
         assert first.executed == 2 and first.all_passed
         second = run_jobs(jobs, store=store, workers=1)

@@ -18,7 +18,7 @@ import pytest
 
 from repro.lab.backends import JobFailure
 from repro.lab.executor import run_jobs
-from repro.lab.jobs import build_registry, experiment_spec, scenario_job
+from repro.lab.jobs import build_registry, experiment_spec, scenario_jobs
 from repro.lab.spool import (
     CLOSED_MARKER,
     SpoolBackend,
@@ -57,7 +57,7 @@ class TestWireFormat:
         from repro.scenarios import load_scenarios
 
         text = Path("examples/scenario_daxpy_program.json").read_text()
-        spec = scenario_job(load_scenarios(text)[0])
+        [spec] = scenario_jobs(load_scenarios(text))
         restored = job_from_json(job_to_json(spec))
         assert restored == spec
         assert restored.config_hash() == spec.config_hash()

@@ -15,7 +15,7 @@ from repro.lab import (
     diff_runs,
     render_diff,
     run_jobs,
-    scenario_job,
+    scenario_jobs,
 )
 from repro.lab.hashing import canonical_json
 from repro.lab.jobs import JobSpec
@@ -294,10 +294,7 @@ class TestUpgrade:
 
     def build(self, tmp_path, monkeypatch, tamper):
         """A legacy root holding two runs whose diff has something to say."""
-        jobs = [
-            scenario_job(spec)
-            for spec in load_grid(PORTS_GRID.read_text()).expand()
-        ]
+        jobs = scenario_jobs(load_grid(PORTS_GRID.read_text()).expand())
         source = ArtifactStore(tmp_path / "source")
         first = run_jobs(jobs[:2], store=source, backend="serial")
         monkeypatch.setattr(repro, "__version__", "0.0.1-candidate")

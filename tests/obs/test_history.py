@@ -16,7 +16,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.lab import ArtifactStore, run_jobs, scenario_job
+from repro.lab import ArtifactStore, run_jobs, scenario_jobs
 from repro.obs.history import (
     current_git_commit,
     ingest_bench,
@@ -39,7 +39,7 @@ SPEC = {
 def run_once(root) -> str:
     with ArtifactStore(root) as store:
         report = run_jobs(
-            [scenario_job(ScenarioSpec.from_dict(SPEC))],
+            scenario_jobs([ScenarioSpec.from_dict(SPEC)]),
             store=store,
             backend="serial",
         )
@@ -364,7 +364,7 @@ class TestRunLevelMetrics:
 
         with ArtifactStore(tmp_path / "lab") as store:
             run_jobs(
-                [scenario_job(ScenarioSpec.from_dict(SPEC))],
+                scenario_jobs([ScenarioSpec.from_dict(SPEC)]),
                 store=store,
                 backend=ProcessPoolBackend(workers=2),
             )

@@ -47,6 +47,37 @@ class TestExpansion:
         grid = ScenarioGrid(base_spec(), ())
         assert grid.expand() == [base_spec()]
 
+    def test_points_equal_applying_each_axis_with_replace(self):
+        grid = ScenarioGrid.of(
+            base_spec(),
+            memory__q=(1, 2),
+            mapping__params__s=(4, 5),
+            workload__params__offset=(0, 7),
+            name=("renamed",),
+        )
+        for point, spec in zip(grid.points(), grid.expand()):
+            expected = base_spec()
+            for path, value in point:
+                expected = expected.replace(path, value)
+            suffix = ",".join(
+                f"{path.rsplit('.', 1)[-1]}={value}" for path, value in point
+            )
+            assert spec == expected.replace("name", f"renamed[{suffix}]")
+
+    def test_expansion_builds_each_point_once(self, monkeypatch):
+        grid = ScenarioGrid.of(base_spec(), memory__q=(1, 2, 4))
+        calls = []
+        original = ScenarioSpec.from_dict.__func__
+
+        def counting(cls, data):
+            calls.append(data)
+            return original(cls, data)
+
+        monkeypatch.setattr(ScenarioSpec, "from_dict", classmethod(counting))
+        monkeypatch.setattr(ScenarioSpec, "replace", None)
+        assert len(grid.expand()) == 3
+        assert len(calls) == 3
+
     def test_every_point_simulates(self):
         grid = ScenarioGrid.of(base_spec(), workload__params__stride=(1, 12, 48))
         for spec in grid.expand():
@@ -67,6 +98,14 @@ class TestGridValidation:
     def test_bad_axis_path_rejected_up_front(self):
         with pytest.raises(ConfigurationError, match="no field at path"):
             ScenarioGrid(base_spec(), (("memory.banks", (1, 2)),))
+
+    def test_bad_first_value_rejected_up_front(self):
+        with pytest.raises(ConfigurationError, match="t must be >= 0"):
+            ScenarioGrid(base_spec(), (("memory.t", (-1, 3)),))
+
+    def test_non_string_name_value_is_not_decorated(self):
+        with pytest.raises(ConfigurationError, match="name must be a string"):
+            ScenarioGrid(base_spec(), (("name", (5,)),))
 
 
 class TestGridRoundTrip:

@@ -275,14 +275,14 @@ class TestProgramGrids:
 
 class TestLabIntegration:
     def test_program_specs_cache_per_design_point(self, tmp_path):
-        from repro.lab import ArtifactStore, run_jobs, scenario_job
+        from repro.lab import ArtifactStore, run_jobs, scenario_jobs
 
         store = ArtifactStore(tmp_path / "lab")
         specs = [
             program_spec("saxpy-chain", n=64),
             program_spec("saxpy-chain", n=96),
         ]
-        jobs = [scenario_job(spec) for spec in specs]
+        jobs = scenario_jobs(specs)
         assert jobs[0].job_id != jobs[1].job_id
         assert jobs[0].config_hash() != jobs[1].config_hash()
 
@@ -293,11 +293,11 @@ class TestLabIntegration:
         assert rerun.cache_hits == 2
 
     def test_correctness_verdict_becomes_the_job_check(self, tmp_path):
-        from repro.lab import ArtifactStore, run_jobs, scenario_job
+        from repro.lab import ArtifactStore, run_jobs, scenario_jobs
 
         store = ArtifactStore(tmp_path / "lab")
         report = run_jobs(
-            [scenario_job(program_spec("daxpy", n=64))],
+            scenario_jobs([program_spec("daxpy", n=64)]),
             store=store,
             workers=1,
         )

@@ -63,6 +63,22 @@ class TestSubmitLint:
         assert status == 202
         client.wait_done(body["run_id"])
 
+    def test_one_post_is_linted_once(self, client, monkeypatch):
+        import repro.check
+
+        sources = []
+        lint = repro.check.require_submittable
+
+        def counting(specs, **kwargs):
+            sources.append(kwargs.get("source"))
+            return lint(specs, **kwargs)
+
+        monkeypatch.setattr(repro.check, "require_submittable", counting)
+        status, _, body = client.post_json("/v1/runs", SPEC)
+        assert status == 202
+        assert client.wait_done(body["run_id"])["state"] == "done"
+        assert sources == ["POST /v1/runs"]
+
     def test_clean_spec_still_submits(self, client):
         status, _, body = client.post_json("/v1/runs", SPEC)
         assert status == 202
