@@ -111,10 +111,7 @@ def plan_indexed(
     always issues in element order.
     """
     service_ratio = 1 << t
-    modules = [
-        mapping.module_of(mapping.reduce(address))
-        for address in access.addresses()
-    ]
+    modules = mapping.modules_of(access.addresses())
     if mode == "ordered":
         order = tuple(range(access.length))
         scheme = "canonical"

@@ -316,10 +316,12 @@ class AccessPlanner:
         return s, mapping.module_of
 
     def _finish(self, vector: VectorAccess, order: RequestOrder) -> AccessPlan:
-        modules = tuple(
-            self.mapping.module_of(self.mapping.reduce(address))
-            for address in order.addresses()
+        # Element i's module is entry i of the canonical sequence, which
+        # a mapping with declared bits computes for one period and tiles.
+        canonical = self.mapping.module_sequence(
+            vector.base, vector.stride, vector.length
         )
+        modules = tuple(map(canonical.__getitem__, order.indices))
         return AccessPlan(
             vector=vector,
             order=order,

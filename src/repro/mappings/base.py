@@ -11,11 +11,23 @@ stored and retrieved in simulations.
 All mappings operate on an address space of ``2**address_bits`` words and
 treat addresses modulo that size, which mirrors the fixed-width address
 registers of the hardware in Figures 5 and 6.
+
+A mapping whose module number reads only the low ``k`` address bits
+declares ``k`` as :attr:`AddressMapping.field_bits`.  Three facts derive
+from that one declaration: the period of every stride family (the
+address residue ``A mod 2**k`` of ``A + i*S`` cycles every
+``2**(k-x)`` elements), :meth:`~AddressMapping.module_sequence`, which
+computes one period and tiles it, and :meth:`~AddressMapping.modules_of`,
+which maps each distinct residue once.  A mapping that declares nothing
+keeps the element-by-element path and the sampled
+:func:`empirical_period`.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from math import gcd
+from typing import Iterable
 
 from repro.errors import ConfigurationError
 
@@ -61,6 +73,24 @@ class AddressMapping(ABC):
         self.module_bits = module_bits
         self.address_bits = address_bits
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # A new address function must declare its own bits: a subclass
+        # that overrides ``module_of`` does not inherit its parent's.
+        if "module_of" in vars(cls) and "field_bits" not in vars(cls):
+            cls.field_bits = None
+
+    @property
+    def field_bits(self) -> int | None:
+        """How many low address bits the module number reads, or None.
+
+        A mapping that declares ``k`` promises ``F(A) == F(A mod 2**k)``
+        for every address ``A``; :meth:`period`,
+        :meth:`module_sequence` and :meth:`modules_of` all derive from
+        it.  The base class declares nothing.
+        """
+        return None
+
     @property
     def module_count(self) -> int:
         """Number of memory modules ``M = 2**m``."""
@@ -95,22 +125,60 @@ class AddressMapping(ABC):
         """Period ``Px`` of the canonical temporal distribution.
 
         ``family`` is the exponent ``x`` of a stride ``sigma * 2**x`` with
-        ``sigma`` odd.  The base implementation measures the period
-        empirically via :func:`empirical_period`; analytic subclasses
-        override it with the paper's closed forms.
+        ``sigma`` odd.  With :attr:`field_bits` ``k`` declared it is
+        ``2**max(k - x, 0)``: the residue ``A mod 2**k`` steps by
+        ``sigma * 2**x`` and returns after exactly that many elements.
+        This is each paper closed form (Sections 3 and 4.1) and, for a
+        linear mapping that reads bit ``k - 1``, the minimal period.  An
+        undeclared mapping falls back to :func:`empirical_period`.
         """
-        return empirical_period(self, stride=1 << family, start=0)
+        bits = self.field_bits
+        if bits is None:
+            return empirical_period(self, stride=1 << family, start=0)
+        return 1 << max(bits - family, 0)
 
     def module_sequence(self, start: int, stride: int, length: int) -> list[int]:
         """Module numbers of ``length`` elements from ``start`` by ``stride``.
 
         This is the canonical temporal distribution of the vector
-        ``(start, stride, length)`` under this mapping.
+        ``(start, stride, length)`` under this mapping.  With
+        :attr:`field_bits` declared, one period is computed and tiled;
+        otherwise every element is mapped.
         """
         start = self.reduce(start)
-        return [
-            self.module_of(self.reduce(start + i * stride)) for i in range(length)
+        bits = self.field_bits
+        span = length
+        if bits is not None:
+            # The residue mod 2**k repeats every 2**k / gcd(S, 2**k)
+            # elements: period(family) for a non-zero stride.
+            span = min(length, (1 << bits) // gcd(stride, 1 << bits))
+        head = [
+            self.module_of(self.reduce(start + i * stride)) for i in range(span)
         ]
+        if span == length:
+            return head
+        return (head * -(-length // span))[:length]
+
+    def modules_of(self, addresses: Iterable[int]) -> list[int]:
+        """Module number of each raw address, in order.
+
+        With :attr:`field_bits` ``k`` declared, :meth:`module_of` runs
+        once per distinct residue ``A mod 2**k``; otherwise once per
+        address.
+        """
+        bits = self.field_bits
+        if bits is None:
+            return [self.module_of(self.reduce(address)) for address in addresses]
+        mask = (1 << bits) - 1
+        table: dict[int, int] = {}
+        modules = []
+        for address in addresses:
+            residue = address & mask
+            module = table.get(residue)
+            if module is None:
+                module = table[residue] = self.module_of(residue)
+            modules.append(module)
+        return modules
 
     def cache_token(self) -> tuple | None:
         """Hashable identity of this mapping's address function, or None.
@@ -144,6 +212,12 @@ def empirical_period(
     and the period divides ``2**address_bits / gcd(stride, 2**address_bits)``,
     so the search below always terminates.
 
+    This samples: it compares at most 4096 elements, taken one by one
+    through ``module_of`` (never through a declared period, which would
+    confirm itself), so a mapping that reads address bits above about
+    bit 12 can look periodic inside the sample.  It serves only mappings
+    that declare no :attr:`AddressMapping.field_bits`.
+
     Parameters
     ----------
     limit:
@@ -161,7 +235,11 @@ def empirical_period(
     # sequence A + i*S the module sequence repeats with period p iff
     # F(A + (i+p)S) == F(A + iS) for all i in one candidate span.
     candidates = [p for p in _divisors_pow2(limit)]
-    sample = mapping.module_sequence(start, stride, min(4 * limit, 4096))
+    start = mapping.reduce(start)
+    sample = [
+        mapping.module_of(mapping.reduce(start + i * stride))
+        for i in range(min(4 * limit, 4096))
+    ]
     for p in candidates:
         if p >= len(sample):
             break

@@ -29,15 +29,16 @@ class LowOrderInterleaved(AddressMapping):
     def cache_token(self) -> tuple:
         return ("low-order", self.module_bits, self.address_bits)
 
+    @property
+    def field_bits(self) -> int:
+        """The low ``m`` bits, so ``Px = max(2**(m-x), 1)``."""
+        return self.module_bits
+
     def module_of(self, address: int) -> int:
         return self.reduce(address) & (self.module_count - 1)
 
     def displacement_of(self, address: int) -> int:
         return self.reduce(address) >> self.module_bits
-
-    def period(self, family: int) -> int:
-        """``Px = max(2**(m-x), 1)``: the low bits cycle every ``2**(m-x)``."""
-        return max(1 << (self.module_bits - family), 1) if family < self.module_bits else 1
 
     def describe(self) -> str:
         return f"LowOrderInterleaved(m={self.module_bits})"
@@ -68,6 +69,12 @@ class FieldInterleaved(AddressMapping):
     def cache_token(self) -> tuple:
         return ("field", self.module_bits, self.s, self.address_bits)
 
+    @property
+    def field_bits(self) -> int:
+        """Bits up to the field's top, so ``Px = max(2**(s+m-x), 1)``:
+        the field cycles like a counter."""
+        return self.s + self.module_bits
+
     def module_of(self, address: int) -> int:
         return bit_field(self.reduce(address), self.s, self.module_bits)
 
@@ -79,11 +86,6 @@ class FieldInterleaved(AddressMapping):
         low = bit_field(address, 0, self.s)
         high = address >> (self.s + self.module_bits)
         return (high << self.s) | low
-
-    def period(self, family: int) -> int:
-        """``Px = max(2**(s+m-x), 1)`` — the field cycles like a counter."""
-        exponent = self.s + self.module_bits - family
-        return 1 << exponent if exponent > 0 else 1
 
     def describe(self) -> str:
         return f"FieldInterleaved(m={self.module_bits}, s={self.s})"

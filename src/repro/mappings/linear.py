@@ -60,6 +60,12 @@ class MatchedXorMapping(AddressMapping):
     def cache_token(self) -> tuple:
         return ("matched-xor", self.module_bits, self.s, self.address_bits)
 
+    @property
+    def field_bits(self) -> int:
+        """Bits up to the high XOR field's top, so ``Px = max(2**(s+t-x),
+        1)`` (Section 3)."""
+        return self.s + self.module_bits
+
     def module_of(self, address: int) -> int:
         address = self.reduce(address)
         low = bit_field(address, 0, self.module_bits)
@@ -80,11 +86,6 @@ class MatchedXorMapping(AddressMapping):
         high = bit_field(displacement, self.s - self.module_bits, self.module_bits)
         low = (module ^ high) & (self.module_count - 1)
         return self.reduce((displacement << self.module_bits) | low)
-
-    def period(self, family: int) -> int:
-        """``Px = max(2**(s+t-x), 1)`` (Section 3)."""
-        exponent = self.s + self.module_bits - family
-        return 1 << exponent if exponent > 0 else 1
 
     def describe(self) -> str:
         return f"MatchedXorMapping(t={self.module_bits}, s={self.s})"

@@ -77,6 +77,16 @@ class XorMatrixMapping(AddressMapping):
         # exact even for the seeded random subclass.
         return ("xor-matrix", tuple(self.masks), self.address_bits)
 
+    @property
+    def field_bits(self) -> int:
+        """The highest mask bit + 1.
+
+        ``F`` is linear over GF(2) and reads bit ``k - 1``, so half the
+        derived period adds ``2**(k-1)`` to the address mod ``2**k`` and
+        flips ``F``: ``2**max(k - x, 0)`` is the minimal period.
+        """
+        return max(self.masks, default=0).bit_length()
+
     @classmethod
     def from_matched(
         cls, t: int, s: int, address_bits: int = DEFAULT_ADDRESS_BITS

@@ -65,6 +65,12 @@ class SectionXorMapping(AddressMapping):
         return ("section-xor", self.t, self.s, self.y, self.address_bits)
 
     @property
+    def field_bits(self) -> int:
+        """Bits up to the section field's top, so ``Px = max(2**(y+t-x),
+        1)`` (Section 4.1)."""
+        return self.y + self.t
+
+    @property
     def section_count(self) -> int:
         """Number of sections, ``T = 2**t``."""
         return 1 << self.t
@@ -120,11 +126,6 @@ class SectionXorMapping(AddressMapping):
             self.modules_per_section - 1
         )
         return self.reduce(partial | low)
-
-    def period(self, family: int) -> int:
-        """``Px = max(2**(y+t-x), 1)`` (Section 4.1)."""
-        exponent = self.y + self.t - family
-        return 1 << exponent if exponent > 0 else 1
 
     def inner_period(self, family: int) -> int:
         """Period of the *within-section* module field, ``max(2**(s+t-x), 1)``.

@@ -62,6 +62,16 @@ class SkewedMapping(AddressMapping):
             self.address_bits,
         )
 
+    @property
+    def field_bits(self) -> int:
+        """Bits up to ``s + m``, so ``Px = max(2**(s+m-x), 1)``.
+
+        The module number depends only on ``a mod 2**(s+m)`` (the low bits
+        directly and the row number modulo ``2**m``), and that residue
+        cycles with period ``2**(s+m-x)`` for stride family ``x``.
+        """
+        return self.s + self.module_bits
+
     def module_of(self, address: int) -> int:
         address = self.reduce(address)
         return (address + self.distance * (address >> self.s)) & (
@@ -78,16 +88,6 @@ class SkewedMapping(AddressMapping):
         (hence the rotation offset) is known.
         """
         return self.reduce(address) >> self.module_bits
-
-    def period(self, family: int) -> int:
-        """``Px = max(2**(s+m-x), 1)``.
-
-        The module number depends only on ``a mod 2**(s+m)`` (the low bits
-        directly and the row number modulo ``2**m``), and that residue
-        cycles with period ``2**(s+m-x)`` for stride family ``x``.
-        """
-        exponent = self.s + self.module_bits - family
-        return 1 << exponent if exponent > 0 else 1
 
     def describe(self) -> str:
         return (

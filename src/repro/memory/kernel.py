@@ -55,6 +55,19 @@ than a scan over every busy module, and cycles in which nothing can
 change are skipped outright.  A single stream whose module sequence is
 conflict-free (the paper's Section 2 definition) needs no loop at all:
 its timing is the closed form behind ``T + L + 1``.
+
+A single stream whose module sequence repeats with a short period (a
+stride family's temporal distribution has period ``Px``) costs its
+transient plus its tail.  The loop snapshots its state at each period
+boundary, relative to the current cycle and the stream cursor.  The
+loop is deterministic, that relative state is finite and the input
+repeats, so once a snapshot recurs the run from there is the stretch
+between the two snapshots over and over: the loop writes those repeats'
+timings by shifting the stretch, moves its state past them and
+simulates only the tail.  Section 5-B's steady-state cost per element
+is that stretch's cycles over its requests.  Several streams always run
+the plain loop.
+
 The loop, :func:`cycle_loop`, is a function of exactly what it reads,
 behind a bounded LRU memo: a strip-mined program or a grid that repeats
 a memory batch pays for that batch's loop once.
@@ -196,13 +209,117 @@ def _conflict_free_timing(total: int, service_time: int):
     return arrival, arrival, delivery, last, False, [1], [last], [0]
 
 
+#: Period boundaries at which :func:`cycle_loop` snapshots a periodic
+#: single stream before it stops looking for a repeat.  Every seed-1
+#: access-sweep run that repeated did so by boundary 34.
+SNAPSHOT_LIMIT = 64
+
+
+def _stream_period(modules: tuple[int, ...]) -> int:
+    """The smallest power of two ``P <= L/4`` with ``modules[P:] ==
+    modules[:-P]``, or 0 if there is none."""
+    period = 1
+    while 4 * period <= len(modules):
+        if modules[period:] == modules[:-period]:
+            return period
+        period <<= 1
+    return 0
+
+
+def _relative_state(
+    position, cycle, period_modules, issued_to, started, serving, parked,
+    held_results, results, ready, events, held,
+):
+    """A single stream's loop state right after an issue phase, with
+    requests relative to the cursor ``position`` and cycles to
+    ``cycle``: everything the rest of the run reads.
+
+    Per module of the period: its queued requests, the request in
+    service, any parked result and its output-queue occupancy.  Then
+    the undelivered results with their ready offsets, the pending
+    events as sets of modules per cycle offset (order within a cycle
+    does not matter: each cycle's new results are re-sorted by module),
+    and the held-result flag.
+    """
+    return (
+        tuple(
+            (
+                tuple(rid - position for rid in issued_to[m][started[m]:]),
+                serving[m] - position if serving[m] >= 0 else None,
+                parked[m] - position if parked[m] >= 0 else None,
+                held_results[m],
+            )
+            for m in period_modules
+        ),
+        tuple((rid - position, ready[rid] - cycle) for rid in results),
+        frozenset(
+            (when - cycle, frozenset(due)) for when, due in events.items()
+        ),
+        held,
+    )
+
+
+def _lowest_named(state) -> int:
+    """The lowest request a relative state names, relative to its cursor.
+
+    Every request issued before the snapshot and not named in it was
+    delivered before the snapshot's cycle.
+    """
+    period_modules, results, _events, _held = state
+    named = [rid for rid, _ready in results]
+    for queue, serving, parked, _occupancy in period_modules:
+        named.extend(queue)
+        named.extend(rid for rid in (serving, parked) if rid is not None)
+    return min(named)
+
+
+def _copy_repeats(timings, lowest, earlier, later, count):
+    """Write ``count`` repeats of one steady-state window into ``timings``.
+
+    ``earlier`` and ``later`` are the ``(cursor, cycle)`` of two period
+    boundaries with equal relative states, so the run repeats every
+    ``R`` requests and ``D`` cycles between them.  Each issue in the
+    window (requests ``earlier`` cursor .. ``later`` cursor - 1, whose
+    arrival is the issue cycle + 1) and each start, ready and delivery
+    in ``[earlier cycle, later cycle)`` is copied to the requests ``R,
+    2R, ... count*R`` later, ``D, 2D, ... count*D`` cycles later.  The
+    scan starts at ``lowest``, the lowest request the earlier snapshot
+    names: every request below it was delivered before the window.
+    """
+    arrival, start, ready, delivery = timings
+    (mark, mark_cycle), (position, cycle) = earlier, later
+    repeat, cycles = position - mark, cycle - mark_cycle
+    last, lag = count * repeat, count * cycles
+
+    def copy(times, rid):
+        value = times[rid]
+        times[rid + repeat:rid + last + 1:repeat] = range(
+            value + cycles, value + lag + 1, cycles
+        )
+
+    for rid in range(mark, position):
+        copy(arrival, rid)
+    # A result is made ready in the service phase of cycle ``ready - 1``.
+    for times, low in (
+        (start, mark_cycle), (ready, mark_cycle + 1), (delivery, mark_cycle)
+    ):
+        high = low + cycles
+        for rid in range(lowest, position):
+            if low <= times[rid] < high:
+                copy(times, rid)
+
+
 #: Capacity of the :func:`cycle_loop` memo.  The 128 seed-1 program-grid
-#: benchmark points run the loop 1254 times on 116 distinct inputs;
-#: replayed through an LRU, 8 entries leave 403 loop runs, 16 leave 242,
-#: 32 leave 123, 64 or more leave 116.  On the 1152 access-sweep points, 570
-#: runs drop to 402 from 8 entries up, and 32 entries hold at most 17k
-#: request timings.  Unbounded, the memo raised their in-process peak RSS
-#: from 27.5 MB to 36.7 MB (CPython 3.11).
+#: benchmark points call the loop 1254 times on 116 distinct inputs;
+#: replayed through an LRU, 8 entries leave 405 loop runs, 16 leave 240,
+#: 32 or more leave 116.  In-process, the pass spends 0.03-0.04 s in the
+#: loop with this memo and 0.23-0.36 s without it.  The 1152 access-sweep
+#: points call it 570 times on 402 distinct inputs, which every size from
+#: 8 up runs 402 times; with the steady-state skip that costs 0.12-0.13 s
+#: with the memo and 0.12-0.16 s without (3 passes each, CPython 3.11,
+#: 2-CPU host).  32 entries hold at most 17k request timings; unbounded,
+#: the memo raised the access-sweep in-process peak RSS from 27.5 MB to
+#: 36.7 MB.
 LOOP_MEMO_SIZE = 32
 
 
@@ -220,6 +337,21 @@ def cycle_loop(
     held, first_issue, last_delivery, stalls)``: the per-request cycles
     over all streams in stream order, then the per-stream counters.
     Memo hits share the result, so every sequence in it is a tuple.
+
+    Steady-state skip.  Precondition: one stream (on any port count)
+    whose modules repeat with a power-of-two period ``P <= L/4``
+    (:func:`_stream_period`).  Right after each issue phase that brings
+    the cursor to a multiple of ``P``, the loop keys its state relative
+    to the cycle and cursor (:func:`_relative_state`); after
+    :data:`SNAPSHOT_LIMIT` keys without a repeat it stops looking.  Two
+    equal keys ``R`` requests and ``D`` cycles apart mean the rest of
+    the run repeats that window while requests last, because the loop
+    reads nothing else and the requests ahead repeat every ``P``.  The
+    loop then copies ``n = (L - cursor) // R`` repeats
+    (:func:`_copy_repeats`), grows the stall and delivered counts by
+    ``n`` window deltas, shifts every live request by ``nR`` and every
+    cycle by ``nD``, and simulates the tail.  Its result is the plain
+    loop's, field for field.
     """
     stream_count = len(stream_modules)
     last_busy = service_time - 1  # a service started at c ends at c + this
@@ -278,6 +410,15 @@ def cycle_loop(
     advance = True
     solo = stream_count == 1
     stalled: Sequence[int] = ()  # streams that failed to issue
+
+    # A single stream whose modules repeat every ``period`` requests is
+    # snapshotted at each period boundary: relative state -> (cursor,
+    # cycle, stalls, delivered).  None once it stops looking.
+    boundaries: dict | None = None
+    period = _stream_period(stream_modules[0]) if solo else 0
+    if period:
+        boundaries = {}
+        period_modules = sorted(set(stream_modules[0][:period]))
     while delivered < total:
         if advance:
             cycle += 1
@@ -345,6 +486,52 @@ def cycle_loop(
                 stalled.append(s)
                 blocking.append(m)
         advance = issued
+
+        if boundaries is not None and issued and cursors[0] % period == 0:
+            position = cursors[0]
+            state = _relative_state(
+                position, cycle, period_modules, issued_to, started, serving,
+                parked, held_results, results[front:], ready, events, held,
+            )
+            earlier = boundaries.get(state)
+            if earlier is None:
+                if len(boundaries) < SNAPSHOT_LIMIT:
+                    boundaries[state] = (position, cycle, stalls[0], delivered)
+                else:
+                    boundaries = None
+            else:
+                # The run repeats from here: copy ``count`` whole
+                # repeats, shift the state past them and simulate the
+                # tail.  Every copied issue exists.
+                boundaries = None
+                mark, mark_cycle, mark_stalls, mark_delivered = earlier
+                count = (total - position) // (position - mark)
+                if count:
+                    _copy_repeats(
+                        (arrival, start, ready, delivery),
+                        mark + _lowest_named(state),
+                        (mark, mark_cycle), (position, cycle), count,
+                    )
+                    shift = count * (position - mark)
+                    lag = count * (cycle - mark_cycle)
+                    stalls[0] += count * (stalls[0] - mark_stalls)
+                    delivered += count * (delivered - mark_delivered)
+                    cycle += lag
+                    cursors[0] = position + shift
+                    for m in period_modules:
+                        issued_to[m] = [
+                            rid + shift for rid in issued_to[m][started[m]:]
+                        ]
+                        started[m] = 0
+                        if serving[m] >= 0:
+                            serving[m] += shift
+                        if parked[m] >= 0:
+                            parked[m] += shift
+                    results = [rid + shift for rid in results[front:]]
+                    front, queued_total = 0, len(results)
+                    events = {
+                        when + lag: due for when, due in events.items()
+                    }
 
         # 2. Result ports: up to ``ports`` deliveries, oldest first.
         if front < queued_total and ready[results[front]] <= cycle:
@@ -507,10 +694,10 @@ class MemoryKernel:
         """Each request's module: given, or derived from its address."""
         if stream.modules is not None:
             return stream.modules
-        module_of = self.config.mapping.module_of
-        reduce = self.config.mapping.reduce
         return tuple(
-            module_of(reduce(address)) for _element, address in stream.requests
+            self.config.mapping.modules_of(
+                address for _element, address in stream.requests
+            )
         )
 
     # -- simulation -----------------------------------------------------

@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.efficiency import family_cycles_per_element
 from repro.analysis.validation import (
     validate_families,
     validate_family,
     weighted_measured_efficiency,
 )
-from repro.scenarios import ComponentSpec, MemorySpec, ScenarioSpec
+from repro.core.vector import VectorAccess
+from repro.scenarios import (
+    ComponentSpec,
+    MemorySpec,
+    ScenarioSpec,
+    simulate_access,
+)
 
 
 @pytest.fixture
@@ -57,3 +64,25 @@ class TestWeightedEfficiency:
         )
         measured = weighted_measured_efficiency(validations, 3, 4)
         assert measured == pytest.approx(0.914, abs=0.03)
+
+
+class TestSteadyState:
+    @pytest.mark.parametrize("q, qp", [(1, 1), (2, 1), (2, 2), (8, 8)])
+    def test_latency_slope_is_the_section_5b_cost(self, q, qp):
+        # Doubling L from 1024 adds exactly the model's steady-state
+        # cost per element: 1 inside the window s - N..s = 0..4, then
+        # 2**min(x - 4, t) for each family x beyond it.
+        design = ScenarioSpec(
+            mapping=ComponentSpec.of("matched-xor", t=3, s=4),
+            memory=MemorySpec(t=3, q=q, qp=qp),
+        )
+        for family in range(10):
+            short, long = (
+                simulate_access(
+                    design, VectorAccess(0, 1 << family, length)
+                ).latency
+                for length in (1024, 2048)
+            )
+            assert (long - short) / 1024 == family_cycles_per_element(
+                family, 4, 3
+            ), family

@@ -10,7 +10,8 @@ issue/arrival/start/finish/delivery cycle, every stall counter and
 every busy counter must match exactly.  Each of those tests empties the
 kernel's loop memo first (``cycle_loop.cache_clear()``), so a memo hit
 never stands in for the loop under test; ``TestLoopMemo`` pins the memo
-itself.
+itself, and ``TestSteadyStateSkip`` pins the loop's skip over a
+repeating steady state on periodic streams.
 
 On top of that, property tests pin the degenerate geometry to the
 paper: ``ports = 1, streams = 1`` with a conflict-free access is
@@ -22,9 +23,10 @@ from __future__ import annotations
 import inspect
 from collections import deque
 from dataclasses import fields, replace
+from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.planner import AccessPlanner
@@ -32,6 +34,7 @@ from repro.core.vector import VectorAccess
 from repro.errors import ConfigurationError, SimulationError
 from repro.mappings.interleaved import LowOrderInterleaved
 from repro.memory.config import MemoryConfig
+from repro.memory import kernel as kernel_module
 from repro.memory.kernel import (
     LOOP_MEMO_SIZE,
     KernelStream,
@@ -41,6 +44,7 @@ from repro.memory.kernel import (
 )
 from repro.memory.module import InFlightRequest, RequestRecords
 from repro.memory.system import MemorySystem
+from repro.obs.tracer import Tracer
 
 
 # -- the reference implementation (transcribed legacy loops) -------------
@@ -630,6 +634,127 @@ class TestLoopMemo:
         info = cycle_loop.cache_info()
         assert info.misses == 40
         assert info.currsize == LOOP_MEMO_SIZE == 32
+
+
+@st.composite
+def periodic_cases(draw):
+    """A geometry plus one stream whose modules repeat a pattern of ``P``
+    in {1, 2, 4, 8} modules, ``4P`` to 256 requests long, as addresses of
+    a low-order interleaved memory."""
+    t = draw(st.integers(min_value=0, max_value=3))
+    module_bits = t + draw(st.integers(min_value=0, max_value=2))
+    config = MemoryConfig(
+        LowOrderInterleaved(module_bits, 16),
+        t,
+        input_capacity=draw(st.integers(min_value=1, max_value=8)),
+        output_capacity=draw(st.integers(min_value=1, max_value=4)),
+        ports=draw(
+            st.integers(min_value=1, max_value=min(3, 1 << module_bits))
+        ),
+    )
+    size = config.module_count
+    period = draw(st.sampled_from([1, 2, 4, 8]))
+    pattern = draw(
+        st.lists(
+            st.integers(min_value=0, max_value=size - 1),
+            min_size=period,
+            max_size=period,
+        )
+    )
+    length = draw(st.integers(min_value=4 * period, max_value=256))
+    modules = (pattern * (length // period + 1))[:length]
+    stream = [
+        (element, module + size * element)
+        for element, module in enumerate(modules)
+    ]
+    return config, stream
+
+
+class TestSteadyStateSkip:
+    """A single periodic stream may skip its repeating steady state:
+    the loop copies whole repeats and simulates only the tail.  That
+    must be invisible: every field equals the reference loop's, traced
+    or not.  The path each example took is read off a spy on the
+    module-level helper that writes the copied repeats."""
+
+    def test_skip_matches_reference(self):
+        paths = set()
+
+        @settings(max_examples=150, deadline=None)
+        @given(periodic_cases())
+        def check(case):
+            config, stream = case
+            expected = reference_summary(config, stream)
+            with mock.patch.object(
+                kernel_module,
+                "_copy_repeats",
+                wraps=kernel_module._copy_repeats,
+            ) as spy:
+                cycle_loop.cache_clear()
+                untraced = MemoryKernel(config).run([stream])
+                looped = cycle_loop.cache_info().misses == 1
+                tracer = Tracer()
+                cycle_loop.cache_clear()
+                traced = MemoryKernel(config, tracer=tracer).run([stream])
+            if spy.called:
+                path = "skipped"
+            else:
+                # A conflict-free stream takes the closed form instead.
+                path = "plain loop" if looped else "closed form"
+            event(path)
+            paths.add(path)
+            assert single_stream_summary(untraced) == expected
+            assert traced == untraced
+            service = config.service_ratio
+            assert sorted(
+                (track, begin, end)
+                for _kind, track, _name, begin, end, _args in tracer.spans(
+                    "memory/module"
+                )
+            ) == sorted(
+                (f"memory/module {module}", begin, begin + service - 1)
+                for _e, _a, module, _i, _r, begin, _d in expected[-1]
+            )
+
+        check()
+        assert {"skipped", "plain loop"} <= paths
+
+    def test_skip_shifts_a_parked_result(self):
+        # A period-16 stream that reaches its repeat while a result is
+        # parked behind a full q' = 1 output queue.
+        config = MemoryConfig(
+            LowOrderInterleaved(3, 16), 1, input_capacity=6, output_capacity=1
+        )
+        pattern = [1, 0, 1, 1, 1, 1, 2, 1, 0, 0, 2, 1, 2, 0, 2, 2]
+        stream = [
+            (element, pattern[element % 16] + 8 * element)
+            for element in range(73)
+        ]
+        with mock.patch.object(
+            kernel_module, "_lowest_named", wraps=kernel_module._lowest_named
+        ) as spy:
+            cycle_loop.cache_clear()
+            run = MemoryKernel(config).run([stream])
+        (state,), _ = spy.call_args
+        modules = state[0]
+        assert any(parked is not None for _q, _s, parked, _o in modules)
+        assert single_stream_summary(run) == reference_summary(config, stream)
+
+    def test_skipped_share_of_a_long_conflicting_stream(self):
+        # 1000 requests to one module: the loop runs the transient and
+        # the tail and copies the rest.
+        config = MemoryConfig(LowOrderInterleaved(3, 16), 3)
+        stream = [(element, 8 * element) for element in range(1000)]
+        with mock.patch.object(
+            kernel_module,
+            "_copy_repeats",
+            wraps=kernel_module._copy_repeats,
+        ) as spy:
+            cycle_loop.cache_clear()
+            run = MemoryKernel(config).run([stream])
+        (_timings, _lowest, earlier, later, count), _ = spy.call_args
+        assert count * (later[0] - earlier[0]) > 900
+        assert single_stream_summary(run) == reference_summary(config, stream)
 
 
 class TestKernelValidation:
