@@ -42,6 +42,24 @@ class RandomAccessVectorRegister:
             )
         return value
 
+    def prefix(self, length: int) -> list[float]:
+        """Elements ``0..length-1``, raising as :meth:`read` would for the
+        first of them that is missing."""
+        values = self._values[:length]
+        if None in values:
+            self.read(values.index(None))  # raises: not written
+        if length > self.length:
+            self.read(self.length)  # raises: out of range
+        return values  # type: ignore[return-value]  # no None left
+
+    def set(self, values) -> None:
+        """Replace the contents: ``values`` fill elements ``0..n-1`` and
+        every later element is cleared."""
+        values = list(values)
+        if len(values) > self.length:
+            self.write(self.length, values[self.length])  # raises
+        self._values = values + [None] * (self.length - len(values))
+
     @property
     def full(self) -> bool:
         """All elements present (the decoupled execute unit's ready bit)."""
@@ -129,7 +147,4 @@ class VectorRegisterFile:
 
     def load_values(self, number: int, values) -> None:
         """Fill a register wholesale (test/benchmark convenience)."""
-        register = self.register(number)
-        register.clear()
-        for index, value in enumerate(values):
-            register.write(index, value)
+        self.register(number).set(values)

@@ -48,9 +48,32 @@ class MemoryStore:
 
     def write_vector(self, base: int, stride: int, values) -> None:
         """Bulk store: ``values[i]`` at ``base + i * stride``."""
+        words, mask = self._words, self._mask
         for i, value in enumerate(values):
-            self.write(base + i * stride, value)
+            words[(base + i * stride) & mask] = value
 
     def read_vector(self, base: int, stride: int, length: int) -> list[float]:
         """Bulk load of a constant-stride vector."""
         return [self.read(base + i * stride) for i in range(length)]
+
+    def write_stream(self, stream, value_of) -> None:
+        """Bulk store of a request stream of ``(element, address)`` pairs,
+        in issue order: each address gets ``value_of(element)``, so a
+        repeated address keeps the last write."""
+        words, mask = self._words, self._mask
+        for element, address in stream:
+            words[address & mask] = value_of(element)
+
+    def read_stream(self, stream, length: int) -> list[float | None]:
+        """Bulk load of a request stream of ``(element, address)`` pairs,
+        in issue order, into an element-indexed list of ``length`` slots
+        (``None`` where the stream names no element).  The first
+        uninitialised address raises as :meth:`read` does."""
+        words, mask = self._words, self._mask
+        values: list[float | None] = [None] * length
+        for element, address in stream:
+            try:
+                values[element] = words[address & mask]
+            except KeyError:
+                self.read(address)  # raises, naming module and displacement
+        return values

@@ -1,9 +1,11 @@
 """Decoupled access/execute vector processor (Figure 1) and its ISA.
 
 :meth:`DecoupledVectorMachine.run` is the one way to run a vector
-program (preload, run, verify, and every timing and memory result in
-one :class:`MachineResult`); :meth:`OpenBatch.refusal` is the one
-batching rule, shared with the static hazard analysis in
+program (preload, a value pass, a timing pass, verify, and every timing
+and memory result in one :class:`MachineResult`);
+:meth:`DecoupledVectorMachine.time` re-times a run's resolved accesses
+on another machine.  :meth:`OpenBatch.refusal` is the one batching
+rule, shared with the static hazard analysis in
 :mod:`repro.check.hazards`.
 """
 

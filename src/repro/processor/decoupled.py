@@ -30,26 +30,44 @@ instruction out of it, so program semantics never change — only the
 overlap.  :func:`repro.check.hazards.predict_batches` applies the same
 rule to static facts.
 
-Timing is accounted per instruction; data really moves (loads read the
-backing store, stores write it), so end-to-end numerical correctness is
-asserted alongside cycle counts in the tests.
+A run makes two passes.  Values do not depend on when elements arrive
+(each request carries its element index into a random-access register,
+Section 5-D), so the *value pass* runs the program in program order on
+whole vectors: it plans each memory instruction, moves its data between
+the backing store and the register file in the request stream's issue
+order, and records the plan and stream as a :class:`ResolvedAccess`.
+The *timing pass*, :meth:`DecoupledVectorMachine.time`, runs those
+accesses through the batches, the kernel and the execute unit and moves
+no values.  The chaining baseline is the timing pass alone, on a machine
+that does not chain.
+
+Since the timing pass moves no values, a timing bug cannot show up as a
+wrong output; the timing pass checks its own schedule instead, for
+register RAW order and for hazard-free batches
+(:meth:`DecoupledVectorMachine._check_schedule` lists the rules and
+says why cross-unit WAR and WAW are not among them).
 
 :meth:`DecoupledVectorMachine.run` is the one way to run a program: it
-preloads memory, runs, checks the expected memory contents and returns
-a :class:`MachineResult` with timings, timeline rows, the per-access
-memory results and the correctness verdict.  The scenario facade and
-the CLI both call it.
+preloads memory, runs both passes, checks the expected memory contents
+and returns a :class:`MachineResult` with timings, timeline rows, the
+per-access memory results and the correctness verdict.  The scenario
+facade and the CLI both call it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from math import isnan
 
 from repro.core.gather import IndexedAccess, IndexedMode, plan_indexed
 from repro.core.planner import AccessPlanner, PlanMode
 from repro.core.vector import VectorAccess
-from repro.errors import ConfigurationError, ProgramError, SimulationError
+from repro.errors import (
+    ConfigurationError,
+    ProgramError,
+    RegisterFileError,
+    SimulationError,
+)
 from repro.hardware.register_file import VectorRegisterFile
 from repro.memory.config import MemoryConfig
 from repro.memory.kernel import KernelStream, MemoryKernel
@@ -138,7 +156,9 @@ class MachineResult:
     memory instruction's plan scheme with its cycle-accurate
     :class:`~repro.memory.system.AccessResult`, in instruction order.
     ``outputs_correct`` is ``None`` when the run was given no expected
-    memory contents.
+    memory contents.  ``resolved`` is the value pass's output, which
+    :meth:`DecoupledVectorMachine.time` can time again on another
+    machine.
     """
 
     timings: tuple[InstructionTiming, ...]
@@ -147,6 +167,9 @@ class MachineResult:
     memory_runs: tuple = ()
     outputs_correct: bool | None = None
     output_errors: tuple[str, ...] = ()
+    resolved: ResolvedProgram | None = field(
+        default=None, compare=False, repr=False
+    )
 
     @property
     def timeline(self) -> tuple[tuple, ...]:
@@ -314,36 +337,84 @@ class OpenBatch:
         return None
 
 
-@dataclass
-class _LoadRecord:
-    """Per-element delivery times of the latest definition of a register."""
-
-    conflict_free: bool
-    deliveries: list[tuple[int, int]]  # (delivery_cycle, element), issue order
-
-
-@dataclass
-class _PendingAccess:
-    """One memory instruction prepared for (possibly batched) execution,
-    with the cycle-exact facts :meth:`OpenBatch.refusal` reads."""
+@dataclass(frozen=True)
+class ResolvedAccess:
+    """One memory instruction as the value pass resolved it: its plan,
+    request stream and the facts :meth:`OpenBatch.refusal` reads."""
 
     position: int
     instruction: object
     plan: object
     stream: tuple[tuple[int, int], ...]
     stores: tuple[int, ...]
-    ready_cycle: int
     span: tuple[int, int]  # min/max raw address touched
     is_store_op: bool
     reads: frozenset[int]
     writes: frozenset[int]
-    late_operands: tuple[int, ...]
-    #: Lateness here is measured in cycles, never assumed.
-    late_assumed = False
 
     @property
     def mnemonic(self) -> str:
         return self.instruction.mnemonic  # type: ignore[attr-defined]
+
+
+@dataclass(frozen=True)
+class ResolvedProgram:
+    """A program after the value pass: each memory instruction's resolved
+    access, in program order, and what resolved them.
+
+    The plans fit only a machine with the same ``config``,
+    ``register_length``, ``plan_mode`` and ``gather_mode``.  The
+    ``predefined`` registers held values before the run, so they are
+    ready at cycle 0.
+    """
+
+    program: Program
+    accesses: tuple[ResolvedAccess, ...]
+    config: MemoryConfig
+    register_length: int
+    plan_mode: str
+    gather_mode: str
+    predefined: frozenset[int]
+
+
+@dataclass
+class _PendingAccess:
+    """A resolved access asking to join the open batch, with the
+    cycle-exact facts :meth:`OpenBatch.refusal` reads; every other
+    attribute is the resolved access's."""
+
+    access: ResolvedAccess
+    ready_cycle: int
+    late_operands: tuple[int, ...]
+    #: Lateness here is measured in cycles, never assumed.
+    late_assumed = False
+
+    def __getattr__(self, name: str):
+        return getattr(self.access, name)
+
+
+@dataclass
+class _LoadRecord:
+    """How the latest load into a register delivered: its request stream,
+    each request's delivery cycle in its batch's clock (issue order) and
+    that batch's offset to program cycles."""
+
+    conflict_free: bool
+    stream: tuple[tuple[int, int], ...]
+    delivery_cycles: tuple[int, ...]
+    offset: int
+
+    def feed_window(self, length: int) -> tuple[int, int]:
+        """First and last program cycle at which elements ``0..length-1``
+        were delivered — what a chained execute of ``length`` waits on."""
+        cycles = [
+            cycle
+            for (element, _address), cycle in zip(
+                self.stream, self.delivery_cycles
+            )
+            if element < length
+        ]
+        return min(cycles) + self.offset, max(cycles) + self.offset
 
 
 class DecoupledVectorMachine:
@@ -431,31 +502,52 @@ class DecoupledVectorMachine:
 
         ``inputs`` are ``(base, stride, values)`` vectors written to the
         backing store first; ``expected`` are vectors the store must
-        hold afterwards (the numerical-correctness check — data really
-        moves through the register file and memory, so this catches
-        timing models that forget to move it).  The register file and
-        backing store persist across calls, so a caller can also preload
-        data through :attr:`store` and read results back afterwards.
+        hold afterwards (the numerical-correctness check).  In between,
+        the value pass runs the program in program order, moving every
+        value and resolving every memory instruction's plan and request
+        stream, and :meth:`time` times the resolved accesses.  Value and
+        planning errors are therefore raised in program order, before
+        any timing.  The register file and backing store persist across
+        calls, so a caller can also preload data through :attr:`store`
+        and read results back afterwards.
         """
         for base, stride, values in inputs:
             self.store.write_vector(base, stride, values)
-        already_loaded = {
-            number
-            for number in range(REGISTER_COUNT)
-            if self.registers.register(number).valid_count > 0
-        }
-        program.validate(REGISTER_COUNT, predefined=already_loaded)
+        result = self.time(self._execute(program))
+        outputs_correct, output_errors = self._verify(expected)
+        return replace(
+            result, outputs_correct=outputs_correct, output_errors=output_errors
+        )
+
+    def time(self, resolved: ResolvedProgram) -> MachineResult:
+        """The timing pass: time a resolved program on this machine.
+
+        Memory instructions form batches by :meth:`OpenBatch.refusal`,
+        each batch is one kernel run, and each execute instruction
+        chains or waits; the register file and the store are neither
+        read nor written.  ``resolved`` may come from another machine's
+        run (``run(...).resolved``) that planned alike — the same
+        config, register length, plan mode and gather mode — which is
+        how the chaining baseline is timed; a machine that differs in
+        any of them raises :class:`ConfigurationError`.  The schedule is
+        checked before returning (:meth:`_check_schedule`).
+        """
+        for name in ("config", "register_length", "plan_mode", "gather_mode"):
+            if getattr(resolved, name) != getattr(self, name):
+                raise ConfigurationError(
+                    f"the program was resolved on a machine with another "
+                    f"{name}; its plans do not fit this machine"
+                )
         memory_runs: list[tuple[str, object]] = []
         timings: dict[int, InstructionTiming] = {}
         memory_free = 1
         execute_free = 1
-        register_ready: dict[int, int] = {
-            number: 0 for number in already_loaded
-        }
+        register_ready = dict.fromkeys(resolved.predefined, 0)
         load_records: dict[int, _LoadRecord] = {}
         batch = OpenBatch(self.memory_streams)
         batch_start = 1
         peak = 0
+        accesses = iter(resolved.accesses)
 
         def finalise() -> None:
             nonlocal memory_free, peak
@@ -472,26 +564,32 @@ class DecoupledVectorMachine:
             )
             batch.clear()
 
-        for position, instruction in enumerate(program):
+        for position, instruction in enumerate(resolved.program):
             reads = frozenset(instruction.reads())
             writes = frozenset(instruction.writes())
             if batch.members and batch.refusal(position, reads, writes):
                 # Register hazard against an in-flight access: drain the
-                # batch so values and ready cycles are current before a
-                # memory instruction is planned (a gather reads its
-                # index register) and asked about again below.
+                # batch so ready cycles are current before a memory
+                # instruction is asked about again below.
                 finalise()
             if instruction.is_memory:
-                pending = self._prepare_memory(
-                    position, instruction, register_ready, batch_start
+                # An operand is late when it is ready after the open
+                # batch's first cycle.
+                operands = instruction.reads()
+                pending = _PendingAccess(
+                    next(accesses),
+                    max((register_ready[r] for r in operands), default=0),
+                    tuple(
+                        r for r in operands if register_ready[r] + 1 > batch_start
+                    ),
                 )
                 if not batch.members or batch.refusal(
                     position, reads, writes, pending
                 ):
                     finalise()
                     batch_start = max(memory_free, pending.ready_cycle + 1)
-                batch.add(pending)
-            elif isinstance(instruction, (VBinary, VScalarOp, VSum)):
+                batch.add(pending.access)
+            else:
                 timing, execute_free = self._run_execute(
                     position,
                     instruction,
@@ -500,20 +598,16 @@ class DecoupledVectorMachine:
                     load_records,
                 )
                 timings[position] = timing
-            else:  # pragma: no cover - defensive
-                raise ProgramError(f"unsupported instruction {instruction!r}")
         finalise()
 
         ordered = tuple(timings[position] for position in sorted(timings))
-        total = max((timing.end_cycle for timing in ordered), default=0)
-        outputs_correct, output_errors = self._verify(expected)
+        self._check_schedule(resolved, ordered, memory_runs)
         return MachineResult(
             timings=ordered,
-            total_cycles=total,
+            total_cycles=max((timing.end_cycle for timing in ordered), default=0),
             stream_concurrency_peak=max(peak, 1),
             memory_runs=tuple(memory_runs),
-            outputs_correct=outputs_correct,
-            output_errors=output_errors,
+            resolved=resolved,
         )
 
     def _verify(
@@ -537,84 +631,140 @@ class DecoupledVectorMachine:
                     )
         return not errors, tuple(errors)
 
-    # -- memory unit ----------------------------------------------------
+    def _length(self, instruction) -> int:
+        """An instruction's element count (the register length when it
+        names none)."""
+        if instruction.length is None:
+            return self.register_length
+        return instruction.length
 
-    def _vector_for(self, instruction) -> VectorAccess:
-        length = (
-            instruction.length
-            if instruction.length is not None
-            else self.register_length
+    # -- value pass -----------------------------------------------------
+
+    def _execute(self, program: Program) -> ResolvedProgram:
+        """The value pass: run ``program`` in program order on whole
+        vectors, resolving each memory instruction on the way."""
+        predefined = frozenset(
+            number
+            for number in range(REGISTER_COUNT)
+            if self.registers.register(number).valid_count > 0
         )
+        program.validate(REGISTER_COUNT, predefined=set(predefined))
+        accesses = []
+        for position, instruction in enumerate(program):
+            if instruction.is_memory:
+                accesses.append(self._resolve(position, instruction))
+            elif isinstance(instruction, (VBinary, VScalarOp, VSum)):
+                self._apply_values(instruction)
+            else:  # pragma: no cover - defensive
+                raise ProgramError(f"unsupported instruction {instruction!r}")
+        return ResolvedProgram(
+            program,
+            tuple(accesses),
+            self.config,
+            self.register_length,
+            self.plan_mode,
+            self.gather_mode,
+            predefined,
+        )
+
+    def _resolve(self, position: int, instruction) -> ResolvedAccess:
+        """Plan one memory instruction and move its data.
+
+        A gather or scatter plans from its index register, whose values
+        are current because the pass runs in program order.  Data moves
+        in the request stream's issue order, the order the hardware
+        issues it, so an error names the first failing address or
+        element in that order and, when a scatter repeats an address,
+        the last request issued wins.  A load must deliver each of its
+        elements exactly once.
+        """
+        length = self._length(instruction)
         if length > self.register_length:
             raise ProgramError(
                 f"access length {length} exceeds the register length "
                 f"{self.register_length}"
             )
-        return VectorAccess(instruction.base, instruction.stride, length)
-
-    def _indexed_access_for(self, instruction) -> IndexedAccess:
-        """Build the gather/scatter address set from the index register."""
-        length = (
-            instruction.length
-            if instruction.length is not None
-            else self.register_length
-        )
-        if length > self.register_length:
-            raise ProgramError(
-                f"access length {length} exceeds the register length "
-                f"{self.register_length}"
-            )
-        index_register = self.registers.register(instruction.index)
-        indices = [int(index_register.read(i)) for i in range(length)]
-        return IndexedAccess(instruction.base, indices)
-
-    def _prepare_memory(
-        self,
-        position: int,
-        instruction,
-        register_ready: dict[int, int],
-        batch_start: int,
-    ) -> _PendingAccess:
-        """Plan one memory instruction and capture the facts the batch
-        rule reads.  An operand is late when its ready cycle + 1 is
-        later than ``batch_start``, the open batch's first cycle."""
         if isinstance(instruction, (VLoad, VStore)):
-            vector = self._vector_for(instruction)
-            plan = self.planner.plan(vector, mode=self.plan_mode)
-            length = vector.length
-        else:
-            access = self._indexed_access_for(instruction)
-            plan = plan_indexed(
-                self.config.mapping, self.config.t, access, mode=self.gather_mode
+            plan = self.planner.plan(
+                VectorAccess(instruction.base, instruction.stride, length),
+                mode=self.plan_mode,
             )
-            length = access.length
+        else:
+            indices = self.registers.register(instruction.index).prefix(length)
+            plan = plan_indexed(
+                self.config.mapping,
+                self.config.t,
+                IndexedAccess(instruction.base, [int(i) for i in indices]),
+                mode=self.gather_mode,
+            )
         stream = tuple(plan.request_stream())
         is_store_op = isinstance(instruction, (VStore, VScatter))
-        operands = instruction.reads()
-        return _PendingAccess(
+        if is_store_op:
+            source = self.registers.register(instruction.src)
+            self.store.write_stream(stream, source.read)
+        else:
+            values = self.store.read_stream(stream, length)
+            if len(stream) != length or None in values:
+                raise SimulationError(
+                    f"instruction {position} ({instruction.mnemonic}): its "
+                    f"request stream does not deliver each of elements "
+                    f"0..{length - 1} exactly once"
+                )
+            self.registers.register(instruction.dst).set(values)
+        return ResolvedAccess(
             position,
             instruction,
             plan,
             stream,
             tuple(range(length)) if is_store_op else (),
-            max((register_ready[r] for r in operands), default=0),
             _address_span(stream),
             is_store_op,
-            frozenset(operands),
+            frozenset(instruction.reads()),
             frozenset(instruction.writes()),
-            tuple(r for r in operands if register_ready[r] + 1 > batch_start),
         )
+
+    def _apply_values(self, instruction) -> None:
+        """Compute an execute instruction's destination from the first
+        ``length`` elements of its operands."""
+        length = self._length(instruction)
+        destination = self.registers.register(instruction.writes()[0])
+        # Cleared before the operands are read, so an instruction whose
+        # destination is also an operand reads it empty and fails.
+        destination.clear()
+        if isinstance(instruction, VBinary):
+            left = self.registers.register(instruction.a)
+            right = self.registers.register(instruction.b)
+            try:
+                values = list(
+                    map(instruction.apply, left.prefix(length), right.prefix(length))
+                )
+            except RegisterFileError:
+                # Name the lowest element either operand lacks, as an
+                # element-wise read of both would.
+                for index in range(length):
+                    left.read(index)
+                    right.read(index)
+                raise
+        elif isinstance(instruction, VSum):
+            source = self.registers.register(instruction.src).prefix(length)
+            values = [sum(source)] * length
+        else:
+            source = self.registers.register(instruction.src).prefix(length)
+            values = list(map(instruction.apply, source))
+        destination.set(values)
+
+    # -- timing pass ----------------------------------------------------
 
     def _finalise_batch(
         self,
-        batch: list[_PendingAccess],
+        batch: list[ResolvedAccess],
         batch_start: int,
         register_ready: dict[int, int],
         load_records: dict[int, _LoadRecord],
         timings: dict[int, InstructionTiming],
         memory_runs: list[tuple[str, object]],
     ) -> int:
-        """Run the batch (one kernel run), apply values, record timing.
+        """Run the batch (one kernel run) and record its timing.
 
         Returns the cycle the memory unit frees (all streams drained).
         """
@@ -647,25 +797,13 @@ class DecoupledVectorMachine:
             # Batches run, and their members join, in program order.
             memory_runs.append((member.plan.scheme, result))
             if not member.is_store_op:
-                register = self.registers.register(member.instruction.dst)
-                register.clear()
-                write, read = register.write, self.store.read
-                # Elements are written in issue order; the execute unit
-                # sorts the deliveries by cycle when it chains.
-                deliveries: list[tuple[int, int]] = []
-                for (element, address), delivered in zip(
-                    member.stream, result.requests.delivery_cycles
-                ):
-                    write(element, read(address))
-                    deliveries.append((delivered + offset, element))
                 register_ready[member.instruction.dst] = end
                 load_records[member.instruction.dst] = _LoadRecord(
-                    conflict_free=result.conflict_free, deliveries=deliveries
+                    result.conflict_free,
+                    member.stream,
+                    result.requests.delivery_cycles,
+                    offset,
                 )
-            else:  # store / scatter: move register data into memory
-                read = self.registers.register(member.instruction.src).read
-                for element, address in member.stream:
-                    self.store.write(address, read(element))
             timings[member.position] = InstructionTiming(
                 member.position,
                 member.instruction.mnemonic,
@@ -691,8 +829,6 @@ class DecoupledVectorMachine:
                 )
         return unit_free
 
-    # -- execute unit ---------------------------------------------------
-
     def _run_execute(
         self,
         position: int,
@@ -701,11 +837,7 @@ class DecoupledVectorMachine:
         register_ready: dict[int, int],
         load_records: dict[int, _LoadRecord],
     ) -> tuple[InstructionTiming, int]:
-        length = (
-            instruction.length
-            if instruction.length is not None
-            else self.register_length
-        )
+        length = self._length(instruction)
         reads = instruction.reads()
         ready_times = {register: register_ready[register] for register in reads}
 
@@ -717,14 +849,11 @@ class DecoupledVectorMachine:
                 (ready_times[r] for r in reads if r != chain_register),
                 default=0,
             )
-            record = load_records[chain_register]
-            deliveries = sorted(record.deliveries)[:length]
-            start = max(
-                execute_free, other_ready + 1, deliveries[0][0] + 1
-            )
-            finish_feed = start
-            for slot, (delivery_cycle, _element) in enumerate(deliveries):
-                finish_feed = max(start + slot, delivery_cycle + 1)
+            first, last = load_records[chain_register].feed_window(length)
+            start = max(execute_free, other_ready + 1, first + 1)
+            # Element k feeds at start + k at the earliest, and the last
+            # one only after the last of them was delivered.
+            finish_feed = max(start + length - 1, last + 1)
             end = finish_feed + self.execute_startup
             mode = "chained"
             next_free = finish_feed + 1
@@ -735,7 +864,6 @@ class DecoupledVectorMachine:
             mode = "decoupled"
             next_free = start + length
 
-        self._apply_values(instruction, length)
         register_ready[instruction.writes()[0]] = end
         load_records.pop(instruction.writes()[0], None)
         if self.tracer.enabled:
@@ -771,28 +899,96 @@ class DecoupledVectorMachine:
             return None
         return candidate
 
-    def _apply_values(self, instruction, length: int) -> None:
-        """Move the data: element-wise semantics independent of timing."""
-        destination = self.registers.register(instruction.writes()[0])
-        destination.clear()
-        if isinstance(instruction, VBinary):
-            left = self.registers.register(instruction.a)
-            right = self.registers.register(instruction.b)
-            for index in range(length):
-                destination.write(
-                    index, instruction.apply(left.read(index), right.read(index))
+    def _check_schedule(
+        self,
+        resolved: ResolvedProgram,
+        timings: tuple[InstructionTiming, ...],
+        memory_runs: list[tuple[str, object]],
+    ) -> None:
+        """Check the timed schedule against the program.
+
+        The check reads only the program, the timeline and the kernel's
+        per-request records, never the timing pass's own ready cycles or
+        load records.  A violation raises :class:`SimulationError`
+        naming both instructions.
+
+        * **RAW**: every instruction starts after each operand's last
+          writer ended.  A chained execute may overlap the load it
+          chains on, but with length ``n`` it feeds its last element
+          only after every element ``0..n-1`` of that load was
+          delivered.
+        * **Batch**: memory instructions that share a start cycle form
+          one batch.  No two of them have a register hazard between
+          them, and none pairs a store with an overlapping span.
+
+        Cross-unit WAR and WAW are not checked, because the model does
+        not enforce them: a load may rewrite a register that an earlier
+        execute is still reading.  Values are applied in program order,
+        so outputs do not show it.
+        """
+        loads = {
+            access.position: (access, result)
+            for access, (_scheme, result) in zip(resolved.accesses, memory_runs)
+            if not access.is_store_op
+        }
+        writer: dict[int, int] = {}  # register -> its last writer so far
+        for position, instruction in enumerate(resolved.program):
+            timing = timings[position]
+            for register in instruction.reads():
+                source = writer.get(register)
+                if source is None or timing.start_cycle > timings[source].end_cycle:
+                    continue
+                if timing.mode == "chained" and source in loads:
+                    access, result = loads[source]
+                    length = self._length(instruction)
+                    delivered = timings[source].start_cycle - 1 + max(
+                        cycle
+                        for (element, _address), cycle in zip(
+                            access.stream, result.requests.delivery_cycles
+                        )
+                        if element < length
+                    )
+                    fed = timing.end_cycle - self.execute_startup
+                    if fed > delivered:
+                        continue
+                    raise SimulationError(
+                        f"instruction {position} feeds its last element of "
+                        f"V{register} at cycle {fed}, before instruction "
+                        f"{source} delivered elements 0..{length - 1} (the "
+                        f"last at cycle {delivered})"
+                    )
+                raise SimulationError(
+                    f"instruction {position} reads V{register} at cycle "
+                    f"{timing.start_cycle}, before instruction {source} made "
+                    f"it ready at cycle {timings[source].end_cycle}"
                 )
-        elif isinstance(instruction, VSum):
-            source = self.registers.register(instruction.src)
-            total = sum(source.read(index) for index in range(length))
-            for index in range(length):
-                destination.write(index, total)
-        elif isinstance(instruction, VScalarOp):
-            source = self.registers.register(instruction.src)
-            for index in range(length):
-                destination.write(index, instruction.apply(source.read(index)))
-        else:  # pragma: no cover - defensive
-            raise ProgramError(f"unsupported execute instruction {instruction!r}")
+            for register in instruction.writes():
+                writer[register] = position
+        batches: dict[int, list[ResolvedAccess]] = {}
+        for access in resolved.accesses:
+            start = timings[access.position].start_cycle
+            batches.setdefault(start, []).append(access)
+        for start, members in batches.items():
+            for index, later in enumerate(members):
+                for earlier in members[:index]:
+                    hazard = (later.reads & earlier.writes) | (
+                        later.writes & (earlier.reads | earlier.writes)
+                    )
+                    if hazard:
+                        names = ", ".join(f"V{r}" for r in sorted(hazard))
+                        problem = f"a register hazard on {names}"
+                    elif (earlier.is_store_op or later.is_store_op) and (
+                        earlier.span[0] <= later.span[1]
+                        and later.span[0] <= earlier.span[1]
+                    ):
+                        problem = "overlapping address spans and a store"
+                    else:
+                        continue
+                    raise SimulationError(
+                        f"instructions {earlier.position} and "
+                        f"{later.position} share the batch at cycle {start} "
+                        f"despite {problem}"
+                    )
 
 
 def _address_span(stream: tuple[tuple[int, int], ...]) -> tuple[int, int]:

@@ -578,9 +578,9 @@ def _simulate_program(
     Memory metrics (latency, stalls, conflict-freedom...) aggregate over
     every LOAD/STORE the program issued; machine-level observations land
     in ``extras`` and the per-instruction ``timeline``.  When the drive
-    enables chaining, the program is also run on an otherwise-identical
-    non-chaining machine, and the measured decoupled/chained speedup is
-    reported next to the analytic
+    enables chaining, the run's resolved accesses are also timed on an
+    otherwise-identical non-chaining machine, and the measured
+    decoupled/chained speedup is reported next to the analytic
     :func:`repro.processor.chaining.program_chaining_speedup` prediction
     with the model's stated tolerance.
     """
@@ -619,12 +619,13 @@ def _simulate_program(
         if run.output_errors:
             extras.append(("output_errors", run.output_errors[:5]))
     if drive.chaining:
-        # The Section 5-F measurement for whole kernels: the same program
-        # and inputs on an otherwise-identical machine that does not
-        # chain.  Untraced, so its events do not overlay this run's.
+        # The Section 5-F measurement for whole kernels: the same
+        # accesses timed on an otherwise-identical machine that does not
+        # chain.  Values do not depend on timing, so only the timing pass
+        # runs.  Untraced, so its events do not overlay this run's.
         decoupled = _machine(
             config, register_length, replace(drive, chaining=False)
-        ).run(scenario_program.program, scenario_program.inputs)
+        ).time(run.resolved)
         measured = (
             decoupled.total_cycles / run.total_cycles
             if run.total_cycles

@@ -5,7 +5,9 @@ batch partition :func:`repro.check.predict_batches` derives from
 register names and address arithmetic alone must equal the partition
 the cycle-accurate :class:`DecoupledVectorMachine` actually forms.  On
 generated programs the same holds whenever every predicted break is
-certain; a break that rests on an assumption is reported as one.
+certain; a break that rests on an assumption is reported as one.  The
+same generated programs show that timing a chained run's resolved
+accesses on a non-chaining machine equals running it there.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hypothesis import strategies as st
 from repro.check import check_path, predict_batches
 from repro.mappings import SectionXorMapping
 from repro.memory import MemoryConfig
+from repro.obs.tracer import Tracer
 from repro.processor import (
     TIMELINE_FIELDS,
     DecoupledVectorMachine,
@@ -253,3 +256,43 @@ def test_generated_programs_batch_as_predicted():
 
     check()
     assert seen["assumed"] > 0 and seen["certain"] > 0, seen
+
+
+def memory_facts(run) -> list[tuple]:
+    """Each memory run's scheme, latency and delivery cycles."""
+    return [
+        (scheme, access.latency, access.requests.delivery_cycles)
+        for scheme, access in run.memory_runs
+    ]
+
+
+def test_baseline_timing_equals_a_full_non_chaining_run():
+    """The chaining baseline's shortcut, ``time`` on the chained run's
+    resolved accesses, equals a fresh non-chaining ``run`` at 1, 2 and 4
+    memory streams; a traced chained run times as an untraced one."""
+    chained_executes = 0
+
+    @seed(23)
+    @settings(max_examples=150, deadline=None, database=None)
+    @given(straight_line_programs())
+    def check(case):
+        nonlocal chained_executes
+        program, inputs = case
+        for streams in STREAMS:
+            config = MemoryConfig(SectionXorMapping(3, 4, 9), 3, ports=streams)
+
+            def machine(**kwargs):
+                return DecoupledVectorMachine(config, GENERATED_LENGTH, **kwargs)
+
+            chained = machine(chaining=True).run(program, inputs)
+            shortcut = machine().time(chained.resolved)
+            full = machine().run(program, inputs)
+            assert shortcut.timings == full.timings, f"streams={streams}"
+            assert shortcut.total_cycles == full.total_cycles
+            assert memory_facts(shortcut) == memory_facts(full)
+            traced = machine(chaining=True, tracer=Tracer()).run(program, inputs)
+            assert traced.timings == chained.timings
+            chained_executes += chained.chained_count()
+
+    check()
+    assert chained_executes > 0

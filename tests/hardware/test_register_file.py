@@ -56,6 +56,33 @@ class TestRandomAccessRegister:
         with pytest.raises(RegisterFileError):
             RandomAccessVectorRegister(0)
 
+    def test_prefix_reads_the_first_elements(self):
+        register = RandomAccessVectorRegister(4)
+        register.set([1.0, 2.0, 3.0])
+        assert register.prefix(2) == [1.0, 2.0]
+        assert register.prefix(3) == [1.0, 2.0, 3.0]
+
+    def test_prefix_raises_on_the_first_missing_element(self):
+        register = RandomAccessVectorRegister(4)
+        register.set([1.0, 2.0])
+        with pytest.raises(
+            RegisterFileError, match="^element 2 read before it was written$"
+        ):
+            register.prefix(4)
+        register.set([1.0] * 4)
+        with pytest.raises(RegisterFileError, match="^element 4 out of range"):
+            register.prefix(5)
+
+    def test_set_clears_the_rest(self):
+        register = RandomAccessVectorRegister(3)
+        register.set([1.0, 2.0, 3.0])
+        register.set([9.0])
+        assert register.valid_count == 1
+        with pytest.raises(RegisterFileError):
+            register.read(1)
+        with pytest.raises(RegisterFileError, match="out of range"):
+            register.set([0.0] * 4)
+
 
 class TestFifoRegister:
     def test_in_order_writes(self):

@@ -65,6 +65,31 @@ class TestVectorHelpers:
         assert store.read(994) == 3.0
 
 
+class TestStreamHelpers:
+    """Request streams of ``(element, address)`` pairs, in issue order."""
+
+    def test_stream_roundtrip_by_element(self):
+        store = MemoryStore(MatchedXorMapping(3, 4))
+        stream = [(2, 30), (0, 10), (1, 20)]
+        store.write_stream(stream, [5.0, 6.0, 7.0].__getitem__)
+        assert [store.read(a) for a in (10, 20, 30)] == [5.0, 6.0, 7.0]
+        assert store.read_stream(stream, 4) == [5.0, 6.0, 7.0, None]
+
+    def test_repeated_address_keeps_the_last_write(self):
+        store = MemoryStore(MatchedXorMapping(3, 4))
+        store.write_stream([(0, 8), (1, 8)], [1.0, 2.0].__getitem__)
+        assert store.read(8) == 2.0
+
+    def test_first_uninitialised_address_in_issue_order_raises(self):
+        store = MemoryStore(MatchedXorMapping(3, 4, address_bits=12))
+        store.write(10, 1.0)
+        with pytest.raises(SimulationError) as caught:
+            store.read_stream([(0, 10), (1, 4138), (2, 7)], 3)
+        assert str(caught.value) == (
+            "read of uninitialised address 4138 (module 0, displacement 5)"
+        )
+
+
 class TestBijectivityViaStorage:
     """Distinct addresses never share a word: dense ranges and random
     address sets round-trip under each mapping kind."""

@@ -1,18 +1,23 @@
 """``DecoupledVectorMachine.run``: one call from instruction list to
-timelines, memory runs, overlap accounting and correctness verdicts."""
+timelines, memory runs, overlap accounting and correctness verdicts;
+its value pass, its timing pass (``time``) and the schedule check."""
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import pytest
 
+from repro.core.planner import AccessPlan
 from repro.core.vector import VectorAccess
+from repro.errors import ConfigurationError, RegisterFileError, SimulationError
 from repro.memory.config import MemoryConfig
 from repro.processor import (
     TIMELINE_FIELDS,
     VERIFY_TOLERANCE,
     DecoupledVectorMachine,
+    OpenBatch,
     single_load_program,
 )
 from repro.processor.isa import VAdd, VLoad, VStore
@@ -182,6 +187,184 @@ class TestOverlapAndChaining:
         assert chained.conflict_free_loads() == 0
         assert chained.chained_count() == 0
         assert chained.total_cycles == decoupled.total_cycles
+
+    def test_short_chained_execute_waits_for_its_own_elements(self):
+        """A chained execute of length 32 on a 128-element load feeds
+        elements 0..31, not the first 32 deliveries: one of them arrives
+        at cycle 135, so the ADD ends at 140, after the load."""
+        vm = machine(128, chaining=True)
+        vm.store.write_vector(0, 3, [1.0] * 128)
+        run = vm.run(Program([VLoad(1, 0, 3, 128), VAdd(2, 1, 1, 32)]))
+        load, add = run.timings
+        assert load.conflict_free and add.mode == "chained"
+        assert (load.end_cycle, add.end_cycle) == (137, 140)
+        assert run.total_cycles == 140
+
+
+class TestTwoPasses:
+    def test_time_moves_no_values(self):
+        """The timing pass reads neither the store nor the registers: a
+        fresh machine with an empty store times another machine's run."""
+        program, inputs, _ = daxpy_case()
+        run = machine(chaining=True).run(program, inputs)
+        fresh = DecoupledVectorMachine(run.resolved.config, 64, chaining=True)
+        again = fresh.time(run.resolved)
+        assert again.timings == run.timings
+        assert again.total_cycles == run.total_cycles
+        assert fresh.registers.register(1).valid_count == 0
+        with pytest.raises(SimulationError, match="uninitialised"):
+            fresh.store.read(0)
+
+    def test_time_refuses_another_machines_plans(self):
+        program, inputs, _ = daxpy_case(n=32, register_length=32)
+        run = machine(32).run(program, inputs)
+        config = run.resolved.config
+        others = {
+            "config": DecoupledVectorMachine(matched_config(q=4), 32),
+            "register_length": DecoupledVectorMachine(config, 64),
+            "plan_mode": DecoupledVectorMachine(config, 32, plan_mode="ordered"),
+            "gather_mode": DecoupledVectorMachine(
+                config, 32, gather_mode="ordered"
+            ),
+        }
+        for name, other in others.items():
+            with pytest.raises(ConfigurationError, match=f"another {name};"):
+                other.time(run.resolved)
+        # Timing parameters may differ: that is how the baseline is timed.
+        DecoupledVectorMachine(
+            config, 32, execute_startup=9, memory_streams=2
+        ).time(run.resolved)
+
+    def test_store_error_names_the_first_element_in_issue_order(self):
+        """A store reads its register in the request stream's issue
+        order (0, 4, 8, 12, ... for stride 12), so a register holding
+        elements 0..9 fails at element 12, not 10."""
+        vm = machine(64)
+        vm.store.write_vector(0, 1, [1.0] * 10)
+        program = Program([VLoad(1, 0, 1, 10), VStore(1, 0, 12, 64)])
+        with pytest.raises(
+            RegisterFileError, match="^element 12 read before it was written$"
+        ):
+            vm.run(program)
+
+    def test_load_error_names_the_first_address_in_issue_order(self):
+        """Elements 0..4 of a stride-12 vector are in memory; the load
+        issues 0, 4, 8 first, so it fails at element 8 (address 96), not
+        element 5."""
+        vm = machine(64)
+        vm.store.write_vector(0, 12, [1.0] * 5)
+        with pytest.raises(SimulationError, match="uninitialised address 96 "):
+            vm.run(Program([VLoad(1, 0, 12, 64)]))
+
+    def test_binary_error_names_the_lowest_element_either_operand_lacks(self):
+        vm = machine(16)
+        vm.store.write_vector(0, 1, [1.0] * 16)
+        program = Program(
+            [VLoad(1, 0, 1, 9), VLoad(2, 0, 1, 6), VAdd(3, 1, 2, 10)]
+        )
+        with pytest.raises(
+            RegisterFileError, match="^element 6 read before it was written$"
+        ):
+            vm.run(program)
+
+    def test_in_place_execute_reads_its_cleared_destination(self):
+        vm = machine(8)
+        vm.store.write_vector(0, 1, [1.0] * 8)
+        with pytest.raises(
+            RegisterFileError, match="^element 0 read before it was written$"
+        ):
+            vm.run(Program([VLoad(1, 0, 1, 8), VAdd(1, 1, 1, 8)]))
+
+
+def two_port_machine(**kwargs) -> DecoupledVectorMachine:
+    return DecoupledVectorMachine(
+        replace(matched_config(), ports=2), 64, **kwargs
+    )
+
+
+class TestScheduleCheck:
+    """Seeded faults in the batching rule fail the timing pass's own
+    check, which reads no value."""
+
+    def test_stale_readiness_fails_the_raw_check(self, monkeypatch):
+        """Without the register-hazard drain, the ADD reads V1 before
+        the load into V1 finished; values are applied in program order,
+        so only the schedule check can see it."""
+        refusal = OpenBatch.refusal
+
+        def without_drain(self, position, reads, writes, access=None):
+            return refusal(self, position, frozenset(), frozenset(), access)
+
+        monkeypatch.setattr(OpenBatch, "refusal", without_drain)
+        vm = two_port_machine()
+        for register in (1, 2, 3):
+            vm.registers.load_values(register, [float(register)] * 64)
+        vm.store.write_vector(0, 1, [1.0] * 64)
+        vm.store.write_vector(1000, 64, [2.0] * 64)
+        program = Program(
+            [
+                VLoad(1, 0, 1, 64),
+                VAdd(2, 1, 1, 64),
+                VStore(2, 2000, 1, 64),
+                VLoad(1, 1000, 64, 64),
+                VAdd(3, 1, 1, 64),
+                VStore(3, 3000, 1, 64),
+            ]
+        )
+        with pytest.raises(
+            SimulationError,
+            match=(
+                "^instruction 1 reads V1 at cycle 1, before instruction 0 "
+                "made it ready at cycle 74$"
+            ),
+        ):
+            vm.run(program)
+
+    def test_overlapping_spans_fail_the_batch_check(self, monkeypatch):
+        """Without the span refusal, the load at 230 joins the store at
+        200..263: the outputs stay correct, the timing does not."""
+        refusal = OpenBatch.refusal
+
+        def without_span(self, position, reads, writes, access=None):
+            found = refusal(self, position, reads, writes, access)
+            if found is not None and "overlaps" in found.reason:
+                return None
+            return found
+
+        program = Program(
+            [
+                VLoad(1, 0, 1, 64),
+                VStore(1, 200, 1, 64),
+                VLoad(2, 230, 1, 64),
+                VAdd(3, 1, 2, 64),
+                VStore(3, 3000, 1, 64),
+            ]
+        )
+        inputs = ((0, 1, [1.0] * 64), (230, 1, [5.0] * 64))
+        assert two_port_machine().run(program, inputs).total_cycles == 368
+        monkeypatch.setattr(OpenBatch, "refusal", without_span)
+        with pytest.raises(
+            SimulationError,
+            match=(
+                "^instructions 1 and 2 share the batch at cycle 75 despite "
+                "overlapping address spans and a store$"
+            ),
+        ):
+            two_port_machine().run(program, inputs)
+
+    def test_a_repeated_element_fails_the_delivery_check(self, monkeypatch):
+        request_stream = AccessPlan.request_stream
+
+        def repeating(self):
+            stream = request_stream(self)
+            return [stream[0], *stream[:-1]]
+
+        monkeypatch.setattr(AccessPlan, "request_stream", repeating)
+        with pytest.raises(
+            SimulationError,
+            match=r"^instruction 0 \(LOAD\): .* elements 0\.\.63 exactly once$",
+        ):
+            machine().run(Program([VLoad(1, 0, 1, 64)]), ((0, 1, [1.0] * 64),))
 
 
 class TestSingleLoadProgram:
