@@ -47,13 +47,16 @@ class LatchFile:
 
     Models the ``2 * 2**t`` latch file of Figure 6 (two banks of ``2**t``;
     this class is one bank).  Writing an occupied latch or reading an
-    empty one is a structural hazard and raises.
+    empty one is a structural hazard and raises.  Occupancy is counted
+    as latches are written and read, never by scanning the slots, and
+    :attr:`peak_occupancy` is the exact maximum of that count.
     """
 
     def __init__(self, name: str, size: int):
         self.name = name
         self.size = size
         self._slots: list[tuple[int, int] | None] = [None] * size
+        self._occupied = 0
         self.peak_occupancy = 0
 
     def write(self, label: int, element_index: int, address: int) -> None:
@@ -68,8 +71,9 @@ class LatchFile:
                 "occupied — the subsequence pipeline overflowed its budget"
             )
         self._slots[label] = (element_index, address)
-        occupancy = sum(1 for slot in self._slots if slot is not None)
-        self.peak_occupancy = max(self.peak_occupancy, occupancy)
+        self._occupied += 1
+        if self._occupied > self.peak_occupancy:
+            self.peak_occupancy = self._occupied
 
     def read(self, label: int) -> tuple[int, int]:
         if not 0 <= label < self.size:
@@ -84,14 +88,15 @@ class LatchFile:
                 "an address was issued before its generator produced it"
             )
         self._slots[label] = None
+        self._occupied -= 1
         return slot
 
     @property
     def occupied(self) -> int:
-        return sum(1 for slot in self._slots if slot is not None)
+        return self._occupied
 
     def is_empty(self) -> bool:
-        return self.occupied == 0
+        return self._occupied == 0
 
 
 class OrderQueue:

@@ -19,6 +19,17 @@ Every structural budget is enforced (one add per generator per cycle,
 bank occupancy, queue capacity); the emitted stream is asserted — in
 tests and in experiment E15 — to equal the abstract conflict-free plan
 request for request.
+
+The cycle loop runs once, inside :class:`Figure6Engine`'s constructor,
+and keeps only what the model needs: the issued ``(element_index,
+address)`` pairs and the :class:`EngineReport`.  Each generator step
+still opens a new cycle on both of the generator's budgeted adders and
+adds through them, so the one-add-per-cycle budget is checked, not
+assumed.
+:meth:`Figure6Engine.run` builds the per-cycle
+:class:`~repro.hardware.sequencer.GeneratedRequest` records only when
+asked; :meth:`Figure6Engine.request_stream`, which the scenario drive
+reads, builds none.
 """
 
 from __future__ import annotations
@@ -48,6 +59,11 @@ class EngineReport:
 class Figure6Engine:
     """Drives one conflict-free vector access with Figure 6's resources.
 
+    Construction runs the access: ``__init__`` steps the cycle loop once
+    and keeps the issued ``(element_index, address)`` pairs and the
+    :class:`EngineReport`, so a structural fault raises
+    :class:`~repro.errors.HardwareModelError` from the constructor.
+
     Parameters
     ----------
     planner:
@@ -72,13 +88,7 @@ class Figure6Engine:
         self.order_queue = OrderQueue(self.slots)
         self.bank_a = LatchFile("bank-a", self.slots)
         self.bank_b = LatchFile("bank-b", self.slots)
-        self._stream: list[GeneratedRequest] | None = None
-        self._report: EngineReport | None = None
-
-    def run(self) -> list[GeneratedRequest]:
-        """Produce the full issue stream (one request per cycle)."""
-        if self._stream is not None:
-            return self._stream
+        self._records: list[GeneratedRequest] | None = None
 
         generator1 = Figure5AddressGenerator(self.plan, start_subsequence=0)
         generator2 = (
@@ -86,26 +96,19 @@ class Figure6Engine:
             if self.total_subsequences > 1
             else None
         )
-
-        stream: list[GeneratedRequest] = []
-        cycle = 0
+        # One (element_index, address) pair is issued per cycle.
+        stream: list[tuple[int, int]] = []
 
         # Phase 1 — first subsequence: issue straight from generator 1,
         # record the key order, and fill bank A with the second
         # subsequence from generator 2.
         for _ in range(self.slots):
-            cycle += 1
-            produced = generator1.step()
-            key = self._key(produced.address)
-            self.order_queue.push(key)
-            stream.append(
-                GeneratedRequest(cycle, produced.element_index, produced.address)
-            )
+            produced = generator1.advance()
+            self.order_queue.push(self._key(produced[1]))
+            stream.append(produced)
             if generator2 is not None and not generator2.done:
-                ahead = generator2.step()
-                self.bank_a.write(
-                    self._key(ahead.address), ahead.element_index, ahead.address
-                )
+                element_index, address = generator2.advance()
+                self.bank_a.write(self._key(address), element_index, address)
         self.order_queue.seal()
 
         # Phase 2 — every later subsequence: issue from the full bank in
@@ -115,15 +118,10 @@ class Figure6Engine:
             issue_bank = banks[(subsequence - 1) % 2]
             fill_bank = banks[subsequence % 2]
             for position in range(self.slots):
-                cycle += 1
-                key = self.order_queue.key_at(position)
-                element_index, address = issue_bank.read(key)
-                stream.append(GeneratedRequest(cycle, element_index, address))
+                stream.append(issue_bank.read(self.order_queue.key_at(position)))
                 if generator2 is not None and not generator2.done:
-                    ahead = generator2.step()
-                    fill_bank.write(
-                        self._key(ahead.address), ahead.element_index, ahead.address
-                    )
+                    element_index, address = generator2.advance()
+                    fill_bank.write(self._key(address), element_index, address)
             if not issue_bank.is_empty():
                 raise HardwareModelError(
                     f"bank not drained after subsequence {subsequence}"
@@ -136,7 +134,7 @@ class Figure6Engine:
             )
         self._stream = stream
         self._report = EngineReport(
-            total_cycles=cycle,
+            total_cycles=len(stream),
             generator1_adds=generator1.adder.total_operations
             + generator1.reg_adder.total_operations,
             generator2_adds=(
@@ -151,20 +149,28 @@ class Figure6Engine:
             latch_capacity=2 * self.slots,
             order_queue_depth=self.slots,
         )
-        return stream
+
+    def run(self) -> list[GeneratedRequest]:
+        """The issue stream as records, one request per cycle from cycle 1.
+
+        The records are built on the first call and kept, so ``run() is
+        run()``; the drive path reads :meth:`request_stream` and builds
+        none.
+        """
+        if self._records is None:
+            self._records = [
+                GeneratedRequest(cycle, element_index, address)
+                for cycle, (element_index, address) in enumerate(self._stream, 1)
+            ]
+        return self._records
 
     def report(self) -> EngineReport:
-        """Resource audit; runs the engine if necessary."""
-        self.run()
-        assert self._report is not None
+        """Resource audit of the run."""
         return self._report
 
     def request_stream(self) -> list[tuple[int, int]]:
         """Adapter matching :class:`~repro.core.planner.AccessPlan`."""
-        return [
-            (produced.element_index, produced.address)
-            for produced in self.run()
-        ]
+        return list(self._stream)
 
     def _key(self, address: int) -> int:
         key = self.key_of(address)

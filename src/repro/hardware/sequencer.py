@@ -81,6 +81,9 @@ class Figure5AddressGenerator:
         self._i = 0  # element position within subsequence (0-based)
         self._j = sub_in_chunk
         self._k = chunk
+        self._last_i = plan.elements_per_subsequence - 1
+        self._last_j = plan.subsequences_per_chunk - 1
+        self._last_k = plan.chunks - 1
         self._cycle = 0
         self._done = False
 
@@ -91,26 +94,31 @@ class Figure5AddressGenerator:
 
     def step(self) -> GeneratedRequest:
         """Advance one cycle: emit the current address, update datapath."""
+        element_index, address = self.advance()
+        return GeneratedRequest(self._cycle, element_index, address)
+
+    def advance(self) -> tuple[int, int]:
+        """Advance one cycle and return its ``(element_index, address)``.
+
+        The record-free form of :meth:`step`: the same datapath, with
+        both adders' one-add-per-cycle budgets checked on every cycle,
+        but no :class:`GeneratedRequest` is built.
+        """
         if self._done:
             raise HardwareModelError("address generator stepped after done")
         self._cycle += 1
         self.adder.new_cycle()
         self.reg_adder.new_cycle()
-        emitted = GeneratedRequest(self._cycle, self._element, self._address)
+        emitted = (self._element, self._address)
 
-        plan = self.plan
-        last_i = plan.elements_per_subsequence - 1
-        last_j = plan.subsequences_per_chunk - 1
-        last_k = plan.chunks - 1
-
-        if self._i < last_i:
+        if self._i < self._last_i:
             # Inner loop of Figure 4: A = A + sigma * 2**w.
             self._address = self.adder.add(self._address, self.increment_w)
             self._element = self.reg_adder.add(
                 self._element, self.reg_increment_w
             )
             self._i += 1
-        elif self._j < last_j:
+        elif self._j < self._last_j:
             # Subsequence boundary: SUB = SUB + sigma*2**x || A = SUB',
             # one adder output feeding both registers.
             step = self.adder.add(self._sub_address, self.increment_x)
@@ -121,7 +129,7 @@ class Figure5AddressGenerator:
             self._element = reg_step
             self._i = 0
             self._j += 1
-        elif self._k < last_k:
+        elif self._k < self._last_k:
             # Chunk boundary: SUB = A + sigma*2**x || A = A + sigma*2**x.
             step = self.adder.add(self._address, self.increment_x)
             self._sub_address = step

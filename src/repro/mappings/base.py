@@ -72,6 +72,7 @@ class AddressMapping(ABC):
             )
         self.module_bits = module_bits
         self.address_bits = address_bits
+        self._address_mask = (1 << address_bits) - 1
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -103,7 +104,7 @@ class AddressMapping(ABC):
 
     def reduce(self, address: int) -> int:
         """Wrap ``address`` into the machine's address space."""
-        return address & (self.address_space - 1)
+        return address & self._address_mask
 
     @abstractmethod
     def module_of(self, address: int) -> int:

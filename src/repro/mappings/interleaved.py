@@ -25,6 +25,7 @@ class LowOrderInterleaved(AddressMapping):
 
     def __init__(self, module_bits: int, address_bits: int = DEFAULT_ADDRESS_BITS):
         super().__init__(module_bits, address_bits)
+        self._field_mask = self.module_count - 1
 
     def cache_token(self) -> tuple:
         return ("low-order", self.module_bits, self.address_bits)
@@ -35,7 +36,9 @@ class LowOrderInterleaved(AddressMapping):
         return self.module_bits
 
     def module_of(self, address: int) -> int:
-        return self.reduce(address) & (self.module_count - 1)
+        """The low ``m`` bits in mask form, ``A & (2**m - 1)``; since
+        ``m <= address_bits``, reducing first would change nothing."""
+        return address & self._field_mask
 
     def displacement_of(self, address: int) -> int:
         return self.reduce(address) >> self.module_bits

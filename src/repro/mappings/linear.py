@@ -51,6 +51,7 @@ class MatchedXorMapping(AddressMapping):
                 f"{address_bits}-bit address space"
             )
         self.s = s
+        self._field_mask = self.module_count - 1
 
     @property
     def t(self) -> int:
@@ -67,10 +68,12 @@ class MatchedXorMapping(AddressMapping):
         return self.s + self.module_bits
 
     def module_of(self, address: int) -> int:
-        address = self.reduce(address)
-        low = bit_field(address, 0, self.module_bits)
-        high = bit_field(address, self.s, self.module_bits)
-        return low ^ high
+        """Eq. (1) in shift-and-mask form: ``(A ^ (A >> s)) & (2**t - 1)``.
+
+        Both fields lie below ``s + t <= address_bits``, so reducing the
+        address first would change nothing.
+        """
+        return (address ^ (address >> self.s)) & self._field_mask
 
     def displacement_of(self, address: int) -> int:
         """Displacement = the address without its low ``t`` bits.

@@ -60,6 +60,8 @@ class SectionXorMapping(AddressMapping):
         self.t = t
         self.s = s
         self.y = y
+        self._field_mask = (1 << t) - 1
+        self._section_mask = self._field_mask << t
 
     def cache_token(self) -> tuple:
         return ("section-xor", self.t, self.s, self.y, self.address_bits)
@@ -81,18 +83,26 @@ class SectionXorMapping(AddressMapping):
         return 1 << self.t
 
     def module_of(self, address: int) -> int:
-        address = self.reduce(address)
-        low = bit_field(address, 0, self.t) ^ bit_field(address, self.s, self.t)
-        high = bit_field(address, self.y, self.t)
-        return (high << self.t) | low
+        """Eq. (2) in shift-and-mask form: the section field
+        ``a[y+t-1..y]`` shifted down to ``b[2t-1..t]``, beside the Eq. (1)
+        low field ``(A ^ (A >> s)) & (2**t - 1)``.
+
+        Every field lies below ``y + t <= address_bits``, so reducing the
+        address first would change nothing.
+        """
+        return ((address >> (self.y - self.t)) & self._section_mask) | (
+            (address ^ (address >> self.s)) & self._field_mask
+        )
 
     def section_of(self, address: int) -> int:
-        """Section number = high module field = ``a[y+t-1..y]``."""
-        return bit_field(self.reduce(address), self.y, self.t)
+        """Section number = high module field = ``a[y+t-1..y]``, in
+        shift-and-mask form: ``(A >> y) & (2**t - 1)``."""
+        return (address >> self.y) & self._field_mask
 
     def module_within_section(self, address: int) -> int:
-        """Low module field ``b[t-1..0]``."""
-        return self.module_of(address) & (self.modules_per_section - 1)
+        """Low module field ``b[t-1..0]``, taken from :meth:`module_of`
+        so a subclass that changes the module number changes this too."""
+        return self.module_of(address) & self._field_mask
 
     def supermodule_of(self, address: int) -> int:
         """Supermodule number = address bits ``a[s+t-1..s]`` (Section 4.2).

@@ -1,12 +1,14 @@
-"""Pinned digests of whole-program results.
+"""Pinned digests of whole-program and Figure 6 results.
 
 Each digest is the SHA-256 of every field of every result in a spec set,
 serialised as canonical JSON.  The sets are the committed 64-point daxpy
-grid, and the example of each registered program kind on eight machines:
-chaining off and on, ``memory_streams`` 1 and 2, and ports 1 and 2
-(``matched-xor`` for one port, ``section-xor`` for two).  A change to how
-the program path moves data or times its memory batches must leave them
-all unchanged; a new program kind adds its own entry.
+grid, the committed 40-point Figure 6 grid, and the example of each
+registered program kind on eight machines: chaining off and on,
+``memory_streams`` 1 and 2, and ports 1 and 2 (``matched-xor`` for one
+port, ``section-xor`` for two).  A change to how the program path moves
+data or times its memory batches, or to how the Figure 6 engine issues
+its stream, must leave them all unchanged; a new program kind adds its
+own entry.
 """
 
 from __future__ import annotations
@@ -30,6 +32,10 @@ EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 GRID_64_DIGEST = (
     "c4349913289064b647e3e550429b0480487275803649da119ac04446ef073746"
+)
+
+FIGURE6_GRID_DIGEST = (
+    "5494f00cd215fb3382c56792591009df1214a76c989531745d065db506ee07d4"
 )
 
 KIND_DIGESTS = {
@@ -88,6 +94,14 @@ def test_program_grid_64_digest():
     )
     assert len(specs) == 64
     assert digest(simulate(spec) for spec in specs) == GRID_64_DIGEST
+
+
+def test_figure6_grid_digest():
+    specs = load_scenarios(
+        (EXAMPLES / "scenario_figure6_grid.json").read_text()
+    )
+    assert len(specs) == 40
+    assert digest(simulate(spec) for spec in specs) == FIGURE6_GRID_DIGEST
 
 
 def test_every_program_kind_is_pinned():
