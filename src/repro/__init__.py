@@ -81,108 +81,113 @@ Module map
   runs, fetch any cached result by config hash with strong ETags;
 * :mod:`repro.cli` — the ``repro`` command line
   (``plan``/``window``/``survey``/``run``/``scenario``/``check``/
-  ``lab``).
+  ``lab``), one module per command group, imported only when its
+  command runs.
+
+Every name in ``__all__`` but ``__version__`` is imported from its
+subpackage on first use (PEP 562), so ``import repro`` loads nothing
+else and ``from repro import X`` costs only what ``X`` needs.
 """
 
-from repro.core import (
-    AccessPlan,
-    AccessPlanner,
-    CompositePlan,
-    MatchedDesign,
-    RequestOrder,
-    StrideFamily,
-    SubsequencePlan,
-    UnmatchedDesign,
-    VectorAccess,
-    Window,
-    build_subsequences,
-    decompose_stride,
-    family_of,
-    is_conflict_free,
-    matched_window,
-    plan_short_vector,
-    recommended_s,
-    recommended_y,
-    unmatched_windows,
-)
-from repro.errors import (
-    ConfigurationError,
-    HardwareModelError,
-    OrderingError,
-    ProgramError,
-    RegisterFileError,
-    ReproError,
-    SimulationError,
-    VectorSpecError,
-)
-from repro.mappings import (
-    AddressMapping,
-    FieldInterleaved,
-    LowOrderInterleaved,
-    MatchedXorMapping,
-    PseudoRandomMapping,
-    SectionXorMapping,
-    SkewedMapping,
-    XorMatrixMapping,
-)
-from repro.memory import AccessResult, MemoryConfig, MemorySystem
-from repro.scenarios import (
-    ComponentSpec,
-    MemorySpec,
-    ScenarioGrid,
-    ScenarioResult,
-    ScenarioSpec,
-    build_machine,
-    simulate,
-)
+import importlib
 
 __version__ = "1.8.0"
 
-__all__ = [
-    "AccessPlan",
-    "AccessPlanner",
-    "AccessResult",
-    "AddressMapping",
-    "ComponentSpec",
-    "CompositePlan",
-    "ConfigurationError",
-    "FieldInterleaved",
-    "HardwareModelError",
-    "LowOrderInterleaved",
-    "MatchedDesign",
-    "MatchedXorMapping",
-    "MemoryConfig",
-    "MemorySpec",
-    "MemorySystem",
-    "OrderingError",
-    "ProgramError",
-    "PseudoRandomMapping",
-    "RegisterFileError",
-    "ReproError",
-    "RequestOrder",
-    "ScenarioGrid",
-    "ScenarioResult",
-    "ScenarioSpec",
-    "SectionXorMapping",
-    "SimulationError",
-    "SkewedMapping",
-    "StrideFamily",
-    "SubsequencePlan",
-    "UnmatchedDesign",
-    "VectorAccess",
-    "VectorSpecError",
-    "Window",
-    "XorMatrixMapping",
-    "build_machine",
-    "build_subsequences",
-    "decompose_stride",
-    "family_of",
-    "is_conflict_free",
-    "matched_window",
-    "plan_short_vector",
-    "recommended_s",
-    "recommended_y",
-    "simulate",
-    "unmatched_windows",
-    "__version__",
-]
+#: Every lazily exported name -> the module it is imported from.
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "AccessPlan",
+            "AccessPlanner",
+            "CompositePlan",
+            "MatchedDesign",
+            "RequestOrder",
+            "StrideFamily",
+            "SubsequencePlan",
+            "UnmatchedDesign",
+            "VectorAccess",
+            "Window",
+            "build_subsequences",
+            "decompose_stride",
+            "family_of",
+            "is_conflict_free",
+            "matched_window",
+            "plan_short_vector",
+            "recommended_s",
+            "recommended_y",
+            "unmatched_windows",
+        ),
+        "repro.core",
+    ),
+    **dict.fromkeys(
+        (
+            "ConfigurationError",
+            "HardwareModelError",
+            "OrderingError",
+            "ProgramError",
+            "RegisterFileError",
+            "ReproError",
+            "SimulationError",
+            "VectorSpecError",
+        ),
+        "repro.errors",
+    ),
+    **dict.fromkeys(
+        (
+            "AddressMapping",
+            "FieldInterleaved",
+            "LowOrderInterleaved",
+            "MatchedXorMapping",
+            "PseudoRandomMapping",
+            "SectionXorMapping",
+            "SkewedMapping",
+            "XorMatrixMapping",
+        ),
+        "repro.mappings",
+    ),
+    **dict.fromkeys(
+        ("AccessResult", "MemoryConfig", "MemorySystem"), "repro.memory"
+    ),
+    **dict.fromkeys(
+        (
+            "ComponentSpec",
+            "MemorySpec",
+            "ScenarioGrid",
+            "ScenarioResult",
+            "ScenarioSpec",
+            "build_machine",
+            "simulate",
+        ),
+        "repro.scenarios",
+    ),
+}
+
+__all__ = [*sorted(_EXPORTS), "__version__"]
+
+
+def _lazy_exports(namespace: dict, exports: dict[str, str]):
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package's lazy exports.
+
+    ``exports`` maps each name to the module that defines it; the module
+    is imported when the name is first looked up.  ``dir()`` lists the
+    names with the package's own attributes.  Every ``repro`` package
+    with lazy exports installs its hooks through this function.
+    """
+    package = namespace["__name__"]
+
+    def __getattr__(name: str):
+        try:
+            module = exports[name]
+        except KeyError:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}"
+            ) from None
+        return getattr(importlib.import_module(module), name)
+
+    def __dir__() -> list[str]:
+        return sorted({*namespace, *exports})
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

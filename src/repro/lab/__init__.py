@@ -26,6 +26,10 @@ store:
 * :mod:`repro.lab.diffing` — cross-run regression diffing
   (``repro lab diff``).
 
+The diffing and spool names load on first use, and the experiment
+runners only when a job needs them, so a scenario sweep imports none
+of them.
+
 ## Backends
 
 Every ``run_jobs`` call (and ``repro lab run|sweep --backend ...``)
@@ -63,6 +67,7 @@ The CLI front end is
 ``repro lab run|sweep|worker|merge|status|summarize|index|diff``.
 """
 
+from repro import _lazy_exports
 from repro.lab.backends import (
     BACKEND_NAMES,
     ExecutorBackend,
@@ -72,13 +77,6 @@ from repro.lab.backends import (
     UnknownBackendError,
     default_worker_count,
     resolve_backend,
-)
-from repro.lab.diffing import (
-    JobDiff,
-    RunDiff,
-    UnknownRunError,
-    diff_runs,
-    render_diff,
 )
 from repro.lab.executor import (
     ExecutionReport,
@@ -116,16 +114,26 @@ from repro.lab.manifest import (
     summarize_cached,
     write_run_artifacts,
 )
-from repro.lab.spool import (
-    SpoolBackend,
-    SpoolError,
-    SpoolRun,
-    WorkerStats,
-    job_from_json,
-    job_to_json,
-    serve,
-)
 from repro.lab.store import ArtifactStore, StoreMergeError, default_lab_root
+
+_EXPORTS = {
+    **dict.fromkeys(
+        ("JobDiff", "RunDiff", "UnknownRunError", "diff_runs", "render_diff"),
+        "repro.lab.diffing",
+    ),
+    **dict.fromkeys(
+        (
+            "SpoolBackend",
+            "SpoolError",
+            "SpoolRun",
+            "WorkerStats",
+            "job_from_json",
+            "job_to_json",
+            "serve",
+        ),
+        "repro.lab.spool",
+    ),
+}
 
 __all__ = [
     "ABLATION_KIND",
@@ -180,3 +188,5 @@ __all__ = [
     "summarize_cached",
     "write_run_artifacts",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

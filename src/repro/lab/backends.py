@@ -30,7 +30,6 @@ instance straight to ``run_jobs(backend=...)`` to plug in your own.
 from __future__ import annotations
 
 import os
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Iterator, Protocol, Sequence, runtime_checkable
 
@@ -126,6 +125,14 @@ class ProcessPoolBackend:
         if len(pending) <= 1 or workers == 1:
             yield from SerialBackend().run(pending, run_id=run_id)
             return
+        # Imported here: the process pool (multiprocessing, pickle,
+        # sockets) loads only when a batch fans out.
+        from concurrent.futures import (
+            FIRST_COMPLETED,
+            ProcessPoolExecutor,
+            wait,
+        )
+
         with ProcessPoolExecutor(
             max_workers=min(workers, len(pending))
         ) as pool:

@@ -70,8 +70,10 @@ def decode_cell(value):
 
 
 def encode_rows(rows) -> list[list]:
+    """Every cell of a table's rows through :func:`encode_cell`."""
     return [[encode_cell(value) for value in row] for row in rows]
 
 
 def decode_rows(rows) -> list[list]:
+    """Inverse of :func:`encode_rows`."""
     return [[decode_cell(value) for value in row] for row in rows]

@@ -25,6 +25,10 @@ registry themselves (it is deterministic) and resolve the job id back
 to the code to run.  ``execute_job`` is the worker entry point: it
 returns a JSON-safe payload dict — headers, encoded rows, checks,
 notes — that the artifact store persists verbatim.
+
+The experiment runners and the design-space sweeps are imported inside
+the functions that register, validate or run their jobs, so making and
+running scenario jobs loads neither.
 """
 
 from __future__ import annotations
@@ -36,17 +40,15 @@ import time
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import repro
-from repro.analysis.sweeps import STANDARD_SWEEPS, SweepSpec
 from repro.errors import ReproError
 from repro.lab.hashing import config_hash, encode_rows
-from repro.report.experiments import (
-    ALL_EXPERIMENTS,
-    ExperimentResult,
-    registry_entries,
-)
+
+if TYPE_CHECKING:
+    from repro.analysis.sweeps import SweepSpec
+    from repro.report.experiments import ExperimentResult
 
 EXPERIMENT_KIND = "experiment"
 SWEEP_KIND = "sweep"
@@ -186,6 +188,9 @@ def _sweep_params(spec: SweepSpec) -> tuple[tuple[str, object], ...]:
 
 def build_registry() -> dict[str, JobSpec]:
     """All jobs, keyed by id, in deterministic (sorted) order."""
+    from repro.analysis.sweeps import STANDARD_SWEEPS
+    from repro.report.experiments import registry_entries
+
     specs: list[JobSpec] = []
     for experiment_id, title, _runner in registry_entries():
         specs.append(JobSpec(experiment_id, EXPERIMENT_KIND, title))
@@ -214,6 +219,7 @@ def build_registry() -> dict[str, JobSpec]:
 
 
 def resolve(job_id: str, registry: dict[str, JobSpec] | None = None) -> JobSpec:
+    """The job registered as ``job_id`` (in ``registry``, else a fresh one)."""
     registry = registry if registry is not None else build_registry()
     try:
         return registry[job_id]
@@ -242,6 +248,8 @@ def _validated_experiment_params(
     guarantees a spec never silently computes something other than what
     its config hash says.
     """
+    from repro.report.experiments import ALL_EXPERIMENTS
+
     try:
         runner = ALL_EXPERIMENTS[experiment_id]
     except KeyError:
@@ -435,12 +443,16 @@ def execute_job(job: str | JobSpec) -> dict:
             )
     started = time.perf_counter()
     if spec.kind == EXPERIMENT_KIND:
+        from repro.report.experiments import ALL_EXPERIMENTS
+
         base_id = _experiment_base_id(spec.job_id)
         kwargs = _validated_experiment_params(base_id, dict(spec.params))
         payload = _experiment_payload(ALL_EXPERIMENTS[base_id](**kwargs))
     elif spec.kind == SCENARIO_KIND:
         payload = _scenario_payload(spec)
     elif spec.kind == SWEEP_KIND:
+        from repro.analysis.sweeps import SweepSpec
+
         params = dict(spec.params)
         sweep = SweepSpec(
             axis=params["axis"],

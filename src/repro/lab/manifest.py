@@ -119,7 +119,7 @@ def write_run_artifacts(
     run_dir.mkdir(parents=True, exist_ok=True)
     import repro
     from repro.lab.store import _utc_now
-    from repro.obs.history import current_git_commit
+    from repro.obs.commit import current_git_commit
 
     manifest = {
         "run_id": report.run_id,

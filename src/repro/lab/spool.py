@@ -469,6 +469,11 @@ def claim_next(run_root: Path) -> Path | None:
     for path in sorted(pending.glob("*.json")):
         target = run_root / CLAIMED_DIR / path.name
         try:
+            # A claim's mtime is its heartbeat, and rename keeps the
+            # pending file's: start it now, or a job that waited longer
+            # than the stale threshold (or was requeued from a dead
+            # worker) is claimed already stale and runs twice.
+            os.utime(path)
             os.rename(path, target)
         except OSError:
             continue  # another worker won the rename

@@ -12,10 +12,15 @@ happened during them" and "how does that compare with every run before".
 * :mod:`repro.obs.history` — cross-run metric points read afresh from a
   lab root's run manifests, stored results and ingested ``BENCH_*.json``
   files, powering ``repro lab history`` trends and regression flagging.
+  Its names load on first use.
+* :mod:`repro.obs.commit` — :func:`current_git_commit`, the commit each
+  run manifest records.
 * :func:`cache_stats` — one snapshot of the process-wide memoization
   counters (the planner's plan cache).
 """
 
+from repro import _lazy_exports
+from repro.obs.commit import current_git_commit
 from repro.obs.tracer import (
     NULL_TRACER,
     NullTracer,
@@ -25,19 +30,36 @@ from repro.obs.tracer import (
     to_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.history import current_git_commit
+
+_EXPORTS = dict.fromkeys(
+    (
+        "BenchFileError",
+        "History",
+        "ingest_bench",
+        "metric_direction",
+        "read_history",
+    ),
+    "repro.obs.history",
+)
 
 __all__ = [
+    "BenchFileError",
+    "History",
     "NULL_TRACER",
     "NullTracer",
     "Tracer",
     "cache_stats",
     "chrome_trace_events",
     "current_git_commit",
+    "ingest_bench",
+    "metric_direction",
+    "read_history",
     "resolve_tracer",
     "to_chrome_trace",
     "write_chrome_trace",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
 
 
 def cache_stats() -> dict[str, int]:

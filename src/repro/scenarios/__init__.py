@@ -28,20 +28,18 @@ Modules:
 * :mod:`repro.scenarios.facade` — ``simulate``/``simulate_access``/
   ``build_machine`` and the normalised ``ScenarioResult``;
 * :mod:`repro.scenarios.grid` — ``ScenarioGrid`` parameter sweeps over
-  spec fields.
+  spec fields;
+* :mod:`repro.scenarios.diff` — metric-by-metric comparison of two
+  results (``repro scenario diff``), loaded on first use.
 
 The lab (:mod:`repro.lab`) accepts specs as jobs (``scenario_jobs``), so
 distinct design points land in distinct cache entries; the CLI front
 end is ``repro scenario run|list``.
 """
 
+from repro import _lazy_exports
 from repro.scenarios import components as _components  # registration
 from repro.scenarios.components import ScenarioProgram
-from repro.scenarios.diff import (
-    ScenarioDiff,
-    diff_results,
-    render_scenario_diff,
-)
 from repro.scenarios.facade import (
     TIMELINE_FIELDS,
     ScenarioResult,
@@ -75,6 +73,11 @@ from repro.scenarios.spec import (
 
 del _components
 
+_EXPORTS = dict.fromkeys(
+    ("ScenarioDiff", "diff_results", "render_scenario_diff"),
+    "repro.scenarios.diff",
+)
+
 __all__ = [
     "CATEGORIES",
     "DRIVE",
@@ -107,3 +110,5 @@ __all__ = [
     "validate_kind",
     "validate_spec_kinds",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -99,6 +99,7 @@ def example_params(category: str, kind: str) -> dict:
 
 
 def summary(category: str, kind: str) -> str:
+    """First line of a registered kind's summary (default: its docstring)."""
     return _entry(category, kind).summary.splitlines()[0]
 
 

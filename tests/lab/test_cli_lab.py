@@ -8,6 +8,7 @@ deliberately failing runner.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,9 @@ from repro.report.experiments import ALL_EXPERIMENTS, ExperimentResult
 
 PORTS_GRID = str(
     Path(__file__).resolve().parents[2] / "examples" / "scenario_ports_grid.json"
+)
+UNMATCHED_GRID = (
+    Path(__file__).resolve().parents[2] / "examples" / "scenario_unmatched_grid.json"
 )
 
 
@@ -403,3 +407,26 @@ class TestLabMergeCli:
         assert main(["lab", "diff", run_ids[0], run_ids[1],
                      "--root", merged]) == 0
         assert "runs are identical" in capsys.readouterr().out
+
+
+class TestLabSweepOutput:
+    def test_output_line_counts_rows_not_design_points(self, tmp_path, capsys):
+        """A repeated axis value gives the table more rows than the run
+        has design points; ``--output`` reports the rows it wrote."""
+        grid = json.loads(UNMATCHED_GRID.read_text())
+        grid["axes"]["workload.params.stride"] = [3, 3, 24]
+        grid_path = tmp_path / "g.json"
+        grid_path.write_text(json.dumps(grid))
+        table = tmp_path / "t.md"
+        assert main(["lab", "sweep", str(grid_path), "--backend", "serial",
+                     "--output", str(table),
+                     "--root", str(tmp_path / "lab")]) == 0
+        out = capsys.readouterr().out
+        assert f"wrote {table} (6 rows)\n" in out
+        assert ": 4 design points, 0 cache hits, 0 failed" in out
+        lines = table.read_text().splitlines()
+        rule = next(
+            index for index, line in enumerate(lines)
+            if line and set(line) <= {"-", " "}
+        )
+        assert len(lines[rule + 1:]) == 6

@@ -146,6 +146,19 @@ class TestStaleRequeue:
         assert spool.requeue_stale(stale_after=60.0) == []
         assert len(list(spool.claimed_dir.glob("*.json"))) == 1
 
+    def test_a_claim_is_fresh_however_long_its_job_waited(self, tmp_path):
+        # Rename keeps mtime: a job that sat in pending/ for an hour (or
+        # came back from a dead worker) must not be claimed stale.
+        spool = SpoolRun(tmp_path / "run")
+        spool.create()
+        spool.publish(fast_specs()[:1])
+        (pending,) = spool.pending_dir.glob("*.json")
+        past = time.time() - 3600
+        os.utime(pending, (past, past))
+        claim = claim_next(spool.root)
+        assert spool.requeue_stale(stale_after=60.0) == []
+        assert claim.exists()
+
     def test_dead_claims_are_requeued(self, tmp_path):
         spool = SpoolRun(tmp_path / "run")
         spool.create()

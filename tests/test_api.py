@@ -9,6 +9,11 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +27,19 @@ PACKAGES = [
     "repro.analysis",
     "repro.workloads",
     "repro.report",
+    "repro.lab",
+    "repro.scenarios",
+    "repro.obs",
+    "repro.check",
+]
+
+#: Packages that import some of their ``__all__`` on first use (PEP 562).
+LAZY_PACKAGES = [
+    "repro",
+    "repro.report",
+    "repro.lab",
+    "repro.scenarios",
+    "repro.obs",
 ]
 
 
@@ -32,6 +50,37 @@ def test_all_entries_resolve(package_name):
         if name.startswith("__"):
             continue
         assert hasattr(package, name), f"{package_name}.{name} missing"
+
+
+@pytest.mark.parametrize("package_name", LAZY_PACKAGES)
+def test_dir_lists_lazy_exports(package_name):
+    package = importlib.import_module(package_name)
+    assert set(package.__all__) <= set(dir(package))
+
+
+def test_star_import_binds_every_name():
+    """``from repro import *`` in a fresh interpreter binds all of ``__all__``."""
+    import repro
+
+    script = (
+        "import json\n"
+        "from repro import *\n"
+        "import repro\n"
+        "print(json.dumps([n for n in repro.__all__ if n not in globals()]))\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [src, env.get("PYTHONPATH")])
+    )
+    completed = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert json.loads(completed.stdout) == []
 
 
 @pytest.mark.parametrize("package_name", PACKAGES)
