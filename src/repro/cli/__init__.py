@@ -36,7 +36,9 @@ Each command group has its own module: :mod:`repro.cli.paper`
 registers every command by name and help, imports only the invoked
 command's module, and lets it add arguments to the invoked (sub-)command
 alone.  ``--help`` and the usage lines therefore list every command,
-while ``repro --version`` imports no command at all.
+while ``repro --version`` imports no command at all, and a call builds
+an ``ArgumentParser`` only for each command on its path (three for
+``repro lab sweep``).
 """
 
 from __future__ import annotations
@@ -102,26 +104,37 @@ def add_commands(
     helps: dict[str, str],
     argv: Sequence[str],
 ) -> tuple[str, argparse.ArgumentParser, list[str]] | None:
-    """Register sub-commands by name and help; find the invoked one.
+    """Register sub-commands by name and help; build the invoked one.
 
     Returns ``(name, its parser, the arguments after it)`` for the
     sub-command ``argv`` invokes, so the caller adds arguments to that
     parser only, or None when ``argv`` names none (argparse then reports
     the missing or unknown command).  Every parser this is used on takes
     flags only, so the first token that is not an option is the
-    sub-command argparse dispatches to.
+    sub-command argparse dispatches to.  Only that sub-command gets an
+    ``ArgumentParser``; the others are registered as the name and help
+    line that usage, ``--help`` and the invalid-choice error list, which
+    read nothing else of a sub-command.
     """
+    position = next(
+        (i for i, token in enumerate(argv) if not token.startswith("-")), None
+    )
+    invoked = None if position is None else argv[position]
     commands = parser.add_subparsers(dest=dest, required=True)
-    parsers = {
-        name: commands.add_parser(name, help=text)
-        for name, text in helps.items()
-    }
-    for index, token in enumerate(argv):
-        if not token.startswith("-"):
-            if token in parsers:
-                return token, parsers[token], list(argv[index + 1 :])
-            return None
-    return None
+    leaf = None
+    for name, text in helps.items():
+        if name == invoked:
+            leaf = commands.add_parser(name, help=text)
+        else:
+            # What ``add_parser`` records for the help listing and the
+            # choices, without the parser argparse never dispatches to.
+            commands._name_parser_map[name] = None
+            commands._choices_actions.append(
+                commands._ChoicesPseudoAction(name, (), text)
+            )
+    if leaf is None:
+        return None
+    return invoked, leaf, list(argv[position + 1 :])
 
 
 def main(argv: Sequence[str] | None = None) -> int:

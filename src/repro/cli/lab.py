@@ -29,7 +29,6 @@ from repro.lab import (
     summarize_cached,
 )
 from repro.report.tables import render_markdown, render_table
-from repro.scenarios import load_grid
 
 
 def configure(command: str, parser: argparse.ArgumentParser, argv):
@@ -659,6 +658,7 @@ def _lab_serve(args: argparse.Namespace) -> int:
 def _lab_sweep(args: argparse.Namespace, store) -> int:
     """Run one scenario grid through the lab, render one comparison table."""
     from repro.report.sweeps import sweep_table
+    from repro.scenarios import load_grid
 
     path = Path(args.file)
     if not path.is_file():

@@ -22,7 +22,10 @@ store:
 * :mod:`repro.lab.executor` — cache-aware batch execution over any
   backend, each job id once;
 * :mod:`repro.lab.manifest` — per-run manifest.json / report.md, the
-  only record of a run, and the byte-stable EXPERIMENTS.md renderer;
+  only record of a run, and the byte-stable EXPERIMENTS.md renderer.
+  A run's report.md is its job table (kind, status, executed or
+  cache); the results stay in ``index.sqlite``, from which ``repro lab
+  summarize``, ``lab diff`` and ``lab sweep --output`` render them;
 * :mod:`repro.lab.diffing` — cross-run regression diffing
   (``repro lab diff``).
 
@@ -48,9 +51,10 @@ executes its cache misses through one of:
   and write results into ``done/``.  Stale claims (dead workers) are
   requeued by heartbeat age.  Shard-anywhere parallelism.
 
-All three produce byte-identical ``report.md`` for the same batch
-against the same store state; backends only decide *where* jobs run,
-never what gets recorded.
+All three produce byte-identical ``report.md`` and the same stored
+records (timings and run ids aside) for the same batch against the
+same store state; backends only decide *where* jobs run, never what
+gets recorded.
 
 Quickstart::
 

@@ -1,7 +1,7 @@
 """Cache-aware batch execution over pluggable backends.
 
-``run_jobs`` takes a batch of :class:`~repro.lab.jobs.JobSpec`, checks
-the artifact store for each config hash, hands the misses to an
+``run_jobs`` takes a batch of :class:`~repro.lab.jobs.JobSpec`, looks
+up every config hash in the artifact store at once, hands the misses to an
 :class:`~repro.lab.backends.ExecutorBackend` (in-process serial,
 process pool, or the filesystem-spool sharding protocol), commits every
 fresh payload's result to the store as it lands, and writes the run's
@@ -153,8 +153,10 @@ def run_jobs(
 
     outcomes: dict[str, JobOutcome] = {}
     pending: list[JobSpec] = []
-    for spec in ordered:
-        record = None if force else store.load(spec.config_hash(version))
+    addresses = [spec.config_hash(version) for spec in ordered]
+    cached = {} if force else store.load_many(addresses)
+    for spec, address in zip(ordered, addresses):
+        record = cached.get(address)
         if record is not None:
             outcomes[spec.job_id] = JobOutcome(spec, record, cached=True)
             emit(outcomes[spec.job_id])

@@ -1,8 +1,8 @@
 """Canonical config hashing and JSON-safe cell encoding.
 
 Two jobs are "the same experiment" exactly when their canonical config
-JSON hashes equal (``canonical_json`` is the spec layer's, re-exported
-here), so the hash doubles as the result's address: the
+JSON hashes equal (``canonical_json`` is :mod:`repro.canonical`'s,
+re-exported here), so the hash doubles as the result's address: the
 key of its row in ``.repro-lab/index.sqlite``, which is also the cache
 key.  The hash covers the job id, kind, parameters, the package
 version and a fingerprint of every Python source the jobs can execute
@@ -25,7 +25,7 @@ import hashlib
 from fractions import Fraction
 
 from repro.errors import ReproError
-from repro.scenarios.spec import canonical_json
+from repro.canonical import canonical_json
 
 
 class ArtifactCodingError(ReproError):

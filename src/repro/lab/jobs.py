@@ -62,12 +62,21 @@ class UnknownJobError(ReproError):
 
 @dataclass(frozen=True)
 class JobSpec:
-    """One declaratively-specified job: id, kind and hashable params."""
+    """One declaratively-specified job: id, kind and hashable params.
+
+    :meth:`config_hash` hashes the config once per package version and
+    keeps the result on the spec, outside equality, ``repr`` and the
+    spool's wire format: a batch's lookup, save and crash record and
+    serve's submit all reuse one hash per job.
+    """
 
     job_id: str
     kind: str
     title: str
     params: tuple[tuple[str, object], ...] = field(default_factory=tuple)
+    _config_hashes: dict[str, str] = field(
+        default_factory=dict, init=False, compare=False, repr=False
+    )
 
     def config(self, package_version: str) -> dict:
         """The dict whose canonical hash addresses this job's artifact."""
@@ -80,8 +89,13 @@ class JobSpec:
         }
 
     def config_hash(self, package_version: str | None = None) -> str:
+        """The hash addressing this job's result under ``package_version``."""
         version = package_version or repro.__version__
-        return config_hash(self.config(version))
+        address = self._config_hashes.get(version)
+        if address is None:
+            address = config_hash(self.config(version))
+            self._config_hashes[version] = address
+        return address
 
 
 @lru_cache(maxsize=1)

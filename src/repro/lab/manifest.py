@@ -2,8 +2,10 @@
 
 Every run that ends leaves a ``runs/<run-id>/`` directory with a
 machine-readable ``manifest.json`` (which jobs ran, which were cache
-hits, each job's config hash) and a human-readable ``report.md``;
+hits, each job's config hash) and a human-readable ``report.md`` (one
+table row per job: kind, status, executed or cache);
 :func:`~repro.lab.executor.run_jobs` writes both when the run ends.
+Neither copies a result: each lives in ``index.sqlite`` alone.
 The manifest is the only record of a run: :func:`read_manifests` is
 the one reader behind ``repro lab status``, ``lab status --metrics``
 and the history in :mod:`repro.obs.history`.
@@ -79,32 +81,29 @@ def render_experiments_markdown(records: list[dict]) -> str:
 
 
 def render_lab_report(outcomes: list[JobOutcome], run_id: str) -> str:
-    """The per-run report.md: summary table plus every job's section.
+    """The per-run report.md: one table row per job, with its kind,
+    status and source (executed or cache).
 
-    Deliberately free of wall-clock timings: for one batch against one
-    store state, serial, pool and spool backends all render the exact
-    same bytes, so reports diff cleanly across backends and hosts.
-    (Per-job timings live in manifest.json, which may vary.)
+    The results themselves stay in ``index.sqlite``, their one copy;
+    ``repro lab summarize``, ``lab diff`` and ``lab sweep --output``
+    render them from there.  Deliberately free of wall-clock timings:
+    for one batch against one store state, serial, pool and spool
+    backends all render the exact same bytes, so reports diff cleanly
+    across backends and hosts.  (Per-job timings live in manifest.json,
+    which may vary.)
     """
-    sections = [f"# repro lab report — run `{run_id}`\n"]
-    sections.append("| job | kind | status | source |")
-    sections.append("|---|---|---|---|")
+    lines = [f"# repro lab report — run `{run_id}`\n"]
+    lines.append("| job | kind | status | source |")
+    lines.append("|---|---|---|---|")
     for outcome in outcomes:
         status = "pass" if outcome.all_passed else "**FAIL**"
         source = "cache" if outcome.cached else "executed"
-        sections.append(
+        lines.append(
             f"| {outcome.spec.job_id} | {outcome.spec.kind} | {status} "
             f"| {source} |"
         )
-    sections.append("")
-    for outcome in outcomes:
-        record = outcome.record
-        sections.extend(
-            _record_sections(
-                record, f"## {record['job_id']} — {record['title']}\n"
-            )
-        )
-    return "\n".join(sections)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def write_run_artifacts(
@@ -206,11 +205,12 @@ def cached_records(
     The single definition of "is this job cached?" — `repro lab status`
     and `summarize` both consume it, so they can never disagree.
     """
+    records = store.load_many(spec.config_hash() for spec in registry.values())
     cached: list[tuple[JobSpec, dict]] = []
     missing: list[str] = []
     for job_id in sorted(registry):
         spec = registry[job_id]
-        record = store.load(spec.config_hash())
+        record = records.get(spec.config_hash())
         if record is None:
             missing.append(job_id)
         else:

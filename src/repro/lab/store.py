@@ -5,7 +5,9 @@ Layout under the lab root (default ``.repro-lab/``)::
     index.sqlite                  `results` rows, each holding its
                                   record's canonical JSON body
     runs/<run-id>/manifest.json   the only record of a finished run,
-    runs/<run-id>/report.md       both written by repro.lab.manifest
+    runs/<run-id>/report.md       and its job table (kind, status,
+                                  executed or cache), both written by
+                                  repro.lab.manifest
     bench/<run-id>.json           pytest-benchmark files, copied in by
                                   ``repro lab history --ingest``
 
@@ -13,7 +15,10 @@ A result's address is the canonical hash of its job config plus the
 package version (see :mod:`repro.lab.hashing`), so a re-run of an
 unchanged job is a pure cache hit and an interrupted sweep resumes
 from whatever finished.  ``index.sqlite`` holds the only copy of every
-result.
+result: ``repro lab summarize``, ``lab diff`` and ``lab sweep
+--output`` render results from it, and a run's files copy none.  A
+batch looks its results up with :meth:`ArtifactStore.load_many`, one
+query for the whole batch.
 
 ``save`` commits its row before it returns, so a process killed
 mid-run keeps every result that finished.  The index runs in WAL mode
@@ -51,6 +56,7 @@ import shutil
 import sqlite3
 import threading
 import time
+from collections.abc import Iterable
 from pathlib import Path
 
 import repro
@@ -94,6 +100,9 @@ _INSERT_RESULT = (
     f"INSERT OR REPLACE INTO results ({_RESULT_METADATA}, body) "
     "VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)"
 )
+#: Hashes per lookup query: SQLite before 3.32 binds at most 999
+#: parameters in one statement.
+_LOOKUP_CHUNK = 500
 
 
 def _utc_now() -> str:
@@ -306,6 +315,34 @@ class ArtifactStore:
         body = self._body(config_hash)
         return None if body is None else _record_of(body, config_hash)
 
+    def load_many(self, config_hashes: Iterable[str]) -> dict[str, dict]:
+        """The stored records of several config hashes, keyed by hash.
+
+        One query per :data:`_LOOKUP_CHUNK` hashes, however many there
+        are.  A miss is absent from the result, and so is a body that is
+        not a record under its hash, exactly as :meth:`load` counts it.
+        """
+        addresses = list(dict.fromkeys(config_hashes))
+        rows: list[tuple[str, str]] = []
+        with self._lock:
+            connection = self._connected(create=False)
+            if connection is None:
+                return {}
+            for low in range(0, len(addresses), _LOOKUP_CHUNK):
+                chunk = addresses[low : low + _LOOKUP_CHUNK]
+                marks = ", ".join("?" * len(chunk))
+                rows += connection.execute(
+                    "SELECT config_hash, body FROM results "
+                    f"WHERE config_hash IN ({marks})",
+                    chunk,
+                ).fetchall()
+        records: dict[str, dict] = {}
+        for address, body in rows:
+            record = _record_of(body, address)
+            if record is not None:
+                records[address] = record
+        return records
+
     def artifact_bytes(self, config_hash: str) -> bytes | None:
         """The record's canonical-JSON bytes, or None on miss.
 
@@ -335,16 +372,16 @@ class ArtifactStore:
         module docstring for what a power cut may lose).  The record
         embeds the full ``config`` dict its address was hashed from,
         which is what lets ``repro lab index --verify`` recompute hashes
-        and report drift without the original :class:`JobSpec`.
+        and report drift without the original :class:`JobSpec`.  The
+        address is the spec's own :meth:`~JobSpec.config_hash`, which
+        the batch's lookup has already computed.
         """
         version = package_version or repro.__version__
-        config = spec.config(version)
-        address = config_hash(config)
         record = dict(payload)
         record.update(
             schema=SCHEMA_VERSION,
-            config=config,
-            config_hash=address,
+            config=spec.config(version),
+            config_hash=spec.config_hash(version),
             package_version=version,
             created_at=_utc_now(),
             run_id=run_id,

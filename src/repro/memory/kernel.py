@@ -76,9 +76,9 @@ a memory batch pays for that batch's loop once.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Sequence
 
 from repro.core.distributions import is_conflict_free
 from repro.errors import ConfigurationError, SimulationError
@@ -87,12 +87,48 @@ from repro.memory.module import RequestRecords
 from repro.obs.tracer import resolve_tracer
 
 
+class StridedRequests(Sequence):
+    """A strided access's ``(element_index, address)`` pairs in issue
+    order, each derived when it is read.
+
+    ``indices`` is the issue order (an access plan's ``order.indices``)
+    and element ``i``'s address is ``vector.base + vector.stride * i``,
+    as :meth:`~repro.core.vector.VectorAccess.address_of` computes it.
+    The index range is checked once, here: an index outside the vector
+    raises the :class:`~repro.errors.VectorSpecError` that ``address_of``
+    raises for it.  Reading every pair gives ``plan.request_stream()``.
+    """
+
+    __slots__ = ("_indices", "_base", "_stride")
+
+    def __init__(self, vector, indices: Sequence[int]):
+        length = vector.length
+        if indices and not (0 <= min(indices) and max(indices) < length):
+            vector.address_of(next(i for i in indices if not 0 <= i < length))
+        self._indices = indices
+        self._base = vector.base
+        self._stride = vector.stride
+
+    def __len__(self) -> int:
+        return len(self._indices)
+
+    def __getitem__(self, position: int) -> tuple[int, int]:
+        index = self._indices[position]
+        return index, self._base + self._stride * index
+
+    def __iter__(self):
+        base, stride = self._base, self._stride
+        for index in self._indices:
+            yield index, base + stride * index
+
+
 @dataclass(frozen=True)
 class KernelStream:
     """One named request stream.
 
     ``requests`` are ``(element_index, address)`` pairs in issue order
-    (addresses are reduced through the mapping by the kernel).
+    (addresses are reduced through the mapping by the kernel): a tuple,
+    or a :class:`StridedRequests` view, which the stream keeps as it is.
     ``stores`` lists stream positions that are store operations.
     ``modules`` optionally gives each request's module (the plan's
     temporal distribution under the kernel's mapping); ``None`` derives
@@ -100,7 +136,7 @@ class KernelStream:
     """
 
     name: str
-    requests: tuple[tuple[int, int], ...]
+    requests: Sequence[tuple[int, int]]
     stores: frozenset[int] = frozenset()
     modules: tuple[int, ...] | None = None
 
@@ -114,7 +150,11 @@ class KernelStream:
     ) -> "KernelStream":
         return cls(
             name,
-            tuple(requests),
+            (
+                requests
+                if isinstance(requests, StridedRequests)
+                else tuple(requests)
+            ),
             frozenset(stores),
             None if modules is None else tuple(modules),
         )

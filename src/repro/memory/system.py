@@ -34,7 +34,12 @@ from repro.core.planner import AccessPlan
 from repro.errors import SimulationError
 from repro.mappings.base import AddressMapping
 from repro.memory.config import MemoryConfig
-from repro.memory.kernel import KernelRun, KernelStream, MemoryKernel
+from repro.memory.kernel import (
+    KernelRun,
+    KernelStream,
+    MemoryKernel,
+    StridedRequests,
+)
 from repro.memory.module import RequestRecords
 
 
@@ -139,15 +144,22 @@ class MemorySystem:
         :func:`~repro.core.gather.plan_indexed` or the cooldown
         scheduler — already holds each request's module; the kernel
         reuses those instead of re-deriving them from the addresses.
+        A strided plan's requests reach the kernel as a
+        :class:`~repro.memory.kernel.StridedRequests` view of its issue
+        order, so its pairs are built only if a caller reads the
+        request records (a timeline or a trace).
         """
         modules = None
         if _same_address_function(
             getattr(plan, "mapping", None), self.config.mapping
         ):
             modules = plan.modules
-        return self.run_stream(
-            plan.request_stream(), modules=modules, tracer=tracer
+        requests = (
+            StridedRequests(plan.vector, plan.order.indices)
+            if isinstance(plan, AccessPlan)
+            else plan.request_stream()
         )
+        return self.run_stream(requests, modules=modules, tracer=tracer)
 
     def run_stream(
         self,

@@ -19,26 +19,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from repro.canonical import canonical_json
 from repro.errors import ConfigurationError
 
 #: Scalar types a spec parameter may hold (plus lists/tuples of them).
 SCALAR_TYPES = (bool, int, float, str, type(None))
-
-
-def canonical_json(value) -> str:
-    """Deterministic JSON: sorted keys, no whitespace, no NaN.
-
-    The one definition: the lab's config hashes and stored bodies
-    (:mod:`repro.lab.hashing`) import it from here, so the spec layer
-    never imports the lab.
-    """
-    return json.dumps(
-        value,
-        sort_keys=True,
-        separators=(",", ":"),
-        allow_nan=False,
-        ensure_ascii=True,
-    )
 
 
 def freeze_value(value, *, context: str = "parameter"):

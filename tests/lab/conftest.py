@@ -55,3 +55,26 @@ def sqlite_connects(monkeypatch):
     counting = CountingSqlite()
     monkeypatch.setattr("repro.lab.store.sqlite3", counting)
     return counting
+
+
+@pytest.fixture
+def stored_results():
+    """``stored_results(store, outcomes)``: each outcome's record as the
+    store holds it, without its run id, timestamp and elapsed time.
+
+    What backends must agree on: ``report.md`` holds only the job table,
+    so a run's results are compared where they live.
+    """
+
+    def stored_results(store, outcomes) -> list[dict]:
+        records = [store.load(o.record["config_hash"]) for o in outcomes]
+        return [
+            {
+                key: value
+                for key, value in record.items()
+                if key not in ("run_id", "created_at", "elapsed_seconds")
+            }
+            for record in records
+        ]
+
+    return stored_results

@@ -40,10 +40,16 @@ class TestWriteRunArtifacts:
         for job in manifest["jobs"]:
             assert store.load(job["config_hash"]) is not None
             assert "artifact" not in job
+        # One table row per job, and no copy of a result: those live in
+        # index.sqlite alone.
         text = (run_dir / "report.md").read_text()
-        assert f"run `{report.run_id}`" in text
-        assert "## E01" in text
-        assert "## S-t" in text
+        assert text == (
+            f"# repro lab report — run `{report.run_id}`\n\n"
+            "| job | kind | status | source |\n"
+            "|---|---|---|---|\n"
+            "| E01 | experiment | pass | executed |\n"
+            "| S-t | sweep | pass | executed |\n"
+        )
 
     def test_report_marks_cache_hits(self, tmp_path):
         store = ArtifactStore(tmp_path / "lab")

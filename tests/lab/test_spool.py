@@ -323,7 +323,7 @@ class TestCrashInjection:
 
 
 class TestWorkers:
-    def test_two_workers_share_a_16_job_batch(self, tmp_path):
+    def test_two_workers_share_a_16_job_batch(self, tmp_path, stored_results):
         """Acceptance: 16 jobs, two concurrent workers, batch completes."""
         specs = [
             experiment_spec("E03", lambda_exponent=exp, t=t)
@@ -359,14 +359,17 @@ class TestWorkers:
         assert report.executed == 16
         assert len({o.record["config_hash"] for o in report.outcomes}) == 16
         # Acceptance: the spooled batch's report is byte-identical to a
-        # serial run of the same 16 jobs on a fresh store.
+        # serial run of the same 16 jobs on a fresh store, and so are the
+        # results both stores hold.
         from repro.lab.manifest import render_lab_report
 
-        serial = run_jobs(
-            specs, store=ArtifactStore(tmp_path / "serial-lab"), backend="serial"
-        )
+        serial_store = ArtifactStore(tmp_path / "serial-lab")
+        serial = run_jobs(specs, store=serial_store, backend="serial")
         assert render_lab_report(report.outcomes, "PINNED") == render_lab_report(
             serial.outcomes, "PINNED"
+        )
+        assert stored_results(store, report.outcomes) == stored_results(
+            serial_store, serial.outcomes
         )
 
     def test_serve_once_on_empty_dir(self, tmp_path):

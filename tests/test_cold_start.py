@@ -13,6 +13,9 @@ is timed, so host noise cannot fail them.
   CLI's lab module, standard library included.  Everything else a sweep
   runs is loaded at set-up, so none of that work moves into the timed
   sweeps.
+* ``lab index``, ``merge``, ``diff`` and ``history`` read only a lab
+  root's store and run files, and load no scenario, planner, memory,
+  mapping, hardware or processor module.
 """
 
 from __future__ import annotations
@@ -125,3 +128,45 @@ def test_a_sweep_after_set_up_loads_only_its_own_code(grid, tmp_path):
         # imported it at set-up.
         allowed.append("locale")
     assert [m for m in added if not _within(m, allowed)] == []
+
+
+#: The simulator's packages: what a command that only reads a store
+#: never needs.
+SIMULATOR = [
+    "repro.scenarios",
+    "repro.core",
+    "repro.mappings",
+    "repro.memory",
+    "repro.hardware",
+    "repro.processor",
+]
+
+
+@pytest.fixture(scope="module")
+def swept_root(tmp_path_factory):
+    """A lab root holding two runs of one small grid."""
+    from repro.cli import main
+
+    root = tmp_path_factory.mktemp("store-only") / "lab"
+    grid = str(EXAMPLES / "scenario_unmatched_grid.json")
+    for _ in range(2):
+        argv = ["lab", "sweep", grid, "--backend", "serial"]
+        assert main([*argv, "--root", str(root)]) == 0
+    return root
+
+
+@pytest.mark.parametrize("command", ["index", "merge", "diff", "history"])
+def test_store_only_lab_commands_load_no_simulator(
+    command, swept_root, tmp_path
+):
+    runs = sorted(path.name for path in (swept_root / "runs").iterdir())
+    root = ["--root", str(swept_root)]
+    argv = {
+        "index": ["lab", "index", *root],
+        "merge": ["lab", "merge", str(swept_root), "--root", str(tmp_path)],
+        "diff": ["lab", "diff", *runs, *root],
+        "history": ["lab", "history", *root],
+    }[command]
+    code, modules = _run(RUN_MAIN, *argv)
+    assert code == 0
+    assert [m for m in modules if _within(m, SIMULATOR)] == []
