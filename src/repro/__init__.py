@@ -60,7 +60,7 @@ Module map
   with the closed-form ``T + L + 1`` and runs the memory kernel for
   everything else (always, when traced).  The planner's process-wide
   LRU plan cache memoizes the hot path (``repro.obs.cache_stats()``
-  snapshots it; ``REPRO_PLAN_CACHE=0`` disables it);
+  snapshots it);
 * :mod:`repro.check` — static conflict/hazard analysis of specs and
   vector programs (closed-form conflict verdicts, RAW/WAR/WAW and
   batchability reports, spec lint, grid dedupe) behind ``repro check``

@@ -1,5 +1,10 @@
-"""Closed-form models and validation for the paper's evaluation section."""
+"""Closed-form models and validation for the paper's evaluation section.
 
+The validation simulates through :mod:`repro.scenarios`, so its names
+load on first use and the closed-form models alone load no simulator.
+"""
+
+from repro import _lazy_exports
 from repro.analysis.efficiency import (
     average_cycles_per_element,
     average_cycles_truncated,
@@ -34,11 +39,15 @@ from repro.analysis.tradeoffs import (
     unmatched_design_point,
     window_doubling_cost,
 )
-from repro.analysis.validation import (
-    FamilyValidation,
-    validate_families,
-    validate_family,
-    weighted_measured_efficiency,
+
+_EXPORTS = dict.fromkeys(
+    (
+        "FamilyValidation",
+        "validate_families",
+        "validate_family",
+        "weighted_measured_efficiency",
+    ),
+    "repro.analysis.validation",
 )
 
 __all__ = [
@@ -73,3 +82,5 @@ __all__ = [
     "weighted_measured_efficiency",
     "window_doubling_cost",
 ]
+
+__getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

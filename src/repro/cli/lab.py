@@ -19,10 +19,10 @@ from repro.errors import ConfigurationError
 from repro.lab import (
     ArtifactStore,
     build_registry,
-    decode_rows,
     default_lab_root,
     experiment_spec,
     recent_run_metrics,
+    record_metrics,
     run_jobs,
     scenario_jobs,
     status_payload,
@@ -675,20 +675,12 @@ def _lab_sweep(args: argparse.Namespace, store) -> int:
         backend=_build_backend(args, store),
     )
     outcomes = {outcome.spec.job_id: outcome for outcome in report.outcomes}
-    records = []
-    for job in jobs:
-        outcome = outcomes.get(job.job_id)
-        if outcome is None:
-            records.append({})
-            continue
-        records.append(
-            {
-                str(metric): value
-                for metric, value in decode_rows(
-                    outcome.record.get("rows", [])
-                )
-            }
-        )
+    records = [
+        record_metrics(outcomes[job.job_id].record)
+        if job.job_id in outcomes
+        else {}
+        for job in jobs
+    ]
     headers, rows = sweep_table(grid, records)
     renderer = render_markdown if args.markdown else render_table
     table = renderer(headers, rows, title=grid.describe())

@@ -1,23 +1,19 @@
 """``repro plan``, ``repro window`` and ``repro survey``: the paper's
 matched (Eq. 1) and unmatched (Eq. 2) designs, one access, one window
-or one range of strides at a time."""
+or one range of strides at a time.  ``window`` is closed-form, so only
+``plan`` and ``survey`` import the simulator, inside their handlers."""
 
 from __future__ import annotations
 
 import argparse
+from typing import TYPE_CHECKING
 
 from repro.core.vector import VectorAccess
 from repro.core.windows import MatchedDesign, UnmatchedDesign
-from repro.memory.trace import describe_result, render_timeline
 from repro.report.tables import render_table
-from repro.scenarios import (
-    ComponentSpec,
-    MemorySpec,
-    ScenarioSpec,
-    build_machine,
-    simulate_access,
-)
-from repro.scenarios.facade import build_config
+
+if TYPE_CHECKING:
+    from repro.scenarios import ScenarioSpec
 
 
 def configure(command: str, parser: argparse.ArgumentParser, argv):
@@ -71,6 +67,8 @@ def design_spec(
 ) -> ScenarioSpec:
     """The machine-only spec of the matched (Eq. 1) design, or of the
     unmatched (Eq. 2) one when ``y`` is given."""
+    from repro.scenarios import ComponentSpec, MemorySpec, ScenarioSpec
+
     if y is None:
         mapping = ComponentSpec.of("matched-xor", t=t, s=s)
     else:
@@ -79,6 +77,9 @@ def design_spec(
 
 
 def command_plan(args: argparse.Namespace) -> int:
+    from repro.memory.trace import describe_result, render_timeline
+    from repro.scenarios import build_machine
+
     config, planner, system = build_machine(
         design_spec(args.t, args.s, args.y, args.q, args.qp)
     )
@@ -124,6 +125,9 @@ def command_window(args: argparse.Namespace) -> int:
 
 
 def command_survey(args: argparse.Namespace) -> int:
+    from repro.scenarios import simulate_access
+    from repro.scenarios.facade import build_config
+
     design = design_spec(args.t, args.s, args.y)
     config = build_config(design)
     minimum = config.service_ratio + args.length + 1

@@ -10,6 +10,7 @@ from pathlib import Path
 from repro.cli import ROOT_HELP, add_commands, positive_int
 from repro.obs import Tracer, write_chrome_trace
 from repro.report.tables import render_table
+from repro.result_schema import METRIC_HEADERS
 from repro.scenarios import (
     CATEGORIES,
     TIMELINE_FIELDS,
@@ -198,7 +199,7 @@ def command_scenario(args: argparse.Namespace) -> int:
         return 0
     for spec, result in results:
         print(f"== {spec.describe()}")
-        print(render_table(["metric", "value"], result.metric_rows()))
+        print(render_table(METRIC_HEADERS, result.metric_rows()))
         if result.timeline:
             print()
             print(

@@ -23,7 +23,6 @@ Scheme selection (mode ``"auto"``) follows the paper:
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -49,20 +48,9 @@ from repro.mappings.section import SectionXorMapping
 
 PlanMode = Literal["auto", "ordered", "subsequence", "conflict_free"]
 
-#: Set to ``0``/``off``/``false``/``no`` to disable the process-wide
-#: plan cache (every ``plan()`` call then recomputes from scratch).
-PLAN_CACHE_ENV = "REPRO_PLAN_CACHE"
 #: Entries the shared plan cache holds before evicting the least
 #: recently used plan.
 PLAN_CACHE_CAPACITY = 4096
-
-_DISABLED_VALUES = frozenset({"0", "off", "false", "no"})
-
-
-def plan_cache_enabled() -> bool:
-    """Whether :meth:`AccessPlanner.plan` consults the shared cache."""
-    value = os.environ.get(PLAN_CACHE_ENV, "1").strip().lower()
-    return value not in _DISABLED_VALUES
 
 
 class PlanCache:
@@ -236,10 +224,10 @@ class AccessPlanner:
         * ``"conflict_free"`` — the Section 3.2/4.2 order (same).
 
         Successful plans are memoized in the process-wide
-        :class:`PlanCache` (disable with ``REPRO_PLAN_CACHE=0``); the
-        key is exact — mapping identity, ``t``, mode and the full
-        vector — so a cached plan is indistinguishable from a fresh
-        one.  Forced modes that raise are never cached.
+        :class:`PlanCache`; the key is exact — mapping identity, ``t``,
+        mode and the full vector — so a cached plan is
+        indistinguishable from a fresh one.  Forced modes that raise
+        are never cached.
         """
         key = self._plan_cache_key(vector, mode)
         if key is not None:
@@ -254,8 +242,6 @@ class AccessPlanner:
     def _plan_cache_key(
         self, vector: VectorAccess, mode: PlanMode
     ) -> tuple | None:
-        if not plan_cache_enabled():
-            return None
         token = self.mapping.cache_token()
         if token is None:
             return None

@@ -105,6 +105,7 @@ from repro.lab.jobs import (
     build_registry,
     execute_job,
     experiment_spec,
+    record_metrics,
     resolve,
     scenario_jobs,
 )
@@ -180,6 +181,7 @@ __all__ = [
     "new_run_id",
     "read_manifests",
     "recent_run_metrics",
+    "record_metrics",
     "render_diff",
     "render_experiments_markdown",
     "render_lab_report",

@@ -77,7 +77,7 @@ def _run_records(
     in the rendered diff).  A job whose result is missing (crashed jobs
     are never cached) contributes a minimal failed record built from
     manifest metadata, so a crash in run B still shows up as a
-    regression.
+    regression.  Either way the run's records are one ``load_many``.
     """
     manifest_path = store.runs_dir / run_id / "manifest.json"
     records: dict[str, dict] = {}
@@ -88,8 +88,10 @@ def _run_records(
             raise UnknownRunError(
                 f"manifest for run {run_id!r} is unreadable: {error}"
             ) from None
-        for job in manifest.get("jobs", []):
-            record = store.load(job["config_hash"])
+        jobs = manifest.get("jobs", [])
+        found = store.load_many(job["config_hash"] for job in jobs)
+        for job in jobs:
+            record = found.get(job["config_hash"])
             if record is None:
                 record = {
                     "job_id": job["job_id"],
@@ -103,11 +105,13 @@ def _run_records(
                 }
             records[job["job_id"]] = record
         return records
-    for row in store.results():
-        if row["run_id"] == run_id:
-            record = store.load(row["config_hash"])
-            if record is not None:
-                records[record["job_id"]] = record
+    executed = store.load_many(
+        row["config_hash"]
+        for row in store.results()
+        if row["run_id"] == run_id
+    )
+    for record in executed.values():
+        records[record["job_id"]] = record
     if not records:
         known = sorted(
             path.name for path in store.runs_dir.glob("*") if path.is_dir()

@@ -44,7 +44,13 @@ from typing import TYPE_CHECKING, Callable
 
 import repro
 from repro.errors import ReproError
-from repro.lab.hashing import config_hash, encode_rows
+from repro.lab.hashing import (
+    ArtifactCodingError,
+    config_hash,
+    decode_rows,
+    encode_rows,
+)
+from repro.result_schema import METRIC_HEADERS
 
 if TYPE_CHECKING:
     from repro.analysis.sweeps import SweepSpec
@@ -414,7 +420,7 @@ def _scenario_payload(spec: JobSpec) -> dict:
     result = simulate(scenario)
     payload = _table_payload(
         spec.title or scenario.describe(),
-        ["metric", "value"],
+        METRIC_HEADERS,
         result.metric_rows(),
     )
     payload["notes"] = [scenario.describe()]
@@ -433,6 +439,24 @@ def _scenario_payload(spec: JobSpec) -> dict:
         ]
         payload["all_passed"] = bool(correct)
     return payload
+
+
+def record_metrics(record: dict) -> dict:
+    """The ``{metric: value}`` of a stored scenario record, in row order.
+
+    The inverse of :func:`_scenario_payload`'s table: each row's name as
+    ``ScenarioResult.metric_rows`` gives it (``extra:`` prefixes kept),
+    its value decoded.  A record of another shape (an experiment's
+    table, a crashed job's record) or one that does not decode holds
+    none.
+    """
+    if record.get("headers") != list(METRIC_HEADERS):
+        return {}
+    try:
+        rows = decode_rows(record.get("rows", []))
+    except (ArtifactCodingError, TypeError, ValueError, ZeroDivisionError):
+        return {}
+    return {str(row[0]): row[1] for row in rows if len(row) == 2}
 
 
 def execute_job(job: str | JobSpec) -> dict:

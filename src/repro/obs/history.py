@@ -7,11 +7,12 @@ from
 
 * **run manifests** (``runs/<run-id>/manifest.json``, read through
   :func:`repro.lab.manifest.read_manifests`) — every job's elapsed time
-  plus, for scenario jobs, every ``metric_rows()`` scalar
-  (``total_cycles``, ``efficiency``, ``overlap_fraction``, ...) decoded
-  from the job's stored result, and the run-level metrics block
-  (cache-hit rate, backend worker counts, queue latencies) under the
-  reserved job id ``__run__``;
+  plus, for scenario jobs, every numeric ``metric_rows()`` value
+  (``total_cycles``, ``efficiency``, ``overlap_fraction``, ...) of the
+  job's stored result, read with :func:`repro.lab.jobs.record_metrics`
+  and named without its ``extra:`` prefix, and the run-level metrics
+  block (cache-hit rate, backend worker counts, queue latencies) under
+  the reserved job id ``__run__``;
 * **pytest-benchmark files** (``bench/<run-id>.json``, copied in from
   ``BENCH_*.json`` by :func:`ingest_bench`) — per-bench mean/min/max/
   median wall seconds, ordered by the ``repro_meta`` stamp (git commit
@@ -24,10 +25,11 @@ identity.
 
 ``repro lab history`` is the CLI face: ``--metric`` renders a trend,
 ``--flag-regressions`` compares each series' latest point against its
-best-ever value with a direction-aware tolerance (reusing the metric
-direction vocabulary of :mod:`repro.scenarios.diff`) and drives a
-non-zero exit status for CI gating.  ``GET /v1/history/<metric>``
-reads the same history per request.
+best-ever value with a direction-aware tolerance (each metric's
+direction is :func:`metric_direction`, from the result schema
+:mod:`repro.result_schema` that ``repro scenario diff`` reads too) and
+drives a non-zero exit status for CI gating.  ``GET
+/v1/history/<metric>`` reads the same history per request.
 
 Imports from :mod:`repro.lab` are deliberately lazy: the kernel imports
 :mod:`repro.obs` at interpreter start, and the lab layer sits above the
@@ -46,6 +48,7 @@ from pathlib import Path
 
 from repro.errors import ReproError
 from repro.obs.commit import current_git_commit
+from repro.result_schema import BENCH_METRICS, DIRECTIONS, bare_metric
 
 __all__ = [
     "BenchFileError",
@@ -56,62 +59,23 @@ __all__ = [
     "read_history",
 ]
 
-#: The pytest-benchmark statistics each bench contributes, as
-#: ``<stat>_seconds`` metrics.
-_BENCH_METRICS = {
-    f"{stat}_seconds": stat for stat in ("mean", "min", "max", "median")
-}
-
 
 class BenchFileError(ReproError):
     """A file given to ``lab history --ingest`` that cannot be ingested."""
 
 
-#: Bench/lab metric names (beyond the scenario vocabulary) where
-#: smaller is better.  Everything wall-clock shaped regresses upward.
-_LOWER_IS_BETTER_EXTRA = frozenset(
-    {
-        "total_cycles",
-        "elapsed_seconds",
-        "mean_seconds",
-        "min_seconds",
-        "max_seconds",
-        "median_seconds",
-    }
-)
-
-_HIGHER_IS_BETTER_EXTRA = frozenset(
-    {"all_passed", "cache_hit_rate", "ops", "numerically_correct"}
-)
-
-
 def metric_direction(metric: str) -> str | None:
     """``"lower"`` / ``"higher"`` is better, or ``None`` (direction-free).
 
-    Defers to the scenario diff vocabulary (stripped of its ``extra:``
-    prefixes) and extends it with the wall-clock metrics history
-    ingests from manifests and bench JSON; unknown metrics get a suffix
-    heuristic (``*_seconds``/``*_cycles``/``*_stalls`` regress upward)
-    and otherwise stay unflaggable rather than guessing a direction.
+    A metric the result schema knows has the direction ``repro
+    scenario diff`` gives it (:data:`repro.result_schema.DIRECTIONS`),
+    so ``minimum_latency``, the ``T + L + 1`` bound, has none.  Any
+    other name gets a suffix heuristic (``*_seconds``/``*_cycles``/
+    ``*_stalls``/``*_latency`` regress upward) and otherwise stays
+    unflaggable rather than guessing a direction.
     """
-    from repro.scenarios.diff import (
-        HIGHER_IS_WORSE,
-        LOWER_IS_WORSE,
-        MUST_STAY_TRUE,
-    )
-
-    def _strip(names) -> set[str]:
-        return {name.split(":", 1)[-1] for name in names}
-
-    if metric in _strip(HIGHER_IS_WORSE) | _LOWER_IS_BETTER_EXTRA:
-        return "lower"
-    if (
-        metric
-        in _strip(LOWER_IS_WORSE)
-        | _strip(MUST_STAY_TRUE)
-        | _HIGHER_IS_BETTER_EXTRA
-    ):
-        return "higher"
+    if metric in DIRECTIONS:
+        return DIRECTIONS[metric]
     if metric.endswith(("_seconds", "_cycles", "_stalls", "_latency")):
         return "lower"
     return None
@@ -126,15 +90,14 @@ def _numeric(value) -> float | None:
     return None
 
 
-def _job_metrics(store, address: str) -> tuple[str, str, list[tuple]]:
+def _job_metrics(record: dict | None) -> tuple[str, str, list[tuple]]:
     """``(scenario, source fingerprint, metric rows)`` of one stored result.
 
     The rows are the record's numeric ``(metric, value)`` pairs, with
     ``extra:`` prefixes stripped; a missing result has none.
     """
-    from repro.lab.hashing import decode_rows
+    from repro.lab.jobs import record_metrics
 
-    record = store.load(address)
     if record is None:
         return "", "", []
     scenario = fingerprint = ""
@@ -143,29 +106,18 @@ def _job_metrics(store, address: str) -> tuple[str, str, list[tuple]]:
         fingerprint = config.get("source_fingerprint", "")
         scenario = _scenario_name(config)
     rows: list[tuple] = []
-    if record.get("headers") == ["metric", "value"]:
-        try:
-            decoded = decode_rows(record.get("rows", []))
-        except Exception:
-            decoded = []
-        for row in decoded:
-            if len(row) != 2:
-                continue
-            value = _numeric(row[1])
-            if value is None:
-                continue
-            metric = str(row[0])
-            if metric.startswith("extra:"):
-                metric = metric[len("extra:"):]
-            rows.append((metric, value))
+    for metric, raw in record_metrics(record).items():
+        value = _numeric(raw)
+        if value is not None:
+            rows.append((bare_metric(metric), value))
     return scenario, fingerprint, rows
 
 
-def _manifest_run(manifest: dict, store, jobs: dict) -> tuple[dict, list]:
+def _manifest_run(manifest: dict, jobs: dict) -> tuple[dict, list]:
     """One manifest's run identity and its ``(job, metric, value,
     scenario, config hash)`` rows.
 
-    ``jobs`` maps each config hash this scan has decoded to its
+    ``jobs`` maps each config hash the scan read to its
     :func:`_job_metrics`, so runs that repeat a design point decode it
     once.
     """
@@ -177,8 +129,6 @@ def _manifest_run(manifest: dict, store, jobs: dict) -> tuple[dict, list]:
     for job in manifest.get("jobs", []):
         job_id = job.get("job_id", "")
         address = job.get("config_hash", "")
-        if address not in jobs:
-            jobs[address] = _job_metrics(store, address)
         scenario, job_fingerprint, metric_rows = jobs[address]
         fingerprint = fingerprint or job_fingerprint
         for metric, value in metric_rows:
@@ -258,7 +208,7 @@ def _bench_run(run_id: str, data: dict) -> tuple[dict, list]:
         stats = bench.get("stats", {})
         if not name or not isinstance(stats, dict):
             continue
-        for metric, stat in _BENCH_METRICS.items():
+        for metric, stat in BENCH_METRICS.items():
             value = _numeric(stats.get(stat))
             if value is not None:
                 rows.append((str(name), metric, value, "", ""))
@@ -349,7 +299,7 @@ def _carry_over_history_db(store) -> None:
             for run_id, name, metric, value in db.execute(
                 "SELECT run_id, job_id, metric, value FROM metrics"
             ):
-                stat = _BENCH_METRICS.get(metric)
+                stat = BENCH_METRICS.get(metric)
                 if run_id in files and stat is not None:
                     benches = files[run_id]["benchmarks"]
                     benches.setdefault(name, {})[stat] = value
@@ -504,17 +454,28 @@ class History:
 def read_history(store) -> History:
     """Every metric point under one lab root, from one scan.
 
-    Reads the root's manifests and stored results (decoding each
+    Reads the root's manifests, the stored results they name (with one
+    :meth:`~repro.lab.store.ArtifactStore.load_many`, decoding each
     distinct config hash once) and its bench files.  Of two records
     under one run id, the later one counts.
     """
     from repro.lab.manifest import read_manifests
 
     _carry_over_history_db(store)
-    jobs: dict[str, tuple] = {}
+    manifests = read_manifests(store)
+    addresses = [
+        job.get("config_hash", "")
+        for manifest in manifests
+        for job in manifest.get("jobs", [])
+    ]
+    records = store.load_many(addresses)
+    jobs = {
+        address: _job_metrics(records.get(address))
+        for address in dict.fromkeys(addresses)
+    }
     runs: dict[str, tuple[dict, list]] = {}
-    for manifest in read_manifests(store):
-        run, rows = _manifest_run(manifest, store, jobs)
+    for manifest in manifests:
+        run, rows = _manifest_run(manifest, jobs)
         runs[run["run_id"]] = (run, rows)
     for path in sorted(store.bench_dir.glob("*.json")):
         data = _load_bench(path)

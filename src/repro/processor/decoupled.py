@@ -58,6 +58,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from math import isnan
+from operator import attrgetter
 
 from repro.core.gather import IndexedAccess, IndexedMode, plan_indexed
 from repro.core.planner import AccessPlanner, PlanMode
@@ -84,26 +85,10 @@ from repro.processor.isa import (
     VSum,
 )
 from repro.processor.program import MemoryInit, Program
+from repro.result_schema import TIMELINE_FIELDS
 
 #: Number of architectural vector registers.
 REGISTER_COUNT = 8
-
-#: Schema of one timeline row, in order (see :attr:`MachineResult.timeline`).
-#: ``port`` and ``stream`` record per-instruction memory occupancy: the
-#: address/result port the access issued on and the concurrent stream
-#: slot it occupied in its batch (``None`` for execute instructions).
-TIMELINE_FIELDS = (
-    "position",
-    "mnemonic",
-    "unit",
-    "start_cycle",
-    "end_cycle",
-    "duration",
-    "mode",
-    "conflict_free",
-    "port",
-    "stream",
-)
 
 #: Absolute tolerance of the numerical-correctness check.  The modelled
 #: datapath is exact (Python floats end to end), so this only absorbs
@@ -146,6 +131,10 @@ class InstructionTiming:
         return self.end_cycle - self.start_cycle + 1
 
 
+#: One :class:`InstructionTiming` as its timeline row.
+_TIMELINE_ROW = attrgetter(*TIMELINE_FIELDS)
+
+
 @dataclass(frozen=True)
 class MachineResult:
     """Everything one program run produced.
@@ -176,21 +165,7 @@ class MachineResult:
         """One plain row of :data:`TIMELINE_FIELDS` values per
         instruction — JSON-safe, so scenario results and lab records can
         carry it verbatim."""
-        return tuple(
-            (
-                timing.position,
-                timing.mnemonic,
-                timing.unit,
-                timing.start_cycle,
-                timing.end_cycle,
-                timing.duration,
-                timing.mode,
-                timing.conflict_free,
-                timing.port,
-                timing.stream,
-            )
-            for timing in self.timings
-        )
+        return tuple(map(_TIMELINE_ROW, self.timings))
 
     @property
     def overlap_fraction(self) -> float:

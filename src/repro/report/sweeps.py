@@ -6,31 +6,16 @@ through the lab's content-addressed cache, and renders *one* table —
 swept axes as the leading columns, one row per point — replacing the
 ad-hoc per-bench tables those sweeps used to be.  The helpers here are
 pure formatting: they take the grid plus each point's metric mapping
-(decoded from the lab artifact rows) and return ``(headers, rows)`` for
-:func:`repro.report.tables.render_table` / ``render_markdown``.
+(:func:`repro.lab.jobs.record_metrics` of its stored record) and return
+``(headers, rows)`` for :func:`repro.report.tables.render_table` /
+``render_markdown``.  Which metrics the table shows, and in what order,
+is :data:`repro.result_schema.SWEEP_COLUMNS`.
 """
 
 from __future__ import annotations
 
+from repro.result_schema import SWEEP_COLUMNS, bare_metric
 from repro.scenarios.grid import ScenarioGrid
-
-#: Metrics every sweep table shows, in order (when the records have them).
-CORE_METRICS = (
-    "latency",
-    "minimum_latency",
-    "conflict_free",
-    "efficiency",
-    "issue_stalls",
-    "cycles_per_element",
-)
-
-#: Optional metrics appended when any design point reports them.
-EXTRA_METRICS = (
-    "extra:total_cycles",
-    "extra:overlap_fraction",
-    "extra:chaining_speedup",
-    "extra:numerically_correct",
-)
 
 
 def axis_columns(grid: ScenarioGrid) -> list[str]:
@@ -61,17 +46,10 @@ def sweep_table(
         )
     metrics = [
         metric
-        for metric in CORE_METRICS
+        for metric in SWEEP_COLUMNS
         if any(metric in record for record in records)
     ]
-    metrics += [
-        metric
-        for metric in EXTRA_METRICS
-        if any(metric in record for record in records)
-    ]
-    headers = axis_columns(grid) + [
-        metric.removeprefix("extra:") for metric in metrics
-    ]
+    headers = axis_columns(grid) + [bare_metric(metric) for metric in metrics]
     rows = []
     for point, record in zip(grid.points(), records):
         # A list-valued axis shows in its JSON form, as a spec holds it.

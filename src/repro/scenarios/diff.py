@@ -3,16 +3,18 @@
 ``repro scenario diff a.json b.json`` simulates one spec per file and
 compares the two :meth:`ScenarioResult.to_dict` records — the scenario
 analogue of ``repro lab diff``, but across *design points* rather than
-recorded runs.  Each scalar metric is classified by direction:
+recorded runs.  Each metric that differs is classified by the direction
+:data:`repro.result_schema.DIRECTIONS` gives it:
 
 * **regression** — candidate ``b`` is worse than baseline ``a``: more
-  cycles (``latency``, ``excess_latency``, ``issue_stalls``,
-  ``wait_count``, ``cycles_per_element``, ``extra:total_cycles``),
-  lower ``efficiency``, a ``conflict_free`` / ``numerically_correct``
-  flag that flipped true -> false, or a lost chaining speedup;
+  of a lower-is-better metric (``latency``, ``excess_latency``,
+  ``issue_stalls``, ``extra:total_cycles``...), less of a
+  higher-is-better one (``efficiency``, ``extra:chaining_speedup``...),
+  or a flag such as ``conflict_free`` that flipped true -> false;
 * **improvement** — the same metrics moving the other way;
-* **change** — anything else that differs (schemes, timelines, module
-  business, informational extras).
+* **change** — anything else that differs: direction-free metrics (the
+  ``minimum_latency`` bound, schemes, timelines, module business,
+  informational extras) and values of mismatched types.
 
 Regressions drive the CLI's non-zero exit status, so two committed
 specs can gate CI on "the new design point is no worse".
@@ -22,37 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-#: Scalar metrics where a larger candidate value is a regression.
-HIGHER_IS_WORSE = frozenset(
-    {
-        "latency",
-        "excess_latency",
-        "issue_stalls",
-        "wait_count",
-        "cycles_per_element",
-        "extra:total_cycles",
-    }
-)
-
-#: Scalar metrics where a smaller candidate value is a regression.
-LOWER_IS_WORSE = frozenset(
-    {
-        "efficiency",
-        "extra:chaining_speedup",
-        # Port/stream occupancy: losing memory-level parallelism (fewer
-        # concurrent in-flight accesses, less hidden overlap) is a
-        # regression; the port/stream *counts* themselves are design
-        # choices and stay direction-free.
-        "extra:stream_concurrency_peak",
-        "extra:overlap_fraction",
-    }
-)
-
-#: Boolean metrics that regress when they flip true -> false.
-MUST_STAY_TRUE = frozenset({"conflict_free", "extra:numerically_correct"})
-
-#: Keys compared for equality only (lists and labels, no direction).
-_STRUCTURAL = ("name", "drive", "schemes", "module_busy_cycles")
+from repro.result_schema import DIRECTIONS, bare_metric, extra_metric
 
 
 @dataclass(frozen=True)
@@ -115,29 +87,25 @@ def _flatten(record: dict) -> dict:
     for key, value in record.items():
         if key == "extras":
             for extra_key, extra_value in value.items():
-                flat[f"extra:{extra_key}"] = extra_value
-        elif key == "timeline":
-            flat["timeline"] = value
+                flat[extra_metric(extra_key)] = extra_value
         else:
             flat[key] = value
     return flat
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _comparable(a, b) -> bool:
+    """Two flags, or two numbers that are not flags."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return isinstance(a, bool) and isinstance(b, bool)
+    return isinstance(a, (int, float)) and isinstance(b, (int, float))
 
 
 def _classify(metric: str, a, b) -> str:
-    if metric in MUST_STAY_TRUE and a is True and b is False:
-        return "regression"
-    if metric in MUST_STAY_TRUE and a is False and b is True:
-        return "improvement"
-    if _is_number(a) and _is_number(b):
-        if metric in HIGHER_IS_WORSE:
-            return "regression" if b > a else "improvement"
-        if metric in LOWER_IS_WORSE:
-            return "regression" if b < a else "improvement"
-    return "change"
+    direction = DIRECTIONS.get(bare_metric(metric))
+    if direction is None or not _comparable(a, b):
+        return "change"
+    worse = b > a if direction == "lower" else b < a
+    return "regression" if worse else "improvement"
 
 
 def diff_results(
@@ -157,7 +125,7 @@ def diff_results(
     flat_b = _flatten(record_b)
     diff = ScenarioDiff(label_a=label_a, label_b=label_b)
     for metric in sorted(flat_a.keys() | flat_b.keys()):
-        if metric in ("name",):
+        if metric == "name":
             continue  # design points are allowed to be named differently
         in_a, in_b = metric in flat_a, metric in flat_b
         diff.compared += 1
@@ -166,12 +134,9 @@ def diff_results(
             if a == b:
                 diff.identical += 1
                 continue
-            if metric == "timeline" or metric in _STRUCTURAL:
-                diff.entries.append(MetricDiff(metric, a, b, "change"))
-            else:
-                diff.entries.append(
-                    MetricDiff(metric, a, b, _classify(metric, a, b))
-                )
+            diff.entries.append(
+                MetricDiff(metric, a, b, _classify(metric, a, b))
+            )
         else:
             diff.entries.append(
                 MetricDiff(

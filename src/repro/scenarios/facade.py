@@ -46,6 +46,7 @@ from repro.mappings.linear import MatchedXorMapping
 from repro.memory.config import MemoryConfig
 from repro.memory.system import AccessResult, MemorySystem
 from repro.obs.tracer import resolve_tracer
+from repro.result_schema import CORE_METRICS, TIMELINE_FIELDS, extra_metric
 from repro.scenarios import components as _components  # registers kinds
 from repro.scenarios.components import (
     DecoupledDrive,
@@ -57,23 +58,6 @@ from repro.scenarios.registry import DRIVE, MAPPING, PROGRAM, WORKLOAD, build
 from repro.scenarios.spec import ComponentSpec, ScenarioSpec
 
 __unused = _components  # imported for its registration side effect
-
-#: Column names of one :attr:`ScenarioResult.timeline` row, in order.
-#: Matches :data:`repro.processor.decoupled.TIMELINE_FIELDS` (asserted
-#: in the tests); duplicated here so reading a stored result needs no
-#: processor import.
-TIMELINE_FIELDS = (
-    "position",
-    "mnemonic",
-    "unit",
-    "start_cycle",
-    "end_cycle",
-    "duration",
-    "mode",
-    "conflict_free",
-    "port",
-    "stream",
-)
 
 
 def _jsonify(value):
@@ -92,9 +76,10 @@ class ScenarioResult:
     encoding.  ``extras`` carries drive-specific observations (total
     machine cycles, chained instruction count, latch occupancy...).
     ``timeline`` — per-instruction cycle accounting, one row of
-    :data:`TIMELINE_FIELDS` values per executed instruction — is only
-    populated by the decoupled-machine paths (empty for planner and
-    figure6 drives, which simulate accesses, not instructions).
+    :data:`~repro.result_schema.TIMELINE_FIELDS` values per executed
+    instruction — is only populated by the decoupled-machine paths
+    (empty for planner and figure6 drives, which simulate accesses, not
+    instructions).
     """
 
     name: str
@@ -137,55 +122,38 @@ class ScenarioResult:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "drive": self.drive,
-            "schemes": list(self.schemes),
-            "access_count": self.access_count,
-            "element_count": self.element_count,
-            "latency": self.latency,
-            "minimum_latency": self.minimum_latency,
-            "excess_latency": self.excess_latency,
-            "conflict_free": self.conflict_free,
-            "issue_stalls": self.issue_stalls,
-            "wait_count": self.wait_count,
-            "cycles_per_element": self.cycles_per_element,
-            "efficiency": self.efficiency,
-            "service_ratio": self.service_ratio,
-            "module_count": self.module_count,
-            "module_utilisation": self.module_utilisation,
-            "module_busy_cycles": list(self.module_busy_cycles),
-            "extras": {key: _jsonify(value) for key, value in self.extras},
-            "timeline": [
+        """The result as JSON-safe data: its name, every core metric
+        unrounded (the schemes as a list), the geometry, the busy cycles
+        per module, the extras and one dict per timeline row."""
+        record = {"name": self.name}
+        record.update(
+            (name, _jsonify(getattr(self, name))) for name in CORE_METRICS
+        )
+        record.update(
+            service_ratio=self.service_ratio,
+            module_count=self.module_count,
+            module_busy_cycles=list(self.module_busy_cycles),
+            extras={key: _jsonify(value) for key, value in self.extras},
+            timeline=[
                 dict(zip(TIMELINE_FIELDS, row)) for row in self.timeline
             ],
-        }
+        )
+        return record
 
     def metric_rows(self) -> list[list]:
-        """``[metric, value]`` rows for tables and lab artifacts."""
-        data = self.to_dict()
+        """``[metric, value]`` rows for tables and lab records: the core
+        metrics in :data:`~repro.result_schema.CORE_METRICS` order
+        (floats to six places, the schemes as one label), then the
+        extras."""
         rows = []
-        for key in (
-            "drive",
-            "access_count",
-            "element_count",
-            "latency",
-            "minimum_latency",
-            "excess_latency",
-            "conflict_free",
-            "issue_stalls",
-            "wait_count",
-            "cycles_per_element",
-            "efficiency",
-            "module_utilisation",
-        ):
-            value = data[key]
+        for name in CORE_METRICS:
+            value = getattr(self, name)
             if isinstance(value, float):
                 value = round(value, 6)
-            rows.append([key, value])
-        rows.append(["schemes", " ".join(self.schemes)])
-        for key, value in self.extras:
-            rows.append([f"extra:{key}", value])
+            elif isinstance(value, tuple):
+                value = " ".join(value)
+            rows.append([name, value])
+        rows.extend([extra_metric(key), value] for key, value in self.extras)
         return rows
 
 

@@ -3,10 +3,10 @@
 A cache hit must be indistinguishable from recomputation across the
 same geometry sweep that pins the Lemma-1 feasibility arithmetic
 (tests/core/test_cf_order_feasible.py): every proven mapping kind,
-stride family, length and base.  Disabling the cache via its
-environment knob must change nothing but speed, the LRU must evict
-oldest-first, and mappings without a declared ``cache_token`` must
-never be cached.
+stride family, length and base.  Plans and simulations computed cold,
+after ``clear_plan_cache()``, must equal the cached ones, the LRU must
+evict oldest-first, and mappings without a declared ``cache_token``
+must never be cached.
 """
 
 from __future__ import annotations
@@ -14,11 +14,9 @@ from __future__ import annotations
 import pytest
 
 from repro.core.planner import (
-    PLAN_CACHE_ENV,
     AccessPlanner,
     PlanCache,
     clear_plan_cache,
-    plan_cache_enabled,
     plan_cache_stats,
 )
 from repro.core.vector import VectorAccess
@@ -87,20 +85,23 @@ class TestPlanCacheCorrectness:
         for left, right in zip(cold, warm):
             assert left is right
 
-    def test_disabled_cache_produces_equal_plans(self, monkeypatch):
+    def test_plans_computed_after_clearing_equal_cached_plans(self):
+        for mapping, t, access in sweep():
+            AccessPlanner(mapping, t).plan(access)
         cached = [
             AccessPlanner(mapping, t).plan(access)
             for mapping, t, access in sweep()
         ]
-        monkeypatch.setenv(PLAN_CACHE_ENV, "0")
-        assert not plan_cache_enabled()
-        before = plan_cache_stats()
-        uncached = [
+        clear_plan_cache()
+        cold = [
             AccessPlanner(mapping, t).plan(access)
             for mapping, t, access in sweep()
         ]
-        assert plan_cache_stats() == before  # never consulted
-        assert cached == uncached
+        stats = plan_cache_stats()
+        assert stats["plan_cache_hits"] == 0  # every plan recomputed
+        assert stats["plan_cache_misses"] == len(cold)
+        assert cold == cached
+        assert all(left is not right for left, right in zip(cold, cached))
 
     def test_tokenless_mappings_are_never_cached(self):
         class AnonymousMapping(AddressMapping):
@@ -125,7 +126,7 @@ class TestPlanCacheCorrectness:
         assert first == second
         assert plan_cache_stats() == before
 
-    def test_simulation_results_match_with_cache_disabled(self, monkeypatch):
+    def test_simulation_results_match_after_clearing_the_cache(self):
         from repro.scenarios import ScenarioSpec, simulate
 
         spec = ScenarioSpec.from_dict(
@@ -140,11 +141,16 @@ class TestPlanCacheCorrectness:
                     "kind": "strided",
                     "params": {"base": 0, "stride": 3, "length": 64},
                 },
+                "drive": {"kind": "planner", "params": {"mode": "ordered"}},
             }
         )
+        simulate(spec)
         cached = simulate(spec).to_dict()
-        monkeypatch.setenv(PLAN_CACHE_ENV, "0")
-        assert simulate(spec).to_dict() == cached
+        assert plan_cache_stats()["plan_cache_hits"] >= 1
+        clear_plan_cache()
+        cold = simulate(spec).to_dict()
+        assert plan_cache_stats()["plan_cache_hits"] == 0
+        assert cold == cached
 
     def test_same_token_different_type_do_not_collide(self):
         # A subclass overriding module_of but not cache_token must get

@@ -4,7 +4,9 @@ Each job's config is hashed once (serve's submit, the lookup, the save
 and a crashed job's record share that hash), a batch looks its points
 up with one query, each executed point is one ``INSERT``, and a
 ``repro lab sweep`` call builds an ``ArgumentParser`` only for each
-command on its path.
+command on its path.  Reading a root back is batched the same way:
+``lab history`` reads N distinct results with one query per
+``_LOOKUP_CHUNK`` hashes, and ``lab diff`` looks each run up once.
 """
 
 from __future__ import annotations
@@ -19,6 +21,8 @@ import pytest
 from repro.cli import main
 from repro.lab import SCENARIO_KIND, ArtifactStore, JobSpec, hashing, run_jobs
 from repro.lab.store import _LOOKUP_CHUNK
+from repro.obs.history import read_history
+from repro.result_schema import METRIC_HEADERS
 from repro.serve.service import LabService
 
 #: Four planner points, milliseconds each to simulate.
@@ -196,6 +200,55 @@ class TestOneLookupPerRun:
         assert store.load_many(["0" * 64]) == {}
         assert statements == []
         assert not (tmp_path / "lab").exists()
+
+
+class TestOneLookupPerRead:
+    @pytest.mark.parametrize("points", [3, _LOOKUP_CHUNK + 1])
+    def test_history_reads_n_results_with_one_query_per_chunk(
+        self, tmp_path, statements, points
+    ):
+        root = tmp_path / "lab"
+        payload = {
+            "headers": list(METRIC_HEADERS),
+            "rows": [["latency", 9]],
+            "all_passed": True,
+        }
+        with ArtifactStore(root) as store:
+            jobs = [
+                {
+                    "job_id": f"SC-{index}",
+                    "config_hash": store.save(
+                        JobSpec(f"SC-{index}", SCENARIO_KIND, "point"),
+                        payload,
+                        run_id="r1",
+                    )["config_hash"],
+                }
+                for index in range(points)
+            ]
+        # Two runs over the same points: each result is read once.
+        for run_id in ("r1", "r2"):
+            manifest = {"run_id": run_id, "created_at": run_id, "jobs": jobs}
+            path = root / "runs" / run_id / "manifest.json"
+            path.parent.mkdir(parents=True)
+            path.write_text(json.dumps(manifest))
+        statements.clear()
+        with ArtifactStore(root) as store:
+            history = read_history(store)
+        assert count(statements, "SELECT") == -(-points // _LOOKUP_CHUNK)
+        assert len(history.trend("latency")) == 2 * points
+
+    def test_lab_diff_looks_each_run_up_once(
+        self, tmp_path, capsys, statements
+    ):
+        root = tmp_path / "lab"
+        grid = write_grid(tmp_path, [1, 3, 5, 7])
+        assert sweep(grid, root) == 0
+        assert sweep(grid, root) == 0
+        runs = sorted(path.name for path in (root / "runs").iterdir())
+        statements.clear()
+        assert main(["lab", "diff", *runs, "--root", str(root)]) == 0
+        assert "compared 4 common job(s); 4 identical" in capsys.readouterr().out
+        assert count(statements, "SELECT") == 2
 
 
 class TestParsersOnThePath:

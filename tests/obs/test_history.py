@@ -107,6 +107,14 @@ class TestMetricDirection:
     def test_unknown_metric_has_no_direction(self):
         assert metric_direction("made_up_thing") is None
 
+    @pytest.mark.parametrize(
+        "metric", ["minimum_latency", "memory_ports", "register_length"]
+    )
+    def test_bounds_and_design_choices_have_no_direction(self, metric):
+        # minimum_latency is the T+L+1 bound, not an outcome: its suffix
+        # does not make it lower-is-better.
+        assert metric_direction(metric) is None
+
 
 class TestCurrentGitCommit:
     def test_env_sha_wins(self, monkeypatch):
@@ -171,17 +179,20 @@ class TestReadStore:
     ):
         for _ in range(3):
             run_once(tmp_path / "lab")
-        loads = []
-        load = ArtifactStore.load
+        lookups = []
+        load_many = ArtifactStore.load_many
 
-        def counting_load(self, address):
-            loads.append(address)
-            return load(self, address)
+        def counting_load_many(self, addresses):
+            addresses = list(addresses)
+            lookups.append(addresses)
+            return load_many(self, addresses)
 
-        monkeypatch.setattr(ArtifactStore, "load", counting_load)
+        monkeypatch.setattr(ArtifactStore, "load_many", counting_load_many)
+        monkeypatch.delattr(ArtifactStore, "load")
         history = history_of(tmp_path / "lab")
         assert len(history.trend("latency")) == 3
-        assert len(loads) == 1
+        assert len(lookups) == 1
+        assert len(set(lookups[0])) == 1
 
 
 class TestCommitStamping:

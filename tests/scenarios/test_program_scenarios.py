@@ -81,7 +81,7 @@ class TestRoundTrips:
     def test_timeline_fields_match_machine(self):
         from repro.processor import TIMELINE_FIELDS as MACHINE_FIELDS
 
-        assert TIMELINE_FIELDS == MACHINE_FIELDS
+        assert TIMELINE_FIELDS is MACHINE_FIELDS  # one tuple, two names
 
 
 class TestStripMining:
