@@ -8,7 +8,7 @@ and uploads the ``--benchmark-json`` timings as a ``BENCH_*.json``
 artifact, so the kernel's throughput trajectory is recorded per commit.
 
 Every bench runs through ``benchmark.pedantic`` with :func:`cold` as
-its ``setup``: the shared plan cache and the kernel's loop memo are
+its ``setup``: the shared plan cache and the kernel's timing memo are
 emptied before each round, so a round pays what a cold call pays
 rather than timing a cache hit.
 """
@@ -17,7 +17,7 @@ from repro.core.planner import AccessPlanner, clear_plan_cache
 from repro.core.vector import VectorAccess
 from repro.hardware.oos_engine import Figure6Engine
 from repro.memory.config import MemoryConfig
-from repro.memory.kernel import MemoryKernel, cycle_loop
+from repro.memory.kernel import MemoryKernel, kernel_timing
 from repro.memory.system import MemorySystem
 from repro.processor.decoupled import DecoupledVectorMachine
 from repro.processor.stripmine import daxpy_program
@@ -32,9 +32,9 @@ ROUNDS = 20
 
 
 def cold():
-    """Empty the plan cache and the kernel's loop memo."""
+    """Empty the plan cache and the kernel's timing memo."""
     clear_plan_cache()
-    cycle_loop.cache_clear()
+    kernel_timing.cache_clear()
 
 
 def bench_cold(benchmark, target, *args, rounds=ROUNDS):

@@ -710,6 +710,7 @@ def _lab_history(args: argparse.Namespace, store) -> int:
     slippage.  No points to show or check is exit 2.
     """
     from repro.obs.history import ingest_bench, metric_direction, read_history
+    from repro.result_schema import DIRECTIONS
 
     info = sys.stderr if args.as_json else sys.stdout
     for target in args.ingest:
@@ -760,11 +761,13 @@ def _lab_history(args: argparse.Namespace, store) -> int:
             args.metric, scenario=args.scenario, limit=args.limit
         )
         direction = metric_direction(args.metric)
-        arrow = {"lower": "(lower is better)", "higher": "(higher is better)"}
-        print(
-            f"{args.metric} — {len(points)} point(s) "
-            f"{arrow.get(direction, '(direction unknown)')}"
-        )
+        if direction is not None:
+            label = f"({direction} is better)"
+        elif args.metric in DIRECTIONS:
+            label = "(no direction)"  # known, with no better side
+        else:
+            label = "(direction unknown)"
+        print(f"{args.metric} — {len(points)} point(s) {label}")
         print(
             render_table(
                 ["when", "run", "job", "scenario", "commit", "value"],

@@ -154,8 +154,10 @@ def write_run_artifacts(
 def read_manifests(store: ArtifactStore) -> list[dict]:
     """Every run manifest under the root, oldest first.
 
-    Ordered by ``created_at``, then ``run_id``.  A file that is not a
-    JSON object with a ``run_id`` is skipped: it records no run.
+    Ordered by ``created_at``, then ``run_id``; ``created_at`` has
+    microseconds, so runs come back in the order they were written.  A
+    file that is not a JSON object with a ``run_id`` is skipped: it
+    records no run.
     """
     manifests: list[dict] = []
     for path in store.runs_dir.glob("*/manifest.json"):

@@ -55,8 +55,8 @@ import os
 import shutil
 import sqlite3
 import threading
-import time
 from collections.abc import Iterable
+from datetime import datetime, timezone
 from pathlib import Path
 
 import repro
@@ -106,7 +106,10 @@ _LOOKUP_CHUNK = 500
 
 
 def _utc_now() -> str:
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    """Now, in UTC ISO 8601 with fixed-width microseconds
+    (``2026-01-01T00:00:00.000000Z``): string order is time order, also
+    within one second."""
+    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
 
 
 def default_lab_root() -> str:

@@ -68,9 +68,17 @@ simulates only the tail.  Section 5-B's steady-state cost per element
 is that stretch's cycles over its requests.  Several streams always run
 the plain loop.
 
-The loop, :func:`cycle_loop`, is a function of exactly what it reads,
-behind a bounded LRU memo: a strip-mined program or a grid that repeats
-a memory batch pays for that batch's loop once.
+A run's timing, :func:`kernel_timing`, is a function of exactly what it
+reads (``T``, ``M``, ``q``, ``q'``, the ports and each stream's module
+sequence) behind one bounded LRU memo.  It returns the closed form's or
+:func:`cycle_loop`'s per-request cycles, each stream's module counts
+and wait count, and each module's busy cycles, so the conflict-freedom
+check, the loop and the count loops run once per distinct input: a
+strip-mined program, a grid that repeats a memory batch, or a chaining
+baseline, whose batches are the chained run's, pays for that batch's
+timing once.  A closed-form entry keeps its cycles as ``range`` objects.
+A hit shares its result, which is immutable; :class:`MemoryKernel`
+builds each run's records around it.
 ``benchmarks/bench_simulator_perf.py`` tracks the resulting throughput.
 """
 
@@ -83,7 +91,7 @@ from functools import lru_cache
 from repro.core.distributions import is_conflict_free
 from repro.errors import ConfigurationError, SimulationError
 from repro.memory.config import MemoryConfig
-from repro.memory.module import RequestRecords
+from repro.memory.module import RequestRecords, count_waits
 from repro.obs.tracer import resolve_tracer
 
 
@@ -241,12 +249,12 @@ def _conflict_free_timing(total: int, service_time: int):
     starts on arrival one cycle later and is delivered ``T`` cycles after
     that, with no stall, wait or held result.  The last delivery closes
     the run at ``T + L + 1`` — the paper's bound.  Returns the same fields
-    as :func:`cycle_loop`, as lists.
+    as :func:`cycle_loop`, the per-request cycles as ``range`` objects.
     """
-    arrival = list(range(2, 2 + total))
-    delivery = list(range(service_time + 2, service_time + 2 + total))
+    arrival = range(2, 2 + total)
+    delivery = range(service_time + 2, service_time + 2 + total)
     last = delivery[-1]
-    return arrival, arrival, delivery, last, False, [1], [last], [0]
+    return arrival, arrival, delivery, last, False, (1,), (last,), (0,)
 
 
 #: Period boundaries at which :func:`cycle_loop` snapshots a periodic
@@ -349,21 +357,6 @@ def _copy_repeats(timings, lowest, earlier, later, count):
                 copy(times, rid)
 
 
-#: Capacity of the :func:`cycle_loop` memo.  The 128 seed-1 program-grid
-#: benchmark points call the loop 1254 times on 116 distinct inputs;
-#: replayed through an LRU, 8 entries leave 405 loop runs, 16 leave 240,
-#: 32 or more leave 116.  In-process, the pass spends 0.03-0.04 s in the
-#: loop with this memo and 0.23-0.36 s without it.  The 1152 access-sweep
-#: points call it 570 times on 402 distinct inputs, which every size from
-#: 8 up runs 402 times; with the steady-state skip that costs 0.12-0.13 s
-#: with the memo and 0.12-0.16 s without (3 passes each, CPython 3.11,
-#: 2-CPU host).  32 entries hold at most 17k request timings; unbounded,
-#: the memo raised the access-sweep in-process peak RSS from 27.5 MB to
-#: 36.7 MB.
-LOOP_MEMO_SIZE = 32
-
-
-@lru_cache(maxsize=LOOP_MEMO_SIZE)
 def cycle_loop(
     service_time, module_count, input_capacity, output_capacity, ports, stream_modules
 ):
@@ -376,7 +369,8 @@ def cycle_loop(
     module tuple.  Returns ``(arrival, start, delivery, total_cycles,
     held, first_issue, last_delivery, stalls)``: the per-request cycles
     over all streams in stream order, then the per-stream counters.
-    Memo hits share the result, so every sequence in it is a tuple.
+    :func:`kernel_timing` memoises it and memo hits share the result, so
+    every sequence in it is a tuple.
 
     Steady-state skip.  Precondition: one stream (on any port count)
     whose modules repeat with a power-of-two period ``P <= L/4``
@@ -661,6 +655,67 @@ def cycle_loop(
     )
 
 
+#: Capacity of the :func:`kernel_timing` memo, whose entries are closed
+#: forms and loop runs alike.  The 128 seed-1 program-grid benchmark
+#: points run the kernel 2388 times on 145 distinct inputs; replayed
+#: through an LRU, 8 entries leave 434 loop runs, 16 leave 258, 32 leave
+#: 125, 36 leave 122 and 38 or more leave 116 (a 32-entry memo of loop
+#: runs alone left 123).  The 1152 access-sweep points run it 714 times
+#: on 531 distinct inputs, which every size from 8 up answers with 402
+#: loop runs.  A closed-form entry holds ranges and a loop entry its
+#: request timings, so the loop entries set the memo's size: the
+#: in-process peak RSS of an access-sweep pass is 25.2-25.4 MB at 32
+#: entries, 25.6 MB at 40, 25.8-26.0 MB at 48, 26.5 MB at 64 and 37.6 MB
+#: unbounded (25.3 MB with the loop-only memo; two passes each, CPython
+#: 3.11, 2-CPU host).
+LOOP_MEMO_SIZE = 40
+
+
+@lru_cache(maxsize=LOOP_MEMO_SIZE)
+def kernel_timing(
+    service_time, module_count, input_capacity, output_capacity, ports, stream_modules
+):
+    """Everything a kernel run computes from its module sequences, a
+    function of exactly what it reads.
+
+    ``stream_modules`` is a tuple of each stream's module tuple.  A
+    single stream whose module sequence is conflict-free (``T >= 2``)
+    takes the closed form (:func:`_conflict_free_timing`); anything else
+    runs :func:`cycle_loop`.  Returns ``(timing, streams, busy)``: that
+    timing; per stream, its per-module request counts and its wait
+    count; and each module's busy cycles (every request is serviced for
+    exactly ``T`` cycles, so busy accounting is arithmetic, not
+    per-cycle ticking).  Memo hits share the result, so every sequence
+    in it is immutable.
+    """
+    if (
+        len(stream_modules) == 1
+        and service_time > 1
+        and is_conflict_free(stream_modules[0], service_time)
+    ):
+        timing = _conflict_free_timing(len(stream_modules[0]), service_time)
+    else:
+        timing = cycle_loop(
+            service_time, module_count, input_capacity, output_capacity,
+            ports, stream_modules,
+        )
+    arrival, start = timing[:2]
+    streams = []
+    busy = [0] * module_count
+    low = 0
+    for modules in stream_modules:
+        high = low + len(modules)
+        counts = [0] * module_count
+        for m in modules:
+            counts[m] += 1
+        for m, count in enumerate(counts):
+            busy[m] += service_time * count
+        waits = count_waits(arrival[low:high], start[low:high])
+        streams.append((tuple(counts), waits))
+        low = high
+    return timing, tuple(streams), tuple(busy)
+
+
 class MemoryKernel:
     """Cycle-level simulator of M modules fed by k ports and n streams.
 
@@ -752,19 +807,10 @@ class MemoryKernel:
         stream_modules = tuple(
             self._modules_of(stream) for stream in kernel_streams
         )
-        if (
-            len(kernel_streams) == 1
-            and service_time > 1
-            and is_conflict_free(stream_modules[0], service_time)
-        ):
-            timing = _conflict_free_timing(
-                len(stream_modules[0]), service_time
-            )
-        else:
-            timing = cycle_loop(
-                service_time, module_count, config.input_capacity,
-                config.output_capacity, ports, stream_modules,
-            )
+        timing, stream_facts, busy = kernel_timing(
+            service_time, module_count, config.input_capacity,
+            config.output_capacity, ports, stream_modules,
+        )
         (
             arrival,
             start,
@@ -776,22 +822,15 @@ class MemoryKernel:
             stalls,
         ) = timing
 
-        # Every request is serviced for exactly ``T`` cycles, so busy
-        # accounting is arithmetic, not per-cycle ticking.
         stream_runs: list[StreamRun] = []
-        busy = [0] * module_count
         port_issues = [0] * ports
         low = 0
         for s_index, stream in enumerate(kernel_streams):
             modules = stream_modules[s_index]
             high = low + len(modules)
-            counts = [0] * module_count
-            for m in modules:
-                counts[m] += 1
-            for m, count in enumerate(counts):
-                busy[m] += service_time * count
             port = s_index % ports
             port_issues[port] += len(modules)
+            counts, waits = stream_facts[s_index]
             stream_runs.append(
                 StreamRun(
                     name=stream.name,
@@ -807,10 +846,11 @@ class MemoryKernel:
                         start[low:high],
                         delivery[low:high],
                         service_time,
+                        waits,
                         stream.stores,
                         config.mapping.reduce,
                     ),
-                    module_request_counts=tuple(counts),
+                    module_request_counts=counts,
                 )
             )
             low = high
@@ -820,7 +860,7 @@ class MemoryKernel:
             ports=ports,
             bus_busy_cycles=low,
             bus_held_result=held,
-            module_busy_cycles=tuple(busy),
+            module_busy_cycles=busy,
             port_issue_cycles=tuple(port_issues),
         )
 

@@ -52,6 +52,12 @@ class InFlightRequest:
         return self.delivery_cycle - self.issue_cycle + 1
 
 
+def count_waits(arrival: Sequence[int], start: Sequence[int]) -> int:
+    """How many requests started after they arrived: each queued behind
+    a busy module."""
+    return sum(map(ne, arrival, start))
+
+
 class RequestRecords(Sequence):
     """One stream's finished requests, in issue order.
 
@@ -64,6 +70,9 @@ class RequestRecords(Sequence):
         module, entered service and was delivered.  Issue is always one
         cycle before arrival (the address bus delay) and service lasts
         exactly ``service_time`` cycles, so those are derived.
+    wait_count:
+        The number of requests that started after they arrived
+        (:func:`count_waits`); the kernel's timing memo keeps it.
     stores:
         Stream positions that are store operations.
     reduce:
@@ -86,6 +95,7 @@ class RequestRecords(Sequence):
         "_stores",
         "_reduce",
         "_records",
+        "_wait_count",
     )
 
     def __init__(
@@ -96,6 +106,7 @@ class RequestRecords(Sequence):
         start: Sequence[int],
         delivery: Sequence[int],
         service_time: int,
+        wait_count: int,
         stores: frozenset[int] = frozenset(),
         reduce: Callable[[int], int] | None = None,
     ):
@@ -108,6 +119,7 @@ class RequestRecords(Sequence):
         self._stores = stores
         self._reduce = reduce
         self._records: tuple[InFlightRequest, ...] | None = None
+        self._wait_count = wait_count
 
     def __len__(self) -> int:
         return len(self._arrival)
@@ -136,7 +148,7 @@ class RequestRecords(Sequence):
     @property
     def wait_count(self) -> int:
         """Requests that queued behind a busy module."""
-        return sum(map(ne, self._arrival, self._start))
+        return self._wait_count
 
     @property
     def result_held(self) -> bool:

@@ -12,7 +12,8 @@ from
   job's stored result, read with :func:`repro.lab.jobs.record_metrics`
   and named without its ``extra:`` prefix, and the run-level metrics
   block (cache-hit rate, backend worker counts, queue latencies) under
-  the reserved job id ``__run__``;
+  the reserved job id ``__run__``, with the run's batch identity
+  (``batch:`` and a digest of its job ids) as their scenario;
 * **pytest-benchmark files** (``bench/<run-id>.json``, copied in from
   ``BENCH_*.json`` by :func:`ingest_bench`) — per-bench mean/min/max/
   median wall seconds, ordered by the ``repro_meta`` stamp (git commit
@@ -140,11 +141,15 @@ def _manifest_run(manifest: dict, jobs: dict) -> tuple[dict, list]:
             )
     # The run's own metrics go under the reserved job id "__run__": no
     # real job id collides (job ids come from sanitised scenario names)
-    # and trends need no special casing.
+    # and trends need no special casing.  Their scenario is the run's
+    # batch, so a run is gated only against runs of the same jobs.
+    batch = _batch_identity(
+        job.get("job_id", "") for job in manifest.get("jobs", [])
+    )
     for metric, raw in sorted(run_metrics.items()):
         value = _numeric(raw)
         if value is not None:
-            rows.append(("__run__", metric, value, "", ""))
+            rows.append(("__run__", metric, value, batch, ""))
     # Manifests written outside a git checkout (tarball installs,
     # detached workers) carry a null or missing git_commit.
     commit = manifest.get("git_commit")
@@ -161,6 +166,14 @@ def _manifest_run(manifest: dict, jobs: dict) -> tuple[dict, list]:
         "job_count": len(manifest.get("jobs", [])),
     }
     return run, rows
+
+
+def _batch_identity(job_ids) -> str:
+    """A run's batch: ``batch:`` plus 12 hex digits of the SHA-256 of its
+    sorted job ids, one per line; the scenario of its ``__run__``
+    points."""
+    text = "\n".join(sorted(map(str, job_ids)))
+    return f"batch:{hashlib.sha256(text.encode()).hexdigest()[:12]}"
 
 
 def _load_bench(path: Path) -> dict | None:
@@ -355,7 +368,9 @@ class History:
 
         ``scenario`` is a case-insensitive substring filter over both the
         scenario name and the job id (bench series have no scenario, only
-        a name); every character in it matches itself.
+        a name); every character in it matches itself.  A ``__run__``
+        point matches on its job id alone: its scenario is a batch
+        digest, not a name.
         """
         needle = scenario.lower() if scenario else ""
         return [
@@ -374,7 +389,10 @@ class History:
             for run, rows in self._runs
             for job_id, name, value, scenario_name, address in rows
             if (metric is None or name == metric)
-            and (needle in scenario_name.lower() or needle in job_id.lower())
+            and (
+                needle in job_id.lower()
+                or (job_id != "__run__" and needle in scenario_name.lower())
+            )
         ]
 
     def trend(
@@ -404,9 +422,11 @@ class History:
     ) -> list[dict]:
         """Series whose latest point is worse than best-ever + tolerance.
 
-        A series is one ``(job_id, metric)`` pair across runs; it needs
-        at least two points (one run cannot regress against itself) and
-        a known metric direction (see :func:`metric_direction`).  The
+        A series is one ``(job_id, scenario, metric)`` triple across runs
+        (a job id has one scenario, and the ``__run__`` points of
+        different batches are different series); it needs at least two
+        points (one run cannot regress against itself) and a known
+        metric direction (see :func:`metric_direction`).  The
         tolerance is relative to the best value; a zero best has no
         scale for a relative band, so it gets the ``absolute_floor``
         slack instead — ``0.0`` by default, meaning any strictly worse
@@ -415,12 +435,12 @@ class History:
         that absolute band, so a stall count creeping from 0 to 0.05
         was never reported.)
         """
-        series: dict[tuple[str, str], list[dict]] = {}
+        series: dict[tuple[str, str, str], list[dict]] = {}
         for point in self.select(metric or None, scenario):
-            key = (point["job_id"], point["metric"])
+            key = (point["job_id"], point["scenario"], point["metric"])
             series.setdefault(key, []).append(point)
         flagged: list[dict] = []
-        for (job_id, name), points in sorted(series.items()):
+        for (job_id, _scenario, name), points in sorted(series.items()):
             if len(points) < 2:
                 continue
             direction = metric_direction(name)

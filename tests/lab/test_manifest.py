@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
@@ -11,12 +12,14 @@ from repro.cli import main
 from repro.lab.executor import new_run_id, run_jobs
 from repro.lab.jobs import build_registry, scenario_jobs
 from repro.lab.manifest import (
+    read_manifests,
     render_experiments_markdown,
     render_lab_report,
     status_payload,
     summarize_cached,
 )
-from repro.lab.store import ArtifactStore
+from repro.lab.store import ArtifactStore, _utc_now
+from repro.obs.history import read_history
 from repro.scenarios import ScenarioSpec
 
 
@@ -102,6 +105,62 @@ class TestWriteRunArtifacts:
         ) == 0
         points = json.loads(capsys.readouterr().out)["points"]
         assert {point["run_id"] for point in points} == {kept.run_id}
+
+
+class TestRunOrder:
+    STAMP = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}Z")
+
+    def test_stamps_carry_fixed_width_microseconds(self, tmp_path):
+        spec = ScenarioSpec.from_dict(
+            {
+                "name": "stamp-demo",
+                "mapping": {"kind": "matched-xor", "params": {"t": 2, "s": 3}},
+                "memory": {"t": 2},
+                "workload": {
+                    "kind": "strided",
+                    "params": {"base": 0, "stride": 4, "length": 32},
+                },
+            }
+        )
+        assert self.STAMP.fullmatch(_utc_now())
+        with ArtifactStore(tmp_path / "lab") as store:
+            run_jobs(scenario_jobs([spec]), store=store, backend="serial")
+            (manifest,) = read_manifests(store)
+            (result,) = store.results()
+        assert self.STAMP.fullmatch(manifest["created_at"])
+        assert self.STAMP.fullmatch(result["created_at"])
+
+    def test_runs_within_one_second_keep_their_order(self, tmp_path):
+        """Run ids end in random hex, so two runs written within one
+        second can sort backwards by id; their stamps' microseconds keep
+        them in the order they were written, and the cached rerun is the
+        latest point of every series."""
+        run_ids = ["20260701T120000Z-p1-ffffffff", "20260701T120000Z-p1-00000000"]
+        store = ArtifactStore(tmp_path / "lab")
+        runs = zip(
+            run_ids,
+            ("2026-07-01T12:00:00.250000Z", "2026-07-01T12:00:00.750000Z"),
+            ({"cache_hit_rate": 0.0, "wall_seconds": 2.0},
+             {"cache_hit_rate": 1.0, "wall_seconds": 0.5}),
+        )
+        for run_id, created, metrics in runs:
+            run_dir = store.runs_dir / run_id
+            run_dir.mkdir(parents=True)
+            (run_dir / "manifest.json").write_text(
+                json.dumps(
+                    {
+                        "run_id": run_id,
+                        "created_at": created,
+                        "jobs": [{"job_id": "J", "config_hash": "0" * 16}],
+                        "metrics": metrics,
+                    }
+                )
+            )
+        manifests = read_manifests(store)
+        history = read_history(store)
+        assert [manifest["run_id"] for manifest in manifests] == run_ids
+        assert [run["run_id"] for run in history.runs()] == run_ids
+        assert history.flag_regressions() == []
 
 
 class TestStatusPayload:

@@ -8,9 +8,9 @@ machine (:class:`ReferenceModule`, kept here as the oracle) — over the
 seed workloads and over generated module sequences: every request's
 issue/arrival/start/finish/delivery cycle, every stall counter and
 every busy counter must match exactly.  Each of those tests empties the
-kernel's loop memo first (``cycle_loop.cache_clear()``), so a memo hit
-never stands in for the loop under test; ``TestLoopMemo`` pins the memo
-itself, and ``TestSteadyStateSkip`` pins the loop's skip over a
+kernel's timing memo first (``kernel_timing.cache_clear()``), so a memo
+hit never stands in for the loop under test; ``TestLoopMemo`` pins the
+memo itself, and ``TestSteadyStateSkip`` pins the loop's skip over a
 repeating steady state on periodic streams.
 
 On top of that, property tests pin the degenerate geometry to the
@@ -26,7 +26,7 @@ from dataclasses import fields, replace
 from unittest import mock
 
 import pytest
-from hypothesis import assume, event, given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from repro.core.planner import AccessPlanner
@@ -41,8 +41,9 @@ from repro.memory.kernel import (
     MemoryKernel,
     _conflict_free_timing,
     cycle_loop,
+    kernel_timing,
 )
-from repro.memory.module import InFlightRequest, RequestRecords
+from repro.memory.module import InFlightRequest, RequestRecords, count_waits
 from repro.memory.system import MemorySystem
 from repro.obs.tracer import Tracer
 
@@ -285,7 +286,7 @@ class TestSingleStreamEquivalence:
         config, mode, vectors = case
         for stream in plan_streams(config, mode, vectors):
             reference = reference_run(config, [(stream, frozenset())])
-            cycle_loop.cache_clear()
+            kernel_timing.cache_clear()
             result = MemorySystem(config).run_stream(stream)
             assert result.latency == reference["total_cycles"]
             assert result.issue_stall_cycles == reference["stalls"][0]
@@ -313,7 +314,7 @@ class TestMultiStreamEquivalence:
         config, mode, vectors = case
         streams = plan_streams(config, mode, vectors)
         reference = reference_run(config, [(s, frozenset()) for s in streams])
-        cycle_loop.cache_clear()
+        kernel_timing.cache_clear()
         result = MemoryKernel(config).run(streams)
         assert result.total_cycles == reference["total_cycles"]
         assert result.bus_busy_cycles == reference["bus_busy"]
@@ -337,7 +338,7 @@ class TestMultiPortEquivalence:
         reference = reference_run(
             config, [(s, frozenset()) for s in streams], ports=ports
         )
-        cycle_loop.cache_clear()
+        kernel_timing.cache_clear()
         result = MemoryKernel(replace(config, ports=ports)).run(streams)
         assert result.total_cycles == reference["total_cycles"]
         assert result.bus_busy_cycles == reference["bus_busy"]
@@ -378,9 +379,9 @@ class TestDegenerateGeometry:
         plan = AccessPlanner(MATCHED.mapping, 3).plan(
             VectorAccess(0, stride, length), mode="auto"
         )
-        cycle_loop.cache_clear()
+        kernel_timing.cache_clear()
         via_view = MemorySystem(MATCHED).run_plan(plan)
-        cycle_loop.cache_clear()
+        kernel_timing.cache_clear()
         run = MemoryKernel(MATCHED).run([plan.request_stream()])
         assert via_view.latency == run.total_cycles
         assert via_view.issue_stall_cycles == run.streams[0].issue_stall_cycles
@@ -457,10 +458,10 @@ class TestEventDrivenLoop:
         modules = [address % config.module_count for _e, address in stream]
         expected = reference_summary(config, stream)
         kernel = MemoryKernel(config)
-        cycle_loop.cache_clear()
+        kernel_timing.cache_clear()
         assert single_stream_summary(kernel.run([stream])) == expected
         with_modules = KernelStream.of("access", stream, modules=modules)
-        cycle_loop.cache_clear()
+        kernel_timing.cache_clear()
         assert single_stream_summary(kernel.run([with_modules])) == expected
 
     @settings(max_examples=60, deadline=None)
@@ -478,7 +479,6 @@ class TestEventDrivenLoop:
         # requests to a module exactly T positions apart.
         order = data.draw(st.permutations(range(service_time)))
         modules = tuple(order) * rounds
-        cycle_loop.cache_clear()
         loop = cycle_loop(
             service_time,
             config.module_count,
@@ -487,9 +487,10 @@ class TestEventDrivenLoop:
             config.ports,
             (modules,),
         )
-        # The closed form returns lists and the loop tuples.
+        # The closed form returns its per-request cycles as ranges and
+        # the loop as tuples.
         closed = tuple(
-            tuple(part) if isinstance(part, list) else part
+            tuple(part) if isinstance(part, range) else part
             for part in _conflict_free_timing(len(modules), service_time)
         )
         assert closed == loop
@@ -503,7 +504,7 @@ class TestEventDrivenLoop:
             [(stream, frozenset()) for stream in streams],
             ports=config.ports,
         )
-        cycle_loop.cache_clear()
+        kernel_timing.cache_clear()
         run = MemoryKernel(config).run(streams)
         assert run.total_cycles == reference["total_cycles"]
         assert run.bus_busy_cycles == reference["bus_busy"]
@@ -549,7 +550,7 @@ class TestEventDrivenLoop:
             [(stream, frozenset()) for stream in streams],
             ports=ports,
         )
-        cycle_loop.cache_clear()
+        kernel_timing.cache_clear()
         run = MemoryKernel(config).run(streams)
         assert run.total_cycles == reference["total_cycles"]
         for index, stream in enumerate(run.streams):
@@ -578,9 +579,11 @@ class TestEventDrivenLoop:
 
 
 class TestLoopMemo:
-    """The bounded memo behind :func:`cycle_loop`: keyed by exactly what
-    the loop reads, so a hit equals a cold run field for field and a
-    change to any loop input misses."""
+    """The bounded memo :func:`kernel_timing`, over the closed form and
+    the loop alike: keyed by exactly what the timing reads, so a hit
+    equals a cold run field for field, a change to any timing input
+    misses, and the conflict-freedom check and the module counts run
+    once per distinct input."""
 
     @settings(max_examples=80, deadline=None)
     @given(kernel_cases(max_streams=3), st.integers(min_value=1, max_value=64))
@@ -592,14 +595,50 @@ class TestLoopMemo:
             [(element, address + size * shift) for element, address in stream]
             for stream in streams
         ]
-        cycle_loop.cache_clear()
-        MemoryKernel(config).run(streams)
-        # One conflict-free stream takes the closed form, not the loop.
-        assume(cycle_loop.cache_info().misses == 1)
-        warm = MemoryKernel(config).run(moved)
-        assert cycle_loop.cache_info().hits == 1
-        cycle_loop.cache_clear()
+        kernel_timing.cache_clear()
+        with mock.patch.object(
+            kernel_module,
+            "is_conflict_free",
+            wraps=kernel_module.is_conflict_free,
+        ) as check, mock.patch.object(
+            kernel_module, "count_waits", wraps=kernel_module.count_waits
+        ) as count:
+            MemoryKernel(config).run(streams)
+            warm = MemoryKernel(config).run(moved)
+            waits = [stream_run.wait_count for stream_run in warm.streams]
+        assert kernel_timing.cache_info().hits == 1
+        # Only one stream with T >= 2 can take the closed form, and only
+        # the cold run asks whether it may; each stream's waits are
+        # counted once, and the warm run reads them.
+        assert check.call_count == (
+            1 if len(streams) == 1 and config.service_ratio > 1 else 0
+        )
+        assert count.call_count == len(streams)
+        assert waits == [
+            sum(request.waited for request in stream_run.requests)
+            for stream_run in warm.streams
+        ]
+        kernel_timing.cache_clear()
         assert warm == MemoryKernel(config).run(moved)
+
+    def test_a_conflict_free_stream_is_checked_once(self):
+        plan = AccessPlanner(MATCHED.mapping, 3).plan(VectorAccess(16, 12, 64))
+        kernel_timing.cache_clear()
+        with mock.patch.object(
+            kernel_module,
+            "is_conflict_free",
+            wraps=kernel_module.is_conflict_free,
+        ) as check, mock.patch.object(
+            kernel_module, "cycle_loop", wraps=kernel_module.cycle_loop
+        ) as loop:
+            cold = MemorySystem(MATCHED).run_plan(plan)
+            warm = MemorySystem(MATCHED).run_plan(plan)
+        assert check.call_count == 1
+        assert not loop.called
+        assert kernel_timing.cache_info().hits == 1
+        assert cold == warm
+        assert cold.conflict_free
+        assert cold.latency == MATCHED.service_ratio + 64 + 1
 
     def test_every_loop_input_is_in_the_key(self):
         config = MemoryConfig(LowOrderInterleaved(3, 16), 1)
@@ -614,26 +653,36 @@ class TestLoopMemo:
             replace(config, ports=2),
             MemoryConfig(LowOrderInterleaved(4, 16), 1),
         ]
-        cycle_loop.cache_clear()
+        kernel_timing.cache_clear()
         MemoryKernel(config).run([stream])
         for variant in variants:
             MemoryKernel(variant).run([stream])
-        assert cycle_loop.cache_info().hits == 0
-        assert cycle_loop.cache_info().misses == len(variants) + 1
+        assert kernel_timing.cache_info().hits == 0
+        assert kernel_timing.cache_info().misses == len(variants) + 1
         MemoryKernel(config).run([stream])
-        assert cycle_loop.cache_info().hits == 1
+        assert kernel_timing.cache_info().hits == 1
 
     def test_memo_is_bounded(self):
         config = MemoryConfig(LowOrderInterleaved(3, 16), 1)
-        cycle_loop.cache_clear()
-        for length in range(2, 42):
-            # Every request on module 0: each run needs the loop.
-            MemoryKernel(config).run(
-                [[(element, 8 * element) for element in range(length)]]
-            )
-        info = cycle_loop.cache_info()
-        assert info.misses == 40
-        assert info.currsize == LOOP_MEMO_SIZE == 32
+        kernel_timing.cache_clear()
+        lengths = range(2, 2 + LOOP_MEMO_SIZE)
+        with mock.patch.object(
+            kernel_module, "cycle_loop", wraps=kernel_module.cycle_loop
+        ) as loop:
+            for length in lengths:
+                # Every request on module 0 needs the loop; modules 0, 1,
+                # 2, ... in turn are conflict-free and take the closed
+                # form.  Both fill the one memo.
+                MemoryKernel(config).run(
+                    [[(element, 8 * element) for element in range(length)]]
+                )
+                MemoryKernel(config).run(
+                    [[(element, element) for element in range(length)]]
+                )
+        info = kernel_timing.cache_info()
+        assert loop.call_count == len(lengths)
+        assert info.misses == 2 * len(lengths)
+        assert info.currsize == LOOP_MEMO_SIZE == 40
 
 
 @st.composite
@@ -689,12 +738,14 @@ class TestSteadyStateSkip:
                 kernel_module,
                 "_copy_repeats",
                 wraps=kernel_module._copy_repeats,
-            ) as spy:
-                cycle_loop.cache_clear()
+            ) as spy, mock.patch.object(
+                kernel_module, "cycle_loop", wraps=kernel_module.cycle_loop
+            ) as loop:
+                kernel_timing.cache_clear()
                 untraced = MemoryKernel(config).run([stream])
-                looped = cycle_loop.cache_info().misses == 1
+                looped = loop.called
                 tracer = Tracer()
-                cycle_loop.cache_clear()
+                kernel_timing.cache_clear()
                 traced = MemoryKernel(config, tracer=tracer).run([stream])
             if spy.called:
                 path = "skipped"
@@ -733,7 +784,7 @@ class TestSteadyStateSkip:
         with mock.patch.object(
             kernel_module, "_lowest_named", wraps=kernel_module._lowest_named
         ) as spy:
-            cycle_loop.cache_clear()
+            kernel_timing.cache_clear()
             run = MemoryKernel(config).run([stream])
         (state,), _ = spy.call_args
         modules = state[0]
@@ -750,7 +801,7 @@ class TestSteadyStateSkip:
             "_copy_repeats",
             wraps=kernel_module._copy_repeats,
         ) as spy:
-            cycle_loop.cache_clear()
+            kernel_timing.cache_clear()
             run = MemoryKernel(config).run([stream])
         (_timings, _lowest, earlier, later, count), _ = spy.call_args
         assert count * (later[0] - earlier[0]) > 900
@@ -870,6 +921,7 @@ class TestPerStreamHoldAttribution:
                 start=(2,),
                 delivery=(delivery,),
                 service_time=8,
+                wait_count=count_waits((2,), (2,)),
             ),
             module_request_counts=tuple(
                 1 if m == module else 0 for m in range(8)

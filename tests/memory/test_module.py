@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.memory.module import InFlightRequest, RequestRecords
+from repro.memory.module import InFlightRequest, RequestRecords, count_waits
 
 
 def make_request(element: int = 0, module: int = 0) -> InFlightRequest:
@@ -23,6 +23,9 @@ def make_records(**overrides) -> RequestRecords:
         service_time=4,
     )
     fields.update(overrides)
+    fields.setdefault(
+        "wait_count", count_waits(fields["arrival"], fields["start"])
+    )
     return RequestRecords(**fields)
 
 
@@ -67,6 +70,12 @@ class TestRequestRecords:
 
     def test_not_held_when_every_delivery_is_prompt(self):
         assert not make_records(delivery=(6, 10, 8)).result_held
+
+    def test_count_waits_counts_requests_that_started_late(self):
+        assert count_waits((2, 3, 4), (2, 6, 4)) == 1
+        assert count_waits((2, 3, 4), (5, 6, 7)) == 3
+        assert count_waits(range(2, 6), range(2, 6)) == 0
+        assert count_waits((), ()) == 0
 
     def test_materialised_once(self):
         records = make_records()

@@ -13,6 +13,7 @@ from repro.core.planner import AccessPlan
 from repro.core.vector import VectorAccess
 from repro.errors import ConfigurationError, RegisterFileError, SimulationError
 from repro.memory.config import MemoryConfig
+from repro.obs.tracer import Tracer
 from repro.processor import (
     TIMELINE_FIELDS,
     VERIFY_TOLERANCE,
@@ -234,6 +235,25 @@ class TestTwoPasses:
         DecoupledVectorMachine(
             config, 32, execute_startup=9, memory_streams=2
         ).time(run.resolved)
+
+    @pytest.mark.parametrize("chaining", [False, True])
+    def test_a_traced_timing_pass_records_a_fresh_runs_events(self, chaining):
+        """A traced timing pass over batches an untraced run already
+        timed (every kernel timing a memo hit) records the events a
+        traced run on a fresh machine does."""
+        program, inputs, _ = daxpy_case(n=160)
+        config = replace(matched_config(), ports=2)
+
+        def make(**kwargs):
+            return DecoupledVectorMachine(config, 64, chaining=chaining, **kwargs)
+
+        untraced = make().run(program, inputs)
+        timed, fresh = Tracer(), Tracer()
+        again = make(tracer=timed).time(untraced.resolved)
+        make(tracer=fresh).run(program, inputs)
+        assert timed.spans("memory/"), "no kernel events were recorded"
+        assert timed.events == fresh.events
+        assert again.timings == untraced.timings
 
     def test_store_error_names_the_first_element_in_issue_order(self):
         """A store reads its register in the request stream's issue

@@ -8,7 +8,9 @@ removed `lab index --prune-stale` and `lab history --db`.
 
 from __future__ import annotations
 
+import hashlib
 import json
+import re
 import shutil
 import sqlite3
 from contextlib import closing
@@ -25,6 +27,7 @@ from repro.serve import ServeApp
 PORTS_GRID = Path(__file__).resolve().parents[1] / "examples" / (
     "scenario_ports_grid.json"
 )
+PROGRAM_GRID = PORTS_GRID.with_name("scenario_program_grid.json")
 
 
 def demo_spec(name: str = "obs-cli-demo") -> ScenarioSpec:
@@ -56,25 +59,28 @@ def sweep(root, grid_path) -> None:
                  "--backend", "serial"]) == 0
 
 
-def file_manifest(root, run_id, created, elapsed, job_id="J") -> None:
-    """Leave a finished run's manifest under ``root`` with one job."""
+def file_manifest(
+    root, run_id, created, elapsed, job_id="J", metrics=None, job_ids=()
+) -> None:
+    """Leave a finished run's manifest under ``root`` with one job (or
+    ``job_ids``) and, optionally, run-level ``metrics``."""
     path = Path(root) / "runs" / run_id / "manifest.json"
     path.parent.mkdir(parents=True)
-    path.write_text(
-        json.dumps(
+    manifest = {
+        "run_id": run_id,
+        "created_at": created,
+        "jobs": [
             {
-                "run_id": run_id,
-                "created_at": created,
-                "jobs": [
-                    {
-                        "job_id": job_id,
-                        "config_hash": "0" * 16,
-                        "elapsed_seconds": elapsed,
-                    }
-                ],
+                "job_id": name,
+                "config_hash": "0" * 16,
+                "elapsed_seconds": elapsed,
             }
-        )
-    )
+            for name in job_ids or (job_id,)
+        ],
+    }
+    if metrics is not None:
+        manifest["metrics"] = metrics
+    path.write_text(json.dumps(manifest))
 
 
 def bench_file(path, mean=0.25) -> Path:
@@ -241,6 +247,118 @@ class TestLabHistory:
         err = capsys.readouterr().err
         assert "regression" in err
         assert "1.5" in err
+
+    def test_direction_free_metric_says_so(self, grid_file, tmp_path, capsys):
+        # minimum_latency, the T+L+1 bound, is known to have no better
+        # side; a name the schema does not know has an unknown one.
+        root = tmp_path / "lab"
+        sweep(root, grid_file)
+        file_manifest(
+            root, "r-late", "2999-01-01T00:00:00Z", 1.0,
+            metrics={"made_up_thing": 3},
+        )
+        labels = {}
+        for metric in ("minimum_latency", "made_up_thing"):
+            capsys.readouterr()
+            assert main(
+                ["lab", "history", "--root", str(root), "--metric", metric]
+            ) == 0
+            labels[metric] = capsys.readouterr().out.splitlines()[0]
+            assert main(
+                ["lab", "history", "--root", str(root), "--metric", metric,
+                 "--json"]
+            ) == 0
+            assert json.loads(capsys.readouterr().out)["direction"] is None
+        assert labels == {
+            "minimum_latency": "minimum_latency — 1 point(s) (no direction)",
+            "made_up_thing": "made_up_thing — 1 point(s) (direction unknown)",
+        }
+
+    def test_run_metrics_regress_only_against_their_own_batch(
+        self, tmp_path, capsys
+    ):
+        # A cached rerun of one grid, then a cold sweep of another: each
+        # batch's run-level metrics form their own series.
+        root = tmp_path / "lab"
+        sweep(root, PORTS_GRID)
+        sweep(root, PORTS_GRID)
+        sweep(root, PROGRAM_GRID)
+        capsys.readouterr()
+        code = main(["lab", "history", "--root", str(root), "--flag-regressions"])
+        assert code == 0, capsys.readouterr().err
+        assert "no regressions beyond tolerance" in capsys.readouterr().out
+        assert main(
+            ["lab", "history", "--root", str(root), "--metric",
+             "cache_hit_rate", "--json"]
+        ) == 0
+        points = json.loads(capsys.readouterr().out)["points"]
+        assert [point["job_id"] for point in points] == ["__run__"] * 3
+        batches = [point["scenario"] for point in points]
+        assert batches[0] == batches[1] != batches[2]
+        assert all(re.fullmatch(r"batch:[0-9a-f]{12}", b) for b in batches)
+
+    def test_slower_rerun_of_a_batch_still_flags_wall_seconds(
+        self, tmp_path, capsys
+    ):
+        root = tmp_path / "lab"
+        for run_id, day, job_ids, wall in (
+            ("r0", 1, ("B", "A"), 1.0),
+            ("r1", 2, ("A", "B"), 2.0),
+            ("r2", 3, ("C",), 1.5),
+        ):
+            file_manifest(
+                root, run_id, f"2026-01-0{day}T00:00:00.000000Z", 1.0,
+                metrics={"wall_seconds": wall}, job_ids=job_ids,
+            )
+        capsys.readouterr()
+        code = main(
+            ["lab", "history", "--root", str(root), "--flag-regressions",
+             "--json"]
+        )
+        assert code == 1
+        (flag,) = json.loads(capsys.readouterr().out)["regressions"]
+        digest = hashlib.sha256(b"A\nB").hexdigest()[:12]
+        assert flag == {
+            "job_id": "__run__",
+            "metric": "wall_seconds",
+            "scenario": f"batch:{digest}",
+            "direction": "lower",
+            "best": 1.0,
+            "latest": 2.0,
+            "run_id": "r1",
+            "created_at": "2026-01-02T00:00:00.000000Z",
+            "points": 2,
+        }
+
+    def test_scenario_filter_matches_run_points_by_job_id(
+        self, tmp_path, capsys
+    ):
+        # A run point's scenario is a batch digest, not a name: a needle
+        # found only in "batch:<digest>" selects none of its points.
+        root = tmp_path / "lab"
+        for run_id, day, wall in (("r0", 1, 1.0), ("r1", 2, 2.0)):
+            file_manifest(
+                root, run_id, f"2026-01-0{day}T00:00:00.000000Z", 1.0,
+                metrics={"wall_seconds": wall}, job_ids=("A", "B"),
+            )
+        digest = hashlib.sha256(b"A\nB").hexdigest()[:12]
+        assert "c66" in digest
+        for needle in ("batch", "c66"):
+            capsys.readouterr()
+            assert main(
+                ["lab", "history", "--root", str(root), "--metric",
+                 "wall_seconds", "--scenario", needle]
+            ) == 2
+            assert "no points" in capsys.readouterr().err
+        assert main(
+            ["lab", "history", "--root", str(root), "--metric",
+             "wall_seconds", "--scenario", "RUN", "--flag-regressions",
+             "--json"]
+        ) == 1
+        (flag,) = json.loads(capsys.readouterr().out)["regressions"]
+        assert (flag["job_id"], flag["scenario"]) == (
+            "__run__", f"batch:{digest}"
+        )
 
     def test_ingest_bench_artifact(self, tmp_path, capsys):
         bench = bench_file(tmp_path / "BENCH_demo.json")
