@@ -8,9 +8,9 @@ and uploads the ``--benchmark-json`` timings as a ``BENCH_*.json``
 artifact, so the kernel's throughput trajectory is recorded per commit.
 
 Every bench runs through ``benchmark.pedantic`` with :func:`cold` as
-its ``setup``: the shared plan cache and the kernel's timing memo are
-emptied before each round, so a round pays what a cold call pays
-rather than timing a cache hit.
+its ``setup``: the shared plan cache, the kernel's timing memo and the
+scenario facade's program memo are emptied before each round, so a
+round pays what a cold call pays rather than timing a cache hit.
 """
 
 from repro.core.planner import AccessPlanner, clear_plan_cache
@@ -21,6 +21,7 @@ from repro.memory.kernel import MemoryKernel, kernel_timing
 from repro.memory.system import MemorySystem
 from repro.processor.decoupled import DecoupledVectorMachine
 from repro.processor.stripmine import daxpy_program
+from repro.scenarios.facade import clear_program_memo
 
 CONFIG = MemoryConfig.matched(t=3, s=4)
 PLANNER = AccessPlanner(CONFIG.mapping, 3)
@@ -32,9 +33,11 @@ ROUNDS = 20
 
 
 def cold():
-    """Empty the plan cache and the kernel's timing memo."""
+    """Empty the plan cache, the kernel's timing memo and the program
+    memo."""
     clear_plan_cache()
     kernel_timing.cache_clear()
+    clear_program_memo()
 
 
 def bench_cold(benchmark, target, *args, rounds=ROUNDS):

@@ -74,9 +74,10 @@ sequence) behind one bounded LRU memo.  It returns the closed form's or
 :func:`cycle_loop`'s per-request cycles, each stream's module counts
 and wait count, and each module's busy cycles, so the conflict-freedom
 check, the loop and the count loops run once per distinct input: a
-strip-mined program, a grid that repeats a memory batch, or a chaining
-baseline, whose batches are the chained run's, pays for that batch's
-timing once.  A closed-form entry keeps its cycles as ``range`` objects.
+strip-mined program, or a grid whose points time one program's memory
+batches on the same memory, pays for that batch's timing once, and so
+does a chaining baseline that is timed (its batches are the chained
+run's).  A closed-form entry keeps its cycles as ``range`` objects.
 A hit shares its result, which is immutable; :class:`MemoryKernel`
 builds each run's records around it.
 ``benchmarks/bench_simulator_perf.py`` tracks the resulting throughput.
@@ -657,11 +658,12 @@ def cycle_loop(
 
 #: Capacity of the :func:`kernel_timing` memo, whose entries are closed
 #: forms and loop runs alike.  The 128 seed-1 program-grid benchmark
-#: points run the kernel 2388 times on 145 distinct inputs; replayed
-#: through an LRU, 8 entries leave 434 loop runs, 16 leave 258, 32 leave
-#: 125, 36 leave 122 and 38 or more leave 116 (a 32-entry memo of loop
-#: runs alone left 123).  The 1152 access-sweep points run it 714 times
-#: on 531 distinct inputs, which every size from 8 up answers with 402
+#: points run the kernel 1592 times on 145 distinct inputs (their
+#: chaining baselines reuse a non-chaining sibling's cycles); replayed
+#: through an LRU in the lab's job order, 8 entries leave 368 loop runs,
+#: 16 leave 256, 24 leave 154, 32 leave 118, 36 and 38 leave 117 and 40
+#: or more leave 116.  The 1152 access-sweep points run it 714 times on
+#: 531 distinct inputs, which every size from 8 up answers with 402
 #: loop runs.  A closed-form entry holds ranges and a loop entry its
 #: request timings, so the loop entries set the memo's size: the
 #: in-process peak RSS of an access-sweep pass is 25.2-25.4 MB at 32

@@ -1,12 +1,13 @@
 """Decoupled access/execute vector processor (Figure 1) and its ISA.
 
 :meth:`DecoupledVectorMachine.run` is the one way to run a vector
-program (preload, a value pass, a timing pass, verify, and every timing
-and memory result in one :class:`MachineResult`);
-:meth:`DecoupledVectorMachine.time` re-times a run's resolved accesses
-on another machine.  :meth:`OpenBatch.refusal` is the one batching
-rule, shared with the static hazard analysis in
-:mod:`repro.check.hazards`.
+program: ``time(resolve(...))``.  :meth:`DecoupledVectorMachine.resolve`
+preloads memory, runs the value pass and verifies the outputs;
+:meth:`DecoupledVectorMachine.time` times the resolved accesses, on this
+machine or any other that plans alike, and returns every timing and
+memory result in one :class:`MachineResult`.
+:meth:`OpenBatch.refusal` is the one batching rule, shared with the
+static hazard analysis in :mod:`repro.check.hazards`.
 """
 
 from repro.processor.chaining import (

@@ -41,22 +41,31 @@ accesses through the batches, the kernel and the execute unit and moves
 no values.  The chaining baseline is the timing pass alone, on a machine
 that does not chain.
 
+The plans depend only on the mapping, ``t``, the register length and
+the plan and gather modes, so a :class:`ResolvedProgram` may be timed
+on any machine that shares them: q, q', ports, ``memory_streams``,
+``execute_startup`` and chaining are the timing pass's alone.  That is
+how the scenario facade resolves a program once for every grid point
+that only times it differently.
+
 Since the timing pass moves no values, a timing bug cannot show up as a
 wrong output; the timing pass checks its own schedule instead, for
 register RAW order and for hazard-free batches
 (:meth:`DecoupledVectorMachine._check_schedule` lists the rules and
 says why cross-unit WAR and WAW are not among them).
 
-:meth:`DecoupledVectorMachine.run` is the one way to run a program: it
-preloads memory, runs both passes, checks the expected memory contents
-and returns a :class:`MachineResult` with timings, timeline rows, the
-per-access memory results and the correctness verdict.  The scenario
-facade and the CLI both call it.
+:meth:`DecoupledVectorMachine.run` is the one way to run a program:
+``time(resolve(...))``.  :meth:`~DecoupledVectorMachine.resolve`
+preloads memory, runs the value pass and checks the expected memory
+contents; the timing pass returns a :class:`MachineResult` with
+timings, timeline rows, the per-access memory results and the resolved
+program's correctness verdict.  The CLI calls ``run``; the scenario
+facade calls the two halves, so that it can reuse a resolved program.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import isnan
 from operator import attrgetter
 
@@ -70,6 +79,7 @@ from repro.errors import (
     SimulationError,
 )
 from repro.hardware.register_file import VectorRegisterFile
+from repro.mappings.base import AddressMapping
 from repro.memory.config import MemoryConfig
 from repro.memory.kernel import KernelStream, MemoryKernel
 from repro.memory.storage import MemoryStore
@@ -144,8 +154,9 @@ class MachineResult:
     single-port, single-stream machine).  ``memory_runs`` pairs each
     memory instruction's plan scheme with its cycle-accurate
     :class:`~repro.memory.system.AccessResult`, in instruction order.
-    ``outputs_correct`` is ``None`` when the run was given no expected
-    memory contents.  ``resolved`` is the value pass's output, which
+    ``outputs_correct`` and ``output_errors`` are the resolved
+    program's output check (``None`` when the run was given no expected
+    memory contents).  ``resolved`` is the value pass's output, which
     :meth:`DecoupledVectorMachine.time` can time again on another
     machine.
     """
@@ -335,21 +346,42 @@ class ResolvedAccess:
 @dataclass(frozen=True)
 class ResolvedProgram:
     """A program after the value pass: each memory instruction's resolved
-    access, in program order, and what resolved them.
+    access, in program order, what resolved them and the output check.
 
-    The plans fit only a machine with the same ``config``,
-    ``register_length``, ``plan_mode`` and ``gather_mode``.  The
-    ``predefined`` registers held values before the run, so they are
-    ready at cycle 0.
+    The plans were made under ``mapping`` and ``t`` and fit only a
+    machine with the same address function (:func:`_same_mapping`),
+    ``t``, ``register_length``, ``plan_mode`` and ``gather_mode``; the
+    rest of the machine only times them.  The ``predefined`` registers
+    held values before the run, so they are ready at cycle 0.
+    ``outputs_correct`` and ``output_errors`` are the check of the
+    expected memory contents after the value pass (``None`` and empty
+    when none were given); every timing of the program carries them.
     """
 
     program: Program
     accesses: tuple[ResolvedAccess, ...]
-    config: MemoryConfig
+    mapping: AddressMapping
+    t: int
     register_length: int
     plan_mode: str
     gather_mode: str
     predefined: frozenset[int]
+    outputs_correct: bool | None = None
+    output_errors: tuple[str, ...] = ()
+
+
+def _same_mapping(left: AddressMapping, right: AddressMapping) -> bool:
+    """Whether two mappings have one address function: the plan cache's
+    identity, ``(type(mapping), mapping.cache_token())``; a mapping
+    without a token is only itself."""
+    if left is right:
+        return True
+    token = left.cache_token()
+    return (
+        token is not None
+        and type(left) is type(right)
+        and token == right.cache_token()
+    )
 
 
 @dataclass
@@ -473,25 +505,46 @@ class DecoupledVectorMachine:
         inputs: tuple[MemoryInit, ...] = (),
         expected: tuple[MemoryInit, ...] = (),
     ) -> MachineResult:
-        """Execute ``program`` to completion and return the whole run.
+        """Execute ``program`` to completion and return the whole run:
+        ``time(resolve(program, inputs, expected))``.
+
+        Value and planning errors are therefore raised in program order,
+        before any timing.
+        """
+        return self.time(self.resolve(program, inputs, expected))
+
+    def resolve(
+        self,
+        program: Program,
+        inputs: tuple[MemoryInit, ...] = (),
+        expected: tuple[MemoryInit, ...] = (),
+    ) -> ResolvedProgram:
+        """The value pass with its data contract: preload, run, check.
 
         ``inputs`` are ``(base, stride, values)`` vectors written to the
         backing store first; ``expected`` are vectors the store must
-        hold afterwards (the numerical-correctness check).  In between,
-        the value pass runs the program in program order, moving every
-        value and resolving every memory instruction's plan and request
-        stream, and :meth:`time` times the resolved accesses.  Value and
-        planning errors are therefore raised in program order, before
-        any timing.  The register file and backing store persist across
-        calls, so a caller can also preload data through :attr:`store`
-        and read results back afterwards.
+        hold afterwards (the numerical-correctness check, carried on the
+        result).  In between, the program runs in program order, moving
+        every value and resolving every memory instruction's plan and
+        request stream.  The register file and backing store persist
+        across calls, so a caller can also preload data through
+        :attr:`store` and read results back afterwards.
         """
         for base, stride, values in inputs:
             self.store.write_vector(base, stride, values)
-        result = self.time(self._execute(program))
+        predefined, accesses = self._execute(program)
         outputs_correct, output_errors = self._verify(expected)
-        return replace(
-            result, outputs_correct=outputs_correct, output_errors=output_errors
+        return ResolvedProgram(
+            program,
+            accesses,
+            self.config.mapping,
+            self.config.t,
+            self.register_length,
+            self.plan_mode,
+            self.gather_mode,
+            predefined,
+            outputs_correct,
+            output_errors,
         )
 
     def time(self, resolved: ResolvedProgram) -> MachineResult:
@@ -500,15 +553,28 @@ class DecoupledVectorMachine:
         Memory instructions form batches by :meth:`OpenBatch.refusal`,
         each batch is one kernel run, and each execute instruction
         chains or waits; the register file and the store are neither
-        read nor written.  ``resolved`` may come from another machine's
-        run (``run(...).resolved``) that planned alike — the same
-        config, register length, plan mode and gather mode — which is
-        how the chaining baseline is timed; a machine that differs in
-        any of them raises :class:`ConfigurationError`.  The schedule is
-        checked before returning (:meth:`_check_schedule`).
+        read nor written.  ``resolved`` may come from another machine
+        (``run(...).resolved`` or :meth:`resolve`) that planned alike:
+        the same address function (the plan cache's identity, ``type``
+        and :meth:`~repro.mappings.base.AddressMapping.cache_token`; a
+        mapping without a token matches only itself), ``t``, register
+        length, plan mode and gather mode.  q, q', ports,
+        ``memory_streams``, ``execute_startup`` and chaining may differ:
+        that is how the chaining baseline and the scenario facade's
+        grid points time one resolved program.  A machine that differs
+        in a planning input raises :class:`ConfigurationError`.  The
+        schedule is checked before returning (:meth:`_check_schedule`),
+        and the result carries the resolved program's output verdict.
         """
-        for name in ("config", "register_length", "plan_mode", "gather_mode"):
-            if getattr(resolved, name) != getattr(self, name):
+        planned_alike = {
+            "mapping": _same_mapping(resolved.mapping, self.config.mapping),
+            "t": resolved.t == self.config.t,
+            "register_length": resolved.register_length == self.register_length,
+            "plan_mode": resolved.plan_mode == self.plan_mode,
+            "gather_mode": resolved.gather_mode == self.gather_mode,
+        }
+        for name, alike in planned_alike.items():
+            if not alike:
                 raise ConfigurationError(
                     f"the program was resolved on a machine with another "
                     f"{name}; its plans do not fit this machine"
@@ -582,6 +648,8 @@ class DecoupledVectorMachine:
             total_cycles=max((timing.end_cycle for timing in ordered), default=0),
             stream_concurrency_peak=max(peak, 1),
             memory_runs=tuple(memory_runs),
+            outputs_correct=resolved.outputs_correct,
+            output_errors=resolved.output_errors,
             resolved=resolved,
         )
 
@@ -615,9 +683,13 @@ class DecoupledVectorMachine:
 
     # -- value pass -----------------------------------------------------
 
-    def _execute(self, program: Program) -> ResolvedProgram:
+    def _execute(
+        self, program: Program
+    ) -> tuple[frozenset[int], tuple[ResolvedAccess, ...]]:
         """The value pass: run ``program`` in program order on whole
-        vectors, resolving each memory instruction on the way."""
+        vectors, resolving each memory instruction on the way.  Returns
+        the registers defined before the run and the resolved
+        accesses."""
         predefined = frozenset(
             number
             for number in range(REGISTER_COUNT)
@@ -632,15 +704,7 @@ class DecoupledVectorMachine:
                 self._apply_values(instruction)
             else:  # pragma: no cover - defensive
                 raise ProgramError(f"unsupported instruction {instruction!r}")
-        return ResolvedProgram(
-            program,
-            tuple(accesses),
-            self.config,
-            self.register_length,
-            self.plan_mode,
-            self.gather_mode,
-            predefined,
-        )
+        return predefined, tuple(accesses)
 
     def _resolve(self, position: int, instruction) -> ResolvedAccess:
         """Plan one memory instruction and move its data.

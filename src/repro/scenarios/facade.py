@@ -18,12 +18,16 @@ conflict-free is answered in closed form — ``T + L + 1`` cycles per
 access, the paper's Section 2 minimum — without a kernel run; a traced
 call always runs the kernel, which is what the tests compare against.
 
-A spec with a ``program`` section runs a whole vector program through
-:meth:`~repro.processor.decoupled.DecoupledVectorMachine.run` — the
-same path the workload-driven ``decoupled`` drive uses — and the result
-additionally carries the per-instruction ``timeline``, total machine
-cycles, the overlap fraction, the measured-vs-analytic chaining
-speedup, and the end-to-end numerical-correctness verdict.
+A spec with a ``program`` section runs a whole vector program on the
+decoupled machine — the machine the workload-driven ``decoupled`` drive
+runs — and the result additionally carries the per-instruction
+``timeline``, total machine cycles, the overlap fraction, the
+measured-vs-analytic chaining speedup, and the end-to-end
+numerical-correctness verdict.  A program's value pass depends only on
+the program, the mapping, ``t``, the register length and the plan
+modes, so design points that differ only in how the machine times it
+(q, q', ports, streams, start-up, chaining) share one resolved program
+through a bounded memo (:func:`clear_program_memo` empties it).
 
 Both entry points raise :class:`~repro.errors.ConfigurationError` for
 infeasible combinations (a dynamic mapping without a strided workload,
@@ -34,7 +38,10 @@ any simulation starts.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro.core.gather import IndexedAccess, plan_indexed
 from repro.core.planner import AccessPlanner, cf_order_feasible
@@ -52,10 +59,17 @@ from repro.scenarios.components import (
     DecoupledDrive,
     Figure6Drive,
     PlannerDrive,
+    ScenarioProgram,
     Workload,
 )
 from repro.scenarios.registry import DRIVE, MAPPING, PROGRAM, WORKLOAD, build
 from repro.scenarios.spec import ComponentSpec, ScenarioSpec
+
+if TYPE_CHECKING:
+    from repro.processor.decoupled import (
+        DecoupledVectorMachine,
+        ResolvedProgram,
+    )
 
 __unused = _components  # imported for its registration side effect
 
@@ -473,6 +487,10 @@ def _simulate_figure6(
     return _aggregate(spec, config, [("conflict_free", run)], extras)
 
 
+#: How every design point's machine schedules gathers and scatters.
+_GATHER_MODE = "scheduled"
+
+
 def _machine(
     config: MemoryConfig,
     register_length: int,
@@ -488,6 +506,7 @@ def _machine(
         execute_startup=drive.execute_startup,
         chaining=drive.chaining,
         plan_mode=drive.plan_mode,  # type: ignore[arg-type]
+        gather_mode=_GATHER_MODE,
         memory_streams=drive.memory_streams,
         tracer=tracer,
     )
@@ -535,6 +554,140 @@ def _simulate_decoupled(
     )
 
 
+#: Programs the program memo holds before evicting the least recently
+#: used one.  A grid shares value passes when no more than this many
+#: programs alternate in its point order: the committed 64-point daxpy
+#: grid cycles through its 8 programs (x_stride x alpha) at every q and
+#: stream count, and each seed-1 program-grid benchmark grid sweeps one
+#: program.  An entry holds the built program (inputs and expected
+#: values) and its resolved accesses (request streams, and plans the
+#: plan cache mostly shares): 0.05-0.26 MB for the benchmark's
+#: 256/512-element programs (0.13 MB for a 256-element daxpy, 2.0 MB at
+#: n = 4096; tracemalloc, CPython 3.11).  The in-process peak RSS of a
+#: seed-1 program-grid pass is 24.4 MB without the memo, 24.5 MB at 1
+#: entry, 25.6 MB at 8 and 26.1 MB at 16 (two passes each, 2-CPU host).
+PROGRAM_MEMO_SIZE = 8
+
+
+@dataclass
+class _ResolvedEntry:
+    """A built program and its value pass, shared by every design point
+    that only times it differently.
+
+    ``baselines`` maps a timing key (see :func:`_simulate_program`) to
+    the program's total cycles on a non-chaining machine with those
+    timing parameters, once a point has measured them.  Threads share
+    it through ``get`` and ``setdefault``, each one atomic on a dict.
+    """
+
+    program: ScenarioProgram
+    resolved: ResolvedProgram
+    baselines: dict[tuple, int] = field(default_factory=dict)
+
+
+class _ProgramMemo:
+    """A thread-safe LRU of :class:`_ResolvedEntry` objects, keyed by
+    what the value pass reads: the program spec, the register length,
+    the mapping's type and cache token, ``t`` and the plan and gather
+    modes.
+
+    A hit is exact: the value pass is a function of that key (a fresh
+    machine's registers and store are empty), its output is immutable
+    and the timing pass reads nothing else of the machine that made it.
+    :data:`PROGRAM_MEMO_SIZE` gives the bound and what an entry costs.
+    """
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._entries: OrderedDict[tuple, _ResolvedEntry] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def get(self, key: tuple) -> _ResolvedEntry | None:
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is not None:
+                self._entries.move_to_end(key)
+            return entry
+
+    def put(self, key: tuple, entry: _ResolvedEntry) -> _ResolvedEntry:
+        """Store ``entry`` unless another thread stored one first;
+        return the stored entry."""
+        with self._lock:
+            entry = self._entries.setdefault(key, entry)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+            return entry
+
+    def clear(self) -> None:
+        with self._lock:
+            self._entries.clear()
+
+
+#: The process-wide memo every program design point shares.
+_PROGRAM_MEMO = _ProgramMemo(PROGRAM_MEMO_SIZE)
+
+
+def clear_program_memo() -> None:
+    """Empty the program memo (tests, benchmarks)."""
+    _PROGRAM_MEMO.clear()
+
+
+def _resolved_program(
+    spec: ScenarioSpec,
+    config: MemoryConfig,
+    drive: DecoupledDrive,
+    register_length: int,
+    tracer=None,
+) -> tuple[DecoupledVectorMachine, _ResolvedEntry]:
+    """One program design point's machine and its built, resolved
+    program, from the memo when a point with the same value key
+    resolved it.
+
+    A miss builds the program before the machine, so a spec whose
+    program and drive are both invalid fails with the program's error,
+    and runs :meth:`resolve`; an error there propagates and stores
+    nothing.  A mapping without a cache token has no value key, so its
+    programs are never shared.  The program spec enters the key as its
+    ``repr``, which tells ``2`` from ``2.0`` and ``True`` where
+    equality does not.
+    """
+    mapping = config.mapping
+    token = mapping.cache_token()
+    key = entry = None
+    if token is not None:
+        key = (
+            repr(spec.program),
+            register_length,
+            type(mapping),
+            token,
+            config.t,
+            drive.plan_mode,
+            _GATHER_MODE,
+        )
+        entry = _PROGRAM_MEMO.get(key)
+    if entry is not None:
+        return _machine(config, register_length, drive, tracer), entry
+    scenario_program = build(
+        PROGRAM, spec.program, register_length=register_length
+    )
+    machine = _machine(config, register_length, drive, tracer)
+    entry = _ResolvedEntry(
+        scenario_program,
+        machine.resolve(
+            scenario_program.program,
+            scenario_program.inputs,
+            scenario_program.expected,
+        ),
+    )
+    if key is not None:
+        entry = _PROGRAM_MEMO.put(key, entry)
+    return machine, entry
+
+
 def _simulate_program(
     spec: ScenarioSpec,
     config: MemoryConfig,
@@ -545,12 +698,17 @@ def _simulate_program(
 
     Memory metrics (latency, stalls, conflict-freedom...) aggregate over
     every LOAD/STORE the program issued; machine-level observations land
-    in ``extras`` and the per-instruction ``timeline``.  When the drive
-    enables chaining, the run's resolved accesses are also timed on an
-    otherwise-identical non-chaining machine, and the measured
-    decoupled/chained speedup is reported next to the analytic
+    in ``extras`` and the per-instruction ``timeline``.  The program is
+    built and resolved once per value key (:func:`_resolved_program`);
+    each point runs its own timing pass, traced when ``tracer`` is, so
+    every kernel and machine event is recorded.  When the drive enables
+    chaining, the measured decoupled/chained speedup is reported next
+    to the analytic
     :func:`repro.processor.chaining.program_chaining_speedup` prediction
-    with the model's stated tolerance.
+    with the model's stated tolerance.  Its baseline is the resolved
+    program's total cycles on an otherwise-identical non-chaining
+    machine: a non-chaining point with the same timing parameters
+    records them, and a chaining point times them only when none has.
     """
     from repro.processor.chaining import (
         CHAINING_MODEL_TOLERANCE,
@@ -559,15 +717,22 @@ def _simulate_program(
     from repro.scenarios.components import DEFAULT_PROGRAM_REGISTER_LENGTH
 
     register_length = drive.register_length or DEFAULT_PROGRAM_REGISTER_LENGTH
-    scenario_program = build(
-        PROGRAM, spec.program, register_length=register_length
+    machine, entry = _resolved_program(
+        spec, config, drive, register_length, tracer
     )
-    machine = _machine(config, register_length, drive, tracer)
-    run = machine.run(
-        scenario_program.program,
-        scenario_program.inputs,
-        scenario_program.expected,
+    scenario_program = entry.program
+    run = machine.time(entry.resolved)
+    # What a non-chaining machine's total cycles depend on beyond the
+    # value key.
+    timing = (
+        config.input_capacity,
+        config.output_capacity,
+        config.ports,
+        machine.memory_streams,
+        drive.execute_startup,
     )
+    if not drive.chaining:
+        entry.baselines.setdefault(timing, run.total_cycles)
     extras: list[tuple[str, object]] = [
         ("program", scenario_program.label),
         ("instruction_count", len(scenario_program.program)),
@@ -590,14 +755,15 @@ def _simulate_program(
         # The Section 5-F measurement for whole kernels: the same
         # accesses timed on an otherwise-identical machine that does not
         # chain.  Values do not depend on timing, so only the timing pass
-        # runs.  Untraced, so its events do not overlay this run's.
-        decoupled = _machine(
-            config, register_length, replace(drive, chaining=False)
-        ).time(run.resolved)
+        # runs, untraced so its events do not overlay this run's.
+        decoupled_cycles = entry.baselines.get(timing)
+        if decoupled_cycles is None:
+            decoupled_cycles = _machine(
+                config, register_length, replace(drive, chaining=False)
+            ).time(entry.resolved).total_cycles
+            entry.baselines.setdefault(timing, decoupled_cycles)
         measured = (
-            decoupled.total_cycles / run.total_cycles
-            if run.total_cycles
-            else 1.0
+            decoupled_cycles / run.total_cycles if run.total_cycles else 1.0
         )
         extras.append(("chaining_speedup", measured))
         # The analytic model assumes every access is conflict-free and

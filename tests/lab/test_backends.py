@@ -8,6 +8,8 @@ the resolution rules and the failure-reporting contract.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.lab.backends import (
@@ -21,12 +23,13 @@ from repro.lab.backends import (
     resolve_backend,
 )
 from repro.lab.executor import run_jobs
-from repro.lab.jobs import build_registry
+from repro.lab.jobs import build_registry, scenario_jobs
 from repro.lab.manifest import render_lab_report
 from repro.lab.spool import SpoolBackend
 from repro.lab.store import ArtifactStore
 
 FAST_JOBS = ("E01", "E02", "S-lambda", "S-t")
+EXAMPLES = Path(__file__).resolve().parents[2] / "examples"
 
 
 def fast_specs():
@@ -68,6 +71,31 @@ class TestBackendEquivalence:
             # The results themselves live only in the store.
             records[name] = stored_results(store, report.outcomes)
         assert rendered["serial"] == rendered["pool"] == rendered["spool"]
+        assert records["serial"] == records["pool"] == records["spool"]
+
+    def test_program_grid_records_identical_across_backends(
+        self, tmp_path, stored_results
+    ):
+        """The 6 points of the committed program grid: serial runs them
+        with the program memo emptied first, pool workers and the
+        participating spool coordinator each see their own pattern of
+        memo hits, and the stored records agree field for field."""
+        from repro.scenarios import load_scenarios
+        from repro.scenarios.facade import clear_program_memo
+
+        grid = (EXAMPLES / "scenario_program_grid.json").read_text()
+        clear_program_memo()
+        records = {}
+        for name in BACKEND_NAMES:
+            store = ArtifactStore(tmp_path / name / "lab")
+            report = run_jobs(
+                scenario_jobs(load_scenarios(grid)),
+                store=store,
+                backend=make_backend(name, tmp_path / name),
+            )
+            assert report.all_passed, name
+            assert report.executed == 6
+            records[name] = stored_results(store, report.outcomes)
         assert records["serial"] == records["pool"] == records["spool"]
 
     def test_written_report_md_identical_modulo_run_id(self, tmp_path):

@@ -151,7 +151,9 @@ class TestReadStore:
         assert point["scenario"] == "hist-demo"
         assert point["kind"] == "lab"
         assert point["value"] > 0
-        assert point["git_commit"] == current_git_commit()
+        # A run stamped with no commit (a tree outside git) is filed
+        # under "unknown".
+        assert point["git_commit"] == (current_git_commit() or "unknown")
         assert history.trend("latency", scenario="HIST-demo") == points
         assert history.trend("latency", scenario="no-such") == []
 

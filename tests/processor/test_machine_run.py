@@ -208,7 +208,7 @@ class TestTwoPasses:
         fresh machine with an empty store times another machine's run."""
         program, inputs, _ = daxpy_case()
         run = machine(chaining=True).run(program, inputs)
-        fresh = DecoupledVectorMachine(run.resolved.config, 64, chaining=True)
+        fresh = DecoupledVectorMachine(matched_config(), 64, chaining=True)
         again = fresh.time(run.resolved)
         assert again.timings == run.timings
         assert again.total_cycles == run.total_cycles
@@ -219,9 +219,10 @@ class TestTwoPasses:
     def test_time_refuses_another_machines_plans(self):
         program, inputs, _ = daxpy_case(n=32, register_length=32)
         run = machine(32).run(program, inputs)
-        config = run.resolved.config
+        config = matched_config()
         others = {
-            "config": DecoupledVectorMachine(matched_config(q=4), 32),
+            "mapping": DecoupledVectorMachine(MemoryConfig.matched(3, 5), 32),
+            "t": DecoupledVectorMachine(replace(config, t=2), 32),
             "register_length": DecoupledVectorMachine(config, 64),
             "plan_mode": DecoupledVectorMachine(config, 32, plan_mode="ordered"),
             "gather_mode": DecoupledVectorMachine(
@@ -231,10 +232,16 @@ class TestTwoPasses:
         for name, other in others.items():
             with pytest.raises(ConfigurationError, match=f"another {name};"):
                 other.time(run.resolved)
-        # Timing parameters may differ: that is how the baseline is timed.
-        DecoupledVectorMachine(
-            config, 32, execute_startup=9, memory_streams=2
-        ).time(run.resolved)
+        # Timing parameters may differ: that is how the baseline and a
+        # grid's timing points are timed.  matched_config() builds a new
+        # mapping with the same address function each time.
+        for other in (
+            DecoupledVectorMachine(
+                config, 32, execute_startup=9, memory_streams=2
+            ),
+            DecoupledVectorMachine(matched_config(q=4), 32),
+        ):
+            other.time(run.resolved)
 
     @pytest.mark.parametrize("chaining", [False, True])
     def test_a_traced_timing_pass_records_a_fresh_runs_events(self, chaining):
