@@ -53,67 +53,83 @@ PlanMode = Literal["auto", "ordered", "subsequence", "conflict_free"]
 PLAN_CACHE_CAPACITY = 4096
 
 
-class PlanCache:
-    """A thread-safe LRU of finished :class:`AccessPlan` objects.
+class BoundedLRU:
+    """A thread-safe map that keeps its ``capacity`` most recently used
+    entries and counts lookup hits and misses (:meth:`stats` reports
+    ``<name>_hits``, ``<name>_misses``, ``<name>_entries`` and
+    ``<name>_capacity``)."""
 
-    Keyed on the exact plan inputs — ``(type(mapping),
-    mapping.cache_token(), t, mode, vector)`` — so a hit is
-    bit-identical to recomputation by construction: plans are frozen,
-    planning is a pure function of the key, and mappings without a
-    declared :meth:`~repro.mappings.base.AddressMapping.cache_token`
-    are never cached.  The win comes from repetition the per-point
-    paths cannot see: planner-drive grid points that share workload
-    geometry across ``q``/ports/mode axes, and a strip that stores the
-    vector it just loaded, re-plan identical vectors.  A program design
-    point plans only when the scenario facade has not resolved its
-    program already (a chaining baseline never plans).  Traced seed-1
-    perfbench passes read a hit ratio of 0.67 on access-sweep (660 plan
-    calls a pass) and 0.31 on program-grid (230 plan calls a pass).
-    """
-
-    def __init__(self, capacity: int = PLAN_CACHE_CAPACITY):
+    def __init__(self, capacity: int, name: str):
         if capacity < 1:
             raise ConfigurationError(
-                f"plan cache capacity must be >= 1, got {capacity}"
+                f"{name} capacity must be >= 1, got {capacity}"
             )
+        self.name = name
         self.capacity = capacity
-        self._plans: OrderedDict[tuple, AccessPlan] = OrderedDict()
+        self._entries: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
 
-    def lookup(self, key: tuple) -> "AccessPlan | None":
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def lookup(self, key):
+        """The value under ``key``, now the most recently used, or None."""
         with self._lock:
-            plan = self._plans.get(key)
-            if plan is None:
+            value = self._entries.get(key)
+            if value is None:
                 self.misses += 1
                 return None
-            self._plans.move_to_end(key)
+            self._entries.move_to_end(key)
             self.hits += 1
-            return plan
+            return value
 
-    def store(self, key: tuple, plan: "AccessPlan") -> None:
+    def store(self, key, value):
+        """Store ``value`` under ``key`` unless another thread stored one
+        first, evicting the least recently used entry past
+        ``capacity``; return the stored value."""
         with self._lock:
-            self._plans[key] = plan
-            self._plans.move_to_end(key)
-            while len(self._plans) > self.capacity:
-                self._plans.popitem(last=False)
+            value = self._entries.setdefault(key, value)
+            self._entries.move_to_end(key)
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+            return value
 
     def clear(self) -> None:
         """Drop every entry and reset the hit/miss counters."""
         with self._lock:
-            self._plans.clear()
+            self._entries.clear()
             self.hits = 0
             self.misses = 0
 
     def stats(self) -> dict[str, int]:
         with self._lock:
             return {
-                "plan_cache_hits": self.hits,
-                "plan_cache_misses": self.misses,
-                "plan_cache_entries": len(self._plans),
-                "plan_cache_capacity": self.capacity,
+                f"{self.name}_hits": self.hits,
+                f"{self.name}_misses": self.misses,
+                f"{self.name}_entries": len(self._entries),
+                f"{self.name}_capacity": self.capacity,
             }
+
+
+class PlanCache(BoundedLRU):
+    """The LRU of finished :class:`AccessPlan` objects, keyed on the
+    exact plan inputs (see :meth:`AccessPlanner.plan`).
+
+    Planner-drive grid points that share workload geometry across
+    ``q``/ports/mode axes, and a strip that stores the vector it just
+    loaded, re-plan identical vectors.  A program design point plans
+    only when the scenario facade has not resolved its program already
+    (a chaining baseline never plans).  Traced seed-1 perfbench passes
+    read a hit ratio of 0.67 on access-sweep (660 plan calls a pass)
+    and 0.31 on program-grid (230 plan calls a pass).  It is a class of
+    its own so that wrapping :meth:`lookup` here (as perfbench's
+    ``core.plan`` layer does) counts plan lookups only.
+    """
+
+    def __init__(self, capacity: int = PLAN_CACHE_CAPACITY):
+        super().__init__(capacity, "plan_cache")
 
 
 #: The process-wide cache every :class:`AccessPlanner` shares.
@@ -227,28 +243,21 @@ class AccessPlanner:
         * ``"conflict_free"`` — the Section 3.2/4.2 order (same).
 
         Successful plans are memoized in the process-wide
-        :class:`PlanCache`; the key is exact — mapping identity, ``t``,
-        mode and the full vector — so a cached plan is
-        indistinguishable from a fresh one.  Forced modes that raise
-        are never cached.
+        :class:`PlanCache`; the key is exact — the mapping's
+        :meth:`~repro.mappings.base.AddressMapping.address_key`, ``t``,
+        mode and the full vector — so a cached plan is bit-identical to
+        a fresh one: plans are frozen and planning is a pure function of
+        the key.  Forced modes that raise, and mappings without an
+        address key, are never cached.
         """
-        key = self._plan_cache_key(vector, mode)
-        if key is not None:
-            cached = _PLAN_CACHE.lookup(key)
-            if cached is not None:
-                return cached
-        plan = self._plan_uncached(vector, mode)
-        if key is not None:
-            _PLAN_CACHE.store(key, plan)
+        address = self.mapping.address_key()
+        if address is None:
+            return self._plan_uncached(vector, mode)
+        key = (address, self.t, mode, vector)
+        plan = _PLAN_CACHE.lookup(key)
+        if plan is None:
+            plan = _PLAN_CACHE.store(key, self._plan_uncached(vector, mode))
         return plan
-
-    def _plan_cache_key(
-        self, vector: VectorAccess, mode: PlanMode
-    ) -> tuple | None:
-        token = self.mapping.cache_token()
-        if token is None:
-            return None
-        return (type(self.mapping), token, self.t, mode, vector)
 
     def _plan_uncached(
         self, vector: VectorAccess, mode: PlanMode

@@ -23,11 +23,11 @@ benign (a diff across intentional re-tuning should not fail CI).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 from repro.errors import ReproError
 from repro.lab.hashing import decode_rows
+from repro.lab.manifest import read_manifest
 from repro.lab.store import ArtifactStore
 
 
@@ -83,8 +83,8 @@ def _run_records(
     records: dict[str, dict] = {}
     if manifest_path.is_file():
         try:
-            manifest = json.loads(manifest_path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError) as error:
+            manifest = read_manifest(manifest_path)
+        except ValueError as error:
             raise UnknownRunError(
                 f"manifest for run {run_id!r} is unreadable: {error}"
             ) from None

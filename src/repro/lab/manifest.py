@@ -117,12 +117,12 @@ def write_run_artifacts(
     run_dir = store.runs_dir / report.run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     import repro
-    from repro.lab.store import _utc_now
+    from repro.lab.store import utc_now
     from repro.obs.commit import current_git_commit
 
     manifest = {
         "run_id": report.run_id,
-        "created_at": _utc_now(),
+        "created_at": utc_now(),
         "package_version": repro.__version__,
         "git_commit": current_git_commit(),
         "backend": report.metrics.get("backend", ""),
@@ -151,22 +151,35 @@ def write_run_artifacts(
     return run_dir
 
 
+def read_manifest(path: Path) -> dict:
+    """The run manifest at ``path``.
+
+    Raises :class:`ValueError` saying why when the file records no run:
+    it cannot be read, is not JSON, or is not a JSON object with a
+    ``run_id``.
+    """
+    try:
+        manifest = json.loads(path.read_text())
+    except OSError as error:
+        raise ValueError(str(error)) from None
+    if not (isinstance(manifest, dict) and "run_id" in manifest):
+        raise ValueError("it is not a JSON object with a run_id")
+    return manifest
+
+
 def read_manifests(store: ArtifactStore) -> list[dict]:
     """Every run manifest under the root, oldest first.
 
     Ordered by ``created_at``, then ``run_id``; ``created_at`` has
     microseconds, so runs come back in the order they were written.  A
-    file that is not a JSON object with a ``run_id`` is skipped: it
-    records no run.
+    file that records no run (:func:`read_manifest`) is skipped.
     """
     manifests: list[dict] = []
     for path in store.runs_dir.glob("*/manifest.json"):
         try:
-            manifest = json.loads(path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError, OSError):
+            manifests.append(read_manifest(path))
+        except ValueError:
             continue
-        if isinstance(manifest, dict) and "run_id" in manifest:
-            manifests.append(manifest)
     manifests.sort(key=lambda m: (m.get("created_at", ""), m["run_id"]))
     return manifests
 

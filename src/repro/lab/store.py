@@ -105,10 +105,11 @@ _INSERT_RESULT = (
 _LOOKUP_CHUNK = 500
 
 
-def _utc_now() -> str:
+def utc_now() -> str:
     """Now, in UTC ISO 8601 with fixed-width microseconds
     (``2026-01-01T00:00:00.000000Z``): string order is time order, also
-    within one second."""
+    within one second.  Every timestamp the lab and the service write
+    (stored results, run manifests, submitted runs) is one of these."""
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
 
 
@@ -386,7 +387,7 @@ class ArtifactStore:
             config=spec.config(version),
             config_hash=spec.config_hash(version),
             package_version=version,
-            created_at=_utc_now(),
+            created_at=utc_now(),
             run_id=run_id,
         )
         row = _result_row(record, canonical_json(record))

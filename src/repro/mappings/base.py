@@ -182,17 +182,37 @@ class AddressMapping(ABC):
         return modules
 
     def cache_token(self) -> tuple | None:
-        """Hashable identity of this mapping's address function, or None.
+        """Hashable identity of this mapping's address function within
+        its type, or None.
 
         Two mappings of the same concrete type whose tokens compare
-        equal must map every address identically — that is the contract
-        the :mod:`repro.core.planner` plan cache keys on (it always
-        pairs the token with ``type(self)``, so a subclass that changes
-        ``module_of`` without overriding the token still gets its own
-        cache entries).  The base implementation returns ``None``:
-        mappings without a declared identity are never cached.
+        equal must map every address identically.  Callers read it
+        through :meth:`address_key`, which pairs it with the type.  The
+        base implementation returns ``None``: a mapping without a
+        declared identity is never shared.
         """
         return None
+
+    def address_key(self) -> tuple | None:
+        """This mapping's address function as a hashable key:
+        ``(type(self), self.cache_token())``, or None without a token.
+
+        Plans depend only on the address function and ``t``, so every
+        cache of plans or planned programs keys on this.  The type is
+        part of the key, so a subclass that changes ``module_of``
+        without overriding the token still gets a key of its own.
+        """
+        token = self.cache_token()
+        return None if token is None else (type(self), token)
+
+    def same_address_function(self, other: AddressMapping | None) -> bool:
+        """Whether ``other`` sends every address to the same module:
+        it is this mapping, or both have the same :meth:`address_key`.
+        A mapping without a key is the same only as itself."""
+        if other is self:
+            return True
+        key = self.address_key()
+        return key is not None and other is not None and key == other.address_key()
 
     def describe(self) -> str:
         """One-line human-readable description of the mapping."""

@@ -32,7 +32,6 @@ from typing import Iterable, Sequence
 
 from repro.core.planner import AccessPlan
 from repro.errors import SimulationError
-from repro.mappings.base import AddressMapping
 from repro.memory.config import MemoryConfig
 from repro.memory.kernel import (
     KernelRun,
@@ -139,7 +138,7 @@ class MemorySystem:
         """Simulate an :class:`~repro.core.planner.AccessPlan` (or any
         object with a ``request_stream()`` method).
 
-        A plan made for this memory's mapping — by an
+        A plan made under this memory's address function — by an
         :class:`~repro.core.planner.AccessPlanner`,
         :func:`~repro.core.gather.plan_indexed` or the cooldown
         scheduler — already holds each request's module; the kernel
@@ -150,8 +149,8 @@ class MemorySystem:
         request records (a timeline or a trace).
         """
         modules = None
-        if _same_address_function(
-            getattr(plan, "mapping", None), self.config.mapping
+        if self.config.mapping.same_address_function(
+            getattr(plan, "mapping", None)
         ):
             modules = plan.modules
         requests = (
@@ -187,19 +186,3 @@ class MemorySystem:
         )
         return access_result_from_run(run, 0, self.config.service_ratio)
 
-
-def _same_address_function(
-    planned: AddressMapping | None, memory: AddressMapping
-) -> bool:
-    """Whether a plan's mapping sends every address to the same module
-    as the memory's: the same object, or the same type with equal
-    :meth:`~repro.mappings.base.AddressMapping.cache_token` (the
-    identity the plan cache already keys on)."""
-    if planned is None:
-        return False
-    if planned is memory:
-        return True
-    if type(planned) is not type(memory):
-        return False
-    token = planned.cache_token()
-    return token is not None and token == memory.cache_token()

@@ -16,7 +16,8 @@ happened during them" and "how does that compare with every run before".
 * :mod:`repro.obs.commit` — :func:`current_git_commit`, the commit each
   run manifest records.
 * :func:`cache_stats` — one snapshot of the process-wide memoization
-  counters (the planner's plan cache).
+  counters (the plan cache, the program memo and the kernel's timing
+  memo).
 """
 
 from repro import _lazy_exports
@@ -63,11 +64,23 @@ __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)
 
 
 def cache_stats() -> dict[str, int]:
-    """Hit/miss/size counters for every process-wide memoization cache.
-
-    Today that is the planner's plan cache.  Imported lazily, so that
-    importing the tracer does not pull in the planner.
+    """Hit/miss/size counters for every process-wide memoization cache:
+    the planner's plan cache (``plan_cache_*``), the scenario facade's
+    program memo (``program_memo_*``) and the memory kernel's timing
+    memo (``kernel_timing_*``), each as hits, misses, entries and
+    capacity.  Imported lazily, so that importing the tracer does not
+    pull in the simulator.
     """
     from repro.core.planner import plan_cache_stats
+    from repro.memory.kernel import kernel_timing
+    from repro.scenarios.facade import program_memo_stats
 
-    return plan_cache_stats()
+    kernel = kernel_timing.cache_info()
+    return {
+        **plan_cache_stats(),
+        **program_memo_stats(),
+        "kernel_timing_hits": kernel.hits,
+        "kernel_timing_misses": kernel.misses,
+        "kernel_timing_entries": kernel.currsize,
+        "kernel_timing_capacity": kernel.maxsize,
+    }

@@ -41,12 +41,14 @@ accesses through the batches, the kernel and the execute unit and moves
 no values.  The chaining baseline is the timing pass alone, on a machine
 that does not chain.
 
-The plans depend only on the mapping, ``t``, the register length and
-the plan and gather modes, so a :class:`ResolvedProgram` may be timed
-on any machine that shares them: q, q', ports, ``memory_streams``,
-``execute_startup`` and chaining are the timing pass's alone.  That is
-how the scenario facade resolves a program once for every grid point
-that only times it differently.
+The machine states what each pass reads of it.  Besides the program,
+the value pass reads only its :attr:`~DecoupledVectorMachine.plan_key`
+(:class:`PlanKey`), so a :class:`ResolvedProgram` may be timed on any
+machine with an equal plan key, whatever its chaining and
+:attr:`~DecoupledVectorMachine.timing_key`.  The scenario facade keys
+its program memo on the plan key, so a program is resolved once for
+every grid point that only times it differently, and files a chaining
+point's baseline under the timing key.
 
 Since the timing pass moves no values, a timing bug cannot show up as a
 wrong output; the timing pass checks its own schedule instead, for
@@ -65,9 +67,10 @@ facade calls the two halves, so that it can reuse a resolved program.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isnan
 from operator import attrgetter
+from typing import NamedTuple
 
 from repro.core.gather import IndexedAccess, IndexedMode, plan_indexed
 from repro.core.planner import AccessPlanner, PlanMode
@@ -79,7 +82,6 @@ from repro.errors import (
     SimulationError,
 )
 from repro.hardware.register_file import VectorRegisterFile
-from repro.mappings.base import AddressMapping
 from repro.memory.config import MemoryConfig
 from repro.memory.kernel import KernelStream, MemoryKernel
 from repro.memory.storage import MemoryStore
@@ -156,9 +158,7 @@ class MachineResult:
     :class:`~repro.memory.system.AccessResult`, in instruction order.
     ``outputs_correct`` and ``output_errors`` are the resolved
     program's output check (``None`` when the run was given no expected
-    memory contents).  ``resolved`` is the value pass's output, which
-    :meth:`DecoupledVectorMachine.time` can time again on another
-    machine.
+    memory contents).
     """
 
     timings: tuple[InstructionTiming, ...]
@@ -167,9 +167,6 @@ class MachineResult:
     memory_runs: tuple = ()
     outputs_correct: bool | None = None
     output_errors: tuple[str, ...] = ()
-    resolved: ResolvedProgram | None = field(
-        default=None, compare=False, repr=False
-    )
 
     @property
     def timeline(self) -> tuple[tuple, ...]:
@@ -343,16 +340,45 @@ class ResolvedAccess:
         return self.instruction.mnemonic  # type: ignore[attr-defined]
 
 
+class PlanKey(NamedTuple):
+    """Everything a program's value pass reads of its machine: a
+    :class:`ResolvedProgram` fits only a machine with an equal key.
+
+    ``mapping`` is the mapping's
+    :meth:`~repro.mappings.base.AddressMapping.address_key`, or the
+    mapping itself when it has none, which equals only itself.
+    """
+
+    mapping: object
+    t: int
+    register_length: int
+    plan_mode: str
+    gather_mode: str
+
+    @classmethod
+    def of(
+        cls,
+        config: MemoryConfig,
+        register_length: int,
+        plan_mode: PlanMode = "auto",
+        gather_mode: IndexedMode = "scheduled",
+    ) -> PlanKey:
+        """The plan key of a machine built with these arguments, known
+        before it is built (the scenario facade looks a program up
+        first, so that a program's error comes before the machine's)."""
+        mapping = config.mapping
+        address = mapping.address_key() or mapping
+        return cls(address, config.t, register_length, plan_mode, gather_mode)
+
+
 @dataclass(frozen=True)
 class ResolvedProgram:
     """A program after the value pass: each memory instruction's resolved
     access, in program order, what resolved them and the output check.
 
-    The plans were made under ``mapping`` and ``t`` and fit only a
-    machine with the same address function (:func:`_same_mapping`),
-    ``t``, ``register_length``, ``plan_mode`` and ``gather_mode``; the
-    rest of the machine only times them.  The ``predefined`` registers
-    held values before the run, so they are ready at cycle 0.
+    The plans fit only a machine with an equal ``plan_key``; the rest
+    of the machine only times them.  The ``predefined`` registers held
+    values before the run, so they are ready at cycle 0.
     ``outputs_correct`` and ``output_errors`` are the check of the
     expected memory contents after the value pass (``None`` and empty
     when none were given); every timing of the program carries them.
@@ -360,28 +386,10 @@ class ResolvedProgram:
 
     program: Program
     accesses: tuple[ResolvedAccess, ...]
-    mapping: AddressMapping
-    t: int
-    register_length: int
-    plan_mode: str
-    gather_mode: str
+    plan_key: PlanKey
     predefined: frozenset[int]
     outputs_correct: bool | None = None
     output_errors: tuple[str, ...] = ()
-
-
-def _same_mapping(left: AddressMapping, right: AddressMapping) -> bool:
-    """Whether two mappings have one address function: the plan cache's
-    identity, ``(type(mapping), mapping.cache_token())``; a mapping
-    without a token is only itself."""
-    if left is right:
-        return True
-    token = left.cache_token()
-    return (
-        token is not None
-        and type(left) is type(right)
-        and token == right.cache_token()
-    )
 
 
 @dataclass
@@ -499,6 +507,24 @@ class DecoupledVectorMachine:
         self.store = MemoryStore(config.mapping)
         self.registers = VectorRegisterFile(REGISTER_COUNT, register_length)
 
+    @property
+    def plan_key(self) -> PlanKey:
+        """What the value pass reads of this machine (:class:`PlanKey`)."""
+        return PlanKey.of(
+            self.config, self.register_length, self.plan_mode, self.gather_mode
+        )
+
+    @property
+    def timing_key(self) -> tuple:
+        """What the timing pass reads of this machine besides the plan
+        key and chaining: the memory's queue capacities q and q', its
+        ports, ``memory_streams`` and ``execute_startup``.  Machines
+        with equal plan and timing keys that do not chain time a
+        resolved program to the same cycles."""
+        config = self.config
+        return (config.input_capacity, config.output_capacity, config.ports,
+                self.memory_streams, self.execute_startup)
+
     def run(
         self,
         program: Program,
@@ -535,15 +561,7 @@ class DecoupledVectorMachine:
         predefined, accesses = self._execute(program)
         outputs_correct, output_errors = self._verify(expected)
         return ResolvedProgram(
-            program,
-            accesses,
-            self.config.mapping,
-            self.config.t,
-            self.register_length,
-            self.plan_mode,
-            self.gather_mode,
-            predefined,
-            outputs_correct,
+            program, accesses, self.plan_key, predefined, outputs_correct,
             output_errors,
         )
 
@@ -553,28 +571,20 @@ class DecoupledVectorMachine:
         Memory instructions form batches by :meth:`OpenBatch.refusal`,
         each batch is one kernel run, and each execute instruction
         chains or waits; the register file and the store are neither
-        read nor written.  ``resolved`` may come from another machine
-        (``run(...).resolved`` or :meth:`resolve`) that planned alike:
-        the same address function (the plan cache's identity, ``type``
-        and :meth:`~repro.mappings.base.AddressMapping.cache_token`; a
-        mapping without a token matches only itself), ``t``, register
-        length, plan mode and gather mode.  q, q', ports,
-        ``memory_streams``, ``execute_startup`` and chaining may differ:
-        that is how the chaining baseline and the scenario facade's
-        grid points time one resolved program.  A machine that differs
-        in a planning input raises :class:`ConfigurationError`.  The
-        schedule is checked before returning (:meth:`_check_schedule`),
-        and the result carries the resolved program's output verdict.
+        read nor written.  ``resolved`` may come from another machine's
+        :meth:`resolve` with an equal :attr:`plan_key`, whatever its
+        :attr:`timing_key` and chaining: that is how the chaining
+        baseline and the scenario facade's grid points time one
+        resolved program.  A machine with another plan key raises
+        :class:`ConfigurationError` naming the first part that differs.
+        The schedule is checked before returning
+        (:meth:`_check_schedule`), and the result carries the resolved
+        program's output verdict.
         """
-        planned_alike = {
-            "mapping": _same_mapping(resolved.mapping, self.config.mapping),
-            "t": resolved.t == self.config.t,
-            "register_length": resolved.register_length == self.register_length,
-            "plan_mode": resolved.plan_mode == self.plan_mode,
-            "gather_mode": resolved.gather_mode == self.gather_mode,
-        }
-        for name, alike in planned_alike.items():
-            if not alike:
+        for name, planned, here in zip(
+            PlanKey._fields, resolved.plan_key, self.plan_key
+        ):
+            if planned != here:
                 raise ConfigurationError(
                     f"the program was resolved on a machine with another "
                     f"{name}; its plans do not fit this machine"
@@ -650,7 +660,6 @@ class DecoupledVectorMachine:
             memory_runs=tuple(memory_runs),
             outputs_correct=resolved.outputs_correct,
             output_errors=resolved.output_errors,
-            resolved=resolved,
         )
 
     def _verify(

@@ -24,10 +24,13 @@ runs — and the result additionally carries the per-instruction
 ``timeline``, total machine cycles, the overlap fraction, the
 measured-vs-analytic chaining speedup, and the end-to-end
 numerical-correctness verdict.  A program's value pass depends only on
-the program, the mapping, ``t``, the register length and the plan
-modes, so design points that differ only in how the machine times it
-(q, q', ports, streams, start-up, chaining) share one resolved program
-through a bounded memo (:func:`clear_program_memo` empties it).
+the program and the machine's
+:class:`~repro.processor.decoupled.PlanKey` (the mapping's address key,
+``t``, the register length and the plan modes), so design points that
+differ only in how the machine times it (its timing key and chaining)
+share one resolved program through a bounded memo
+(:func:`clear_program_memo` empties it, :func:`program_memo_stats`
+counts its traffic).
 
 Both entry points raise :class:`~repro.errors.ConfigurationError` for
 infeasible combinations (a dynamic mapping without a strided workload,
@@ -38,13 +41,11 @@ any simulation starts.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.core.gather import IndexedAccess, plan_indexed
-from repro.core.planner import AccessPlanner, cf_order_feasible
+from repro.core.planner import AccessPlanner, BoundedLRU, cf_order_feasible
 from repro.core.vector import VectorAccess
 from repro.errors import ConfigurationError
 from repro.mappings.base import AddressMapping
@@ -487,10 +488,6 @@ def _simulate_figure6(
     return _aggregate(spec, config, [("conflict_free", run)], extras)
 
 
-#: How every design point's machine schedules gathers and scatters.
-_GATHER_MODE = "scheduled"
-
-
 def _machine(
     config: MemoryConfig,
     register_length: int,
@@ -506,7 +503,6 @@ def _machine(
         execute_startup=drive.execute_startup,
         chaining=drive.chaining,
         plan_mode=drive.plan_mode,  # type: ignore[arg-type]
-        gather_mode=_GATHER_MODE,
         memory_streams=drive.memory_streams,
         tracer=tracer,
     )
@@ -574,10 +570,11 @@ class _ResolvedEntry:
     """A built program and its value pass, shared by every design point
     that only times it differently.
 
-    ``baselines`` maps a timing key (see :func:`_simulate_program`) to
-    the program's total cycles on a non-chaining machine with those
-    timing parameters, once a point has measured them.  Threads share
-    it through ``get`` and ``setdefault``, each one atomic on a dict.
+    ``baselines`` maps a machine's
+    :attr:`~repro.processor.decoupled.DecoupledVectorMachine.timing_key`
+    to the program's total cycles on a non-chaining machine with that
+    key, once a point has measured them.  Threads share it through
+    ``get`` and ``setdefault``, each one atomic on a dict.
     """
 
     program: ScenarioProgram
@@ -585,55 +582,25 @@ class _ResolvedEntry:
     baselines: dict[tuple, int] = field(default_factory=dict)
 
 
-class _ProgramMemo:
-    """A thread-safe LRU of :class:`_ResolvedEntry` objects, keyed by
-    what the value pass reads: the program spec, the register length,
-    the mapping's type and cache token, ``t`` and the plan and gather
-    modes.
-
-    A hit is exact: the value pass is a function of that key (a fresh
-    machine's registers and store are empty), its output is immutable
-    and the timing pass reads nothing else of the machine that made it.
-    :data:`PROGRAM_MEMO_SIZE` gives the bound and what an entry costs.
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-        self._entries: OrderedDict[tuple, _ResolvedEntry] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(self, key: tuple) -> _ResolvedEntry | None:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
-
-    def put(self, key: tuple, entry: _ResolvedEntry) -> _ResolvedEntry:
-        """Store ``entry`` unless another thread stored one first;
-        return the stored entry."""
-        with self._lock:
-            entry = self._entries.setdefault(key, entry)
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-            return entry
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-
-#: The process-wide memo every program design point shares.
-_PROGRAM_MEMO = _ProgramMemo(PROGRAM_MEMO_SIZE)
+#: The process-wide memo every program design point shares: built and
+#: resolved programs keyed by the program spec and the machine's
+#: :class:`~repro.processor.decoupled.PlanKey`.  A hit is exact: the
+#: value pass is a function of that key (a fresh machine's registers
+#: and store are empty), its output is immutable and the timing pass
+#: reads nothing else of the machine that made it.
+#: :data:`PROGRAM_MEMO_SIZE` gives the bound and what an entry costs.
+_PROGRAM_MEMO = BoundedLRU(PROGRAM_MEMO_SIZE, "program_memo")
 
 
 def clear_program_memo() -> None:
-    """Empty the program memo (tests, benchmarks)."""
+    """Empty the program memo and reset its counters (tests,
+    benchmarks)."""
     _PROGRAM_MEMO.clear()
+
+
+def program_memo_stats() -> dict[str, int]:
+    """Hit/miss/occupancy counters of the program memo."""
+    return _PROGRAM_MEMO.stats()
 
 
 def _resolved_program(
@@ -644,31 +611,25 @@ def _resolved_program(
     tracer=None,
 ) -> tuple[DecoupledVectorMachine, _ResolvedEntry]:
     """One program design point's machine and its built, resolved
-    program, from the memo when a point with the same value key
-    resolved it.
+    program, from the memo when a point with the same program spec and
+    plan key resolved it.
 
     A miss builds the program before the machine, so a spec whose
     program and drive are both invalid fails with the program's error,
     and runs :meth:`resolve`; an error there propagates and stores
-    nothing.  A mapping without a cache token has no value key, so its
-    programs are never shared.  The program spec enters the key as its
-    ``repr``, which tells ``2`` from ``2.0`` and ``True`` where
-    equality does not.
+    nothing.  A mapping without an address key is never shared.  The
+    program spec enters the key as its ``repr``, which tells ``2`` from
+    ``2.0`` and ``True`` where equality does not.
     """
-    mapping = config.mapping
-    token = mapping.cache_token()
+    from repro.processor.decoupled import PlanKey
+
     key = entry = None
-    if token is not None:
+    if config.mapping.address_key() is not None:
         key = (
             repr(spec.program),
-            register_length,
-            type(mapping),
-            token,
-            config.t,
-            drive.plan_mode,
-            _GATHER_MODE,
+            PlanKey.of(config, register_length, drive.plan_mode),
         )
-        entry = _PROGRAM_MEMO.get(key)
+        entry = _PROGRAM_MEMO.lookup(key)
     if entry is not None:
         return _machine(config, register_length, drive, tracer), entry
     scenario_program = build(
@@ -684,7 +645,7 @@ def _resolved_program(
         ),
     )
     if key is not None:
-        entry = _PROGRAM_MEMO.put(key, entry)
+        entry = _PROGRAM_MEMO.store(key, entry)
     return machine, entry
 
 
@@ -699,16 +660,17 @@ def _simulate_program(
     Memory metrics (latency, stalls, conflict-freedom...) aggregate over
     every LOAD/STORE the program issued; machine-level observations land
     in ``extras`` and the per-instruction ``timeline``.  The program is
-    built and resolved once per value key (:func:`_resolved_program`);
-    each point runs its own timing pass, traced when ``tracer`` is, so
-    every kernel and machine event is recorded.  When the drive enables
+    built and resolved once per program spec and plan key
+    (:func:`_resolved_program`); each point runs its own timing pass,
+    traced when ``tracer`` is, so every kernel and machine event is
+    recorded.  When the drive enables
     chaining, the measured decoupled/chained speedup is reported next
     to the analytic
     :func:`repro.processor.chaining.program_chaining_speedup` prediction
     with the model's stated tolerance.  Its baseline is the resolved
     program's total cycles on an otherwise-identical non-chaining
-    machine: a non-chaining point with the same timing parameters
-    records them, and a chaining point times them only when none has.
+    machine: a non-chaining point with the same timing key records
+    them, and a chaining point times them only when none has.
     """
     from repro.processor.chaining import (
         CHAINING_MODEL_TOLERANCE,
@@ -722,15 +684,7 @@ def _simulate_program(
     )
     scenario_program = entry.program
     run = machine.time(entry.resolved)
-    # What a non-chaining machine's total cycles depend on beyond the
-    # value key.
-    timing = (
-        config.input_capacity,
-        config.output_capacity,
-        config.ports,
-        machine.memory_streams,
-        drive.execute_startup,
-    )
+    timing = machine.timing_key
     if not drive.chaining:
         entry.baselines.setdefault(timing, run.total_cycles)
     extras: list[tuple[str, object]] = [

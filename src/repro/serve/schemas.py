@@ -27,18 +27,12 @@ __all__ = [
     "metrics_payload",
     "parse_run_request",
     "run_payload",
-    "utc_now",
 ]
 
 #: Hard ceiling on request bodies.  A grid of a few thousand design
 #: points is well under 1 MB of JSON; anything bigger is a mistake,
 #: not a workload.
 MAX_BODY_BYTES = 8 * 1024 * 1024
-
-
-def utc_now() -> str:
-    """The ISO-8601 UTC timestamp format the lab store uses."""
-    return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
 def parse_run_request(raw: bytes) -> list[ScenarioSpec]:

@@ -27,7 +27,7 @@ from typing import Callable
 
 from repro.lab.executor import new_run_id, one_job_per_id, run_jobs
 from repro.lab.jobs import scenario_jobs
-from repro.lab.store import ArtifactStore
+from repro.lab.store import ArtifactStore, utc_now
 from repro.obs.history import metric_direction, read_history
 from repro.serve import schemas
 from repro.serve.errors import NotFoundError
@@ -99,7 +99,7 @@ class LabService:
             jobs=jobs,
             hashes=hashes,
             signature=tuple(sorted(hashes.values())),
-            created_at=schemas.utc_now(),
+            created_at=utc_now(),
         )
         with self._runs_lock:
             self._runs[submission.run_id] = submission

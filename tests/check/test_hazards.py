@@ -284,8 +284,10 @@ def test_baseline_timing_equals_a_full_non_chaining_run():
             def machine(**kwargs):
                 return DecoupledVectorMachine(config, GENERATED_LENGTH, **kwargs)
 
-            chained = machine(chaining=True).run(program, inputs)
-            shortcut = machine().time(chained.resolved)
+            resolver = machine(chaining=True)
+            resolved = resolver.resolve(program, inputs)
+            chained = resolver.time(resolved)
+            shortcut = machine().time(resolved)
             full = machine().run(program, inputs)
             assert shortcut.timings == full.timings, f"streams={streams}"
             assert shortcut.total_cycles == full.total_cycles

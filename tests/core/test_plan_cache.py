@@ -203,6 +203,48 @@ class TestPlanCacheMechanics:
         }
 
     def test_stats_surface_through_obs(self):
+        """``cache_stats`` reports the plan cache under its four names,
+        plus the program memo's and the kernel timing memo's counters."""
+        from repro.memory.kernel import LOOP_MEMO_SIZE, kernel_timing
         from repro.obs import cache_stats
+        from repro.scenarios import ScenarioSpec, simulate
+        from repro.scenarios.facade import (
+            PROGRAM_MEMO_SIZE,
+            clear_program_memo,
+        )
 
-        assert cache_stats() == plan_cache_stats()
+        spec = ScenarioSpec.from_dict(
+            {
+                "mapping": {"kind": "matched-xor", "params": {"t": 3, "s": 4}},
+                "memory": {"t": 3},
+                "program": {"kind": "daxpy", "params": {"n": 64}},
+                "drive": {"kind": "decoupled"},
+            }
+        )
+        clear_program_memo()
+        try:
+            simulate(spec)
+            simulate(spec)
+            stats = cache_stats()
+        finally:
+            clear_program_memo()
+        kernel = kernel_timing.cache_info()
+        assert list(plan_cache_stats()) == [
+            "plan_cache_hits",
+            "plan_cache_misses",
+            "plan_cache_entries",
+            "plan_cache_capacity",
+        ]
+        assert stats == {
+            **plan_cache_stats(),
+            "program_memo_hits": 1,
+            "program_memo_misses": 1,
+            "program_memo_entries": 1,
+            "program_memo_capacity": PROGRAM_MEMO_SIZE,
+            "kernel_timing_hits": kernel.hits,
+            "kernel_timing_misses": kernel.misses,
+            "kernel_timing_entries": kernel.currsize,
+            "kernel_timing_capacity": LOOP_MEMO_SIZE,
+        }
+        # The second point timed the first one's batches again.
+        assert kernel.hits >= 1

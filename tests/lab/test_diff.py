@@ -202,3 +202,19 @@ class TestDiffCli:
         code = main(["lab", "diff", run_a, "ghost", "--root", str(store.root)])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("content", ["[1, 2]", "{}", "not json"])
+    def test_a_manifest_that_records_no_run_exits_two(
+        self, store, capsys, content
+    ):
+        """A manifest that is not a JSON object with a ``run_id`` records
+        no run, for ``lab diff`` as for ``lab status`` and history."""
+        [job] = scenario_jobs([demo_spec()])
+        run_a = record_run(store, [job])
+        run_b = record_run(store, [job])
+        (store.runs_dir / run_b / "manifest.json").write_text(content)
+        code = main(["lab", "diff", run_a, run_b, "--root", str(store.root)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"manifest for run {run_b!r} is unreadable: " in err

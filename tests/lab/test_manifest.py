@@ -18,7 +18,7 @@ from repro.lab.manifest import (
     status_payload,
     summarize_cached,
 )
-from repro.lab.store import ArtifactStore, _utc_now
+from repro.lab.store import ArtifactStore, utc_now
 from repro.obs.history import read_history
 from repro.scenarios import ScenarioSpec
 
@@ -122,7 +122,7 @@ class TestRunOrder:
                 },
             }
         )
-        assert self.STAMP.fullmatch(_utc_now())
+        assert self.STAMP.fullmatch(utc_now())
         with ArtifactStore(tmp_path / "lab") as store:
             run_jobs(scenario_jobs([spec]), store=store, backend="serial")
             (manifest,) = read_manifests(store)

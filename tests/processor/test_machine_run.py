@@ -12,6 +12,7 @@ import pytest
 from repro.core.planner import AccessPlan
 from repro.core.vector import VectorAccess
 from repro.errors import ConfigurationError, RegisterFileError, SimulationError
+from repro.mappings.linear import MatchedXorMapping
 from repro.memory.config import MemoryConfig
 from repro.obs.tracer import Tracer
 from repro.processor import (
@@ -207,9 +208,11 @@ class TestTwoPasses:
         """The timing pass reads neither the store nor the registers: a
         fresh machine with an empty store times another machine's run."""
         program, inputs, _ = daxpy_case()
-        run = machine(chaining=True).run(program, inputs)
+        vm = machine(chaining=True)
+        resolved = vm.resolve(program, inputs)
+        run = vm.time(resolved)
         fresh = DecoupledVectorMachine(matched_config(), 64, chaining=True)
-        again = fresh.time(run.resolved)
+        again = fresh.time(resolved)
         assert again.timings == run.timings
         assert again.total_cycles == run.total_cycles
         assert fresh.registers.register(1).valid_count == 0
@@ -218,7 +221,7 @@ class TestTwoPasses:
 
     def test_time_refuses_another_machines_plans(self):
         program, inputs, _ = daxpy_case(n=32, register_length=32)
-        run = machine(32).run(program, inputs)
+        resolved = machine(32).resolve(program, inputs)
         config = matched_config()
         others = {
             "mapping": DecoupledVectorMachine(MemoryConfig.matched(3, 5), 32),
@@ -231,7 +234,7 @@ class TestTwoPasses:
         }
         for name, other in others.items():
             with pytest.raises(ConfigurationError, match=f"another {name};"):
-                other.time(run.resolved)
+                other.time(resolved)
         # Timing parameters may differ: that is how the baseline and a
         # grid's timing points are timed.  matched_config() builds a new
         # mapping with the same address function each time.
@@ -241,7 +244,27 @@ class TestTwoPasses:
             ),
             DecoupledVectorMachine(matched_config(q=4), 32),
         ):
-            other.time(run.resolved)
+            other.time(resolved)
+
+    def test_plans_without_an_address_key_fit_only_their_mapping(self):
+        """A mapping that declares no cache token has no address key:
+        its resolved program fits a machine on the same mapping object,
+        whatever the timing parameters, and no other mapping, not even
+        one built alike."""
+
+        class Anonymous(MatchedXorMapping):
+            def cache_token(self):
+                return None
+
+        program, inputs, _ = daxpy_case(n=32, register_length=32)
+        config = MemoryConfig(Anonymous(3, 4), 3, input_capacity=2)
+        resolved = DecoupledVectorMachine(config, 32).resolve(program, inputs)
+        DecoupledVectorMachine(
+            replace(config, input_capacity=4), 32, chaining=True
+        ).time(resolved)
+        alike = MemoryConfig(Anonymous(3, 4), 3, input_capacity=2)
+        with pytest.raises(ConfigurationError, match="another mapping;"):
+            DecoupledVectorMachine(alike, 32).time(resolved)
 
     @pytest.mark.parametrize("chaining", [False, True])
     def test_a_traced_timing_pass_records_a_fresh_runs_events(self, chaining):
@@ -254,9 +277,11 @@ class TestTwoPasses:
         def make(**kwargs):
             return DecoupledVectorMachine(config, 64, chaining=chaining, **kwargs)
 
-        untraced = make().run(program, inputs)
+        resolver = make()
+        resolved = resolver.resolve(program, inputs)
+        untraced = resolver.time(resolved)
         timed, fresh = Tracer(), Tracer()
-        again = make(tracer=timed).time(untraced.resolved)
+        again = make(tracer=timed).time(resolved)
         make(tracer=fresh).run(program, inputs)
         assert timed.spans("memory/"), "no kernel events were recorded"
         assert timed.events == fresh.events

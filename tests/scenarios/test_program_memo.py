@@ -269,6 +269,38 @@ class TestHitsChangeNothing:
         assert len(facade._PROGRAM_MEMO) == 0
 
 
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_a_miss_raises_the_programs_error_before_the_machines(
+        self, warm
+    ):
+        """A spec whose program and drive are both invalid fails with
+        the program's error, and a valid program with the drive's,
+        whether or not the memo holds the valid program already."""
+
+        def spec(program: dict, drive: dict) -> ScenarioSpec:
+            return ScenarioSpec.from_dict(
+                {
+                    "mapping": {"kind": "matched-xor", "params": {"t": 3, "s": 4}},
+                    "memory": {"t": 3},
+                    "program": program,
+                    "drive": {"kind": "decoupled", "params": drive},
+                }
+            )
+
+        daxpy = {"kind": "daxpy", "params": {"n": 64}}
+        bogus = {"kind": "instructions", "params": {"lines": ["bogus v1"]}}
+        if warm:
+            simulate(spec(daxpy, {}))
+        assert outcome(spec(bogus, {"execute_startup": 0})) == (
+            "ProgramError",
+            "line 1: 'bogus v1': unknown mnemonic 'bogus'",
+        )
+        assert outcome(spec(daxpy, {"execute_startup": 0})) == (
+            "ProgramError",
+            "execute_startup must be >= 1, got 0",
+        )
+
+
 class TestBounds:
     def test_memo_stays_within_its_bound(self):
         for n in range(1, PROGRAM_MEMO_SIZE + 6):

@@ -7,6 +7,7 @@ import re
 import time
 from http.client import HTTPConnection
 
+from repro.lab.manifest import read_manifests
 from repro.serve.schemas import MAX_BODY_BYTES
 
 from .conftest import SPEC
@@ -87,6 +88,19 @@ class TestSubmission:
         assert done["metrics"]["backend"] == "serial"
         assert done["metrics"]["cache_hit_rate"] == 0.0
         assert done["jobs"][0]["cached"] is False
+
+    def test_created_at_is_stamped_like_the_manifest(self, client, store):
+        """A submitted run's ``created_at`` is the lab's one timestamp
+        format: UTC with fixed-width microseconds, as its manifest."""
+        stamp = re.compile(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\.\d{6}Z")
+        status, _, body = client.post_json("/v1/runs", SPEC)
+        assert status == 202
+        client.wait_done(body["run_id"])
+        [manifest] = read_manifests(store)
+        assert manifest["run_id"] == body["run_id"]
+        assert stamp.fullmatch(manifest["created_at"])
+        assert stamp.fullmatch(body["created_at"])
+        assert body["created_at"] <= manifest["created_at"]
 
     def test_grid_expands_to_many_jobs(self, client):
         grid = {
