@@ -37,12 +37,10 @@ from repro.errors import OrderingError, ReproError, VectorSpecError
 from repro.processor.isa import VLoad, VStore
 from repro.scenarios.components import (
     DecoupledDrive,
-    Figure6Drive,
     PlannerDrive,
     ScenarioProgram,
-    Workload,
 )
-from repro.scenarios.spec import ScenarioSpec
+from repro.scenarios.facade import DesignPoint
 
 from repro.check.findings import Finding
 
@@ -56,30 +54,28 @@ _PROGRAM_FINDING_CAP = 8
 
 
 def analyze_conflicts(
-    spec: ScenarioSpec,
-    config,
-    *,
-    workload: Workload | None,
+    point: DesignPoint,
     scenario_program: ScenarioProgram | None,
-    drive,
-    register_length: int,
+    *,
     location: str,
 ) -> list[Finding]:
-    """Closed-form conflict findings for one buildable spec."""
+    """Closed-form conflict findings for one built design point (and
+    its program, on a program point)."""
+    config = point.config
     planner = AccessPlanner(config.mapping, config.t)
+    mode, forced = _drive_mode(point.drive)
     if scenario_program is not None:
-        plan_mode = cast(
-            PlanMode,
-            drive.plan_mode if isinstance(drive, DecoupledDrive) else "auto",
-        )
         return _program_findings(
-            scenario_program, planner, plan_mode, register_length, location
+            scenario_program,
+            planner,
+            mode,
+            cast(int, point.register_length),
+            location,
         )
-    if workload is None:
+    if point.workload is None:
         return []
-    mode, forced = _drive_mode(drive)
     findings = []
-    for index, access in enumerate(workload.accesses()):
+    for index, access in enumerate(point.workload.accesses()):
         where = f"{location}.workload[{index}]"
         if not isinstance(access, VectorAccess):
             findings.append(
@@ -99,7 +95,7 @@ def analyze_conflicts(
     return findings
 
 
-def _drive_mode(drive) -> tuple[PlanMode, bool]:
+def _drive_mode(drive: object) -> tuple[PlanMode, bool]:
     """The plan mode a drive uses and whether it *requires* CF order.
 
     The drives validate their mode strings at construction, so the
@@ -107,14 +103,12 @@ def _drive_mode(drive) -> tuple[PlanMode, bool]:
     """
     if isinstance(drive, PlannerDrive):
         return cast(PlanMode, drive.mode), drive.mode not in _TOLERANT_MODES
-    if isinstance(drive, Figure6Drive):
-        return "conflict_free", True
     if isinstance(drive, DecoupledDrive):
         return (
             cast(PlanMode, drive.plan_mode),
             drive.plan_mode not in _TOLERANT_MODES,
         )
-    return "auto", False
+    return "conflict_free", True  # the Figure 6 engine
 
 
 def _vector_finding(

@@ -4,7 +4,9 @@
 ``repro scenario run`` and ``POST /v1/runs`` accept — one spec, one
 grid, or a list of either — and never raises on bad input: parse and
 build failures become ``SL303``/``SL304`` findings so one malformed
-entry cannot hide the diagnostics for the rest.
+entry cannot hide the diagnostics for the rest.  Building is
+``simulate()``'s own (:func:`~repro.scenarios.facade.build_point`, then
+the point's program and machine), so ``SL303`` is what it refuses.
 
 :func:`require_submittable` is the front-door subset (spec lint plus
 grid dedupe, no simulation objects built).  The lab runs it in one
@@ -20,10 +22,9 @@ import json
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.scenarios.components import DEFAULT_PROGRAM_REGISTER_LENGTH
-from repro.scenarios.facade import build_config, build_workload
+from repro.scenarios.components import DecoupledDrive
+from repro.scenarios.facade import build_point
 from repro.scenarios.grid import ScenarioGrid
-from repro.scenarios.registry import DRIVE, PROGRAM, build
 from repro.scenarios.spec import ScenarioSpec
 
 from repro.check.conflict import analyze_conflicts
@@ -103,49 +104,31 @@ def _location(source: str, spec: ScenarioSpec, index: int) -> str:
 
 
 def _check_spec(spec: ScenarioSpec, location: str) -> list[Finding]:
-    """Lint one spec; when clean, build it and run the deep passes."""
+    """Lint one spec; when clean, build its design point, program and
+    machine as ``simulate()`` does and run the deep passes on them."""
     findings = lint_spec(spec, location=location)
     if any(finding.severity == "error" for finding in findings):
         return findings
-    register_length = DEFAULT_PROGRAM_REGISTER_LENGTH
     try:
-        drive = build(DRIVE, spec.drive)
-        workload = (
-            build_workload(spec) if spec.workload is not None else None
+        point = build_point(spec)
+        scenario_program = (
+            point.program() if spec.program is not None else None
         )
-        config = build_config(spec, workload)
-        scenario_program = None
-        if spec.program is not None:
-            register_length = (
-                getattr(drive, "register_length", None)
-                or DEFAULT_PROGRAM_REGISTER_LENGTH
-            )
-            scenario_program = build(
-                PROGRAM, spec.program, register_length=register_length
-            )
+        machine = None
+        if isinstance(point.drive, DecoupledDrive):
+            machine = point.machine()
     except ReproError as error:
         findings.append(Finding("SL303", "error", location, str(error)))
         return findings
     findings.extend(
-        analyze_conflicts(
-            spec,
-            config,
-            workload=workload,
-            scenario_program=scenario_program,
-            drive=drive,
-            register_length=register_length,
-            location=location,
-        )
+        analyze_conflicts(point, scenario_program, location=location)
     )
-    if scenario_program is not None:
-        memory_streams = (
-            getattr(drive, "memory_streams", None) or config.ports
-        )
+    if scenario_program is not None and machine is not None:
         findings.extend(
             analyze_program(
                 scenario_program.program,
-                memory_streams=memory_streams,
-                register_length=register_length,
+                memory_streams=machine.memory_streams,
+                register_length=machine.register_length,
                 location=location,
             )
         )

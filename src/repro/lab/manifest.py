@@ -151,12 +151,24 @@ def write_run_artifacts(
     return run_dir
 
 
+def stamp_fault(run_id: object, created_at: object) -> str | None:
+    """Why a record with this run id and timestamp is not a run, or
+    ``None``.  Runs are ordered by ``(created_at, run_id)``, so both must
+    be strings; the lab's manifests and ``lab history``'s bench files
+    are held to this one rule."""
+    for name, value in (("run_id", run_id), ("created_at", created_at)):
+        if not isinstance(value, str):
+            return f"its {name} {value!r} is not a string"
+    return None
+
+
 def read_manifest(path: Path) -> dict:
     """The run manifest at ``path``.
 
     Raises :class:`ValueError` saying why when the file records no run:
-    it cannot be read, is not JSON, or is not a JSON object with a
-    ``run_id``.
+    it cannot be read, is not JSON, is not a JSON object with a
+    ``run_id``, or its run id or timestamp is not a string
+    (:func:`stamp_fault`).
     """
     try:
         manifest = json.loads(path.read_text())
@@ -164,6 +176,9 @@ def read_manifest(path: Path) -> dict:
         raise ValueError(str(error)) from None
     if not (isinstance(manifest, dict) and "run_id" in manifest):
         raise ValueError("it is not a JSON object with a run_id")
+    fault = stamp_fault(manifest["run_id"], manifest.get("created_at", ""))
+    if fault is not None:
+        raise ValueError(fault)
     return manifest
 
 

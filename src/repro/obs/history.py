@@ -246,8 +246,11 @@ def ingest_bench(store, path: str | Path) -> int:
     digest of the content, so re-ingesting a file changes nothing while
     distinct bench runs never collide.  Returns the number of metric
     points the file holds.  A missing file, or one that is not
-    pytest-benchmark JSON, raises :class:`BenchFileError`.
+    pytest-benchmark JSON, or whose timestamp is not a string
+    (:func:`~repro.lab.manifest.stamp_fault`), raises
+    :class:`BenchFileError` before anything is copied.
     """
+    from repro.lab.manifest import stamp_fault
     from repro.lab.store import atomic_write
 
     path = Path(path)
@@ -265,6 +268,9 @@ def ingest_bench(store, path: str | Path) -> int:
         json.dumps(data, sort_keys=True, default=str).encode()
     ).hexdigest()
     run_id = f"bench-{created or 'unstamped'}-{digest[:10]}"
+    fault = stamp_fault(run_id, created)
+    if fault is not None:
+        raise BenchFileError(f"{path} records no run: {fault}")
     if Path(run_id).name != run_id:
         raise BenchFileError(
             f"{path}: its run id {run_id!r} is not a file name"
@@ -477,9 +483,11 @@ def read_history(store) -> History:
     Reads the root's manifests, the stored results they name (with one
     :meth:`~repro.lab.store.ArtifactStore.load_many`, decoding each
     distinct config hash once) and its bench files.  Of two records
-    under one run id, the later one counts.
+    under one run id, the later one counts.  A bench file whose
+    timestamp is not a string is skipped, as
+    :func:`~repro.lab.manifest.read_manifests` skips such a manifest.
     """
-    from repro.lab.manifest import read_manifests
+    from repro.lab.manifest import read_manifests, stamp_fault
 
     _carry_over_history_db(store)
     manifests = read_manifests(store)
@@ -501,7 +509,8 @@ def read_history(store) -> History:
         data = _load_bench(path)
         if data is not None:
             run, rows = _bench_run(path.stem, data)
-            runs[run["run_id"]] = (run, rows)
+            if stamp_fault(run["run_id"], run["created_at"]) is None:
+                runs[run["run_id"]] = (run, rows)
     return History(list(runs.values()))
 
 

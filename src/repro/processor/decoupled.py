@@ -476,13 +476,20 @@ class DecoupledVectorMachine:
         memory_streams: int | None = None,
         tracer=None,
     ):
-        if register_length < 1:
-            raise ProgramError(
-                f"register_length must be >= 1, got {register_length}"
-            )
-        if execute_startup < 1:
-            raise ProgramError(
-                f"execute_startup must be >= 1, got {execute_startup}"
+        for name, value in (
+            ("register_length", register_length),
+            ("execute_startup", execute_startup),
+        ):
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(
+                    f"machine field {name!r} must be an integer, got "
+                    f"{value!r}"
+                )
+            if value < 1:
+                raise ProgramError(f"{name} must be >= 1, got {value}")
+        if not isinstance(chaining, bool):
+            raise ConfigurationError(
+                f"machine field 'chaining' must be a boolean, got {chaining!r}"
             )
         if memory_streams is not None and (
             not isinstance(memory_streams, int)

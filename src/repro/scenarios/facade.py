@@ -2,13 +2,15 @@
 
 Entry points:
 
-* :func:`simulate` — build the machine, generate the workload (or the
-  program), drive the memory, and normalise the metrics (latency,
+* :func:`simulate` — build the design point, generate the workload (or
+  the program), drive the memory, and normalise the metrics (latency,
   stalls, conflict-freedom, efficiency, per-module utilisation) into
   one JSON-safe :class:`ScenarioResult`;
 * :func:`simulate_access` — :func:`simulate` for one strided access on
   a machine-only spec, the way the paper's tables, ``repro survey`` and
   the Section 5-B validation measure an access;
+* :func:`build_point` — spec to :class:`DesignPoint`, which
+  :func:`simulate` runs and ``repro check`` judges;
 * :func:`build_machine` — spec to live ``(MemoryConfig, AccessPlanner,
   MemorySystem)``, for callers that need the planner's own facts or a
   request's timing record rather than a measured result.
@@ -32,11 +34,12 @@ share one resolved program through a bounded memo
 (:func:`clear_program_memo` empties it, :func:`program_memo_stats`
 counts its traffic).
 
-Both entry points raise :class:`~repro.errors.ConfigurationError` for
-infeasible combinations (a dynamic mapping without a strided workload,
-the Figure 6 engine on a gather, a register shorter than the vector, a
-program under a non-decoupled drive), so a bad spec fails loudly before
-any simulation starts.
+Both entry points build the spec with :func:`build_point`, which raises
+:class:`~repro.errors.ConfigurationError` for infeasible combinations
+(a dynamic mapping without a strided workload, the Figure 6 engine on
+a gather, a register shorter than the vector, a program under a
+non-decoupled drive), so a bad spec fails loudly before any simulation
+starts; ``repro check`` builds the same point and reports its refusals.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ from repro.obs.tracer import resolve_tracer
 from repro.result_schema import CORE_METRICS, TIMELINE_FIELDS, extra_metric
 from repro.scenarios import components as _components  # registers kinds
 from repro.scenarios.components import (
+    DEFAULT_PROGRAM_REGISTER_LENGTH,
     DecoupledDrive,
     Figure6Drive,
     PlannerDrive,
@@ -212,9 +216,9 @@ def build_config(
 ) -> MemoryConfig:
     """The memory configuration of a spec (geometry validation included).
 
-    The program path needs only this — the decoupled machine plans and
-    simulates its own accesses — while :func:`build_machine` layers the
-    planner and memory system on top for the access-driven paths.
+    A :class:`DesignPoint` holds it (the decoupled machine plans and
+    simulates its own accesses), and :func:`build_machine` layers the
+    planner and memory system on top.
     """
     mapping = resolve_mapping(spec, workload)
     if spec.memory.ports > mapping.module_count:
@@ -239,14 +243,92 @@ def build_machine(
     """Materialise the machine layer of a spec.
 
     Returns the memory configuration, the access planner and the
-    cycle-accurate memory system.  :func:`simulate` measures through
-    it; other callers use it for what a :class:`ScenarioResult` does
-    not carry (a plan's layout or subsequences, per-request timing
-    records, a composite request stream no planner mode produces).
+    cycle-accurate memory system, for what a :class:`ScenarioResult`
+    does not carry (a plan's layout or subsequences, per-request timing
+    records, a composite request stream no planner mode produces);
+    :func:`simulate` runs a :func:`build_point` design point instead.
     """
     config = build_config(spec, workload)
     planner = AccessPlanner(config.mapping, config.t)
     return config, planner, MemorySystem(config)
+
+
+@dataclass(frozen=True)
+class DesignPoint:
+    """What a spec fixes before its first simulated cycle.
+
+    ``vector`` is the one strided vector a ``figure6`` or ``decoupled``
+    drive runs and ``register_length`` the decoupled machine's L, both
+    ``None`` where the drive has none.  The program and the machine are
+    built on request, program first, as a program point builds them.
+    """
+
+    spec: ScenarioSpec
+    drive: PlannerDrive | Figure6Drive | DecoupledDrive
+    config: MemoryConfig
+    workload: Workload | None = None
+    vector: VectorAccess | None = None
+    register_length: int | None = None
+
+    def program(self) -> ScenarioProgram:
+        """The spec's program, built for this point's register length."""
+        return build(
+            PROGRAM, self.spec.program, register_length=self.register_length
+        )
+
+    def machine(
+        self, tracer=None, *, chaining: bool | None = None
+    ) -> DecoupledVectorMachine:
+        """A fresh decoupled machine for this point; ``chaining=False``
+        gives a chaining point's otherwise-identical baseline machine."""
+        from repro.processor.decoupled import DecoupledVectorMachine
+
+        return DecoupledVectorMachine(
+            self.config,
+            self.register_length,
+            execute_startup=self.drive.execute_startup,
+            chaining=self.drive.chaining if chaining is None else chaining,
+            plan_mode=self.drive.plan_mode,  # type: ignore[arg-type]
+            memory_streams=self.drive.memory_streams,
+            tracer=tracer,
+        )
+
+
+def build_point(spec: ScenarioSpec) -> DesignPoint:
+    """The design point of a spec: its drive, workload, memory
+    configuration, strided vector and register length, built in that
+    order.  A ``null`` register length defaults to the vector's length,
+    or to ``DEFAULT_PROGRAM_REGISTER_LENGTH`` for a program; the machine
+    refuses one of the wrong type."""
+    drive = build(DRIVE, spec.drive)
+    if spec.program is not None:
+        if not isinstance(drive, DecoupledDrive):
+            raise ConfigurationError(
+                f"scenario programs run on the decoupled machine; set "
+                f"drive kind to 'decoupled' (got {spec.drive.kind!r})"
+            )
+        register_length = drive.register_length
+        if register_length is None:
+            register_length = DEFAULT_PROGRAM_REGISTER_LENGTH
+        return DesignPoint(
+            spec, drive, build_config(spec), register_length=register_length
+        )
+    workload = build_workload(spec)
+    config = build_config(spec, workload)
+    if isinstance(drive, PlannerDrive):
+        return DesignPoint(spec, drive, config, workload)
+    vector = workload.single_vector()
+    if not isinstance(drive, DecoupledDrive):
+        return DesignPoint(spec, drive, config, workload, vector)
+    register_length = drive.register_length
+    if register_length is None:
+        register_length = vector.length
+    elif type(register_length) is int and register_length < vector.length:
+        raise ConfigurationError(
+            f"register_length {register_length} is shorter than the "
+            f"workload vector ({vector.length} elements)"
+        )
+    return DesignPoint(spec, drive, config, workload, vector, register_length)
 
 
 def simulate(spec: ScenarioSpec, tracer=None) -> ScenarioResult:
@@ -262,26 +344,16 @@ def simulate(spec: ScenarioSpec, tracer=None) -> ScenarioResult:
     identical fields.
     """
     tracer = resolve_tracer(tracer)
-    drive = build(DRIVE, spec.drive)
+    point = build_point(spec)
+    drive = point.drive
     if spec.program is not None:
-        if not isinstance(drive, DecoupledDrive):
-            raise ConfigurationError(
-                f"scenario programs run on the decoupled machine; set "
-                f"drive kind to 'decoupled' (got {spec.drive.kind!r})"
-            )
-        return _simulate_program(spec, build_config(spec), drive, tracer)
-    workload = build_workload(spec)
-    config, planner, system = build_machine(spec, workload)
+        return _simulate_program(point, tracer)
     if isinstance(drive, PlannerDrive):
-        return _simulate_planner(
-            spec, workload, config, planner, system, drive, tracer
-        )
+        return _simulate_planner(point, tracer)
     if isinstance(drive, Figure6Drive):
-        return _simulate_figure6(
-            spec, workload, config, planner, system, tracer
-        )
+        return _simulate_figure6(point, tracer)
     if isinstance(drive, DecoupledDrive):
-        return _simulate_decoupled(spec, workload, config, drive, tracer)
+        return _simulate_decoupled(point, tracer)
     raise ConfigurationError(  # pragma: no cover - registry emits the three
         f"drive kind {spec.drive.kind!r} returned an unknown descriptor"
     )
@@ -311,8 +383,7 @@ def simulate_access(
 
 
 def _aggregate(
-    spec: ScenarioSpec,
-    config: MemoryConfig,
+    point: DesignPoint,
     runs: list[tuple[str, AccessResult]],
     extras: tuple[tuple[str, object], ...] = (),
     timeline: tuple[tuple, ...] = (),
@@ -322,6 +393,7 @@ def _aggregate(
     Multi-access workloads (kernels) are simulated back to back, so
     totals add and conflict-freedom is the conjunction.
     """
+    config = point.config
     schemes = []
     for scheme, _run in runs:
         if scheme not in schemes:
@@ -335,8 +407,8 @@ def _aggregate(
         config.service_ratio + run.element_count + 1 for _scheme, run in runs
     )
     return ScenarioResult(
-        name=spec.name,
-        drive=spec.drive.kind,
+        name=point.spec.name,
+        drive=point.spec.drive.kind,
         schemes=tuple(schemes),
         access_count=len(runs),
         element_count=elements,
@@ -354,10 +426,7 @@ def _aggregate(
 
 
 def _closed_form(
-    spec: ScenarioSpec,
-    config: MemoryConfig,
-    accesses: list,
-    plans: list,
+    point: DesignPoint, accesses: list, plans: list
 ) -> ScenarioResult:
     """What the kernel would measure for an all-conflict-free strided
     workload, computed without running it.
@@ -369,6 +438,7 @@ def _closed_form(
     counts its canonical module sequence; a truly matched memory
     (``M = T``) is exactly uniform, ``L / T`` requests per module.
     """
+    config = point.config
     mapping = config.mapping
     service = config.service_ratio
     module_count = config.module_count
@@ -395,8 +465,8 @@ def _closed_form(
         latency += service + access.length + 1
         elements += access.length
     return ScenarioResult(
-        name=spec.name,
-        drive=spec.drive.kind,
+        name=point.spec.name,
+        drive=point.spec.drive.kind,
         schemes=tuple(schemes),
         access_count=len(accesses),
         element_count=elements,
@@ -411,15 +481,7 @@ def _closed_form(
     )
 
 
-def _simulate_planner(
-    spec: ScenarioSpec,
-    workload: Workload,
-    config: MemoryConfig,
-    planner: AccessPlanner,
-    system: MemorySystem,
-    drive: PlannerDrive,
-    tracer=None,
-) -> ScenarioResult:
+def _simulate_planner(point: DesignPoint, tracer=None) -> ScenarioResult:
     """Classify each access once, then answer in closed form or run it.
 
     Indexed accesses plan through :func:`plan_indexed`; strided ones ask
@@ -431,7 +493,9 @@ def _simulate_planner(
     plans are built and every plan runs through the kernel.
     """
     tracer = resolve_tracer(tracer)
-    accesses = workload.accesses()
+    config, drive = point.config, point.drive
+    planner = AccessPlanner(config.mapping, config.t)
+    accesses = point.workload.accesses()
     closed_form = not tracer.enabled and config.conflict_free_is_minimal
     plans: list = []
     for access in accesses:
@@ -451,11 +515,12 @@ def _simulate_planner(
             closed_form = closed_form and plan.conflict_free
         plans.append(plan)
     if closed_form:
-        return _closed_form(spec, config, accesses, plans)
+        return _closed_form(point, accesses, plans)
     runs: list[tuple[str, AccessResult]] = []
     # Accesses run back to back, so each one's kernel events are shifted
     # by the latency accumulated before it — the exported timeline shows
     # the workload as one continuous run.
+    system = MemorySystem(config)
     offset = 0
     for access, plan in zip(accesses, plans):
         if plan is None:
@@ -463,21 +528,16 @@ def _simulate_planner(
         run = system.run_plan(plan, tracer=tracer.shifted(offset))
         offset += run.latency
         runs.append((plan.scheme, run))
-    return _aggregate(spec, config, runs)
+    return _aggregate(point, runs)
 
 
-def _simulate_figure6(
-    spec: ScenarioSpec,
-    workload: Workload,
-    config: MemoryConfig,
-    planner: AccessPlanner,
-    system: MemorySystem,
-    tracer=None,
-) -> ScenarioResult:
+def _simulate_figure6(point: DesignPoint, tracer=None) -> ScenarioResult:
     from repro.hardware.oos_engine import Figure6Engine
 
-    vector = workload.single_vector()
-    engine = Figure6Engine(planner, vector)
+    config = point.config
+    planner = AccessPlanner(config.mapping, config.t)
+    engine = Figure6Engine(planner, point.vector)
+    system = MemorySystem(config)
     run = system.run_stream(engine.request_stream(), tracer=tracer)
     report = engine.report()
     extras = (
@@ -485,48 +545,16 @@ def _simulate_figure6(
         ("latch_capacity", report.latch_capacity),
         ("generator_adds", report.generator1_adds + report.generator2_adds),
     )
-    return _aggregate(spec, config, [("conflict_free", run)], extras)
+    return _aggregate(point, [("conflict_free", run)], extras)
 
 
-def _machine(
-    config: MemoryConfig,
-    register_length: int,
-    drive: DecoupledDrive,
-    tracer=None,
-):
-    """The decoupled machine of one design point and drive."""
-    from repro.processor.decoupled import DecoupledVectorMachine
-
-    return DecoupledVectorMachine(
-        config,
-        register_length,
-        execute_startup=drive.execute_startup,
-        chaining=drive.chaining,
-        plan_mode=drive.plan_mode,  # type: ignore[arg-type]
-        memory_streams=drive.memory_streams,
-        tracer=tracer,
-    )
-
-
-def _simulate_decoupled(
-    spec: ScenarioSpec,
-    workload: Workload,
-    config: MemoryConfig,
-    drive: DecoupledDrive,
-    tracer=None,
-) -> ScenarioResult:
+def _simulate_decoupled(point: DesignPoint, tracer=None) -> ScenarioResult:
     from repro.processor.decoupled import single_load_program
 
-    vector = workload.single_vector()
-    register_length = drive.register_length or vector.length
-    if register_length < vector.length:
-        raise ConfigurationError(
-            f"register_length {register_length} is shorter than the "
-            f"workload vector ({vector.length} elements)"
-        )
+    vector = point.vector
     # The implicit program: one VLOAD (plus a dependent VADD when
     # chaining, which makes the chained overlap observable).
-    program = single_load_program(vector, drive.chaining)
+    program = single_load_program(vector, point.drive.chaining)
     inputs = (
         (
             vector.base,
@@ -534,9 +562,7 @@ def _simulate_decoupled(
             tuple(float(i) for i in range(vector.length)),
         ),
     )
-    run = _machine(config, register_length, drive, tracer).run(
-        program, inputs
-    )
+    run = point.machine(tracer).run(program, inputs)
     load_scheme = run.memory_runs[0][0]
     extras = (
         ("total_cycles", run.total_cycles),
@@ -546,7 +572,7 @@ def _simulate_decoupled(
         ("overlap_fraction", run.overlap_fraction),
     )
     return _aggregate(
-        spec, config, list(run.memory_runs), extras, timeline=run.timeline
+        point, list(run.memory_runs), extras, timeline=run.timeline
     )
 
 
@@ -604,11 +630,7 @@ def program_memo_stats() -> dict[str, int]:
 
 
 def _resolved_program(
-    spec: ScenarioSpec,
-    config: MemoryConfig,
-    drive: DecoupledDrive,
-    register_length: int,
-    tracer=None,
+    point: DesignPoint, tracer=None
 ) -> tuple[DecoupledVectorMachine, _ResolvedEntry]:
     """One program design point's machine and its built, resolved
     program, from the memo when a point with the same program spec and
@@ -624,18 +646,17 @@ def _resolved_program(
     from repro.processor.decoupled import PlanKey
 
     key = entry = None
+    config = point.config
     if config.mapping.address_key() is not None:
         key = (
-            repr(spec.program),
-            PlanKey.of(config, register_length, drive.plan_mode),
+            repr(point.spec.program),
+            PlanKey.of(config, point.register_length, point.drive.plan_mode),
         )
         entry = _PROGRAM_MEMO.lookup(key)
     if entry is not None:
-        return _machine(config, register_length, drive, tracer), entry
-    scenario_program = build(
-        PROGRAM, spec.program, register_length=register_length
-    )
-    machine = _machine(config, register_length, drive, tracer)
+        return point.machine(tracer), entry
+    scenario_program = point.program()
+    machine = point.machine(tracer)
     entry = _ResolvedEntry(
         scenario_program,
         machine.resolve(
@@ -649,12 +670,7 @@ def _resolved_program(
     return machine, entry
 
 
-def _simulate_program(
-    spec: ScenarioSpec,
-    config: MemoryConfig,
-    drive: DecoupledDrive,
-    tracer=None,
-) -> ScenarioResult:
+def _simulate_program(point: DesignPoint, tracer=None) -> ScenarioResult:
     """Run a whole-program scenario on the decoupled machine.
 
     Memory metrics (latency, stalls, conflict-freedom...) aggregate over
@@ -676,12 +692,9 @@ def _simulate_program(
         CHAINING_MODEL_TOLERANCE,
         program_chaining_speedup,
     )
-    from repro.scenarios.components import DEFAULT_PROGRAM_REGISTER_LENGTH
 
-    register_length = drive.register_length or DEFAULT_PROGRAM_REGISTER_LENGTH
-    machine, entry = _resolved_program(
-        spec, config, drive, register_length, tracer
-    )
+    config, drive = point.config, point.drive
+    machine, entry = _resolved_program(point, tracer)
     scenario_program = entry.program
     run = machine.time(entry.resolved)
     timing = machine.timing_key
@@ -692,7 +705,7 @@ def _simulate_program(
         ("instruction_count", len(scenario_program.program)),
         ("memory_instructions",
          scenario_program.program.memory_instruction_count()),
-        ("register_length", register_length),
+        ("register_length", point.register_length),
         ("total_cycles", run.total_cycles),
         ("chained_instructions", run.chained_count()),
         ("conflict_free_loads", run.conflict_free_loads()),
@@ -712,9 +725,9 @@ def _simulate_program(
         # runs, untraced so its events do not overlay this run's.
         decoupled_cycles = entry.baselines.get(timing)
         if decoupled_cycles is None:
-            decoupled_cycles = _machine(
-                config, register_length, replace(drive, chaining=False)
-            ).time(entry.resolved).total_cycles
+            decoupled_cycles = (
+                point.machine(chaining=False).time(entry.resolved).total_cycles
+            )
             entry.baselines.setdefault(timing, decoupled_cycles)
         measured = (
             decoupled_cycles / run.total_cycles if run.total_cycles else 1.0
@@ -735,7 +748,7 @@ def _simulate_program(
                         "chaining_speedup_model",
                         program_chaining_speedup(
                             scenario_program.program,
-                            register_length,
+                            point.register_length,
                             config.service_ratio,
                             drive.execute_startup,
                         ),
@@ -744,9 +757,5 @@ def _simulate_program(
                 )
             )
     return _aggregate(
-        spec,
-        config,
-        list(run.memory_runs),
-        tuple(extras),
-        timeline=run.timeline,
+        point, list(run.memory_runs), tuple(extras), timeline=run.timeline
     )

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.scenarios import PROGRAM, example_params
 
 
 @pytest.fixture
@@ -87,6 +88,41 @@ class TestCheckCommand:
         assert payload[1]["exit_code"] == 1
         finding = payload[1]["findings"][0]
         assert set(finding) == {"rule_id", "severity", "location", "message"}
+
+    def test_an_unbuildable_machine_is_a_finding_beside_its_siblings(
+        self, clean_file, tmp_path, capsys
+    ):
+        """The machine refuses a register of length -1 before the
+        conflict pass reads it, so both files still report."""
+        path = tmp_path / "negative-register.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "name": "negative-register",
+                    "mapping": {
+                        "kind": "matched-xor",
+                        "params": {"t": 3, "s": 4},
+                    },
+                    "memory": {"t": 3},
+                    "program": {
+                        "kind": "asm",
+                        "params": example_params(PROGRAM, "asm"),
+                    },
+                    "drive": {
+                        "kind": "decoupled",
+                        "params": {"register_length": -1},
+                    },
+                }
+            )
+        )
+        code = main(["check", str(path), str(clean_file), "--json"])
+        assert code == 1
+        bad, clean = json.loads(capsys.readouterr().out)
+        assert [bad["file"], clean["file"]] == [str(path), str(clean_file)]
+        [finding] = bad["findings"]
+        assert finding["rule_id"] == "SL303"
+        assert finding["message"] == "register_length must be >= 1, got -1"
+        assert clean["exit_code"] == 0
 
     def test_unparsable_json_is_a_finding_not_a_crash(self, tmp_path, capsys):
         path = tmp_path / "garbage.json"

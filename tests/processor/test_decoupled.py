@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core.vector import VectorAccess
-from repro.errors import ProgramError
+from repro.errors import ConfigurationError, ProgramError
 from repro.memory.config import MemoryConfig
 from repro.memory.system import MemorySystem
 from repro.processor.decoupled import DecoupledVectorMachine
@@ -161,6 +161,24 @@ class TestConstruction:
     def test_bad_startup(self):
         with pytest.raises(ProgramError):
             make_machine(execute_startup=0)
+
+    @pytest.mark.parametrize(
+        "field, value, kind",
+        [
+            ("register_length", 64.0, "an integer"),
+            ("register_length", True, "an integer"),
+            ("execute_startup", 2.5, "an integer"),
+            ("execute_startup", True, "an integer"),
+            ("chaining", 1, "a boolean"),
+            ("chaining", "yes", "a boolean"),
+        ],
+    )
+    def test_fields_of_the_wrong_type_are_refused(self, field, value, kind):
+        with pytest.raises(
+            ConfigurationError,
+            match=f"^machine field '{field}' must be {kind}, got {value!r}$",
+        ):
+            make_machine(**{field: value})
 
     def test_program_validated(self):
         machine = make_machine()

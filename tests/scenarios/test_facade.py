@@ -3,6 +3,8 @@ normalises the same metrics every consumer used to extract by hand."""
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import pytest
 
 from repro.core.planner import AccessPlanner
@@ -20,9 +22,11 @@ from repro.scenarios import (
     build_workload,
     example_params,
     kinds,
+    load_scenarios,
     resolve_mapping,
     simulate,
 )
+from repro.scenarios.facade import DesignPoint, build_point, clear_program_memo
 
 
 def matched_spec(**overrides) -> ScenarioSpec:
@@ -76,6 +80,53 @@ class TestBuildMachine:
             )
             mapping = resolve_mapping(spec)
             assert mapping.module_count >= 1
+
+
+class TestBuildPoint:
+    def test_each_drive_fixes_only_what_it_runs(self):
+        """A planner point has no vector or register, a Figure 6 point
+        the vector, and a decoupled point both, its register defaulting
+        to the vector's length, or to 64 for a program."""
+        planner = build_point(matched_spec())
+        assert (planner.vector, planner.register_length) == (None, None)
+        figure6 = build_point(matched_spec(drive=ComponentSpec.of("figure6")))
+        assert figure6.vector == VectorAccess(16, 12, 128)
+        assert figure6.register_length is None
+        decoupled = build_point(
+            matched_spec(drive=ComponentSpec.of("decoupled"))
+        )
+        assert decoupled.vector == VectorAccess(16, 12, 128)
+        assert decoupled.register_length == 128
+        program = build_point(
+            matched_spec(
+                workload=None,
+                program=ComponentSpec.of("daxpy", n=96),
+                drive=ComponentSpec.of("decoupled"),
+            )
+        )
+        assert (program.workload, program.vector) == (None, None)
+        assert program.register_length == 64
+
+    def test_a_memo_hit_builds_no_program(self, monkeypatch):
+        """The 64-point daxpy grid holds 8 programs: each is built once,
+        on its memo miss."""
+        builds = []
+        original = DesignPoint.program
+
+        def counted(self):
+            builds.append(self.spec.name)
+            return original(self)
+
+        monkeypatch.setattr(DesignPoint, "program", counted)
+        clear_program_memo()
+        try:
+            for spec in load_scenarios(
+                Path("examples/scenario_program_grid_64.json").read_text()
+            ):
+                simulate(spec)
+        finally:
+            clear_program_memo()
+        assert len(builds) == 8
 
 
 class TestWorkloads:

@@ -504,6 +504,89 @@ class TestOneRecordPerRun:
         assert {point["run_id"] for point in served["points"]} == {kept}
         assert served["point_count"] == len(history["points"]) == 3
 
+    @pytest.mark.parametrize(
+        "stamp, fault",
+        [
+            ({"created_at": 5}, "its created_at 5 is not a string"),
+            ({"run_id": 7}, "its run_id 7 is not a string"),
+        ],
+        ids=["numeric-created-at", "numeric-run-id"],
+    )
+    def test_a_manifest_stamped_with_a_number_is_not_a_run(
+        self, grid_file, tmp_path, capsys, stamp, fault
+    ):
+        """Runs are ordered by ``(created_at, run_id)``: a manifest where
+        either is not a string is skipped by every view, and ``lab diff``
+        says why it cannot read it."""
+        root = tmp_path / "lab"
+        sweep(root, grid_file)
+        (kept,) = (path.name for path in (root / "runs").iterdir())
+        real = json.loads((root / "runs" / kept / "manifest.json").read_text())
+        odd = root / "runs" / "odd" / "manifest.json"
+        odd.parent.mkdir()
+        odd.write_text(json.dumps({**real, "run_id": "odd", **stamp}))
+        capsys.readouterr()
+
+        def cli_json(*args) -> dict:
+            assert main(["lab", *args, "--root", str(root), "--json"]) == 0
+            return json.loads(capsys.readouterr().out)
+
+        status = cli_json("status")
+        metrics = cli_json("status", "--metrics")
+        history = cli_json("history", "--metric", "latency")
+        with ServeApp(ArtifactStore(root), port=0, access_log=None) as app:
+            connection = HTTPConnection(app.host, app.port, timeout=60)
+            try:
+                connection.request("GET", "/v1/history/latency")
+                response = connection.getresponse()
+                served = json.loads(response.read())
+            finally:
+                connection.close()
+        assert response.status == 200
+        assert [run["run_id"] for run in status["runs"]] == [kept]
+        assert [run["run_id"] for run in metrics["run_metrics"]] == [kept]
+        assert {point["run_id"] for point in history["points"]} == {kept}
+        assert {point["run_id"] for point in served["points"]} == {kept}
+        code = main(["lab", "diff", kept, "odd", "--root", str(root)])
+        assert code == 2
+        assert (
+            f"manifest for run 'odd' is unreadable: {fault}"
+            in capsys.readouterr().err
+        )
+
+    def test_a_bench_file_stamped_with_a_number_is_not_a_run(
+        self, grid_file, tmp_path, capsys
+    ):
+        """``--ingest`` refuses a bench file whose timestamp is not a
+        string before copying it, and history skips one already under
+        ``bench/``."""
+        root = tmp_path / "lab"
+        sweep(root, grid_file)
+        bench = bench_file(tmp_path / "BENCH_demo.json")
+        data = json.loads(bench.read_text())
+        data["repro_meta"]["created_at"] = 5
+        bench.write_text(json.dumps(data))
+        capsys.readouterr()
+        code = main(
+            ["lab", "history", "--root", str(root), "--ingest", str(bench)]
+        )
+        assert code == 2
+        assert (
+            f"{bench} records no run: its created_at 5 is not a string"
+            in capsys.readouterr().err
+        )
+        assert not (root / "bench").exists()
+        (root / "bench").mkdir()
+        shutil.copy(bench, root / "bench" / "bench-5-0123456789.json")
+        good = bench_file(tmp_path / "BENCH_good.json")
+        assert main(
+            ["lab", "history", "--root", str(root), "--ingest", str(good),
+             "--metric", "mean_seconds", "--json"]
+        ) == 0
+        (point,) = json.loads(capsys.readouterr().out)["points"]
+        assert point["run_id"].startswith("bench-2026-01-01T00:00:00Z-")
+        assert main(["lab", "history", "--root", str(root)]) == 0
+
 
 class TestLabIndexPrune:
     def test_prune_stale_is_gone(self, tmp_path, capsys):
