@@ -7,24 +7,28 @@ Theorem 3) decides conflict-freedom without running the kernel:
 * ``CF101`` *info* — conflict-free; the predicted minimum access time
   ``T + L + 1`` is quoted, and for the XOR mappings the window
   membership that guarantees it.
-* ``CF102`` *warn* — conflict-prone under a conflict-tolerant mode
-  (``auto`` / ``ordered``): the run completes, but slower than the
-  ``T + L + 1`` bound.  Also *warn*, under any mode, for a
-  conflict-free order on a ``T = 1`` memory with a one-slot input
-  queue, where back-to-back requests still stall
+* ``CF102`` *warn* — conflict-prone under the drive's mode, whichever
+  it is: the run completes, but slower than the ``T + L + 1`` bound.
+  A forced order may be conflict-prone by design (the Section 3.1
+  subsequence order takes up to ``2T + L``), and ``simulate()`` runs
+  it.  Also *warn* for a conflict-free order on a ``T = 1`` memory
+  with a one-slot input queue, where back-to-back requests still stall
   (:attr:`~repro.memory.config.MemoryConfig.conflict_free_is_minimal`).
 * ``CF103`` *info* — indexed access: no closed-form verdict exists;
   scheduling happens at run time.
-* ``CF104`` *error* — the drive demands a conflict-free order
-  (``conflict_free`` / ``subsequence`` modes, the ``figure6`` engine)
-  that the mapping cannot provide for this stride; the run would die
-  with an :class:`~repro.errors.OrderingError`.
-* ``CF105`` *warn* — a program's memory instruction is conflict-prone
-  under the machine's plan mode.
+* ``CF104`` *error* — the drive demands an order (``conflict_free`` /
+  ``subsequence`` modes, the ``figure6`` engine) that the planner
+  cannot build for this stride; ``simulate()`` raises the planner's
+  :class:`~repro.errors.OrderingError`, which the finding quotes.
+* ``CF105`` *warn* — a program's strided memory instruction is
+  conflict-prone under the machine's plan mode.
 
 The verdict source is :attr:`AccessPlan.conflict_free` — pure static
 arithmetic over the planned request order — which the consistency
-suite pins against kernel-measured conflict-freedom.
+suite pins against kernel-measured conflict-freedom.  A workload's
+accesses are planned here; a program's are the plans the machine's
+value pass made (the runner resolves the program first, and a plan
+that raises there is ``simulate()``'s refusal, ``SL303``).
 """
 
 from __future__ import annotations
@@ -34,20 +38,14 @@ from typing import cast
 from repro.core.planner import AccessPlan, AccessPlanner, PlanMode
 from repro.core.vector import VectorAccess
 from repro.errors import OrderingError, ReproError, VectorSpecError
-from repro.processor.isa import VLoad, VStore
-from repro.scenarios.components import (
-    DecoupledDrive,
-    PlannerDrive,
-    ScenarioProgram,
-)
+from repro.memory.config import MemoryConfig
+from repro.processor.decoupled import ResolvedProgram
+from repro.scenarios.components import DecoupledDrive, PlannerDrive
 from repro.scenarios.facade import DesignPoint
 
 from repro.check.findings import Finding
 
 __all__ = ["analyze_conflicts"]
-
-#: Planner modes that tolerate conflicts (fall back / keep going).
-_TOLERANT_MODES = frozenset({"auto", "ordered"})
 
 #: Cap on per-instruction CF105 findings for one program.
 _PROGRAM_FINDING_CAP = 8
@@ -55,25 +53,19 @@ _PROGRAM_FINDING_CAP = 8
 
 def analyze_conflicts(
     point: DesignPoint,
-    scenario_program: ScenarioProgram | None,
+    resolved: ResolvedProgram | None,
     *,
     location: str,
 ) -> list[Finding]:
-    """Closed-form conflict findings for one built design point (and
-    its program, on a program point)."""
-    config = point.config
-    planner = AccessPlanner(config.mapping, config.t)
-    mode, forced = _drive_mode(point.drive)
-    if scenario_program is not None:
-        return _program_findings(
-            scenario_program,
-            planner,
-            mode,
-            cast(int, point.register_length),
-            location,
-        )
+    """Closed-form conflict findings for one built design point, or,
+    on a program point, for the plans of its resolved program."""
+    mode = _drive_mode(point.drive)
+    if resolved is not None:
+        return _program_findings(resolved, mode, location)
     if point.workload is None:
         return []
+    config = point.config
+    planner = AccessPlanner(config.mapping, config.t)
     findings = []
     for index, access in enumerate(point.workload.accesses()):
         where = f"{location}.workload[{index}]"
@@ -89,34 +81,28 @@ def analyze_conflicts(
                 )
             )
             continue
-        findings.append(
-            _vector_finding(access, planner, config, mode, forced, where)
-        )
+        findings.append(_vector_finding(access, planner, config, mode, where))
     return findings
 
 
-def _drive_mode(drive: object) -> tuple[PlanMode, bool]:
-    """The plan mode a drive uses and whether it *requires* CF order.
+def _drive_mode(drive: object) -> PlanMode:
+    """The plan mode a drive orders its accesses by.
 
     The drives validate their mode strings at construction, so the
     casts narrow to values ``AccessPlanner.plan`` accepts.
     """
     if isinstance(drive, PlannerDrive):
-        return cast(PlanMode, drive.mode), drive.mode not in _TOLERANT_MODES
+        return cast(PlanMode, drive.mode)
     if isinstance(drive, DecoupledDrive):
-        return (
-            cast(PlanMode, drive.plan_mode),
-            drive.plan_mode not in _TOLERANT_MODES,
-        )
-    return "conflict_free", True  # the Figure 6 engine
+        return cast(PlanMode, drive.plan_mode)
+    return "conflict_free"  # the Figure 6 engine
 
 
 def _vector_finding(
     access: VectorAccess,
     planner: AccessPlanner,
-    config,
+    config: MemoryConfig,
     mode: PlanMode,
-    forced: bool,
     where: str,
 ) -> Finding:
     """One CF101/CF102/CF104 verdict for a strided access."""
@@ -159,10 +145,9 @@ def _vector_finding(
             f"T+L+1 = {plan.minimum_latency} cycles"
             f"{_window_note(access, config)}",
         )
-    severity = "error" if forced else "warn"
     return Finding(
         "CF102",
-        severity,
+        "warn",
         where,
         f"{shape} is conflict-prone under mode {mode!r} ({geometry}): "
         f"the ordered request stream revisits a busy module within "
@@ -171,7 +156,7 @@ def _vector_finding(
     )
 
 
-def _window_note(access: VectorAccess, config) -> str:
+def _window_note(access: VectorAccess, config: MemoryConfig) -> str:
     """Theorem-1/3 window membership, where the geometry defines one."""
     from repro.core.windows import matched_window, unmatched_windows
     from repro.mappings.linear import MatchedXorMapping
@@ -200,35 +185,30 @@ def _window_note(access: VectorAccess, config) -> str:
 
 
 def _program_findings(
-    scenario_program: ScenarioProgram,
-    planner: AccessPlanner,
-    mode: PlanMode,
-    register_length: int,
-    location: str,
+    resolved: ResolvedProgram, mode: PlanMode, location: str
 ) -> list[Finding]:
-    """CF105 verdicts for a program's strided memory instructions."""
+    """CF105 verdicts for the plans the value pass made for a program's
+    strided memory instructions."""
     findings = []
     prone = 0
-    for position, instruction in enumerate(scenario_program.program):
-        if not isinstance(instruction, (VLoad, VStore)):
+    for access in resolved.accesses:
+        plan = access.plan
+        if not isinstance(plan, AccessPlan) or plan.conflict_free:
             continue
-        length = instruction.length or register_length
-        access = VectorAccess(instruction.base, instruction.stride, length)
-        plan = _plan_or_none(planner, access, mode)
-        if plan is None or not plan.conflict_free:
-            prone += 1
-            if prone <= _PROGRAM_FINDING_CAP:
-                findings.append(
-                    Finding(
-                        "CF105",
-                        "warn",
-                        f"{location}.program[{position}]",
-                        f"{instruction.mnemonic} stride {access.stride} "
-                        f"(family x={access.family}), length {length} is "
-                        f"conflict-prone under plan mode {mode!r}; the "
-                        f"access unit will stall past the T+L+1 minimum",
-                    )
+        prone += 1
+        if prone <= _PROGRAM_FINDING_CAP:
+            vector = plan.vector
+            findings.append(
+                Finding(
+                    "CF105",
+                    "warn",
+                    f"{location}.program[{access.position}]",
+                    f"{access.mnemonic} stride {vector.stride} "
+                    f"(family x={vector.family}), length {vector.length} is "
+                    f"conflict-prone under plan mode {mode!r}; the access "
+                    f"unit will stall past the T+L+1 minimum",
                 )
+            )
     if prone > _PROGRAM_FINDING_CAP:
         findings.append(
             Finding(
@@ -241,12 +221,3 @@ def _program_findings(
             )
         )
     return findings
-
-
-def _plan_or_none(
-    planner: AccessPlanner, access: VectorAccess, mode: PlanMode
-) -> AccessPlan | None:
-    try:
-        return planner.plan(access, mode=mode)
-    except OrderingError:
-        return None

@@ -6,7 +6,10 @@ grid, or a list of either — and never raises on bad input: parse and
 build failures become ``SL303``/``SL304`` findings so one malformed
 entry cannot hide the diagnostics for the rest.  Building is
 ``simulate()``'s own (:func:`~repro.scenarios.facade.build_point`, then
-the point's program and machine), so ``SL303`` is what it refuses.
+a program point's :func:`~repro.scenarios.facade.resolved_program` —
+program, machine and value pass, memoised as ``simulate()`` memoises
+them — or a decoupled drive's machine), so ``SL303`` is what
+``simulate()`` refuses before its first cycle.
 
 :func:`require_submittable` is the front-door subset (spec lint plus
 grid dedupe, no simulation objects built).  The lab runs it in one
@@ -23,7 +26,7 @@ from pathlib import Path
 
 from repro.errors import ReproError
 from repro.scenarios.components import DecoupledDrive
-from repro.scenarios.facade import build_point
+from repro.scenarios.facade import build_point, resolved_program
 from repro.scenarios.grid import ScenarioGrid
 from repro.scenarios.spec import ScenarioSpec
 
@@ -104,34 +107,37 @@ def _location(source: str, spec: ScenarioSpec, index: int) -> str:
 
 
 def _check_spec(spec: ScenarioSpec, location: str) -> list[Finding]:
-    """Lint one spec; when clean, build its design point, program and
-    machine as ``simulate()`` does and run the deep passes on them."""
+    """Lint one spec; when clean, do what ``simulate()`` does before its
+    first cycle — build the design point, then a program point's
+    program, machine and value pass, or a decoupled drive's machine —
+    and run the deep passes on the result."""
     findings = lint_spec(spec, location=location)
     if any(finding.severity == "error" for finding in findings):
         return findings
+    program = None
     try:
         point = build_point(spec)
-        scenario_program = (
-            point.program() if spec.program is not None else None
-        )
-        machine = None
-        if isinstance(point.drive, DecoupledDrive):
-            machine = point.machine()
+        if spec.program is not None:
+            program = resolved_program(point)
+        elif isinstance(point.drive, DecoupledDrive):
+            point.machine()
     except ReproError as error:
         findings.append(Finding("SL303", "error", location, str(error)))
         return findings
+    if program is None:
+        return findings + analyze_conflicts(point, None, location=location)
+    machine, entry = program
     findings.extend(
-        analyze_conflicts(point, scenario_program, location=location)
+        analyze_conflicts(point, entry.resolved, location=location)
     )
-    if scenario_program is not None and machine is not None:
-        findings.extend(
-            analyze_program(
-                scenario_program.program,
-                memory_streams=machine.memory_streams,
-                register_length=machine.register_length,
-                location=location,
-            )
+    findings.extend(
+        analyze_program(
+            entry.program.program,
+            memory_streams=machine.memory_streams,
+            register_length=machine.register_length,
+            location=location,
         )
+    )
     return findings
 
 

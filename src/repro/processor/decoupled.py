@@ -72,8 +72,13 @@ from math import isnan
 from operator import attrgetter
 from typing import NamedTuple
 
-from repro.core.gather import IndexedAccess, IndexedMode, plan_indexed
-from repro.core.planner import AccessPlanner, PlanMode
+from repro.core.gather import (
+    IndexedAccess,
+    IndexedMode,
+    IndexedPlan,
+    plan_indexed,
+)
+from repro.core.planner import AccessPlan, AccessPlanner, PlanMode
 from repro.core.vector import VectorAccess
 from repro.errors import (
     ConfigurationError,
@@ -106,6 +111,18 @@ REGISTER_COUNT = 8
 #: datapath is exact (Python floats end to end), so this only absorbs
 #: representation noise in caller-supplied expected values.
 VERIFY_TOLERANCE = 1e-9
+
+
+def check_machine_count(name: str, value: object) -> None:
+    """Refuse a machine field that must be an integer >= 1; the scenario
+    facade checks a program point's register length with it before the
+    program is built for that length."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(
+            f"machine field {name!r} must be an integer, got {value!r}"
+        )
+    if value < 1:
+        raise ProgramError(f"{name} must be >= 1, got {value}")
 
 
 def single_load_program(vector: VectorAccess, chaining: bool) -> Program:
@@ -327,7 +344,7 @@ class ResolvedAccess:
 
     position: int
     instruction: object
-    plan: object
+    plan: AccessPlan | IndexedPlan
     stream: tuple[tuple[int, int], ...]
     stores: tuple[int, ...]
     span: tuple[int, int]  # min/max raw address touched
@@ -476,17 +493,8 @@ class DecoupledVectorMachine:
         memory_streams: int | None = None,
         tracer=None,
     ):
-        for name, value in (
-            ("register_length", register_length),
-            ("execute_startup", execute_startup),
-        ):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigurationError(
-                    f"machine field {name!r} must be an integer, got "
-                    f"{value!r}"
-                )
-            if value < 1:
-                raise ProgramError(f"{name} must be >= 1, got {value}")
+        check_machine_count("register_length", register_length)
+        check_machine_count("execute_startup", execute_startup)
         if not isinstance(chaining, bool):
             raise ConfigurationError(
                 f"machine field 'chaining' must be a boolean, got {chaining!r}"

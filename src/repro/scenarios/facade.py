@@ -10,7 +10,9 @@ Entry points:
   a machine-only spec, the way the paper's tables, ``repro survey`` and
   the Section 5-B validation measure an access;
 * :func:`build_point` — spec to :class:`DesignPoint`, which
-  :func:`simulate` runs and ``repro check`` judges;
+  :func:`simulate` runs and ``repro check`` judges, and
+  :func:`resolved_program` — a program point's machine and value pass,
+  which both run before the first cycle;
 * :func:`build_machine` — spec to live ``(MemoryConfig, AccessPlanner,
   MemorySystem)``, for callers that need the planner's own facts or a
   request's timing record rather than a measured result.
@@ -39,7 +41,8 @@ Both entry points build the spec with :func:`build_point`, which raises
 (a dynamic mapping without a strided workload, the Figure 6 engine on
 a gather, a register shorter than the vector, a program under a
 non-decoupled drive), so a bad spec fails loudly before any simulation
-starts; ``repro check`` builds the same point and reports its refusals.
+starts; ``repro check`` builds the same point, resolves the same
+program and reports their refusals.
 """
 
 from __future__ import annotations
@@ -294,25 +297,41 @@ class DesignPoint:
         )
 
 
+def program_drive_refusal(spec: ScenarioSpec) -> str | None:
+    """Why a program spec's drive cannot run it (only the decoupled
+    machine runs programs), or ``None``.  :func:`build_point` raises the
+    sentence and ``repro check`` reports it as ``SL306``, both from the
+    spec alone."""
+    if spec.program is None or spec.drive.kind == "decoupled":
+        return None
+    return (
+        f"scenario programs run on the decoupled machine; set drive kind "
+        f"to 'decoupled' (got {spec.drive.kind!r})"
+    )
+
+
 def build_point(spec: ScenarioSpec) -> DesignPoint:
     """The design point of a spec: its drive, workload, memory
     configuration, strided vector and register length, built in that
     order.  A ``null`` register length defaults to the vector's length,
     or to ``DEFAULT_PROGRAM_REGISTER_LENGTH`` for a program; the machine
-    refuses one of the wrong type."""
+    refuses one of the wrong type, and on a program point it does so
+    here, before :meth:`DesignPoint.program` builds the program for
+    that length."""
+    refusal = program_drive_refusal(spec)
+    if refusal is not None:
+        raise ConfigurationError(refusal)
     drive = build(DRIVE, spec.drive)
     if spec.program is not None:
-        if not isinstance(drive, DecoupledDrive):
-            raise ConfigurationError(
-                f"scenario programs run on the decoupled machine; set "
-                f"drive kind to 'decoupled' (got {spec.drive.kind!r})"
-            )
+        config = build_config(spec)
         register_length = drive.register_length
         if register_length is None:
             register_length = DEFAULT_PROGRAM_REGISTER_LENGTH
-        return DesignPoint(
-            spec, drive, build_config(spec), register_length=register_length
-        )
+        else:
+            from repro.processor.decoupled import check_machine_count
+
+            check_machine_count("register_length", register_length)
+        return DesignPoint(spec, drive, config, register_length=register_length)
     workload = build_workload(spec)
     config = build_config(spec, workload)
     if isinstance(drive, PlannerDrive):
@@ -629,12 +648,13 @@ def program_memo_stats() -> dict[str, int]:
     return _PROGRAM_MEMO.stats()
 
 
-def _resolved_program(
+def resolved_program(
     point: DesignPoint, tracer=None
 ) -> tuple[DecoupledVectorMachine, _ResolvedEntry]:
     """One program design point's machine and its built, resolved
     program, from the memo when a point with the same program spec and
-    plan key resolved it.
+    plan key resolved it: everything :func:`simulate` does to a program
+    point before its first cycle, which ``repro check`` runs too.
 
     A miss builds the program before the machine, so a spec whose
     program and drive are both invalid fails with the program's error,
@@ -677,7 +697,7 @@ def _simulate_program(point: DesignPoint, tracer=None) -> ScenarioResult:
     every LOAD/STORE the program issued; machine-level observations land
     in ``extras`` and the per-instruction ``timeline``.  The program is
     built and resolved once per program spec and plan key
-    (:func:`_resolved_program`); each point runs its own timing pass,
+    (:func:`resolved_program`); each point runs its own timing pass,
     traced when ``tracer`` is, so every kernel and machine event is
     recorded.  When the drive enables
     chaining, the measured decoupled/chained speedup is reported next
@@ -694,7 +714,7 @@ def _simulate_program(point: DesignPoint, tracer=None) -> ScenarioResult:
     )
 
     config, drive = point.config, point.drive
-    machine, entry = _resolved_program(point, tracer)
+    machine, entry = resolved_program(point, tracer)
     scenario_program = entry.program
     run = machine.time(entry.resolved)
     timing = machine.timing_key

@@ -10,12 +10,17 @@ Four categories, one registry each:
   (inline instruction lists, assembler text, or named strip-mined
   kernels such as ``daxpy``).
 
-A factory takes the spec's parameters as keyword arguments (plus
-category-specific context such as ``address_bits``) and returns the
-live component.  Unknown kinds and unknown/invalid parameters raise
+A factory takes the spec's parameters as keyword arguments (plus the
+category's context, :data:`CONTEXT_NAMES`) and returns the live
+component.  Unknown kinds and unknown/invalid parameters raise
 :class:`~repro.errors.ConfigurationError` with the known alternatives
 spelled out, so a typo in a JSON spec fails with a readable message
 instead of a stack trace from deep inside a constructor.
+
+:func:`parameter_errors` is the one statement of which parameter names
+a kind accepts, requires and reserves for context: ``repro check``
+reports its sentences as ``SL302``, and :func:`build` raises the first
+of them when a factory call fails on a name.
 """
 
 from __future__ import annotations
@@ -33,6 +38,15 @@ DRIVE = "drive"
 PROGRAM = "program"
 
 CATEGORIES = (MAPPING, WORKLOAD, DRIVE, PROGRAM)
+
+#: The parameter names :func:`build` supplies to a category's factories
+#: from the scenario rather than from the spec's params: the memory's
+#: address width for a mapping, the machine's register length for a
+#: program.  A spec param with one of these names shadows it.
+CONTEXT_NAMES: dict[str, frozenset[str]] = {
+    MAPPING: frozenset({"address_bits"}),
+    PROGRAM: frozenset({"register_length"}),
+}
 
 
 class _Entry:
@@ -54,6 +68,13 @@ class _Entry:
         if self._signature is None:
             self._signature = inspect.signature(self.factory)
         return self._signature
+
+    def takes_kwargs(self) -> bool:
+        """Whether the factory takes ``**kwargs`` (any name goes)."""
+        return any(
+            parameter.kind is inspect.Parameter.VAR_KEYWORD
+            for parameter in self.signature().parameters.values()
+        )
 
 
 _REGISTRY: dict[str, dict[str, _Entry]] = {
@@ -106,34 +127,28 @@ def summary(category: str, kind: str) -> str:
 def build(category: str, spec: ComponentSpec, **context):
     """Instantiate one component from its spec.
 
-    ``context`` carries cross-layer inputs a factory may need (the
-    memory's ``address_bits`` for mappings, the planner for drives).
-    Factories declare the context they use; the rest is filtered out
-    here so adding context never breaks existing factories.
+    ``context`` carries the category's :data:`CONTEXT_NAMES` values (the
+    memory's ``address_bits`` for mappings, the machine's
+    ``register_length`` for programs).  A factory declares the context
+    it uses; the rest is filtered out here.  A factory call that raises
+    :class:`TypeError` is refused with the first of
+    :func:`parameter_errors`' sentences, or, when every name fits, as
+    ``bad parameters`` with the kind's example.
     """
     entry = _entry(category, spec.kind)
-    params = spec.param_dict()
-    overlap = set(params) & set(context)
-    if overlap:
-        raise ConfigurationError(
-            f"{category} kind {spec.kind!r} params shadow reserved context "
-            f"names: {', '.join(sorted(overlap))}"
-        )
     accepted = entry.signature().parameters
-    takes_kwargs = any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in accepted.values()
-    )
+    takes_kwargs = entry.takes_kwargs()
     passed_context = {
         key: value
         for key, value in context.items()
         if takes_kwargs or key in accepted
     }
     try:
-        return entry.factory(**params, **passed_context)
+        return entry.factory(**spec.param_dict(), **passed_context)
     except TypeError as error:
-        # A factory signature mismatch is a spec problem (unknown or
-        # missing parameter), not a bug — report it as configuration.
+        problems = parameter_errors(category, spec)
+        if problems:
+            raise ConfigurationError(problems[0]) from None
         detail = re.sub(r"^\w+\(\)\s*", "", str(error))
         raise ConfigurationError(
             f"bad parameters for {category} kind {spec.kind!r}: {detail} "
@@ -182,31 +197,45 @@ def validate_spec_kinds(spec) -> None:
         validate_kind(category, component.kind, context=context)
 
 
-def factory_parameters(category: str, kind: str) -> tuple[frozenset[str], frozenset[str]] | None:
-    """The parameter names a kind's factory accepts and requires.
+def parameter_errors(category: str, component: ComponentSpec) -> list[str]:
+    """Why a component's parameter names do not fit its kind, one
+    sentence per name, or an empty list when they fit.
 
-    Returns ``(accepted, required)`` name sets, or ``None`` when the
-    factory takes ``**kwargs`` (every name is acceptable).  Context
-    names (``address_bits``, ``register_length``) are included in
-    ``accepted`` — callers that lint user-supplied params should treat
-    them as reserved, since :func:`build` rejects specs that shadow
-    context.
+    A name in the category's :data:`CONTEXT_NAMES` shadows context the
+    scenario supplies.  Any other name the factory does not accept is
+    unknown (with a hint listing the names it accepts that the spec
+    leaves unset), unless the factory takes ``**kwargs``.  A parameter
+    without a default that the spec omits is missing.
     """
-    parameters = _entry(category, kind).signature().parameters
-    if any(
-        parameter.kind is inspect.Parameter.VAR_KEYWORD
-        for parameter in parameters.values()
-    ):
-        return None
-    accepted = frozenset(parameters)
-    required = frozenset(
+    entry = _entry(category, component.kind)
+    parameters = entry.signature().parameters
+    reserved = CONTEXT_NAMES.get(category, frozenset())
+    provided = component.param_dict().keys()
+    shadowed = sorted(provided & reserved)
+    unknown = sorted(provided - parameters.keys() - reserved)
+    if unknown and entry.takes_kwargs():
+        unknown = []
+    missing = sorted(
         name
-        for name, parameter in parameters.items()
-        if parameter.default is inspect.Parameter.empty
-        and parameter.kind
+        for name in parameters.keys() - provided - reserved
+        if parameters[name].default is inspect.Parameter.empty
+        and parameters[name].kind
         not in (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
     )
-    return accepted, required
+    if not (shadowed or unknown or missing):
+        return []
+    kind = f"{category} kind {component.kind!r}"
+    close = sorted(parameters.keys() - reserved - provided)
+    hint = f" (accepted: {', '.join(close)})" if close else ""
+    return [
+        *(
+            f"parameter {name!r} shadows a reserved context name of "
+            f"{kind}; the scenario layer supplies it"
+            for name in shadowed
+        ),
+        *(f"unknown parameter {name!r} for {kind}{hint}" for name in unknown),
+        *(f"missing required parameter {name!r} for {kind}" for name in missing),
+    ]
 
 
 def _check_category(category: str) -> None:

@@ -44,7 +44,6 @@ from repro.serve.errors import (
     PayloadTooLargeError,
     ServeError,
     ServiceUnavailableError,
-    error_message,
     error_payload,
     error_status,
 )
@@ -66,7 +65,6 @@ __all__ = [
     "ServiceUnavailableError",
     "Submission",
     "SubmissionQueue",
-    "error_message",
     "error_payload",
     "error_status",
     "run_until_signalled",

@@ -47,14 +47,12 @@ class ServeApp:
         host: str = "127.0.0.1",
         port: int = 8642,
         backend_factory: Callable[[], object] | None = None,
-        run_workers: int | None = None,
         queue_workers: int | None = None,
         access_log: Callable[[str], None] | None = None,
     ):
         self.service = LabService(
             store,
             backend_factory=backend_factory,
-            run_workers=run_workers,
             queue_workers=queue_workers,
         )
         self.server = LabHTTPServer(

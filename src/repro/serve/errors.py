@@ -3,9 +3,9 @@
 One place maps every exception to an HTTP status and one canonical
 body shape, so routes and service code just ``raise`` and the handler
 in :mod:`repro.serve.routes` renders the result.  The body's ``error``
-field is the same ``TypeName: message`` string the lab's execution
-backends use for job failures (:func:`repro.lab.backends.describe_error`),
-so a client sees one failure grammar whether a job crashed in a worker
+field is rendered by the lab backends' one renderer,
+:func:`repro.lab.backends.describe_error`, so a client sees one
+``TypeName: message`` failure grammar whether a job crashed in a worker
 or a request never made it past validation.
 
 Status mapping:
@@ -20,6 +20,7 @@ Status mapping:
 from __future__ import annotations
 
 from repro.errors import ReproError
+from repro.lab.backends import describe_error
 
 __all__ = [
     "BadRequestError",
@@ -28,7 +29,6 @@ __all__ = [
     "PayloadTooLargeError",
     "ServeError",
     "ServiceUnavailableError",
-    "error_message",
     "error_payload",
     "error_status",
 ]
@@ -70,11 +70,6 @@ class ServiceUnavailableError(ServeError):
     status = 503
 
 
-def error_message(error: BaseException) -> str:
-    """The canonical ``TypeName: message`` rendering (same as JobFailure)."""
-    return f"{type(error).__name__}: {error}"
-
-
 def error_status(error: BaseException) -> int:
     """The HTTP status an exception maps to (see module docstring)."""
     if isinstance(error, ServeError):
@@ -92,7 +87,10 @@ def error_payload(error: BaseException) -> dict:
     a 400 tells the client *which* rule fired where, not just the
     summary line.
     """
-    payload = {"error": error_message(error), "status": error_status(error)}
+    payload = {
+        "error": describe_error(error).message,
+        "status": error_status(error),
+    }
     findings = getattr(error, "findings", None)
     if findings:
         payload["findings"] = [finding.to_dict() for finding in findings]

@@ -4,9 +4,11 @@ duplicate submissions.
 ``POST /v1/runs`` must return a run id immediately, so batches execute
 on a :class:`~concurrent.futures.ThreadPoolExecutor` owned by this
 queue and polling handlers never block behind a simulation.  The queue
-knows nothing about HTTP or the lab — it runs an opaque
+knows nothing about HTTP or how a batch runs — it runs an opaque
 ``runner(submission)`` callable and tracks lifecycle state on the
-:class:`Submission`.
+:class:`Submission`; a runner that raises leaves the failure on it in
+the lab's ``TypeName: message`` form
+(:func:`repro.lab.backends.describe_error`).
 
 Duplicate collapsing: a submission's *signature* is the sorted tuple
 of its jobs' config hashes — the full content address of the batch.
@@ -33,7 +35,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
-from repro.serve.errors import ServiceUnavailableError, error_message
+from repro.lab.backends import describe_error
+from repro.serve.errors import ServiceUnavailableError
 
 __all__ = [
     "DEFAULT_QUEUE_WORKERS",
@@ -124,7 +127,7 @@ class SubmissionQueue:
         try:
             self._runner(submission)
         except Exception as error:
-            submission.error = error_message(error)
+            submission.error = describe_error(error).message
             submission.state = FAILED
         else:
             submission.state = DONE

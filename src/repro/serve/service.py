@@ -60,14 +60,12 @@ class LabService:
         store: ArtifactStore,
         *,
         backend_factory: Callable[[], object] | None = None,
-        run_workers: int | None = None,
         queue_workers: int | None = None,
     ):
         self.store = store
         # A fresh backend per batch: spool backends carry per-run
         # counter state, so concurrent batches must never share one.
         self._backend_factory = backend_factory
-        self._run_workers = run_workers
         self.counters = ServiceCounters()
         self.started_at = time.monotonic()
         self._runs: dict[str, Submission] = {}
@@ -125,7 +123,6 @@ class LabService:
             report = run_jobs(
                 submission.jobs,
                 store=self.store,
-                workers=self._run_workers,
                 backend=backend,
                 run_id=submission.run_id,
             )
