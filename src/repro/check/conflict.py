@@ -8,40 +8,54 @@ Theorem 3) decides conflict-freedom without running the kernel:
   ``T + L + 1`` is quoted, and for the XOR mappings the window
   membership that guarantees it.
 * ``CF102`` *warn* — conflict-prone under the drive's mode, whichever
-  it is: the run completes, but slower than the ``T + L + 1`` bound.
-  A forced order may be conflict-prone by design (the Section 3.1
-  subsequence order takes up to ``2T + L``), and ``simulate()`` runs
-  it.  Also *warn* for a conflict-free order on a ``T = 1`` memory
-  with a one-slot input queue, where back-to-back requests still stall
+  it is: the run completes, but slower than the ``T + L + 1`` bound
+  on one port (with more ports a stall may hide behind it).  A forced
+  order may be conflict-prone by design (the Section 3.1 subsequence
+  order takes up to ``2T + L``), and ``simulate()`` runs it.  Also
+  *warn* for a conflict-free order on a ``T = 1`` memory with a
+  one-slot input queue, where back-to-back requests still stall
   (:attr:`~repro.memory.config.MemoryConfig.conflict_free_is_minimal`).
 * ``CF103`` *info* — indexed access: no closed-form verdict exists;
   scheduling happens at run time.
 * ``CF104`` *error* — the drive demands an order (``conflict_free`` /
-  ``subsequence`` modes, the ``figure6`` engine) that the planner
-  cannot build for this stride; ``simulate()`` raises the planner's
-  :class:`~repro.errors.OrderingError`, which the finding quotes.
+  ``subsequence`` modes, the ``figure6`` engine) that cannot be built
+  for this stride; the finding quotes the error ``simulate()`` raises,
+  the planner's :class:`~repro.errors.OrderingError` or the engine's
+  own refusal.
 * ``CF105`` *warn* — a program's strided memory instruction is
   conflict-prone under the machine's plan mode.
 
-The verdict source is :attr:`AccessPlan.conflict_free` — pure static
-arithmetic over the planned request order — which the consistency
-suite pins against kernel-measured conflict-freedom.  A workload's
-accesses are planned here; a program's are the plans the machine's
-value pass made (the runner resolves the program first, and a plan
-that raises there is ``simulate()``'s refusal, ``SL303``).
+The verdict source is the conflict-freedom of the order ``simulate()``
+issues — pure static arithmetic over it — which the consistency suite
+pins against kernel-measured conflict-freedom.  A workload's accesses
+are planned here, and a ``figure6`` point's vector is run through the
+engine by :func:`~repro.scenarios.facade.figure6_run`, the function
+``simulate()`` takes its run from; a program's are the plans the
+machine's value pass made (the runner resolves the program first, and
+a plan that raises there is ``simulate()``'s refusal, ``SL303``).
 """
 
 from __future__ import annotations
 
 from typing import cast
 
+from repro.core.distributions import is_conflict_free
 from repro.core.planner import AccessPlan, AccessPlanner, PlanMode
 from repro.core.vector import VectorAccess
-from repro.errors import OrderingError, ReproError, VectorSpecError
+from repro.errors import (
+    HardwareModelError,
+    OrderingError,
+    ReproError,
+    VectorSpecError,
+)
 from repro.memory.config import MemoryConfig
 from repro.processor.decoupled import ResolvedProgram
-from repro.scenarios.components import DecoupledDrive, PlannerDrive
-from repro.scenarios.facade import DesignPoint
+from repro.scenarios.components import (
+    DecoupledDrive,
+    Figure6Drive,
+    PlannerDrive,
+)
+from repro.scenarios.facade import DesignPoint, figure6_run
 
 from repro.check.findings import Finding
 
@@ -81,7 +95,7 @@ def analyze_conflicts(
                 )
             )
             continue
-        findings.append(_vector_finding(access, planner, config, mode, where))
+        findings.append(_vector_finding(point, access, planner, mode, where))
     return findings
 
 
@@ -98,14 +112,33 @@ def _drive_mode(drive: object) -> PlanMode:
     return "conflict_free"  # the Figure 6 engine
 
 
-def _vector_finding(
+def _issued_order(
+    point: DesignPoint,
     access: VectorAccess,
     planner: AccessPlanner,
-    config: MemoryConfig,
+    mode: PlanMode,
+) -> tuple[str, bool]:
+    """The scheme and conflict-freedom of the order ``simulate()``
+    issues for ``access``; raises what ``simulate()`` raises when there
+    is none."""
+    if isinstance(point.drive, Figure6Drive):
+        run = figure6_run(point)
+        return "conflict_free", is_conflict_free(
+            run.modules, point.config.service_ratio
+        )
+    plan = planner.plan(access, mode=mode)
+    return plan.scheme, plan.conflict_free
+
+
+def _vector_finding(
+    point: DesignPoint,
+    access: VectorAccess,
+    planner: AccessPlanner,
     mode: PlanMode,
     where: str,
 ) -> Finding:
     """One CF101/CF102/CF104 verdict for a strided access."""
+    config = point.config
     shape = (
         f"stride {access.stride} (family x={access.family}), "
         f"length {access.length}"
@@ -114,45 +147,51 @@ def _vector_finding(
         f"M={config.module_count} modules, T={config.service_ratio}, "
         f"ports={config.ports}"
     )
+    minimum = config.service_ratio + access.length + 1
     try:
-        plan = planner.plan(access, mode=mode)
-    except OrderingError as error:
+        scheme, conflict_free = _issued_order(point, access, planner, mode)
+    except (OrderingError, HardwareModelError) as error:
+        if isinstance(point.drive, Figure6Drive):
+            refusal = "cannot be ordered conflict-free by the Figure 6 engine"
+        elif mode == "subsequence":
+            refusal = f"cannot be ordered under mode {mode!r}"
+        else:
+            refusal = f"cannot be ordered conflict-free under mode {mode!r}"
         return Finding(
-            "CF104",
-            "error",
-            where,
-            f"{shape} cannot be ordered conflict-free under mode "
-            f"{mode!r} ({geometry}): {error}",
+            "CF104", "error", where, f"{shape} {refusal} ({geometry}): {error}"
         )
-    if plan.conflict_free and not config.conflict_free_is_minimal:
+    if conflict_free and not config.conflict_free_is_minimal:
         return Finding(
             "CF102",
             "warn",
             where,
-            f"{shape} is conflict-free via scheme {plan.scheme!r} "
+            f"{shape} is conflict-free via scheme {scheme!r} "
             f"({geometry}), but with T=1 and a one-slot input queue "
             f"(q=1) back-to-back requests to one module stall on the "
             f"input register, so latency may exceed the "
-            f"T+L+1 = {plan.minimum_latency} minimum; q >= 2 restores it",
+            f"T+L+1 = {minimum} minimum; q >= 2 restores it",
         )
-    if plan.conflict_free:
+    if conflict_free:
         return Finding(
             "CF101",
             "info",
             where,
-            f"{shape} is conflict-free via scheme {plan.scheme!r} "
+            f"{shape} is conflict-free via scheme {scheme!r} "
             f"({geometry}); predicted minimum access time "
-            f"T+L+1 = {plan.minimum_latency} cycles"
+            f"T+L+1 = {minimum} cycles"
             f"{_window_note(access, config)}",
         )
+    # One port issues one request a cycle, so a stall always shows; a
+    # second port may hide it behind the T+L+1 minimum.
+    exceed = "will exceed" if config.ports == 1 else "may exceed"
     return Finding(
         "CF102",
         "warn",
         where,
         f"{shape} is conflict-prone under mode {mode!r} ({geometry}): "
         f"the ordered request stream revisits a busy module within "
-        f"T={config.service_ratio} cycles, so latency will exceed the "
-        f"T+L+1 = {plan.minimum_latency} minimum",
+        f"T={config.service_ratio} cycles, so latency {exceed} the "
+        f"T+L+1 = {minimum} minimum",
     )
 
 

@@ -12,7 +12,11 @@ that case:
   ``"ordered"`` issues in element order; mode ``"scheduled"`` applies
   the greedy cooldown scheduler of :mod:`repro.core.scheduler`, which is
   conflict-free whenever the gather's module multiset admits any
-  conflict-free order at all.
+  conflict-free order at all.  The schedule reads only the gather's
+  module sequence and ``T``, so plans are shared through the
+  process-wide plan cache as strided plans are
+  (:func:`~repro.core.planner.plan_cache_entry`): design points that
+  differ only in ``q``, ``q'`` or the port count plan a gather once.
 
 Out-of-order gather needs exactly the hardware the paper already pays
 for (random-access vector registers, element indices travelling with
@@ -27,7 +31,9 @@ from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 from repro.core.distributions import is_conflict_free
+from repro.core.planner import plan_cache_entry
 from repro.core.scheduler import schedule_with_cooldown
+from repro.core.vector import check_integer
 from repro.errors import VectorSpecError
 from repro.mappings.base import AddressMapping
 
@@ -40,16 +46,23 @@ class IndexedAccess:
 
     Duplicate indices are allowed (a gather may read one address twice);
     they cap the achievable throughput exactly like a clustered stride.
+    The base and every index must be integers (``bool`` is refused), as
+    a :class:`~repro.core.vector.VectorAccess`'s fields must.
     """
 
     base: int
     indices: tuple[int, ...]
 
     def __init__(self, base: int, indices: Sequence[int]):
+        indices = tuple(indices)
         if not indices:
             raise VectorSpecError("an indexed access needs at least one index")
+        check_integer("base", base)
+        if set(map(type, indices)) != {int}:
+            for position, index in enumerate(indices):
+                check_integer(f"indices[{position}]", index)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "indices", tuple(indices))
+        object.__setattr__(self, "indices", indices)
 
     @property
     def length(self) -> int:
@@ -108,8 +121,18 @@ def plan_indexed(
     ``"scheduled"`` runs the greedy cooldown scheduler on the gather's
     module sequence and falls back to element order when no zero-idle
     schedule exists (the multiset is not T-matched); ``"ordered"``
-    always issues in element order.
+    always issues in element order.  The plan is the plan cache's entry
+    for the mapping's address key, ``t``, ``mode`` and ``access``; an
+    unknown mode raises and stores nothing.
     """
+    return plan_cache_entry(
+        mapping, t, mode, access, lambda: _plan(mapping, t, access, mode)
+    )
+
+
+def _plan(
+    mapping: AddressMapping, t: int, access: IndexedAccess, mode: str
+) -> IndexedPlan:
     service_ratio = 1 << t
     modules = mapping.modules_of(access.addresses())
     if mode == "ordered":

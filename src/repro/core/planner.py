@@ -26,7 +26,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Literal
+from typing import Callable, Literal, TypeVar
 
 from repro.core.distributions import (
     is_conflict_free,
@@ -47,6 +47,8 @@ from repro.mappings.linear import MatchedXorMapping
 from repro.mappings.section import SectionXorMapping
 
 PlanMode = Literal["auto", "ordered", "subsequence", "conflict_free"]
+
+Entry = TypeVar("Entry")
 
 #: Entries the shared plan cache holds before evicting the least
 #: recently used plan.
@@ -114,25 +116,29 @@ class BoundedLRU:
 
 
 class PlanCache(BoundedLRU):
-    """The LRU of finished :class:`AccessPlan` objects, keyed on the
-    exact plan inputs (see :meth:`AccessPlanner.plan`).
+    """The LRU of finished issue orders, keyed on exactly what each
+    order reads (see :func:`plan_cache_entry`): strided
+    :class:`AccessPlan` objects, gather plans
+    (:func:`~repro.core.gather.plan_indexed`) and the Figure 6 engine's
+    runs (:func:`repro.scenarios.facade.figure6_run`).
 
-    Planner-drive grid points that share workload geometry across
-    ``q``/ports/mode axes, and a strip that stores the vector it just
-    loaded, re-plan identical vectors.  A program design point plans
-    only when the scenario facade has not resolved its program already
-    (a chaining baseline never plans).  Traced seed-1 perfbench passes
-    read a hit ratio of 0.67 on access-sweep (660 plan calls a pass)
-    and 0.31 on program-grid (230 plan calls a pass).  It is a class of
-    its own so that wrapping :meth:`lookup` here (as perfbench's
-    ``core.plan`` layer does) counts plan lookups only.
+    Grid points that share workload geometry across ``q``/ports/mode
+    axes, and a strip that stores the vector it just loaded, re-plan
+    identical accesses.  A program design point plans only when the
+    scenario facade has not resolved its program already (a chaining
+    baseline never plans).  Traced seed-1 perfbench passes read 504
+    hits of 756 lookups on access-sweep (660 plan calls and 96 Figure 6
+    drives a pass) and 63 of 230 on program-grid (230 plan calls a
+    pass, its 24 gather and scatter index plans among them).  It is a
+    class of its own so that wrapping :meth:`lookup` here (as
+    perfbench's ``core.plan`` layer does) counts plan lookups only.
     """
 
     def __init__(self, capacity: int = PLAN_CACHE_CAPACITY):
         super().__init__(capacity, "plan_cache")
 
 
-#: The process-wide cache every :class:`AccessPlanner` shares.
+#: The process-wide cache every issue order shares.
 _PLAN_CACHE = PlanCache(PLAN_CACHE_CAPACITY)
 
 
@@ -144,6 +150,36 @@ def plan_cache_stats() -> dict[str, int]:
 def clear_plan_cache() -> None:
     """Empty the shared plan cache (tests, benchmarks)."""
     _PLAN_CACHE.clear()
+
+
+def plan_cache_entry(
+    mapping: AddressMapping,
+    t: int,
+    mode: str,
+    access: object,
+    build: Callable[[], Entry],
+) -> Entry:
+    """The issue order ``build()`` makes for ``access`` under ``mode`` on
+    a memory with ``mapping`` and ``T = 2**t``, shared through the
+    process-wide :class:`PlanCache`.
+
+    The key is exactly what an order reads: the mapping's
+    :meth:`~repro.mappings.base.AddressMapping.address_key`, ``t``, the
+    mode and the access (a :class:`~repro.core.vector.VectorAccess` or
+    an :class:`~repro.core.gather.IndexedAccess`, whose fields hold
+    integers only, so equal keys mean equal inputs).  ``build`` must be
+    a pure function of the key returning a frozen value, so an entry is
+    bit-identical to a fresh build.  A build that raises stores
+    nothing, and a mapping without an address key is never shared.
+    """
+    address = mapping.address_key()
+    if address is None:
+        return build()
+    key = (address, t, mode, access)
+    entry = _PLAN_CACHE.lookup(key)
+    if entry is None:
+        entry = _PLAN_CACHE.store(key, build())
+    return entry
 
 
 @dataclass(frozen=True)
@@ -243,21 +279,20 @@ class AccessPlanner:
         * ``"conflict_free"`` — the Section 3.2/4.2 order (same).
 
         Successful plans are memoized in the process-wide
-        :class:`PlanCache`; the key is exact — the mapping's
-        :meth:`~repro.mappings.base.AddressMapping.address_key`, ``t``,
-        mode and the full vector — so a cached plan is bit-identical to
-        a fresh one: plans are frozen and planning is a pure function of
-        the key.  Forced modes that raise, and mappings without an
-        address key, are never cached.
+        :class:`PlanCache` (:func:`plan_cache_entry`); the key is exact
+        — the mapping's address key, ``t``, mode and the full vector —
+        so a cached plan is bit-identical to a fresh one: plans are
+        frozen and planning is a pure function of the key.  Forced
+        modes that raise, and mappings without an address key, are
+        never cached.
         """
-        address = self.mapping.address_key()
-        if address is None:
-            return self._plan_uncached(vector, mode)
-        key = (address, self.t, mode, vector)
-        plan = _PLAN_CACHE.lookup(key)
-        if plan is None:
-            plan = _PLAN_CACHE.store(key, self._plan_uncached(vector, mode))
-        return plan
+        return plan_cache_entry(
+            self.mapping,
+            self.t,
+            mode,
+            vector,
+            lambda: self._plan_uncached(vector, mode),
+        )
 
     def _plan_uncached(
         self, vector: VectorAccess, mode: PlanMode

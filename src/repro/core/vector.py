@@ -16,6 +16,17 @@ from repro.errors import VectorSpecError
 from repro.mappings.base import is_power_of_two
 
 
+def check_integer(name: str, value) -> None:
+    """Refuse an access field that is not an integer, a ``bool``
+    included, with a :class:`~repro.errors.VectorSpecError` naming it.
+
+    An access is an exact plan-cache key, and ``12.0 == 12`` and
+    ``True == 1`` would share an entry with the integer they equal.
+    """
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise VectorSpecError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class VectorAccess:
     """A single constant-stride vector access request.
@@ -23,7 +34,7 @@ class VectorAccess:
     Attributes
     ----------
     base:
-        Address of element 0 (the paper's ``A1``); any value is legal,
+        Address of element 0 (the paper's ``A1``); any integer is legal,
         negative bases wrap in the machine address space.
     stride:
         Constant element separation ``S = sigma * 2**x`` (sigma odd,
@@ -37,6 +48,9 @@ class VectorAccess:
     length: int
 
     def __post_init__(self) -> None:
+        check_integer("base", self.base)
+        check_integer("stride", self.stride)
+        check_integer("length", self.length)
         if self.stride == 0:
             raise VectorSpecError(
                 "stride must be non-zero; a zero-stride access touches a "

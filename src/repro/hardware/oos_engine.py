@@ -30,6 +30,13 @@ assumed.
 :class:`~repro.hardware.sequencer.GeneratedRequest` records only when
 asked; :meth:`Figure6Engine.request_stream`, which the scenario drive
 reads, builds none.
+
+The engine's order reads only the mapping, ``t`` and the vector, so the
+scenario drive runs it once per distinct triple:
+:func:`repro.scenarios.facade.figure6_run` keeps the issued stream, its
+modules under the memory's mapping and the :class:`EngineReport` in the
+plan cache, where design points that differ only in ``q``, ``q'`` or
+ports find it, and ``repro check`` judges the same run.
 """
 
 from __future__ import annotations

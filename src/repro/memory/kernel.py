@@ -90,45 +90,56 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from repro.core.distributions import is_conflict_free
+from repro.core.gather import IndexedPlan
 from repro.errors import ConfigurationError, SimulationError
 from repro.memory.config import MemoryConfig
 from repro.memory.module import RequestRecords, count_waits
 from repro.obs.tracer import resolve_tracer
 
 
-class StridedRequests(Sequence):
-    """A strided access's ``(element_index, address)`` pairs in issue
-    order, each derived when it is read.
+class PlanRequests(Sequence):
+    """A plan's ``(element_index, address)`` pairs in issue order, each
+    derived when it is read: the one view
+    :meth:`~repro.memory.system.MemorySystem.run_plan` hands the kernel.
 
-    ``indices`` is the issue order (an access plan's ``order.indices``)
-    and element ``i``'s address is ``vector.base + vector.stride * i``,
-    as :meth:`~repro.core.vector.VectorAccess.address_of` computes it.
-    The index range is checked once, here: an index outside the vector
-    raises the :class:`~repro.errors.VectorSpecError` that ``address_of``
-    raises for it.  Reading every pair gives ``plan.request_stream()``.
+    ``plan`` is a strided :class:`~repro.core.planner.AccessPlan` or a
+    gather's :class:`~repro.core.gather.IndexedPlan`.  Element ``i``'s
+    address is the access's base plus its offset, ``stride * i`` for a
+    strided vector (a ``range``) and ``indices[i]`` for a gather, as
+    the access's ``address_of`` computes it.  The issue order's range
+    is checked once, here: an element outside the access raises the
+    :class:`~repro.errors.VectorSpecError` that the access's
+    ``address_of`` raises for it.  Reading every pair gives
+    ``plan.request_stream()``.
     """
 
-    __slots__ = ("_indices", "_base", "_stride")
+    __slots__ = ("_order", "_base", "_offsets")
 
-    def __init__(self, vector, indices: Sequence[int]):
-        length = vector.length
-        if indices and not (0 <= min(indices) and max(indices) < length):
-            vector.address_of(next(i for i in indices if not 0 <= i < length))
-        self._indices = indices
-        self._base = vector.base
-        self._stride = vector.stride
+    def __init__(self, plan):
+        if isinstance(plan, IndexedPlan):
+            access, order = plan.access, plan.order
+            offsets = access.indices
+        else:
+            access, order = plan.vector, plan.order.indices
+            offsets = range(0, access.stride * access.length, access.stride)
+        length = access.length
+        if order and not (0 <= min(order) and max(order) < length):
+            access.address_of(next(i for i in order if not 0 <= i < length))
+        self._order = order
+        self._base = access.base
+        self._offsets = offsets
 
     def __len__(self) -> int:
-        return len(self._indices)
+        return len(self._order)
 
     def __getitem__(self, position: int) -> tuple[int, int]:
-        index = self._indices[position]
-        return index, self._base + self._stride * index
+        element = self._order[position]
+        return element, self._base + self._offsets[element]
 
     def __iter__(self):
-        base, stride = self._base, self._stride
-        for index in self._indices:
-            yield index, base + stride * index
+        base, offsets = self._base, self._offsets
+        for element in self._order:
+            yield element, base + offsets[element]
 
 
 @dataclass(frozen=True)
@@ -137,7 +148,8 @@ class KernelStream:
 
     ``requests`` are ``(element_index, address)`` pairs in issue order
     (addresses are reduced through the mapping by the kernel): a tuple,
-    or a :class:`StridedRequests` view, which the stream keeps as it is.
+    or a plan's :class:`PlanRequests` view, which the stream keeps as it
+    is.
     ``stores`` lists stream positions that are store operations.
     ``modules`` optionally gives each request's module (the plan's
     temporal distribution under the kernel's mapping); ``None`` derives
@@ -161,7 +173,7 @@ class KernelStream:
             name,
             (
                 requests
-                if isinstance(requests, StridedRequests)
+                if isinstance(requests, PlanRequests)
                 else tuple(requests)
             ),
             frozenset(stores),

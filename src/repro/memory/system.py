@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from repro.core.gather import IndexedPlan
 from repro.core.planner import AccessPlan
 from repro.errors import SimulationError
 from repro.memory.config import MemoryConfig
@@ -37,7 +38,7 @@ from repro.memory.kernel import (
     KernelRun,
     KernelStream,
     MemoryKernel,
-    StridedRequests,
+    PlanRequests,
 )
 from repro.memory.module import RequestRecords
 
@@ -134,31 +135,28 @@ class MemorySystem:
     def __init__(self, config: MemoryConfig):
         self.config = config
 
-    def run_plan(self, plan: AccessPlan, *, tracer=None) -> AccessResult:
-        """Simulate an :class:`~repro.core.planner.AccessPlan` (or any
-        object with a ``request_stream()`` method).
+    def run_plan(
+        self, plan: AccessPlan | IndexedPlan, *, tracer=None
+    ) -> AccessResult:
+        """Simulate a strided :class:`~repro.core.planner.AccessPlan` or
+        a gather's :class:`~repro.core.gather.IndexedPlan`.
 
         A plan made under this memory's address function — by an
         :class:`~repro.core.planner.AccessPlanner`,
         :func:`~repro.core.gather.plan_indexed` or the cooldown
         scheduler — already holds each request's module; the kernel
         reuses those instead of re-deriving them from the addresses.
-        A strided plan's requests reach the kernel as a
-        :class:`~repro.memory.kernel.StridedRequests` view of its issue
-        order, so its pairs are built only if a caller reads the
-        request records (a timeline or a trace).
+        Either plan's requests reach the kernel as a
+        :class:`~repro.memory.kernel.PlanRequests` view of its issue
+        order, so its ``(element, address)`` pairs are built only if a
+        caller reads the request records (a timeline or a trace).
         """
         modules = None
-        if self.config.mapping.same_address_function(
-            getattr(plan, "mapping", None)
-        ):
+        if self.config.mapping.same_address_function(plan.mapping):
             modules = plan.modules
-        requests = (
-            StridedRequests(plan.vector, plan.order.indices)
-            if isinstance(plan, AccessPlan)
-            else plan.request_stream()
+        return self.run_stream(
+            PlanRequests(plan), modules=modules, tracer=tracer
         )
-        return self.run_stream(requests, modules=modules, tracer=tracer)
 
     def run_stream(
         self,

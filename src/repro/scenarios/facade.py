@@ -10,9 +10,11 @@ Entry points:
   a machine-only spec, the way the paper's tables, ``repro survey`` and
   the Section 5-B validation measure an access;
 * :func:`build_point` — spec to :class:`DesignPoint`, which
-  :func:`simulate` runs and ``repro check`` judges, and
-  :func:`resolved_program` — a program point's machine and value pass,
-  which both run before the first cycle;
+  :func:`simulate` runs and ``repro check`` judges, then
+  :func:`resolved_program` — a program point's machine and value pass —
+  and :func:`figure6_run` — a ``figure6`` point's engine run, shared
+  through the plan cache — which both run before the first memory
+  cycle;
 * :func:`build_machine` — spec to live ``(MemoryConfig, AccessPlanner,
   MemorySystem)``, for callers that need the planner's own facts or a
   request's timing record rather than a measured result.
@@ -51,7 +53,12 @@ from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.core.gather import IndexedAccess, plan_indexed
-from repro.core.planner import AccessPlanner, BoundedLRU, cf_order_feasible
+from repro.core.planner import (
+    AccessPlanner,
+    BoundedLRU,
+    cf_order_feasible,
+    plan_cache_entry,
+)
 from repro.core.vector import VectorAccess
 from repro.errors import ConfigurationError
 from repro.mappings.base import AddressMapping
@@ -74,6 +81,7 @@ from repro.scenarios.registry import DRIVE, MAPPING, PROGRAM, WORKLOAD, build
 from repro.scenarios.spec import ComponentSpec, ScenarioSpec
 
 if TYPE_CHECKING:
+    from repro.hardware.oos_engine import EngineReport
     from repro.processor.decoupled import (
         DecoupledVectorMachine,
         ResolvedProgram,
@@ -550,21 +558,56 @@ def _simulate_planner(point: DesignPoint, tracer=None) -> ScenarioResult:
     return _aggregate(point, runs)
 
 
-def _simulate_figure6(point: DesignPoint, tracer=None) -> ScenarioResult:
+@dataclass(frozen=True)
+class Figure6Run:
+    """The Figure 6 engine's run of a design point's vector, as the
+    drive reads it: the issued ``(element_index, address)`` pairs, each
+    request's module under the memory's mapping, and the engine's
+    resource report."""
+
+    stream: tuple[tuple[int, int], ...]
+    modules: tuple[int, ...]
+    report: EngineReport
+
+
+def figure6_run(point: DesignPoint) -> Figure6Run:
+    """The Figure 6 engine's run of a ``figure6`` point's vector: what
+    :func:`simulate` issues to the memory, and what ``repro check``
+    judges.
+
+    The engine's order, like the planner's, reads only the mapping, ``t``
+    and the vector, so the run is the plan cache's entry for them under
+    mode ``"figure6"`` (:func:`~repro.core.planner.plan_cache_entry`):
+    points that differ only in ``q``, ``q'`` or ports run the engine
+    once.  An engine that refuses the vector raises its
+    :class:`~repro.errors.OrderingError` or
+    :class:`~repro.errors.HardwareModelError` and stores nothing.
+    """
     from repro.hardware.oos_engine import Figure6Engine
 
-    config = point.config
-    planner = AccessPlanner(config.mapping, config.t)
-    engine = Figure6Engine(planner, point.vector)
-    system = MemorySystem(config)
-    run = system.run_stream(engine.request_stream(), tracer=tracer)
-    report = engine.report()
+    config, vector = point.config, point.vector
+    mapping, t = config.mapping, config.t
+
+    def build() -> Figure6Run:
+        engine = Figure6Engine(AccessPlanner(mapping, t), vector)
+        stream = tuple(engine.request_stream())
+        modules = mapping.modules_of(address for _element, address in stream)
+        return Figure6Run(stream, tuple(modules), engine.report())
+
+    return plan_cache_entry(mapping, t, "figure6", vector, build)
+
+
+def _simulate_figure6(point: DesignPoint, tracer=None) -> ScenarioResult:
+    run = figure6_run(point)
+    system = MemorySystem(point.config)
+    result = system.run_stream(run.stream, modules=run.modules, tracer=tracer)
+    report = run.report
     extras = (
         ("latch_peak_occupancy", report.latch_peak_occupancy),
         ("latch_capacity", report.latch_capacity),
         ("generator_adds", report.generator1_adds + report.generator2_adds),
     )
-    return _aggregate(point, [("conflict_free", run)], extras)
+    return _aggregate(point, [("conflict_free", result)], extras)
 
 
 def _simulate_decoupled(point: DesignPoint, tracer=None) -> ScenarioResult:

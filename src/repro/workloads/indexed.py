@@ -24,17 +24,17 @@ from repro.errors import VectorSpecError
 
 
 def bit_reversal_indices(bits: int) -> list[int]:
-    """The bit-reversal permutation of ``range(2**bits)``."""
+    """The bit-reversal permutation of ``range(2**bits)``.
+
+    One pass: ``i``'s reversal is ``i >> 1``'s shifted down one place,
+    with ``i``'s low bit moved to the top of the ``bits``-bit word.
+    """
     if bits < 0:
         raise VectorSpecError(f"bits must be >= 0, got {bits}")
-    size = 1 << bits
-    out = []
-    for value in range(size):
-        reversed_value = 0
-        for bit in range(bits):
-            if value >> bit & 1:
-                reversed_value |= 1 << (bits - 1 - bit)
-        out.append(reversed_value)
+    out = [0] * (1 << bits)
+    top = bits - 1
+    for value in range(1, len(out)):
+        out[value] = (out[value >> 1] >> 1) | ((value & 1) << top)
     return out
 
 

@@ -9,7 +9,8 @@ generated from the registry: every workload and program kind's example
 params on a matched-XOR memory under twelve drive variants, plus a
 machine-only spec with neither workload nor program, so a new kind
 joins automatically.  Hand-written probes add programs the value pass
-refuses and parameter names the registry refuses.
+refuses, parameter names the registry refuses and access fields that
+are not integers.
 """
 
 from __future__ import annotations
@@ -319,17 +320,54 @@ def test_a_factory_body_type_error_keeps_the_bad_parameters_wrapping():
     example, from ``simulate()`` and check alike."""
     document = {
         **MACHINE,
-        "workload": {
-            "kind": "strided",
-            "params": {"stride": 12, "length": "x"},
-        },
+        "workload": {"kind": "bit-reversal", "params": {"bits": "x"}},
     }
     message = refusal(document)
-    assert message.startswith("bad parameters for workload kind 'strided': ")
-    assert message.endswith(
-        "(example params: {'base': 16, 'stride': 12, 'length': 128})"
+    assert message.startswith(
+        "bad parameters for workload kind 'bit-reversal': "
     )
+    assert message.endswith("(example params: {'bits': 6})")
     report = check_document(json.dumps(document), source="probe")
     assert [(f.rule_id, f.message) for f in report.errors] == [
         ("SL303", message)
     ]
+
+
+@pytest.mark.parametrize(
+    "workload, message",
+    [
+        (
+            {"kind": "strided", "params": {"stride": "x", "length": 128}},
+            "stride must be an integer, got 'x'",
+        ),
+        (
+            {"kind": "strided", "params": {"stride": 12.0, "length": 128}},
+            "stride must be an integer, got 12.0",
+        ),
+        (
+            {
+                "kind": "gather",
+                "params": {"indices": [3.0, 1, 4, 1, 5, 9, 2, 6]},
+            },
+            "indices[0] must be an integer, got 3.0",
+        ),
+    ],
+    ids=["string-stride", "float-stride", "float-index"],
+)
+def test_an_access_holds_integers(workload, message, tmp_path, capsys):
+    """An access field that is not an integer is refused with a message
+    naming the field: ``scenario run`` exits 2 printing it, and check
+    reports it as SL303.  A float stride equal to an integer does not
+    run as that integer."""
+    from repro.cli import main
+
+    document = {**MACHINE, "workload": workload}
+    assert refusal(document) == message
+    report = check_document(json.dumps(document), source="probe")
+    assert [(f.rule_id, f.message) for f in report.errors] == [
+        ("SL303", message)
+    ]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(document))
+    assert main(["scenario", "run", str(path)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err

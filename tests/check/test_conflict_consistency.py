@@ -10,7 +10,11 @@ back-to-back requests to one module may stall, so the verdict is a
 CF102 warning that names the queue.  Under the forced ``subsequence``
 and ``conflict_free`` modes, CF104 holds exactly when ``simulate()``
 raises, and a point that runs never gets an error finding: a
-conflict-prone forced order is a CF102 warning like any other.
+conflict-prone forced order is a CF102 warning like any other.  Under
+the ``figure6`` drive the same holds for the Figure 6 engine's order,
+and CF104 carries the engine's own refusal.  CF102 says latency *will*
+exceed the minimum only on one port; a second port may hide a
+conflict behind it.
 
 The reference is a traced :func:`simulate` call, which always runs the
 kernel; an untraced call may answer from the same ``T + L + 1``
@@ -26,7 +30,7 @@ import re
 import pytest
 
 from repro.check import check_document
-from repro.errors import OrderingError
+from repro.errors import HardwareModelError, OrderingError
 from repro.obs import Tracer
 from repro.scenarios import simulate, ScenarioSpec
 
@@ -51,6 +55,13 @@ _MINIMUM = re.compile(r"T\+L\+1 = (\d+) cycles")
 
 
 def _spec_dict(kind, params, t, stride, length, ports, mode, q=1) -> dict:
+    """A planner point under ``mode``, or a Figure 6 point when
+    ``mode`` is ``"figure6"``."""
+    drive = (
+        {"kind": "figure6"}
+        if mode == "figure6"
+        else {"kind": "planner", "params": {"mode": mode}}
+    )
     return {
         "name": "probe",
         "mapping": {"kind": kind, "params": params},
@@ -59,7 +70,7 @@ def _spec_dict(kind, params, t, stride, length, ports, mode, q=1) -> dict:
             "kind": "strided",
             "params": {"base": 16, "stride": stride, "length": length},
         },
-        "drive": {"kind": "planner", "params": {"mode": mode}},
+        "drive": drive,
     }
 
 
@@ -70,7 +81,7 @@ def measure(document: dict):
 
 
 @pytest.mark.parametrize("mapping_kind,params,t,modules", MAPPINGS)
-@pytest.mark.parametrize("mode", MODES)
+@pytest.mark.parametrize("mode", [*MODES, "figure6"])
 def test_verdicts_match_kernel_measurement(
     mapping_kind, params, t, modules, mode
 ):
@@ -96,9 +107,9 @@ def test_verdicts_match_kernel_measurement(
         )
         try:
             result = measure(document)
-        except OrderingError as error:
+        except (OrderingError, HardwareModelError) as error:
             assert verdict.rule_id == "CF104", point
-            assert str(error) in verdict.message, point
+            assert verdict.message.endswith(f": {error}"), point
             continue
         assert verdict.rule_id != "CF104", verdict.render()
         assert not report.errors, report.render()
@@ -125,6 +136,8 @@ def test_verdicts_match_kernel_measurement(
                 # A second port can hide the Section 3.1 order's stalls
                 # behind the T+L+1 minimum, but never its conflicts.
                 assert result.latency > result.minimum_latency, point
+            exceed = "will exceed" if ports == 1 else "may exceed"
+            assert f"latency {exceed} the" in verdict.message, point
 
 
 def test_a_conflict_prone_forced_order_is_a_warning():
@@ -175,3 +188,47 @@ def test_indexed_access_has_no_closed_form_verdict():
     report = check_document(json.dumps(document), source="probe")
     assert any(f.rule_id == "CF103" for f in report.findings)
     assert report.exit_code == 0
+
+
+def test_figure6_refusal_quotes_the_engine():
+    """On a ``T = 1`` memory the engine's one-slot latch bank refuses
+    stride 1; check quotes the engine, as ``scenario run`` prints it."""
+    document = {
+        "mapping": {"kind": "matched-xor", "params": {"t": 1, "s": 2}},
+        "memory": {"t": 0},
+        "workload": {
+            "kind": "strided",
+            "params": {"stride": 1, "length": 8},
+        },
+        "drive": {"kind": "figure6"},
+    }
+    report = check_document(json.dumps(document), source="probe")
+    [verdict] = report.errors
+    assert verdict.rule_id == "CF104"
+    assert verdict.message == (
+        "stride 1 (family x=0), length 8 cannot be ordered conflict-free "
+        "by the Figure 6 engine (M=2 modules, T=1, ports=1): alignment "
+        "key 1 outside the 1-slot latch bank — this mapping/stride pair "
+        "is not supported by the Figure 6 engine"
+    )
+    with pytest.raises(HardwareModelError) as raised:
+        measure(document)
+    assert verdict.message.endswith(f": {raised.value}")
+
+
+def test_a_subsequence_refusal_does_not_claim_conflict_freedom():
+    """The Section 3.1 order is not a conflict-free order, so its
+    refusal says only that the stride cannot be ordered."""
+    document = _spec_dict(
+        "matched-xor", {"t": 3, "s": 4}, 3, 96, 128, 1, "subsequence"
+    )
+    report = check_document(json.dumps(document), source="probe")
+    [verdict] = report.errors
+    assert verdict.rule_id == "CF104"
+    assert verdict.message.startswith(
+        "stride 96 (family x=5), length 128 cannot be ordered under mode "
+        "'subsequence' (M=8 modules, T=8, ports=1): "
+    )
+    with pytest.raises(OrderingError) as raised:
+        measure(document)
+    assert verdict.message.endswith(f": {raised.value}")

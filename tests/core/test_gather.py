@@ -28,6 +28,10 @@ class TestIndexedAccess:
         with pytest.raises(VectorSpecError):
             IndexedAccess(0, [])
 
+    def test_an_empty_iterator_is_rejected(self):
+        with pytest.raises(VectorSpecError):
+            IndexedAccess(0, iter(()))
+
     def test_bounds(self):
         access = IndexedAccess(0, [1, 2])
         with pytest.raises(VectorSpecError):

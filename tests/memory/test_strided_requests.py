@@ -1,7 +1,7 @@
 """The kernel's read-on-demand view of a strided plan's request stream.
 
 ``MemorySystem.run_plan`` hands the kernel a
-:class:`~repro.memory.kernel.StridedRequests` view of a strided plan's
+:class:`~repro.memory.kernel.PlanRequests` view of a strided plan's
 issue order instead of ``plan.request_stream()``.  Over every mapping
 kind and plan mode, negative bases and strides and lengths 1-1024, the
 view must read as that stream, and a run through it must give the same
@@ -25,7 +25,7 @@ from repro.mappings.matrix import PseudoRandomMapping
 from repro.mappings.section import SectionXorMapping
 from repro.mappings.skewed import SkewedMapping
 from repro.memory.config import MemoryConfig
-from repro.memory.kernel import KernelStream, StridedRequests
+from repro.memory.kernel import KernelStream, PlanRequests
 from repro.memory.system import MemorySystem
 from repro.obs import Tracer
 
@@ -94,7 +94,7 @@ def _stream_run(memory: MemoryConfig, plan: AccessPlan, tracer=None):
 @settings(max_examples=120, deadline=None)
 def test_the_view_reads_as_the_request_stream(case):
     plan, _memory = case
-    view = StridedRequests(plan.vector, plan.order.indices)
+    view = PlanRequests(plan)
     stream = plan.request_stream()
     assert len(view) == len(stream)
     assert list(view) == stream

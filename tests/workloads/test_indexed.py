@@ -21,6 +21,19 @@ class TestBitReversal:
     def test_small_case(self):
         assert bit_reversal_indices(3) == [0, 4, 2, 6, 1, 5, 3, 7]
 
+    @pytest.mark.parametrize("bits", range(15))
+    def test_matches_the_bitwise_definition(self, bits):
+        """Bit ``b`` of ``i`` is bit ``bits - 1 - b`` of its reversal."""
+        expected = [
+            sum(
+                1 << (bits - 1 - bit)
+                for bit in range(bits)
+                if value >> bit & 1
+            )
+            for value in range(1 << bits)
+        ]
+        assert bit_reversal_indices(bits) == expected
+
     def test_is_involution(self):
         indices = bit_reversal_indices(6)
         assert [indices[i] for i in indices] == list(range(64))
