@@ -12,7 +12,7 @@ single simulated cycle:
   decoupled machine's own batching rule, with the breaks that rest on
   an assumption marked as assumed;
 * **spec lint** (``SL3xx``) — unknown kinds and the registry's
-  parameter-name rule, degenerate grid axes, and whatever
+  parameter rule (names and types), degenerate grid axes, and whatever
   ``simulate()``'s own build step and a program's value pass refuse
   before the first cycle;
 * **grid dedupe** (``DD4xx``) — duplicate design points flagged before
@@ -22,9 +22,10 @@ An error finding is what ``simulate()`` refuses: a plan the drive's
 order cannot build (``CF104``) or a build or value-pass refusal
 (``SL303``), each with ``simulate()``'s message, plus the lint errors
 (``SL301``, ``SL302``, ``SL304``, ``SL306``) that stop a spec first.
-Check restates none of ``simulate()``'s rules: the parameter names are
-the registry's, ``SL306`` and the build step the scenario facade's, and
-the value pass the decoupled machine's.
+Check restates none of ``simulate()``'s rules: the parameter names and
+types are the registry's, read from each kind's factory signature,
+``SL306`` and the build step the scenario facade's, and the value pass
+the decoupled machine's.
 
 Findings speak one grammar — ``RULE_ID · severity · location ·
 message`` — and the submit-time subset (:func:`require_submittable`)

@@ -37,8 +37,6 @@ a plan that raises there is ``simulate()``'s refusal, ``SL303``).
 
 from __future__ import annotations
 
-from typing import cast
-
 from repro.core.distributions import is_conflict_free
 from repro.core.planner import AccessPlan, AccessPlanner, PlanMode
 from repro.core.vector import VectorAccess
@@ -100,15 +98,11 @@ def analyze_conflicts(
 
 
 def _drive_mode(drive: object) -> PlanMode:
-    """The plan mode a drive orders its accesses by.
-
-    The drives validate their mode strings at construction, so the
-    casts narrow to values ``AccessPlanner.plan`` accepts.
-    """
+    """The plan mode a drive orders its accesses by."""
     if isinstance(drive, PlannerDrive):
-        return cast(PlanMode, drive.mode)
+        return drive.mode
     if isinstance(drive, DecoupledDrive):
-        return cast(PlanMode, drive.plan_mode)
+        return drive.plan_mode
     return "conflict_free"  # the Figure 6 engine
 
 

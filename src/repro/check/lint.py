@@ -1,10 +1,11 @@
 """Spec lint: registry and shape checks that need no simulation.
 
 * ``SL301`` *error* — unknown component kind (with close-match hints);
-* ``SL302`` *error* — unknown, reserved, or missing factory parameter,
-  one finding per sentence of the registry's parameter-name rule
-  (:func:`repro.scenarios.registry.parameter_errors`), whose first
-  sentence is what ``simulate()`` raises;
+* ``SL302`` *error* — unknown, reserved, missing or wrong-typed
+  factory parameter, one finding per sentence of the registry's
+  parameter rule (:func:`repro.scenarios.registry.parameter_errors`:
+  the names and types the kind's factory signature declares), whose
+  first sentence is what ``simulate()`` raises;
 * ``SL305`` *warn* — a grid axis lists the same value twice (every
   repeat expands to an identical design point);
 * ``SL306`` *error* — a program spec whose drive is not ``decoupled``,

@@ -114,9 +114,7 @@ VERIFY_TOLERANCE = 1e-9
 
 
 def check_machine_count(name: str, value: object) -> None:
-    """Refuse a machine field that must be an integer >= 1; the scenario
-    facade checks a program point's register length with it before the
-    program is built for that length."""
+    """Refuse a machine field that must be an integer >= 1."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigurationError(
             f"machine field {name!r} must be an integer, got {value!r}"

@@ -1,10 +1,12 @@
 """The registered scenario components: mappings, workloads, drives, programs.
 
 Importing this module populates the :mod:`repro.scenarios.registry`
-tables.  Each factory is a thin, validating adapter from spec
-parameters to one of the library's existing classes — the factories
-own *no* behaviour of their own, so a machine built from a spec is
-bit-identical to one wired by hand.
+tables.  Each factory is a thin adapter from spec parameters to one of
+the library's existing classes — the factories own *no* behaviour of
+their own, so a machine built from a spec is bit-identical to one wired
+by hand.  A factory's signature states its parameters' types, which
+the registry checks before the call; the factory body checks values
+only (a length of at least 1, a non-zero stride).
 
 Workload factories return lightweight workload objects exposing
 ``accesses()`` (a list of :class:`~repro.core.vector.VectorAccess` /
@@ -18,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from repro.core.gather import IndexedAccess
+from repro.core.gather import IndexedAccess, IndexedMode
+from repro.core.planner import PlanMode
 from repro.core.vector import VectorAccess
 from repro.errors import ConfigurationError, ProgramError
 from repro.mappings.dynamic import DynamicSchemeSelector
@@ -349,24 +352,42 @@ def _stencil(rows: int, cols: int, base: int = 0) -> Workload:
 
 # -- drives --------------------------------------------------------------
 
-#: Drive factories return a *mode descriptor*; the facade interprets it.
-#: Keeping drives declarative (no captured machine state) preserves the
-#: spec's process-boundary safety.
+#: A drive kind's factory is its *mode descriptor* class, which the
+#: facade interprets.  Keeping drives declarative (no captured machine
+#: state) preserves the spec's process-boundary safety.
 
 
+@register(
+    DRIVE,
+    "planner",
+    example={"mode": "auto"},
+    summary="AccessPlanner order + cycle-accurate memory simulator",
+)
 @dataclass(frozen=True)
 class PlannerDrive:
     """Plan each access with the AccessPlanner, run the memory simulator."""
 
-    mode: str = "auto"
-    indexed_mode: str = "scheduled"
+    mode: PlanMode = "auto"
+    indexed_mode: IndexedMode = "scheduled"
 
 
+@register(
+    DRIVE,
+    "figure6",
+    example={},
+    summary="Figure 6 register-level address-generation engine",
+)
 @dataclass(frozen=True)
 class Figure6Drive:
     """Generate the request stream with the Figure 6 hardware engine."""
 
 
+@register(
+    DRIVE,
+    "decoupled",
+    example={"chaining": False},
+    summary="Decoupled access/execute vector machine (Figure 1)",
+)
 @dataclass(frozen=True)
 class DecoupledDrive:
     """Run VLOADs through the full decoupled access/execute machine.
@@ -378,7 +399,7 @@ class DecoupledDrive:
     """
 
     chaining: bool = False
-    plan_mode: str = "auto"
+    plan_mode: PlanMode = "auto"
     execute_startup: int = 4
     register_length: int | None = None
     memory_streams: int | None = None
@@ -413,29 +434,23 @@ class ScenarioProgram:
             )
 
 
-def _check_length(n) -> int:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-        raise ConfigurationError(f"program length n must be an int >= 1, got {n!r}")
+def _check_length(n: int) -> int:
+    if n < 1:
+        raise ConfigurationError(f"program length n must be >= 1, got {n}")
     return n
 
 
-def _check_stride(name: str, stride) -> int:
-    if not isinstance(stride, int) or isinstance(stride, bool) or stride == 0:
-        raise ConfigurationError(
-            f"program stride {name!r} must be a non-zero integer, got {stride!r}"
-        )
+def _check_stride(name: str, stride: int) -> int:
+    if stride == 0:
+        raise ConfigurationError(f"program stride {name!r} must be non-zero")
     return stride
 
 
-def _auto_base(name: str, base, previous_base: int, stride: int, n: int) -> int:
+def _auto_base(base: int | None, previous_base: int, stride: int, n: int) -> int:
     """Default one array's base just past the previous array's span, so
     the registered kernels never overlap unless the spec asks them to."""
     if base is None:
         return previous_base + abs(stride) * n
-    if not isinstance(base, int) or isinstance(base, bool):
-        raise ConfigurationError(
-            f"program base {name!r} must be an integer, got {base!r}"
-        )
     return base
 
 
@@ -457,13 +472,7 @@ def _ramp(n: int, start: float = 0.0, step: float = 1.0) -> tuple[float, ...]:
     },
     summary="Inline instruction list (one assembler statement per entry)",
 )
-def _instructions(lines) -> ScenarioProgram:
-    if not isinstance(lines, (list, tuple)) or not lines:
-        raise ConfigurationError(
-            "program kind 'instructions' needs a non-empty 'lines' list"
-        )
-    if not all(isinstance(line, str) for line in lines):
-        raise ConfigurationError("'lines' entries must all be strings")
+def _instructions(lines: Sequence[str]) -> ScenarioProgram:
     program, inits = parse_source("\n".join(lines))
     return ScenarioProgram(
         label=f"instructions({len(program)} instructions)",
@@ -485,8 +494,6 @@ def _instructions(lines) -> ScenarioProgram:
     summary="Assembler source text (directives .init/.fill allowed)",
 )
 def _asm(text: str) -> ScenarioProgram:
-    if not isinstance(text, str) or not text.strip():
-        raise ConfigurationError("program kind 'asm' needs non-empty 'text'")
     program, inits = parse_source(text)
     return ScenarioProgram(
         label=f"asm({len(program)} instructions)",
@@ -513,7 +520,7 @@ def _daxpy(
     n = _check_length(n)
     _check_stride("x_stride", x_stride)
     _check_stride("y_stride", y_stride)
-    y_base = _auto_base("y_base", y_base, x_base, x_stride, n)
+    y_base = _auto_base(y_base, x_base, x_stride, n)
     x = _ramp(n)
     y = _ramp(n, start=1.0, step=2.0)
     expected = tuple(alpha * a + b for a, b in zip(x, y))
@@ -548,8 +555,8 @@ def _elementwise_product(
         ("a_stride", a_stride), ("b_stride", b_stride), ("out_stride", out_stride)
     ):
         _check_stride(name, stride)
-    b_base = _auto_base("b_base", b_base, a_base, a_stride, n)
-    out_base = _auto_base("out_base", out_base, b_base, b_stride, n)
+    b_base = _auto_base(b_base, a_base, a_stride, n)
+    out_base = _auto_base(out_base, b_base, b_stride, n)
     a = _ramp(n, start=1.0)
     b = _ramp(n, start=2.0, step=0.5)
     expected = tuple(left * right for left, right in zip(a, b))
@@ -582,7 +589,7 @@ def _saxpy_chain(
     n = _check_length(n)
     _check_stride("x_stride", x_stride)
     _check_stride("out_stride", out_stride)
-    out_base = _auto_base("out_base", out_base, x_base, x_stride, n)
+    out_base = _auto_base(out_base, x_base, x_stride, n)
     x = _ramp(n, start=1.0)
     expected = tuple(alpha * value for value in x)
     return ScenarioProgram(
@@ -612,7 +619,7 @@ def _load_store_copy(
     n = _check_length(n)
     _check_stride("src_stride", src_stride)
     _check_stride("dst_stride", dst_stride)
-    dst_base = _auto_base("dst_base", dst_base, src_base, src_stride, n)
+    dst_base = _auto_base(dst_base, src_base, src_stride, n)
     values = _ramp(n, start=5.0)
     return ScenarioProgram(
         label=f"load-store-copy(n={n})",
@@ -637,8 +644,8 @@ def _fft_butterfly(
     register_length: int = DEFAULT_PROGRAM_REGISTER_LENGTH,
 ) -> ScenarioProgram:
     n = _check_length(n)
-    if not isinstance(stage, int) or isinstance(stage, bool) or stage < 0:
-        raise ConfigurationError(f"stage must be an int >= 0, got {stage!r}")
+    if stage < 0:
+        raise ConfigurationError(f"stage must be >= 0, got {stage}")
     try:
         program = fft_butterfly_program(n, stage, register_length, base)
     except ProgramError as error:
@@ -685,7 +692,7 @@ def _vsum(
 ) -> ScenarioProgram:
     n = _check_length(n)
     _check_stride("src_stride", src_stride)
-    out_base = _auto_base("out_base", out_base, src_base, src_stride, n)
+    out_base = _auto_base(out_base, src_base, src_stride, n)
     values = _ramp(n, start=1.0)
     return ScenarioProgram(
         label=f"vsum(n={n})",
@@ -717,17 +724,12 @@ def _gather_program(
     _check_stride("out_stride", out_stride)
     if table_size is None:
         table_size = n
-    if (
-        not isinstance(table_size, int)
-        or isinstance(table_size, bool)
-        or table_size < n
-    ):
+    if table_size < n:
         raise ConfigurationError(
-            f"program field 'table_size' must be an int >= n={n}, got "
-            f"{table_size!r}"
+            f"program field 'table_size' must be >= n={n}, got {table_size}"
         )
-    table_base = _auto_base("table_base", table_base, index_base, index_stride, n)
-    out_base = _auto_base("out_base", out_base, table_base, 1, table_size)
+    table_base = _auto_base(table_base, index_base, index_stride, n)
+    out_base = _auto_base(out_base, table_base, 1, table_size)
     indices = _shuffled_indices(table_size, seed)[:n]
     table = _ramp(table_size, start=10.0)
     expected = tuple(table[index] for index in indices)
@@ -764,8 +766,8 @@ def _scatter_program(
     n = _check_length(n)
     _check_stride("index_stride", index_stride)
     _check_stride("src_stride", src_stride)
-    src_base = _auto_base("src_base", src_base, index_base, index_stride, n)
-    table_base = _auto_base("table_base", table_base, src_base, src_stride, n)
+    src_base = _auto_base(src_base, index_base, index_stride, n)
+    table_base = _auto_base(table_base, src_base, src_stride, n)
     # A permutation keeps the scatter write set unambiguous: every table
     # slot is written exactly once, whatever the delivery order.
     indices = _shuffled_indices(n, seed)
@@ -784,65 +786,4 @@ def _scatter_program(
             (src_base, src_stride, values),
         ),
         expected=((table_base, 1, tuple(expected)),),
-    )
-
-
-@register(
-    DRIVE,
-    "planner",
-    example={"mode": "auto"},
-    summary="AccessPlanner order + cycle-accurate memory simulator",
-)
-def _planner_drive(mode: str = "auto", indexed_mode: str = "scheduled") -> PlannerDrive:
-    if mode not in ("auto", "ordered", "subsequence", "conflict_free"):
-        raise ConfigurationError(
-            f"planner mode must be auto/ordered/subsequence/conflict_free, "
-            f"got {mode!r}"
-        )
-    if indexed_mode not in ("ordered", "scheduled"):
-        raise ConfigurationError(
-            f"indexed_mode must be ordered/scheduled, got {indexed_mode!r}"
-        )
-    return PlannerDrive(mode, indexed_mode)
-
-
-@register(
-    DRIVE,
-    "figure6",
-    example={},
-    summary="Figure 6 register-level address-generation engine",
-)
-def _figure6_drive() -> Figure6Drive:
-    return Figure6Drive()
-
-
-@register(
-    DRIVE,
-    "decoupled",
-    example={"chaining": False},
-    summary="Decoupled access/execute vector machine (Figure 1)",
-)
-def _decoupled_drive(
-    chaining: bool = False,
-    plan_mode: str = "auto",
-    execute_startup: int = 4,
-    register_length: int | None = None,
-    memory_streams: int | None = None,
-) -> DecoupledDrive:
-    if plan_mode not in ("auto", "ordered", "subsequence", "conflict_free"):
-        raise ConfigurationError(
-            f"plan_mode must be auto/ordered/subsequence/conflict_free, "
-            f"got {plan_mode!r}"
-        )
-    if memory_streams is not None and (
-        not isinstance(memory_streams, int)
-        or isinstance(memory_streams, bool)
-        or memory_streams < 1
-    ):
-        raise ConfigurationError(
-            f"drive field 'memory_streams' must be an integer >= 1 (or "
-            f"null to track memory.ports), got {memory_streams!r}"
-        )
-    return DecoupledDrive(
-        chaining, plan_mode, execute_startup, register_length, memory_streams
     )

@@ -299,7 +299,7 @@ class DesignPoint:
             self.register_length,
             execute_startup=self.drive.execute_startup,
             chaining=self.drive.chaining if chaining is None else chaining,
-            plan_mode=self.drive.plan_mode,  # type: ignore[arg-type]
+            plan_mode=self.drive.plan_mode,
             memory_streams=self.drive.memory_streams,
             tracer=tracer,
         )
@@ -322,10 +322,9 @@ def build_point(spec: ScenarioSpec) -> DesignPoint:
     """The design point of a spec: its drive, workload, memory
     configuration, strided vector and register length, built in that
     order.  A ``null`` register length defaults to the vector's length,
-    or to ``DEFAULT_PROGRAM_REGISTER_LENGTH`` for a program; the machine
-    refuses one of the wrong type, and on a program point it does so
-    here, before :meth:`DesignPoint.program` builds the program for
-    that length."""
+    or to ``DEFAULT_PROGRAM_REGISTER_LENGTH`` for a program; the
+    registry has refused one that is not an integer, and the program's
+    strip-miner or the machine refuses one below 1."""
     refusal = program_drive_refusal(spec)
     if refusal is not None:
         raise ConfigurationError(refusal)
@@ -335,10 +334,6 @@ def build_point(spec: ScenarioSpec) -> DesignPoint:
         register_length = drive.register_length
         if register_length is None:
             register_length = DEFAULT_PROGRAM_REGISTER_LENGTH
-        else:
-            from repro.processor.decoupled import check_machine_count
-
-            check_machine_count("register_length", register_length)
         return DesignPoint(spec, drive, config, register_length=register_length)
     workload = build_workload(spec)
     config = build_config(spec, workload)
@@ -350,7 +345,7 @@ def build_point(spec: ScenarioSpec) -> DesignPoint:
     register_length = drive.register_length
     if register_length is None:
         register_length = vector.length
-    elif type(register_length) is int and register_length < vector.length:
+    elif register_length < vector.length:
         raise ConfigurationError(
             f"register_length {register_length} is shorter than the "
             f"workload vector ({vector.length} elements)"

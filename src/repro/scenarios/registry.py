@@ -17,17 +17,27 @@ component.  Unknown kinds and unknown/invalid parameters raise
 spelled out, so a typo in a JSON spec fails with a readable message
 instead of a stack trace from deep inside a constructor.
 
-:func:`parameter_errors` is the one statement of which parameter names
-a kind accepts, requires and reserves for context: ``repro check``
-reports its sentences as ``SL302``, and :func:`build` raises the first
-of them when a factory call fails on a name.
+A factory's signature is the one statement of its parameters' names
+and types: :func:`parameter_table` resolves it once into the names a
+kind accepts, requires and reserves for context, and one
+:class:`ParameterRule` per annotated parameter (``int`` excludes
+``bool``; ``float`` takes an ``int`` or ``float`` but not a ``bool``;
+``bool``; ``str``; ``X | None``; ``Literal[...]`` admits its listed
+values; ``Sequence[X]`` is a list of ``X``).  :func:`parameter_errors`
+states the rule in sentences: ``repro check`` reports them as
+``SL302``, and :func:`build` raises the first before it calls the
+factory, so a factory sees only values of the types it declares.
 """
 
 from __future__ import annotations
 
 import inspect
 import re
-from typing import Callable
+import types
+from collections.abc import Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Literal, NamedTuple, Union, get_args, get_origin
 
 from repro.errors import ConfigurationError
 from repro.scenarios.spec import ComponentSpec
@@ -49,31 +59,124 @@ CONTEXT_NAMES: dict[str, frozenset[str]] = {
 }
 
 
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: The scalar annotations a rule reads: what each admits (a ``bool`` is
+#: an ``int``, so ``int`` and ``float`` leave it out) and the nouns that
+#: name one value and a list of values in a refusal.
+_SCALARS: dict[object, tuple[Callable[[object], bool], str, str]] = {
+    int: (_is_int, "an integer", "integers"),
+    float: (lambda v: _is_int(v) or isinstance(v, float), "a number", "numbers"),
+    bool: (lambda v: isinstance(v, bool), "a boolean", "booleans"),
+    str: (lambda v: isinstance(v, str), "a string", "strings"),
+}
+
+
+class ParameterRule(NamedTuple):
+    """One annotated parameter's type: what it admits, the noun a
+    refusal names that by, and a ``Sequence[X]``'s test of one item."""
+
+    annotation: object
+    admits: Callable[[object], bool]
+    noun: str
+    item: Callable[[object], bool] | None = None
+
+
+def _rule(annotation: object) -> ParameterRule:
+    """The rule of one parameter annotation (see the module docstring)."""
+    if annotation in _SCALARS:
+        return ParameterRule(annotation, *_SCALARS[annotation][:2])
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin is Literal:
+        return ParameterRule(
+            annotation,
+            lambda value: any(
+                type(value) is type(arg) and value == arg for arg in args
+            ),
+            f"one of {', '.join(map(repr, args))}",
+        )
+    if origin in (Union, types.UnionType) and args[1:] == (type(None),):
+        inner = _rule(args[0])
+        return inner._replace(
+            annotation=annotation,
+            admits=lambda value: value is None or inner.admits(value),
+            noun=f"{inner.noun} or null",
+        )
+    if origin is Sequence and args and args[0] in _SCALARS:
+        item, _noun, plural = _SCALARS[args[0]]
+        return ParameterRule(
+            annotation,
+            lambda value: isinstance(value, (list, tuple)) and all(map(item, value)),
+            f"a list of {plural}",
+            item,
+        )
+    raise TypeError(f"no parameter rule for annotation {annotation!r}")
+
+
+def _refusal(rule: ParameterRule, value: object) -> str:
+    """What a refusal says it got: the value (a list as a list), or a
+    list's first item the rule's item test fails."""
+    if rule.item is not None and isinstance(value, (list, tuple)):
+        for index, item in enumerate(value):
+            if not rule.item(item):
+                return f"{item!r} at index {index}"
+    return repr(list(value) if isinstance(value, tuple) else value)
+
+
+class ParameterTable(NamedTuple):
+    """A registered factory's signature, resolved once: the names a spec
+    may set (``accepted``) and must set (``required``), the category's
+    :data:`CONTEXT_NAMES` (``reserved``) and those the factory takes
+    (``context``), whether it takes ``**kwargs`` (any name goes), and
+    one :class:`ParameterRule` per annotated accepted name."""
+
+    accepted: frozenset[str]
+    required: frozenset[str]
+    reserved: frozenset[str]
+    context: frozenset[str]
+    takes_kwargs: bool
+    rules: dict[str, ParameterRule]
+
+
+@dataclass
 class _Entry:
     """One registered kind: its factory plus a runnable example."""
 
-    def __init__(self, factory: Callable, example: dict, summary: str):
-        self.factory = factory
-        self.example = example
-        self.summary = summary
-        self._signature: inspect.Signature | None = None
+    category: str
+    factory: Callable
+    example: dict
+    summary: str
 
-    def signature(self) -> inspect.Signature:
-        """The factory's signature, resolved once.
+    @cached_property
+    def parameters(self) -> ParameterTable:
+        """The factory's :class:`ParameterTable`, resolved once.
 
         ``inspect.signature`` is surprisingly expensive and factories
         are immutable after registration, so every ``build`` call (a
         grid sweep makes thousands) shares one resolution.
         """
-        if self._signature is None:
-            self._signature = inspect.signature(self.factory)
-        return self._signature
-
-    def takes_kwargs(self) -> bool:
-        """Whether the factory takes ``**kwargs`` (any name goes)."""
-        return any(
-            parameter.kind is inspect.Parameter.VAR_KEYWORD
-            for parameter in self.signature().parameters.values()
+        reserved = CONTEXT_NAMES.get(self.category, frozenset())
+        parameters = inspect.signature(self.factory, eval_str=True).parameters
+        takes_kwargs = any(p.kind is p.VAR_KEYWORD for p in parameters.values())
+        accepted = {
+            name: p
+            for name, p in parameters.items()
+            if name not in reserved
+            and p.kind not in (p.VAR_POSITIONAL, p.VAR_KEYWORD)
+        }
+        return ParameterTable(
+            frozenset(accepted),
+            frozenset(n for n, p in accepted.items() if p.default is p.empty),
+            reserved,
+            reserved if takes_kwargs else reserved.intersection(parameters),
+            takes_kwargs,
+            {
+                name: _rule(p.annotation)
+                for name, p in sorted(accepted.items())
+                if p.annotation is not p.empty
+            },
         )
 
 
@@ -101,7 +204,10 @@ def register(category: str, kind: str, *, example: dict, summary: str = ""):
                 f"duplicate registration of {category} kind {kind!r}"
             )
         _REGISTRY[category][kind] = _Entry(
-            factory, dict(example), summary or (factory.__doc__ or "").strip()
+            category,
+            factory,
+            dict(example),
+            summary or (factory.__doc__ or "").strip(),
         )
         return factory
 
@@ -130,25 +236,23 @@ def build(category: str, spec: ComponentSpec, **context):
     ``context`` carries the category's :data:`CONTEXT_NAMES` values (the
     memory's ``address_bits`` for mappings, the machine's
     ``register_length`` for programs).  A factory declares the context
-    it uses; the rest is filtered out here.  A factory call that raises
-    :class:`TypeError` is refused with the first of
-    :func:`parameter_errors`' sentences, or, when every name fits, as
-    ``bad parameters`` with the kind's example.
+    it uses; the rest is filtered out here.  Params that do not fit the
+    kind's :class:`ParameterTable` are refused with the first of
+    :func:`parameter_errors`' sentences before the factory is called; a
+    :class:`TypeError` the factory's body raises is refused as ``bad
+    parameters`` with the kind's example.
     """
+    problems = parameter_errors(category, spec)
+    if problems:
+        raise ConfigurationError(problems[0])
     entry = _entry(category, spec.kind)
-    accepted = entry.signature().parameters
-    takes_kwargs = entry.takes_kwargs()
+    context_names = entry.parameters.context
     passed_context = {
-        key: value
-        for key, value in context.items()
-        if takes_kwargs or key in accepted
+        key: value for key, value in context.items() if key in context_names
     }
     try:
         return entry.factory(**spec.param_dict(), **passed_context)
     except TypeError as error:
-        problems = parameter_errors(category, spec)
-        if problems:
-            raise ConfigurationError(problems[0]) from None
         detail = re.sub(r"^\w+\(\)\s*", "", str(error))
         raise ConfigurationError(
             f"bad parameters for {category} kind {spec.kind!r}: {detail} "
@@ -197,35 +301,40 @@ def validate_spec_kinds(spec) -> None:
         validate_kind(category, component.kind, context=context)
 
 
+def parameter_table(category: str, kind: str) -> ParameterTable:
+    """The resolved :class:`ParameterTable` of one registered kind."""
+    return _entry(category, kind).parameters
+
+
 def parameter_errors(category: str, component: ComponentSpec) -> list[str]:
-    """Why a component's parameter names do not fit its kind, one
-    sentence per name, or an empty list when they fit.
+    """Why a component's params do not fit its kind, one sentence per
+    name, or an empty list when they fit.
 
     A name in the category's :data:`CONTEXT_NAMES` shadows context the
     scenario supplies.  Any other name the factory does not accept is
     unknown (with a hint listing the names it accepts that the spec
     leaves unset), unless the factory takes ``**kwargs``.  A parameter
-    without a default that the spec omits is missing.
+    without a default that the spec omits is missing, and a value its
+    :class:`ParameterRule` refuses is of the wrong type.
     """
-    entry = _entry(category, component.kind)
-    parameters = entry.signature().parameters
-    reserved = CONTEXT_NAMES.get(category, frozenset())
-    provided = component.param_dict().keys()
-    shadowed = sorted(provided & reserved)
-    unknown = sorted(provided - parameters.keys() - reserved)
-    if unknown and entry.takes_kwargs():
+    table = parameter_table(category, component.kind)
+    provided = {name for name, _value in component.params}
+    wrong = [
+        (name, rule, value)
+        for name, value in component.params
+        if name in table.rules and not (rule := table.rules[name]).admits(value)
+    ]
+    if not wrong and table.required <= provided <= table.accepted:
+        return []
+    shadowed = sorted(provided & table.reserved)
+    unknown = sorted(provided - table.accepted - table.reserved)
+    if table.takes_kwargs:
         unknown = []
-    missing = sorted(
-        name
-        for name in parameters.keys() - provided - reserved
-        if parameters[name].default is inspect.Parameter.empty
-        and parameters[name].kind
-        not in (inspect.Parameter.VAR_POSITIONAL, inspect.Parameter.VAR_KEYWORD)
-    )
-    if not (shadowed or unknown or missing):
+    missing = sorted(table.required - provided)
+    if not (shadowed or unknown or missing or wrong):
         return []
     kind = f"{category} kind {component.kind!r}"
-    close = sorted(parameters.keys() - reserved - provided)
+    close = sorted(table.accepted - provided)
     hint = f" (accepted: {', '.join(close)})" if close else ""
     return [
         *(
@@ -235,6 +344,11 @@ def parameter_errors(category: str, component: ComponentSpec) -> list[str]:
         ),
         *(f"unknown parameter {name!r} for {kind}{hint}" for name in unknown),
         *(f"missing required parameter {name!r} for {kind}" for name in missing),
+        *(
+            f"parameter {name!r} of {kind} must be {rule.noun}, got "
+            f"{_refusal(rule, value)}"
+            for name, rule, value in wrong
+        ),
     ]
 
 

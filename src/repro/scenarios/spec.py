@@ -17,6 +17,7 @@ and shipped without importing any simulator code.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from repro.canonical import canonical_json
@@ -31,10 +32,11 @@ def freeze_value(value, *, context: str = "parameter"):
 
     Scalars pass through; lists/tuples of scalars become tuples.
     Anything else (objects, dicts, nested lists) is rejected — specs
-    carry data, never live components.
+    carry data, never live components — and so is a float NaN or
+    infinity, which Python's ``json`` reads but JSON cannot write.
     """
     if isinstance(value, SCALAR_TYPES):
-        return value
+        return _finite(value, context)
     if isinstance(value, (list, tuple)):
         items = []
         for item in value:
@@ -43,12 +45,21 @@ def freeze_value(value, *, context: str = "parameter"):
                     f"{context} lists may only hold scalars, got "
                     f"{type(item).__name__} in {value!r}"
                 )
-            items.append(item)
+            items.append(_finite(item, context))
         return tuple(items)
     raise ConfigurationError(
         f"{context} values must be JSON scalars or lists of scalars, got "
         f"{type(value).__name__}: {value!r}"
     )
+
+
+def _finite(value, context: str):
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigurationError(
+            f"{context} values must be finite, got {value!r} (JSON has no "
+            "NaN or Infinity)"
+        )
+    return value
 
 
 def freeze_params(params: dict) -> tuple[tuple[str, object], ...]:

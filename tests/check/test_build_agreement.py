@@ -2,36 +2,46 @@
 
 Both build a spec through :func:`repro.scenarios.facade.build_point`
 (then the point's program and machine, and a program's value pass),
-and both read the registry's one parameter-name rule, so a spec has an
-error finding exactly when :func:`~repro.scenarios.simulate` raises,
-and one of those findings carries its message.  The specs are
+and both read the registry's one parameter rule, names and types, so a
+spec has an error finding exactly when :func:`~repro.scenarios.simulate`
+raises, and one of those findings carries its message.  The specs are
 generated from the registry: every workload and program kind's example
 params on a matched-XOR memory under twelve drive variants, plus a
 machine-only spec with neither workload nor program, so a new kind
-joins automatically.  Hand-written probes add programs the value pass
-refuses, parameter names the registry refuses and access fields that
-are not integers.
+joins automatically; and, for every annotated parameter of every kind,
+its example with one value of the wrong type.  Hand-written probes add
+programs the value pass refuses, parameter names the registry refuses
+and values that are not spec values.
 """
 
 from __future__ import annotations
 
 import json
+import types
+from typing import Literal, Union, get_args, get_origin
 
 import pytest
 
 from repro.check import check_document
+from repro.errors import ConfigurationError
 from repro.scenarios import (
+    CATEGORIES,
+    MAPPING,
     PROGRAM,
     WORKLOAD,
     ScenarioSpec,
     example_params,
     kinds,
+    registry,
     simulate,
 )
 
 MACHINE = {
     "mapping": {"kind": "matched-xor", "params": {"t": 3, "s": 4}},
     "memory": {"t": 3},
+}
+STRIDED = {
+    "workload": {"kind": "strided", "params": {"stride": 12, "length": 128}}
 }
 
 #: Drive variants by label: the planner's default mode and its two
@@ -118,51 +128,161 @@ def test_the_probe_covers_every_kind():
     assert len(probe_specs()) == kind_count * len(DRIVES) + 1
 
 
+def wrong_values(annotation, valid) -> list:
+    """Values of the wrong type for a parameter declared ``annotation``
+    whose example value is ``valid`` (``None`` when the example leaves
+    it unset): a bool where an int or float is declared, a float where
+    an int is, a string where a number is, a number where a string or
+    bool is; a value outside a ``Literal``'s list; for a
+    ``Sequence[X]``, its first item where the list goes and the list
+    with a wrong X first."""
+    origin, args = get_origin(annotation), get_args(annotation)
+    if origin in (Union, types.UnionType):
+        [annotation] = [arg for arg in args if arg is not type(None)]
+        origin, args = get_origin(annotation), get_args(annotation)
+    if annotation is int:
+        return [True, 1.0 if valid is None else float(valid), "x"]
+    if annotation is float:
+        return [True, "x"]
+    if annotation in (bool, str):
+        return [1]
+    if origin is Literal:
+        return [1, "x"]
+    [item] = args
+    return [
+        valid[0],
+        *([wrong, *valid[1:]] for wrong in wrong_values(item, valid[0])),
+    ]
+
+
+def probe_document(category: str, kind: str, params: dict) -> dict:
+    """A runnable spec around one component of ``category``."""
+    component = {"kind": kind, "params": params}
+    if category == MAPPING:
+        return {**MACHINE, **STRIDED, "mapping": component}
+    if category == WORKLOAD:
+        return {**MACHINE, "workload": component}
+    if category == PROGRAM:
+        return {**MACHINE, "program": component, "drive": {"kind": "decoupled"}}
+    return {**MACHINE, **STRIDED, "drive": component}
+
+
+def shown(value) -> str:
+    """A probe value in a test id (a list by its first item)."""
+    return f"[{value[0]!r}, ...]" if isinstance(value, list) else repr(value)
+
+
+def wrong_type_probes() -> list:
+    probes = []
+    for category in CATEGORIES:
+        for kind in kinds(category):
+            example = example_params(category, kind)
+            table = registry.parameter_table(category, kind)
+            for name, rule in table.rules.items():
+                for value in wrong_values(rule.annotation, example.get(name)):
+                    probes.append(
+                        pytest.param(
+                            category,
+                            kind,
+                            name,
+                            probe_document(
+                                category, kind, {**example, name: value}
+                            ),
+                            id=f"{category}-{kind}-{name}-{shown(value)}",
+                        )
+                    )
+    return probes
+
+
+@pytest.mark.parametrize("category, kind, name, document", wrong_type_probes())
+def test_a_wrong_type_is_refused_in_the_registry_s_words(
+    category, kind, name, document
+):
+    """Every annotated parameter of every kind refuses a value of the
+    wrong type before its factory runs: ``simulate()`` raises a
+    ``ConfigurationError`` whose message is the spec's one error
+    finding, the registry's SL302 sentence naming the parameter."""
+    report = check_document(json.dumps(document), source="probe")
+    [(rule_id, message)] = [(f.rule_id, f.message) for f in report.errors]
+    assert rule_id == "SL302"
+    assert message.startswith(
+        f"parameter {name!r} of {category} kind {kind!r} must be "
+    )
+    with pytest.raises(ConfigurationError) as refused:
+        simulate(ScenarioSpec.from_dict(document))
+    assert type(refused.value) is ConfigurationError
+    assert str(refused.value) == message
+
+
+def test_every_parameter_a_spec_sets_has_a_type():
+    """The wrong-type probe reaches every parameter: each name a spec
+    may set is annotated in its factory's signature."""
+    for category in CATEGORIES:
+        for kind in kinds(category):
+            table = registry.parameter_table(category, kind)
+            assert table.rules.keys() == table.accepted, (category, kind)
+
+
 DAXPY = {"program": {"kind": "daxpy", "params": {"n": 96}}}
-STRIDED = {
-    "workload": {"kind": "strided", "params": {"stride": 12, "length": 128}}
-}
 
 
 @pytest.mark.parametrize(
-    "section, params, message",
+    "section, params, rule_id, message",
     [
         (
             DAXPY,
             {"execute_startup": 2.5},
-            "machine field 'execute_startup' must be an integer, got 2.5",
+            "SL302",
+            "parameter 'execute_startup' of drive kind 'decoupled' must be "
+            "an integer, got 2.5",
         ),
         (
             DAXPY,
             {"register_length": True},
-            "machine field 'register_length' must be an integer, got True",
+            "SL302",
+            "parameter 'register_length' of drive kind 'decoupled' must be "
+            "an integer or null, got True",
         ),
         (
             DAXPY,
             {"register_length": 64.0},
-            "machine field 'register_length' must be an integer, got 64.0",
+            "SL302",
+            "parameter 'register_length' of drive kind 'decoupled' must be "
+            "an integer or null, got 64.0",
         ),
         (
             STRIDED,
             {"register_length": 128.0},
-            "machine field 'register_length' must be an integer, got 128.0",
+            "SL302",
+            "parameter 'register_length' of drive kind 'decoupled' must be "
+            "an integer or null, got 128.0",
         ),
-        (DAXPY, {"register_length": 0}, "register_length must be >= 1, got 0"),
+        (
+            DAXPY,
+            {"register_length": 0},
+            "SL303",
+            "register_length must be >= 1, got 0",
+        ),
         (
             STRIDED,
             {"register_length": 0},
+            "SL303",
             "register_length 0 is shorter than the workload vector "
             "(128 elements)",
         ),
         (
             DAXPY,
             {"chaining": 1},
-            "machine field 'chaining' must be a boolean, got 1",
+            "SL302",
+            "parameter 'chaining' of drive kind 'decoupled' must be a "
+            "boolean, got 1",
         ),
         (
             DAXPY,
             {"register_length": "x"},
-            "machine field 'register_length' must be an integer, got 'x'",
+            "SL302",
+            "parameter 'register_length' of drive kind 'decoupled' must be "
+            "an integer or null, got 'x'",
         ),
     ],
     ids=[
@@ -177,12 +297,12 @@ STRIDED = {
     ],
 )
 def test_only_null_takes_a_default_and_the_machine_refuses_bad_types(
-    section, params, message
+    section, params, rule_id, message
 ):
-    """A register length of 0 is not unset, and the machine refuses a
-    field of the wrong type, on a program point before the program's
-    factory sees it: ``simulate()`` raises and check reports the same
-    message as SL303."""
+    """A register length of 0 is not unset: the program's strip-miner,
+    or the workload's vector, refuses it (SL303).  A drive field of the
+    wrong type never reaches the machine: the registry refuses it first,
+    as SL302.  ``simulate()`` raises the message check reports."""
     document = {
         **MACHINE,
         **section,
@@ -191,7 +311,7 @@ def test_only_null_takes_a_default_and_the_machine_refuses_bad_types(
     assert refusal(document) == message
     report = check_document(json.dumps(document), source="probe")
     assert [(f.rule_id, f.message) for f in report.errors] == [
-        ("SL303", message)
+        (rule_id, message)
     ]
 
 
@@ -314,19 +434,39 @@ def test_a_bad_parameter_name_is_refused_in_one_sentence(document, message):
     ]
 
 
-def test_a_factory_body_type_error_keeps_the_bad_parameters_wrapping():
-    """Every name fits, but the factory cannot use a value: the refusal
-    is the registry's ``bad parameters`` sentence with the kind's
-    example, from ``simulate()`` and check alike."""
+@pytest.fixture
+def broken_kind(monkeypatch) -> str:
+    """A workload kind, registered for one test, whose factory body
+    raises ``TypeError`` on values of the types it declares."""
+    monkeypatch.setattr(
+        registry,
+        "_REGISTRY",
+        {category: dict(entries) for category, entries in registry._REGISTRY.items()},
+    )
+
+    @registry.register(WORKLOAD, "broken", example={"n": 4})
+    def _broken(n: int):
+        raise TypeError(f"cannot lay out {n} elements")
+
+    return "broken"
+
+
+def test_a_factory_body_type_error_keeps_the_bad_parameters_wrapping(
+    broken_kind,
+):
+    """Every name and type fits, but the factory's body raises
+    ``TypeError``: the refusal is the registry's ``bad parameters``
+    sentence with the kind's example, from ``simulate()`` and check
+    alike."""
     document = {
         **MACHINE,
-        "workload": {"kind": "bit-reversal", "params": {"bits": "x"}},
+        "workload": {"kind": broken_kind, "params": {"n": 4}},
     }
     message = refusal(document)
-    assert message.startswith(
-        "bad parameters for workload kind 'bit-reversal': "
+    assert message == (
+        "bad parameters for workload kind 'broken': cannot lay out 4 "
+        "elements (example params: {'n': 4})"
     )
-    assert message.endswith("(example params: {'bits': 6})")
     report = check_document(json.dumps(document), source="probe")
     assert [(f.rule_id, f.message) for f in report.errors] == [
         ("SL303", message)
@@ -338,36 +478,65 @@ def test_a_factory_body_type_error_keeps_the_bad_parameters_wrapping():
     [
         (
             {"kind": "strided", "params": {"stride": "x", "length": 128}},
-            "stride must be an integer, got 'x'",
+            "parameter 'stride' of workload kind 'strided' must be an "
+            "integer, got 'x'",
         ),
         (
             {"kind": "strided", "params": {"stride": 12.0, "length": 128}},
-            "stride must be an integer, got 12.0",
+            "parameter 'stride' of workload kind 'strided' must be an "
+            "integer, got 12.0",
         ),
         (
             {
                 "kind": "gather",
-                "params": {"indices": [3.0, 1, 4, 1, 5, 9, 2, 6]},
+                "params": {"indices": [3, 1.0, 4, 1, 5, 9, 2, 6]},
             },
-            "indices[0] must be an integer, got 3.0",
+            "parameter 'indices' of workload kind 'gather' must be a list "
+            "of integers, got 1.0 at index 1",
         ),
     ],
     ids=["string-stride", "float-stride", "float-index"],
 )
 def test_an_access_holds_integers(workload, message, tmp_path, capsys):
-    """An access field that is not an integer is refused with a message
-    naming the field: ``scenario run`` exits 2 printing it, and check
-    reports it as SL303.  A float stride equal to an integer does not
-    run as that integer."""
+    """An access field that is not an integer is refused in the
+    registry's words, naming the parameter (and the list item):
+    ``scenario run`` exits 2 printing it, and check reports it as
+    SL302.  A float stride equal to an integer does not run as that
+    integer."""
     from repro.cli import main
 
     document = {**MACHINE, "workload": workload}
     assert refusal(document) == message
     report = check_document(json.dumps(document), source="probe")
     assert [(f.rule_id, f.message) for f in report.errors] == [
-        ("SL303", message)
+        ("SL302", message)
     ]
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(document))
     assert main(["scenario", "run", str(path)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_finite_number_is_not_a_spec_value(literal, tmp_path, capsys):
+    """Python's ``json`` reads NaN and Infinity, which JSON has not: a
+    spec holding one is refused as it is parsed, so ``scenario run``
+    exits 2 and check reports SL304, in one sentence."""
+    from repro.cli import main
+
+    text = json.dumps(
+        {**MACHINE, **DAXPY, "drive": {"kind": "decoupled"}}
+    ).replace('"n": 96', f'"n": 96, "alpha": {literal}')
+    shown = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}[literal]
+    message = (
+        f"param 'alpha' values must be finite, got {shown} (JSON has no "
+        "NaN or Infinity)"
+    )
+    report = check_document(text, source="probe")
+    assert [(f.rule_id, f.message) for f in report.errors] == [
+        ("SL304", message)
+    ]
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    assert main(["scenario", "run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

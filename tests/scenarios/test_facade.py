@@ -193,7 +193,10 @@ class TestDrives:
             simulate(spec)
 
     def test_bad_planner_mode_rejected(self):
-        with pytest.raises(ConfigurationError, match="planner mode"):
+        with pytest.raises(
+            ConfigurationError,
+            match="parameter 'mode' of drive kind 'planner' must be one of",
+        ):
             simulate(
                 matched_spec(drive=ComponentSpec.of("planner", mode="chaotic"))
             )

@@ -31,6 +31,33 @@ class TestSubmitLint:
         assert "warp" in finding["message"]
         assert "POST /v1/runs" in finding["location"]
 
+    def test_a_wrong_typed_param_is_400_in_the_registry_s_words(self, client):
+        spec = copy.deepcopy(SPEC)
+        spec["workload"] = {"kind": "bit-reversal", "params": {"bits": True}}
+        status, _, body = client.post_json("/v1/runs", spec)
+        assert status == 400
+        [finding] = body["findings"]
+        assert (finding["rule_id"], finding["message"]) == (
+            "SL302",
+            "parameter 'bits' of workload kind 'bit-reversal' must be an "
+            "integer, got True",
+        )
+
+    def test_a_non_finite_number_is_400(self, client):
+        spec = copy.deepcopy(SPEC)
+        del spec["workload"]
+        spec["program"] = {
+            "kind": "daxpy",
+            "params": {"n": 96, "alpha": float("nan")},
+        }
+        spec["drive"] = {"kind": "decoupled"}
+        status, _, body = client.post_json("/v1/runs", spec)
+        assert status == 400
+        assert body["error"] == (
+            "ConfigurationError: param 'alpha' values must be finite, got "
+            "nan (JSON has no NaN or Infinity)"
+        )
+
     def test_rejection_counts_and_leaks_no_run(self, app, client):
         _, metrics_before = client.get_json("/v1/metrics")
         status, _, body = client.post_json("/v1/runs", bad_spec())
