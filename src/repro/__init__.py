@@ -61,10 +61,10 @@ Module map
   everything else (always, when traced).  The planner's process-wide
   LRU plan cache memoizes the hot path (``repro.obs.cache_stats()``
   snapshots it with the program and kernel timing memos);
-* :mod:`repro.check` — static conflict/hazard analysis of specs and
-  vector programs (closed-form conflict verdicts, RAW/WAR/WAW and
-  batchability reports, spec lint, grid dedupe) behind ``repro check``
-  and the lab/serve submission gates;
+* :mod:`repro.check` — conflict/hazard analysis of specs and vector
+  programs (closed-form conflict verdicts, RAW/WAR/WAW chains and the
+  decoupled machine's batches, spec lint, grid dedupe) behind
+  ``repro check`` and the lab/serve submission gates;
 * :mod:`repro.report` — experiment runners (E01..E16) and table/figure
   rendering;
 * :mod:`repro.obs` — observability: zero-cost-when-disabled cycle-level

@@ -8,8 +8,9 @@ entry cannot hide the diagnostics for the rest.  Building is
 ``simulate()``'s own (:func:`~repro.scenarios.facade.build_point`, then
 a program point's :func:`~repro.scenarios.facade.resolved_program` —
 program, machine and value pass, memoised as ``simulate()`` memoises
-them — or a decoupled drive's machine), so ``SL303`` is what
-``simulate()`` refuses before its first cycle.
+them — and its timing pass, or a decoupled drive's machine), so
+``SL303`` is what ``simulate()`` refuses before its first cycle, or in
+a program's timing pass.
 
 :func:`require_submittable` is the front-door subset (spec lint plus
 grid dedupe, no simulation objects built).  The lab runs it in one
@@ -107,10 +108,10 @@ def _location(source: str, spec: ScenarioSpec, index: int) -> str:
 
 
 def _check_spec(spec: ScenarioSpec, location: str) -> list[Finding]:
-    """Lint one spec; when clean, do what ``simulate()`` does before its
-    first cycle — build the design point, then a program point's
-    program, machine and value pass, or a decoupled drive's machine —
-    and run the deep passes on the result."""
+    """Lint one spec; when clean, build it as ``simulate()`` does — the
+    design point, then a program point's program, machine, value pass
+    and timing pass, or a decoupled drive's machine — and run the deep
+    passes on the result."""
     findings = lint_spec(spec, location=location)
     if any(finding.severity == "error" for finding in findings):
         return findings
@@ -118,7 +119,8 @@ def _check_spec(spec: ScenarioSpec, location: str) -> list[Finding]:
     try:
         point = build_point(spec)
         if spec.program is not None:
-            program = resolved_program(point)
+            machine, entry = resolved_program(point)
+            program = entry.resolved, machine.time(entry.resolved)
         elif isinstance(point.drive, DecoupledDrive):
             point.machine()
     except ReproError as error:
@@ -126,15 +128,13 @@ def _check_spec(spec: ScenarioSpec, location: str) -> list[Finding]:
         return findings
     if program is None:
         return findings + analyze_conflicts(point, None, location=location)
-    machine, entry = program
-    findings.extend(
-        analyze_conflicts(point, entry.resolved, location=location)
-    )
+    resolved, run = program
+    findings.extend(analyze_conflicts(point, resolved, location=location))
     findings.extend(
         analyze_program(
-            entry.program.program,
+            resolved,
+            run,
             memory_streams=machine.memory_streams,
-            register_length=machine.register_length,
             location=location,
         )
     )

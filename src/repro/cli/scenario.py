@@ -19,7 +19,6 @@ from repro.scenarios import (
     load_scenarios,
     simulate,
     summary,
-    validate_spec_kinds,
 )
 
 #: ``repro scenario`` sub-command -> its one-line help.
@@ -128,8 +127,6 @@ def command_scenario(args: argparse.Namespace) -> int:
     if not specs:
         print("no scenarios found in the given files", file=sys.stderr)
         return 2
-    for spec in specs:
-        validate_spec_kinds(spec)
 
     if args.trace and args.lab:
         print(

@@ -6,8 +6,9 @@ preloads memory, runs the value pass and verifies the outputs;
 :meth:`DecoupledVectorMachine.time` times the resolved accesses, on this
 machine or any other that plans alike, and returns every timing and
 memory result in one :class:`MachineResult`.
-:meth:`OpenBatch.refusal` is the one batching rule, shared with the
-static hazard analysis in :mod:`repro.check.hazards`.
+:meth:`OpenBatch.refusal` is the one batching rule; the timing pass
+keeps the breaks it makes on :attr:`MachineResult.batch_breaks`, which
+``repro check`` reports (:mod:`repro.check.hazards`).
 """
 
 from repro.processor.chaining import (

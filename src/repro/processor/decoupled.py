@@ -27,8 +27,8 @@ the shared address bus.  :meth:`OpenBatch.refusal` is the one batching
 rule: a register hazard drains the open batch, and stream capacity, a
 late operand or a store's overlapping address span keep a memory
 instruction out of it, so program semantics never change — only the
-overlap.  :func:`repro.check.hazards.predict_batches` applies the same
-rule to static facts.
+overlap.  The timing pass keeps each :class:`BatchBreak` it makes
+(:attr:`MachineResult.batch_breaks`), which ``repro check`` reports.
 
 A run makes two passes.  Values do not depend on when elements arrive
 (each request carries its element index into a random-access register,
@@ -173,7 +173,11 @@ class MachineResult:
     :class:`~repro.memory.system.AccessResult`, in instruction order.
     ``outputs_correct`` and ``output_errors`` are the resolved
     program's output check (``None`` when the run was given no expected
-    memory contents).
+    memory contents).  ``batch_breaks`` are the breaks that closed the
+    memory batches, in program order: the one that closed the k-th
+    batch (stream slot 0 in the timeline opens each) is the k-th, and
+    every batch but the last has one; a register hazard may also drain
+    the last.
     """
 
     timings: tuple[InstructionTiming, ...]
@@ -182,6 +186,7 @@ class MachineResult:
     memory_runs: tuple = ()
     outputs_correct: bool | None = None
     output_errors: tuple[str, ...] = ()
+    batch_breaks: tuple[BatchBreak, ...] = ()
 
     @property
     def timeline(self) -> tuple[tuple, ...]:
@@ -221,38 +226,26 @@ class MachineResult:
 
 @dataclass(frozen=True)
 class BatchBreak:
-    """Why the open batch closed before instruction ``position``.
-
-    ``certain`` is False when the break rests on a fact only the run
-    knows: when an execute result is ready, or where a gather/scatter's
-    data-dependent addresses fall.
-    """
+    """Why the open batch closed before instruction ``position``."""
 
     position: int
     reason: str
-    certain: bool = True
 
 
 class OpenBatch:
     """The memory instructions the access unit will serve as one kernel run.
 
-    :meth:`refusal` is the batching rule.  The machine asks it with
-    cycle-exact facts; :func:`repro.check.hazards.predict_batches` asks
-    it with static ones.  Each member (and each ``access`` asked about)
-    has ``position``, ``mnemonic``, ``reads``/``writes`` register sets,
-    ``is_store_op``, an address ``span`` (``None`` when it is
-    data-dependent and unknown), ``late_operands`` (operands not ready
-    when the batch starts) and ``late_assumed`` (whether that lateness
-    is an assumption rather than a measured cycle).
+    :meth:`refusal` is the batching rule; the timing pass asks it about
+    every instruction while the batch is open.
     """
 
     def __init__(self, memory_streams: int) -> None:
         self.memory_streams = memory_streams
-        self.members: list = []
+        self.members: list[ResolvedAccess] = []
         self.reads: set[int] = set()
         self.writes: set[int] = set()
 
-    def add(self, access) -> None:
+    def add(self, access: ResolvedAccess) -> None:
         self.members.append(access)
         self.reads |= access.reads
         self.writes |= access.writes
@@ -267,7 +260,8 @@ class OpenBatch:
         position: int,
         reads: frozenset[int],
         writes: frozenset[int],
-        access=None,
+        access: ResolvedAccess | None = None,
+        late_operands: tuple[int, ...] = (),
     ) -> BatchBreak | None:
         """Why instruction ``position`` may not run with this batch, or
         ``None``.
@@ -275,10 +269,10 @@ class OpenBatch:
         The register hazard comes first, for any instruction: reading a
         register the batch writes, or writing one it touches, drains the
         batch.  A memory instruction (``access``) is then refused a
-        stream slot, in this order, when the batch is full, when an
-        operand is late (a late operand must not delay streams already
-        in flight), or when it or a member is a store and their address
-        spans overlap.
+        stream slot, in this order, when the batch is full, when it has
+        ``late_operands`` (operands not ready when the batch starts,
+        which must not delay streams already in flight), or when it or a
+        member is a store and their address spans overlap.
         """
         hazard = (reads & self.writes) | (writes & (self.writes | self.reads))
         if hazard:
@@ -294,16 +288,8 @@ class OpenBatch:
                 f"the batch already occupies all "
                 f"memory_streams={self.memory_streams} stream slots",
             )
-        if access.late_operands:
-            names = ", ".join(f"V{r}" for r in access.late_operands)
-            if access.late_assumed:
-                return BatchBreak(
-                    position,
-                    f"operand {names} comes from the execute pipeline and "
-                    f"is assumed not ready when the batch starts (the "
-                    f"machine joins it if it is)",
-                    certain=False,
-                )
+        if late_operands:
+            names = ", ".join(f"V{r}" for r in late_operands)
             return BatchBreak(
                 position,
                 f"operand {names} comes from the execute pipeline and is "
@@ -312,15 +298,6 @@ class OpenBatch:
         for member in self.members:
             if not (access.is_store_op or member.is_store_op):
                 continue
-            if access.span is None or member.span is None:
-                return BatchBreak(
-                    position,
-                    f"{access.mnemonic} at {position} has a "
-                    f"data-dependent address span; with a store in the "
-                    f"pair it must be assumed to overlap instruction "
-                    f"{member.position}",
-                    certain=False,
-                )
             if not (
                 access.span[1] < member.span[0]
                 or member.span[1] < access.span[0]
@@ -405,22 +382,6 @@ class ResolvedProgram:
     predefined: frozenset[int]
     outputs_correct: bool | None = None
     output_errors: tuple[str, ...] = ()
-
-
-@dataclass
-class _PendingAccess:
-    """A resolved access asking to join the open batch, with the
-    cycle-exact facts :meth:`OpenBatch.refusal` reads; every other
-    attribute is the resolved access's."""
-
-    access: ResolvedAccess
-    ready_cycle: int
-    late_operands: tuple[int, ...]
-    #: Lateness here is measured in cycles, never assumed.
-    late_assumed = False
-
-    def __getattr__(self, name: str):
-        return getattr(self.access, name)
 
 
 @dataclass
@@ -581,15 +542,16 @@ class DecoupledVectorMachine:
     def time(self, resolved: ResolvedProgram) -> MachineResult:
         """The timing pass: time a resolved program on this machine.
 
-        Memory instructions form batches by :meth:`OpenBatch.refusal`,
-        each batch is one kernel run, and each execute instruction
-        chains or waits; the register file and the store are neither
-        read nor written.  ``resolved`` may come from another machine's
-        :meth:`resolve` with an equal :attr:`plan_key`, whatever its
-        :attr:`timing_key` and chaining: that is how the chaining
-        baseline and the scenario facade's grid points time one
-        resolved program.  A machine with another plan key raises
-        :class:`ConfigurationError` naming the first part that differs.
+        Memory instructions form batches by :meth:`OpenBatch.refusal`
+        (the result keeps its breaks), each batch is one kernel run, and
+        each execute instruction chains or waits; the register file and
+        the store are neither read nor written.  ``resolved`` may come
+        from another machine's :meth:`resolve` with an equal
+        :attr:`plan_key`, whatever its :attr:`timing_key` and chaining:
+        that is how the chaining baseline and the scenario facade's grid
+        points time one resolved program.  A machine with another plan
+        key raises :class:`ConfigurationError` naming the first part
+        that differs.
         The schedule is checked before returning
         (:meth:`_check_schedule`), and the result carries the resolved
         program's output verdict.
@@ -609,6 +571,7 @@ class DecoupledVectorMachine:
         register_ready = dict.fromkeys(resolved.predefined, 0)
         load_records: dict[int, _LoadRecord] = {}
         batch = OpenBatch(self.memory_streams)
+        breaks: list[BatchBreak] = []
         batch_start = 1
         peak = 0
         accesses = iter(resolved.accesses)
@@ -631,29 +594,22 @@ class DecoupledVectorMachine:
         for position, instruction in enumerate(resolved.program):
             reads = frozenset(instruction.reads())
             writes = frozenset(instruction.writes())
-            if batch.members and batch.refusal(position, reads, writes):
-                # Register hazard against an in-flight access: drain the
-                # batch so ready cycles are current before a memory
-                # instruction is asked about again below.
-                finalise()
-            if instruction.is_memory:
+            access = next(accesses) if instruction.is_memory else None
+            if batch.members:
                 # An operand is late when it is ready after the open
-                # batch's first cycle.
-                operands = instruction.reads()
-                pending = _PendingAccess(
-                    next(accesses),
-                    max((register_ready[r] for r in operands), default=0),
-                    tuple(
-                        r for r in operands if register_ready[r] + 1 > batch_start
-                    ),
+                # batch's first cycle.  One the batch writes is not yet
+                # ready at all; the refusal names that hazard first.
+                late = () if access is None else tuple(
+                    r
+                    for r in instruction.reads()
+                    if r not in batch.writes
+                    and register_ready[r] + 1 > batch_start
                 )
-                if not batch.members or batch.refusal(
-                    position, reads, writes, pending
-                ):
+                refused = batch.refusal(position, reads, writes, access, late)
+                if refused is not None:
+                    breaks.append(refused)
                     finalise()
-                    batch_start = max(memory_free, pending.ready_cycle + 1)
-                batch.add(pending.access)
-            else:
+            if access is None:
                 timing, execute_free = self._run_execute(
                     position,
                     instruction,
@@ -662,6 +618,11 @@ class DecoupledVectorMachine:
                     load_records,
                 )
                 timings[position] = timing
+                continue
+            if not batch.members:
+                ready = max((register_ready[r] for r in reads), default=0)
+                batch_start = max(memory_free, ready + 1)
+            batch.add(access)
         finalise()
 
         ordered = tuple(timings[position] for position in sorted(timings))
@@ -673,6 +634,7 @@ class DecoupledVectorMachine:
             memory_runs=tuple(memory_runs),
             outputs_correct=resolved.outputs_correct,
             output_errors=resolved.output_errors,
+            batch_breaks=tuple(breaks),
         )
 
     def _verify(

@@ -83,22 +83,6 @@ class Program:
         return iter(self.instructions)
 
 
-def def_use_events(program: Program):
-    """Yield ``(position, instruction, reads, writes)`` for a program.
-
-    ``reads``/``writes`` are frozen register-number sets — the def-use
-    stream the static analyzer (:mod:`repro.check.hazards`) walks to
-    predict batches and count dependencies.
-    """
-    for position, instruction in enumerate(program):
-        yield (
-            position,
-            instruction,
-            frozenset(instruction.reads()),
-            frozenset(instruction.writes()),
-        )
-
-
 _REGISTER = re.compile(r"^v(\d+)$", re.IGNORECASE)
 
 #: One memory preload: ``(base, stride, values)`` — the form both the

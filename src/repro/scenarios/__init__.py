@@ -61,7 +61,6 @@ from repro.scenarios.registry import (
     kinds,
     summary,
     validate_kind,
-    validate_spec_kinds,
 )
 from repro.scenarios.spec import (
     ComponentSpec,
@@ -108,7 +107,6 @@ __all__ = [
     "simulate_access",
     "summary",
     "validate_kind",
-    "validate_spec_kinds",
 ]
 
 __getattr__, __dir__ = _lazy_exports(globals(), _EXPORTS)

@@ -260,28 +260,11 @@ def build(category: str, spec: ComponentSpec, **context):
         ) from None
 
 
-def validate_kind(category: str, kind: str, *, context: str = "") -> None:
-    """Raise :class:`ConfigurationError` unless ``kind`` is registered.
-
-    The one kind-name validator every front door shares — serve
-    schemas, the scenario CLI, and the ``repro check`` spec-lint pass
-    all call this, so a typo'd kind produces the same message (and the
-    same close-match hint) everywhere.  ``context`` prefixes the
-    message with where the kind appeared (e.g. ``"scenario 'fft'"``).
-    """
-    _check_category(category)
-    if kind in _REGISTRY[category]:
-        return
-    import difflib
-
-    known = sorted(_REGISTRY[category])
-    close = difflib.get_close_matches(kind, known, n=2)
-    hint = f"; did you mean {', '.join(repr(k) for k in close)}?" if close else ""
-    prefix = f"{context}: " if context else ""
-    raise ConfigurationError(
-        f"{prefix}unknown {category} kind {kind!r} "
-        f"(registered: {', '.join(known) or 'none'}){hint}"
-    )
+def validate_kind(category: str, kind: str) -> None:
+    """Raise :class:`ConfigurationError` unless ``kind`` is registered,
+    in the words :func:`build` refuses it with (see :func:`_entry`).
+    The ``repro check`` spec-lint pass reports it as ``SL301``."""
+    _entry(category, kind)
 
 
 def spec_components(spec) -> list[tuple[str, ComponentSpec]]:
@@ -292,13 +275,6 @@ def spec_components(spec) -> list[tuple[str, ComponentSpec]]:
     if spec.program is not None:
         components.append((PROGRAM, spec.program))
     return components
-
-
-def validate_spec_kinds(spec) -> None:
-    """Validate every component kind one scenario spec names."""
-    context = f"scenario {spec.name!r}" if spec.name else "scenario"
-    for category, component in spec_components(spec):
-        validate_kind(category, component.kind, context=context)
 
 
 def parameter_table(category: str, kind: str) -> ParameterTable:
@@ -361,11 +337,20 @@ def _check_category(category: str) -> None:
 
 
 def _entry(category: str, kind: str) -> _Entry:
+    """A registered kind's entry.  An unknown kind is refused here, for
+    every caller, in one sentence: the registered kinds and up to two
+    close matches."""
     _check_category(category)
     try:
         return _REGISTRY[category][kind]
     except KeyError:
-        raise ConfigurationError(
-            f"unknown {category} kind {kind!r} "
-            f"(registered: {', '.join(sorted(_REGISTRY[category])) or 'none'})"
-        ) from None
+        pass
+    import difflib
+
+    known = sorted(_REGISTRY[category])
+    close = difflib.get_close_matches(kind, known, n=2)
+    hint = f"; did you mean {', '.join(repr(k) for k in close)}?" if close else ""
+    raise ConfigurationError(
+        f"unknown {category} kind {kind!r} "
+        f"(registered: {', '.join(known) or 'none'}){hint}"
+    )

@@ -17,7 +17,6 @@ from __future__ import annotations
 import time
 
 from repro.scenarios import ScenarioSpec, load_scenarios
-from repro.scenarios.registry import validate_spec_kinds
 from repro.serve.errors import BadRequestError, PayloadTooLargeError
 
 __all__ = [
@@ -40,10 +39,12 @@ def parse_run_request(raw: bytes) -> list[ScenarioSpec]:
 
     Raises :class:`BadRequestError` (empty / non-UTF-8 body) or lets
     the scenario layer's :class:`~repro.errors.ConfigurationError`
-    propagate — both render as ``400`` with the canonical
-    ``TypeName: message`` error body.  An unregistered kind is a ``400``
-    now, not a failed run found by polling; the deeper lint runs once,
-    where the service makes the jobs (:func:`repro.lab.jobs.scenario_jobs`).
+    (a body that is no spec, grid or list of them) propagate — both
+    render as ``400`` with the canonical ``TypeName: message`` error
+    body.  Kinds and parameters are not checked here: the submit gate
+    lints them once, where the service makes the jobs
+    (:func:`repro.lab.jobs.scenario_jobs`), so an unregistered kind is a
+    ``400`` ``CheckError`` carrying its ``SL301`` finding.
     """
     if len(raw) > MAX_BODY_BYTES:
         raise PayloadTooLargeError(
@@ -62,8 +63,6 @@ def parse_run_request(raw: bytes) -> list[ScenarioSpec]:
     specs = load_scenarios(text)
     if not specs:
         raise BadRequestError("request body holds no scenarios")
-    for spec in specs:
-        validate_spec_kinds(spec)
     return specs
 
 

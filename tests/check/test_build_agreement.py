@@ -1,8 +1,9 @@
 """``repro check`` refuses exactly the specs ``simulate()`` refuses.
 
 Both build a spec through :func:`repro.scenarios.facade.build_point`
-(then the point's program and machine, and a program's value pass),
-and both read the registry's one parameter rule, names and types, so a
+(then the point's program and machine, and a program's value and
+timing passes), and both read the registry's one kind rule and one
+parameter rule, names and types, so a
 spec has an error finding exactly when :func:`~repro.scenarios.simulate`
 raises, and one of those findings carries its message.  The specs are
 generated from the registry: every workload and program kind's example
@@ -10,8 +11,8 @@ params on a matched-XOR memory under twelve drive variants, plus a
 machine-only spec with neither workload nor program, so a new kind
 joins automatically; and, for every annotated parameter of every kind,
 its example with one value of the wrong type.  Hand-written probes add
-programs the value pass refuses, parameter names the registry refuses
-and values that are not spec values.
+programs the value pass refuses, kind and parameter names the registry
+refuses and values that are not spec values.
 """
 
 from __future__ import annotations
@@ -23,9 +24,11 @@ from typing import Literal, Union, get_args, get_origin
 import pytest
 
 from repro.check import check_document
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, SimulationError
+from repro.processor import DecoupledVectorMachine
 from repro.scenarios import (
     CATEGORIES,
+    DRIVE,
     MAPPING,
     PROGRAM,
     WORKLOAD,
@@ -368,6 +371,21 @@ def test_check_runs_the_value_pass(document, message):
     ]
 
 
+def test_check_runs_the_timing_pass(monkeypatch):
+    """Check times a program point as ``simulate()`` does, so an error
+    the timing pass raises is SL303 with its message."""
+    def failing(self, resolved):
+        raise SimulationError("the schedule check failed")
+
+    monkeypatch.setattr(DecoupledVectorMachine, "time", failing)
+    document = {**MACHINE, **DAXPY, "drive": {"kind": "decoupled"}}
+    assert refusal(document) == "the schedule check failed"
+    report = check_document(json.dumps(document), source="probe")
+    assert [(f.rule_id, f.message) for f in report.errors] == [
+        ("SL303", "the schedule check failed")
+    ]
+
+
 def mapping_params(**params) -> dict:
     return {
         "mapping": {"kind": "matched-xor", "params": params},
@@ -432,6 +450,34 @@ def test_a_bad_parameter_name_is_refused_in_one_sentence(document, message):
     assert [(f.rule_id, f.message) for f in report.errors] == [
         ("SL302", message)
     ]
+
+
+@pytest.mark.parametrize(
+    "category, typo, intended",
+    [
+        (MAPPING, "matched-xr", "matched-xor"),
+        (WORKLOAD, "stided", "strided"),
+        (DRIVE, "planer", "planner"),
+        (PROGRAM, "daxpi", "daxpy"),
+    ],
+    ids=CATEGORIES,
+)
+def test_an_unknown_kind_is_refused_in_one_sentence(category, typo, intended):
+    """A close typo of a kind in each category: ``simulate()`` raises a
+    ``ConfigurationError`` whose message is the spec's one error
+    finding, the registry's SL301 sentence with its close-match hint."""
+    document = probe_document(
+        category, typo, example_params(category, intended)
+    )
+    report = check_document(json.dumps(document), source="probe")
+    [(rule_id, message)] = [(f.rule_id, f.message) for f in report.errors]
+    assert rule_id == "SL301"
+    assert message.startswith(f"unknown {category} kind {typo!r} (registered: ")
+    assert repr(intended) in message.partition("; did you mean ")[2]
+    with pytest.raises(ConfigurationError) as refused:
+        simulate(ScenarioSpec.from_dict(document))
+    assert type(refused.value) is ConfigurationError
+    assert str(refused.value) == message
 
 
 @pytest.fixture

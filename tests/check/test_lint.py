@@ -13,7 +13,6 @@ from repro.scenarios import (
     ScenarioGrid,
     ScenarioSpec,
     validate_kind,
-    validate_spec_kinds,
 )
 
 
@@ -39,15 +38,6 @@ class TestValidateKind:
     def test_close_misspelling_gets_a_hint(self):
         with pytest.raises(ConfigurationError, match="did you mean"):
             validate_kind("mapping", "matched-xo")
-
-    def test_context_prefixes_the_message(self):
-        with pytest.raises(ConfigurationError, match="scenario 'x': unknown"):
-            validate_kind("mapping", "warp", context="scenario 'x'")
-
-    def test_validate_spec_kinds_covers_every_component(self):
-        bad = spec(workload=ComponentSpec.of("stridden", stride=1, length=8))
-        with pytest.raises(ConfigurationError, match="unknown workload kind"):
-            validate_spec_kinds(bad)
 
 
 class TestLintSpec:

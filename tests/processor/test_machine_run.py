@@ -344,8 +344,8 @@ class TestScheduleCheck:
         so only the schedule check can see it."""
         refusal = OpenBatch.refusal
 
-        def without_drain(self, position, reads, writes, access=None):
-            return refusal(self, position, frozenset(), frozenset(), access)
+        def without_drain(self, position, reads, writes, *joining):
+            return refusal(self, position, frozenset(), frozenset(), *joining)
 
         monkeypatch.setattr(OpenBatch, "refusal", without_drain)
         vm = two_port_machine()
@@ -377,8 +377,8 @@ class TestScheduleCheck:
         200..263: the outputs stay correct, the timing does not."""
         refusal = OpenBatch.refusal
 
-        def without_span(self, position, reads, writes, access=None):
-            found = refusal(self, position, reads, writes, access)
+        def without_span(self, position, reads, writes, *joining):
+            found = refusal(self, position, reads, writes, *joining)
             if found is not None and "overlaps" in found.reason:
                 return None
             return found

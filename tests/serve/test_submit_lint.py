@@ -43,6 +43,22 @@ class TestSubmitLint:
             "integer, got True",
         )
 
+    def test_an_unknown_kind_is_400_with_its_sl301_finding(self, client):
+        spec = copy.deepcopy(SPEC)
+        spec["mapping"]["kind"] = "matched-xr"
+        status, _, body = client.post_json("/v1/runs", spec)
+        assert status == 400
+        assert body["error"].startswith("CheckError: 1 static check error(s)")
+        [finding] = body["findings"]
+        assert (finding["rule_id"], finding["location"]) == (
+            "SL301",
+            "POST /v1/runs:serve-test.mapping",
+        )
+        assert finding["message"].startswith(
+            "unknown mapping kind 'matched-xr' (registered: "
+        )
+        assert finding["message"].endswith("; did you mean 'matched-xor'?")
+
     def test_a_non_finite_number_is_400(self, client):
         spec = copy.deepcopy(SPEC)
         del spec["workload"]
