@@ -161,6 +161,17 @@ def command_scenario(args: argparse.Namespace) -> int:
         print(f"manifest: {store.runs_dir / report.run_id / 'manifest.json'}")
         return 1 if report.failures else 0
 
+    # Every spec is linted before any is simulated, so a bad spec late in
+    # the list stops the command before it prints a result or writes a
+    # trace file.  A lint error states what simulate() refuses the spec
+    # for; warnings are the lab's to print.
+    from repro.check.runner import submit_findings
+
+    for finding in submit_findings(specs):
+        if finding.severity == "error":
+            print(f"error: {finding.message}", file=sys.stderr)
+            return 2
+
     if args.trace:
         trace_base = Path(args.trace)
         info = sys.stderr if args.as_json else sys.stdout

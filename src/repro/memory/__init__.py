@@ -8,14 +8,17 @@ Module map
   address/result ports × ``n`` named request streams in a single flat,
   event-skipping cycle loop, returning a :class:`KernelRun` with one
   :class:`StreamRun` per stream.  ``MemoryKernel(config).run(streams)``
-  is the way to run several streams.
+  is the way to run several streams.  Its timing memo
+  (:func:`~repro.memory.kernel.kernel_timing`) keeps each stream's
+  finished timing, so a repeated run costs its streams.
 * :mod:`repro.memory.system` — :class:`MemorySystem`, the single-stream
   view (``n = 1``) returning :class:`AccessResult`.
 * :mod:`repro.memory.config` — :class:`MemoryConfig`: mapping, ``T``,
   buffer depths ``q``/``q'`` and the port count.
 * :mod:`repro.memory.module` — the :class:`InFlightRequest` timing
   record and :class:`RequestRecords`, the lazily built sequence of them
-  every run returns.
+  every run returns (its wait count and held-result flag come from the
+  kernel's memo).
 * :mod:`repro.memory.storage` — the word-addressable backing store.
 * :mod:`repro.memory.trace` — result summaries and Gantt rendering.
 

@@ -70,16 +70,24 @@ the plain loop.
 
 A run's timing, :func:`kernel_timing`, is a function of exactly what it
 reads (``T``, ``M``, ``q``, ``q'``, the ports and each stream's module
-sequence) behind one bounded LRU memo.  It returns the closed form's or
-:func:`cycle_loop`'s per-request cycles, each stream's module counts
-and wait count, and each module's busy cycles, so the conflict-freedom
-check, the loop and the count loops run once per distinct input: a
-strip-mined program, or a grid whose points time one program's memory
-batches on the same memory, pays for that batch's timing once, and so
-does a chaining baseline that is timed (its batches are the chained
-run's).  A closed-form entry keeps its cycles as ``range`` objects.
-A hit shares its result, which is immutable; :class:`MemoryKernel`
-builds each run's records around it.
+sequence) behind one bounded LRU memo.  An entry
+(:class:`KernelTiming`) holds the run's total cycles, held-result flag,
+module busy cycles and port issues, and each stream's finished timing
+(:class:`StreamTiming`): its module counts and wait count, its
+held-result flag when the run has several streams, and its own
+arrival, start and delivery cycles (the run's sequences for a single
+stream, slices of them otherwise; a closed-form entry keeps them as
+``range`` objects).  The module range check, the
+conflict-freedom check, the loop, the count loops and the slicing
+therefore run once per distinct input: a strip-mined program, or a grid
+whose points time one program's memory batches on the same memory, pays
+for that batch's timing once, and so does a chaining baseline that is
+timed (its batches are the chained run's).  A hit shares its entry,
+which is immutable, and costs the key's hash plus, per stream, the
+:class:`StreamRun` and :class:`~repro.memory.module.RequestRecords`
+that :class:`MemoryKernel` wraps around the stream's timing.  An error
+is never memoised, so a stream whose ``modules`` leave ``[0, M)`` is
+refused on every call.
 ``benchmarks/bench_simulator_perf.py`` tracks the resulting throughput.
 """
 
@@ -88,12 +96,13 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from repro.core.distributions import is_conflict_free
 from repro.core.gather import IndexedPlan
-from repro.errors import ConfigurationError, SimulationError
+from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.memory.config import MemoryConfig
-from repro.memory.module import RequestRecords, count_waits
+from repro.memory.module import RequestRecords, count_waits, results_held
 from repro.obs.tracer import resolve_tracer
 
 
@@ -150,7 +159,10 @@ class KernelStream:
     (addresses are reduced through the mapping by the kernel): a tuple,
     or a plan's :class:`PlanRequests` view, which the stream keeps as it
     is.
-    ``stores`` lists stream positions that are store operations.
+    ``stores`` holds the stream positions that are store operations: a
+    ``range`` (a vector store's ``range(length)``, built once with its
+    stream) or a frozenset, which :meth:`of` makes of any other
+    sequence.
     ``modules`` optionally gives each request's module (the plan's
     temporal distribution under the kernel's mapping); ``None`` derives
     them from the addresses.
@@ -158,7 +170,7 @@ class KernelStream:
 
     name: str
     requests: Sequence[tuple[int, int]]
-    stores: frozenset[int] = frozenset()
+    stores: range | frozenset[int] = frozenset()
     modules: tuple[int, ...] | None = None
 
     @classmethod
@@ -426,11 +438,14 @@ def cycle_loop(
     serving = [-1] * module_count  # request in service
     parked = [-1] * module_count  # finished, waiting for q' room
 
-    # Stream ``s`` issues on port ``s % ports``.
-    served_ports = [
-        (port, list(range(port, stream_count, ports)))
-        for port in range(min(ports, stream_count))
-    ]
+    # Stream ``s`` issues on port ``s % ports``; a port that serves one
+    # stream (``only``) issues from it without taking turns.
+    served_ports = []
+    for port in range(min(ports, stream_count)):
+        members = list(range(port, stream_count, ports))
+        served_ports.append(
+            (port, members, members[0] if len(members) == 1 else None)
+        )
     stream_len = [len(modules) for modules in stream_modules]
     cursors = [0] * stream_count
     stalls = [0] * stream_count
@@ -455,14 +470,13 @@ def cycle_loop(
     delivered = 0
     held = False
     advance = True
-    solo = stream_count == 1
     stalled: Sequence[int] = ()  # streams that failed to issue
 
     # A single stream whose modules repeat every ``period`` requests is
     # snapshotted at each period boundary: relative state -> (cursor,
     # cycle, stalls, delivered).  None once it stops looking.
     boundaries: dict | None = None
-    period = _stream_period(stream_modules[0]) if solo else 0
+    period = _stream_period(stream_modules[0]) if stream_count == 1 else 0
     if period:
         boundaries = {}
         period_modules = sorted(set(stream_modules[0][:period]))
@@ -494,9 +508,9 @@ def cycle_loop(
         # yields the port; ``blocking`` collects those modules.
         issued = False
         stalled = blocking = ()
-        for port, members in served_ports:
-            if solo:
-                if cursors[0] == total:
+        for port, members, only in served_ports:
+            if only is not None:
+                if cursors[only] == stream_len[only]:
                     continue
                 candidates = members
             else:
@@ -674,34 +688,109 @@ def cycle_loop(
 #: chaining baselines reuse a non-chaining sibling's cycles); replayed
 #: through an LRU in the lab's job order, 8 entries leave 368 loop runs,
 #: 16 leave 256, 24 leave 154, 32 leave 118, 36 and 38 leave 117 and 40
-#: or more leave 116.  The 1152 access-sweep points run it 714 times on
-#: 531 distinct inputs, which every size from 8 up answers with 402
-#: loop runs.  A closed-form entry holds ranges and a loop entry its
-#: request timings, so the loop entries set the memo's size: the
-#: in-process peak RSS of an access-sweep pass is 25.2-25.4 MB at 32
-#: entries, 25.6 MB at 40, 25.8-26.0 MB at 48, 26.5 MB at 64 and 37.6 MB
-#: unbounded (25.3 MB with the loop-only memo; two passes each, CPython
-#: 3.11, 2-CPU host).
+#: or more leave 116 (1438 hits and 154 misses at 40).  The 1152
+#: access-sweep points run it 714 times on 531 distinct inputs, which
+#: every size from 8 up answers with 402 loop runs.  An entry holds each
+#: stream's request timings (a closed form's as ranges), so the loop
+#: entries set the memo's size.  With those per-stream entries, the
+#: in-process peak RSS of a seed-1 lab pass (the 24 or 16 grids swept
+#: in one interpreter) is 31.2-31.4 MB for access-sweep and
+#: 27.1-27.4 MB for program-grid at each of 32, 40 and 48 entries
+#: (31.2-31.4 and 27.0-27.2 MB with the entries they replaced; two
+#: passes each, CPython 3.11, 2-CPU host).
 LOOP_MEMO_SIZE = 40
+
+
+class StreamTiming(NamedTuple):
+    """One stream's finished timing, as a :func:`kernel_timing` entry
+    holds it: its per-module request counts, wait count and held-result
+    flag (:func:`~repro.memory.module.results_held`; ``None`` for the
+    only stream of a run, whose result reads the run's own flag and
+    whose records compute theirs if asked), its requests' arrival,
+    start and delivery cycles (the run's own sequences for a single
+    stream, slices of them otherwise), its first issue and last delivery
+    cycles and its issue stalls."""
+
+    module_counts: tuple[int, ...]
+    wait_count: int
+    result_held: bool | None
+    arrival: Sequence[int]
+    start: Sequence[int]
+    delivery: Sequence[int]
+    first_issue: int
+    last_delivery: int
+    issue_stalls: int
+
+
+class KernelTiming(NamedTuple):
+    """A :func:`kernel_timing` entry: the run's total cycles and
+    held-result flag, each module's busy cycles, each port's issues, the
+    request count and each stream's :class:`StreamTiming`."""
+
+    total_cycles: int
+    held: bool
+    module_busy: tuple[int, ...]
+    port_issues: tuple[int, ...]
+    requests: int
+    streams: tuple[StreamTiming, ...]
+
+
+class _ModulesOutOfRange(Exception):
+    """Stream ``index`` of a :func:`kernel_timing` input names a module
+    outside ``[0, M)``; the kernel refuses it by the stream's name."""
+
+    def __init__(self, index: int):
+        super().__init__(index)
+        self.index = index
+
+
+def _modules_in_range(modules: Sequence[int], module_count: int) -> bool:
+    return 0 <= min(modules) and max(modules) < module_count
+
+
+def _stream_refusal(
+    stream: KernelStream, seen: set[str]
+) -> ReproError | None:
+    """The error for the first rule before the module range that
+    ``stream`` breaks (``seen`` holds the names before it), or ``None``."""
+    if not stream.requests:
+        return SimulationError("need at least one non-empty stream")
+    if stream.name in seen:
+        return ConfigurationError(
+            f"kernel field 'streams' has colliding stream names: "
+            f"{stream.name!r} appears more than once (streams must be "
+            "uniquely named)"
+        )
+    if stream.modules is not None and len(stream.modules) != len(
+        stream.requests
+    ):
+        return ConfigurationError(
+            f"stream {stream.name!r} field 'modules' has "
+            f"{len(stream.modules)} entries for {len(stream.requests)} "
+            "requests"
+        )
+    return None
 
 
 @lru_cache(maxsize=LOOP_MEMO_SIZE)
 def kernel_timing(
     service_time, module_count, input_capacity, output_capacity, ports, stream_modules
-):
+) -> KernelTiming:
     """Everything a kernel run computes from its module sequences, a
     function of exactly what it reads.
 
-    ``stream_modules`` is a tuple of each stream's module tuple.  A
-    single stream whose module sequence is conflict-free (``T >= 2``)
-    takes the closed form (:func:`_conflict_free_timing`); anything else
-    runs :func:`cycle_loop`.  Returns ``(timing, streams, busy)``: that
-    timing; per stream, its per-module request counts and its wait
-    count; and each module's busy cycles (every request is serviced for
-    exactly ``T`` cycles, so busy accounting is arithmetic, not
-    per-cycle ticking).  Memo hits share the result, so every sequence
-    in it is immutable.
+    ``stream_modules`` is a tuple of each stream's module tuple; a
+    module outside ``[0, M)`` raises :class:`_ModulesOutOfRange` before
+    anything runs, and an error is not memoised.  A single stream whose
+    module sequence is conflict-free (``T >= 2``) takes the closed form
+    (:func:`_conflict_free_timing`); anything else runs
+    :func:`cycle_loop`.  Busy accounting is arithmetic (every request is
+    serviced for exactly ``T`` cycles), not per-cycle ticking.  Memo
+    hits share the result, so every sequence in it is immutable.
     """
+    for index, modules in enumerate(stream_modules):
+        if not _modules_in_range(modules, module_count):
+            raise _ModulesOutOfRange(index)
     if (
         len(stream_modules) == 1
         and service_time > 1
@@ -713,21 +802,49 @@ def kernel_timing(
             service_time, module_count, input_capacity, output_capacity,
             ports, stream_modules,
         )
-    arrival, start = timing[:2]
+    (
+        arrival, start, delivery, total_cycles, held, first_issue,
+        last_delivery, stalls,
+    ) = timing
+    several = len(stream_modules) > 1
     streams = []
     busy = [0] * module_count
+    port_issues = [0] * ports
     low = 0
-    for modules in stream_modules:
+    for index, modules in enumerate(stream_modules):
         high = low + len(modules)
+        # A single stream's slices are the run's own sequences.
+        own_arrival = arrival[low:high]
+        own_start = start[low:high]
+        own_delivery = delivery[low:high]
         counts = [0] * module_count
         for m in modules:
             counts[m] += 1
         for m, count in enumerate(counts):
             busy[m] += service_time * count
-        waits = count_waits(arrival[low:high], start[low:high])
-        streams.append((tuple(counts), waits))
+        port_issues[index % ports] += len(modules)
+        streams.append(
+            StreamTiming(
+                tuple(counts),
+                count_waits(own_arrival, own_start),
+                (
+                    results_held(own_start, own_delivery, service_time)
+                    if several
+                    else None
+                ),
+                own_arrival,
+                own_start,
+                own_delivery,
+                first_issue[index],
+                last_delivery[index],
+                stalls[index],
+            )
+        )
         low = high
-    return timing, tuple(streams), tuple(busy)
+    return KernelTiming(
+        total_cycles, held, tuple(busy), tuple(port_issues), low,
+        tuple(streams),
+    )
 
 
 class MemoryKernel:
@@ -755,14 +872,25 @@ class MemoryKernel:
         self, streams: Sequence[KernelStream | Sequence[tuple[int, int]]]
     ) -> KernelRun:
         """Simulate all streams to completion."""
-        run = self._simulate(self._normalise(streams))
+        run = self._simulate(*self._normalise(streams))
         if self.tracer.enabled:
             self._emit_trace(run)
         return run
 
     # -- stream validation ---------------------------------------------
 
-    def _normalise(self, streams) -> list[KernelStream]:
+    def _normalise(
+        self, streams
+    ) -> tuple[list[KernelStream], tuple[tuple[int, ...], ...]]:
+        """Each stream as a :class:`KernelStream`, and its modules.
+
+        Stream by stream, the rules are: it has requests, a unique name,
+        one module per request and modules in ``[0, M)``.
+        :func:`kernel_timing` applies the last, on a memo miss only (a
+        hit's input passed it), so before this refuses a stream for
+        another rule, or derives modules from addresses (which may
+        fail), it applies the range rule to the streams before.
+        """
         if not streams:
             raise SimulationError("need at least one non-empty stream")
         normalised: list[KernelStream] = []
@@ -772,32 +900,31 @@ class MemoryKernel:
             else:
                 normalised.append(KernelStream.of(f"s{index}", stream))
         seen: set[str] = set()
-        for stream in normalised:
-            if not stream.requests:
-                raise SimulationError("need at least one non-empty stream")
-            if stream.name in seen:
-                raise ConfigurationError(
-                    f"kernel field 'streams' has colliding stream names: "
-                    f"{stream.name!r} appears more than once (streams must "
-                    "be uniquely named)"
-                )
+        derived = False
+        for index, stream in enumerate(normalised):
+            refusal = _stream_refusal(stream, seen)
+            if refusal is not None:
+                self._check_module_range(normalised[:index])
+                raise refusal
             seen.add(stream.name)
-            if stream.modules is not None:
-                if len(stream.modules) != len(stream.requests):
-                    raise ConfigurationError(
-                        f"stream {stream.name!r} field 'modules' has "
-                        f"{len(stream.modules)} entries for "
-                        f"{len(stream.requests)} requests"
-                    )
-                if not (
-                    0 <= min(stream.modules)
-                    and max(stream.modules) < self.config.module_count
-                ):
-                    raise ConfigurationError(
-                        f"stream {stream.name!r} field 'modules' must lie "
-                        f"in [0, {self.config.module_count})"
-                    )
-        return normalised
+            derived = derived or stream.modules is None
+        if derived:
+            self._check_module_range(normalised)
+        return normalised, tuple(map(self._modules_of, normalised))
+
+    def _check_module_range(self, streams: list[KernelStream]) -> None:
+        """Refuse the first stream whose given modules leave ``[0, M)``."""
+        for stream in streams:
+            if stream.modules is not None and not _modules_in_range(
+                stream.modules, self.config.module_count
+            ):
+                raise self._range_error(stream)
+
+    def _range_error(self, stream: KernelStream) -> ConfigurationError:
+        return ConfigurationError(
+            f"stream {stream.name!r} field 'modules' must lie "
+            f"in [0, {self.config.module_count})"
+        )
 
     def _modules_of(self, stream: KernelStream) -> tuple[int, ...]:
         """Each request's module: given, or derived from its address."""
@@ -811,71 +938,58 @@ class MemoryKernel:
 
     # -- simulation -----------------------------------------------------
 
-    def _simulate(self, kernel_streams: list[KernelStream]) -> KernelRun:
-        """Time every request (closed form or cycle loop) and package the
-        per-stream summaries."""
+    def _simulate(
+        self,
+        kernel_streams: list[KernelStream],
+        stream_modules: tuple[tuple[int, ...], ...],
+    ) -> KernelRun:
+        """Look the run's timing up (closed form or cycle loop, memoised)
+        and wrap each stream's finished timing in its records."""
         config = self.config
         service_time = config.service_ratio
-        module_count = config.module_count
         ports = config.ports
-        stream_modules = tuple(
-            self._modules_of(stream) for stream in kernel_streams
-        )
-        timing, stream_facts, busy = kernel_timing(
-            service_time, module_count, config.input_capacity,
-            config.output_capacity, ports, stream_modules,
-        )
-        (
-            arrival,
-            start,
-            delivery,
-            total_cycles,
-            held,
-            first_issue,
-            last_delivery,
-            stalls,
-        ) = timing
-
-        stream_runs: list[StreamRun] = []
-        port_issues = [0] * ports
-        low = 0
-        for s_index, stream in enumerate(kernel_streams):
-            modules = stream_modules[s_index]
-            high = low + len(modules)
-            port = s_index % ports
-            port_issues[port] += len(modules)
-            counts, waits = stream_facts[s_index]
+        try:
+            total_cycles, held, busy, port_issues, requests, timings = (
+                kernel_timing(
+                    service_time, config.module_count, config.input_capacity,
+                    config.output_capacity, ports, stream_modules,
+                )
+            )
+        except _ModulesOutOfRange as error:
+            raise self._range_error(kernel_streams[error.index]) from None
+        reduce = config.mapping.reduce
+        stream_runs = []
+        for index, (stream, modules, timing) in enumerate(
+            zip(kernel_streams, stream_modules, timings)
+        ):
+            (
+                counts, waits, stream_held, arrival, start, delivery,
+                first_issue, last_delivery, stalls,
+            ) = timing
             stream_runs.append(
                 StreamRun(
                     name=stream.name,
-                    index=s_index,
-                    port=port,
-                    first_issue_cycle=first_issue[s_index],
-                    last_delivery_cycle=last_delivery[s_index],
-                    issue_stall_cycles=stalls[s_index],
+                    index=index,
+                    port=index % ports,
+                    first_issue_cycle=first_issue,
+                    last_delivery_cycle=last_delivery,
+                    issue_stall_cycles=stalls,
                     requests=RequestRecords(
-                        stream.requests,
-                        modules,
-                        arrival[low:high],
-                        start[low:high],
-                        delivery[low:high],
-                        service_time,
-                        waits,
-                        stream.stores,
-                        config.mapping.reduce,
+                        stream.requests, modules, arrival, start, delivery,
+                        service_time, waits, stream.stores, reduce,
+                        stream_held,
                     ),
                     module_request_counts=counts,
                 )
             )
-            low = high
         return KernelRun(
             streams=tuple(stream_runs),
             total_cycles=total_cycles,
             ports=ports,
-            bus_busy_cycles=low,
+            bus_busy_cycles=requests,
             bus_held_result=held,
             module_busy_cycles=busy,
-            port_issue_cycles=tuple(port_issues),
+            port_issue_cycles=port_issues,
         )
 
     # -- trace emission -------------------------------------------------

@@ -5,8 +5,9 @@ kernel does not build one per request while it simulates: it keeps the
 cycles in flat arrays and hands back :class:`RequestRecords`, a
 read-only sequence that answers the aggregate questions (how many
 requests waited, whether a result was held back, when each request was
-delivered) from those arrays and materialises the records only when a
-caller reads them, such as a timeline or a trace.
+delivered) from those arrays, or from the counts the kernel's timing
+memo keeps, and materialises the records only when a caller reads them,
+such as a timeline or a trace.
 """
 
 from __future__ import annotations
@@ -58,6 +59,18 @@ def count_waits(arrival: Sequence[int], start: Sequence[int]) -> int:
     return sum(map(ne, arrival, start))
 
 
+def results_held(
+    start: Sequence[int], delivery: Sequence[int], service_time: int
+) -> bool:
+    """Whether some result was delivered later than ``finish + 1``, the
+    first cycle it was deliverable: held back by result-bus contention
+    or ``q'`` back-pressure."""
+    return any(
+        delivered > started + service_time
+        for started, delivered in zip(start, delivery)
+    )
+
+
 class RequestRecords(Sequence):
     """One stream's finished requests, in issue order.
 
@@ -74,11 +87,16 @@ class RequestRecords(Sequence):
         The number of requests that started after they arrived
         (:func:`count_waits`); the kernel's timing memo keeps it.
     stores:
-        Stream positions that are store operations.
+        Stream positions that are store operations: a ``range`` or a
+        frozenset.
     reduce:
         Address reduction applied to each record's ``address`` (the
         mapping's wrap into its address space); ``None`` keeps the
         address as given.
+    result_held:
+        Whether some result was held back (:func:`results_held`); the
+        kernel's timing memo keeps it, and ``None`` computes it from the
+        cycles when first read.
 
     Indexing or iterating builds the :class:`InFlightRequest` records
     once and caches them; :attr:`delivery_cycles`, :attr:`wait_count`
@@ -96,6 +114,7 @@ class RequestRecords(Sequence):
         "_reduce",
         "_records",
         "_wait_count",
+        "_result_held",
     )
 
     def __init__(
@@ -107,8 +126,9 @@ class RequestRecords(Sequence):
         delivery: Sequence[int],
         service_time: int,
         wait_count: int,
-        stores: frozenset[int] = frozenset(),
+        stores: range | frozenset[int] = frozenset(),
         reduce: Callable[[int], int] | None = None,
+        result_held: bool | None = None,
     ):
         self._requests = requests
         self._modules = modules
@@ -120,6 +140,7 @@ class RequestRecords(Sequence):
         self._reduce = reduce
         self._records: tuple[InFlightRequest, ...] | None = None
         self._wait_count = wait_count
+        self._result_held = result_held
 
     def __len__(self) -> int:
         return len(self._arrival)
@@ -154,12 +175,13 @@ class RequestRecords(Sequence):
     def result_held(self) -> bool:
         """Some result was delivered later than ``finish + 1``, the first
         cycle it was deliverable — held back by result-bus contention or
-        ``q'`` back-pressure."""
-        service_time = self._service_time
-        return any(
-            delivered > started + service_time
-            for started, delivered in zip(self._start, self._delivery)
-        )
+        ``q'`` back-pressure (:func:`results_held`)."""
+        held = self._result_held
+        if held is None:
+            held = self._result_held = results_held(
+                self._start, self._delivery, self._service_time
+            )
+        return held
 
     def _materialise(self) -> tuple[InFlightRequest, ...]:
         records = self._records

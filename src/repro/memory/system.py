@@ -107,7 +107,8 @@ def access_result_from_run(
     last delivery, and both busy cycles and held results are attributed
     per stream: every request occupies its module for exactly ``T``
     cycles, and a hold only taints the stream whose delivery actually
-    slipped past ``finish + 1``.
+    slipped past ``finish + 1`` (the held-result flag a kernel run's
+    records carry from the kernel's timing memo).
     """
     stream = run.streams[stream_index]
     if len(run.streams) == 1:

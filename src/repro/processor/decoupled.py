@@ -35,11 +35,15 @@ A run makes two passes.  Values do not depend on when elements arrive
 Section 5-D), so the *value pass* runs the program in program order on
 whole vectors: it plans each memory instruction, moves its data between
 the backing store and the register file in the request stream's issue
-order, and records the plan and stream as a :class:`ResolvedAccess`.
+order, and records the plan and the
+:class:`~repro.memory.kernel.KernelStream` the kernel times it as (a
+store's positions as ``range(length)``) in a :class:`ResolvedAccess`.
 The *timing pass*, :meth:`DecoupledVectorMachine.time`, runs those
 accesses through the batches, the kernel and the execute unit and moves
-no values.  The chaining baseline is the timing pass alone, on a machine
-that does not chain.
+no values.  Untraced batches run on the machine's one
+:attr:`~DecoupledVectorMachine.kernel`, so a batch whose timing is in
+the kernel's memo costs its streams.  The chaining baseline is the
+timing pass alone, on a machine that does not chain.
 
 The machine states what each pass reads of it.  Besides the program,
 the value pass reads only its :attr:`~DecoupledVectorMachine.plan_key`
@@ -315,13 +319,13 @@ class OpenBatch:
 @dataclass(frozen=True)
 class ResolvedAccess:
     """One memory instruction as the value pass resolved it: its plan,
-    request stream and the facts :meth:`OpenBatch.refusal` reads."""
+    the :class:`~repro.memory.kernel.KernelStream` its batch's kernel
+    run times it as, and the facts :meth:`OpenBatch.refusal` reads."""
 
     position: int
     instruction: object
     plan: AccessPlan | IndexedPlan
-    stream: tuple[tuple[int, int], ...]
-    stores: tuple[int, ...]
+    kernel_stream: KernelStream
     span: tuple[int, int]  # min/max raw address touched
     is_store_op: bool
     reads: frozenset[int]
@@ -477,6 +481,9 @@ class DecoupledVectorMachine:
             memory_streams if memory_streams is not None else config.ports
         )
         self.tracer = resolve_tracer(tracer)
+        # Untraced batches run here; a traced batch runs on a kernel
+        # whose tracer is shifted to the batch's start.
+        self.kernel = MemoryKernel(config)
         self.planner = AccessPlanner(config.mapping, config.t)
         self.store = MemoryStore(config.mapping)
         self.registers = VectorRegisterFile(REGISTER_COUNT, register_length)
@@ -734,12 +741,20 @@ class DecoupledVectorMachine:
                     f"0..{length - 1} exactly once"
                 )
             self.registers.register(instruction.dst).set(values)
+        # The stream every timing of this program hands the kernel: named
+        # by its position, a store's positions as a range, and the plan's
+        # module sequence as it is (every plan was made over this
+        # machine's mapping).
         return ResolvedAccess(
             position,
             instruction,
             plan,
-            stream,
-            tuple(range(length)) if is_store_op else (),
+            KernelStream(
+                f"i{position}",
+                stream,
+                range(length) if is_store_op else frozenset(),
+                plan.modules,
+            ),
             _address_span(stream),
             is_store_op,
             frozenset(instruction.reads()),
@@ -789,32 +804,25 @@ class DecoupledVectorMachine:
     ) -> int:
         """Run the batch (one kernel run) and record its timing.
 
-        Returns the cycle the memory unit frees (all streams drained).
+        Each member hands the kernel the stream the value pass built for
+        it, and an untraced batch runs on the machine's one
+        :attr:`kernel`, so a batch whose timing is in the kernel's memo
+        costs its streams.  Returns the cycle the memory unit frees (all
+        streams drained).
         """
         offset = batch_start - 1
-        # Kernel events from this batch land at absolute program cycles
-        # (the batch's own clock starts at 1); a null tracer shifts to
-        # itself, so the untraced path is unchanged.
-        batch_tracer = self.tracer.shifted(offset)
-        # Every plan was made over this machine's mapping, so its module
-        # sequence feeds the kernel as is.
-        run = MemoryKernel(self.config, tracer=batch_tracer).run(
-            [
-                KernelStream.of(
-                    f"i{member.position}",
-                    member.stream,
-                    stores=member.stores,
-                    modules=member.plan.modules,
-                )
-                for member in batch
-            ]
-        )
-        unit_free = batch_start
-        for slot, member in enumerate(batch):
-            stream = run.streams[slot]
-            result = access_result_from_run(
-                run, slot, self.config.service_ratio
+        kernel = self.kernel
+        if self.tracer.enabled:
+            # Kernel events from this batch land at absolute program
+            # cycles (the batch's own clock starts at 1).
+            kernel = MemoryKernel(
+                self.config, tracer=self.tracer.shifted(offset)
             )
+        run = kernel.run([member.kernel_stream for member in batch])
+        service_ratio = self.config.service_ratio
+        unit_free = batch_start
+        for slot, (member, stream) in enumerate(zip(batch, run.streams)):
+            result = access_result_from_run(run, slot, service_ratio)
             end = offset + stream.last_delivery_cycle
             unit_free = max(unit_free, end + 1)
             # Batches run, and their members join, in program order.
@@ -823,7 +831,7 @@ class DecoupledVectorMachine:
                 register_ready[member.instruction.dst] = end
                 load_records[member.instruction.dst] = _LoadRecord(
                     result.conflict_free,
-                    member.stream,
+                    member.kernel_stream.requests,
                     result.requests.delivery_cycles,
                     offset,
                 )
@@ -967,7 +975,8 @@ class DecoupledVectorMachine:
                     delivered = timings[source].start_cycle - 1 + max(
                         cycle
                         for (element, _address), cycle in zip(
-                            access.stream, result.requests.delivery_cycles
+                            access.kernel_stream.requests,
+                            result.requests.delivery_cycles,
                         )
                         if element < length
                     )

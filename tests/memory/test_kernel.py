@@ -44,8 +44,16 @@ from repro.memory.kernel import (
     kernel_timing,
 )
 from repro.memory.module import InFlightRequest, RequestRecords, count_waits
-from repro.memory.system import MemorySystem
+from repro.memory.system import MemorySystem, access_result_from_run
 from repro.obs.tracer import Tracer
+from repro.scenarios import (
+    ComponentSpec,
+    MemorySpec,
+    ScenarioSpec,
+    example_params,
+    kinds,
+)
+from repro.scenarios.facade import build_point, resolved_program
 
 
 # -- the reference implementation (transcribed legacy loops) -------------
@@ -412,7 +420,7 @@ def reference_summary(config, stream):
 
 
 @st.composite
-def kernel_cases(draw, max_streams=1):
+def kernel_cases(draw, max_streams=1, min_streams=1):
     """A geometry plus module sequences, one per stream, as addresses of
     a low-order interleaved memory (address ``a`` lives in module
     ``a mod M``)."""
@@ -429,7 +437,9 @@ def kernel_cases(draw, max_streams=1):
     )
     module_count = config.module_count
     streams = []
-    for _ in range(draw(st.integers(min_value=1, max_value=max_streams))):
+    for _ in range(
+        draw(st.integers(min_value=min_streams, max_value=max_streams))
+    ):
         modules = draw(
             st.lists(
                 st.integers(min_value=0, max_value=module_count - 1),
@@ -683,6 +693,142 @@ class TestLoopMemo:
         assert loop.call_count == len(lengths)
         assert info.misses == 2 * len(lengths)
         assert info.currsize == LOOP_MEMO_SIZE == 40
+
+    @settings(max_examples=80, deadline=None)
+    @given(kernel_cases(max_streams=4, min_streams=2), st.data())
+    def test_a_hit_equals_a_cold_run_stream_by_stream(self, case, data):
+        config, requests = case
+        streams = []
+        for index, stream in enumerate(requests):
+            # No stores, a vector store's range, or any set of positions.
+            stores = data.draw(
+                st.sampled_from(["none", "range", "set"]), label="stores"
+            )
+            if stores == "range":
+                positions = range(len(stream))
+            elif stores == "set":
+                positions = frozenset(
+                    data.draw(st.sets(st.integers(0, len(stream) - 1)))
+                )
+            else:
+                positions = frozenset()
+            streams.append(KernelStream(f"s{index}", tuple(stream), positions))
+        service_ratio = config.service_ratio
+        kernel_timing.cache_clear()
+        cold = MemoryKernel(config).run(streams)
+        warm = MemoryKernel(config).run(streams)
+        assert kernel_timing.cache_info().hits == 1
+        assert warm == cold
+        reference = reference_run(
+            config,
+            [(stream.requests, stream.stores) for stream in streams],
+            ports=config.ports,
+        )
+        for index in range(len(streams)):
+            was = access_result_from_run(cold, index, service_ratio)
+            now = access_result_from_run(warm, index, service_ratio)
+            assert now.latency == was.latency
+            assert now.issue_stall_cycles == was.issue_stall_cycles
+            assert now.conflict_free == was.conflict_free
+            assert now.module_busy_cycles == was.module_busy_cycles
+            assert list(now.requests) == list(was.requests)
+            # The hit's per-stream timing is the reference loop's too.
+            records = list(now.requests)
+            expected = reference["requests"][index]
+            assert timing_tuples(records) == timing_tuples(expected)
+            assert [r.is_store for r in records] == [
+                r.is_store for r in expected
+            ]
+            assert now.issue_stall_cycles == reference["stalls"][index]
+            assert now.latency == reference["last_delivery"][index]
+            assert now.wait_count == sum(r.waited for r in records)
+            assert now.requests.result_held == any(
+                r.delivery_cycle > r.finish_cycle + 1 for r in records
+            )
+
+    def test_a_module_out_of_range_is_refused_on_every_call(self):
+        kernel = MemoryKernel(MATCHED)
+        good = KernelStream.of("a", [(0, 0), (1, 1)], modules=[0, 1])
+        for bad_modules in ([0, 8], [-1, 0]):
+            bad = KernelStream.of("b", [(0, 0), (1, 1)], modules=bad_modules)
+            kernel_timing.cache_clear()
+            for _ in range(3):
+                kernel.run([good])
+                for streams in ([good, bad], [bad]):
+                    with pytest.raises(
+                        ConfigurationError,
+                        match=r"^stream 'b' field 'modules' must lie in "
+                        r"\[0, 8\)$",
+                    ):
+                        kernel.run(streams)
+        assert kernel_timing.cache_info().currsize == 1
+
+    @pytest.mark.parametrize(
+        "streams, error, message",
+        [
+            # The module range of an earlier stream comes first ...
+            ([("a", [0, 8]), ("b", None, [])], ConfigurationError, "'a'.*must lie"),
+            ([("a", [0, 8]), ("a", [0, 1])], ConfigurationError, "'a'.*must lie"),
+            ([("a", [0, 8]), ("b", [0])], ConfigurationError, "'a'.*must lie"),
+            ([("a", [0, 1]), ("b", [0, 9]), ("c", [9, 0])], ConfigurationError, "'b'.*must lie"),
+            ([("x", None, [(0, "no address")]), ("b", [0, 8])], ConfigurationError, "'b'.*must lie"),
+            # ... and a stream's own earlier rules, or an earlier stream's.
+            ([("a", [0]), ("b", [0, 8])], ConfigurationError, "'a'.*1 entries for 2"),
+            ([("a", None, []), ("b", [0, 8])], SimulationError, "non-empty"),
+            ([("a", [0, 1]), ("a", [0, 8])], ConfigurationError, "colliding"),
+        ],
+    )
+    def test_an_input_that_breaks_two_rules_is_refused_for_the_first(
+        self, streams, error, message
+    ):
+        def stream(name, modules, requests=((0, 0), (1, 1))):
+            return KernelStream(name, tuple(requests), frozenset(), (
+                None if modules is None else tuple(modules)
+            ))
+
+        kernel_timing.cache_clear()
+        for _ in range(2):
+            with pytest.raises(error, match=message):
+                MemoryKernel(MATCHED).run([stream(*spec) for spec in streams])
+
+    def test_range_stores_mark_the_same_records_as_a_set(self):
+        stream = plan_streams(MATCHED, "auto", [VectorAccess(16, 12, 32)])[0]
+        runs = [
+            MemoryKernel(MATCHED).run([KernelStream("s", stream, stores)])
+            for stores in (range(20), frozenset(range(20)))
+        ]
+        as_range, as_set = (run.streams[0].requests for run in runs)
+        assert list(as_range) == list(as_set)
+        assert [r.is_store for r in as_range] == [True] * 20 + [False] * 12
+
+    @pytest.mark.parametrize("memory_streams", [1, 2])
+    @pytest.mark.parametrize("kind", kinds("program"))
+    def test_every_program_kind_times_the_same_cold_and_warm(
+        self, kind, memory_streams
+    ):
+        spec = ScenarioSpec(
+            mapping=ComponentSpec.of("matched-xor", t=3, s=4),
+            memory=MemorySpec(t=3, q=2, ports=2),
+            program=ComponentSpec.of(kind, **example_params("program", kind)),
+            drive=ComponentSpec.of("decoupled", memory_streams=memory_streams),
+        )
+        machine, entry = resolved_program(build_point(spec))
+        kernel_timing.cache_clear()
+        cold = machine.time(entry.resolved)
+        misses = kernel_timing.cache_info().misses
+        warm = machine.time(entry.resolved)
+        assert kernel_timing.cache_info().misses == misses
+        assert warm == cold
+        assert warm.batch_breaks == cold.batch_breaks
+        for (scheme, now), (was_scheme, was) in zip(
+            warm.memory_runs, cold.memory_runs
+        ):
+            assert scheme == was_scheme
+            assert now.requests.result_held == was.requests.result_held
+            assert timing_tuples(now.requests) == timing_tuples(was.requests)
+            assert [r.is_store for r in now.requests] == [
+                r.is_store for r in was.requests
+            ]
 
 
 @st.composite

@@ -65,6 +65,42 @@ class TestScenarioRun:
         assert main(["scenario", "run", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [[], ["--json"], ["--trace", "t.json"]])
+    def test_a_bad_spec_stops_the_run_before_any_simulates(
+        self, spec_file, tmp_path, monkeypatch, capsys, extra
+    ):
+        from repro.errors import ReproError
+        from repro.scenarios import simulate
+
+        spec, _path = spec_file
+        bad = ScenarioSpec.from_dict(
+            {**spec.to_dict(), "name": "typo", "mapping": {
+                "kind": "matched-xr", "params": {"t": 3, "s": 4}}}
+        )
+        with pytest.raises(ReproError) as refusal:
+            simulate(bad)
+        # A clean spec first, then the same with a close typo of a kind.
+        run_dir = tmp_path / "run"
+        run_dir.mkdir()
+        path = run_dir / "two.json"
+        path.write_text(json.dumps([spec.to_dict(), bad.to_dict()]))
+        monkeypatch.chdir(run_dir)
+        assert main(["scenario", "run", str(path), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {refusal.value}\n"
+        assert [entry.name for entry in run_dir.iterdir()] == ["two.json"]
+
+    def test_a_clean_file_prints_no_lint_lines(self, spec_file, tmp_path, capsys):
+        spec, _path = spec_file
+        # The same point twice is a DD401 warning on the lab's path.
+        path = tmp_path / "twice.json"
+        path.write_text(json.dumps([spec.to_dict(), spec.to_dict()]))
+        assert main(["scenario", "run", str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "lint" not in captured.out + captured.err
+        assert captured.out.count("== cli-demo") == 2
+
     def test_lab_mode_caches(self, spec_file, tmp_path, capsys):
         _spec, path = spec_file
         root = str(tmp_path / "lab")
