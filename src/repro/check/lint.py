@@ -34,8 +34,16 @@ __all__ = ["lint_grid_axes", "lint_spec"]
 
 
 def lint_spec(spec: ScenarioSpec, *, location: str) -> list[Finding]:
-    """Registry-level findings for one spec (no components built)."""
+    """Registry-level findings for one spec (no components built), in
+    the order ``simulate()`` meets them: ``SL306`` first, then each
+    component's in :func:`~repro.scenarios.registry.spec_components`
+    order, so the first error is the one ``simulate()`` raises."""
     findings = []
+    refusal = program_drive_refusal(spec)
+    if refusal is not None:
+        findings.append(
+            Finding("SL306", "error", f"{location}.drive", refusal)
+        )
     for category, component in spec_components(spec):
         where = f"{location}.{category}"
         try:
@@ -46,11 +54,6 @@ def lint_spec(spec: ScenarioSpec, *, location: str) -> list[Finding]:
         findings.extend(
             Finding("SL302", "error", where, message)
             for message in parameter_errors(category, component)
-        )
-    refusal = program_drive_refusal(spec)
-    if refusal is not None:
-        findings.append(
-            Finding("SL306", "error", f"{location}.drive", refusal)
         )
     return findings
 

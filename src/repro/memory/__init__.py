@@ -10,7 +10,9 @@ Module map
   :class:`StreamRun` per stream.  ``MemoryKernel(config).run(streams)``
   is the way to run several streams.  Its timing memo
   (:func:`~repro.memory.kernel.kernel_timing`) keeps each stream's
-  finished timing, so a repeated run costs its streams.
+  finished timing, whose held-result flag and first and last cycles it
+  derives once from the request cycles, so a repeated run costs its
+  streams.
 * :mod:`repro.memory.system` — :class:`MemorySystem`, the single-stream
   view (``n = 1``) returning :class:`AccessResult`.
 * :mod:`repro.memory.config` — :class:`MemoryConfig`: mapping, ``T``,
@@ -18,7 +20,8 @@ Module map
 * :mod:`repro.memory.module` — the :class:`InFlightRequest` timing
   record and :class:`RequestRecords`, the lazily built sequence of them
   every run returns (its wait count and held-result flag come from the
-  kernel's memo).
+  kernel's memo; :func:`~repro.memory.module.results_held` is the one
+  held-result rule).
 * :mod:`repro.memory.storage` — the word-addressable backing store.
 * :mod:`repro.memory.trace` — result summaries and Gantt rendering.
 

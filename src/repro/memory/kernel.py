@@ -70,15 +70,17 @@ the plain loop.
 
 A run's timing, :func:`kernel_timing`, is a function of exactly what it
 reads (``T``, ``M``, ``q``, ``q'``, the ports and each stream's module
-sequence) behind one bounded LRU memo.  An entry
-(:class:`KernelTiming`) holds the run's total cycles, held-result flag,
-module busy cycles and port issues, and each stream's finished timing
-(:class:`StreamTiming`): its module counts and wait count, its
-held-result flag when the run has several streams, and its own
-arrival, start and delivery cycles (the run's sequences for a single
-stream, slices of them otherwise; a closed-form entry keeps them as
-``range`` objects).  The module range check, the
-conflict-freedom check, the loop, the count loops and the slicing
+sequence) behind one bounded LRU memo.  The closed form and the loop
+return only each request's arrival, start and delivery cycles and each
+stream's issue stalls; everything else is derived from those once per
+entry, the same way for both.  An entry (:class:`KernelTiming`) holds
+the run's total cycles, held-result flag, module busy cycles and port
+issues, and each stream's finished timing (:class:`StreamTiming`): its
+module counts, wait count, held-result flag, first issue and last
+delivery, and its own arrival, start and delivery cycles (the run's
+sequences for a single stream, slices of them otherwise; a closed-form
+entry keeps them as ``range`` objects).  The module range check, the
+conflict-freedom check, the loop, the derivations and the slicing
 therefore run once per distinct input: a strip-mined program, or a grid
 whose points time one program's memory batches on the same memory, pays
 for that batch's timing once, and so does a chaining baseline that is
@@ -278,8 +280,7 @@ def _conflict_free_timing(total: int, service_time: int):
     """
     arrival = range(2, 2 + total)
     delivery = range(service_time + 2, service_time + 2 + total)
-    last = delivery[-1]
-    return arrival, arrival, delivery, last, False, (1,), (last,), (0,)
+    return arrival, arrival, delivery, (0,)
 
 
 #: Period boundaries at which :func:`cycle_loop` snapshots a periodic
@@ -301,7 +302,7 @@ def _stream_period(modules: tuple[int, ...]) -> int:
 
 def _relative_state(
     position, cycle, period_modules, issued_to, started, serving, parked,
-    held_results, results, ready, events, held,
+    held_results, results, ready, events,
 ):
     """A single stream's loop state right after an issue phase, with
     requests relative to the cursor ``position`` and cycles to
@@ -309,10 +310,11 @@ def _relative_state(
 
     Per module of the period: its queued requests, the request in
     service, any parked result and its output-queue occupancy.  Then
-    the undelivered results with their ready offsets, the pending
+    the undelivered results with their ready offsets, and the pending
     events as sets of modules per cycle offset (order within a cycle
-    does not matter: each cycle's new results are re-sorted by module),
-    and the held-result flag.
+    does not matter: each cycle's new results are re-sorted by module).
+    No held-result flag: :func:`kernel_timing` derives it once from the
+    finished request cycles, like the first and last cycles.
     """
     return (
         tuple(
@@ -328,7 +330,6 @@ def _relative_state(
         frozenset(
             (when - cycle, frozenset(due)) for when, due in events.items()
         ),
-        held,
     )
 
 
@@ -338,7 +339,7 @@ def _lowest_named(state) -> int:
     Every request issued before the snapshot and not named in it was
     delivered before the snapshot's cycle.
     """
-    period_modules, results, _events, _held = state
+    period_modules, results, _events = state
     named = [rid for rid, _ready in results]
     for queue, serving, parked, _occupancy in period_modules:
         named.extend(queue)
@@ -391,11 +392,12 @@ def cycle_loop(
     delivery, module service (start before finish) — but visits only
     the modules with an event in it, and a cycle in which nothing can
     change is skipped.  ``stream_modules`` is a tuple of each stream's
-    module tuple.  Returns ``(arrival, start, delivery, total_cycles,
-    held, first_issue, last_delivery, stalls)``: the per-request cycles
-    over all streams in stream order, then the per-stream counters.
-    :func:`kernel_timing` memoises it and memo hits share the result, so
-    every sequence in it is a tuple.
+    module tuple.  Returns ``(arrival, start, delivery, stalls)``: the
+    per-request cycles over all streams in stream order, then each
+    stream's issue stalls, which those cycles do not record.
+    :func:`kernel_timing` derives each stream's held-result flag and
+    first and last cycles from them once and memoises the lot; memo
+    hits share the result, so every sequence in it is a tuple.
 
     Steady-state skip.  Precondition: one stream (on any port count)
     whose modules repeat with a power-of-two period ``P <= L/4``
@@ -417,12 +419,10 @@ def cycle_loop(
 
     # Requests are numbered stream by stream (rid).
     mod: list[int] = []
-    stream_of: list[int] = []
     offsets: list[int] = []
-    for s_index, modules in enumerate(stream_modules):
+    for modules in stream_modules:
         offsets.append(len(mod))
         mod.extend(modules)
-        stream_of.extend([s_index] * len(modules))
     total = len(mod)
     arrival = [0] * total
     start = [0] * total
@@ -449,8 +449,6 @@ def cycle_loop(
     stream_len = [len(modules) for modules in stream_modules]
     cursors = [0] * stream_count
     stalls = [0] * stream_count
-    first_issue = [0] * stream_count
-    last_delivery = [0] * stream_count
     rotation = [0] * ports
 
     # Every result queued for the result bus, oldest first.  Results
@@ -468,7 +466,6 @@ def cycle_loop(
     cycle = 0
     guard = (total + 2) * (service_time + 2) + 64
     delivered = 0
-    held = False
     advance = True
     stalled: Sequence[int] = ()  # streams that failed to issue
 
@@ -535,8 +532,6 @@ def cycle_loop(
                     if queued == 0 and serving[m] < 0 and parked[m] < 0:
                         events.setdefault(cycle + 1, []).append(m)
                     queue.append(rid)
-                    if position == 0:
-                        first_issue[s] = cycle
                     cursors[s] = position + 1
                     rotation[port] = s + 1
                     issued = True
@@ -552,7 +547,7 @@ def cycle_loop(
             position = cursors[0]
             state = _relative_state(
                 position, cycle, period_modules, issued_to, started, serving,
-                parked, held_results, results[front:], ready, events, held,
+                parked, held_results, results[front:], ready, events,
             )
             earlier = boundaries.get(state)
             if earlier is None:
@@ -596,33 +591,15 @@ def cycle_loop(
 
         # 2. Result ports: up to ``ports`` deliveries, oldest first.
         if front < queued_total and ready[results[front]] <= cycle:
-            end = queued_total
-            if (
-                not held
-                and front + 1 < end
-                and ready[results[front + 1]] <= cycle
-            ):
-                # Held back iff more modules have a ready result than
-                # there are ports to deliver them.
-                ready_modules = set()
-                for position in range(front, end):
-                    rid = results[position]
-                    if ready[rid] > cycle:
-                        break
-                    ready_modules.add(mod[rid])
-                    if len(ready_modules) > ports:
-                        held = True
-                        break
             grants = 0
             while (
                 grants < ports
-                and front < end
+                and front < queued_total
                 and ready[results[front]] <= cycle
             ):
                 rid = results[front]
                 front += 1
                 delivery[rid] = cycle
-                last_delivery[stream_of[rid]] = cycle
                 m = mod[rid]
                 held_results[m] -= 1
                 if (
@@ -676,10 +653,7 @@ def cycle_loop(
             results[first_new:] = sorted(
                 results[first_new:], key=mod.__getitem__
             )
-    return (
-        tuple(arrival), tuple(start), tuple(delivery), cycle, held,
-        tuple(first_issue), tuple(last_delivery), tuple(stalls),
-    )
+    return tuple(arrival), tuple(start), tuple(delivery), tuple(stalls)
 
 
 #: Capacity of the :func:`kernel_timing` memo, whose entries are closed
@@ -703,17 +677,17 @@ LOOP_MEMO_SIZE = 40
 
 class StreamTiming(NamedTuple):
     """One stream's finished timing, as a :func:`kernel_timing` entry
-    holds it: its per-module request counts, wait count and held-result
-    flag (:func:`~repro.memory.module.results_held`; ``None`` for the
-    only stream of a run, whose result reads the run's own flag and
-    whose records compute theirs if asked), its requests' arrival,
+    holds it: its per-module request counts, its requests' arrival,
     start and delivery cycles (the run's own sequences for a single
-    stream, slices of them otherwise), its first issue and last delivery
-    cycles and its issue stalls."""
+    stream, slices of them otherwise) and its issue stalls, plus what
+    :func:`kernel_timing` derives from those cycles once per entry: its
+    wait count, held-result flag
+    (:func:`~repro.memory.module.results_held`), first issue and last
+    delivery."""
 
     module_counts: tuple[int, ...]
     wait_count: int
-    result_held: bool | None
+    result_held: bool
     arrival: Sequence[int]
     start: Sequence[int]
     delivery: Sequence[int]
@@ -724,7 +698,8 @@ class StreamTiming(NamedTuple):
 
 class KernelTiming(NamedTuple):
     """A :func:`kernel_timing` entry: the run's total cycles and
-    held-result flag, each module's busy cycles, each port's issues, the
+    held-result flag (its streams' latest last delivery and any of
+    their flags), each module's busy cycles, each port's issues, the
     request count and each stream's :class:`StreamTiming`."""
 
     total_cycles: int
@@ -784,7 +759,13 @@ def kernel_timing(
     anything runs, and an error is not memoised.  A single stream whose
     module sequence is conflict-free (``T >= 2``) takes the closed form
     (:func:`_conflict_free_timing`); anything else runs
-    :func:`cycle_loop`.  Busy accounting is arithmetic (every request is
+    :func:`cycle_loop`.  Both return only the per-request cycles and the
+    issue stalls, and everything else is derived from those here, the
+    same way for either: a stream's first issue is one cycle before its
+    first arrival, its last delivery is its latest delivery cycle and
+    its held flag is :func:`~repro.memory.module.results_held`; the
+    run's total cycles and held flag are the latest last delivery and
+    any stream's flag.  Busy accounting is arithmetic (every request is
     serviced for exactly ``T`` cycles), not per-cycle ticking.  Memo
     hits share the result, so every sequence in it is immutable.
     """
@@ -802,11 +783,7 @@ def kernel_timing(
             service_time, module_count, input_capacity, output_capacity,
             ports, stream_modules,
         )
-    (
-        arrival, start, delivery, total_cycles, held, first_issue,
-        last_delivery, stalls,
-    ) = timing
-    several = len(stream_modules) > 1
+    arrival, start, delivery, stalls = timing
     streams = []
     busy = [0] * module_count
     port_issues = [0] * ports
@@ -827,23 +804,20 @@ def kernel_timing(
             StreamTiming(
                 tuple(counts),
                 count_waits(own_arrival, own_start),
-                (
-                    results_held(own_start, own_delivery, service_time)
-                    if several
-                    else None
-                ),
+                results_held(own_start, own_delivery, service_time),
                 own_arrival,
                 own_start,
                 own_delivery,
-                first_issue[index],
-                last_delivery[index],
+                own_arrival[0] - 1,
+                max(own_delivery),
                 stalls[index],
             )
         )
         low = high
     return KernelTiming(
-        total_cycles, held, tuple(busy), tuple(port_issues), low,
-        tuple(streams),
+        max(stream.last_delivery for stream in streams),
+        any(stream.result_held for stream in streams),
+        tuple(busy), tuple(port_issues), low, tuple(streams),
     )
 
 
@@ -976,8 +950,8 @@ class MemoryKernel:
                     issue_stall_cycles=stalls,
                     requests=RequestRecords(
                         stream.requests, modules, arrival, start, delivery,
-                        service_time, waits, stream.stores, reduce,
-                        stream_held,
+                        service_time, waits, stream_held, stream.stores,
+                        reduce,
                     ),
                     module_request_counts=counts,
                 )

@@ -5,16 +5,17 @@ kernel does not build one per request while it simulates: it keeps the
 cycles in flat arrays and hands back :class:`RequestRecords`, a
 read-only sequence that answers the aggregate questions (how many
 requests waited, whether a result was held back, when each request was
-delivered) from those arrays, or from the counts the kernel's timing
-memo keeps, and materialises the records only when a caller reads them,
-such as a timeline or a trace.
+delivered) from those arrays, or from the wait count and held-result
+flag the kernel's timing memo derives from them once, and materialises
+the records only when a caller reads them, such as a timeline or a
+trace.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import ne
+from operator import ne, sub
 from typing import Callable
 
 from repro.errors import SimulationError
@@ -64,11 +65,9 @@ def results_held(
 ) -> bool:
     """Whether some result was delivered later than ``finish + 1``, the
     first cycle it was deliverable: held back by result-bus contention
-    or ``q'`` back-pressure."""
-    return any(
-        delivered > started + service_time
-        for started, delivered in zip(start, delivery)
-    )
+    or ``q'`` back-pressure.  The one held-result rule: the kernel
+    applies it to every stream it times."""
+    return max(map(sub, delivery, start)) > service_time
 
 
 class RequestRecords(Sequence):
@@ -86,6 +85,10 @@ class RequestRecords(Sequence):
     wait_count:
         The number of requests that started after they arrived
         (:func:`count_waits`); the kernel's timing memo keeps it.
+    result_held:
+        Whether some result was held back (:func:`results_held`); the
+        kernel's timing memo derives it once from the cycles and keeps
+        it.
     stores:
         Stream positions that are store operations: a ``range`` or a
         frozenset.
@@ -93,10 +96,6 @@ class RequestRecords(Sequence):
         Address reduction applied to each record's ``address`` (the
         mapping's wrap into its address space); ``None`` keeps the
         address as given.
-    result_held:
-        Whether some result was held back (:func:`results_held`); the
-        kernel's timing memo keeps it, and ``None`` computes it from the
-        cycles when first read.
 
     Indexing or iterating builds the :class:`InFlightRequest` records
     once and caches them; :attr:`delivery_cycles`, :attr:`wait_count`
@@ -126,9 +125,9 @@ class RequestRecords(Sequence):
         delivery: Sequence[int],
         service_time: int,
         wait_count: int,
+        result_held: bool,
         stores: range | frozenset[int] = frozenset(),
         reduce: Callable[[int], int] | None = None,
-        result_held: bool | None = None,
     ):
         self._requests = requests
         self._modules = modules
@@ -162,9 +161,11 @@ class RequestRecords(Sequence):
         return f"RequestRecords({len(self)} requests)"
 
     @property
-    def delivery_cycles(self) -> tuple[int, ...]:
-        """Each request's delivery cycle, in issue order."""
-        return tuple(self._delivery)
+    def delivery_cycles(self) -> Sequence[int]:
+        """Each request's delivery cycle, in issue order: the sequence
+        the kernel stored (a closed form's ``range``, a loop's tuple),
+        not a copy."""
+        return self._delivery
 
     @property
     def wait_count(self) -> int:
@@ -176,12 +177,7 @@ class RequestRecords(Sequence):
         """Some result was delivered later than ``finish + 1``, the first
         cycle it was deliverable — held back by result-bus contention or
         ``q'`` back-pressure (:func:`results_held`)."""
-        held = self._result_held
-        if held is None:
-            held = self._result_held = results_held(
-                self._start, self._delivery, self._service_time
-            )
-        return held
+        return self._result_held
 
     def _materialise(self) -> tuple[InFlightRequest, ...]:
         records = self._records

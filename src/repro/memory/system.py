@@ -97,36 +97,28 @@ class AccessResult:
 def access_result_from_run(
     run: KernelRun, stream_index: int, service_ratio: int
 ) -> AccessResult:
-    """One kernel stream's outcome as an :class:`AccessResult`.
+    """One kernel stream's outcome as an :class:`AccessResult`, read
+    the same way whatever the run's stream count.
 
-    For a single-stream run this is the classic whole-run record
-    (``latency`` = total cycles, busy cycles = the whole machine's,
-    and the run-global held-result flag — there is only one stream to
-    attribute it to).  For a stream in a multi-stream run, latency
-    spans cycle 1 (when the stream became eligible to issue) to its own
-    last delivery, and both busy cycles and held results are attributed
-    per stream: every request occupies its module for exactly ``T``
-    cycles, and a hold only taints the stream whose delivery actually
-    slipped past ``finish + 1`` (the held-result flag a kernel run's
-    records carry from the kernel's timing memo).
+    Latency spans cycle 1 (when the stream became eligible to issue) to
+    its own last delivery, and busy cycles and held results are the
+    stream's own: every request occupies its module for exactly ``T``
+    cycles, and a hold only taints the stream whose delivery slipped
+    past ``finish + 1``.  The kernel's timing memo derives the last
+    delivery and the held-result flag once from the stream's request
+    cycles.  A run's only stream reads the run's own figures: its last
+    delivery is the run's total cycles, its busy cycles the machine's
+    and its held-result flag the run's.
     """
     stream = run.streams[stream_index]
-    if len(run.streams) == 1:
-        latency = run.total_cycles
-        busy = run.module_busy_cycles
-        held = run.bus_held_result
-    else:
-        latency = stream.last_delivery_cycle
-        busy = tuple(
-            service_ratio * count for count in stream.module_request_counts
-        )
-        held = stream.result_held
     return AccessResult(
-        latency=latency,
+        latency=stream.last_delivery_cycle,
         issue_stall_cycles=stream.issue_stall_cycles,
-        conflict_free=stream.conflict_free and not held,
+        conflict_free=stream.conflict_free and not stream.result_held,
         requests=stream.requests,
-        module_busy_cycles=busy,
+        module_busy_cycles=tuple(
+            service_ratio * count for count in stream.module_request_counts
+        ),
     )
 
 

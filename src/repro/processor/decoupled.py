@@ -71,6 +71,7 @@ facade calls the two halves, so that it can reuse a resolved program.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import isnan
 from operator import attrgetter
@@ -396,7 +397,7 @@ class _LoadRecord:
 
     conflict_free: bool
     stream: tuple[tuple[int, int], ...]
-    delivery_cycles: tuple[int, ...]
+    delivery_cycles: Sequence[int]
     offset: int
 
     def feed_window(self, length: int) -> tuple[int, int]:

@@ -268,10 +268,14 @@ def validate_kind(category: str, kind: str) -> None:
 
 
 def spec_components(spec) -> list[tuple[str, ComponentSpec]]:
-    """The ``(category, component)`` pairs a scenario spec declares."""
-    components = [(MAPPING, spec.mapping), (DRIVE, spec.drive)]
+    """The ``(category, component)`` pairs a scenario spec declares, in
+    the order :func:`repro.scenarios.facade.build_point` builds them:
+    drive, workload, mapping, then the program, which the machine
+    builds last."""
+    components = [(DRIVE, spec.drive)]
     if spec.workload is not None:
         components.append((WORKLOAD, spec.workload))
+    components.append((MAPPING, spec.mapping))
     if spec.program is not None:
         components.append((PROGRAM, spec.program))
     return components

@@ -586,3 +586,50 @@ def test_a_non_finite_number_is_not_a_spec_value(literal, tmp_path, capsys):
     path.write_text(text)
     assert main(["scenario", "run", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "document, message",
+    [
+        (
+            {
+                **MACHINE,
+                **DAXPY,
+                "mapping": {"kind": "matched-xr", "params": {"t": 3, "s": 4}},
+                "drive": {"kind": "planner"},
+            },
+            "scenario programs run on the decoupled machine; set drive "
+            "kind to 'decoupled' (got 'planner')",
+        ),
+        (
+            {
+                **MACHINE,
+                "mapping": {"kind": "matched-xr", "params": {"t": 3, "s": 4}},
+                "workload": {
+                    "kind": "stided",
+                    "params": {"stride": 12, "length": 128},
+                },
+            },
+            "unknown workload kind 'stided'",
+        ),
+    ],
+    ids=["program-planner-mapping", "workload-mapping"],
+)
+def test_a_spec_with_two_faults_is_refused_for_the_first_built(
+    document, message, tmp_path, capsys
+):
+    """Lint lists a spec's faults in the order ``simulate()`` builds
+    its parts (the drive refusal, then drive, workload, mapping and
+    program), so check's first error, and what plain ``scenario run``
+    prints, is the error ``simulate()`` raises, not the mapping's."""
+    from repro.cli import main
+
+    expected = refusal(document)
+    assert expected.startswith(message)
+    report = check_document(json.dumps(document), source="probe")
+    assert len(report.errors) == 2
+    assert report.errors[0].message == expected
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(document))
+    assert main(["scenario", "run", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {expected}\n"

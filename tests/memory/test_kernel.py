@@ -43,7 +43,12 @@ from repro.memory.kernel import (
     cycle_loop,
     kernel_timing,
 )
-from repro.memory.module import InFlightRequest, RequestRecords, count_waits
+from repro.memory.module import (
+    InFlightRequest,
+    RequestRecords,
+    count_waits,
+    results_held,
+)
 from repro.memory.system import MemorySystem, access_result_from_run
 from repro.obs.tracer import Tracer
 from repro.scenarios import (
@@ -243,6 +248,12 @@ def reference_run(config, streams, ports=1):
     }
 
 
+def held_in(requests):
+    """Whether a reference stream delivered some result after the first
+    cycle it was deliverable (``finish + 1``)."""
+    return any(r.delivery_cycle > r.finish_cycle + 1 for r in requests)
+
+
 def timing_tuples(requests):
     return [
         (
@@ -350,10 +361,14 @@ class TestMultiPortEquivalence:
         result = MemoryKernel(replace(config, ports=ports)).run(streams)
         assert result.total_cycles == reference["total_cycles"]
         assert result.bus_busy_cycles == reference["bus_busy"]
+        assert result.bus_held_result == reference["bus_held"]
         for index, stream_result in enumerate(result.streams):
             assert stream_result.issue_stall_cycles == reference["stalls"][index]
             assert stream_result.first_issue_cycle == reference["first_issue"][index]
             assert stream_result.last_delivery_cycle == reference["last_delivery"][index]
+            assert stream_result.result_held == held_in(
+                reference["requests"][index]
+            )
 
 
 class TestDegenerateGeometry:
@@ -742,9 +757,7 @@ class TestLoopMemo:
             assert now.issue_stall_cycles == reference["stalls"][index]
             assert now.latency == reference["last_delivery"][index]
             assert now.wait_count == sum(r.waited for r in records)
-            assert now.requests.result_held == any(
-                r.delivery_cycle > r.finish_cycle + 1 for r in records
-            )
+            assert now.requests.result_held == held_in(records)
 
     def test_a_module_out_of_range_is_refused_on_every_call(self):
         kernel = MemoryKernel(MATCHED)
@@ -1068,6 +1081,7 @@ class TestPerStreamHoldAttribution:
                 delivery=(delivery,),
                 service_time=8,
                 wait_count=count_waits((2,), (2,)),
+                result_held=results_held((2,), (delivery,), 8),
             ),
             module_request_counts=tuple(
                 1 if m == module else 0 for m in range(8)
@@ -1093,17 +1107,18 @@ class TestPerStreamHoldAttribution:
         assert access_result_from_run(run, 0, 8).conflict_free
         assert not access_result_from_run(run, 1, 8).conflict_free
 
-    def test_single_stream_keeps_global_flag(self):
-        from repro.memory.kernel import KernelRun
-        from repro.memory.system import access_result_from_run
-
-        clean = self.one_request_stream("only", 0, 0, delivery=10)
-        run = KernelRun(
-            streams=(clean,),
-            total_cycles=10,
-            ports=1,
-            bus_busy_cycles=1,
-            bus_held_result=True,
-            module_busy_cycles=(8, 0, 0, 0, 0, 0, 0, 0),
+    def test_a_single_stream_s_hold_is_the_run_s(self):
+        # T = 2, q = 2, one port: request 1 waits behind request 0 on
+        # module 0, so its result and request 2's (module 1) are both
+        # deliverable at cycle 6 and request 2's is held to cycle 7.
+        config = MemoryConfig(LowOrderInterleaved(1, 16), 1, input_capacity=2)
+        stream = KernelStream.of(
+            "only", [(0, 0), (1, 2), (2, 5)], modules=[0, 0, 1]
         )
-        assert not access_result_from_run(run, 0, 8).conflict_free
+        kernel_timing.cache_clear()
+        run = MemoryKernel(config).run([stream])
+        (only,) = run.streams
+        assert only.requests.delivery_cycles == (4, 6, 7)
+        assert run.bus_held_result
+        assert only.result_held
+        assert not access_result_from_run(run, 0, 2).conflict_free

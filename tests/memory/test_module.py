@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SimulationError
-from repro.memory.module import InFlightRequest, RequestRecords, count_waits
+from repro.memory.module import (
+    InFlightRequest,
+    RequestRecords,
+    count_waits,
+    results_held,
+)
 
 
 def make_request(element: int = 0, module: int = 0) -> InFlightRequest:
@@ -25,6 +30,12 @@ def make_records(**overrides) -> RequestRecords:
     fields.update(overrides)
     fields.setdefault(
         "wait_count", count_waits(fields["arrival"], fields["start"])
+    )
+    fields.setdefault(
+        "result_held",
+        results_held(
+            fields["start"], fields["delivery"], fields["service_time"]
+        ),
     )
     return RequestRecords(**fields)
 
@@ -68,8 +79,19 @@ class TestRequestRecords:
         assert records.result_held
         assert records._records is None
 
+    def test_results_held_finds_a_late_delivery(self):
+        # T = 4: the third result, started at 4, is delivered at 9 > 8.
+        assert results_held((2, 6, 4), (6, 10, 9), 4)
+        assert results_held(range(2, 5), range(7, 10), 4)
+
     def test_not_held_when_every_delivery_is_prompt(self):
-        assert not make_records(delivery=(6, 10, 8)).result_held
+        assert not results_held((2, 6, 4), (6, 10, 8), 4)
+        assert not results_held(range(2, 5), range(6, 9), 4)
+
+    def test_delivery_cycles_are_the_stored_sequence(self):
+        delivery = range(6, 9)
+        records = make_records(start=range(2, 5), delivery=delivery)
+        assert records.delivery_cycles is delivery
 
     def test_count_waits_counts_requests_that_started_late(self):
         assert count_waits((2, 3, 4), (2, 6, 4)) == 1
