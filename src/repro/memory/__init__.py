@@ -7,14 +7,16 @@ Module map
   :class:`MemoryKernel` simulates M modules × ``k = config.ports``
   address/result ports × ``n`` named request streams in a single flat,
   event-skipping cycle loop, returning a :class:`KernelRun` with one
-  :class:`StreamRun` per stream.  ``MemoryKernel(config).run(streams)``
-  is the way to run several streams.  Its timing memo
+  :class:`AccessResult` per stream: its cycles, records, busy cycles
+  and the one conflict-freedom rule (no wait, no issue stall, no held
+  result).  ``MemoryKernel(config).run(streams)`` is the way to run
+  several streams.  Its timing memo
   (:func:`~repro.memory.kernel.kernel_timing`) keeps each stream's
-  finished timing, whose held-result flag and first and last cycles it
-  derives once from the request cycles, so a repeated run costs its
-  streams.
+  finished timing, whose busy cycles it derives once from the module
+  sequence and whose held-result flag and first and last cycles from
+  the request cycles, so a repeated run costs its streams.
 * :mod:`repro.memory.system` — :class:`MemorySystem`, the single-stream
-  view (``n = 1``) returning :class:`AccessResult`.
+  view (``n = 1``) returning its one stream's :class:`AccessResult`.
 * :mod:`repro.memory.config` — :class:`MemoryConfig`: mapping, ``T``,
   buffer depths ``q``/``q'`` and the port count.
 * :mod:`repro.memory.module` — the :class:`InFlightRequest` timing
@@ -31,14 +33,14 @@ Derived metrics (efficiency, excess latency...) are properties of
 
 from repro.memory.config import MemoryConfig
 from repro.memory.kernel import (
+    AccessResult,
     KernelRun,
     KernelStream,
     MemoryKernel,
-    StreamRun,
 )
 from repro.memory.module import InFlightRequest, RequestRecords
 from repro.memory.storage import MemoryStore
-from repro.memory.system import AccessResult, MemorySystem
+from repro.memory.system import MemorySystem
 from repro.memory.trace import describe_result, render_timeline
 
 __all__ = [
@@ -50,7 +52,6 @@ __all__ = [
     "MemoryKernel",
     "MemoryStore",
     "MemorySystem",
-    "StreamRun",
     "RequestRecords",
     "describe_result",
     "render_timeline",

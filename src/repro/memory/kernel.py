@@ -13,9 +13,9 @@ two axes the paper's Section 6 defers to future work:
   round-robin; streams on different ports issue concurrently.
 
 ``MemoryKernel(config).run(streams)`` is the way to run several
-streams; :class:`~repro.memory.system.MemorySystem` is the single-stream
-view (``n = 1``) that returns an
-:class:`~repro.memory.system.AccessResult`.  The equivalence suite in
+streams.  It reports each stream's outcome as one :class:`AccessResult`,
+which :class:`~repro.memory.system.MemorySystem`, the single-stream view
+(``n = 1``), returns as it is.  The equivalence suite in
 ``tests/memory/test_kernel.py`` drives the kernel against a reference
 transcription of the per-cycle loops it replaced.
 
@@ -76,7 +76,7 @@ stream's issue stalls; everything else is derived from those once per
 entry, the same way for both.  An entry (:class:`KernelTiming`) holds
 the run's total cycles, held-result flag, module busy cycles and port
 issues, and each stream's finished timing (:class:`StreamTiming`): its
-module counts, wait count, held-result flag, first issue and last
+module busy cycles, wait count, held-result flag, first issue and last
 delivery, and its own arrival, start and delivery cycles (the run's
 sequences for a single stream, slices of them otherwise; a closed-form
 entry keeps them as ``range`` objects).  The module range check, the
@@ -86,7 +86,7 @@ whose points time one program's memory batches on the same memory, pays
 for that batch's timing once, and so does a chaining baseline that is
 timed (its batches are the chained run's).  A hit shares its entry,
 which is immutable, and costs the key's hash plus, per stream, the
-:class:`StreamRun` and :class:`~repro.memory.module.RequestRecords`
+:class:`AccessResult` and :class:`~repro.memory.module.RequestRecords`
 that :class:`MemoryKernel` wraps around the stream's timing.  An error
 is never memoised, so a stream whose ``modules`` leave ``[0, M)`` is
 refused on every call.
@@ -196,14 +196,18 @@ class KernelStream:
 
 
 @dataclass(frozen=True)
-class StreamRun:
-    """Per-stream outcome of one kernel run.
+class AccessResult:
+    """One memory stream's outcome: what a kernel run reports for each
+    of its streams, and what
+    :class:`~repro.memory.system.MemorySystem` returns for its one.
 
     Cycle fields are kernel-relative (the run starts at cycle 1).
     ``port`` is the port the stream issued on (stream ``index`` uses
-    port ``index % ports``).  ``module_request_counts`` attributes each
-    module's load to this stream, so per-stream busy accounting
-    (``service_ratio * count``) stays exact even when streams share
+    port ``index % ports``).  ``requests`` are the per-request timing
+    records in issue order, built on first read (:attr:`wait_count`
+    and :attr:`result_held` do not need them).  ``module_busy_cycles``
+    is this stream's load on each module, ``T`` cycles per request, so
+    per-stream busy accounting stays exact even when streams share
     modules.
     """
 
@@ -214,7 +218,7 @@ class StreamRun:
     last_delivery_cycle: int
     issue_stall_cycles: int
     requests: RequestRecords
-    module_request_counts: tuple[int, ...]
+    module_busy_cycles: tuple[int, ...]
 
     @property
     def element_count(self) -> int:
@@ -226,13 +230,14 @@ class StreamRun:
         return self.last_delivery_cycle - self.first_issue_cycle + 1
 
     @property
+    def cycles_per_element(self) -> float:
+        """Average issue-to-drain cost per element."""
+        return self.latency / self.element_count
+
+    @property
     def wait_count(self) -> int:
         """Requests that queued behind a busy module."""
         return self.requests.wait_count
-
-    @property
-    def conflict_free(self) -> bool:
-        return self.wait_count == 0 and self.issue_stall_cycles == 0
 
     @property
     def result_held(self) -> bool:
@@ -242,12 +247,35 @@ class StreamRun:
         counterpart of :attr:`KernelRun.bus_held_result`."""
         return self.requests.result_held
 
+    @property
+    def conflict_free(self) -> bool:
+        """The one conflict-freedom rule for a stream, the dynamic
+        counterpart of the paper's Section 2 definition: no request
+        waited for a busy module, the stream never stalled at issue and
+        no result was held.  A run's only stream that keeps it takes
+        exactly ``T + L + 1`` cycles."""
+        return (
+            self.wait_count == 0
+            and self.issue_stall_cycles == 0
+            and not self.result_held
+        )
+
+    def delivery_order(self) -> list[int]:
+        """Element indices in the order their data returned."""
+        ordered = sorted(self.requests, key=lambda r: r.delivery_cycle)
+        return [request.element_index for request in ordered]
+
+    def excess_latency(self, service_ratio: int) -> int:
+        """Latency above the conflict-free minimum ``T + L + 1``."""
+        return self.latency - (service_ratio + self.element_count + 1)
+
 
 @dataclass(frozen=True)
 class KernelRun:
-    """Aggregate outcome of one kernel run."""
+    """Aggregate outcome of one kernel run: one :class:`AccessResult`
+    per stream, in stream order, and the run's totals."""
 
-    streams: tuple[StreamRun, ...]
+    streams: tuple[AccessResult, ...]
     total_cycles: int
     ports: int
     bus_busy_cycles: int
@@ -677,15 +705,15 @@ LOOP_MEMO_SIZE = 40
 
 class StreamTiming(NamedTuple):
     """One stream's finished timing, as a :func:`kernel_timing` entry
-    holds it: its per-module request counts, its requests' arrival,
-    start and delivery cycles (the run's own sequences for a single
-    stream, slices of them otherwise) and its issue stalls, plus what
-    :func:`kernel_timing` derives from those cycles once per entry: its
-    wait count, held-result flag
+    holds it: its busy cycles per module (``T`` per request), its
+    requests' arrival, start and delivery cycles (the run's own
+    sequences for a single stream, slices of them otherwise) and its
+    issue stalls, plus what :func:`kernel_timing` derives from those
+    cycles once per entry: its wait count, held-result flag
     (:func:`~repro.memory.module.results_held`), first issue and last
     delivery."""
 
-    module_counts: tuple[int, ...]
+    module_busy: tuple[int, ...]
     wait_count: int
     result_held: bool
     arrival: Sequence[int]
@@ -797,12 +825,13 @@ def kernel_timing(
         counts = [0] * module_count
         for m in modules:
             counts[m] += 1
-        for m, count in enumerate(counts):
-            busy[m] += service_time * count
+        own_busy = tuple(service_time * count for count in counts)
+        for m, cycles in enumerate(own_busy):
+            busy[m] += cycles
         port_issues[index % ports] += len(modules)
         streams.append(
             StreamTiming(
-                tuple(counts),
+                own_busy,
                 count_waits(own_arrival, own_start),
                 results_held(own_start, own_delivery, service_time),
                 own_arrival,
@@ -932,16 +961,16 @@ class MemoryKernel:
         except _ModulesOutOfRange as error:
             raise self._range_error(kernel_streams[error.index]) from None
         reduce = config.mapping.reduce
-        stream_runs = []
+        results = []
         for index, (stream, modules, timing) in enumerate(
             zip(kernel_streams, stream_modules, timings)
         ):
             (
-                counts, waits, stream_held, arrival, start, delivery,
+                own_busy, waits, stream_held, arrival, start, delivery,
                 first_issue, last_delivery, stalls,
             ) = timing
-            stream_runs.append(
-                StreamRun(
+            results.append(
+                AccessResult(
                     name=stream.name,
                     index=index,
                     port=index % ports,
@@ -953,11 +982,11 @@ class MemoryKernel:
                         service_time, waits, stream_held, stream.stores,
                         reduce,
                     ),
-                    module_request_counts=counts,
+                    module_busy_cycles=own_busy,
                 )
             )
         return KernelRun(
-            streams=tuple(stream_runs),
+            streams=tuple(results),
             total_cycles=total_cycles,
             ports=ports,
             bus_busy_cycles=requests,

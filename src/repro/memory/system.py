@@ -15,19 +15,22 @@ Timing contract (all cycles 1-based):
 Hence a conflict-free access of ``L`` elements issued at cycles
 ``1 .. L`` delivers its last element at cycle ``L + T + 1`` — the paper's
 minimum latency ``T + L + 1``.  The simulator's ``conflict_free``
-observation (no request ever waited) is cross-checked against the static
-predicate of :mod:`repro.core.distributions` in the test-suite.
+observation (no request waited, no issue stalled and no result was
+held: :attr:`~repro.memory.kernel.AccessResult.conflict_free`, the one
+rule) is cross-checked against the static predicate of
+:mod:`repro.core.distributions` in the test-suite.
 
 :class:`MemorySystem` is the single-stream view over the one
 :class:`~repro.memory.kernel.MemoryKernel` (one stream; ``config.ports``
 result buses, one by default) — the cycle loop itself lives in the
 kernel.  Several streams run as one ``MemoryKernel(config).run(streams)``
-call, whose streams :func:`access_result_from_run` reads one at a time.
+call, which reports each stream as an
+:class:`~repro.memory.kernel.AccessResult`; :meth:`MemorySystem.run_stream`
+returns its one stream's as it is.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.core.gather import IndexedPlan
@@ -35,91 +38,11 @@ from repro.core.planner import AccessPlan
 from repro.errors import SimulationError
 from repro.memory.config import MemoryConfig
 from repro.memory.kernel import (
-    KernelRun,
+    AccessResult,
     KernelStream,
     MemoryKernel,
     PlanRequests,
 )
-from repro.memory.module import RequestRecords
-
-
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of simulating one request stream.
-
-    Attributes
-    ----------
-    latency:
-        Cycles from the first issue attempt to the last delivery.
-    issue_stall_cycles:
-        Cycles the processor spent unable to issue (input queue full).
-    conflict_free:
-        True when no request ever found its module busy *and* the result
-        bus never held a result back — the dynamic counterpart of the
-        paper's definition.
-    requests:
-        Per-request timing records, in issue order (built on first
-        read; :attr:`wait_count` does not need them).
-    module_busy_cycles:
-        Utilisation per module.
-    """
-
-    latency: int
-    issue_stall_cycles: int
-    conflict_free: bool
-    requests: RequestRecords
-    module_busy_cycles: tuple[int, ...]
-
-    @property
-    def element_count(self) -> int:
-        return len(self.requests)
-
-    @property
-    def cycles_per_element(self) -> float:
-        """Average issue-to-drain cost per element."""
-        return self.latency / self.element_count
-
-    @property
-    def wait_count(self) -> int:
-        """Requests that queued behind a busy module."""
-        return self.requests.wait_count
-
-    def delivery_order(self) -> list[int]:
-        """Element indices in the order their data returned."""
-        ordered = sorted(self.requests, key=lambda r: r.delivery_cycle)
-        return [request.element_index for request in ordered]
-
-    def excess_latency(self, service_ratio: int) -> int:
-        """Latency above the conflict-free minimum ``T + L + 1``."""
-        return self.latency - (service_ratio + self.element_count + 1)
-
-
-def access_result_from_run(
-    run: KernelRun, stream_index: int, service_ratio: int
-) -> AccessResult:
-    """One kernel stream's outcome as an :class:`AccessResult`, read
-    the same way whatever the run's stream count.
-
-    Latency spans cycle 1 (when the stream became eligible to issue) to
-    its own last delivery, and busy cycles and held results are the
-    stream's own: every request occupies its module for exactly ``T``
-    cycles, and a hold only taints the stream whose delivery slipped
-    past ``finish + 1``.  The kernel's timing memo derives the last
-    delivery and the held-result flag once from the stream's request
-    cycles.  A run's only stream reads the run's own figures: its last
-    delivery is the run's total cycles, its busy cycles the machine's
-    and its held-result flag the run's.
-    """
-    stream = run.streams[stream_index]
-    return AccessResult(
-        latency=stream.last_delivery_cycle,
-        issue_stall_cycles=stream.issue_stall_cycles,
-        conflict_free=stream.conflict_free and not stream.result_held,
-        requests=stream.requests,
-        module_busy_cycles=tuple(
-            service_ratio * count for count in stream.module_request_counts
-        ),
-    )
 
 
 class MemorySystem:
@@ -167,7 +90,9 @@ class MemorySystem:
         "result" models the store acknowledgement.  ``modules``
         optionally gives each request's module under this memory's
         mapping (a plan's temporal distribution).  ``tracer`` is
-        forwarded to the kernel for cycle-level event emission.
+        forwarded to the kernel for cycle-level event emission.  Returns
+        the kernel's :class:`~repro.memory.kernel.AccessResult` for the
+        stream, as it is.
         """
         if not stream:
             raise SimulationError("cannot simulate an empty request stream")
@@ -175,5 +100,5 @@ class MemorySystem:
         run = kernel.run(
             [KernelStream.of("access", stream, stores=stores, modules=modules)]
         )
-        return access_result_from_run(run, 0, self.config.service_ratio)
+        return run.streams[0]
 

@@ -8,7 +8,7 @@ request (its element index modulo 10), ``.`` is idle.
 
 from __future__ import annotations
 
-from repro.memory.system import AccessResult
+from repro.memory.kernel import AccessResult
 
 
 def render_timeline(
@@ -26,8 +26,12 @@ def render_timeline(
         Number of rows (modules) to draw.
     max_cycles:
         Clip the chart after this many cycles to keep output readable.
+
+    The chart starts at the run's cycle 1, so it is as wide as the
+    stream's last delivery cycle.
     """
-    cycles = min(result.latency, max_cycles)
+    last = result.last_delivery_cycle
+    cycles = min(last, max_cycles)
     grid = [["."] * cycles for _ in range(module_count)]
     for request in result.requests:
         if request.start_cycle is None or request.finish_cycle is None:
@@ -42,8 +46,8 @@ def render_timeline(
     lines = [header]
     for module_index, row in enumerate(grid):
         lines.append(f"mod {module_index:3d} " + "".join(row))
-    if result.latency > max_cycles:
-        lines.append(f"... clipped at cycle {max_cycles} of {result.latency}")
+    if last > max_cycles:
+        lines.append(f"... clipped at cycle {max_cycles} of {last}")
     return "\n".join(lines)
 
 

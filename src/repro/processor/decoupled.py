@@ -93,9 +93,8 @@ from repro.errors import (
 )
 from repro.hardware.register_file import VectorRegisterFile
 from repro.memory.config import MemoryConfig
-from repro.memory.kernel import KernelStream, MemoryKernel
+from repro.memory.kernel import AccessResult, KernelStream, MemoryKernel
 from repro.memory.storage import MemoryStore
-from repro.memory.system import access_result_from_run
 from repro.obs.tracer import resolve_tracer
 from repro.processor.isa import (
     VAdd,
@@ -174,8 +173,11 @@ class MachineResult:
     ``stream_concurrency_peak`` is the largest number of memory
     instructions that were in flight together (1 on the classic
     single-port, single-stream machine).  ``memory_runs`` pairs each
-    memory instruction's plan scheme with its cycle-accurate
-    :class:`~repro.memory.system.AccessResult`, in instruction order.
+    memory instruction's plan scheme with the
+    :class:`~repro.memory.kernel.AccessResult` its batch's kernel run
+    reported for its stream, in instruction order: cycles count from
+    the batch's cycle 1, and its ``conflict_free`` is the instruction's
+    timeline flag.
     ``outputs_correct`` and ``output_errors`` are the resolved
     program's output check (``None`` when the run was given no expected
     memory contents).  ``batch_breaks`` are the breaks that closed the
@@ -188,7 +190,7 @@ class MachineResult:
     timings: tuple[InstructionTiming, ...]
     total_cycles: int
     stream_concurrency_peak: int = 1
-    memory_runs: tuple = ()
+    memory_runs: tuple[tuple[str, AccessResult], ...] = ()
     outputs_correct: bool | None = None
     output_errors: tuple[str, ...] = ()
     batch_breaks: tuple[BatchBreak, ...] = ()
@@ -321,7 +323,8 @@ class OpenBatch:
 class ResolvedAccess:
     """One memory instruction as the value pass resolved it: its plan,
     the :class:`~repro.memory.kernel.KernelStream` its batch's kernel
-    run times it as, and the facts :meth:`OpenBatch.refusal` reads."""
+    run times it as, the facts :meth:`OpenBatch.refusal` reads and its
+    mnemonic, each derived once for every timing of the program."""
 
     position: int
     instruction: object
@@ -331,10 +334,7 @@ class ResolvedAccess:
     is_store_op: bool
     reads: frozenset[int]
     writes: frozenset[int]
-
-    @property
-    def mnemonic(self) -> str:
-        return self.instruction.mnemonic  # type: ignore[attr-defined]
+    mnemonic: str
 
 
 class PlanKey(NamedTuple):
@@ -572,7 +572,7 @@ class DecoupledVectorMachine:
                     f"the program was resolved on a machine with another "
                     f"{name}; its plans do not fit this machine"
                 )
-        memory_runs: list[tuple[str, object]] = []
+        memory_runs: list[tuple[str, AccessResult]] = []
         timings: dict[int, InstructionTiming] = {}
         memory_free = 1
         execute_free = 1
@@ -600,20 +600,28 @@ class DecoupledVectorMachine:
             batch.clear()
 
         for position, instruction in enumerate(resolved.program):
-            reads = frozenset(instruction.reads())
-            writes = frozenset(instruction.writes())
             access = next(accesses) if instruction.is_memory else None
             if batch.members:
-                # An operand is late when it is ready after the open
-                # batch's first cycle.  One the batch writes is not yet
-                # ready at all; the refusal names that hazard first.
-                late = () if access is None else tuple(
-                    r
-                    for r in instruction.reads()
-                    if r not in batch.writes
-                    and register_ready[r] + 1 > batch_start
-                )
-                refused = batch.refusal(position, reads, writes, access, late)
+                if access is None:
+                    refused = batch.refusal(
+                        position,
+                        frozenset(instruction.reads()),
+                        frozenset(instruction.writes()),
+                    )
+                else:
+                    # An operand is late when it is ready after the open
+                    # batch's first cycle; they are named in operand
+                    # order.  One the batch writes is not yet ready at
+                    # all; the refusal names that hazard first.
+                    late = tuple(
+                        r
+                        for r in instruction.reads()
+                        if r not in batch.writes
+                        and register_ready[r] + 1 > batch_start
+                    )
+                    refused = batch.refusal(
+                        position, access.reads, access.writes, access, late
+                    )
                 if refused is not None:
                     breaks.append(refused)
                     finalise()
@@ -628,7 +636,9 @@ class DecoupledVectorMachine:
                 timings[position] = timing
                 continue
             if not batch.members:
-                ready = max((register_ready[r] for r in reads), default=0)
+                ready = max(
+                    (register_ready[r] for r in access.reads), default=0
+                )
                 batch_start = max(memory_free, ready + 1)
             batch.add(access)
         finalise()
@@ -760,6 +770,7 @@ class DecoupledVectorMachine:
             is_store_op,
             frozenset(instruction.reads()),
             frozenset(instruction.writes()),
+            instruction.mnemonic,
         )
 
     def _apply_values(self, instruction) -> None:
@@ -801,15 +812,17 @@ class DecoupledVectorMachine:
         register_ready: dict[int, int],
         load_records: dict[int, _LoadRecord],
         timings: dict[int, InstructionTiming],
-        memory_runs: list[tuple[str, object]],
+        memory_runs: list[tuple[str, AccessResult]],
     ) -> int:
         """Run the batch (one kernel run) and record its timing.
 
         Each member hands the kernel the stream the value pass built for
-        it, and an untraced batch runs on the machine's one
-        :attr:`kernel`, so a batch whose timing is in the kernel's memo
-        costs its streams.  Returns the cycle the memory unit frees (all
-        streams drained).
+        it and files the kernel's
+        :class:`~repro.memory.kernel.AccessResult` for that stream as it
+        is; an untraced batch runs on the machine's one :attr:`kernel`,
+        so a batch whose timing is in the kernel's memo costs its
+        streams.  Returns the cycle the memory unit frees (all streams
+        drained).
         """
         offset = batch_start - 1
         kernel = self.kernel
@@ -820,43 +833,43 @@ class DecoupledVectorMachine:
                 self.config, tracer=self.tracer.shifted(offset)
             )
         run = kernel.run([member.kernel_stream for member in batch])
-        service_ratio = self.config.service_ratio
         unit_free = batch_start
-        for slot, (member, stream) in enumerate(zip(batch, run.streams)):
-            result = access_result_from_run(run, slot, service_ratio)
-            end = offset + stream.last_delivery_cycle
+        for slot, (member, result) in enumerate(zip(batch, run.streams)):
+            end = offset + result.last_delivery_cycle
             unit_free = max(unit_free, end + 1)
+            conflict_free = result.conflict_free
+            scheme = member.plan.scheme
             # Batches run, and their members join, in program order.
-            memory_runs.append((member.plan.scheme, result))
+            memory_runs.append((scheme, result))
             if not member.is_store_op:
                 register_ready[member.instruction.dst] = end
                 load_records[member.instruction.dst] = _LoadRecord(
-                    result.conflict_free,
+                    conflict_free,
                     member.kernel_stream.requests,
                     result.requests.delivery_cycles,
                     offset,
                 )
             timings[member.position] = InstructionTiming(
                 member.position,
-                member.instruction.mnemonic,
+                member.mnemonic,
                 "memory",
                 batch_start,
                 end,
-                member.plan.scheme,
-                result.conflict_free,
-                port=stream.port,
+                scheme,
+                conflict_free,
+                port=result.port,
                 stream=slot,
             )
             if self.tracer.enabled:
                 self.tracer.span(
                     "machine/memory",
-                    f"{member.instruction.mnemonic} @{member.position}",
+                    f"{member.mnemonic} @{member.position}",
                     batch_start,
                     end,
                     position=member.position,
-                    mode=member.plan.scheme,
-                    conflict_free=result.conflict_free,
-                    port=stream.port,
+                    mode=scheme,
+                    conflict_free=conflict_free,
+                    port=result.port,
                     stream=slot,
                 )
         return unit_free
@@ -935,7 +948,7 @@ class DecoupledVectorMachine:
         self,
         resolved: ResolvedProgram,
         timings: tuple[InstructionTiming, ...],
-        memory_runs: list[tuple[str, object]],
+        memory_runs: list[tuple[str, AccessResult]],
     ) -> None:
         """Check the timed schedule against the program.
 

@@ -65,7 +65,8 @@ from repro.mappings.base import AddressMapping
 from repro.mappings.dynamic import DynamicSchemeSelector
 from repro.mappings.linear import MatchedXorMapping
 from repro.memory.config import MemoryConfig
-from repro.memory.system import AccessResult, MemorySystem
+from repro.memory.kernel import AccessResult
+from repro.memory.system import MemorySystem
 from repro.obs.tracer import resolve_tracer
 from repro.result_schema import CORE_METRICS, TIMELINE_FIELDS, extra_metric
 from repro.scenarios import components as _components  # registers kinds
@@ -413,7 +414,13 @@ def _aggregate(
     """Fold per-access results into one scenario-level record.
 
     Multi-access workloads (kernels) are simulated back to back, so
-    totals add and conflict-freedom is the conjunction.
+    totals add and conflict-freedom is the conjunction.  An access's
+    latency here is its ``last_delivery_cycle``, counted from its run's
+    cycle 1 (when the stream became eligible to issue), not its own
+    ``latency`` from its first issue: a machine batch's member that
+    first issues after cycle 1 (it shares a port, or its first module's
+    input queue was full) spent those cycles waiting on the batch's
+    other streams, and they are part of what the access cost.
     """
     config = point.config
     schemes = []
@@ -434,7 +441,7 @@ def _aggregate(
         schemes=tuple(schemes),
         access_count=len(runs),
         element_count=elements,
-        latency=sum(run.latency for _scheme, run in runs),
+        latency=sum(run.last_delivery_cycle for _scheme, run in runs),
         minimum_latency=minimum,
         conflict_free=all(run.conflict_free for _scheme, run in runs),
         issue_stalls=sum(run.issue_stall_cycles for _scheme, run in runs),
@@ -540,15 +547,15 @@ def _simulate_planner(point: DesignPoint, tracer=None) -> ScenarioResult:
         return _closed_form(point, accesses, plans)
     runs: list[tuple[str, AccessResult]] = []
     # Accesses run back to back, so each one's kernel events are shifted
-    # by the latency accumulated before it — the exported timeline shows
-    # the workload as one continuous run.
+    # by the cycles the runs before it took (each run's last delivery)
+    # — the exported timeline shows the workload as one continuous run.
     system = MemorySystem(config)
     offset = 0
     for access, plan in zip(accesses, plans):
         if plan is None:
             plan = planner.plan(access, mode=drive.mode)
         run = system.run_plan(plan, tracer=tracer.shifted(offset))
-        offset += run.latency
+        offset += run.last_delivery_cycle
         runs.append((plan.scheme, run))
     return _aggregate(point, runs)
 

@@ -37,6 +37,8 @@ from repro.memory.config import MemoryConfig
 from repro.memory import kernel as kernel_module
 from repro.memory.kernel import (
     LOOP_MEMO_SIZE,
+    AccessResult,
+    KernelRun,
     KernelStream,
     MemoryKernel,
     _conflict_free_timing,
@@ -49,7 +51,7 @@ from repro.memory.module import (
     count_waits,
     results_held,
 )
-from repro.memory.system import MemorySystem, access_result_from_run
+from repro.memory.system import MemorySystem
 from repro.obs.tracer import Tracer
 from repro.scenarios import (
     ComponentSpec,
@@ -254,6 +256,17 @@ def held_in(requests):
     return any(r.delivery_cycle > r.finish_cycle + 1 for r in requests)
 
 
+def conflict_free_in(reference, index):
+    """Whether reference stream ``index`` is conflict-free: no request
+    waited, the stream never stalled at issue and no result was held."""
+    requests = reference["requests"][index]
+    return (
+        reference["stalls"][index] == 0
+        and not any(r.waited for r in requests)
+        and not held_in(requests)
+    )
+
+
 def timing_tuples(requests):
     return [
         (
@@ -369,6 +382,9 @@ class TestMultiPortEquivalence:
             assert stream_result.result_held == held_in(
                 reference["requests"][index]
             )
+            assert stream_result.conflict_free == conflict_free_in(
+                reference, index
+            )
 
 
 class TestDegenerateGeometry:
@@ -386,9 +402,7 @@ class TestDegenerateGeometry:
         planner = AccessPlanner(config.mapping, t)
         plan = planner.plan(VectorAccess(base, stride, length), mode="auto")
         run = MemoryKernel(config).run([plan.request_stream()])
-        stream = run.streams[0]
-        conflict_free = stream.conflict_free and not run.bus_held_result
-        if conflict_free:
+        if run.streams[0].conflict_free:
             assert run.total_cycles == config.service_ratio + length + 1
         else:
             assert run.total_cycles > config.service_ratio + length + 1
@@ -544,6 +558,7 @@ class TestEventDrivenLoop:
             assert timing_tuples(stream.requests) == timing_tuples(
                 reference["requests"][index]
             )
+            assert stream.conflict_free == conflict_free_in(reference, index)
 
     @pytest.mark.parametrize(
         "t, module_bits, q, ports, module_lists",
@@ -728,7 +743,6 @@ class TestLoopMemo:
             else:
                 positions = frozenset()
             streams.append(KernelStream(f"s{index}", tuple(stream), positions))
-        service_ratio = config.service_ratio
         kernel_timing.cache_clear()
         cold = MemoryKernel(config).run(streams)
         warm = MemoryKernel(config).run(streams)
@@ -739,13 +753,10 @@ class TestLoopMemo:
             [(stream.requests, stream.stores) for stream in streams],
             ports=config.ports,
         )
-        for index in range(len(streams)):
-            was = access_result_from_run(cold, index, service_ratio)
-            now = access_result_from_run(warm, index, service_ratio)
-            assert now.latency == was.latency
-            assert now.issue_stall_cycles == was.issue_stall_cycles
+        for index, (was, now) in enumerate(zip(cold.streams, warm.streams)):
+            for field in fields(AccessResult):
+                assert getattr(now, field.name) == getattr(was, field.name)
             assert now.conflict_free == was.conflict_free
-            assert now.module_busy_cycles == was.module_busy_cycles
             assert list(now.requests) == list(was.requests)
             # The hit's per-stream timing is the reference loop's too.
             records = list(now.requests)
@@ -755,9 +766,13 @@ class TestLoopMemo:
                 r.is_store for r in expected
             ]
             assert now.issue_stall_cycles == reference["stalls"][index]
-            assert now.latency == reference["last_delivery"][index]
+            assert now.first_issue_cycle == reference["first_issue"][index]
+            assert (
+                now.last_delivery_cycle == reference["last_delivery"][index]
+            )
             assert now.wait_count == sum(r.waited for r in records)
             assert now.requests.result_held == held_in(records)
+            assert now.conflict_free == conflict_free_in(reference, index)
 
     def test_a_module_out_of_range_is_refused_on_every_call(self):
         kernel = MemoryKernel(MATCHED)
@@ -1048,13 +1063,7 @@ class TestKernelRunRecord:
             MATCHED_Q2, "auto", [VectorAccess(0, 12, 64), VectorAccess(1, 12, 64)]
         )
         run = MemoryKernel(MATCHED_Q2).run(streams)
-        per_stream = [
-            tuple(
-                MATCHED_Q2.service_ratio * count
-                for count in stream.module_request_counts
-            )
-            for stream in run.streams
-        ]
+        per_stream = [stream.module_busy_cycles for stream in run.streams]
         combined = tuple(sum(parts) for parts in zip(*per_stream))
         assert combined == run.module_busy_cycles
 
@@ -1064,9 +1073,7 @@ class TestPerStreamHoldAttribution:
 
     @staticmethod
     def one_request_stream(name, index, module, delivery):
-        from repro.memory.kernel import StreamRun
-
-        return StreamRun(
+        return AccessResult(
             name=name,
             index=index,
             port=0,
@@ -1083,15 +1090,12 @@ class TestPerStreamHoldAttribution:
                 wait_count=count_waits((2,), (2,)),
                 result_held=results_held((2,), (delivery,), 8),
             ),
-            module_request_counts=tuple(
-                1 if m == module else 0 for m in range(8)
+            module_busy_cycles=tuple(
+                8 if m == module else 0 for m in range(8)
             ),
         )
 
     def test_clean_stream_stays_conflict_free(self):
-        from repro.memory.kernel import KernelRun
-        from repro.memory.system import access_result_from_run
-
         clean = self.one_request_stream("clean", 0, 0, delivery=10)
         held = self.one_request_stream("held", 1, 1, delivery=11)
         run = KernelRun(
@@ -1102,10 +1106,11 @@ class TestPerStreamHoldAttribution:
             bus_held_result=True,
             module_busy_cycles=(8, 8, 0, 0, 0, 0, 0, 0),
         )
+        assert run.bus_held_result
         assert not clean.result_held
         assert held.result_held
-        assert access_result_from_run(run, 0, 8).conflict_free
-        assert not access_result_from_run(run, 1, 8).conflict_free
+        assert clean.conflict_free
+        assert not held.conflict_free
 
     def test_a_single_stream_s_hold_is_the_run_s(self):
         # T = 2, q = 2, one port: request 1 waits behind request 0 on
@@ -1121,4 +1126,4 @@ class TestPerStreamHoldAttribution:
         assert only.requests.delivery_cycles == (4, 6, 7)
         assert run.bus_held_result
         assert only.result_held
-        assert not access_result_from_run(run, 0, 2).conflict_free
+        assert not only.conflict_free

@@ -6,14 +6,16 @@ Two properties anchor the tracing design:
    the cycle loop from the timing records it already materialises, so a
    traced run must equal the untraced run field for field.
 2. **Events are the records.**  Every span/instant must agree with the
-   :class:`~repro.memory.kernel.StreamRun` it was derived from — same
+   :class:`~repro.memory.kernel.AccessResult` it was derived from — same
    first-issue/last-delivery window, same per-module occupancy, same
-   per-request service interval.
+   per-request service interval — and a machine's kernel span gives the
+   ``conflict_free`` of its instruction's span and timeline row.
 """
 
 from __future__ import annotations
 
 import time
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,9 @@ from repro.core.vector import VectorAccess
 from repro.memory.config import MemoryConfig
 from repro.memory.kernel import KernelStream, MemoryKernel
 from repro.obs import NULL_TRACER, Tracer, chrome_trace_events
+from repro.result_schema import TIMELINE_FIELDS
+from repro.scenarios import load_scenarios, simulate
+from repro.scenarios.facade import build_point, resolved_program
 
 CONFIG = MemoryConfig.matched(t=3, s=4, input_capacity=2)
 PLANNER = AccessPlanner(CONFIG.mapping, 3)
@@ -164,4 +169,61 @@ class TestEmittedEvents:
         last = max(event["ts"] + event["dur"] - 1 for event in spans)
         assert last == run.total_cycles
         assert min(event["ts"] for event in spans) >= 1
+
+
+GRID_64 = (
+    Path(__file__).resolve().parents[2]
+    / "examples"
+    / "scenario_program_grid_64.json"
+)
+
+
+class TestMachineStreamAgreement:
+    """A batch member's kernel ``streams/i<p>`` span, its instruction's
+    ``machine/memory`` span and its timeline row say one
+    ``conflict_free``, held streams included."""
+
+    def test_held_streams_agree_with_their_instructions(self):
+        name = (
+            "daxpy-fallback-grid"
+            "[memory_streams=2,q=2,alpha=1.5,x_stride=2]"
+        )
+        (spec,) = [
+            spec
+            for spec in load_scenarios(GRID_64.read_text())
+            if spec.name == name
+        ]
+        # 12 of the point's streams held a result without a wait or an
+        # issue stall: a rule that forgot holds would call them
+        # conflict-free.
+        machine, entry = resolved_program(build_point(spec))
+        memory_runs = machine.time(entry.resolved).memory_runs
+        held_only = [
+            run
+            for _scheme, run in memory_runs
+            if run.requests.result_held
+            and run.wait_count == 0
+            and run.issue_stall_cycles == 0
+        ]
+        assert len(held_only) == 12
+        tracer = Tracer()
+        result = simulate(spec, tracer=tracer)
+        kernel = {
+            int(track.removeprefix("streams/i")): args["conflict_free"]
+            for _kind, track, _name, _begin, _end, args in tracer.spans(
+                "streams/"
+            )
+        }
+        instructions = {
+            args["position"]: args["conflict_free"]
+            for *_event, args in tracer.spans("machine/memory")
+        }
+        rows = [dict(zip(TIMELINE_FIELDS, row)) for row in result.timeline]
+        timeline = {
+            row["position"]: row["conflict_free"]
+            for row in rows
+            if row["unit"] == "memory"
+        }
+        assert len(kernel) == len(memory_runs)
+        assert kernel == instructions == timeline
 
