@@ -19,18 +19,19 @@ def pytest_benchmark_update_json(config, benchmarks, output_json):
 
     pytest-benchmark's own ``commit_info`` is best-effort (empty under
     shallow CI checkouts); the ``repro_meta`` block is what
-    ``repro.obs.history`` keys bench ingestion on.
+    ``repro.obs.history`` keys bench ingestion on.  ``created_at`` is
+    the lab's own stamp, so ``lab history`` orders a bench run among
+    lab runs of the same second.
     """
-    import time
-
     import repro
     from repro.lab.jobs import source_fingerprint
+    from repro.lab.store import utc_now
     from repro.obs.history import current_git_commit
 
     output_json["repro_meta"] = {
         "git_commit": current_git_commit(),
         "package_version": repro.__version__,
-        "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "created_at": utc_now(),
         "source_fingerprint": source_fingerprint(),
     }
 

@@ -6,6 +6,15 @@ separately, while byte-identical repeats share one job id and run once.
 Either way the batch reads as more coverage than it is (and points that
 differ only by name burn quota re-measuring one machine), so ``DD401``
 *warn* names each group of identical points before anything is queued.
+
+Identical means equal canonical JSON without the name.  Only points
+that could be identical are encoded: the specs are first grouped by
+their frozen data fields, whose Python equality is coarser than
+canonical JSON (it merges ``1``, ``1.0`` and ``True``, and ``0.0`` and
+``-0.0``), so a batch of distinct points encodes nothing.  Specs built
+through :meth:`~repro.scenarios.spec.ComponentSpec.of`, ``from_dict``
+or a grid hold frozen params; a batch holding one built by hand with a
+list in its params is compared point by point.
 """
 
 from __future__ import annotations
@@ -20,24 +29,38 @@ __all__ = ["dedupe_findings"]
 def dedupe_findings(
     specs: list[tuple[ScenarioSpec, str]]
 ) -> list[Finding]:
-    """``DD401`` findings over ``(spec, location)`` pairs."""
-    groups: dict[str, list[tuple[str, str]]] = {}
-    for spec, location in specs:
-        body = canonical_json(
-            {
-                key: value
-                for key, value in spec.to_dict().items()
-                if key != "name"
-            }
-        )
-        groups.setdefault(body, []).append((spec.name, location))
-    findings = []
-    for members in groups.values():
+    """``DD401`` findings over ``(spec, location)`` pairs, in the order
+    of each group's first point."""
+    candidates: dict[tuple[object, ...], list[int]] = {}
+    try:
+        for index, (spec, _location) in enumerate(specs):
+            fields = (spec.mapping, spec.memory, spec.workload, spec.program, spec.drive)
+            candidates.setdefault(fields, []).append(index)
+    except TypeError:
+        # A spec built by hand with a list in its params does not hash,
+        # and a list equals no frozen tuple: compare every point.
+        candidates = {(): list(range(len(specs)))}
+    groups: dict[str, list[int]] = {}
+    for indices in candidates.values():
+        if len(indices) < 2:
+            continue
+        for index in indices:
+            body = canonical_json(
+                {
+                    key: value
+                    for key, value in specs[index][0].to_dict().items()
+                    if key != "name"
+                }
+            )
+            groups.setdefault(body, []).append(index)
+    findings: list[Finding] = []
+    # Groups are disjoint, so sorting orders them by their first point.
+    for members in sorted(groups.values()):
         if len(members) < 2:
             continue
-        locations = [location for _name, location in members]
+        locations = [specs[index][1] for index in members]
         # Points with the same name too share a job id: they run once.
-        runs = len({name for name, _location in members})
+        runs = len({specs[index][0].name for index in members})
         times = "once" if runs == 1 else f"{runs} times"
         effect = (
             "each simulates separately but measures the same machine"

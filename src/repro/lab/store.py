@@ -41,7 +41,9 @@ A root in the earlier layout, one ``artifacts/<hash>/result.json`` file
 per result, is imported the first time its index is opened; the files
 stay on disk and may be deleted afterwards.  An index written before
 runs were recorded only in their manifests keeps its ``runs`` table on
-disk; nothing reads it.
+disk; nothing reads it.  An index written before ``results`` lost its
+job-id index keeps ``idx_results_job``: SQLite still maintains it, and
+nothing drops it.  A new root has only the primary key's index.
 
 The run and bench files under a lab root, and the spool's job files,
 are written through :func:`atomic_write`, so a reader never sees half
@@ -77,21 +79,21 @@ class StoreMergeError(ReproError):
     """A lab-root merge that cannot proceed (missing or self-referential)."""
 
 
-_SCHEMA = (
-    """CREATE TABLE IF NOT EXISTS results (
-        config_hash TEXT PRIMARY KEY,
-        job_id TEXT NOT NULL,
-        kind TEXT NOT NULL,
-        title TEXT NOT NULL,
-        package_version TEXT NOT NULL,
-        all_passed INTEGER NOT NULL,
-        elapsed_seconds REAL NOT NULL,
-        created_at TEXT NOT NULL,
-        run_id TEXT NOT NULL,
-        body TEXT NOT NULL
-    )""",
-    "CREATE INDEX IF NOT EXISTS idx_results_job ON results (job_id)",
-)
+#: The one table, indexed by its primary key alone: every lookup is by
+#: config hash, and a job-id index would cost every commit a write that
+#: only :meth:`ArtifactStore.results`' ordering reads.
+_SCHEMA = """CREATE TABLE IF NOT EXISTS results (
+    config_hash TEXT PRIMARY KEY,
+    job_id TEXT NOT NULL,
+    kind TEXT NOT NULL,
+    title TEXT NOT NULL,
+    package_version TEXT NOT NULL,
+    all_passed INTEGER NOT NULL,
+    elapsed_seconds REAL NOT NULL,
+    created_at TEXT NOT NULL,
+    run_id TEXT NOT NULL,
+    body TEXT NOT NULL
+)"""
 _RESULT_METADATA = (
     "config_hash, job_id, kind, title, package_version, all_passed, "
     "elapsed_seconds, created_at, run_id"
@@ -109,8 +111,10 @@ def utc_now() -> str:
     """Now, in UTC ISO 8601 with fixed-width microseconds
     (``2026-01-01T00:00:00.000000Z``): string order is time order, also
     within one second.  Every timestamp the lab and the service write
-    (stored results, run manifests, submitted runs) is one of these."""
-    return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%S.%fZ")
+    (stored results, run manifests, submitted runs, bench files) is one
+    of these.  ``isoformat`` spells it faster than ``strftime``; the
+    slice drops its ``+00:00``."""
+    return datetime.now(timezone.utc).isoformat(timespec="microseconds")[:-6] + "Z"
 
 
 def default_lab_root() -> str:
@@ -259,8 +263,7 @@ class ArtifactStore:
             # The earlier `results` rows held file paths, not bodies; the
             # import re-derives them from the files.
             connection.execute("DROP TABLE IF EXISTS results")
-            for statement in _SCHEMA:
-                connection.execute(statement)
+            connection.execute(_SCHEMA)
             self._import_files(connection)
             connection.execute(f"PRAGMA user_version = {INDEX_VERSION}")
 

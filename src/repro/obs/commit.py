@@ -1,7 +1,9 @@
 """The source checkout's commit, stamped on every run manifest.
 
 Kept apart from :mod:`repro.obs.history` so that writing a manifest
-does not import the history reader.
+does not import the history reader.  A process looks the package's
+commit up once: every later manifest reads it from the cache, with no
+path resolved and no ``git`` started.
 """
 
 from __future__ import annotations
@@ -10,7 +12,8 @@ import os
 import subprocess
 from pathlib import Path
 
-_COMMIT_CACHE: dict[str, str] = {}
+#: Commits by resolved directory; ``None`` keys the package's own.
+_COMMIT_CACHE: dict[str | None, str] = {}
 
 
 def current_git_commit(cwd: str | Path | None = None) -> str:
@@ -21,14 +24,14 @@ def current_git_commit(cwd: str | Path | None = None) -> str:
     installed ``repro`` package's own directory, so lab runs launched
     from a scratch directory still stamp the commit of the *code* that
     produced them; cached per directory since a process never changes
-    commit mid-run.
+    commit mid-run.  The package's directory cannot move either, so a
+    call without ``cwd`` answers from the cache before resolving any
+    path: only the first one pays for ``Path.resolve`` and ``git``.
     """
     env_sha = os.environ.get("GITHUB_SHA", "")
     if env_sha:
         return env_sha
-    if cwd is None:
-        cwd = Path(__file__).resolve().parent
-    key = str(Path(cwd).resolve())
+    key = None if cwd is None else str(Path(cwd).resolve())
     if key in _COMMIT_CACHE:
         return _COMMIT_CACHE[key]
     try:
@@ -36,7 +39,7 @@ def current_git_commit(cwd: str | Path | None = None) -> str:
             ["git", "rev-parse", "HEAD"],
             capture_output=True,
             text=True,
-            cwd=cwd,
+            cwd=Path(__file__).resolve().parent if cwd is None else cwd,
             timeout=10,
             check=False,
         ).stdout.strip()

@@ -62,15 +62,27 @@ def _finite(value, context: str):
     return value
 
 
+#: Types that :func:`freeze_value` returns unchanged, whatever the value.
+_FROZEN_TYPES = frozenset((int, str, bool, type(None)))
+
+
 def freeze_params(params: dict) -> tuple[tuple[str, object], ...]:
-    """A params dict as a sorted, hashable tuple of pairs."""
+    """A params dict as a sorted, hashable tuple of pairs.
+
+    A value whose type is exactly one of :data:`_FROZEN_TYPES` is kept
+    as it is; only the others go through :func:`freeze_value`, so only
+    they pay for its error context.
+    """
     frozen = []
     for key in sorted(params):
         if not isinstance(key, str):
             raise ConfigurationError(
                 f"parameter names must be strings, got {key!r}"
             )
-        frozen.append((key, freeze_value(params[key], context=f"param {key!r}")))
+        value = params[key]
+        if type(value) not in _FROZEN_TYPES:
+            value = freeze_value(value, context=f"param {key!r}")
+        frozen.append((key, value))
     return tuple(frozen)
 
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.check.dedupe import dedupe_findings
+from repro.check.findings import Finding
 from repro.check.lint import lint_grid_axes, lint_spec
 from repro.errors import ConfigurationError
 from repro.scenarios import (
@@ -14,6 +17,7 @@ from repro.scenarios import (
     ScenarioSpec,
     validate_kind,
 )
+from repro.scenarios.spec import canonical_json
 
 
 def spec(**overrides) -> ScenarioSpec:
@@ -113,7 +117,93 @@ class TestLintGridAxes:
         assert lint_grid_axes(grid, location="grid.json") == []
 
 
+def all_points_dedupe(specs: list[tuple[ScenarioSpec, str]]) -> list[Finding]:
+    """DD401 as it was first written: every point's nameless canonical
+    JSON is its group key, and groups report in order of first member."""
+    groups: dict[str, list[tuple[str, str]]] = {}
+    for spec_, location in specs:
+        body = canonical_json(
+            {
+                key: value
+                for key, value in spec_.to_dict().items()
+                if key != "name"
+            }
+        )
+        groups.setdefault(body, []).append((spec_.name, location))
+    findings = []
+    for members in groups.values():
+        if len(members) < 2:
+            continue
+        locations = [location for _name, location in members]
+        runs = len({name for name, _location in members})
+        times = "once" if runs == 1 else f"{runs} times"
+        effect = (
+            "each simulates separately but measures the same machine"
+            if runs == len(members)
+            else f"repeats run once, so the machine simulates {times}"
+        )
+        findings.append(
+            Finding(
+                "DD401",
+                "warn",
+                locations[0],
+                f"{len(members)} design points are identical up to "
+                f"their names ({', '.join(locations)}); {effect}",
+            )
+        )
+    return findings
+
+
+#: Values Python's equality merges (1, 1.0, True; 0, 0.0, -0.0, False)
+#: but canonical JSON tells apart, alone and inside tuples.
+LOOKALIKES = (1, 1.0, True, 0, 0.0, -0.0, False, (1, 2), (1.0, 2), (True, 2), (-0.0,))
+DEDUPE_POOL = [
+    spec(
+        name=name,
+        mapping=ComponentSpec.of("matched-xor", t=t, s=4),
+        workload=ComponentSpec.of("strided", base=0, stride=value, length=128),
+    )
+    for value in LOOKALIKES
+    for t in (3, 3.0)
+    for name in ("a", "b", "")
+]
+
+
 class TestDedupe:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(0, len(DEDUPE_POOL) - 1), st.sampled_from("xyz")
+            ),
+            max_size=30,
+        )
+    )
+    def test_findings_match_the_all_points_grouping(self, picks):
+        pairs = [(DEDUPE_POOL[index], f"f:{where}") for index, where in picks]
+
+        def shown(findings):
+            return [
+                (f.rule_id, f.severity, f.location, f.message) for f in findings
+            ]
+
+        assert shown(dedupe_findings(pairs)) == shown(all_points_dedupe(pairs))
+
+    def test_a_hand_built_list_param_is_compared_by_its_json(self):
+        frozen = ComponentSpec.of("strided", base=0, stride=[1, 2], length=128)
+        by_hand = ComponentSpec(
+            "strided", (("base", 0), ("length", 128), ("stride", [1, 2]))
+        )
+        [finding] = dedupe_findings(
+            [
+                (spec(name="a", workload=frozen), "f:a"),
+                (spec(name="x", memory=MemorySpec(t=3, q=2)), "f:x"),
+                (spec(name="b", workload=by_hand), "f:b"),
+            ]
+        )
+        assert finding.location == "f:a"
+        assert "(f:a, f:b)" in finding.message
+
     def test_identical_points_up_to_name_are_dd401(self):
         pairs = [
             (spec(name="a"), "f:a"),

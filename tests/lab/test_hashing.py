@@ -2,9 +2,14 @@
 
 from __future__ import annotations
 
+import json
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.lab.hashing import (
     ArtifactCodingError,
@@ -15,6 +20,44 @@ from repro.lab.hashing import (
     encode_cell,
     encode_rows,
 )
+
+
+def reference_json(value) -> str:
+    """The canonical spelling, as ``json.dumps`` writes it."""
+    return json.dumps(
+        value,
+        sort_keys=True,
+        separators=(",", ":"),
+        allow_nan=False,
+        ensure_ascii=True,
+    )
+
+
+TEXT = st.text() | st.text(st.characters(max_codepoint=0x7F)) | st.text(
+    st.characters(max_codepoint=0x1F)
+)
+SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**63 - 2, max_value=2**80)
+    | st.integers(min_value=-(2**80), max_value=-(2**63) + 2)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1e308])
+    | TEXT
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(TEXT, children, max_size=5),
+    max_leaves=20,
+)
+
+
+def raised(encode, value) -> tuple[type, str]:
+    with pytest.raises((TypeError, ValueError)) as error:
+        encode(value)
+    return type(error.value), str(error.value)
 
 
 class TestCanonicalJson:
@@ -43,6 +86,66 @@ class TestCanonicalJson:
         one = config_hash({"job_id": "E01", "package_version": "1.0.0"})
         two = config_hash({"job_id": "E01", "package_version": "1.0.1"})
         assert one != two
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    def test_spelling_is_json_dumps_with_the_four_flags(self, value):
+        assert canonical_json(value) == reference_json(value)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        JSON_VALUES,
+        st.sampled_from([float("nan"), float("inf"), float("-inf")]),
+    )
+    def test_nan_and_infinity_raise_json_dumps_error(self, value, special):
+        for document in ([value, special], {"a": value, "b": special}):
+            kind, message = raised(canonical_json, document)
+            assert kind is ValueError
+            assert (kind, message) == raised(reference_json, document)
+
+    @pytest.mark.parametrize(
+        "document", [{1: "a", "b": 2}, {"x": [{None: 1, "y": 2}]}]
+    )
+    def test_mixed_key_types_raise_json_dumps_error(self, document):
+        kind, message = raised(canonical_json, document)
+        assert kind is TypeError
+        assert (kind, message) == raised(reference_json, document)
+
+    def test_threads_share_the_encoder(self):
+        """Serve's handler threads encode through the one encoder at
+        once; each gets what it would get alone."""
+        values = [
+            {
+                "job_id": f"SC-{index}\u00e9\x01",
+                "rows": [[index, index / 7, -0.0, 2**64 + index]],
+                "params": {"z": [True, None], "a": 5e-324 * index},
+            }
+            for index in range(200)
+        ]
+        expected = [reference_json(value) for value in values]
+        threads_count = 8
+        results: list[list[str] | None] = [None] * threads_count
+        barrier = threading.Barrier(threads_count)
+
+        def encode(slot: int) -> None:
+            barrier.wait(timeout=30)
+            results[slot] = [canonical_json(value) for value in values]
+
+        threads = [
+            threading.Thread(target=encode, args=(slot,))
+            for slot in range(threads_count)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * threads_count
 
 
 class TestCellCodec:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import re
+from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +132,30 @@ class TestRunOrder:
             (result,) = store.results()
         assert self.STAMP.fullmatch(manifest["created_at"])
         assert self.STAMP.fullmatch(result["created_at"])
+
+    @pytest.mark.parametrize("microsecond", [0, 1, 999999])
+    def test_stamp_spells_the_instant(self, monkeypatch, microsecond):
+        instant = datetime(2024, 2, 29, 23, 59, 59, microsecond, timezone.utc)
+
+        class FixedClock(datetime):
+            @classmethod
+            def now(cls, tz=None):
+                return instant.astimezone(tz)
+
+        monkeypatch.setattr("repro.lab.store.datetime", FixedClock)
+        assert utc_now() == instant.strftime("%Y-%m-%dT%H:%M:%S.%fZ")
+        assert self.STAMP.fullmatch(utc_now())
+
+    def test_bench_files_carry_the_lab_stamp(self):
+        """A bench run and a lab run of the same second sort in the
+        order they were written."""
+        conftest = Path(__file__).resolve().parents[2] / "benchmarks" / "conftest.py"
+        found = importlib.util.spec_from_file_location("bench_conftest", conftest)
+        module = importlib.util.module_from_spec(found)
+        found.loader.exec_module(module)
+        output_json: dict = {}
+        module.pytest_benchmark_update_json(None, [], output_json)
+        assert self.STAMP.fullmatch(output_json["repro_meta"]["created_at"])
 
     def test_runs_within_one_second_keep_their_order(self, tmp_path):
         """Run ids end in random hex, so two runs written within one

@@ -1,8 +1,10 @@
 """A design point's lab bookkeeping happens once per batch.
 
 Each job's config is hashed once (serve's submit, the lookup, the save
-and a crashed job's record share that hash), a batch looks its points
-up with one query, each executed point is one ``INSERT``, and a
+and a crashed job's record share that hash), a fresh point is encoded
+as canonical JSON three times (its job text, its config hash and its
+stored body; DD401 encodes only possible duplicates), a batch looks its
+points up with one query, each executed point is one ``INSERT``, and a
 ``repro lab sweep`` call builds an ``ArgumentParser`` only for each
 command on its path.  Reading a root back is batched the same way:
 ``lab history`` reads N distinct results with one query per
@@ -18,9 +20,12 @@ import sys
 
 import pytest
 
+import repro.canonical
+from repro.check.dedupe import dedupe_findings
 from repro.cli import main
 from repro.lab import SCENARIO_KIND, ArtifactStore, JobSpec, hashing, run_jobs
 from repro.lab.store import _LOOKUP_CHUNK
+from repro.scenarios import load_grid
 from repro.obs.history import read_history
 from repro.result_schema import METRIC_HEADERS
 from repro.serve.service import LabService
@@ -54,21 +59,42 @@ def sweep(grid: str, root) -> int:
     )
 
 
+def record_calls(monkeypatch, name: str, original, record) -> None:
+    """Make every ``repro`` module that binds ``original`` as ``name``
+    call ``record(argument)`` before it."""
+
+    def counting(argument):
+        record(argument)
+        return original(argument)
+
+    for module_name, module in list(sys.modules.items()):
+        bound = vars(module).get(name)
+        if module_name.startswith("repro") and bound is original:
+            monkeypatch.setattr(module, name, counting)
+
+
 @pytest.fixture
 def hash_calls(monkeypatch):
     """The job ids ``repro.lab.hashing.config_hash`` hashes from now on,
     under every name a ``repro`` module binds it to."""
-    original = hashing.config_hash
     calls: list[str] = []
+    record_calls(
+        monkeypatch,
+        "config_hash",
+        hashing.config_hash,
+        lambda config: calls.append(config["job_id"]),
+    )
+    return calls
 
-    def counting(config: dict) -> str:
-        calls.append(config["job_id"])
-        return original(config)
 
-    for name, module in list(sys.modules.items()):
-        bound = vars(module).get("config_hash")
-        if name.startswith("repro") and bound is original:
-            monkeypatch.setattr(module, "config_hash", counting)
+@pytest.fixture
+def encodes(monkeypatch):
+    """The values ``repro.canonical.canonical_json`` encodes from now on,
+    under every name a ``repro`` module binds it to."""
+    calls: list[object] = []
+    record_calls(
+        monkeypatch, "canonical_json", repro.canonical.canonical_json, calls.append
+    )
     return calls
 
 
@@ -142,6 +168,28 @@ class TestOneHashPerJob:
         assert (job_to_json(spec), repr(spec)) == before
         assert spec == fresh and hash(spec) == hash(fresh)
         assert job_from_json(job_to_json(spec)).config_hash("1.0") == address
+
+
+class TestEncodesPerPoint:
+    def test_a_fresh_sweep_encodes_each_point_three_times(
+        self, tmp_path, capsys, encodes
+    ):
+        """The spec's job text, the config hash and the stored body."""
+        strides = [1, 3, 5, 7, 9, 11]
+        assert sweep(write_grid(tmp_path, strides), tmp_path / "lab") == 0
+        assert len(encodes) == 3 * len(strides)
+
+    def test_dedupe_encodes_no_distinct_point(self, encodes):
+        grid = json.loads(json.dumps(GRID))
+        grid["axes"] = {
+            "workload.params.stride": list(range(1, 25)),
+            "memory.q": [1, 2],
+        }
+        specs = load_grid(json.dumps(grid)).expand()
+        assert len(specs) == 48
+        encodes.clear()
+        assert dedupe_findings([(spec, "f") for spec in specs]) == []
+        assert encodes == []
 
 
 class TestOneLookupPerRun:

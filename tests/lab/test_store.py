@@ -122,6 +122,72 @@ class TestArtifactStore:
         assert store.rebuild_index() == 0
 
 
+class TestIndexLayout:
+    def test_a_fresh_root_indexes_only_the_primary_key(self, tmp_path):
+        with ArtifactStore(tmp_path / "lab") as store:
+            store.save(SPEC, PAYLOAD, run_id="r1")
+        with closing(sqlite3.connect(store.index_path)) as db:
+            schema = db.execute(
+                "SELECT type, name, tbl_name FROM sqlite_master ORDER BY name"
+            ).fetchall()
+        assert schema == [
+            ("table", "results", "results"),
+            ("index", "sqlite_autoindex_results_1", "results"),
+        ]
+
+    def test_results_are_ordered_by_job_then_stamp(self, tmp_path, monkeypatch):
+        saves = [
+            ("SC-b", "2024-02-29T00:00:02.000000Z"),
+            ("SC-a", "2024-02-29T00:00:03.000000Z"),
+            ("SC-b", "2024-02-29T00:00:01.000000Z"),
+            ("SC-c", "2024-02-29T00:00:00.000000Z"),
+            ("SC-a", "2024-02-29T00:00:00.500000Z"),
+        ]
+        stamps = iter(stamp for _job, stamp in saves)
+        monkeypatch.setattr("repro.lab.store.utc_now", lambda: next(stamps))
+        with ArtifactStore(tmp_path / "lab") as store:
+            for index, (job_id, _stamp) in enumerate(saves):
+                spec = JobSpec(job_id, "scenario", "t", (("spec", str(index)),))
+                store.save(
+                    spec, {"job_id": job_id, "all_passed": True}, run_id=f"r{index}"
+                )
+            listed = [(row["job_id"], row["created_at"]) for row in store.results()]
+        assert listed == sorted(saves)
+
+    def test_a_root_keeping_the_job_index_still_works(self, tmp_path):
+        """Roots written before the job-id index went keep it."""
+
+        def save(store, job_id):
+            spec = JobSpec(job_id, "scenario", job_id, (("spec", job_id),))
+            return store.save(spec, dict(PAYLOAD, job_id=job_id), run_id="r")
+
+        old = tmp_path / "old"
+        with ArtifactStore(old) as store:
+            kept = save(store, "SC-1")
+        with closing(sqlite3.connect(old / "index.sqlite")) as db, db:
+            db.execute("CREATE INDEX idx_results_job ON results (job_id)")
+        with ArtifactStore(old) as store, ArtifactStore(tmp_path / "new") as new:
+            added = save(store, "SC-2")
+            assert store.load_many(
+                [kept["config_hash"], added["config_hash"]]
+            ) == {kept["config_hash"]: kept, added["config_hash"]: added}
+            merged = save(new, "SC-3")
+            assert store.merge(new)["artifacts_imported"] == 1
+            assert new.merge(store)["artifacts_imported"] == 2
+            assert store.load(merged["config_hash"]) == merged
+            for root in (store, new):
+                assert [row["job_id"] for row in root.results()] == [
+                    "SC-1", "SC-2", "SC-3"
+                ]
+        with closing(sqlite3.connect(old / "index.sqlite")) as db:
+            indexes = db.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index' "
+                "ORDER BY name"
+            ).fetchall()
+            assert db.execute("PRAGMA integrity_check").fetchone() == ("ok",)
+        assert indexes == [("idx_results_job",), ("sqlite_autoindex_results_1",)]
+
+
 class TestArtifactBytes:
     def test_raw_bytes_are_what_save_serialised(self, tmp_path):
         store = ArtifactStore(tmp_path / "lab")

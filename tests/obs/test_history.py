@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import json
 import sqlite3
+import subprocess
 from contextlib import closing
 from pathlib import Path
 
 import pytest
 
+import repro.obs.commit
 from repro.lab import ArtifactStore, run_jobs, scenario_jobs
 from repro.obs.history import (
     current_git_commit,
@@ -125,6 +127,30 @@ class TestCurrentGitCommit:
         monkeypatch.delenv("GITHUB_SHA", raising=False)
         commit = current_git_commit()
         assert commit == "" or len(commit) == 40
+
+    def test_the_package_commit_is_looked_up_once(self, monkeypatch):
+        """Every manifest asks; only the first call resolves a path or
+        starts ``git``.  An explicit directory is still resolved."""
+        monkeypatch.delenv("GITHUB_SHA", raising=False)
+        commit = current_git_commit()
+        calls: list[str] = []
+        resolve, run = Path.resolve, subprocess.run
+
+        def counting_resolve(path, *args, **kwargs):
+            calls.append("resolve")
+            return resolve(path, *args, **kwargs)
+
+        def counting_run(*args, **kwargs):
+            calls.append("run")
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(Path, "resolve", counting_resolve)
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        assert current_git_commit() == commit
+        assert calls == []
+        package = Path(repro.obs.commit.__file__).parent
+        assert current_git_commit(package) == commit
+        assert "resolve" in calls
 
 
 class TestReadStore:
